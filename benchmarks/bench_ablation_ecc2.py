@@ -6,7 +6,6 @@ accelerated BER where the ECC-1 design visibly struggles).
 """
 
 import numpy as np
-import pytest
 
 from conftest import emit
 from repro.core.ecc2 import ECC2LineCodec

@@ -7,7 +7,6 @@ and measures the slowdown on a memory-bound workload -- quantifying how
 much reliability headroom the performance budget actually has.
 """
 
-import pytest
 
 from conftest import emit
 from repro.cache.geometry import CacheGeometry

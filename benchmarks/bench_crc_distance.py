@@ -10,8 +10,6 @@ patterns escape at the generic 2^-31 rate instead of never.
 
 import random
 
-import pytest
-
 from conftest import emit
 from repro.coding.crc import CRC31_SUDOKU
 from repro.coding.crcdistance import (

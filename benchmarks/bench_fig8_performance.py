@@ -1,8 +1,6 @@
 """Fig. 8: execution time of SuDoku-Z normalised to an ideal fault-free
 cache, across the full workload suite."""
 
-import pytest
-
 from conftest import emit
 from repro.analysis.experiments import fig8_performance
 

@@ -9,8 +9,6 @@ correction mechanism carried the load.
 
 import random
 
-import pytest
-
 from conftest import emit
 from repro.coding.interleave import BitInterleaver
 from repro.core.engine import SuDokuZ

@@ -8,7 +8,6 @@ regime.  (The Z mode simulates one peeling level and is an upper bound;
 see EXPERIMENTS.md.)
 """
 
-import pytest
 
 from conftest import emit
 from repro.reliability.raresim import estimate_fit

@@ -6,7 +6,6 @@ hide under.  This bench runs the ideal-vs-SuDoku pair at 1-16 cores on
 a memory-intensive profile and checks the marginal cost stays flat.
 """
 
-import pytest
 
 from conftest import emit
 from repro.cache.geometry import CacheGeometry

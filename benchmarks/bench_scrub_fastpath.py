@@ -117,7 +117,6 @@ BACKEND_NUM_LINES = 1 << 20
 BACKEND_GROUP_SIZE = 1024
 BACKEND_BER = 1e-5
 BACKEND_SEED = 29
-BACKEND_REQUIRED_SPEEDUP = 10.0
 
 
 def test_bench_numpy_backend_speedup(benchmark):
@@ -126,10 +125,12 @@ def test_bench_numpy_backend_speedup(benchmark):
     Both passes resolve the identical fault population (same-seeded
     injector against the same golden content) and must produce
     bit-identical outcome counters -- the contract under which the numpy
-    backend is allowed to exist.  The gate is the wall-clock ratio: the
-    batched backend has to beat the scalar loops by at least 10x at this
-    geometry, where reference time is dominated by per-member scalar
-    decodes inside RAID-group scans.
+    backend is allowed to exist.  Each backend's best pass is tracked as
+    its own scalar (``reference_wall_s``, ``numpy_wall_s``) and gated by
+    an absolute ``max`` entry in ``benchmarks/baseline.json``.  Their
+    ratio is reported but not gated: reference time is dominated by the
+    scalar line codec inside RAID-group scans, so a faster codec shrinks
+    the ratio without any numpy regression.
     """
     codec = LineCodec()
     array = STTRAMArray(BACKEND_NUM_LINES, codec.stored_bits)
@@ -185,9 +186,12 @@ def test_bench_numpy_backend_speedup(benchmark):
             f"{BACKEND_GROUP_SIZE}: outcome counters bit-identical "
             f"between backends"
         ),
-        # Tracked trajectory scalar; a "min"-direction baseline entry
-        # fails CI if the vectorised backend loses its edge.
-        "scalars": {"speedup": speedup},
+        # Tracked trajectory scalars; "max"-direction baseline entries
+        # fail CI if either backend's pass slows down.
+        "scalars": {
+            "reference_wall_s": walls["reference"],
+            "numpy_wall_s": walls["numpy"],
+        },
         "config": {
             "num_lines": BACKEND_NUM_LINES,
             "group_size": BACKEND_GROUP_SIZE,
@@ -206,8 +210,3 @@ def test_bench_numpy_backend_speedup(benchmark):
         "speedup": speedup,
         "counters_identical": counters["numpy"] == counters["reference"],
     })
-
-    assert speedup >= BACKEND_REQUIRED_SPEEDUP, (
-        f"numpy backend only {speedup:.1f}x faster "
-        f"(need {BACKEND_REQUIRED_SPEEDUP}x)"
-    )

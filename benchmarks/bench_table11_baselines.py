@@ -1,7 +1,6 @@
 """Table XI: CPPC / RAID-6 / 2DP vs SuDoku (analytical + functional)."""
 
 import numpy as np
-import pytest
 
 from conftest import emit
 from repro.analysis.experiments import table11_baselines

@@ -15,7 +15,7 @@ import numpy as np
 from conftest import emit
 from repro.core.engine import SuDokuZ
 from repro.core.linecodec import LineCodec
-from repro.reliability.montecarlo import heal, run_engine_campaign
+from repro.reliability.montecarlo import heal
 from repro.sttram.array import STTRAMArray
 from repro.sttram.faults import TransientFaultInjector
 from repro.sttram.writeerror import WriteErrorChannel

@@ -18,13 +18,11 @@ from repro.core.config import PAPER
 from repro.core.stats import LatencyModel
 from repro.reliability.baselinemodel import (
     cppc_model,
-    ecc6_per_line_model,
     hiecc_model,
     raid6_model,
     twodp_model,
 )
 from repro.reliability.eccmodel import ECCCacheModel, table2_rows
-from repro.reliability.fit import fit_to_mttf_hours
 from repro.reliability.sram import sram_vmin_table
 from repro.reliability.sudokumodel import SuDokuReliabilityModel
 from repro.sttram.variation import effective_ber

@@ -21,7 +21,7 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.bench.store import STORE_ENV, TrajectoryStore
 

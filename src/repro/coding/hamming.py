@@ -8,9 +8,12 @@ computed over data *and* CRC (543 bits), which needs 10 check bits -- the
 The implementation uses the classic positional construction: codeword
 positions are numbered 1..n, positions that are powers of two hold check
 bits, and the syndrome of a corrupted word is the (1-based) position of a
-single flipped bit.  Check bits and syndromes are evaluated with
-precomputed parity masks so a full encode is ~r popcounts of the word
-rather than a per-bit loop.
+single flipped bit.  Check bits and syndromes are r masked parities
+(popcounts) of the word.  The k data bits fill the gaps between the
+power-of-two check positions, so they occupy at most r - 1 contiguous
+runs of the codeword (9 for the paper's k = 543); scattering data into a
+codeword and gathering it back out is one shift and one mask per run,
+never a per-bit loop.
 
 :class:`HammingSECDED` extends the code with an overall parity bit, which
 distinguishes single errors (correctable) from double errors (detectable
@@ -20,9 +23,9 @@ but uncorrectable) -- used by the ECC-baseline studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.coding.bitvec import mask_of, popcount
+from repro.coding.bitvec import mask_of, masked_parities, popcount
 
 
 def check_bits_needed(data_bits: int) -> int:
@@ -71,9 +74,22 @@ class HammingSEC:
         ]
         assert len(self._data_positions) == self.k
 
-        # Scatter/gather masks: data bit i lives at codeword bit
-        # (data_positions[i] - 1).
+        # Data bit i lives at codeword bit (data_positions[i] - 1).  The
+        # numpy backend builds its gather tables from this per-bit map.
         self._data_cw_shift = [position - 1 for position in self._data_positions]
+
+        # The same map as contiguous runs: (data_mask, shift) sends the
+        # data bits selected by data_mask to codeword bits ``shift``
+        # higher.  A data bit's shift is the number of check positions
+        # below it, so equal shifts form one contiguous run per gap
+        # between check positions.
+        run_masks: Dict[int, int] = {}
+        for data_index, cw_bit in enumerate(self._data_cw_shift):
+            shift = cw_bit - data_index
+            run_masks[shift] = run_masks.get(shift, 0) | (1 << data_index)
+        self._runs: List[Tuple[int, int]] = [
+            (run_mask, shift) for shift, run_mask in run_masks.items()
+        ]
 
         # Parity masks over the *codeword*: bit j of the syndrome is the
         # parity of (codeword & syndrome_mask[j]), where syndrome_mask[j]
@@ -103,16 +119,16 @@ class HammingSEC:
         if data < 0 or data >> self.k:
             raise ValueError(f"data does not fit in {self.k} bits")
         codeword = self._scatter(data)
-        for j, mask in enumerate(self._encode_masks):
-            if popcount(data & mask) & 1:
-                codeword |= 1 << (self._check_positions[j] - 1)
+        checks = masked_parities(data, self._encode_masks)
+        for j, position in enumerate(self._check_positions):
+            if (checks >> j) & 1:
+                codeword |= 1 << (position - 1)
         return codeword
 
     def _scatter(self, data: int) -> int:
         codeword = 0
-        for data_index in range(self.k):
-            if (data >> data_index) & 1:
-                codeword |= 1 << self._data_cw_shift[data_index]
+        for run_mask, shift in self._runs:
+            codeword |= (data & run_mask) << shift
         return codeword
 
     def extract_data(self, codeword: int) -> int:
@@ -120,9 +136,8 @@ class HammingSEC:
         if codeword < 0 or codeword >> self.n:
             raise ValueError(f"codeword does not fit in {self.n} bits")
         data = 0
-        for data_index in range(self.k):
-            if (codeword >> self._data_cw_shift[data_index]) & 1:
-                data |= 1 << data_index
+        for run_mask, shift in self._runs:
+            data |= (codeword >> shift) & run_mask
         return data
 
     # -- decoding -----------------------------------------------------------
@@ -137,23 +152,30 @@ class HammingSEC:
         """
         if codeword < 0 or codeword >> self.n:
             raise ValueError(f"codeword does not fit in {self.n} bits")
-        value = 0
-        for j, mask in enumerate(self._syndrome_masks):
-            if popcount(codeword & mask) & 1:
-                value |= 1 << j
-        return value
+        return masked_parities(codeword, self._syndrome_masks)
+
+    def error_position(self, syndrome: int) -> Optional[int]:
+        """The codeword bit a single-bit error with ``syndrome`` flipped.
+
+        ``None`` for syndrome 0 (no error) and for a syndrome beyond the
+        codeword, which no single-bit error can produce.
+        """
+        if 0 < syndrome <= self.n:
+            return syndrome - 1
+        return None
 
     def correct(self, codeword: int) -> SECResult:
         """Attempt single-error correction of ``codeword``."""
         syndrome = self.syndrome(codeword)
-        if syndrome == 0:
-            return SECResult(codeword, self.extract_data(codeword), None, True)
-        if syndrome > self.n:
-            # Syndrome points outside the codeword: cannot be a single-bit
-            # error.  Leave the word untouched and flag the malfunction.
-            return SECResult(codeword, self.extract_data(codeword), None, False)
-        corrected = codeword ^ (1 << (syndrome - 1))
-        return SECResult(corrected, self.extract_data(corrected), syndrome - 1, True)
+        position = self.error_position(syndrome)
+        if position is None:
+            # A syndrome beyond the codeword is a malfunction: leave the
+            # word untouched and flag it.
+            return SECResult(
+                codeword, self.extract_data(codeword), None, syndrome == 0
+            )
+        corrected = codeword ^ (1 << position)
+        return SECResult(corrected, self.extract_data(corrected), position, True)
 
     def decode(self, codeword: int) -> int:
         """Convenience: correct then return the data payload."""
@@ -221,12 +243,13 @@ class HammingSECDED:
             return SECDEDResult(corrected, self._sec.extract_data(inner), self._sec.n, False)
         if parity_bad:
             # Odd number of errors; treat as single and correct.
-            if syndrome > self._sec.n:
+            position = self._sec.error_position(syndrome)
+            if position is None:
                 return SECDEDResult(codeword, self.extract_data(codeword), None, True)
-            fixed_inner = inner ^ (1 << (syndrome - 1))
+            fixed_inner = inner ^ (1 << position)
             corrected = fixed_inner | (stored_overall << self._sec.n)
             return SECDEDResult(
-                corrected, self._sec.extract_data(fixed_inner), syndrome - 1, False
+                corrected, self._sec.extract_data(fixed_inner), position, False
             )
         # Non-zero syndrome with good overall parity: double error.
         return SECDEDResult(codeword, self.extract_data(codeword), None, True)

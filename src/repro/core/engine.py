@@ -40,6 +40,7 @@ from repro.core.sdr import resurrect
 from repro.core.stats import CorrectionStats, LatencyModel
 from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import Telemetry, resolve_telemetry
+from repro.obs.metrics import CounterChild
 from repro.sttram.array import STTRAMArray
 
 #: Bucket edges for modelled per-line repair latencies: the interesting
@@ -125,6 +126,7 @@ class SuDokuEngine:
             "Correction-mechanism invocations by engine level.",
             labels=("level", "mechanism"),
         )
+        self._m_ecc1: Optional[CounterChild] = None
         self._m_repair_latency = metrics.histogram(
             "sudoku_repair_latency_seconds",
             "Modelled hardware latency of resolving one line.",
@@ -340,6 +342,13 @@ class SuDokuEngine:
 
     def scrub_line(self, frame: int) -> str:
         """Resolve one line (LineScrubber protocol); returns outcome label."""
+        outcome = self._scrub_line(frame)
+        if self.telemetry.enabled:
+            self._publish_line_outcomes([outcome])
+        return outcome.value
+
+    def _scrub_line(self, frame: int) -> Outcome:
+        """:meth:`scrub_line` minus telemetry, which the caller publishes."""
         fault_bits = (
             popcount(self.array.error_vector(frame))
             if self.event_log is not None
@@ -350,11 +359,6 @@ class SuDokuEngine:
             outcome = self._resolve_line(frame)
         outcome = self._audit(frame, outcome)
         self.stats.record(outcome)
-        if self.telemetry.enabled:
-            self._m_outcomes.labels(level=self.level, outcome=outcome.value).inc()
-            self._m_repair_latency.labels(level=self.level).observe(
-                self._latency_for(outcome)
-            )
         if self.event_log is not None:
             self.event_log.record(
                 frame,
@@ -363,7 +367,25 @@ class SuDokuEngine:
                 group=self.mapper.group_of(frame),
                 latency_s=self._latency_for(outcome),
             )
-        return outcome.value
+        return outcome
+
+    def _publish_line_outcomes(self, outcomes: List[Outcome]) -> None:
+        """Count scrubbed lines' outcomes and latencies, in scrub order.
+
+        One counter increment per outcome class, and one histogram call
+        for the whole batch, instead of two labelled updates per line.
+        Exports match per-line publishing exactly: counter values are
+        integer-valued floats, children appear in first-seen order, and
+        the histogram sum is accumulated in scrub order.
+        """
+        tally = Counter(outcomes)
+        latency: Dict[Outcome, float] = {}
+        for outcome, count in tally.items():
+            self._m_outcomes.labels(level=self.level, outcome=outcome.value).inc(count)
+            latency[outcome] = self._latency_for(outcome)
+        self._m_repair_latency.labels(level=self.level).observe_all(
+            list(map(latency.__getitem__, outcomes))
+        )
 
     def _latency_for(self, outcome: Outcome) -> float:
         """Modelled hardware latency of resolving a line this way."""
@@ -437,9 +459,14 @@ class SuDokuEngine:
         self.begin_scrub_pass()
         frames = list(frames)
         self._prefetch_decodes(frames)
-        counts: Counter = Counter()
-        for frame in frames:
-            counts[self.scrub_line(frame)] += 1
+        scrubbed: List[Outcome] = []
+        try:
+            for frame in frames:
+                scrubbed.append(self._scrub_line(frame))
+        finally:
+            if scrubbed and self.telemetry.enabled:
+                self._publish_line_outcomes(scrubbed)
+        counts = Counter(outcome.value for outcome in scrubbed)
         for frame, outcome in list(self._pending.items()):
             audited = self._audit(frame, outcome)
             self.stats.record(audited)
@@ -459,9 +486,13 @@ class SuDokuEngine:
             self.array.restore(frame, decode.word)
             self.correction_time_s += self.latency.ecc1_repair()
             if self.telemetry.enabled:
-                self._m_corrections.labels(
-                    level=self.level, mechanism="ecc1"
-                ).inc()
+                if self._m_ecc1 is None:
+                    # ECC-1 is the one per-line mechanism, so its child is
+                    # held; made on first use, it exports where it did.
+                    self._m_ecc1 = self._m_corrections.labels(
+                        level=self.level, mechanism="ecc1"
+                    )
+                self._m_ecc1.inc()
             return Outcome.CORRECTED_ECC1
         outcomes = self._repair_group_of(frame)
         outcome = outcomes.pop(frame, Outcome.DUE)

@@ -101,24 +101,26 @@ class LineCodec:
         what exposes ECC-1 miscorrections on lines that really held 2+
         faults (section III-E).
         """
+        layout = self.layout
         payload = self._ecc.extract_data(word)
-        data, stored_crc = self.layout.split_payload(payload)
-        crc_ok = self.layout.compute_crc(data) == stored_crc
+        data, stored_crc = layout.split_payload(payload)
+        crc_ok = layout.compute_crc(data) == stored_crc
         syndrome = self._ecc.syndrome(word)
         if crc_ok and syndrome == 0:
             return LineDecode(DecodeStatus.CLEAN, word, data)
 
-        if syndrome != 0:
-            correction = self._ecc.correct(word)
-            if correction.valid and correction.flipped_position is not None:
-                fixed_data, fixed_crc = self.layout.split_payload(correction.data)
-                if self.layout.compute_crc(fixed_data) == fixed_crc:
-                    return LineDecode(
-                        DecodeStatus.CORRECTED,
-                        correction.corrected_word,
-                        fixed_data,
-                        correction.flipped_position,
-                    )
+        # The ECC-1 repair, reusing the syndrome rather than calling
+        # HammingSEC.correct, which would compute it again.
+        flipped = self._ecc.error_position(syndrome)
+        if flipped is not None:
+            fixed_word = word ^ (1 << flipped)
+            fixed_data, fixed_crc = layout.split_payload(
+                self._ecc.extract_data(fixed_word)
+            )
+            if layout.compute_crc(fixed_data) == fixed_crc:
+                return LineDecode(
+                    DecodeStatus.CORRECTED, fixed_word, fixed_data, flipped
+                )
         # Either the repair failed its CRC re-check, or (syndrome == 0,
         # CRC bad) the word is a valid ECC codeword with an inconsistent
         # payload -- a multi-bit corruption beyond line-level repair.

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,

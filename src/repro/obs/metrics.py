@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -105,6 +108,17 @@ class HistogramChild:
         self.sum += value
         self.count += 1
 
+    def observe_all(self, values: Sequence[float]) -> None:
+        """Record each of ``values``, exactly as one :meth:`observe` each.
+
+        Buckets are looked up once per distinct value, and ``reduce``
+        adds the values left to right, so the float ``sum`` is the same.
+        """
+        for value, count in Counter(values).items():
+            self.counts[bisect_left(self.buckets, value)] += count
+        self.sum = reduce(add, values, self.sum)
+        self.count += len(values)
+
     def cumulative_counts(self) -> List[int]:
         """Counts per bucket, cumulative, ending with the +Inf total."""
         out: List[int] = []
@@ -156,12 +170,16 @@ class MetricFamily:
         Every declared label must be supplied (and nothing else); values
         are coerced to strings, matching Prometheus semantics.
         """
-        if set(label_values) != set(self.label_names):
+        try:
+            key = tuple(map(str, map(label_values.__getitem__, self.label_names)))
+        except KeyError:
+            key = None
+        # With every declared label present, equal counts mean no extras.
+        if key is None or len(label_values) != len(self.label_names):
             raise ValueError(
                 f"{self.name} expects labels {self.label_names}, "
                 f"got {tuple(sorted(label_values))}"
             )
-        key = tuple(str(label_values[name]) for name in self.label_names)
         child = self._children.get(key)
         if child is None:
             child = self._make_child()
@@ -254,7 +272,7 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> MetricFamily:
         """Get or create a histogram family over fixed bucket edges."""
-        edges = tuple(sorted(float(edge) for edge in buckets))
+        edges = tuple(sorted(map(float, buckets)))
         if not edges:
             raise ValueError("histograms need at least one bucket edge")
         return self._get_or_create(name, help_text, "histogram", labels, edges)
@@ -320,6 +338,9 @@ class _NullSeries:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_all(self, values: Sequence[float]) -> None:
         pass
 
 

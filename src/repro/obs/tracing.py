@@ -49,15 +49,38 @@ class Span:
         """Attach an attribute after the span has started."""
         self.attributes[key] = value
 
+    # The tracer's bookkeeping is inlined here: spans wrap every campaign
+    # phase and repair, so each saved call counts.
     def __enter__(self) -> "Span":
-        self._tracer._enter(self)
+        tracer = self._tracer
+        self.span_id = tracer._next_id
+        tracer._next_id += 1
+        tracer.started += 1
+        stack = tracer._stack
+        if stack:
+            parent = stack[-1]
+            self.parent_id = parent.span_id
+            self.depth = parent.depth + 1
+        stack.append(self)
+        self.start_s = tracer._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        tracer = self._tracer
+        self.end_s = tracer._clock()
         if exc_type is not None:
             self.status = "error"
             self.attributes.setdefault("exception", exc_type.__name__)
-        self._tracer._exit(self)
+        # Tolerate out-of-order exits (generator-held spans): unwind to
+        # this span rather than corrupting the stack.
+        stack = tracer._stack
+        while stack:
+            if stack.pop() is self:
+                break
+        finished = tracer._finished
+        if len(finished) == tracer.capacity:
+            tracer.dropped += 1
+        finished.append(self)
 
     def to_dict(self) -> Dict:
         """Plain-dict form (the JSONL record)."""
@@ -103,30 +126,6 @@ class Tracer:
     def span(self, name: str, **attributes) -> Span:
         """A new span; enter it with ``with``."""
         return Span(self, name, attributes)
-
-    # -- span lifecycle (called by Span) -------------------------------------------
-
-    def _enter(self, span: Span) -> None:
-        span.span_id = self._next_id
-        self._next_id += 1
-        self.started += 1
-        if self._stack:
-            span.parent_id = self._stack[-1].span_id
-            span.depth = self._stack[-1].depth + 1
-        self._stack.append(span)
-        span.start_s = self._clock()
-
-    def _exit(self, span: Span) -> None:
-        span.end_s = self._clock()
-        # Tolerate out-of-order exits (generator-held spans): unwind to
-        # this span rather than corrupting the stack.
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
-                break
-        if len(self._finished) == self.capacity:
-            self.dropped += 1
-        self._finished.append(span)
 
     # -- access --------------------------------------------------------------------
 

@@ -38,7 +38,6 @@ reproduced throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 

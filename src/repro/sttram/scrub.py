@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Union
+from typing import Optional, Protocol, Union
 
 from repro.core.outcomes import (
     Outcome,

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy import integrate, stats
 
-from repro.coding.bitvec import flip_bits
 from repro.core.rng import SeedLike, resolve_rng
 from repro.sttram.device import THERMAL_ATTEMPT_FREQUENCY_HZ
 from repro.sttram.variation import effective_ber

@@ -1,10 +1,13 @@
 """Unit and property tests for repro.coding.bitvec."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.coding import bitvec
 from repro.coding.bitvec import (
     BitVector,
     bit_positions,
@@ -13,6 +16,7 @@ from repro.coding.bitvec import (
     hamming_distance,
     int_from_bits,
     mask_of,
+    masked_parities,
     popcount,
     random_bits,
     random_error_vector,
@@ -43,18 +47,10 @@ class TestPopcount:
     def test_table_fallback_matches_kernel(self):
         # The 3.9 fallback counts little-endian bytes through a table;
         # keep it honest on 3.10+ too by reconstructing it here.
-        table = bytes(bin(byte).count("1") for byte in range(256))
-
-        def fallback(value):
-            if value == 0:
-                return 0
-            data = value.to_bytes((value.bit_length() + 7) // 8, "little")
-            return sum(map(table.__getitem__, data))
-
         rng = random.Random(7)
         for _ in range(100):
             value = rng.getrandbits(rng.randrange(1, 700))
-            assert fallback(value) == popcount(value)
+            assert bitvec._table_popcount(value) == popcount(value)
 
 
 class TestBitPositions:
@@ -71,6 +67,77 @@ class TestBitPositions:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bit_positions(-3)
+
+    def test_matches_per_bit_walk(self):
+        # Oracle: test every position up to the width, in order.
+        rng = random.Random(17)
+        for _ in range(300):
+            width = rng.randrange(1, 700)
+            weight = rng.randrange(0, min(width, 12) + 1)
+            sparse = sum(1 << p for p in rng.sample(range(width), weight))
+            for value in (sparse, rng.getrandbits(width)):
+                expected = [p for p in range(width) if (value >> p) & 1]
+                assert bit_positions(value) == expected
+
+
+class TestMaskedParities:
+    def test_matches_per_row_popcount(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            width = rng.randrange(1, 700)
+            value = rng.getrandbits(width)
+            masks = [rng.getrandbits(width) for _ in range(rng.randrange(0, 40))]
+            expected = sum(
+                (popcount(value & mask) & 1) << j for j, mask in enumerate(masks)
+            )
+            assert masked_parities(value, masks) == expected
+            assert bitvec._table_masked_parities(value, masks) == expected
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            masked_parities(-1, [1])
+
+
+class TestPython39Path:
+    def test_codec_identical_under_table_kernels(self, monkeypatch):
+        # Every parity in the line codec (Hamming checks and syndrome,
+        # affine CRC rows) goes through bitvec's version dispatch, so the
+        # 3.9 table kernels must reproduce the 3.10+ results exactly.
+        from repro.coding.crc import CRC
+        from repro.core.linecodec import LineCodec
+
+        rng = random.Random(39)
+        codec = LineCodec()
+        data = [rng.getrandbits(512) for _ in range(20)]
+        faults = [random_error_vector(553, rng.randrange(4), rng) for _ in data]
+
+        def run():
+            fresh = CRC(16, 0x1021, init=0xFFFF)
+            words = [codec.encode(d) ^ f for d, f in zip(data, faults)]
+            return (
+                fresh.compute_int(0xABCD, 64),
+                words,
+                [codec.decode(word) for word in words],
+            )
+
+        expected = run()
+        monkeypatch.setattr(bitvec, "_popcount_nonneg", bitvec._table_popcount)
+        monkeypatch.setattr(
+            bitvec, "_masked_parities_nonneg", bitvec._table_masked_parities
+        )
+        assert run() == expected
+
+    def test_no_bare_bit_count_in_coding(self):
+        # int.bit_count is 3.10+; only bitvec's version dispatch may call it.
+        package = pathlib.Path(bitvec.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "bitvec.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "bit_count":
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestFlipBits:

@@ -104,6 +104,82 @@ class TestEngineBasics:
         assert not CRC31_SUDOKU.matches(value ^ 1, 512, stored)
 
 
+def _table_compute_int(engine, value, nbits):
+    """The original compute_int: the byte-table path over LE bytes."""
+    if nbits % 8:
+        raise ValueError("compute_int requires a whole number of bytes")
+    if value < 0 or value >> nbits:
+        raise ValueError(f"value does not fit in {nbits} bits")
+    return engine.compute(value.to_bytes(nbits // 8, "little"))
+
+
+#: Catalogue engines plus non-catalogue mixes of the Rocksoft knobs
+#: (refin without refout and the reverse, non-trivial init/xorout).
+_AFFINE_ENGINES = [
+    CRC8,
+    CRC16_CCITT,
+    CRC31_SUDOKU,
+    CRC32,
+    CRC(16, 0x8005, init=0x1234, refin=True, refout=False, xorout=0xA5A5),
+    CRC(24, 0x864CFB, init=0xB704CE, refin=False, refout=True, xorout=0x1),
+]
+
+
+class TestAffineComputeInt:
+    """compute_int's affine rows against the byte-table and bit-serial paths."""
+
+    @pytest.mark.parametrize("engine", _AFFINE_ENGINES, ids=lambda e: e.name)
+    @pytest.mark.parametrize("nbits", [8, 64, 512, 520])
+    def test_matches_table_and_bit_serial(self, engine, nbits):
+        rng = random.Random(nbits * 131 + engine.width)
+        values = [0, (1 << nbits) - 1]
+        values += [1 << position for position in rng.sample(range(nbits), 6)]
+        values += [rng.getrandbits(nbits) for _ in range(12)]
+        # Sparse words: the few-faults regime of the line codec.
+        values += [
+            sum(1 << p for p in rng.sample(range(nbits), min(w, nbits)))
+            for w in (2, 3, 5, 8)
+        ]
+        for value in values:
+            expected = _table_compute_int(engine, value, nbits)
+            assert engine.compute_int(value, nbits) == expected
+            assert engine.compute_bits(value, nbits) == expected
+
+    def test_rows_built_once_per_length(self):
+        engine = CRC(31, CRC31_SUDOKU.poly, init=0x7FFFFFFF, xorout=0x7FFFFFFF)
+        assert engine._affine == {}
+        engine.compute_int(5, 512)
+        rows = engine._affine[512]
+        engine.compute_int(7, 512)
+        assert engine._affine[512] is rows
+        engine.compute_int(7, 64)
+        assert sorted(engine._affine) == [64, 512]
+        constant, masks = rows
+        assert constant == CRC31_SUDOKU.compute(bytes(64))
+        assert len(masks) == engine.width
+
+    def test_zero_length_message(self):
+        for engine in _AFFINE_ENGINES:
+            assert engine.compute_int(0, 0) == engine.compute(b"")
+
+    @pytest.mark.parametrize("engine", _AFFINE_ENGINES, ids=lambda e: e.name)
+    def test_same_value_errors_as_table_path(self, engine):
+        fresh = CRC(
+            engine.width, engine.poly, init=engine.init, refin=engine.refin,
+            refout=engine.refout, xorout=engine.xorout,
+        )
+        # Checked before and after the rows for that length exist.
+        for candidate in (fresh, engine):
+            for value, nbits in ((-1, 64), (1 << 64, 64), (1 << 512, 512),
+                                 (0, 9), (1, 513), (-1, 7)):
+                with pytest.raises(ValueError) as raised:
+                    candidate.compute_int(value, nbits)
+                with pytest.raises(ValueError) as oracle:
+                    _table_compute_int(candidate, value, nbits)
+                assert str(raised.value) == str(oracle.value)
+            candidate.compute_int(0, 64)
+
+
 class TestErrorDetection:
     """CRC-31 must detect every small error pattern on a 64-byte line."""
 

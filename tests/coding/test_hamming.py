@@ -55,6 +55,17 @@ class TestHammingSECSmall:
             assert result.corrected_word == codeword
             assert result.data == data
 
+    def test_error_position_names_the_flipped_bit(self):
+        codeword = self.code.encode(0b10110011010)
+        for position in range(self.code.n):
+            syndrome = self.code.syndrome(codeword ^ (1 << position))
+            assert self.code.error_position(syndrome) == position
+        assert self.code.error_position(0) is None
+        # The paper code's 10 check bits reach past its 553-bit codeword.
+        paper = HammingSEC(543)
+        assert paper.error_position(paper.n) == paper.n - 1
+        assert paper.error_position(paper.n + 1) is None
+
     def test_double_error_miscorrects_or_flags(self):
         # With two errors a plain SEC code either miscorrects (flips an
         # innocent third bit) or reports an out-of-range syndrome; it
@@ -103,6 +114,114 @@ class TestHammingSECPaperSize:
             assert result.valid
             assert result.corrected_word == codeword
             assert result.data == data
+
+
+def _oracle_data_shifts(k):
+    """Codeword bit of each data bit, derived without the code under test:
+    data fills the non-power-of-two 1-based positions in order."""
+    shifts, position = [], 0
+    while len(shifts) < k:
+        position += 1
+        if position & (position - 1):
+            shifts.append(position - 1)
+    return shifts
+
+
+def _oracle_scatter(shifts, data):
+    """The original per-bit scatter loop."""
+    codeword = 0
+    for data_index, shift in enumerate(shifts):
+        if (data >> data_index) & 1:
+            codeword |= 1 << shift
+    return codeword
+
+
+def _oracle_gather(shifts, codeword):
+    """The original per-bit gather loop."""
+    data = 0
+    for data_index, shift in enumerate(shifts):
+        if (codeword >> shift) & 1:
+            data |= 1 << data_index
+    return data
+
+
+def _oracle_syndrome(codeword):
+    """XOR of the 1-based positions of every set codeword bit."""
+    value, position = 0, 1
+    while codeword:
+        if codeword & 1:
+            value ^= position
+        codeword >>= 1
+        position += 1
+    return value
+
+
+def _oracle_encode(shifts, data):
+    """Scatter, then set check bit 2^j for every set syndrome bit j."""
+    codeword = _oracle_scatter(shifts, data)
+    syndrome = _oracle_syndrome(codeword)
+    j = 0
+    while syndrome >> j:
+        if (syndrome >> j) & 1:
+            codeword |= 1 << ((1 << j) - 1)
+        j += 1
+    return codeword
+
+
+class TestRunScatterGatherDifferential:
+    """The run-based scatter/gather against the per-bit oracle, k = 1..600."""
+
+    def test_every_width_matches_oracle(self):
+        rng = random.Random(2024)
+        for k in range(1, 601):
+            code = HammingSEC(k)
+            shifts = _oracle_data_shifts(k)
+            assert code._data_cw_shift == shifts
+            # At most one run per gap between check positions.
+            assert len(code._runs) <= code.r - 1
+            values = [0, (1 << k) - 1] + [rng.getrandbits(k) for _ in range(3)]
+            for data in values:
+                codeword = code.encode(data)
+                assert codeword == _oracle_encode(shifts, data)
+                assert code._scatter(data) == _oracle_scatter(shifts, data)
+                assert code.extract_data(codeword) == data
+                assert code.syndrome(codeword) == 0
+                for nflips in (1, 2, 3):
+                    positions = rng.sample(range(code.n), min(nflips, code.n))
+                    word = codeword
+                    for position in positions:
+                        word ^= 1 << position
+                    assert code.extract_data(word) == _oracle_gather(shifts, word)
+                    syndrome = _oracle_syndrome(word)
+                    assert code.syndrome(word) == syndrome
+                    result = code.correct(word)
+                    if syndrome == 0:
+                        expected = (word, None, True)
+                    elif syndrome > code.n:
+                        expected = (word, None, False)
+                    else:
+                        expected = (word ^ (1 << (syndrome - 1)), syndrome - 1, True)
+                    assert (
+                        result.corrected_word, result.flipped_position, result.valid
+                    ) == expected
+                    assert result.data == _oracle_gather(shifts, result.corrected_word)
+
+    def test_paper_layout_has_nine_runs(self):
+        assert len(HammingSEC(543)._runs) == 9
+
+    @pytest.mark.parametrize("k", [1, 11, 543])
+    def test_range_errors_unchanged(self, k):
+        code = HammingSEC(k)
+        for bad in (-1, 1 << k):
+            with pytest.raises(ValueError):
+                code.encode(bad)
+        for bad in (-1, 1 << code.n):
+            with pytest.raises(ValueError):
+                code.extract_data(bad)
+            with pytest.raises(ValueError):
+                code.syndrome(bad)
+            with pytest.raises(ValueError):
+                code.correct(bad)
 
 
 class TestHammingSECDED:

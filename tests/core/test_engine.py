@@ -7,7 +7,7 @@ import pytest
 from repro.coding.bitvec import random_error_vector
 from repro.coding.parity import xor_reduce
 from repro.core.config import SuDokuConfig
-from repro.core.engine import SuDokuEngine, SuDokuX, SuDokuY, SuDokuZ, build_engine
+from repro.core.engine import SuDokuX, SuDokuY, SuDokuZ, build_engine
 from repro.core.linecodec import LineCodec
 from repro.core.outcomes import Outcome
 from repro.cache.geometry import CacheGeometry

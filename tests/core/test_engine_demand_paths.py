@@ -8,8 +8,6 @@ the engine's bookkeeping across mixed read/write/fault interleavings.
 
 import random
 
-import pytest
-
 from repro.coding.bitvec import random_error_vector
 from repro.core.ecc2 import ECC2LineCodec
 from repro.core.engine import SuDokuY, SuDokuZ

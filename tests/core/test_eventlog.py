@@ -7,7 +7,7 @@ import pytest
 
 from repro.coding.bitvec import random_error_vector
 from repro.core.engine import SuDokuZ
-from repro.core.eventlog import CorrectionEvent, EventLog
+from repro.core.eventlog import EventLog
 from repro.core.linecodec import LineCodec
 from repro.core.outcomes import Outcome
 from repro.sttram.array import STTRAMArray

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coding.bitvec import flip_bits, random_error_vector
+from repro.coding.bitvec import random_error_vector
 from repro.core.layout import LineLayout
-from repro.core.linecodec import DecodeStatus, LineCodec
+from repro.core.linecodec import DecodeStatus, LineCodec, LineDecode
 
 
 class TestLayout:
@@ -118,6 +118,144 @@ class TestCodecMultiBit:
     def test_try_flip_bounds(self):
         with pytest.raises(ValueError):
             self.codec.try_flip_and_repair(self.word, 553)
+
+
+class _OracleCodec:
+    """The line decode as first written, from per-bit reference parts.
+
+    Per-bit payload gather, per-bit syndrome (XOR of the 1-based
+    positions of set bits), the byte-table CRC over little-endian bytes,
+    and a repair that recomputes the syndrome and payload of the
+    corrected word -- everything the word-speed codec replaced.
+    """
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.n = layout.stored_bits
+        self.shifts = [p - 1 for p in range(1, self.n + 1) if p & (p - 1)]
+
+    def gather(self, word):
+        payload = 0
+        for index, shift in enumerate(self.shifts):
+            if (word >> shift) & 1:
+                payload |= 1 << index
+        return payload
+
+    def syndrome(self, word):
+        value = 0
+        for position in range(1, self.n + 1):
+            if (word >> (position - 1)) & 1:
+                value ^= position
+        return value
+
+    def split_and_check(self, word):
+        payload = self.gather(word)
+        data = payload & ((1 << self.layout.data_bits) - 1)
+        stored = payload >> self.layout.data_bits
+        computed = self.layout.crc.compute(
+            data.to_bytes(self.layout.data_bits // 8, "little")
+        )
+        return data, computed == stored
+
+    def decode(self, word):
+        data, crc_ok = self.split_and_check(word)
+        syndrome = self.syndrome(word)
+        if crc_ok and syndrome == 0:
+            return LineDecode(DecodeStatus.CLEAN, word, data)
+        if 0 < syndrome <= self.n:
+            corrected = word ^ (1 << (syndrome - 1))
+            fixed_data, fixed_ok = self.split_and_check(corrected)
+            if fixed_ok:
+                return LineDecode(
+                    DecodeStatus.CORRECTED, corrected, fixed_data, syndrome - 1
+                )
+        return LineDecode(DecodeStatus.UNCORRECTABLE, word, None)
+
+    def try_flip_and_repair(self, word, position):
+        result = self.decode(word ^ (1 << position))
+        if result.status is DecodeStatus.UNCORRECTABLE:
+            return None
+        return result.word
+
+
+class TestDecodeDifferential:
+    """decode / try_flip_and_repair against the oracle on 0-8 fault words."""
+
+    def setup_method(self):
+        self.codec = LineCodec()
+        self.oracle = _OracleCodec(self.codec.layout)
+        self.n = self.codec.stored_bits
+
+    def _path(self, word):
+        syndrome = self.oracle.syndrome(word)
+        _, crc_ok = self.oracle.split_and_check(word)
+        if syndrome == 0:
+            return "clean" if crc_ok else "syndrome0_crc_bad"
+        if syndrome > self.n:
+            return "syndrome_beyond_n"
+        decode = self.oracle.decode(word)
+        if decode.status is DecodeStatus.CORRECTED:
+            return "corrected"
+        return "crc_rejected_miscorrection"
+
+    def test_fault_words_match_oracle(self):
+        rng = random.Random(1401)
+        paths = {}
+        for _ in range(90):
+            data = rng.getrandbits(512)
+            word = self.codec.encode(data)
+            assert word == self.codec._ecc.encode(
+                data | (self.codec.layout.crc.compute(
+                    data.to_bytes(64, "little")) << 512)
+            )
+            for nfaults in range(9):
+                vector = random_error_vector(self.n, nfaults, rng)
+                faulty = word ^ vector
+                path = self._path(faulty)
+                paths[path] = paths.get(path, 0) + 1
+                assert self.codec.decode(faulty) == self.oracle.decode(faulty)
+                if nfaults:
+                    fault = rng.choice(
+                        [p for p in range(self.n) if (vector >> p) & 1]
+                    )
+                    innocent = rng.choice(
+                        [p for p in range(self.n) if not (vector >> p) & 1]
+                    )
+                    for position in (fault, innocent):
+                        assert self.codec.try_flip_and_repair(
+                            faulty, position
+                        ) == self.oracle.try_flip_and_repair(faulty, position)
+        for path in ("clean", "corrected", "syndrome_beyond_n",
+                     "crc_rejected_miscorrection"):
+            assert paths.get(path, 0) > 0, (path, paths)
+
+    def test_valid_codeword_with_inconsistent_crc(self):
+        # Flip a payload data bit and re-encode the Hamming layer only:
+        # syndrome 0 with a bad CRC, the one path random faults rarely
+        # reach.
+        rng = random.Random(1402)
+        ecc = self.codec._ecc
+        for _ in range(10):
+            data = rng.getrandbits(512)
+            payload = ecc.extract_data(self.codec.encode(data))
+            word = ecc.encode(payload ^ (1 << rng.randrange(512)))
+            assert self._path(word) == "syndrome0_crc_bad"
+            decode = self.codec.decode(word)
+            assert decode == self.oracle.decode(word)
+            assert decode.status is DecodeStatus.UNCORRECTABLE
+
+    def test_range_errors_unchanged(self):
+        for bad in (-1, 1 << self.n):
+            with pytest.raises(ValueError):
+                self.codec.decode(bad)
+            with pytest.raises(ValueError):
+                self.codec.verify(bad)
+        for bad in (-1, 1 << 512):
+            with pytest.raises(ValueError):
+                self.codec.encode(bad)
+        for position in (-1, self.n):
+            with pytest.raises(ValueError):
+                self.codec.try_flip_and_repair(self.codec.encode(0), position)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.coding.bitvec import random_error_vector
 from repro.core.linecodec import LineCodec
-from repro.core.outcomes import Outcome
 from repro.core.plt_ import ParityLineTable
 from repro.core.raid4 import reconstruct_line, scan_group
 from repro.core.sdr import resurrect

@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.engine import build_engine
+from repro.core.linecodec import LineCodec
 from repro.obs import ProgressReporter, Telemetry
-from repro.reliability.montecarlo import run_group_campaign
+from repro.reliability.montecarlo import heal, run_group_campaign
 from repro.reliability.raresim import ConditionalGroupSimulator
+from repro.sttram.array import STTRAMArray
 import random
 
 # Small, failure-rich campaign: high accelerated BER over 8-line groups
@@ -78,6 +81,50 @@ class TestCampaignMetricsSeries:
         # CorrectionStats snapshot published at campaign end.
         stat = metrics.get("sudoku_engine_stat")
         assert stat.labels(level="Z", stat="group_scans").value > 0
+
+    def test_engine_outcome_series_match_result(self):
+        # The engine publishes its outcome series once per scrub pass;
+        # the series must carry the plain outcome strings and add up to
+        # the campaign's outcome totals.
+        telemetry = Telemetry.create()
+        result = run_group_campaign(
+            **CAMPAIGN, rng=np.random.default_rng(SEED), telemetry=telemetry
+        )
+        outcomes = telemetry.metrics.get("sudoku_outcomes_total")
+        recorded = {values: child.value for values, child in outcomes.samples()}
+        assert recorded == {
+            ("Z", label): float(count) for label, count in result.outcomes.items()
+        }
+
+    def test_scrub_frames_exports_match_per_line_scrub(self):
+        # scrub_frames publishes a pass in one batch; a LineScrubber walk
+        # publishes line by line.  Both must export the same bytes.
+        def scrubbed_export(per_line):
+            rng = random.Random(3)
+            codec = LineCodec()
+            array = STTRAMArray(64, codec.stored_bits)
+            telemetry = Telemetry.create()
+            engine = build_engine(
+                "Z", array, group_size=8, codec=codec, telemetry=telemetry
+            )
+            for _ in range(3):
+                frames = sorted(rng.sample(range(64), 24))
+                for frame in frames:
+                    for _ in range(rng.choice((1, 1, 2, 3))):
+                        array.inject(frame, 1 << rng.randrange(codec.stored_bits))
+                if per_line:
+                    engine.begin_scrub_pass()
+                    for frame in frames:
+                        engine.scrub_line(frame)
+                else:
+                    engine.scrub_frames(frames)
+                heal(array)
+                engine.initialize_parities()
+            return telemetry.prometheus_text()
+
+        text = scrubbed_export(per_line=False)
+        assert 'mechanism="ecc1"' in text and 'mechanism="raid4"' in text
+        assert text == scrubbed_export(per_line=True)
 
     def test_spans_cover_repair_paths(self):
         telemetry = Telemetry.create()

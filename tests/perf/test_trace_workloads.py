@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.trace import Access, SyntheticTrace
+from repro.perf.trace import SyntheticTrace
 from repro.perf.workloads import (
     MIXES,
     WORKLOADS,

@@ -10,8 +10,6 @@ import asyncio
 import json
 import os
 
-import pytest
-
 from repro.serve.app import ServeApp
 
 SPEC = {

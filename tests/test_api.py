@@ -2,8 +2,6 @@
 
 import doctest
 
-import pytest
-
 import repro
 
 
