@@ -519,9 +519,14 @@ def _export_telemetry(
     command: str,
     config: Dict[str, object],
     seed: Optional[int],
-    durations_s: Dict[str, float],
+    started: float,
 ) -> None:
-    """Write the metrics / trace / manifest files a subcommand asked for."""
+    """Write the metrics / trace / manifest files a subcommand asked for.
+
+    ``started`` is the command's ``time.perf_counter()`` start; the
+    manifest records the time up to this call as ``durations_s.total``.
+    """
+    durations_s = {"total": time.perf_counter() - started}
     if telemetry is None:
         return
     from repro.obs import (
@@ -615,8 +620,7 @@ def cmd_exhibits(args: argparse.Namespace) -> int:
         print(f"no exhibit title matches {only!r}", file=sys.stderr)
         return 1
     _export_telemetry(
-        args, telemetry, "exhibits", {"only": only}, None,
-        {"total": time.perf_counter() - started},
+        args, telemetry, "exhibits", {"only": only}, None, started
     )
     return 0
 
@@ -704,55 +708,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.core.outcomes import Outcome
     from repro.parallel import run_sharded_campaign
     from repro.reliability.sudokumodel import SuDokuReliabilityModel
-    from repro.resilience import ChaosPolicy
 
     level, ber = args.level, args.ber
     intervals, group_size, seed = args.intervals, args.group_size, args.seed
-    telemetry, make_progress = _build_telemetry(args)
-    resilience = _resilience_kwargs(args)
-    policy = ChaosPolicy(
-        plt_flip_rate=args.plt_flip_rate,
-        map_swap_rate=args.map_swap_rate,
-        visit_drop_rate=args.visit_drop_rate,
-        visit_duplicate_rate=args.visit_duplicate_rate,
-    )
     if args.scenario:
         # A mixed scenario routes through the scenario engine (whose
         # RNG model supports burst/stuck sources); the file is
         # authoritative, including its transient BER.
-        from repro.parallel import run_sharded_scenario
-
-        scenario = _load_scenario_file(args.scenario)
-        started = time.perf_counter()
-        print(
-            f"running SuDoku-{level} scenario campaign: "
-            f"{_scenario_summary(scenario)}, {intervals} intervals, "
-            f"{group_size * group_size} lines"
-            + (" [chaos enabled]" if policy.enabled else "")
-            + (f" [{args.shards} shards]" if args.shards > 1 else "")
+        return _scenario_campaign(
+            args, "campaign", level, f"SuDoku-{level}",
+            _load_scenario_file(args.scenario),
         )
-        result = run_sharded_scenario(
-            level, scenario, intervals, group_size,
-            shards=args.shards, seed=seed, telemetry=telemetry,
-            progress=make_progress(intervals, f"scenario-{level}"),
-            chaos_policy=policy if policy.enabled else None,
-            chaos_seed=args.chaos_seed,
-            scrub_mode=args.scrub_mode, backend=args.backend,
-            **resilience,
-        )
-        _print_scenario_result(level, scenario, result)
-        _write_result_out(args, _scenario_payload(level, scenario, result))
-        _export_telemetry(
-            args, telemetry, "campaign",
-            {
-                "level": level, "scenario": scenario.as_dict(),
-                "intervals": intervals, "group_size": group_size,
-                "shards": args.shards, "chaos": policy.as_dict(),
-            },
-            seed,
-            {"total": time.perf_counter() - started},
-        )
-        return _truncation_exit(result)
+    telemetry, make_progress = _build_telemetry(args)
+    resilience = _resilience_kwargs(args)
+    policy = _chaos_policy(args)
     started = time.perf_counter()
     print(
         f"running SuDoku-{level} campaign: BER {ber:g}, {intervals} intervals, "
@@ -795,16 +764,57 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             "group_size": group_size, "shards": args.shards,
             "chaos": policy.as_dict(),
         },
-        seed,
-        {"total": time.perf_counter() - started},
+        seed, started,
     )
     return _truncation_exit(result)
 
 
-def _print_scenario_result(scheme: str, scenario, result) -> None:
+def _chaos_policy(args: argparse.Namespace):
+    """The :class:`ChaosPolicy` the chaos flags describe."""
+    from repro.resilience import ChaosPolicy
+
+    return ChaosPolicy(
+        plt_flip_rate=args.plt_flip_rate,
+        map_swap_rate=args.map_swap_rate,
+        visit_drop_rate=args.visit_drop_rate,
+        visit_duplicate_rate=args.visit_duplicate_rate,
+    )
+
+
+def _scenario_campaign(
+    args: argparse.Namespace, command: str, scheme: str, title: str, scenario
+) -> int:
+    """Run, print, and export one scenario campaign.
+
+    Shared by ``scenario`` and ``campaign --scenario``; ``command`` names
+    the manifest (whose config keys the scheme as ``scheme`` or, for
+    ``campaign``, ``level``) and ``title`` the banner's scheme label.
+    """
     from repro.analysis.tables import format_table
     from repro.core.outcomes import Outcome
+    from repro.parallel import run_sharded_scenario
 
+    telemetry, make_progress = _build_telemetry(args)
+    resilience = _resilience_kwargs(args)
+    policy = _chaos_policy(args)
+    intervals, group_size = args.intervals, args.group_size
+    started = time.perf_counter()
+    print(
+        f"running {title} scenario campaign: "
+        f"{_scenario_summary(scenario)}, {intervals} intervals, "
+        f"{group_size * group_size} lines"
+        + (" [chaos enabled]" if policy.enabled else "")
+        + (f" [{args.shards} shards]" if args.shards > 1 else "")
+    )
+    result = run_sharded_scenario(
+        scheme, scenario, intervals, group_size,
+        shards=args.shards, seed=args.seed, telemetry=telemetry,
+        progress=make_progress(intervals, f"scenario-{scheme}"),
+        chaos_policy=policy if policy.enabled else None,
+        chaos_seed=args.chaos_seed,
+        scrub_mode=args.scrub_mode, backend=args.backend,
+        **resilience,
+    )
     low, high = result.wilson_interval()
     rows = [
         ["scheme", scheme],
@@ -817,24 +827,30 @@ def _print_scenario_result(scheme: str, scenario, result) -> None:
     rows += [[f"outcome: {k}", v] for k, v in sorted(result.outcomes.items())]
     rows += [[f"metadata: {k}", v] for k, v in sorted(result.metadata.items())]
     print(format_table(["quantity", "value"], rows))
-
-
-def _scenario_payload(scheme: str, scenario, result) -> Dict[str, object]:
-    """Result JSON for scenario runs: campaign aggregates + the spec."""
+    # Result JSON for scenario runs: campaign aggregates + the spec.
     payload = dict(result.as_dict())
     payload["scheme"] = scheme
     payload["scenario"] = scenario.as_dict()
-    return payload
+    _write_result_out(args, payload)
+    _export_telemetry(
+        args, telemetry, command,
+        {
+            "level" if command == "campaign" else "scheme": scheme,
+            "scenario": scenario.as_dict(),
+            "intervals": intervals, "group_size": group_size,
+            "shards": args.shards, "chaos": policy.as_dict(),
+        },
+        args.seed, started,
+    )
+    return _truncation_exit(result)
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.parallel import run_sharded_scenario
     from repro.reliability.scenario import (
         BurstSpec,
         FaultScenario,
         StuckSpec,
     )
-    from repro.resilience import ChaosPolicy
 
     if args.scenario:
         scenario = _load_scenario_file(args.scenario)
@@ -857,44 +873,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             )
         except ValueError as error:
             raise SystemExit(f"repro: error: {error}")
-    telemetry, make_progress = _build_telemetry(args)
-    resilience = _resilience_kwargs(args)
-    policy = ChaosPolicy(
-        plt_flip_rate=args.plt_flip_rate,
-        map_swap_rate=args.map_swap_rate,
-        visit_drop_rate=args.visit_drop_rate,
-        visit_duplicate_rate=args.visit_duplicate_rate,
+    return _scenario_campaign(
+        args, "scenario", args.scheme, args.scheme, scenario
     )
-    started = time.perf_counter()
-    print(
-        f"running {args.scheme} scenario campaign: "
-        f"{_scenario_summary(scenario)}, {args.intervals} intervals, "
-        f"{args.group_size * args.group_size} lines"
-        + (" [chaos enabled]" if policy.enabled else "")
-        + (f" [{args.shards} shards]" if args.shards > 1 else "")
-    )
-    result = run_sharded_scenario(
-        args.scheme, scenario, args.intervals, args.group_size,
-        shards=args.shards, seed=args.seed, telemetry=telemetry,
-        progress=make_progress(args.intervals, f"scenario-{args.scheme}"),
-        chaos_policy=policy if policy.enabled else None,
-        chaos_seed=args.chaos_seed,
-        scrub_mode=args.scrub_mode, backend=args.backend,
-        **resilience,
-    )
-    _print_scenario_result(args.scheme, scenario, result)
-    _write_result_out(args, _scenario_payload(args.scheme, scenario, result))
-    _export_telemetry(
-        args, telemetry, "scenario",
-        {
-            "scheme": args.scheme, "scenario": scenario.as_dict(),
-            "intervals": args.intervals, "group_size": args.group_size,
-            "shards": args.shards, "chaos": policy.as_dict(),
-        },
-        args.seed,
-        {"total": time.perf_counter() - started},
-    )
-    return _truncation_exit(result)
 
 
 def cmd_raresim(args: argparse.Namespace) -> int:
@@ -945,8 +926,7 @@ def cmd_raresim(args: argparse.Namespace) -> int:
             "group_size": args.group_size, "num_groups": args.num_groups,
             "shards": args.shards,
         },
-        args.seed,
-        {"total": time.perf_counter() - started},
+        args.seed, started,
     )
     return _truncation_exit(result)
 
@@ -954,7 +934,7 @@ def cmd_raresim(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.core.outcomes import Outcome
-    from repro.parallel import run_sharded_campaign
+    from repro.parallel import run_sharded_campaign, run_sharded_scenario
     from repro.resilience import ChaosPolicy
 
     # Failure columns come from the taxonomy, not hand-picked strings:
@@ -963,6 +943,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     failure_columns = [Outcome.SDC] + [o for o in Outcome if o.is_due]
     telemetry, make_progress = _build_telemetry(args)
     scenario = _load_scenario_file(args.scenario) if args.scenario else None
+    run = run_sharded_campaign if scenario is None else run_sharded_scenario
     started = time.perf_counter()
     total = len(args.levels) * len(args.plt_flip_rates)
     progress = make_progress(total, "chaos-sweep")
@@ -980,26 +961,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             policy = ChaosPolicy(
                 plt_flip_rate=rate, map_swap_rate=args.map_swap_rate
             )
-            if scenario is not None:
-                from repro.parallel import run_sharded_scenario
-
-                result = run_sharded_scenario(
-                    level, scenario, args.intervals, args.group_size,
-                    shards=args.shards, seed=args.seed,
-                    telemetry=telemetry,
-                    chaos_policy=policy if policy.enabled else None,
-                    chaos_seed=args.chaos_seed,
-                    scrub_mode=args.scrub_mode, backend=args.backend,
-                )
-            else:
-                result = run_sharded_campaign(
-                    level, args.ber, args.intervals, args.group_size,
-                    shards=args.shards, seed=args.seed,
-                    telemetry=telemetry,
-                    chaos_policy=policy if policy.enabled else None,
-                    chaos_seed=args.chaos_seed,
-                    scrub_mode=args.scrub_mode, backend=args.backend,
-                )
+            # A scenario takes the BER's place (and its engine).
+            result = run(
+                level, scenario if scenario is not None else args.ber,
+                args.intervals, args.group_size,
+                shards=args.shards, seed=args.seed,
+                telemetry=telemetry,
+                chaos_policy=policy if policy.enabled else None,
+                chaos_seed=args.chaos_seed,
+                scrub_mode=args.scrub_mode, backend=args.backend,
+            )
             meta = result.metadata
             rows.append([
                 level, rate,
@@ -1036,8 +1007,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             "intervals": args.intervals, "group_size": args.group_size,
             "shards": args.shards,
         },
-        args.seed,
-        {"total": time.perf_counter() - started},
+        args.seed, started,
     )
     return 0
 
@@ -1072,8 +1042,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     _export_telemetry(
         args, telemetry, "perf",
         {"workloads": workloads, "accesses": accesses},
-        seed,
-        {"total": time.perf_counter() - started},
+        seed, started,
     )
     return 0
 

@@ -22,11 +22,19 @@ shards across worker processes, and merging the per-shard aggregates:
   registry and tracer, shipped back with the shard result and folded
   into the caller's bundle (:func:`repro.obs.merge_registry` for
   counters, :func:`repro.obs.merge_traces` for spans -- worker phase
-  spans land under the parent's ``sharded_campaign`` span, tagged with
+  spans land under the parent's ``sharded_*`` span, tagged with
   their shard index, in fixed shard order so the merged trace structure
   is reproducible); one aggregated
   :class:`~repro.obs.ProgressReporter` in the parent is fed from a shard
   progress queue.
+
+The three public entry points (``run_sharded_campaign``,
+``run_sharded_raresim``, ``run_sharded_scenario``) are thin fronts over
+one body, and the serial run and every shard worker dispatch through
+one function (``_run_campaign``).  Underneath, all three campaign kinds
+run one boundary loop (:class:`repro.resilience.checkpoint.BoundaryLoop`)
+for resume, snapshots, checkpoint flushes, deadline/cancel stops,
+interrupt rollback and progress.
 
 Workers communicate over a single message queue: ``("resumed", i, n)``
 when a shard restores n completed units from its checkpoint,
@@ -38,12 +46,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 import signal
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from queue import Empty
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: scenario imports this package
     from repro.reliability.scenario import FaultScenario
@@ -70,7 +77,11 @@ from repro.parallel.sharding import (
     spawn_seed_sequences,
     split_units,
 )
-from repro.reliability.montecarlo import CampaignResult, run_group_campaign
+from repro.reliability.montecarlo import (
+    CampaignResult,
+    require_scrub_mode,
+    run_group_campaign,
+)
 from repro.reliability.raresim import (
     ConditionalGroupSimulator,
     ConditionalResult,
@@ -116,7 +127,8 @@ class _ShardSpec:
     index: int
     shards: int
     units: int
-    seed: int
+    # The campaign seed; a spawned SeedSequence for Monte-Carlo shards.
+    seed: Union[int, np.random.SeedSequence]
     level: str  # campaign level, or the scheme name for scenario shards
     ber: float
     group_size: int
@@ -162,30 +174,103 @@ class _ShardProgress:
             self._queue.put(("progress", self._index, self._pending))
             self._pending = 0
 
-    def note_resumed(self, units: int) -> None:  # pragma: no cover - unused
-        pass
+    def note_resumed(self, units: int) -> None:
+        self._queue.put(("resumed", self._index, units))
 
 
-def _shard_checkpointer(
-    spec: _ShardSpec, queue
-) -> Optional[Checkpointer]:
-    """Build the shard's checkpointer; reports any restored offset.
+def _checkpointer(spec: _ShardSpec, progress) -> Optional[Checkpointer]:
+    """The run's checkpointer; a restored offset goes to ``progress``.
 
-    A shard whose checkpoint file is missing under ``--resume`` starts
-    fresh: that is the correct replay for a shard killed before its
-    first flush (the parent has already verified that *some* shard file
-    exists, so a wholesale wrong path still fails fast).
+    The serial run refuses a missing ``--resume`` file.  A shard whose
+    file is missing starts fresh: that is the correct replay for a
+    shard killed before its first flush (the parent has already
+    verified that *some* shard file exists, so a wholesale wrong path
+    still fails fast).
     """
     if not spec.checkpoint_path:
         return None
     payload = None
-    if spec.resume_path and os.path.exists(spec.resume_path):
+    serial = spec.shards == 1
+    if spec.resume_path and (serial or os.path.exists(spec.resume_path)):
         payload = load_checkpoint(spec.resume_path, spec.kind)
-        queue.put(("resumed", spec.index, int(payload["completed"])))
+        progress.note_resumed(int(payload["completed"]))
     return Checkpointer(
-        path=spec.checkpoint_path,
-        every=spec.checkpoint_every,
-        resume=payload,
+        path=spec.checkpoint_path, every=spec.checkpoint_every, resume=payload
+    )
+
+
+def _watch(deadline_s: Optional[float],
+           cancel: Optional[Callable[[], bool]] = None):
+    """The watchdog a campaign loop polls.
+
+    A plain :class:`Deadline` when only a budget is set; a
+    :class:`CancelWatch` (composing any budget) when a job-level
+    cancellation callback is attached; ``None`` when neither is.
+    """
+    deadline = Deadline(deadline_s) if deadline_s else None
+    if cancel is None:
+        return deadline
+    return CancelWatch(cancel, deadline=deadline)
+
+
+def _run_campaign(spec: _ShardSpec, telemetry, progress,
+                  cancel: Optional[Callable[[], bool]] = None):
+    """Run the campaign ``spec`` describes: the serial run or one shard.
+
+    ``spec`` carries the run's own seeds (see :func:`_shard_spec`), so
+    the serial run and every shard construct their streams alike.
+    """
+    checkpointer = _checkpointer(spec, progress)
+    deadline = _watch(spec.deadline_s, cancel)
+    if spec.kind == "montecarlo":
+        return run_group_campaign(
+            spec.level, spec.ber, trials=spec.units,
+            group_size=spec.group_size, interval_s=spec.interval_s,
+            # The serial seed is the historical CLI stream, which
+            # predates the SeedSequence tree (shards pass a spawned one).
+            rng=np.random.default_rng(spec.seed),  # repro-lint: disable=RPR006
+            telemetry=telemetry, progress=progress,
+            chaos=(
+                ChaosInjector(spec.chaos_policy, seed=spec.chaos_seed)
+                if spec.chaos_policy is not None
+                else None
+            ),
+            checkpointer=checkpointer, deadline=deadline,
+            scrub_mode=spec.scrub_mode, backend=spec.backend,
+        )
+    if spec.kind == "raresim":
+        simulator = ConditionalGroupSimulator(
+            ber=spec.ber, group_size=spec.group_size,
+            num_groups=spec.num_groups, interval_s=spec.interval_s,
+            # Bit-identical to the historical stdlib stream
+            # (resolve_pyrandom(seed=s) is exactly random.Random(s)).
+            rng=resolve_pyrandom(seed=spec.seed, owner="run_sharded_raresim"),
+            sparse=spec.scrub_mode == "sparse",
+            scenario=spec.scenario,
+            backend=spec.backend,
+        )
+        return simulator.run(
+            spec.level, spec.units, telemetry=telemetry, progress=progress,
+            checkpointer=checkpointer, deadline=deadline,
+        )
+    if spec.kind == "scenario":
+        # Resolved at call time, not at import: wrappers installed on
+        # the scenario module (profilers, benchmark harnesses) must see
+        # the serial run and every shard.
+        from repro.reliability.scenario import run_scenario_campaign
+
+        assert spec.scenario is not None
+        return run_scenario_campaign(
+            spec.level, spec.scenario, spec.units,
+            group_size=spec.group_size, interval_s=spec.interval_s,
+            seed=spec.seed, interval_start=spec.interval_start,
+            telemetry=telemetry, progress=progress,
+            chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
+            checkpointer=checkpointer, deadline=deadline,
+            scrub_mode=spec.scrub_mode, backend=spec.backend,
+        )
+    raise ValueError(  # pragma: no cover - specs are built here only
+        f"unknown campaign kind {spec.kind!r}"
     )
 
 
@@ -195,59 +280,7 @@ def _run_shard(
     """Execute one shard; returns (result, metrics or None, spans or None)."""
     telemetry = Telemetry.create() if spec.telemetry else None
     progress = _ShardProgress(queue, spec.index, spec.progress_batch)
-    checkpointer = _shard_checkpointer(spec, queue)
-    deadline = Deadline(spec.deadline_s) if spec.deadline_s else None
-    if spec.kind == "montecarlo":
-        rng = np.random.default_rng(
-            spawn_seed_sequences(spec.seed, spec.shards)[spec.index]
-        )
-        chaos = (
-            ChaosInjector(
-                spec.chaos_policy,
-                seed=shard_python_seeds(spec.chaos_seed, spec.shards)[spec.index],
-            )
-            if spec.chaos_policy is not None
-            else None
-        )
-        result = run_group_campaign(
-            spec.level, spec.ber, trials=spec.units,
-            group_size=spec.group_size, interval_s=spec.interval_s,
-            rng=rng, telemetry=telemetry, progress=progress,
-            chaos=chaos, checkpointer=checkpointer, deadline=deadline,
-            scrub_mode=spec.scrub_mode, backend=spec.backend,
-        )
-    elif spec.kind == "raresim":
-        simulator = ConditionalGroupSimulator(
-            ber=spec.ber, group_size=spec.group_size,
-            num_groups=spec.num_groups, interval_s=spec.interval_s,
-            rng=random.Random(
-                shard_python_seeds(spec.seed, spec.shards)[spec.index]
-            ),
-            sparse=spec.scrub_mode == "sparse",
-            scenario=spec.scenario,
-            backend=spec.backend,
-        )
-        result = simulator.run(
-            spec.level, spec.units, telemetry=telemetry, progress=progress,
-            checkpointer=checkpointer, deadline=deadline,
-        )
-    elif spec.kind == "scenario":
-        from repro.reliability.scenario import run_scenario_campaign
-
-        # No per-shard RNG objects: scenario streams derive from the
-        # *global* interval index, so the shard only needs its slice.
-        assert spec.scenario is not None
-        result = run_scenario_campaign(
-            spec.level, spec.scenario, spec.units,
-            group_size=spec.group_size, interval_s=spec.interval_s,
-            seed=spec.seed, interval_start=spec.interval_start,
-            telemetry=telemetry, progress=progress,
-            chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
-            checkpointer=checkpointer, deadline=deadline,
-            scrub_mode=spec.scrub_mode, backend=spec.backend,
-        )
-    else:  # pragma: no cover - specs are built by this module only
-        raise ValueError(f"unknown shard kind {spec.kind!r}")
+    result = _run_campaign(spec, telemetry, progress)
     if telemetry is None:
         return result, None, None
     # Spans ship as plain dicts (the export_spans wire form): Span
@@ -369,22 +402,6 @@ def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
     return [outcomes[index][0] for index in sorted(outcomes)]
 
 
-def _serial_checkpointer(
-    kind: str, checkpoint_path: str, checkpoint_every: int, resume_from: str,
-    progress,
-) -> Optional[Checkpointer]:
-    """The single-shard checkpointer (same layout as the pre-sharding CLI)."""
-    if not checkpoint_path:
-        return None
-    payload = None
-    if resume_from:
-        payload = load_checkpoint(resume_from, kind)
-        progress.note_resumed(int(payload["completed"]))
-    return Checkpointer(
-        path=checkpoint_path, every=checkpoint_every, resume=payload
-    )
-
-
 def _validate(shards: int, units: int, checkpoint_path: str,
               checkpoint_every: int, scrub_mode: str = "sparse",
               backend: str = "reference") -> None:
@@ -396,12 +413,9 @@ def _validate(shards: int, units: int, checkpoint_path: str,
         raise CheckpointError(
             "periodic checkpointing requires a checkpoint path"
         )
-    if scrub_mode not in ("sparse", "dense"):
-        # Fail fast in the parent: a bad mode inside a worker would only
-        # surface as a ShardError traceback.
-        raise ValueError(
-            f"scrub_mode must be 'sparse' or 'dense', got {scrub_mode!r}"
-        )
+    # Fail fast in the parent: a bad mode inside a worker would only
+    # surface as a ShardError traceback.
+    require_scrub_mode(scrub_mode)
     if backend not in BACKEND_NAMES:
         raise ValueError(
             f"backend must be one of {BACKEND_NAMES}, got {backend!r}"
@@ -413,19 +427,81 @@ def _progress_batch(units: int) -> int:
     return max(1, units // 50)
 
 
-def _serial_watch(
-    deadline_s: Optional[float], cancel: Optional[Callable[[], bool]]
-):
-    """The watchdog a serial (shards=1) campaign loop polls.
+def _shard_spec(base: _ShardSpec, index: int, units: List[int]) -> _ShardSpec:
+    """Shard ``index``'s slice of the campaign ``base`` describes.
 
-    A plain :class:`Deadline` when only a budget is set; a
-    :class:`CancelWatch` (composing any budget) when a job-level
-    cancellation callback is attached; ``None`` when neither is.
+    Monte-Carlo and rare-event shards draw from their own streams,
+    spawned from the campaign seeds; a scenario shard keeps the seed
+    and starts at its slice's global interval index, so it re-derives
+    exactly the serial run's streams.  Checkpoint files are per shard.
     """
-    deadline = Deadline(deadline_s) if deadline_s else None
-    if cancel is None:
-        return deadline
-    return CancelWatch(cancel, deadline=deadline)
+    shards = base.shards
+    seeds: Dict[str, object] = {}
+    if base.kind == "montecarlo":
+        seeds["seed"] = spawn_seed_sequences(base.seed, shards)[index]
+        seeds["chaos_seed"] = shard_python_seeds(base.chaos_seed, shards)[index]
+    elif base.kind == "raresim":
+        seeds["seed"] = shard_python_seeds(base.seed, shards)[index]
+    return replace(
+        base, index=index, units=units[index],
+        interval_start=sum(units[:index]),
+        checkpoint_path=(
+            shard_checkpoint_path(base.checkpoint_path, index, shards)
+            if base.checkpoint_path else ""
+        ),
+        resume_path=(
+            shard_checkpoint_path(base.resume_path, index, shards)
+            if base.resume_path else ""
+        ),
+        progress_batch=_progress_batch(base.units),
+        **seeds,
+    )
+
+
+def _run_sharded(
+    base: _ShardSpec,
+    telemetry: Optional[Telemetry],
+    progress,
+    cancel: Optional[Callable[[], bool]],
+):
+    """The one body behind the three ``run_sharded_*`` fronts.
+
+    ``base`` describes the whole campaign (``units`` is the total, the
+    checkpoint fields are the caller's paths).  ``shards == 1`` runs it
+    in-process; otherwise it is split into per-shard specs, run across
+    processes under one ``sharded_*`` span, and merged.
+    """
+    checkpoint_path = base.checkpoint_path or base.resume_path
+    _validate(base.shards, base.units, checkpoint_path, base.checkpoint_every,
+              base.scrub_mode, base.backend)
+    chaos_policy = base.chaos_policy
+    if chaos_policy is not None and not chaos_policy.enabled:
+        chaos_policy = None
+    base = replace(
+        base, checkpoint_path=checkpoint_path, chaos_policy=chaos_policy
+    )
+    if base.shards == 1:
+        return _run_campaign(base, telemetry, progress, cancel)
+    units = split_units(base.units, base.shards)
+    specs = [_shard_spec(base, index, units) for index in range(base.shards)]
+    if base.kind == "scenario":
+        name = "sharded_scenario"
+        attributes = {"scheme": base.level, "intervals": base.units}
+    elif base.kind == "raresim":
+        name = "sharded_raresim"
+        attributes = {"level": base.level, "ber": base.ber, "trials": base.units}
+    else:
+        name = "sharded_campaign"
+        attributes = {
+            "level": base.level, "ber": base.ber, "intervals": base.units,
+        }
+    tracer = resolve_telemetry(telemetry).tracer
+    with tracer.span(name, **attributes, shards=base.shards):
+        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
+    progress.finish()
+    if base.kind == "raresim":
+        return merge_conditional_results(results)
+    return merge_campaign_results(results)
 
 
 def run_sharded_campaign(
@@ -467,61 +543,18 @@ def run_sharded_campaign(
     (``stop_reason="cancelled"`` serially; sharded workers are SIGINTed
     and report ``"interrupted"``).
     """
-    if resume_from and not checkpoint_path:
-        checkpoint_path = resume_from
-    _validate(shards, intervals, checkpoint_path, checkpoint_every,
-              scrub_mode, backend)
-    if chaos_policy is not None and not chaos_policy.enabled:
-        chaos_policy = None
-    if shards == 1:
-        checkpointer = _serial_checkpointer(
-            "montecarlo", checkpoint_path, checkpoint_every, resume_from,
-            progress,
-        )
-        chaos = (
-            ChaosInjector(chaos_policy, seed=chaos_seed)
-            if chaos_policy is not None else None
-        )
-        return run_group_campaign(
-            level, ber, trials=intervals, group_size=group_size,
-            # The serial path must stay bit-identical to the historical
-            # CLI stream, which predates the SeedSequence tree.
-            interval_s=interval_s, rng=np.random.default_rng(seed),  # repro-lint: disable=RPR006
-            telemetry=telemetry, progress=progress, chaos=chaos,
-            checkpointer=checkpointer,
-            deadline=_serial_watch(deadline_s, cancel),
-            scrub_mode=scrub_mode, backend=backend,
-        )
-    units = split_units(intervals, shards)
-    batch = _progress_batch(intervals)
-    specs = [
+    return _run_sharded(
         _ShardSpec(
-            kind="montecarlo", index=index, shards=shards, units=units[index],
+            kind="montecarlo", index=0, shards=shards, units=intervals,
             seed=seed, level=level, ber=ber, group_size=group_size,
             interval_s=interval_s, chaos_policy=chaos_policy,
-            chaos_seed=chaos_seed,
-            checkpoint_path=(
-                shard_checkpoint_path(checkpoint_path, index, shards)
-                if checkpoint_path else ""
-            ),
-            checkpoint_every=checkpoint_every,
-            resume_path=(
-                shard_checkpoint_path(resume_from, index, shards)
-                if resume_from else ""
-            ),
+            chaos_seed=chaos_seed, checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, resume_path=resume_from,
             telemetry=telemetry is not None, deadline_s=deadline_s,
-            progress_batch=batch, scrub_mode=scrub_mode, backend=backend,
-        )
-        for index in range(shards)
-    ]
-    tel = resolve_telemetry(telemetry)
-    with tel.tracer.span(
-        "sharded_campaign", level=level, ber=ber, intervals=intervals,
-        shards=shards,
-    ):
-        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
-    progress.finish()
-    return merge_campaign_results(results)
+            scrub_mode=scrub_mode, backend=backend,
+        ),
+        telemetry, progress, cancel,
+    )
 
 
 def run_sharded_raresim(
@@ -559,59 +592,18 @@ def run_sharded_raresim(
     bit-identical across backends.  ``cancel`` behaves as in
     :func:`run_sharded_campaign`.
     """
-    if resume_from and not checkpoint_path:
-        checkpoint_path = resume_from
-    _validate(shards, trials, checkpoint_path, checkpoint_every,
-              scrub_mode, backend)
-    if shards == 1:
-        checkpointer = _serial_checkpointer(
-            "raresim", checkpoint_path, checkpoint_every, resume_from,
-            progress,
-        )
-        simulator = ConditionalGroupSimulator(
-            ber=ber, group_size=group_size, num_groups=num_groups,
-            # Serial path: bit-identical to the historical stdlib stream
-            # (resolve_pyrandom(seed=s) is exactly random.Random(s)).
-            interval_s=interval_s,
-            rng=resolve_pyrandom(seed=seed, owner="run_sharded_raresim"),
-            sparse=scrub_mode == "sparse",
-            scenario=scenario,
-            backend=backend,
-        )
-        return simulator.run(
-            level, trials, telemetry=telemetry, progress=progress,
-            checkpointer=checkpointer,
-            deadline=_serial_watch(deadline_s, cancel),
-        )
-    units = split_units(trials, shards)
-    batch = _progress_batch(trials)
-    specs = [
+    return _run_sharded(
         _ShardSpec(
-            kind="raresim", index=index, shards=shards, units=units[index],
+            kind="raresim", index=0, shards=shards, units=trials,
             seed=seed, level=level, ber=ber, group_size=group_size,
             interval_s=interval_s, num_groups=num_groups,
-            checkpoint_path=(
-                shard_checkpoint_path(checkpoint_path, index, shards)
-                if checkpoint_path else ""
-            ),
-            checkpoint_every=checkpoint_every,
-            resume_path=(
-                shard_checkpoint_path(resume_from, index, shards)
-                if resume_from else ""
-            ),
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, resume_path=resume_from,
             telemetry=telemetry is not None, deadline_s=deadline_s,
-            progress_batch=batch, scrub_mode=scrub_mode,
-            scenario=scenario, backend=backend,
-        )
-        for index in range(shards)
-    ]
-    tel = resolve_telemetry(telemetry)
-    with tel.tracer.span(
-        "sharded_raresim", level=level, ber=ber, trials=trials, shards=shards,
-    ):
-        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
-    progress.finish()
-    return merge_conditional_results(results)
+            scrub_mode=scrub_mode, scenario=scenario, backend=backend,
+        ),
+        telemetry, progress, cancel,
+    )
 
 
 def run_sharded_scenario(
@@ -648,56 +640,16 @@ def run_sharded_scenario(
     *different* quantity than serial), and the one the acceptance tests
     pin.  ``shards=1`` runs in-process with no worker machinery.
     """
-    from repro.reliability.scenario import run_scenario_campaign
-
-    if resume_from and not checkpoint_path:
-        checkpoint_path = resume_from
-    _validate(shards, intervals, checkpoint_path, checkpoint_every,
-              scrub_mode, backend)
-    if chaos_policy is not None and not chaos_policy.enabled:
-        chaos_policy = None
-    if shards == 1:
-        checkpointer = _serial_checkpointer(
-            "scenario", checkpoint_path, checkpoint_every, resume_from,
-            progress,
-        )
-        return run_scenario_campaign(
-            scheme, scenario, intervals, group_size=group_size,
-            interval_s=interval_s, seed=seed, telemetry=telemetry,
-            progress=progress, chaos_policy=chaos_policy,
-            chaos_seed=chaos_seed, checkpointer=checkpointer,
-            deadline=_serial_watch(deadline_s, cancel),
-            scrub_mode=scrub_mode, backend=backend,
-        )
-    units = split_units(intervals, shards)
-    starts = [sum(units[:index]) for index in range(shards)]
-    batch = _progress_batch(intervals)
-    specs = [
+    return _run_sharded(
         _ShardSpec(
-            kind="scenario", index=index, shards=shards, units=units[index],
+            kind="scenario", index=0, shards=shards, units=intervals,
             seed=seed, level=scheme, ber=scenario.transient_ber,
             group_size=group_size, interval_s=interval_s,
             chaos_policy=chaos_policy, chaos_seed=chaos_seed,
-            checkpoint_path=(
-                shard_checkpoint_path(checkpoint_path, index, shards)
-                if checkpoint_path else ""
-            ),
-            checkpoint_every=checkpoint_every,
-            resume_path=(
-                shard_checkpoint_path(resume_from, index, shards)
-                if resume_from else ""
-            ),
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, resume_path=resume_from,
             telemetry=telemetry is not None, deadline_s=deadline_s,
-            progress_batch=batch, scrub_mode=scrub_mode,
-            scenario=scenario, interval_start=starts[index],
-            backend=backend,
-        )
-        for index in range(shards)
-    ]
-    tel = resolve_telemetry(telemetry)
-    with tel.tracer.span(
-        "sharded_scenario", scheme=scheme, intervals=intervals, shards=shards,
-    ):
-        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
-    progress.finish()
-    return merge_campaign_results(results)
+            scrub_mode=scrub_mode, scenario=scenario, backend=backend,
+        ),
+        telemetry, progress, cancel,
+    )

@@ -32,7 +32,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,12 +45,11 @@ from repro.reliability.fit import (
     mttf_seconds_from_interval_probability,
 )
 from repro.resilience.checkpoint import (
+    BoundaryLoop,
     Checkpointer,
     CheckpointError,
     Deadline,
-    build_payload,
     numpy_rng_state,
-    require_config_match,
     restore_numpy_rng_state,
 )
 from repro.resilience.chaos import ChaosInjector
@@ -158,7 +157,11 @@ def heal(array: STTRAMArray) -> None:
 SCRUB_MODES = ("sparse", "dense")
 
 
-def _require_scrub_mode(scrub_mode: str) -> None:
+def require_scrub_mode(scrub_mode: str) -> None:
+    """The one ``scrub_mode`` check every campaign entry point runs.
+
+    :raises ValueError: for anything outside :data:`SCRUB_MODES`.
+    """
     if scrub_mode not in SCRUB_MODES:
         raise ValueError(
             f"scrub_mode must be one of {SCRUB_MODES}, got {scrub_mode!r}"
@@ -186,6 +189,116 @@ def _dense_walk(num_lines: int, dirty, visits) -> list:
         else:
             walk.append(frame)
     return walk
+
+
+def _aggregates(result: CampaignResult) -> Dict[str, object]:
+    """The running tallies a campaign checkpoint carries."""
+    return {
+        "outcomes": dict(result.outcomes),
+        "interval_failures": result.interval_failures,
+        "metadata": dict(result.metadata),
+    }
+
+
+def _restore_aggregates(
+    result: CampaignResult, aggregates: Dict[str, object]
+) -> None:
+    result.outcomes = Counter(aggregates.get("outcomes", {}))
+    result.interval_failures = int(aggregates.get("interval_failures", 0))
+    result.metadata = Counter(aggregates.get("metadata", {}))
+
+
+def _finish(result: CampaignResult, completed: int, stop_reason: str) -> None:
+    result.intervals = completed
+    result.truncated = bool(stop_reason)
+    result.stop_reason = stop_reason
+
+
+def _run_interval(
+    engine,
+    inject: Callable[[], List[int]],
+    result: CampaignResult,
+    *,
+    chaos: Optional[ChaosInjector],
+    scrub_mode: str,
+    heal: Callable[[STTRAMArray], None],
+    tracer,
+    canonical: bool,
+    chaos_events=None,
+) -> Tuple[Dict[str, int], bool, List[int]]:
+    """One inject -> scrub -> failure check -> heal interval.
+
+    ``inject()`` applies the interval's faults and returns the
+    (pre-perturbation) dirty frames; outcomes, failures, and chaos
+    events accumulate on ``result``.  ``heal`` is each loop's own module
+    attribute.  Returns ``(counts, failed, dirty)``.
+
+    The interval ends in the boundary state the next one (and any
+    checkpoint) assumes.  A failure heals the array and restores
+    ground-truth parities: a DUE may have triggered a parity rebuild
+    over still-corrupt words (write-path poisoning semantics).  Chaos
+    heals the array and runs the engine's metadata scrub, so dropped
+    visits and undetected metadata corruption cannot leak across the
+    boundary.  ``canonical`` runs (scenarios) also heal every interval
+    and re-initialise parities after chaos, so each interval starts
+    from a pure function of the config.
+    """
+    array = engine.array
+    with tracer.span("phase_inject"):
+        events = []
+        if chaos is not None and hasattr(engine, "_tables"):
+            # Metadata chaos needs a parity-table surface; schemes
+            # without one (plain per-line ECC) still see the schedule
+            # chaos below.
+            events.append(chaos.corrupt_metadata(engine))
+        dirty = inject()
+        visits = dirty
+        if chaos is not None:
+            visits, applied = chaos.perturb_visits(visits)
+            events.append(applied)
+        for applied in events:
+            result.metadata.update(applied)
+            if chaos_events is not None:
+                for event, count in applied.items():
+                    chaos_events.labels(event=event).inc(count)
+    with tracer.span("phase_scrub"):
+        if scrub_mode == "dense":
+            counts = engine.scrub_frames(
+                _dense_walk(array.num_lines, dirty, visits)
+            )
+        else:
+            # Sparse fast path: decode the scheduled dirty visits only;
+            # every frame outside the (pre-perturbation) dirty set is a
+            # valid codeword and bulk-accounts as clean -- exactly the
+            # outcomes a dense walk records for those lines.
+            sparse_counts = Counter(engine.scrub_frames(visits))
+            bulk_clean = array.num_lines - len(dirty)
+            account = getattr(engine, "account_bulk_clean", None)
+            if account is not None:
+                account(bulk_clean)
+            sparse_counts[Outcome.CLEAN.value] += bulk_clean
+            counts = dict(sparse_counts)
+    result.outcomes.update(counts)
+    failed = any(
+        count and is_failure_label(label) for label, count in counts.items()
+    )
+    with tracer.span("phase_correct"):
+        if failed:
+            result.interval_failures += 1
+        if failed or chaos is not None or canonical:
+            heal(array)
+        if failed or (canonical and chaos is not None):
+            initialize = getattr(engine, "initialize_parities", None)
+            if initialize is not None:
+                initialize()
+        if chaos is not None:
+            audit = getattr(engine, "audit_metadata", None)
+            if audit is not None:
+                audit_report = audit(repair=True)
+                for key in ("crc_faults", "recompute_faults", "rebuilt"):
+                    if audit_report.get(key):
+                        result.metadata["residual_" + key] += audit_report[key]
+    return counts, failed, dirty
 
 
 def run_engine_campaign(
@@ -254,7 +367,7 @@ def run_engine_campaign(
     stop_reason="interrupted"``) with the last boundary snapshot flushed,
     instead of discarding completed intervals.
     """
-    _require_scrub_mode(scrub_mode)
+    require_scrub_mode(scrub_mode)
     if backend is not None:
         setter = getattr(engine, "set_backend", None)
         if setter is not None:
@@ -311,19 +424,14 @@ def run_engine_campaign(
         "randomize_content": bool(randomize_content),
         "chaos": chaos.policy.as_dict() if chaos is not None else None,
     }
-    resume = checkpointer.resume if checkpointer is not None else None
-    start = 0
     result = CampaignResult(
         intervals=intervals, ber=ber, interval_s=interval_s, lines=array.num_lines
     )
     fill_seed: Optional[int] = None
-    if resume is not None:
-        require_config_match(resume, config_fingerprint)
-        start = int(resume["completed"])
-        aggregates = resume["aggregates"]
-        result.outcomes.update(aggregates.get("outcomes", {}))
-        result.interval_failures = int(aggregates.get("interval_failures", 0))
-        result.metadata.update(aggregates.get("metadata", {}))
+
+    def restore(aggregates: Dict[str, object]) -> None:
+        nonlocal fill_seed
+        _restore_aggregates(result, aggregates)
         raw_fill_seed = aggregates.get("fill_seed")
         fill_seed = int(raw_fill_seed) if raw_fill_seed is not None else None
         if randomize_content and fill_seed is None:
@@ -331,160 +439,73 @@ def run_engine_campaign(
                 "checkpoint is missing the content fill seed; cannot "
                 "re-derive the campaign's array content"
             )
-    elif randomize_content:
-        fill_seed = int(generator.integers(0, 2 ** 63))
+
+    def rng_state() -> Dict[str, object]:
+        block: Dict[str, object] = {"numpy": numpy_rng_state(generator)}
+        if chaos is not None:
+            block["chaos"] = chaos.rng_state()
+        return block
+
+    def restore_rng(block: Dict[str, object]) -> None:
+        # RNG states are captured at interval boundaries, and the
+        # content re-fill below draws from its own seeded stream, so
+        # the restored streams replay the exact random sequence the
+        # uninterrupted run would have seen.
+        restore_numpy_rng_state(generator, block["numpy"])
+        if chaos is not None and "chaos" in block:
+            chaos.restore_rng_state(block["chaos"])
+
+    loop = BoundaryLoop(
+        "montecarlo", config_fingerprint, checkpointer,
+        aggregates=lambda: {**_aggregates(result), "fill_seed": fill_seed},
+        restore=restore, rng_state=rng_state, restore_rng=restore_rng,
+        telemetry=tel, flushes=m_checkpoints, deadline=deadline,
+        progress=progress,
+    )
     if randomize_content:
+        if fill_seed is None:  # a fresh run; a resume restored the seed
+            fill_seed = int(generator.integers(0, 2 ** 63))
         _fill_random_through_engine(engine, fill_seed)
-    if resume is not None:
-        # RNG states are captured at interval boundaries, so restoring
-        # them *after* the deterministic re-fill replays the exact
-        # random sequence the uninterrupted run would have seen.
-        restore_numpy_rng_state(generator, resume["rng"]["numpy"])
-        if chaos is not None and "chaos" in resume["rng"]:
-            chaos.restore_rng_state(resume["rng"]["chaos"])
     injector = TransientFaultInjector(
         array.line_bits, ber, generator,
         backend=getattr(engine, "backend", None),
     )
 
-    def boundary_snapshot(completed: int) -> Dict[str, object]:
-        aggregates = {
-            "outcomes": dict(result.outcomes),
-            "interval_failures": result.interval_failures,
-            "metadata": dict(result.metadata),
-            "fill_seed": fill_seed,
-        }
-        rng_block: Dict[str, object] = {"numpy": numpy_rng_state(generator)}
-        if chaos is not None:
-            rng_block["chaos"] = chaos.rng_state()
-        return build_payload(
-            "montecarlo", config_fingerprint, completed, aggregates, rng_block
-        )
+    def inject() -> List[int]:
+        dirty = injector.inject_frames(array)
+        if array.has_permanent_faults:
+            # Stuck-conflicting lines are permanently dirty even when no
+            # transient landed on them this interval; the sparse pass
+            # must keep visiting them to stay bit-identical to dense.
+            dirty = array.dirty_frames()
+        return dirty
 
-    def flush_checkpoint(snapshot: Dict[str, object]) -> None:
-        with tel.tracer.span("checkpoint_write", path=checkpointer.path):
-            checkpointer.save(snapshot)
-        if tel.enabled:
-            m_checkpoints.inc()
-
-    completed = start
-    snapshot = boundary_snapshot(start)
     # Per-phase spans are attribute-free: a live tracer pays two clock
     # reads per span, the NullTracer pays one no-op call, and either way
     # the RNG stream is untouched.
     tracer = tel.tracer
-    with tracer.span(
+
+    def step(_unit: int) -> None:
+        started = time.perf_counter() if tel.enabled else 0.0
+        counts, failed, dirty = _run_interval(
+            engine, inject, result, chaos=chaos, scrub_mode=scrub_mode,
+            heal=heal, tracer=tracer, canonical=False,
+            chaos_events=m_chaos if tel.enabled else None,
+        )
+        if tel.enabled:
+            m_intervals.inc()
+            if failed:
+                m_failures.inc()
+            m_faulty.observe(len(dirty))
+            for label, count in counts.items():
+                m_outcomes.labels(outcome=label).inc(count)
+            m_interval.observe(time.perf_counter() - started)
+
+    completed, stop_reason = loop.run(intervals, step, tracer.span(
         "campaign", level=level, ber=ber, intervals=intervals,
         lines=array.num_lines,
-    ):
-        try:
-            for _ in range(start, intervals):
-                started = time.perf_counter() if tel.enabled else 0.0
-                with tracer.span("phase_inject"):
-                    if chaos is not None:
-                        applied = chaos.corrupt_metadata(engine)
-                        result.metadata.update(applied)
-                        if tel.enabled:
-                            for event, count in applied.items():
-                                m_chaos.labels(event=event).inc(count)
-                    dirty = injector.inject_frames(array)
-                    if array.has_permanent_faults:
-                        # Stuck-conflicting lines are permanently dirty
-                        # even when no transient landed on them this
-                        # interval; the sparse pass must keep visiting
-                        # them to stay bit-identical to dense.
-                        dirty = array.dirty_frames()
-                    visits = dirty
-                    if chaos is not None:
-                        visits, applied = chaos.perturb_visits(visits)
-                        result.metadata.update(applied)
-                        if tel.enabled:
-                            for event, count in applied.items():
-                                m_chaos.labels(event=event).inc(count)
-                with tracer.span("phase_scrub"):
-                    if scrub_mode == "dense":
-                        counts = engine.scrub_frames(
-                            _dense_walk(array.num_lines, dirty, visits)
-                        )
-                    else:
-                        # Sparse fast path: decode the scheduled dirty
-                        # visits only; every frame outside the
-                        # (pre-perturbation) dirty set is a valid codeword
-                        # and bulk-accounts as clean -- exactly the
-                        # outcomes a dense walk records for those lines.
-                        sparse_counts = Counter(engine.scrub_frames(visits))
-                        bulk_clean = array.num_lines - len(dirty)
-                        account = getattr(engine, "account_bulk_clean", None)
-                        if account is not None:
-                            account(bulk_clean)
-                        sparse_counts[Outcome.CLEAN.value] += bulk_clean
-                        counts = dict(sparse_counts)
-                result.outcomes.update(counts)
-                failed = any(
-                    count and is_failure_label(label)
-                    for label, count in counts.items()
-                )
-                with tracer.span("phase_correct"):
-                    if failed:
-                        result.interval_failures += 1
-                        heal(array)
-                        # A DUE may have triggered a parity rebuild over
-                        # still-corrupt words (write-path poisoning
-                        # semantics); healing invalidates those entries, so
-                        # restore the ground-truth parities too.
-                        initialize = getattr(
-                            engine, "initialize_parities", None
-                        )
-                        if initialize is not None:
-                            initialize()
-                    if chaos is not None:
-                        # Dropped visits and undetected metadata corruption
-                        # must not leak across the interval boundary (the
-                        # independence invariant campaigns and checkpoints
-                        # both rely on): heal the array and run the
-                        # engine's metadata scrub.
-                        heal(array)
-                        audit = getattr(engine, "audit_metadata", None)
-                        if audit is not None:
-                            audit_report = audit(repair=True)
-                            for key in (
-                                "crc_faults", "recompute_faults", "rebuilt",
-                            ):
-                                if audit_report.get(key):
-                                    result.metadata["residual_" + key] += (
-                                        audit_report[key]
-                                    )
-                completed += 1
-                if tel.enabled:
-                    m_intervals.inc()
-                    if failed:
-                        m_failures.inc()
-                    m_faulty.observe(len(dirty))
-                    for label, count in counts.items():
-                        m_outcomes.labels(outcome=label).inc(count)
-                    m_interval.observe(time.perf_counter() - started)
-                snapshot = boundary_snapshot(completed)
-                if checkpointer is not None and checkpointer.due(completed):
-                    flush_checkpoint(snapshot)
-                if deadline is not None and deadline.expired():
-                    result.truncated = True
-                    result.stop_reason = deadline.reason
-                    break
-                progress.update()
-        except KeyboardInterrupt:
-            # Completed intervals are not discarded: roll back to the
-            # last interval boundary and return the partial aggregates.
-            result.truncated = True
-            result.stop_reason = "interrupted"
-            completed = int(snapshot["completed"])
-            aggregates = snapshot["aggregates"]
-            result.outcomes = Counter(aggregates["outcomes"])
-            result.interval_failures = int(aggregates["interval_failures"])
-            result.metadata = Counter(aggregates["metadata"])
-    if checkpointer is not None:
-        flush_checkpoint(snapshot)
-    result.intervals = completed
-    progress.finish()
+    ))
+    _finish(result, completed, stop_reason)
     if telemetry is not None:
         stats = getattr(engine, "stats", None)
         if stats is not None:

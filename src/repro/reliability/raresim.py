@@ -50,11 +50,10 @@ from repro.obs import NULL_PROGRESS, NullTracer, Telemetry, resolve_telemetry
 from repro.reliability.binomial import binomial_pmf, binomial_tail, complement_power
 from repro.reliability.fit import fit_from_interval_probability
 from repro.resilience.checkpoint import (
+    BoundaryLoop,
     Checkpointer,
     Deadline,
-    build_payload,
     python_rng_state,
-    require_config_match,
     restore_python_rng_state,
 )
 from repro.sttram.array import STTRAMArray
@@ -511,72 +510,42 @@ class ConditionalGroupSimulator:
                 self.scenario.as_dict() if self.scenario is not None else None
             ),
         }
-        resume = checkpointer.resume if checkpointer is not None else None
-        start = 0
         failures = 0
-        if resume is not None:
-            require_config_match(resume, config_fingerprint)
-            start = int(resume["completed"])
-            failures = int(resume["aggregates"].get("conditional_failures", 0))
-            restore_python_rng_state(self._rng, resume["rng"]["python"])
 
-        def boundary_snapshot(completed: int, failed_so_far: int):
-            return build_payload(
-                "raresim",
-                config_fingerprint,
-                completed,
-                {"conditional_failures": failed_so_far},
-                {"python": python_rng_state(self._rng)},
-            )
+        def restore(aggregates) -> None:
+            nonlocal failures
+            failures = int(aggregates.get("conditional_failures", 0))
 
-        def flush_checkpoint(snapshot) -> None:
-            with tel.tracer.span("checkpoint_write", path=checkpointer.path):
-                checkpointer.save(snapshot)
+        loop = BoundaryLoop(
+            "raresim", config_fingerprint, checkpointer,
+            aggregates=lambda: {"conditional_failures": failures},
+            restore=restore,
+            rng_state=lambda: {"python": python_rng_state(self._rng)},
+            restore_rng=lambda block: restore_python_rng_state(
+                self._rng, block["python"]
+            ),
+            telemetry=tel, flushes=m_checkpoints, deadline=deadline,
+            progress=progress,
+        )
+
+        def step(_unit: int) -> None:
+            nonlocal failures
+            started = time.perf_counter() if tel.enabled else 0.0
+            failed = trial()
+            if failed:
+                failures += 1
             if tel.enabled:
-                m_checkpoints.inc()
+                m_trials.labels(level=label).inc()
+                if failed:
+                    m_failures.labels(level=label).inc()
+                m_trial_time.labels(level=label).observe(
+                    time.perf_counter() - started
+                )
 
-        truncated = False
-        stop_reason = ""
-        completed = start
-        snapshot = boundary_snapshot(start, failures)
-        with tel.tracer.span(
+        completed, stop_reason = loop.run(trials, step, tel.tracer.span(
             "raresim_campaign", level=label, trials=trials, ber=self.ber,
             group_size=self.group_size,
-        ):
-            try:
-                for _ in range(start, trials):
-                    started = time.perf_counter() if tel.enabled else 0.0
-                    failed = trial()
-                    if failed:
-                        failures += 1
-                    completed += 1
-                    if tel.enabled:
-                        m_trials.labels(level=label).inc()
-                        if failed:
-                            m_failures.labels(level=label).inc()
-                        m_trial_time.labels(level=label).observe(
-                            time.perf_counter() - started
-                        )
-                    snapshot = boundary_snapshot(completed, failures)
-                    if checkpointer is not None and checkpointer.due(completed):
-                        flush_checkpoint(snapshot)
-                    if deadline is not None and deadline.expired():
-                        truncated = True
-                        stop_reason = deadline.reason
-                        break
-                    progress.update()
-            except KeyboardInterrupt:
-                # Roll back to the last trial boundary; completed trials
-                # are kept, the in-flight one is discarded.
-                truncated = True
-                stop_reason = "interrupted"
-                completed = int(snapshot["completed"])
-                failures = int(
-                    snapshot["aggregates"]["conditional_failures"]
-                )
-        if checkpointer is not None:
-            flush_checkpoint(snapshot)
-        progress.finish()
+        ))
         return ConditionalResult(
             trials=completed,
             conditional_failures=failures,
@@ -585,7 +554,7 @@ class ConditionalGroupSimulator:
             group_size=self.group_size,
             num_groups=self.num_groups,
             interval_s=self.interval_s,
-            truncated=truncated,
+            truncated=bool(stop_reason),
             stop_reason=stop_reason,
         )
 

@@ -52,29 +52,25 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import build_engine
-from repro.core.outcomes import Outcome, is_failure_label
 from repro.obs import NULL_PROGRESS, Telemetry, resolve_telemetry
 from repro.parallel.sharding import interval_generator, interval_python_seed
 from repro.reliability.montecarlo import (
     INTERVAL_BUCKETS,
     CampaignResult,
-    _dense_walk,
+    _aggregates,
     _fill_random_through_engine,
-    _require_scrub_mode,
+    _finish,
+    _restore_aggregates,
+    _run_interval,
     heal,
+    require_scrub_mode,
 )
 from repro.resilience.chaos import ChaosInjector, ChaosPolicy
-from repro.resilience.checkpoint import (
-    Checkpointer,
-    Deadline,
-    build_payload,
-    require_config_match,
-)
+from repro.resilience.checkpoint import BoundaryLoop, Checkpointer, Deadline
 from repro.sttram.array import STTRAMArray
 from repro.sttram.faults import (
     BurstFaultInjector,
@@ -522,7 +518,7 @@ def run_scenario_campaign(
     stuck lines stay in the dirty set, which is what keeps the sparse
     visit schedule complete.
     """
-    _require_scrub_mode(scrub_mode)
+    require_scrub_mode(scrub_mode)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if intervals < 0:
@@ -550,6 +546,9 @@ def run_scenario_campaign(
         "Wall-clock time per scenario interval (inject + scrub + heal).",
         buckets=INTERVAL_BUCKETS,
     )
+    m_checkpoints = tel.metrics.counter(
+        "scenario_checkpoint_writes_total", "Scenario checkpoints flushed."
+    )
     config_fingerprint: Dict[str, object] = {
         "kind": "scenario",
         "scheme": scheme,
@@ -570,140 +569,56 @@ def run_scenario_campaign(
         interval_s=interval_s,
         lines=array.num_lines,
     )
-    start = 0
-    resume = checkpointer.resume if checkpointer is not None else None
-    if resume is not None:
-        require_config_match(resume, config_fingerprint)
-        start = int(resume["completed"])
-        aggregates = resume["aggregates"]
-        result.outcomes.update(aggregates.get("outcomes", {}))
-        result.interval_failures = int(aggregates.get("interval_failures", 0))
-        result.metadata.update(aggregates.get("metadata", {}))
+    # No RNG block: every stream re-derives from (seed, index).
+    loop = BoundaryLoop(
+        "scenario", config_fingerprint, checkpointer,
+        aggregates=lambda: _aggregates(result),
+        restore=lambda aggregates: _restore_aggregates(result, aggregates),
+        telemetry=tel, flushes=m_checkpoints, deadline=deadline,
+        progress=progress,
+    )
+    tracer = tel.tracer
 
-    def boundary_snapshot(completed: int) -> Dict[str, object]:
-        aggregates = {
-            "outcomes": dict(result.outcomes),
-            "interval_failures": result.interval_failures,
-            "metadata": dict(result.metadata),
-        }
-        # No RNG block: every stream re-derives from (seed, index).
-        return build_payload(
-            "scenario", config_fingerprint, completed, aggregates, {}
+    def step(relative: int) -> None:
+        started = time.perf_counter() if tel.enabled else 0.0
+        index = interval_start + relative
+        stream = interval_generator(seed, 2 + index)
+        chaos = (
+            ChaosInjector(
+                chaos_policy, seed=interval_python_seed(chaos_seed, index)
+            )
+            if chaos_policy is not None
+            else None
         )
 
-    completed = start
-    snapshot = boundary_snapshot(start)
-    tracer = tel.tracer
-    with tracer.span(
+        def inject() -> List[int]:
+            if scenario.transient_ber > 0:
+                TransientFaultInjector(
+                    array.line_bits, scenario.transient_ber, stream,
+                    backend=kernels,
+                ).inject_frames(array)
+            burst = scenario.build_burst_injector(
+                array.line_bits, stream, backend=kernels
+            )
+            if burst is not None:
+                burst.inject_frames(array)
+            # The dirty set is the union of this interval's hits and the
+            # permanently-dirty stuck lines.
+            return array.dirty_frames()
+
+        counts, _, _ = _run_interval(
+            engine, inject, result, chaos=chaos, scrub_mode=scrub_mode,
+            heal=heal, tracer=tracer, canonical=True,
+        )
+        if tel.enabled:
+            m_intervals.inc()
+            for label, count in counts.items():
+                m_outcomes.labels(outcome=label).inc(count)
+            m_interval_time.observe(time.perf_counter() - started)
+
+    completed, stop_reason = loop.run(intervals, step, tracer.span(
         "scenario_campaign", scheme=scheme, intervals=intervals,
         lines=array.num_lines,
-    ):
-        try:
-            for relative in range(start, intervals):
-                started = time.perf_counter() if tel.enabled else 0.0
-                index = interval_start + relative
-                stream = interval_generator(seed, 2 + index)
-                chaos = (
-                    ChaosInjector(
-                        chaos_policy,
-                        seed=interval_python_seed(chaos_seed, index),
-                    )
-                    if chaos_policy is not None
-                    else None
-                )
-                with tracer.span("phase_inject"):
-                    if chaos is not None and hasattr(engine, "_tables"):
-                        # Metadata chaos needs a parity-table surface;
-                        # schemes without one (plain per-line ECC) still
-                        # see the schedule chaos below.
-                        result.metadata.update(chaos.corrupt_metadata(engine))
-                    if scenario.transient_ber > 0:
-                        TransientFaultInjector(
-                            array.line_bits, scenario.transient_ber, stream,
-                            backend=kernels,
-                        ).inject_frames(array)
-                    burst = scenario.build_burst_injector(
-                        array.line_bits, stream, backend=kernels
-                    )
-                    if burst is not None:
-                        burst.inject_frames(array)
-                    # The dirty set is the union of this interval's hits
-                    # and the permanently-dirty stuck lines.
-                    dirty = array.dirty_frames()
-                    visits = dirty
-                    if chaos is not None:
-                        visits, applied = chaos.perturb_visits(visits)
-                        result.metadata.update(applied)
-                with tracer.span("phase_scrub"):
-                    if scrub_mode == "dense":
-                        counts = engine.scrub_frames(
-                            _dense_walk(array.num_lines, dirty, visits)
-                        )
-                    else:
-                        sparse_counts = Counter(engine.scrub_frames(visits))
-                        bulk_clean = array.num_lines - len(dirty)
-                        account = getattr(engine, "account_bulk_clean", None)
-                        if account is not None:
-                            account(bulk_clean)
-                        sparse_counts[Outcome.CLEAN.value] += bulk_clean
-                        counts = dict(sparse_counts)
-                result.outcomes.update(counts)
-                failed = any(
-                    count and is_failure_label(label)
-                    for label, count in counts.items()
-                )
-                with tracer.span("phase_correct"):
-                    if failed:
-                        result.interval_failures += 1
-                    if failed or chaos is not None:
-                        # Re-canonicalize: heal to the boundary state
-                        # (stored == golden through stuck bits) and
-                        # restore ground-truth parities, so interval
-                        # i + 1 starts from the pure-function-of-config
-                        # state regardless of what this interval broke.
-                        heal(array)
-                        initialize = getattr(
-                            engine, "initialize_parities", None
-                        )
-                        if initialize is not None:
-                            initialize()
-                    else:
-                        heal(array)
-                    if chaos is not None:
-                        audit = getattr(engine, "audit_metadata", None)
-                        if audit is not None:
-                            audit_report = audit(repair=True)
-                            for key in (
-                                "crc_faults", "recompute_faults", "rebuilt",
-                            ):
-                                if audit_report.get(key):
-                                    result.metadata["residual_" + key] += (
-                                        audit_report[key]
-                                    )
-                completed += 1
-                if tel.enabled:
-                    m_intervals.inc()
-                    for label, count in counts.items():
-                        m_outcomes.labels(outcome=label).inc(count)
-                    m_interval_time.observe(time.perf_counter() - started)
-                snapshot = boundary_snapshot(completed)
-                if checkpointer is not None and checkpointer.due(completed):
-                    checkpointer.save(snapshot)
-                if deadline is not None and deadline.expired():
-                    result.truncated = True
-                    result.stop_reason = deadline.reason
-                    break
-                progress.update()
-        except KeyboardInterrupt:
-            result.truncated = True
-            result.stop_reason = "interrupted"
-            completed = int(snapshot["completed"])
-            aggregates = snapshot["aggregates"]
-            result.outcomes = Counter(aggregates["outcomes"])
-            result.interval_failures = int(aggregates["interval_failures"])
-            result.metadata = Counter(aggregates["metadata"])
-    if checkpointer is not None:
-        checkpointer.save(snapshot)
-    result.intervals = completed
-    progress.finish()
+    ))
+    _finish(result, completed, stop_reason)
     return result

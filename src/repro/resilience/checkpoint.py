@@ -15,6 +15,11 @@ Checkpoints are validated up front: a missing file, corrupt JSON, a
 snapshot from a different campaign kind, or mismatched campaign
 parameters all raise :class:`CheckpointError` with a one-line message --
 never a traceback from deep inside the interval loop.
+
+:class:`BoundaryLoop` is the one place that protocol runs: every
+campaign kind (Monte-Carlo and scenario intervals, rare-event trials)
+drives its units through it and supplies only the per-unit step, its
+aggregates, and its RNG block.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.atomicio import atomic_write_json
 
@@ -224,6 +229,105 @@ def require_config_match(
                 f"checkpoint was taken with {key}={saved.get(key)!r} but this "
                 f"run uses {key}={config.get(key)!r}; refusing to resume"
             )
+
+
+class BoundaryLoop:
+    """The unit-boundary protocol shared by every campaign loop.
+
+    A campaign runs independent units (Monte-Carlo or scenario
+    intervals, rare-event trials); between two units its whole state is
+    its aggregates plus, for stream-driven kinds, its RNG block.  The
+    loop owns everything that happens at those boundaries:
+
+    * resume -- on construction a ``checkpointer.resume`` payload is
+      validated against ``config`` and applied through ``restore`` and
+      ``restore_rng``, so :attr:`start` is known before the caller
+      builds anything that depends on the restored state;
+    * a snapshot after every unit, flushed when ``checkpointer.due``
+      and once more at the end, each flush in a ``checkpoint_write``
+      span and counted on ``flushes`` while telemetry is live;
+    * deadline and cancellation stops, polled after each unit;
+    * ``KeyboardInterrupt`` rollback to the last boundary snapshot;
+    * ``progress.update()`` per unit that does not end the run, and
+      ``progress.finish()`` after the final flush.
+
+    ``aggregates()`` and ``rng_state()`` return the JSON-ready blocks a
+    snapshot carries (``rng_state=None``: streams re-derive from the
+    unit index, the block is empty); ``restore`` applies an aggregates
+    block on resume and on rollback.
+    """
+
+    def __init__(self, kind: str, config: Dict[str, object],
+                 checkpointer: Optional[Checkpointer], *, aggregates,
+                 restore, rng_state=None, restore_rng=None, telemetry,
+                 flushes, deadline=None, progress) -> None:
+        self._kind = kind
+        self._config = config
+        self._checkpointer = checkpointer
+        self._aggregates = aggregates
+        self._restore = restore
+        self._rng_state = rng_state
+        self._telemetry = telemetry
+        self._flushes = flushes
+        self._deadline = deadline
+        self._progress = progress
+        #: Units already completed by the run being resumed (0 when fresh).
+        self.start = 0
+        resume = checkpointer.resume if checkpointer is not None else None
+        if resume is not None:
+            require_config_match(resume, config)
+            self.start = int(resume["completed"])
+            restore(resume["aggregates"])
+            if restore_rng is not None:
+                restore_rng(resume["rng"])
+
+    def _snapshot(self, completed: int) -> Dict[str, object]:
+        rng = self._rng_state() if self._rng_state is not None else {}
+        return build_payload(
+            self._kind, self._config, completed, self._aggregates(), rng
+        )
+
+    def _flush(self, snapshot: Dict[str, object]) -> None:
+        path = self._checkpointer.path
+        with self._telemetry.tracer.span("checkpoint_write", path=path):
+            self._checkpointer.save(snapshot)
+        if self._telemetry.enabled:
+            self._flushes.inc()
+
+    def run(self, units: int, step: Callable[[int], None],
+            span) -> Tuple[int, str]:
+        """Run units ``[start, units)`` inside ``span``.
+
+        ``step(unit)`` performs one unit and updates the caller's
+        aggregates.  Returns ``(completed, stop_reason)``, where
+        ``stop_reason`` is ``""`` when every unit ran.
+        """
+        checkpointer, deadline = self._checkpointer, self._deadline
+        completed = self.start
+        stop_reason = ""
+        snapshot = self._snapshot(completed)
+        with span:
+            try:
+                for unit in range(self.start, units):
+                    step(unit)
+                    completed += 1
+                    snapshot = self._snapshot(completed)
+                    if checkpointer is not None and checkpointer.due(completed):
+                        self._flush(snapshot)
+                    if deadline is not None and deadline.expired():
+                        stop_reason = deadline.reason
+                        break
+                    self._progress.update()
+            except KeyboardInterrupt:
+                # Completed units are not discarded: roll back to the
+                # last boundary and return the partial aggregates.
+                stop_reason = "interrupted"
+                completed = int(snapshot["completed"])
+                self._restore(snapshot["aggregates"])
+        if checkpointer is not None:
+            self._flush(snapshot)
+        self._progress.finish()
+        return completed, stop_reason
 
 
 # -- RNG state (de)serialisation --------------------------------------------------

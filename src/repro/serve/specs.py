@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.kernels import BACKEND_NAMES
+from repro.reliability.montecarlo import SCRUB_MODES
 from repro.reliability.scenario import SCHEMES, FaultScenario
 
 #: Bump when a code change alters campaign results at a fixed spec;
@@ -133,9 +134,7 @@ def _parse_common(payload: Dict) -> Tuple[int, int, float, Dict[str, str]]:
     _require(shards <= _MAX_SHARDS, f"'shards' must be <= {_MAX_SHARDS}")
     interval_s = _get_float(payload, "interval_s", 0.020, 1e-9, 3600.0)
     execution = {
-        "scrub_mode": _get_choice(
-            payload, "scrub_mode", "sparse", ("sparse", "dense")
-        ),
+        "scrub_mode": _get_choice(payload, "scrub_mode", "sparse", SCRUB_MODES),
         "backend": _get_choice(
             payload, "backend", "reference", tuple(BACKEND_NAMES)
         ),

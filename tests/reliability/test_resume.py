@@ -217,3 +217,89 @@ class TestRaresimResume:
                     path=path, resume=load_checkpoint(path, "raresim")
                 ),
             )
+
+
+class TestScenarioResume:
+    """The scenario loop's interrupt contract, as for the two above."""
+
+    @staticmethod
+    def campaign(**kwargs):
+        from repro.reliability.scenario import (
+            BurstSpec,
+            FaultScenario,
+            StuckSpec,
+            run_scenario_campaign,
+        )
+
+        scenario = FaultScenario(
+            transient_ber=2e-3,
+            burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5))),
+            stuck=StuckSpec(ppm=300.0),
+        )
+        return run_scenario_campaign(
+            "Z", scenario, INTERVALS, 4, seed=11,
+            chaos_policy=ChaosPolicy(plt_flip_rate=0.05, visit_drop_rate=0.05),
+            chaos_seed=2, **kwargs,
+        )
+
+    def test_interrupted_then_resumed_equals_uninterrupted(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        partial = self.campaign(
+            checkpointer=Checkpointer(path=path),
+            progress=InterruptAfter(3),
+        )
+        assert partial.truncated
+        assert partial.stop_reason == "interrupted"
+        assert partial.intervals == 3
+        assert load_checkpoint(path, "scenario")["completed"] == 3
+        resumed = self.campaign(
+            checkpointer=Checkpointer(
+                path=path, resume=load_checkpoint(path, "scenario")
+            ),
+        )
+        assert not resumed.truncated
+        assert resumed.as_dict() == self.campaign().as_dict()
+
+
+class TestCheckpointTelemetry:
+    """Every campaign kind records each flush the same way: one
+    ``checkpoint_write`` span and one tick of its kind's counter."""
+
+    @staticmethod
+    def _counter(telemetry, name):
+        family = telemetry.metrics.get(name)
+        assert family is not None, name
+        return dict(family.samples())[()].value
+
+    def _check(self, telemetry, checkpointer, counter):
+        spans = telemetry.tracer.spans_named("checkpoint_write")
+        assert checkpointer.writes == 3
+        assert len(spans) == checkpointer.writes
+        assert all(span.attributes["path"] == checkpointer.path for span in spans)
+        assert self._counter(telemetry, counter) == checkpointer.writes
+
+    def test_montecarlo(self, tmp_path):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry.create()
+        ck = Checkpointer(path=str(tmp_path / "ck.json"), every=4)
+        mc_campaign(telemetry=telemetry, checkpointer=ck)
+        self._check(telemetry, ck, "campaign_checkpoint_writes_total")
+
+    def test_raresim(self, tmp_path):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry.create()
+        ck = Checkpointer(path=str(tmp_path / "ck.json"), every=2)
+        TestRaresimResume().simulator().run(
+            "Y", 5, telemetry=telemetry, checkpointer=ck
+        )
+        self._check(telemetry, ck, "raresim_checkpoint_writes_total")
+
+    def test_scenario(self, tmp_path):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry.create()
+        ck = Checkpointer(path=str(tmp_path / "ck.json"), every=4)
+        TestScenarioResume.campaign(telemetry=telemetry, checkpointer=ck)
+        self._check(telemetry, ck, "scenario_checkpoint_writes_total")

@@ -11,7 +11,15 @@ Do not "update" these values to make a failure pass without
 establishing exactly which change moved them and why that is correct.
 """
 
-from repro.parallel.runner import run_sharded_campaign, run_sharded_raresim
+import pytest
+
+from repro.parallel.runner import (
+    run_sharded_campaign,
+    run_sharded_raresim,
+    run_sharded_scenario,
+)
+from repro.reliability.scenario import BurstSpec, FaultScenario, StuckSpec
+from repro.resilience import ChaosPolicy
 
 GOLDEN_CAMPAIGN = {
     "intervals": 5,
@@ -65,3 +73,128 @@ def test_seeded_raresim_is_bit_identical_to_pre_refactor_capture():
         "Z", 1e-3, 6, 16, 64, shards=1, seed=3
     ).as_dict()
     assert result == GOLDEN_RARESIM
+
+
+# -- campaign loop consolidation ---------------------------------------------
+#
+# Captured from the three separate campaign loops (Monte-Carlo,
+# scenario, rare-event) before they were folded into one boundary loop
+# and one interval body.  Chaos exercises every branch of the shared
+# interval body: metadata corruption, visit drops/duplicates, the
+# interval-end audit, and both failed and clean intervals.
+
+#: Every chaos knob on, at rates that fire a few times per run.
+GOLDEN_CHAOS = ChaosPolicy(
+    plt_flip_rate=0.05, map_swap_rate=0.02,
+    visit_drop_rate=0.05, visit_duplicate_rate=0.05,
+)
+
+#: Transient + burst + stuck-at: the scenario engine's full source mix.
+GOLDEN_MIXED = FaultScenario(
+    transient_ber=2e-3,
+    burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5)), interleave=2),
+    stuck=StuckSpec(ppm=300.0),
+)
+
+GOLDEN_CHAOS_CAMPAIGN = {
+    "intervals": 8,
+    "ber": 0.001,
+    "interval_s": 0.02,
+    "outcomes": {
+        "clean": 307,
+        "corrected_ecc1": 158,
+        "corrected_hash2": 8,
+        "corrected_raid4": 22,
+        "corrected_sdr": 18,
+        "metadata_due": 1,
+    },
+    "interval_failures": 1,
+    "lines": 64,
+    "truncated": False,
+    "stop_reason": "",
+    "metadata": {
+        "map_swaps": 2,
+        "plt_flips": 8,
+        "residual_crc_faults": 2,
+        "residual_rebuilt": 5,
+        "visits_dropped": 12,
+        "visits_duplicated": 8,
+    },
+    "failure_probability": 0.125,
+}
+
+#: Two Monte-Carlo shards draw from spawned streams, so this is a
+#: different (but equally pinned) quantity than the serial run.
+GOLDEN_CHAOS_CAMPAIGN_2SHARD = {
+    "intervals": 8,
+    "ber": 0.001,
+    "interval_s": 0.02,
+    "outcomes": {
+        "clean": 310,
+        "corrected_ecc1": 151,
+        "corrected_hash2": 10,
+        "corrected_raid4": 20,
+        "corrected_sdr": 20,
+        "metadata_due": 1,
+    },
+    "interval_failures": 1,
+    "lines": 64,
+    "truncated": False,
+    "stop_reason": "",
+    "metadata": {
+        "map_swaps": 3,
+        "plt_flips": 10,
+        "residual_crc_faults": 8,
+        "residual_rebuilt": 11,
+        "visits_dropped": 13,
+        "visits_duplicated": 6,
+    },
+    "failure_probability": 0.125,
+}
+
+GOLDEN_SCENARIO = {
+    "intervals": 8,
+    "ber": 0.002,
+    "interval_s": 0.02,
+    "outcomes": {
+        "clean": 161,
+        "corrected_ecc1": 176,
+        "corrected_hash2": 74,
+        "corrected_raid4": 10,
+        "corrected_sdr": 29,
+        "due": 95,
+        "metadata_due": 2,
+    },
+    "interval_failures": 7,
+    "lines": 64,
+    "truncated": False,
+    "stop_reason": "",
+    "metadata": {
+        "map_swaps": 1,
+        "plt_flips": 6,
+        "visits_dropped": 22,
+        "visits_duplicated": 14,
+    },
+    "failure_probability": 0.875,
+}
+
+
+@pytest.mark.parametrize(
+    "shards, golden",
+    [(1, GOLDEN_CHAOS_CAMPAIGN), (2, GOLDEN_CHAOS_CAMPAIGN_2SHARD)],
+)
+def test_seeded_chaos_campaign_is_bit_identical(shards, golden):
+    result = run_sharded_campaign(
+        "Z", 1e-3, 8, 8, shards=shards, seed=7,
+        chaos_policy=GOLDEN_CHAOS, chaos_seed=3,
+    ).as_dict()
+    assert result == golden
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_seeded_scenario_is_bit_identical(shards):
+    result = run_sharded_scenario(
+        "Z", GOLDEN_MIXED, 8, 8, shards=shards, seed=11,
+        chaos_policy=GOLDEN_CHAOS, chaos_seed=5,
+    ).as_dict()
+    assert result == GOLDEN_SCENARIO
