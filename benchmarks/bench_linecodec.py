@@ -13,6 +13,11 @@ seeded population of lines and reports microseconds per call:
   true fault (ECC-1 then repairs the other), half an innocent bit (the
   CRC rejects the miscorrection), as SDR's search sees them.
 
+One batched row rides along: the numpy backend's ``batch_decode`` of four
+one-bit-fault words, a batch as small as a sparse group scan's few dirty
+members.  Its per-call figure is dominated by fixed numpy overhead,
+which the gate keeps from creeping back.
+
 Each figure is the minimum over interleaved repeats of the mean over the
 population, the least noisy estimator on a shared box.  The results are
 checked (round trip, repair, trial outcomes) so a fast wrong codec cannot
@@ -26,10 +31,13 @@ import time
 from conftest import emit
 from repro.coding.bitvec import random_error_vector
 from repro.core.linecodec import DecodeStatus, LineCodec
+from repro.kernels import get_backend
 
 SEED = 553
 LINES = 200
 REPEATS = 7
+#: Words per numpy ``batch_decode`` call in the small-batch row.
+SMALL_BATCH = 4
 
 
 def _min_us_per_call(func, args):
@@ -65,6 +73,15 @@ def test_bench_linecodec(benchmark):
         repaired = codec.decode(faulty)
         assert repaired.status is DecodeStatus.CORRECTED
         assert repaired.word == word
+    numpy = get_backend("numpy")
+    batches = [
+        (codec, one_bit[start:start + SMALL_BATCH])
+        for start in range(0, LINES, SMALL_BATCH)
+    ]
+    for _, batch in batches:
+        assert numpy.batch_decode(codec, batch) == [
+            codec.decode(word) for word in batch
+        ]
     trial_words = [codec.try_flip_and_repair(*trial) for trial in trials]
     for index, (result, word) in enumerate(zip(trial_words, words)):
         assert result == (word if index % 2 else None)
@@ -76,6 +93,7 @@ def test_bench_linecodec(benchmark):
             codec.decode, [(w,) for w in one_bit]
         ),
         "flip_and_repair_us": _min_us_per_call(codec.try_flip_and_repair, trials),
+        "numpy_decode_batch4_us": _min_us_per_call(numpy.batch_decode, batches),
     }
 
     benchmark(codec.decode, one_bit[0])
@@ -85,6 +103,9 @@ def test_bench_linecodec(benchmark):
         "decode_clean_us": "decode (clean)",
         "decode_one_bit_us": "decode (one-bit repair)",
         "flip_and_repair_us": "try_flip_and_repair (two faults)",
+        "numpy_decode_batch4_us": (
+            f"numpy batch_decode ({SMALL_BATCH} one-bit words, per call)"
+        ),
     }
     emit({
         "title": "Line codec per-call cost (553-bit stored line)",

@@ -74,8 +74,7 @@ class HammingSEC:
         ]
         assert len(self._data_positions) == self.k
 
-        # Data bit i lives at codeword bit (data_positions[i] - 1).  The
-        # numpy backend builds its gather tables from this per-bit map.
+        # Data bit i lives at codeword bit (data_positions[i] - 1).
         self._data_cw_shift = [position - 1 for position in self._data_positions]
 
         # The same map as contiguous runs: (data_mask, shift) sends the

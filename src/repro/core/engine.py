@@ -185,14 +185,15 @@ class SuDokuEngine:
             entry = self._decode_cache.get(frame)
             if entry is not None and entry[0] == stored:
                 continue
-            # A frame whose stored word still matches golden holds a
+            # Dense scrub visits reach here with clean frames too.  A
+            # frame whose stored word still matches golden holds a
             # valid codeword (everything written goes through the codec
-            # -- the same invariant scan_group's trusted_clean path
-            # rests on), so its decode is known CLEAN and the backend
-            # may skip the syndrome/CRC machinery for it.  The raw
-            # dirty-set test is required here, not is_clean(): a line
-            # whose only divergence is stuck-bit residue is *not* a
-            # valid codeword.
+            # -- the invariant group scans trust outright through
+            # scan_group's trusted_clean path), so its decode is known
+            # CLEAN and the backend may skip the syndrome/CRC check for
+            # it.  The raw dirty-set test is required here, not
+            # is_clean(): a line whose only divergence is stuck-bit
+            # residue is *not* a valid codeword.
             if not self.array.is_dirty(frame):
                 pristine.append(frame)
                 pristine_words.append(stored)
@@ -589,12 +590,22 @@ class SuDokuEngine:
             )
 
     def _scan(self, mapper, group: int) -> GroupScan:
+        """Scan one group, decoding only the members the dirty index flags.
+
+        A member whose stored word matches golden holds a codec-written
+        codeword, so its decode is known ``CLEAN`` and contributes its
+        stored word unchanged; the scan trusts the index instead of
+        decoding it.  Results are identical to a dense scan on every
+        backend.
+        """
         self.stats.group_scans += 1
         self.stats.lines_scanned += mapper.group_size
         members = mapper.members(group)
-        self._prefetch_decodes(list(members))
+        is_dirty = self.array.is_dirty
+        self._prefetch_decodes([frame for frame in members if is_dirty(frame)])
         return scan_group(
-            self.array, self.codec, group, members, decoder=self._cached_decode
+            self.array, self.codec, group, members,
+            trusted_clean=True, decoder=self._cached_decode,
         )
 
     # -- audit ------------------------------------------------------------------------

@@ -66,8 +66,9 @@ def scan_group(
     golden: such a frame is a valid codeword (everything written goes
     through the codec), so the decode would classify it ``CLEAN`` and
     contribute its stored word unchanged -- the scan result is identical.
-    This is the rare-event simulator's fast path; the SuDoku engines'
-    scans stay dense (their repair machinery is the thing under test).
+    The SuDoku engines' group scans and the rare-event simulator's sparse
+    trials both take this path; a sparse group scan then decodes only its
+    dirty members.
 
     ``decoder``, when given, replaces ``codec.decode``: it is called as
     ``decoder(frame, stored)`` and must return the ``LineDecode`` the

@@ -85,10 +85,6 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def batch_verify(self, codec, words: Sequence[int]) -> List[bool]:
-        """Syndrome/CRC verdict per word; element i is ``codec.verify(words[i])``."""
-        raise NotImplementedError
-
     # -- dirty-population reduction ------------------------------------------------
 
     def dirty_lines(

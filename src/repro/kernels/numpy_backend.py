@@ -7,234 +7,147 @@ as whole-matrix numpy expressions instead of per-line Python loops.
 Batched line decode
 -------------------
 
-The expensive part of a scrub is ``LineCodec.decode`` per dirty line:
-a ~543-iteration payload gather, ``r`` wide popcounts for the Hamming
-syndrome, and a 64-step table CRC -- all over arbitrary-precision ints.
-The vectorised pipeline computes the identical decision for N lines at
-once:
+A line decode answers two questions at once, as the hardware does in
+one cycle (section III-B): is the Hamming syndrome zero, and does the
+CRC of the stored data match the stored CRC field?  Both answers live
+in one *check vector*
 
-* **Syndrome.**  For the positional Hamming construction, syndrome bit
-  ``j`` is the parity of codeword bits whose 1-based position has bit
-  ``j`` set; equivalently the full syndrome is the XOR of the 1-based
-  positions of every *set* codeword bit.  With the codewords unpacked
-  to an ``(N, n)`` bit matrix ``B``, that is one
-  ``bitwise_xor.reduce(B * positions, axis=1)``.
+    v(w) = syndrome(w) | (crc(data(w)) ^ stored_crc(w)) << r
 
-* **CRC.**  The table CRC is affine over GF(2) in (init, message):
-  each step is ``register = (register << 8) ^ table[(register >> s) ^
-  byte]`` and the table itself is linear (``table[x ^ y] == table[x] ^
-  table[y]``).  The batch pipeline runs the same 64 byte-steps, but on
-  a length-N register vector -- 64 numpy ops regardless of N.
+of ``r + crc_bits`` bits (41 for the paper's layout).  The syndrome and
+the payload fields are linear in the stored word ``w`` and the CRC is
+affine over GF(2), so ``v`` is affine: ``v(w) = A.w ^ c`` with
+``c = v(0)``.  Column ``p`` of ``A`` is ``v(1 << p) ^ c``; the columns
+are derived once per codec from the scalar codec itself, so no second
+CRC or Hamming implementation exists.  Folding eight columns per byte
+gives one 256-entry table per word byte, and ``A.w`` for N words is a
+single gather over the packed byte matrix plus one XOR reduction.
 
-* **Corrected-path CRC re-check.**  Affinity also gives
-  ``crc(m ^ e) == crc(m) ^ crc0(e)`` where ``crc0`` is the same
-  polynomial with ``init=0, xorout=0``.  Flipping codeword bit ``p``
-  changes the data by a known single-bit delta, so the scalar path's
-  "recompute CRC of the repaired payload" collapses to two XORs against
-  per-position delta tables built once per codec.
+The decision then reads straight off ``v``:
 
-The pipeline is only engaged for codecs whose semantics it provably
-matches (the stock :class:`~repro.core.linecodec.LineCodec`:
-positional ``HammingSEC`` over ``data || CRC``, non-reflected
-byte-aligned CRC, little-endian host); anything else falls back to the
+* ``v == 0`` -- syndrome zero and CRC match: ``CLEAN``;
+* the syndrome field ``s`` names a position (``1 <= s <= n``) and
+  ``v == col[s - 1]`` -- flipping bit ``p = s - 1`` moves ``v`` by
+  exactly ``col[p]``, so the repaired word's check vector is zero, which
+  is the scalar path's CRC re-check passing: ``CORRECTED`` at ``p``;
+* anything else: ``UNCORRECTABLE``.
+
+The payload of a clean or repaired word comes from the scalar codec's
+run-based ``extract_data``.  The pipeline is only engaged for codecs
+whose semantics it provably matches (the stock
+:class:`~repro.core.linecodec.LineCodec`: positional ``HammingSEC`` over
+``data || CRC``, non-reflected byte-aligned CRC, a check vector that
+fits in 64 bits, little-endian host); anything else falls back to the
 scalar ``codec.decode`` per word, which is always correct.
 """
 
 from __future__ import annotations
 
 import sys
-import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coding.crc import CRC
 from repro.coding.hamming import HammingSEC
+from repro.core.layout import LineLayout
 from repro.core.linecodec import DecodeStatus, LineCodec, LineDecode
 from repro.kernels.interface import KernelBackend
 from repro.kernels.planes import pack_lines, words_per_line
 
 
+def _check_vector(codec: LineCodec, word: int) -> int:
+    """The scalar codec's syndrome and CRC residue of ``word``, as one int."""
+    layout = codec.layout
+    ecc = layout.ecc
+    data, stored_crc = layout.split_payload(ecc.extract_data(word))
+    residue = layout.compute_crc(data) ^ stored_crc
+    return ecc.syndrome(word) | residue << ecc.r
+
+
 class _LineCodecTables:
-    """Precomputed vectorisation tables for one eligible ``LineCodec``."""
+    """Per-byte check-vector tables for an eligible ``LineCodec``'s layout."""
 
     def __init__(self, codec: LineCodec) -> None:
-        layout = codec.layout
-        ecc = layout.ecc
-        crc = layout.crc
-        self.n = ecc.n
-        self.data_bits = layout.data_bits
-        self.crc_bits = layout.crc_bits
-        self.wpl = words_per_line(self.n)
-        # Codeword bit index of payload bit j (the systematic gather).
-        self._payload_gather = np.array(ecc._data_cw_shift, dtype=np.int64)
-        # Syndrome = XOR of 1-based positions of set codeword bits.
-        self._positions = np.arange(1, self.n + 1, dtype=np.uint16)
-        # Table CRC as uint64 vector ops (single-width constants avoid
-        # the silent uint64/int promotion to float64).
-        self._crc_table = np.array(crc._table, dtype=np.uint64)
-        self._crc_shift = np.uint64(crc.width - 8)
-        self._crc_mask = np.uint64(crc._mask)
-        self._crc_init = np.uint64(crc.init)
-        self._crc_xorout = np.uint64(crc.xorout)
-        self._ff = np.uint64(0xFF)
-        self._eight = np.uint64(8)
-        self._byte_powers = np.array(
-            [1 << (8 * i) for i in range((self.crc_bits + 7) // 8)],
-            dtype=np.uint64,
-        )
-        # Per-codeword-position CRC deltas for the corrected re-check:
-        # flipping position p changes computed CRC by dcomp[p] (payload
-        # data bit) and the stored CRC field by dstore[p] (payload CRC
-        # bit); check-bit positions change neither.
-        homogeneous = CRC(
-            crc.width, crc.poly, init=0, refin=False, refout=False, xorout=0
-        )
-        self._dcomp = np.zeros(self.n, dtype=np.uint64)
-        self._dstore = np.zeros(self.n, dtype=np.uint64)
-        self._payload_index = np.full(self.n, -1, dtype=np.int64)
-        for j, position in enumerate(ecc._data_cw_shift):
-            self._payload_index[position] = j
-            if j < self.data_bits:
-                self._dcomp[position] = homogeneous.compute_int(
-                    1 << j, self.data_bits
-                )
-            else:
-                self._dstore[position] = 1 << (j - self.data_bits)
+        self.n = codec.layout.ecc.n
+        self._syndrome_mask = (1 << codec.layout.ecc.r) - 1
+        self._constant = _check_vector(codec, 0)
+        #: col[p]: how flipping stored bit p moves the check vector.
+        self._columns = [
+            _check_vector(codec, 1 << p) ^ self._constant for p in range(self.n)
+        ]
+        nbytes = words_per_line(self.n) * 8
+        bit_columns = np.zeros((nbytes, 8), dtype=np.uint64)
+        bit_columns.reshape(-1)[: self.n] = self._columns
+        # tables[k, b]: XOR of the columns of the bits set in byte value
+        # b at byte k, built by doubling (entries below 2^i are extended
+        # by bit i).
+        self._tables = np.zeros((nbytes, 256), dtype=np.uint64)
+        for bit in range(8):
+            low = 1 << bit
+            self._tables[:, low:2 * low] = (
+                self._tables[:, :low] ^ bit_columns[:, bit:bit + 1]
+            )
+        self._byte_index = np.arange(nbytes)
 
-    def decode_batch(self, words: Sequence[int]) -> List[LineDecode]:
-        clean, accepted, flip_position, data_blob, nbytes = self._classify(words)
+    def decode_batch(
+        self, codec: LineCodec, words: Sequence[int]
+    ) -> List[LineDecode]:
+        rows = pack_lines(words, self.n)
+        byte_matrix = rows.view(np.uint8).reshape(len(words), -1)
+        linear = np.bitwise_xor.reduce(
+            self._tables[self._byte_index, byte_matrix], axis=1
+        )
+        extract = codec.extract_data
+        constant, columns, n = self._constant, self._columns, self.n
+        syndrome_mask = self._syndrome_mask
         results: List[LineDecode] = []
-        for i, word in enumerate(words):
-            if clean[i]:
-                data = int.from_bytes(
-                    data_blob[i * nbytes:(i + 1) * nbytes], "little"
-                )
-                results.append(LineDecode(DecodeStatus.CLEAN, word, data))
-            elif accepted[i]:
-                position = int(flip_position[i])
-                data = int.from_bytes(
-                    data_blob[i * nbytes:(i + 1) * nbytes], "little"
-                )
-                payload_bit = int(self._payload_index[position])
-                if 0 <= payload_bit < self.data_bits:
-                    data ^= 1 << payload_bit
+        for word, vector in zip(words, linear.tolist()):
+            vector ^= constant
+            if not vector:
+                results.append(LineDecode(DecodeStatus.CLEAN, word, extract(word)))
+                continue
+            position = (vector & syndrome_mask) - 1
+            if 0 <= position < n and vector == columns[position]:
+                fixed = word ^ (1 << position)
                 results.append(
-                    LineDecode(
-                        DecodeStatus.CORRECTED,
-                        word ^ (1 << position),
-                        data,
-                        position,
-                    )
+                    LineDecode(DecodeStatus.CORRECTED, fixed, extract(fixed), position)
                 )
             else:
                 results.append(LineDecode(DecodeStatus.UNCORRECTABLE, word, None))
         return results
 
-    def decode_clean_batch(self, words: Sequence[int]) -> List[LineDecode]:
-        """Payload extraction only, for words promised to decode CLEAN.
 
-        A clean decode is ``LineDecode(CLEAN, word, data)``; the
-        syndrome multiply-reduce and the 64-step CRC register loop (the
-        bulk of :meth:`_classify`) exist solely to *establish* that
-        verdict, so when the caller already knows it they collapse to
-        the systematic payload gather.
-        """
-        rows = pack_lines(words, self.n)
-        byte_matrix = rows.view(np.uint8).reshape(len(words), self.wpl * 8)
-        bits = np.unpackbits(byte_matrix, axis=1, bitorder="little")[:, : self.n]
-        payload_bits = bits[:, self._payload_gather]
-        data_bytes = np.packbits(
-            payload_bits[:, : self.data_bits], axis=1, bitorder="little"
-        )
-        blob = data_bytes.tobytes()
-        nbytes = self.data_bits // 8
-        return [
-            LineDecode(
-                DecodeStatus.CLEAN,
-                word,
-                int.from_bytes(blob[i * nbytes:(i + 1) * nbytes], "little"),
-            )
-            for i, word in enumerate(words)
-        ]
-
-    def verify_batch(self, words: Sequence[int]) -> List[bool]:
-        clean, _, _, _, _ = self._classify(words)
-        return [bool(flag) for flag in clean]
-
-    def _classify(self, words: Sequence[int]):
-        """Shared vector pipeline: per-row decision masks + data bytes."""
-        rows = pack_lines(words, self.n)
-        byte_matrix = rows.view(np.uint8).reshape(len(words), self.wpl * 8)
-        bits = np.unpackbits(byte_matrix, axis=1, bitorder="little")[:, : self.n]
-        syndrome = np.bitwise_xor.reduce(
-            bits.astype(np.uint16) * self._positions, axis=1
-        ).astype(np.int64)
-        payload_bits = bits[:, self._payload_gather]
-        data_bytes = np.packbits(
-            payload_bits[:, : self.data_bits], axis=1, bitorder="little"
-        )
-        crc_bytes = np.packbits(
-            payload_bits[:, self.data_bits:], axis=1, bitorder="little"
-        )
-        stored_crc = (crc_bytes.astype(np.uint64) * self._byte_powers).sum(
-            axis=1, dtype=np.uint64
-        )
-        register = np.full(len(words), self._crc_init, dtype=np.uint64)
-        for column in range(data_bytes.shape[1]):
-            index = (
-                (register >> self._crc_shift)
-                ^ data_bytes[:, column].astype(np.uint64)
-            ) & self._ff
-            register = ((register << self._eight) & self._crc_mask) ^ (
-                self._crc_table[index]
-            )
-        computed = register ^ self._crc_xorout
-        crc_ok = computed == stored_crc
-        clean = crc_ok & (syndrome == 0)
-        correctable = (syndrome != 0) & (syndrome <= self.n)
-        flip_position = np.where(correctable, syndrome - 1, 0)
-        accepted = correctable & (
-            (computed ^ self._dcomp[flip_position])
-            == (stored_crc ^ self._dstore[flip_position])
-        )
-        return clean, accepted, flip_position, data_bytes.tobytes(), (
-            self.data_bits // 8
-        )
-
-
-#: Per-codec table cache.  Keyed weakly so throwaway codecs (tests build
-#: thousands) do not pin their tables forever.
-_TABLE_CACHE: "weakref.WeakKeyDictionary[LineCodec, _LineCodecTables]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Table cache.  The tables depend on the layout alone, so every stock
+#: codec over one layout shares them.
+_TABLE_CACHE: Dict[LineLayout, _LineCodecTables] = {}
 
 
 def _tables_for(codec) -> Optional[_LineCodecTables]:
-    """Vectorisation tables for a codec, or None when ineligible.
+    """Check-vector tables for a codec, or None when ineligible.
 
     Eligibility is deliberately conservative: exactly the stock
     ``LineCodec`` (subclasses may override ``decode``), a positional
-    ``HammingSEC``, a non-reflected byte-aligned CRC of width <= 64,
-    and a little-endian host (the plane layout reinterprets raw bytes).
+    ``HammingSEC``, a non-reflected byte-aligned CRC whose residue and
+    the syndrome fit one uint64 check vector, and a little-endian host
+    (the plane layout reinterprets raw bytes).
     """
     if type(codec) is not LineCodec or sys.byteorder != "little":
         return None
-    tables = _TABLE_CACHE.get(codec)
+    layout = codec.layout
+    tables = _TABLE_CACHE.get(layout)
     if tables is not None:
         return tables
-    layout = codec.layout
     crc = layout.crc
     if (
         type(layout.ecc) is not HammingSEC
         or crc.refin
         or crc.refout
-        or crc.width > 64
+        or layout.ecc.r + layout.crc_bits > 64
         or layout.data_bits % 8
     ):
         return None
     tables = _LineCodecTables(codec)
-    _TABLE_CACHE[codec] = tables
+    _TABLE_CACHE[layout] = tables
     return tables
 
 
@@ -286,25 +199,17 @@ class NumpyBackend(KernelBackend):
         tables = _tables_for(codec)
         if tables is None:
             return [codec.decode(word) for word in words]
-        return tables.decode_batch(words)
+        return tables.decode_batch(codec, words)
 
     def batch_decode_clean(self, codec, words: Sequence[int]) -> List[object]:
-        words = list(words)
-        if not words:
-            return []
-        tables = _tables_for(codec)
-        if tables is None:
+        # A clean decode is LineDecode(CLEAN, word, data): with the
+        # verdict promised, only the run-based payload gather is left.
+        if _tables_for(codec) is None:
             return [codec.decode(word) for word in words]
-        return tables.decode_clean_batch(words)
-
-    def batch_verify(self, codec, words: Sequence[int]) -> List[bool]:
-        words = list(words)
-        if not words:
-            return []
-        tables = _tables_for(codec)
-        if tables is None:
-            return [codec.verify(word) for word in words]
-        return tables.verify_batch(words)
+        extract = codec.extract_data
+        return [
+            LineDecode(DecodeStatus.CLEAN, word, extract(word)) for word in words
+        ]
 
     def dirty_lines(
         self, stored: Sequence[int], golden: Sequence[int]

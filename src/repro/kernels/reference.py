@@ -3,7 +3,7 @@
 Every method here is the loop the call sites ran before the kernel
 interface existed (transient scatter from ``TransientFaultInjector``,
 burst folding from ``BurstFaultInjector``, ``xor_reduce`` parity folds,
-scalar ``codec.decode``/``codec.verify``).  This backend *is* the
+scalar ``codec.decode``).  This backend *is* the
 specification the numpy backend must match bit for bit; keep it boring.
 """
 
@@ -51,9 +51,6 @@ class ReferenceBackend(KernelBackend):
     def batch_decode_clean(self, codec, words: Sequence[int]) -> List[object]:
         # The clean promise buys nothing scalar-side; decode as usual.
         return [codec.decode(word) for word in words]
-
-    def batch_verify(self, codec, words: Sequence[int]) -> List[bool]:
-        return [codec.verify(word) for word in words]
 
     def dirty_lines(
         self, stored: Sequence[int], golden: Sequence[int]

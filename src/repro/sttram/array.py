@@ -135,11 +135,7 @@ class STTRAMArray:
         self._fault_map = fault_map
         touched = set(fault_map.stuck_at_one) | set(fault_map.stuck_at_zero)
         for index in touched:
-            self._stored[index] = fault_map.apply(index, self._stored[index])
-            if self._stored[index] != self._golden[index]:
-                self._dirty.add(index)
-            else:
-                self._dirty.discard(index)
+            self._settle(index, fault_map.apply(index, self._stored[index]))
 
     @property
     def has_permanent_faults(self) -> bool:
@@ -156,6 +152,21 @@ class STTRAMArray:
         if self._fault_map is None:
             return value
         return self._fault_map.apply(index, value)
+
+    def _settle(self, index: int, stored: int) -> None:
+        """Store a line's new value and keep the dirty set exact.
+
+        A value equal to golden is stored *as* the golden object, so a
+        repaired line holds no int of its own: memory follows the dirty
+        count, not the number of lines ever repaired.
+        """
+        golden = self._golden[index]
+        if stored == golden:
+            self._stored[index] = golden
+            self._dirty.discard(index)
+        else:
+            self._stored[index] = stored
+            self._dirty.add(index)
 
     # -- access ---------------------------------------------------------------
 
@@ -199,13 +210,9 @@ class STTRAMArray:
         stuck mask.
         """
         self._check(index, error_vector)
-        self._stored[index] = self._through_faults(
-            index, self._stored[index] ^ error_vector
+        self._settle(
+            index, self._through_faults(index, self._stored[index] ^ error_vector)
         )
-        if self._stored[index] != self._golden[index]:
-            self._dirty.add(index)
-        else:
-            self._dirty.discard(index)
 
     def restore(self, index: int, value: int) -> None:
         """Write back a corrected value without touching golden.
@@ -217,11 +224,7 @@ class STTRAMArray:
         line still leaves the stuck bits wrong in storage.
         """
         self._check(index, value)
-        self._stored[index] = self._through_faults(index, value)
-        if self._stored[index] != self._golden[index]:
-            self._dirty.add(index)
-        else:
-            self._dirty.discard(index)
+        self._settle(index, self._through_faults(index, value))
 
     def error_vector(self, index: int) -> int:
         """Current stored-vs-golden difference mask."""

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, stats
 
 from repro.core.rng import SeedLike, resolve_rng
 from repro.sttram.device import THERMAL_ATTEMPT_FREQUENCY_HZ, flip_probability
@@ -107,6 +106,9 @@ def effective_ber(
         return 0.0
     if sigma_delta == 0:
         return flip_probability(mean_delta, interval_s, attempt_frequency_hz)
+    # Deferred: scipy costs ~1 s to import, and only the analytic models
+    # reach this point.
+    from scipy import integrate, stats
 
     pdf = stats.norm(loc=mean_delta, scale=sigma_delta).pdf
 

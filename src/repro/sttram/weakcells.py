@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import integrate, stats
 
 from repro.core.rng import SeedLike, resolve_rng
 from repro.sttram.device import THERMAL_ATTEMPT_FREQUENCY_HZ
@@ -79,6 +78,9 @@ class WeakCellMap:
         self.floor = floor
         generator = resolve_rng(rng, seed, owner="WeakCellMap")
 
+        # Deferred, as in repro.sttram.variation: scipy is slow to import.
+        from scipy import stats
+
         # Delta below which a cell's per-interval flip probability
         # exceeds the floor:  1 - exp(-f0 e^-D t) > floor.
         rate_needed = -math.log1p(-floor) / interval_s
@@ -111,6 +113,7 @@ class WeakCellMap:
     @staticmethod
     def _tail_mass(distribution, delta_cut: float, interval_s: float) -> float:
         """E[p_cell ; Delta < delta_cut]: the materialised share of BER."""
+        from scipy import integrate
 
         def integrand(delta: float) -> float:
             rate = THERMAL_ATTEMPT_FREQUENCY_HZ * math.exp(-delta)

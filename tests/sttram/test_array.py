@@ -158,3 +158,32 @@ class TestBulk:
         array = STTRAMArray(8, 16)
         assert len(array) == 8
         assert len(list(array)) == 8
+
+
+class TestMemoryFollowsFaults:
+    """A line back at golden shares golden's int object."""
+
+    def test_restore_and_inject_share_golden(self):
+        array = STTRAMArray(4, 600)
+        array.write(1, (1 << 599) | 12345)
+        golden = array.golden(1)
+        array.inject(1, 1 << 7)
+        array.restore(1, array.read(1) ^ (1 << 7))
+        assert array.read(1) is golden
+        array.inject(1, 1 << 9)
+        array.inject(1, 1 << 9)
+        assert array.read(1) is golden and not array.is_dirty(1)
+
+    def test_repair_campaign_leaves_no_int_per_repair(self):
+        from repro.core.engine import build_engine
+        from repro.reliability.montecarlo import run_engine_campaign
+
+        array = STTRAMArray(256, 553, storage="list")
+        engine = build_engine("Z", array, group_size=16)
+        result = run_engine_campaign(
+            engine, ber=2e-5, intervals=40, randomize_content=False, seed=11,
+        )
+        # Repairs only (no heal ran); RAID-4 write-backs count too.
+        assert result.interval_failures == 0
+        assert result.outcomes["corrected_ecc1"] > 20
+        assert len({id(word) for word in array}) <= 1 + array.dirty_count

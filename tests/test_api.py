@@ -67,3 +67,24 @@ class TestCrossModuleContracts:
             "corrected_hash2", "due", "metadata_due", "sdc",
         }
         assert {outcome.value for outcome in Outcome} == documented
+
+
+class TestImportCost:
+    def test_entry_points_do_not_import_scipy(self):
+        """scipy (~1 s to import) loads only when an analytic model runs."""
+        import os
+        import subprocess
+        import sys
+
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys\n"
+            "import repro, repro.cli, repro.serve.app, repro.parallel.runner\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=source)
+        output = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert output.strip() == "False"
