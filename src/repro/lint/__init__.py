@@ -2,51 +2,35 @@
 
 Every hardening PR in this repository's history fixed instances of the
 same few latent bug classes by hand: outcome labels compared as raw
-strings, unseeded RNG fallbacks that break shard determinism, non-atomic
-artifact writes, raw popcounts, width-unvalidated bit flips, and RNG
-streams in parallel workers not derived from the ``SeedSequence`` tree.
-This package mechanizes those invariants as a pure-stdlib (``ast``)
-static-analysis pipeline so they are enforced on every commit instead of
-rediscovered by reviewers.
+strings, RNG streams not rooted in the campaign ``SeedSequence`` tree,
+non-atomic artifact writes, raw popcounts, width-unvalidated bit flips,
+wall-clock durations, fault primitives built outside the scenario
+layer, per-line Python loops, and nondeterministic values reaching
+persisted artifacts and digests.  This package mechanizes those
+invariants as a pure-stdlib (``ast``) static-analysis pipeline so they
+are enforced on every commit instead of rediscovered by reviewers.
 
 Architecture (one module per concern):
 
 * :mod:`repro.lint.findings`     -- ``Finding`` / ``Severity`` value types;
-* :mod:`repro.lint.registry`     -- the checker registry and base class;
+* :mod:`repro.lint.registry`     -- the checker registry and base classes;
 * :mod:`repro.lint.context`      -- per-module context (import-alias
-  resolution, source access) shared by every checker;
+  resolution, source access) shared by the per-module checkers;
 * :mod:`repro.lint.suppressions` -- inline ``# repro-lint: disable=...``;
 * :mod:`repro.lint.baseline`     -- the committed grandfather file;
 * :mod:`repro.lint.config`       -- run configuration and the blessed-
   module exemptions;
-* :mod:`repro.lint.checkers`     -- the six RPR domain rules;
-* :mod:`repro.lint.runner`       -- the per-file visitor pipeline;
-* :mod:`repro.lint.reporting`    -- human / JSON / GitHub output;
+* :mod:`repro.lint.checkers`     -- the seven per-module rules;
+* :mod:`repro.lint.callgraph`    -- project symbol table and call graph;
+* :mod:`repro.lint.dataflow`     -- the taint engine and the three
+  whole-program rules (RPR002, RPR011, RPR012);
+* :mod:`repro.lint.runner`       -- the two-stage pipeline;
+* :mod:`repro.lint.reporting`    -- text / JSON / GitHub / SARIF output;
 * :mod:`repro.lint.cli`          -- the ``repro lint`` subcommand glue.
 
-See ``docs/static-analysis.md`` for the rule catalog (each rule names
-the real bug it descends from) and the workflow for suppressing,
-baselining, and adding checkers.
+Import from the submodules directly; this package module stays empty so
+that building the ``repro`` parser loads nothing but
+:mod:`repro.lint.cli`.  See ``docs/static-analysis.md`` for the rule
+catalog (each rule names the real bug it descends from) and the
+workflow for suppressing, baselining, and adding checkers.
 """
-
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
-from repro.lint.config import LintConfig
-from repro.lint.findings import Finding, Severity
-from repro.lint.registry import Checker, all_checkers, get_checker, register
-from repro.lint.runner import LintReport, lint_paths, lint_source
-
-__all__ = [
-    "Baseline",
-    "Checker",
-    "Finding",
-    "LintConfig",
-    "LintReport",
-    "Severity",
-    "all_checkers",
-    "get_checker",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "register",
-    "write_baseline",
-]

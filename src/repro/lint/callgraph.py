@@ -1,9 +1,9 @@
 """Project symbol table and call graph for whole-program rules.
 
-The per-module checkers see one file at a time; the bug classes RPR010
-onward police (an unseeded RNG smuggled through two call hops into a
-campaign loop) are *interprocedural* by construction.  This module
-builds the cross-file facts those rules need:
+The per-module checkers see one file at a time; the bug classes the
+whole-program rules police (an unseeded RNG smuggled through two call
+hops into a campaign loop) are *interprocedural* by construction.  This
+module builds the cross-file facts those rules need:
 
 * a **module index**: every ``.py`` file mapped to its dotted module
   name, with import-alias resolution (absolute *and* relative imports,
@@ -270,8 +270,19 @@ class ProjectIndex:
 
     @staticmethod
     def _rewrite_head(info: ModuleInfo, dotted: str) -> str:
+        """Rewrite the head through imports, or qualify a local def.
+
+        A bare ``helper()`` naming a function or class defined in the
+        same module resolves to ``<module>.helper``; without that, a
+        same-module call would look like an unknown external.
+        """
         head, _, rest = dotted.partition(".")
-        target = info.aliases.get(head, head)
+        if head in info.aliases:
+            target = info.aliases[head]
+        elif head in info.functions or head in info.classes:
+            target = f"{info.name}.{head}"
+        else:
+            target = head
         return f"{target}.{rest}" if rest else target
 
     def canonicalize(self, dotted: str) -> str:

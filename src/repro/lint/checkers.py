@@ -1,9 +1,9 @@
-"""The per-module RPR domain rules (RPR001-RPR009).
+"""The per-module RPR domain rules (RPR001, RPR003-RPR005, RPR007-RPR009).
 
 Each rule mechanizes a bug this repository actually shipped and fixed
 by hand in an earlier PR (the ``rationale`` attribute names it); the
 rule exists so the *class* cannot recur.  The whole-program rules
-(RPR010-RPR012) live in :mod:`repro.lint.dataflow`.  See
+(RPR002, RPR011, RPR012) live in :mod:`repro.lint.dataflow`.  See
 docs/static-analysis.md for the catalog and the repair direction of
 every rule.
 """
@@ -11,7 +11,7 @@ every rule.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.core.outcomes import Outcome
 from repro.lint.context import ModuleContext
@@ -26,21 +26,6 @@ OUTCOME_LABELS = frozenset(outcome.value for outcome in Outcome)
 #: outcome-prefix matching; shorter prefixes ("#", ".") are overwhelmingly
 #: unrelated string handling.
 _MIN_OUTCOME_PREFIX = 3
-
-#: Canonical dotted paths of RNG constructors.
-_NUMPY_DEFAULT_RNG = "numpy.random.default_rng"
-_STDLIB_RANDOM = "random.Random"
-
-#: Names whose presence inside a constructor argument marks the stream
-#: as derived from the campaign's SeedSequence tree (RPR006).
-_SEED_TREE_NAMES = frozenset(
-    {
-        "SeedSequence",
-        "spawn_seed_sequences",
-        "spawn_generators",
-        "shard_python_seeds",
-    }
-)
 
 
 def _const_str(node: ast.AST) -> Optional[str]:
@@ -147,132 +132,6 @@ class OutcomeLiteralChecker(Checker):
             label = _const_str(index)
             if label in OUTCOME_LABELS:
                 yield self._flag(index, ctx, label, "indexed")
-
-
-@register
-class UnseededRngChecker(Checker):
-    """RPR002: RNG constructed (or used) without an explicit seed.
-
-    Flags zero-argument ``np.random.default_rng()`` / ``random.Random()``
-    constructions and any call through numpy's module-level global RNG
-    (``np.random.binomial`` etc.).  Both silently break the guarantee
-    that a campaign is a pure function of its seed -- the property every
-    shard-determinism and resume test in this repo pins.
-
-    Inside campaign code (paths containing ``reliability`` or
-    ``parallel``) the rule also flags a *seeded* ``random.Random(...)``
-    constructed inline as another call's argument
-    (``rng=random.Random(seed)``): that bypasses
-    ``repro.core.rng.resolve_pyrandom`` -- no ``rng=`` injection, no
-    once-per-owner unseeded warning -- so the ``estimate_fit`` bug class
-    cannot recur.  Arguments visibly derived from the campaign
-    SeedSequence tree (``shard_python_seeds`` etc.) are the sanctioned
-    per-shard construction and stay exempt.
-    """
-
-    rule = "RPR002"
-    name = "unseeded-rng"
-    severity = Severity.ERROR
-    description = "RNG constructed without a seed, or numpy global RNG used"
-    rationale = (
-        "ten `rng or np.random.default_rng()` fallback sites made "
-        "sttram/reliability constructors non-reproducible whenever a "
-        "caller forgot to thread rng=, a shard-determinism hazard"
-    )
-    interests = ("Call",)
-
-    def begin_module(self, ctx: ModuleContext) -> None:
-        # Flow facts from the intra-module taint engine: names that
-        # *provably* carry seed-tree provenance (through any number of
-        # local assignments/helper returns), not merely names that
-        # textually mention a seed-tree function.
-        self._rooted: frozenset = frozenset()
-        if ctx.path_contains("reliability") or ctx.path_contains("parallel"):
-            from repro.lint.dataflow import module_seed_rooted_names
-
-            self._rooted = module_seed_rooted_names(ctx.path, ctx.source)
-
-    @staticmethod
-    def _mentions_seed_tree(node: ast.AST) -> bool:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and child.id in _SEED_TREE_NAMES:
-                return True
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr in _SEED_TREE_NAMES
-            ):
-                return True
-        return False
-
-    def _is_seed_rooted(self, node: ast.AST) -> bool:
-        """Textual seed-tree mention OR flow-computed provenance."""
-        if self._mentions_seed_tree(node):
-            return True
-        return any(
-            isinstance(child, ast.Name) and child.id in self._rooted
-            for child in ast.walk(node)
-        )
-
-    def _inline_constructions(
-        self, node: ast.Call, ctx: ModuleContext
-    ) -> Iterator[ast.Call]:
-        """Seeded ``random.Random(...)`` calls in argument position."""
-        arguments = list(node.args) + [
-            keyword.value for keyword in node.keywords
-        ]
-        for argument in arguments:
-            if not isinstance(argument, ast.Call):
-                continue
-            if ctx.resolve(argument.func) != _STDLIB_RANDOM:
-                continue
-            if not argument.args and not argument.keywords:
-                continue  # the zero-argument form is flagged directly
-            if self._is_seed_rooted(argument):
-                continue
-            yield argument
-
-    def check_node(
-        self, node: ast.AST, ctx: ModuleContext
-    ) -> Iterator[Finding]:
-        assert isinstance(node, ast.Call)
-        if ctx.path_contains("reliability") or ctx.path_contains("parallel"):
-            for construction in self._inline_constructions(node, ctx):
-                yield self.finding(
-                    construction,
-                    ctx,
-                    "random.Random(...) constructed inline in a campaign "
-                    "entry point; route it through repro.core.rng."
-                    "resolve_pyrandom(rng=..., seed=..., owner=...) so "
-                    "callers can inject rng= and unseeded use warns",
-                )
-        resolved = ctx.resolve(node.func)
-        if resolved is None:
-            return
-        if resolved in (_NUMPY_DEFAULT_RNG, _STDLIB_RANDOM):
-            if not node.args and not node.keywords:
-                constructor = resolved.rsplit(".", 1)[-1]
-                yield self.finding(
-                    node,
-                    ctx,
-                    f"{constructor}() constructed without a seed; accept "
-                    "rng=/seed= and route the fallback through "
-                    "repro.core.rng.resolve_rng (warns on the truly "
-                    "unseeded interactive path)",
-                )
-            return
-        prefix, _, attribute = resolved.rpartition(".")
-        if (
-            prefix == "numpy.random"
-            and attribute
-            and attribute[0].islower()
-            and attribute != "default_rng"
-        ):
-            yield self.finding(
-                node,
-                ctx,
-                f"numpy.random.{attribute}() draws from the process-global "
-                "RNG; construct a Generator from an explicit seed instead",
-            )
 
 
 @register
@@ -458,97 +317,6 @@ class UnvalidatedWidthChecker(Checker):
 
 
 @register
-class ParallelRngChecker(Checker):
-    """RPR006: worker RNG not derived from the SeedSequence tree.
-
-    Inside :mod:`repro.parallel`, every generator must come from the
-    ``SeedSequence.spawn`` derivation in ``sharding.py`` (or visibly
-    consume its output); an ad-hoc ``default_rng(seed)`` in a worker
-    path gives two shards correlated streams -- or the *same* stream --
-    and invalidates the merged campaign statistics.
-    """
-
-    rule = "RPR006"
-    name = "naive-rng-in-parallel"
-    severity = Severity.ERROR
-    description = "parallel-path RNG not derived from SeedSequence.spawn"
-    rationale = (
-        "PR 3's sharded executor is only a well-defined campaign because "
-        "per-shard streams come from one spawned SeedSequence tree; an "
-        "ad-hoc per-worker RNG breaks merged-result determinism"
-    )
-    interests = ("Call",)
-
-    def begin_module(self, ctx: ModuleContext) -> None:
-        # Names bound *from* a seed-tree derivation are themselves
-        # blessed: ``for ss in spawn_seed_sequences(...): default_rng(ss)``
-        # must pass.  One pre-pass collects such binding targets, and the
-        # intra-module taint engine contributes every name it can *prove*
-        # carries seed-tree provenance (multi-hop local chains the
-        # textual pre-pass cannot follow).
-        self._derived: set = set()
-        if not ctx.path_contains("parallel"):
-            return
-        from repro.lint.dataflow import module_seed_rooted_names
-
-        self._derived.update(module_seed_rooted_names(ctx.path, ctx.source))
-        for node in ast.walk(ctx.tree):
-            value: Optional[ast.AST] = None
-            targets: Tuple[ast.AST, ...] = ()
-            if isinstance(node, ast.Assign):
-                value, targets = node.value, tuple(node.targets)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                value, targets = node.value, (node.target,)
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                value, targets = node.iter, (node.target,)
-            if value is None or not self._mentions_seed_tree(value):
-                continue
-            for target in targets:
-                for child in ast.walk(target):
-                    if isinstance(child, ast.Name):
-                        self._derived.add(child.id)
-
-    @staticmethod
-    def _mentions_seed_tree(node: ast.AST) -> bool:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and child.id in _SEED_TREE_NAMES:
-                return True
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr in _SEED_TREE_NAMES
-            ):
-                return True
-        return False
-
-    def check_node(
-        self, node: ast.AST, ctx: ModuleContext
-    ) -> Iterator[Finding]:
-        assert isinstance(node, ast.Call)
-        if not ctx.path_contains("parallel"):
-            return
-        resolved = ctx.resolve(node.func)
-        if resolved not in (_NUMPY_DEFAULT_RNG, _STDLIB_RANDOM):
-            return
-        argument_nodes = list(node.args) + [
-            keyword.value for keyword in node.keywords
-        ]
-        for argument in argument_nodes:
-            if self._mentions_seed_tree(argument):
-                return
-            for child in ast.walk(argument):
-                if isinstance(child, ast.Name) and child.id in self._derived:
-                    return
-        constructor = (resolved or "").rsplit(".", 1)[-1]
-        yield self.finding(
-            node,
-            ctx,
-            f"{constructor}(...) in a parallel path is not visibly derived "
-            "from the campaign SeedSequence tree; use "
-            "parallel.sharding.spawn_generators / shard_python_seeds",
-        )
-
-
-@register
 class WallClockDurationChecker(Checker):
     """RPR007: ``time.time()`` used where a duration source belongs.
 
@@ -711,14 +479,3 @@ class PerLineLoopChecker(Checker):
             "batch decode, dirty-line reduction) instead of walking "
             "range(num_lines)",
         )
-
-
-#: Exported for docs/tests: (rule id, name, severity, description).
-def rule_catalog() -> Tuple[Tuple[str, str, str, str], ...]:
-    """A stable summary of the registered rules for docs and --list-rules."""
-    from repro.lint.registry import all_checkers
-
-    return tuple(
-        (checker.rule, checker.name, str(checker.severity), checker.description)
-        for checker in all_checkers()
-    )

@@ -1,36 +1,27 @@
 """``repro lint`` subcommand glue.
 
 Kept separate from :mod:`repro.cli` so the top-level parser only pays
-for an import of argparse plumbing; the checkers load when the
-subcommand actually runs.
+for argparse plumbing: this module imports nothing but the stdlib at
+load time, and the lint pipeline loads when the subcommand runs.
 
 Exit codes: 0 clean (or baseline written), 1 new findings at or above
 the gate severity, 2 usage error (unknown rule, missing path, bad
-baseline file, unresolvable ``--changed-only`` ref).
+baseline file).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
-from typing import List, Optional, Set
-
-from repro.lint.baseline import BaselineError, from_findings, load_baseline, write_baseline
-from repro.lint.cache import load_cache
-from repro.lint.config import LintConfig
-from repro.lint.findings import Severity
-from repro.lint.registry import all_checkers, known_rules
-from repro.lint.reporting import FORMATTERS
-from repro.lint.runner import lint_paths
 
 #: Default committed baseline, resolved relative to the working
 #: directory (the repo root in CI and normal development).
 DEFAULT_BASELINE = "lint-baseline.json"
 
-#: Default incremental cache (gitignored; advisory).
-DEFAULT_CACHE = ".lint-cache.json"
+#: ``--format`` choices; equal to ``sorted(reporting.FORMATTERS)``
+#: (pinned by a test), spelled out so parser setup imports nothing.
+FORMATS = ("github", "json", "sarif", "text")
 
 
 def configure_lint_parser(parser: argparse.ArgumentParser) -> None:
@@ -40,7 +31,7 @@ def configure_lint_parser(parser: argparse.ArgumentParser) -> None:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format", choices=sorted(FORMATTERS), default="text",
+        "--format", choices=FORMATS, default="text",
         help="output format (default: text)",
     )
     parser.add_argument(
@@ -74,62 +65,22 @@ def configure_lint_parser(parser: argparse.ArgumentParser) -> None:
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply the idempotent autofixes (RPR003/RPR004/RPR007) in "
-             "place before linting",
-    )
-    parser.add_argument(
-        "--changed-only", default=None, metavar="REF",
-        help="report findings only for files that differ from the git "
-             "ref (whole-program analysis still covers everything)",
-    )
-    parser.add_argument(
-        "--cache", default=DEFAULT_CACHE, metavar="FILE",
-        help=f"incremental cache file keyed on content hashes "
-             f"(default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache for this run",
-    )
-
-
-def _validate_rules(rules: List[str]) -> Optional[str]:
-    known = set(known_rules())
-    for rule in rules:
-        if rule not in known:
-            return rule
-    return None
-
-
-def _changed_files(ref: str) -> Optional[Set[str]]:
-    """Normalised paths of files differing from ``ref`` (plus untracked).
-
-    ``None`` when git cannot answer (not a repo, unknown ref) -- the
-    caller reports a usage error rather than silently linting nothing.
-    """
-    changed: Set[str] = set()
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            capture_output=True, text=True, check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    for line in diff.stdout.splitlines() + untracked.stdout.splitlines():
-        line = line.strip()
-        if line:
-            changed.add(os.path.normpath(line).replace(os.sep, "/"))
-    return changed
 
 
 def run_lint_command(args: argparse.Namespace) -> int:
     """Execute ``repro lint`` from parsed arguments."""
+    from repro.lint.baseline import (
+        BaselineError,
+        from_findings,
+        load_baseline,
+        write_baseline,
+    )
+    from repro.lint.config import LintConfig
+    from repro.lint.findings import Severity
+    from repro.lint.registry import all_checkers, known_rules
+    from repro.lint.reporting import FORMATTERS
+    from repro.lint.runner import lint_paths
+
     if args.list_rules:
         for checker in all_checkers():
             print(
@@ -138,11 +89,15 @@ def run_lint_command(args: argparse.Namespace) -> int:
             )
         return 0
 
-    unknown = _validate_rules(list(args.select or []) + list(args.disable))
-    if unknown is not None:
+    known = known_rules()
+    unknown = [
+        rule for rule in [*(args.select or []), *args.disable]
+        if rule not in known
+    ]
+    if unknown:
         print(
-            f"repro lint: error: unknown rule {unknown!r} "
-            f"(known: {', '.join(known_rules())})",
+            f"repro lint: error: unknown rule {unknown[0]!r} "
+            f"(known: {', '.join(known)})",
             file=sys.stderr,
         )
         return 2
@@ -173,44 +128,8 @@ def run_lint_command(args: argparse.Namespace) -> int:
         fail_severity=fail_severity,
     )
 
-    if getattr(args, "fix", False):
-        from repro.lint.autofix import fix_paths
-
-        fix_report = fix_paths(args.paths, config)
-        if fix_report.files_changed:
-            by_rule = ", ".join(
-                f"{rule}: {count}"
-                for rule, count in sorted(fix_report.by_rule.items())
-            )
-            print(
-                f"repro lint --fix: {fix_report.edits_applied} fix(es) in "
-                f"{fix_report.files_changed} file(s) ({by_rule})"
-            )
-        else:
-            print("repro lint --fix: nothing to fix")
-
-    restrict: Optional[Set[str]] = None
-    changed_ref = getattr(args, "changed_only", None)
-    if changed_ref:
-        restrict = _changed_files(changed_ref)
-        if restrict is None:
-            print(
-                f"repro lint: error: cannot diff against {changed_ref!r} "
-                "(not a git checkout, or unknown ref)",
-                file=sys.stderr,
-            )
-            return 2
-
-    cache = None
-    if not getattr(args, "no_cache", False):
-        cache_path = getattr(args, "cache", DEFAULT_CACHE)
-        if cache_path:
-            cache = load_cache(cache_path)
-
     try:
-        report = lint_paths(
-            args.paths, config, cache=cache, restrict=restrict
-        )
+        report = lint_paths(args.paths, config)
     except BaselineError as error:
         print(f"repro lint: error: {error}", file=sys.stderr)
         return 2
@@ -225,9 +144,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
         return 0
 
     print(FORMATTERS[args.format](report))
-    # Stale-entry detection needs the full finding set; a --changed-only
-    # run only carries findings for the restricted files.
-    if baseline_path and restrict is None:
+    if baseline_path:
         stale = load_baseline(baseline_path).stale_entries(report.findings)
         if stale:
             print(

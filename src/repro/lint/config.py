@@ -3,11 +3,10 @@
 Every rule polices a pattern whose *one* legitimate implementation
 lives in a specific module -- the outcome taxonomy in
 ``core/outcomes.py``, the atomic writer in ``obs/atomicio.py``, the
-popcount kernel in ``coding/bitvec.py``, the seed-derivation functions
-in ``parallel/sharding.py``, the documented-unseeded fallback in
-``core/rng.py``.  Those modules are exempt from their own rule by
-default (:data:`DEFAULT_EXEMPTIONS`); everything else needs an inline
-suppression or a baseline entry to ship a violation.
+popcount kernel in ``coding/bitvec.py``, the documented-unseeded
+fallback in ``core/rng.py``.  Those modules are exempt from their own
+rule by default (:data:`DEFAULT_EXEMPTIONS`); everything else needs an
+inline suppression or a baseline entry to ship a violation.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ DEFAULT_EXEMPTIONS: Mapping[str, Tuple[str, ...]] = {
     "RPR004": ("repro/coding/bitvec.py",),
     # flip_bits' own definition/width plumbing.
     "RPR005": ("repro/coding/bitvec.py",),
-    # The seed-derivation module constructs generators by design.
-    "RPR006": ("repro/parallel/sharding.py",),
     # The scenario layer is where fault primitives are legitimately
     # built from specs (seeded off the campaign tree, fingerprinted).
     "RPR008": ("repro/reliability/scenario.py",),
@@ -74,6 +71,10 @@ class LintConfig:
             rules.append(rule)
         return tuple(sorted(rules))
 
-    def exempt_suffixes(self, rule: str) -> Tuple[str, ...]:
-        """Path suffixes exempt from ``rule``."""
-        return self.exemptions.get(rule, ())
+    def is_exempt(self, rule: str, path: str) -> bool:
+        """Is ``path`` one of the modules exempt from ``rule``?"""
+        normalised = path.replace("\\", "/")
+        return any(
+            normalised == suffix or normalised.endswith("/" + suffix)
+            for suffix in self.exemptions.get(rule, ())
+        )

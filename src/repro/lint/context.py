@@ -91,18 +91,6 @@ class ModuleContext:
             return self.lines[line - 1].strip()
         return ""
 
-    def path_endswith(self, suffixes) -> bool:
-        """Does the (posix-normalised) path end in one of ``suffixes``?
-
-        Used both for config exemptions ("the blessed implementation
-        module of this rule") and for rules scoped to one subpackage.
-        """
-        normalised = self.path.replace("\\", "/")
-        return any(
-            normalised == suffix or normalised.endswith("/" + suffix)
-            for suffix in suffixes
-        )
-
     def path_contains(self, fragment: str) -> bool:
         """Does the path contain a ``/fragment/`` directory component?"""
         normalised = "/" + self.path.replace("\\", "/")

@@ -1,11 +1,10 @@
-"""Interprocedural nondeterminism taint analysis (RPR010-RPR012).
+"""Interprocedural nondeterminism taint analysis (RPR002, RPR011, RPR012).
 
 Every guarantee this repository ships -- ``--shards 1`` bit-identical
 to serial, killed-then-resumed identical to uninterrupted, serve-store
 dedup to byte-identical bodies -- reduces to one property: the
-simulation is a **pure function of the SeedSequence tree**.  The
-per-module rules (RPR002/RPR006) police the *syntactic* shapes of
-violations; this pass tracks the actual **flow facts** across function
+simulation is a **pure function of the SeedSequence tree**.  This pass
+tracks the **flow facts** behind that property across function
 boundaries, so an unseeded RNG smuggled through two call hops, or a
 set-ordered iteration feeding a persisted record, is visible even
 though no single module looks wrong.
@@ -28,8 +27,9 @@ The engine is a fixpoint taint propagation over the
 
 Three whole-program rules consume the converged facts:
 
-* **RPR010** -- randomness consumed in reliability/parallel/serve code
-  whose rng/seed chain is not rooted in the seed tree;
+* **RPR002** -- an RNG constructed without a seed, numpy's global RNG,
+  a campaign-path generator not derived from the seed tree, or a draw
+  through a chain that contains an unseeded constructor;
 * **RPR011** -- unordered iteration flowing into persisted artifacts
   without an intervening ``sorted()``;
 * **RPR012** -- wall-clock/environment/locale values flowing into
@@ -77,11 +77,12 @@ _SEED_TREE_PRODUCERS = frozenset(
 )
 
 #: The sanctioned resolution API: returns a generator rooted in
-#: whatever the caller threaded in (policy enforcement is RPR002's).
+#: whatever the caller threaded in.
 _RESOLVERS = frozenset({"resolve_rng", "resolve_pyrandom"})
 
 #: Canonical RNG constructors.
-_RNG_CONSTRUCTORS = frozenset({"numpy.random.default_rng", "random.Random"})
+_STDLIB_RANDOM = "random.Random"
+_RNG_CONSTRUCTORS = frozenset({"numpy.random.default_rng", _STDLIB_RANDOM})
 
 #: Wall-clock (calendar time) sources.
 _WALLCLOCK_CALLS = frozenset(
@@ -147,8 +148,12 @@ _PERSIST_PREFIXES = ("atomic_write", "write_checkpoint", "save_checkpoint")
 _CHECKPOINT_MARKER = "checkpoint"
 _DIGEST_MARKERS = ("digest", "fingerprint")
 
-#: Module-path fragments that mark campaign/parallel/serving code --
-#: the RPR010 enforcement scope.
+#: Module-path fragments scoping the RPR002 shapes that only matter
+#: in campaign code: a seeded constructor off the seed tree (parallel),
+#: an inline ``random.Random(seed)`` argument (reliability, parallel),
+#: and a draw through an unseeded chain (those plus serving).
+_PARALLEL_SCOPE = ("parallel",)
+_INLINE_SCOPE = ("reliability", "parallel")
 _CAMPAIGN_SCOPES = ("reliability", "parallel", "serve")
 
 #: Fixpoint iteration cap; the tag lattice is tiny, so convergence is
@@ -181,7 +186,7 @@ _NO_TAINT = Taint()
 class SinkEvent:
     """One detected taint-reaches-sink occurrence."""
 
-    kind: str  # "rng-consumption" | "unordered-persist" | "impure-digest"
+    kind: str  # "unrooted-rng" | "unordered-persist" | "impure-digest"
     node: ast.AST
     path: str
     module: str
@@ -195,19 +200,18 @@ class ProjectAnalysis:
 
     index: ProjectIndex
     events: List[SinkEvent] = field(default_factory=list)
-    #: scope qualname -> names that carried seed-tree taint there.
-    seed_rooted: Dict[str, Set[str]] = field(default_factory=dict)
 
 
 def _last_segment(name: str) -> str:
     return name.rsplit(".", 1)[-1]
 
 
-def _in_campaign_scope(info: ModuleInfo) -> bool:
+def _in_scope(info: ModuleInfo, fragments: Sequence[str]) -> bool:
+    """Is the module under one of ``fragments`` (by path or name)?"""
     haystack = "/" + info.path + "/." + info.name + "."
     return any(
         f"/{fragment}/" in haystack or f".{fragment}." in haystack
-        for fragment in _CAMPAIGN_SCOPES
+        for fragment in fragments
     )
 
 
@@ -239,10 +243,11 @@ class TaintEngine:
         self.param_tags: Dict[str, Dict[str, FrozenSet[str]]] = {}
         self.attr_tags: Dict[str, Dict[str, FrozenSet[str]]] = {}
         self.scopes: List[_Scope] = self._build_scopes()
-        #: Populated during the reporting pass only.
+        #: Populated during the reporting pass only; ``_sites`` keeps
+        #: one event per (kind, site) however often a node is evaluated.
         self._events: List[SinkEvent] = []
+        self._sites: Set[Tuple[str, str, int, int]] = set()
         self._collect: bool = False
-        self._seed_rooted: Dict[str, Set[str]] = {}
 
     # -- scope construction -----------------------------------------------------
 
@@ -258,14 +263,9 @@ class TaintEngine:
             )
         for name in sorted(self.index.modules):
             info = self.index.modules[name]
-            top = [
-                node
-                for node in info.tree.body
-                if not isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                )
-            ]
-            scopes.append(_Scope(f"{name}.<module>", info, top, None))
+            scopes.append(
+                _Scope(f"{name}.<module>", info, list(info.tree.body), None)
+            )
         return scopes
 
     # -- fixpoint ---------------------------------------------------------------
@@ -280,17 +280,14 @@ class TaintEngine:
                 break
         self._collect = True
         self._events = []
+        self._sites = set()
         for scope in self.scopes:
             self._run_scope(scope)
         self._collect = False
         self._events.sort(
             key=lambda e: (e.path, getattr(e.node, "lineno", 0), e.kind)
         )
-        return ProjectAnalysis(
-            index=self.index,
-            events=list(self._events),
-            seed_rooted=self._seed_rooted,
-        )
+        return ProjectAnalysis(index=self.index, events=list(self._events))
 
     def _snapshot(self) -> Tuple:
         return (
@@ -320,14 +317,6 @@ class TaintEngine:
             merged = previous | returned
             if merged != previous:
                 self.returns[scope.qualname] = merged
-        if self._collect:
-            rooted = {
-                name
-                for name, taint in env.items()
-                if SEED_TREE in self._concrete(taint, scope)
-            }
-            if rooted:
-                self._seed_rooted[scope.qualname] = rooted
 
     def _concrete(self, taint: Taint, scope: _Scope) -> FrozenSet[str]:
         """Expand parameter dependencies into their converged tags."""
@@ -347,8 +336,25 @@ class TaintEngine:
         self, node: ast.AST, env: Dict[str, Taint], scope: _Scope
     ) -> Taint:
         """Abstractly execute one statement; returns the Return taint."""
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return _NO_TAINT  # nested scopes are analysed separately
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # The body is a scope of its own; decorators and defaults run
+            # here, at definition time (``def f(rng=default_rng())``).
+            for child in [
+                *node.decorator_list,
+                *node.args.defaults,
+                *node.args.kw_defaults,
+            ]:
+                if child is not None:
+                    self._eval(child, env, scope)
+            return _NO_TAINT
+        if isinstance(node, ast.ClassDef):
+            # Methods are scopes of their own; the class body runs here.
+            for child in [*node.decorator_list, *node.bases]:
+                self._eval(child, env, scope)
+            class_env = dict(env)
+            for child in node.body:
+                self._exec(child, class_env, scope)
+            return _NO_TAINT
         if isinstance(node, ast.Return):
             if node.value is None:
                 return _NO_TAINT
@@ -548,6 +554,13 @@ class TaintEngine:
         if isinstance(node, ast.FormattedValue):
             return self._eval(node.value, env, scope)
         if isinstance(node, ast.Lambda):
+            # Evaluated for the sites in its body; its parameters shadow
+            # the enclosing names.
+            shadowed = {
+                arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+            }
+            inner = {name: t for name, t in env.items() if name not in shadowed}
+            self._eval(node.body, inner, scope)
             return _NO_TAINT
         return _NO_TAINT
 
@@ -592,6 +605,8 @@ class TaintEngine:
             scope.function.class_name if scope.function is not None else None
         )
         resolved = self.index.resolve_call(scope.info, node, class_name)
+        if self._collect and _in_scope(scope.info, _INLINE_SCOPE):
+            self._check_inline_random(args, class_name, scope)
 
         # -- attribute calls on tainted receivers -------------------------------
         if isinstance(node.func, ast.Attribute):
@@ -602,16 +617,22 @@ class TaintEngine:
                 return receiver | Taint(tags=frozenset({SEED_TREE}))
             if RNG in receiver_tags or UNSEEDED in receiver_tags:
                 # Any method call on a generator consumes its stream.
-                if UNSEEDED in receiver_tags and self._collect:
-                    if _in_campaign_scope(scope.info):
-                        self._emit(
-                            "rng-consumption",
-                            node,
-                            scope,
-                            f"draw through {attr}() on a generator whose "
-                            "provenance chain includes an unseeded "
-                            "constructor",
-                        )
+                if (
+                    UNSEEDED in receiver_tags
+                    and self._collect
+                    and _in_scope(scope.info, _CAMPAIGN_SCOPES)
+                ):
+                    self._emit(
+                        "unrooted-rng",
+                        node,
+                        scope,
+                        f"draw through {attr}() on a generator whose "
+                        "provenance chain includes an unseeded "
+                        "constructor; thread rng=/seed= from the campaign "
+                        "SeedSequence tree (resolve_rng/resolve_pyrandom "
+                        "or parallel.sharding.spawn_generators) through "
+                        "the call chain",
+                    )
                 return receiver.without(DIGEST_OBJ)
             if attr == "update" and DIGEST_OBJ in receiver_tags:
                 if self._collect and (
@@ -649,8 +670,8 @@ class TaintEngine:
         # -- the blessed seed-tree roots ----------------------------------------
         # ``resolve_rng``/``resolve_pyrandom`` and the sharding spawners
         # are matched *before* the internal-summary path: their bodies
-        # contain the one sanctioned unseeded fallback (policed by
-        # RPR002, which warns at runtime), so analysing them like
+        # contain the one sanctioned unseeded fallback (exempt from
+        # RPR002, and it warns at runtime), so analysing them like
         # ordinary internal functions would leak ``unseeded-rng`` into
         # every well-behaved caller.  Argument provenance still flows
         # through: resolving an explicitly unseeded generator keeps its
@@ -683,8 +704,40 @@ class TaintEngine:
         # -- external roots -----------------------------------------------------
         if resolved in _RNG_CONSTRUCTORS:
             if not node.args and not node.keywords:
+                if self._collect:
+                    self._emit(
+                        "unrooted-rng",
+                        node,
+                        scope,
+                        f"{last}() constructed without a seed; accept "
+                        "rng=/seed= and route the fallback through "
+                        "repro.core.rng.resolve_rng (warns on the truly "
+                        "unseeded interactive path)",
+                    )
                 return Taint(tags=frozenset({RNG, UNSEEDED}))
+            if (
+                self._collect
+                and SEED_TREE not in arg_tags
+                and _in_scope(scope.info, _PARALLEL_SCOPE)
+            ):
+                self._emit(
+                    "unrooted-rng",
+                    node,
+                    scope,
+                    f"{last}(...) in a parallel path is not derived "
+                    "from the campaign SeedSequence tree; use "
+                    "parallel.sharding.spawn_generators / shard_python_seeds",
+                )
             return arg_union | Taint(tags=frozenset({RNG}))
+        prefix, _, attribute = resolved.rpartition(".")
+        if self._collect and prefix == "numpy.random" and attribute[:1].islower():
+            self._emit(
+                "unrooted-rng",
+                node,
+                scope,
+                f"numpy.random.{attribute}() draws from the process-global "
+                "RNG; construct a Generator from an explicit seed instead",
+            )
         if resolved in _WALLCLOCK_CALLS:
             return Taint(tags=frozenset({WALLCLOCK}))
         if resolved in _ENV_CALLS:
@@ -720,6 +773,36 @@ class TaintEngine:
                 slot[param] = slot.get(param, _EMPTY) | tags
 
     # -- sinks ------------------------------------------------------------------
+
+    def _check_inline_random(
+        self,
+        args: List[Tuple[Optional[str], ast.AST, Taint]],
+        class_name: Optional[str],
+        scope: _Scope,
+    ) -> None:
+        """A seeded ``random.Random(...)`` passed straight as an argument.
+
+        ``rng=random.Random(seed)`` bypasses ``resolve_pyrandom`` -- no
+        ``rng=`` injection, no unseeded warning -- unless its seed comes
+        from the seed tree (the zero-argument form is flagged anyway).
+        """
+        for _, argument, taint in args:
+            if (
+                isinstance(argument, ast.Call)
+                and (argument.args or argument.keywords)
+                and SEED_TREE not in self._concrete(taint, scope)
+                and self.index.resolve_call(scope.info, argument, class_name)
+                == _STDLIB_RANDOM
+            ):
+                self._emit(
+                    "unrooted-rng",
+                    argument,
+                    scope,
+                    "random.Random(...) constructed inline in a campaign "
+                    "entry point; route it through repro.core.rng."
+                    "resolve_pyrandom(rng=..., seed=..., owner=...) so "
+                    "callers can inject rng= and unseeded use warns",
+                )
 
     def _check_call_sinks(
         self,
@@ -765,6 +848,15 @@ class TaintEngine:
     def _emit(
         self, kind: str, node: ast.AST, scope: _Scope, detail: str
     ) -> None:
+        site = (
+            kind,
+            scope.info.path,
+            getattr(node, "lineno", 0),
+            getattr(node, "col_offset", 0),
+        )
+        if site in self._sites:
+            return
+        self._sites.add(site)
         self._events.append(
             SinkEvent(
                 kind=kind,
@@ -780,35 +872,6 @@ class TaintEngine:
 def analyze_project(files: Sequence[Tuple[str, str]]) -> ProjectAnalysis:
     """Build the index from ``(path, source)`` pairs and run to fixpoint."""
     return TaintEngine(build_index(files)).run()
-
-
-#: Per-process memo for :func:`module_seed_rooted_names` -- RPR002 and
-#: RPR006 both consult it for the same module in the same run.
-_rooted_memo: Dict[Tuple[str, int], FrozenSet[str]] = {}
-
-
-def module_seed_rooted_names(path: str, source: str) -> FrozenSet[str]:
-    """Names carrying seed-tree provenance anywhere in one module.
-
-    The intra-module entry point RPR002/RPR006 consult: a single-file
-    project is analysed and every scope's seed-rooted locals are
-    unioned.  Strictly more complete than the old "mentions a seed-tree
-    name" heuristic -- ``ss = tree.spawn(1)[0]; child = ss; rng =
-    default_rng(child)`` resolves through both hops.
-    """
-    key = (path, hash(source))
-    cached = _rooted_memo.get(key)
-    if cached is not None:
-        return cached
-    analysis = analyze_project([(path, source)])
-    rooted: Set[str] = set()
-    for names in analysis.seed_rooted.values():
-        rooted.update(names)
-    result = frozenset(rooted)
-    if len(_rooted_memo) > 4096:
-        _rooted_memo.clear()
-    _rooted_memo[key] = result
-    return result
 
 
 # -- the whole-program rules -----------------------------------------------------
@@ -831,44 +894,53 @@ def _finding_from_event(
 
 
 @register
-class UnrootedCampaignRngChecker(ProjectChecker):
-    """RPR010: campaign randomness whose chain is not seed-tree rooted.
+class UnrootedRngChecker(ProjectChecker):
+    """RPR002: randomness not rooted in the campaign SeedSequence tree.
 
-    The interprocedural upgrade of RPR002/RPR006: a generator
-    constructed without a seed *anywhere* along the provenance chain --
-    two call hops away, returned from a helper, stored on ``self`` --
-    and then drawn from inside reliability/parallel/serve code is
-    flagged at the consumption site.  Chains rooted in
-    ``resolve_rng``/``resolve_pyrandom``/``SeedSequence.spawn`` (or any
-    value threaded from them through parameters) are clean.
+    One rule on the converged flow facts, reporting five shapes once
+    per site:
+
+    * a zero-argument ``default_rng()`` / ``random.Random()``, anywhere;
+    * a call through numpy's process-global RNG (``np.random.normal``),
+      anywhere;
+    * a seeded constructor in a ``parallel`` path whose argument carries
+      no seed-tree provenance (two shards would get correlated streams);
+    * a seeded ``random.Random(...)`` passed inline as a call argument
+      in reliability/parallel code without seed-tree provenance (it
+      bypasses ``resolve_pyrandom``);
+    * a draw, in reliability/parallel/serve code, through a generator
+      whose chain -- two call hops away, returned from a helper, stored
+      on ``self`` -- contains an unseeded constructor.
+
+    Provenance is a flow fact, not a name: ``ss = tree.spawn(1)[0];
+    rng = default_rng(ss)`` is rooted through both hops.  Chains rooted
+    in ``resolve_rng``/``resolve_pyrandom``/``SeedSequence.spawn`` (or
+    any value threaded from them through parameters) are clean.  The
+    retired ids RPR006 and RPR010 named two of these shapes.
     """
 
-    rule = "RPR010"
-    name = "unrooted-campaign-rng"
+    rule = "RPR002"
+    name = "unrooted-rng"
     severity = Severity.ERROR
     description = (
-        "randomness consumed in campaign code with no seed-tree-rooted chain"
+        "RNG not rooted in the SeedSequence tree (unseeded, global, or "
+        "drawn through an unseeded chain)"
     )
     rationale = (
-        "the PR-5/PR-9 unseeded-RNG bugs (estimate_fit, ten fallback "
-        "sites) entered through call chains no per-module rule can see; "
-        "shards1==serial and resume bit-identity both assume every "
-        "campaign draw is a pure function of the SeedSequence tree"
+        "ten `rng or np.random.default_rng()` fallback sites, the "
+        "estimate_fit inline random.Random(seed), and ad-hoc per-worker "
+        "streams each broke the guarantee that shards1==serial and resume "
+        "are bit-identical: every draw must be a pure function of the "
+        "SeedSequence tree"
     )
 
     def check_project(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
         for event in analysis.events:
-            if event.kind != "rng-consumption":
+            if event.kind != "unrooted-rng":
                 continue
             lines = analysis.index.modules[event.module].source.splitlines()
             yield _finding_from_event(
-                self,
-                event,
-                f"in {event.scope}: {event.detail}; thread rng=/seed= from "
-                "the campaign SeedSequence tree (resolve_rng/"
-                "resolve_pyrandom or parallel.sharding.spawn_generators) "
-                "through the call chain",
-                lines,
+                self, event, f"in {event.scope}: {event.detail}", lines
             )
 
 

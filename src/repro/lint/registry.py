@@ -92,7 +92,7 @@ PROJECT_INTEREST = "<project>"
 
 
 class ProjectChecker(Checker):
-    """Base class for whole-program rules (RPR010 onward).
+    """Base class for whole-program rules (RPR002, RPR011, RPR012).
 
     Project checkers do not participate in the per-module node walk;
     instead the runner hands them the converged
@@ -156,7 +156,7 @@ def _ensure_builtin_checkers() -> None:
     while callers never have to remember to import the rule module.
     """
     import repro.lint.checkers  # noqa: F401  (registration side effect)
-    import repro.lint.dataflow  # noqa: F401  (RPR010-012 registration)
+    import repro.lint.dataflow  # noqa: F401  (RPR002/011/012 registration)
 
 
 def instantiate(

@@ -6,14 +6,10 @@ checkers fresh (so per-module state cannot leak between files), and
 performs a *single* ``ast.walk`` dispatching each node to the checkers
 interested in its type.  After the per-module stage a *whole-program*
 stage hands every parsed file to the interprocedural engine
-(:mod:`repro.lint.dataflow`) and runs the project rules (RPR010+) over
-the converged facts.  Raw findings from both stages then pass through
-the config exemptions, inline suppressions, and the baseline; whatever
-survives is "new" and gates the run.
-
-Both stages replay from the content-hash cache
-(:mod:`repro.lint.cache`) when the inputs are unchanged, so a warm
-full-tree run costs file hashing plus one JSON read.
+(:mod:`repro.lint.dataflow`) and runs the project rules (RPR002,
+RPR011, RPR012) over the converged facts.  Raw findings from both
+stages then pass through the config exemptions, inline suppressions,
+and the baseline; whatever survives is "new" and gates the run.
 
 A file that fails to parse produces a synthetic ``RPR000`` ERROR
 finding instead of crashing the run -- a broken file must fail lint,
@@ -26,17 +22,9 @@ import ast
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import (
-    AbstractSet,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.baseline import Baseline, load_baseline
-from repro.lint.cache import LintCache, content_hash
 from repro.lint.config import LintConfig
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding, Severity
@@ -117,43 +105,81 @@ def lint_source(
 ) -> List[Finding]:
     """Lint one in-memory module; returns raw-minus-suppressed findings.
 
-    The building block for both :func:`lint_paths` and the fixture
-    tests (which lint snippets without touching the filesystem).
-    Config exemptions and inline suppressions apply; the baseline is a
-    cross-file concern and does not.
+    Both stages run, the whole-program one over a one-file project, so
+    the fixture tests lint snippets for every rule without touching the
+    filesystem.  Config exemptions and inline suppressions apply; the
+    baseline is a cross-file concern and does not.
     """
-    findings, _ = _lint_source_counts(source, path, config or LintConfig())
-    return findings
+    findings, _ = _lint_sources(
+        [(_normalise_path(path), source)], config or LintConfig()
+    )
+    return sorted(findings, key=lambda f: (f.line, f.column, f.rule))
 
 
-def _lint_source_counts(
-    source: str, path: str, config: LintConfig
+def _lint_sources(
+    sources: Sequence[Tuple[str, str]], config: LintConfig
 ) -> Tuple[List[Finding], int]:
-    """(post-suppression findings, raw pre-suppression count)."""
-    path = _normalise_path(path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        finding = Finding(
-            rule=PARSE_ERROR_RULE,
-            severity=Severity.ERROR,
-            path=path,
-            line=error.lineno or 1,
-            column=(error.offset or 1) - 1,
-            message=f"file does not parse: {error.msg}",
-            content="",
-        )
-        return [finding], 1
+    """Both stages over ``(path, source)`` pairs: (survived, suppressed).
+
+    Each file is parsed once; the per-module walk and the project index
+    share the tree.
+    """
+    findings: List[Finding] = []
+    raw: List[Finding] = []
+    parsed: List[Tuple[str, str, ast.Module]] = []
+    for path, source in sources:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as error:
+            findings.append(
+                Finding(
+                    rule=PARSE_ERROR_RULE,
+                    severity=Severity.ERROR,
+                    path=path,
+                    line=error.lineno or 1,
+                    column=(error.offset or 1) - 1,
+                    message=f"file does not parse: {error.msg}",
+                    content="",
+                )
+            )
+            continue
+        parsed.append((path, source, tree))
+        raw.extend(_module_stage(tree, source, path, config))
+    raw.extend(_project_stage(parsed, config))
+    survived = _unsuppressed(raw, dict(sources))
+    return findings + survived, len(raw) - len(survived)
+
+
+def _unsuppressed(
+    raw: Sequence[Finding], text: Dict[str, str]
+) -> List[Finding]:
+    """Drop findings an inline ``# repro-lint: disable=`` covers."""
+    indexes: Dict[str, SuppressionIndex] = {}
+    survived: List[Finding] = []
+    for finding in raw:
+        index = indexes.get(finding.path)
+        if index is None:
+            index = SuppressionIndex(text.get(finding.path, "").splitlines())
+            indexes[finding.path] = index
+        if not index.is_suppressed(finding.rule, finding.line):
+            survived.append(finding)
+    return survived
+
+
+def _module_stage(
+    tree: ast.Module, source: str, path: str, config: LintConfig
+) -> List[Finding]:
+    """Raw findings of the per-module rules on one parsed file."""
     ctx = ModuleContext(path=path, source=source, tree=tree)
     active = config.active_rules(all_checkers())
     checkers = [
         checker
         for checker in instantiate(active)
         if not isinstance(checker, ProjectChecker)
-        and not ctx.path_endswith(config.exempt_suffixes(checker.rule))
+        and not config.is_exempt(checker.rule, path)
     ]
     if not checkers:
-        return [], 0
+        return []
     by_interest: Dict[str, List] = defaultdict(list)
     for checker in checkers:
         checker.begin_module(ctx)
@@ -166,72 +192,42 @@ def _lint_source_counts(
     for checker in checkers:
         raw.extend(checker.end_module(ctx))
     raw.sort(key=lambda f: (f.line, f.column, f.rule))
-    suppressions = SuppressionIndex(ctx.lines)
-    survived = [
-        finding
-        for finding in raw
-        if not suppressions.is_suppressed(finding.rule, finding.line)
-    ]
-    return survived, len(raw)
-
-
-def _path_endswith(path: str, suffixes: Sequence[str]) -> bool:
-    """Config-exemption suffix match for project-stage findings."""
-    normalised = path.replace(os.sep, "/")
-    return any(
-        normalised == suffix or normalised.endswith("/" + suffix)
-        for suffix in suffixes
-    )
+    return raw
 
 
 def _project_stage(
-    sources: Sequence[Tuple[str, str]],
-    config: LintConfig,
-    project_rules: Sequence[str],
-) -> Tuple[List[Finding], int]:
-    """Run the whole-program rules; returns (survived, suppressed)."""
-    from repro.lint.dataflow import analyze_project
+    parsed: Sequence[Tuple[str, str, ast.Module]], config: LintConfig
+) -> List[Finding]:
+    """Raw findings of the whole-program rules over every parsed file."""
+    rules = [
+        rule
+        for rule in config.active_rules(all_checkers())
+        if is_project_rule(get_checker(rule))
+    ]
+    if not rules or not parsed:
+        return []
+    from repro.lint.callgraph import ProjectIndex
+    from repro.lint.dataflow import TaintEngine
 
-    analysis = analyze_project(sources)
+    analysis = TaintEngine(ProjectIndex.build(parsed)).run()
     raw: List[Finding] = []
-    for rule in project_rules:
+    for rule in rules:
         checker = get_checker(rule)()
-        for finding in checker.check_project(analysis):
-            if _path_endswith(finding.path, config.exempt_suffixes(rule)):
-                continue
-            raw.append(finding)
+        raw.extend(
+            finding
+            for finding in checker.check_project(analysis)
+            if not config.is_exempt(rule, finding.path)
+        )
     raw.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-    suppressions: Dict[str, SuppressionIndex] = {}
-    text = dict(sources)
-    survived: List[Finding] = []
-    for finding in raw:
-        index = suppressions.get(finding.path)
-        if index is None:
-            index = SuppressionIndex(
-                text.get(finding.path, "").splitlines()
-            )
-            suppressions[finding.path] = index
-        if not index.is_suppressed(finding.rule, finding.line):
-            survived.append(finding)
-    return survived, len(raw) - len(survived)
+    return raw
 
 
 def lint_paths(
     paths: Sequence[str],
     config: Optional[LintConfig] = None,
     baseline: Optional[Baseline] = None,
-    cache: Optional[LintCache] = None,
-    restrict: Optional[AbstractSet[str]] = None,
 ) -> LintReport:
-    """Lint files/directories and filter through the baseline.
-
-    ``cache`` replays per-file and whole-program results whose inputs
-    are content-identical.  ``restrict`` (the ``--changed-only`` set of
-    normalised paths) limits which files' findings are *reported*; the
-    whole-program stage still analyses everything given, because
-    interprocedural facts about a changed file depend on its unchanged
-    callers and callees.
-    """
+    """Lint files/directories and filter through the baseline."""
     config = config or LintConfig()
     if baseline is None:
         baseline = (
@@ -239,15 +235,13 @@ def lint_paths(
             if config.baseline_path
             else Baseline()
         )
-    active = config.active_rules(all_checkers())
-    report = LintReport(rules=active)
+    report = LintReport(rules=config.active_rules(all_checkers()))
     sources: List[Tuple[str, str]] = []
-    hashes: List[Tuple[str, str]] = []
     for file_path in iter_python_files(paths):
         normalised = _normalise_path(file_path)
         try:
             with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
+                sources.append((normalised, handle.read()))
         except (OSError, UnicodeDecodeError) as error:
             report.findings.append(
                 Finding(
@@ -259,53 +253,9 @@ def lint_paths(
                     message=f"file is unreadable: {error}",
                 )
             )
-            continue
-        sources.append((normalised, source))
-        file_hash = content_hash(source) if cache is not None else ""
-        if cache is not None:
-            hashes.append((normalised, file_hash))
-        if restrict is not None and normalised not in restrict:
-            continue
-        cached = (
-            cache.lookup(normalised, file_hash, active)
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            survived, raw_count = cached
-        else:
-            survived, raw_count = _lint_source_counts(
-                source, file_path, config
-            )
-            if cache is not None:
-                cache.store(
-                    normalised, file_hash, active, survived, raw_count
-                )
-        report.files_checked += 1
-        report.suppressed += raw_count - len(survived)
-        report.findings.extend(survived)
-    project_rules = [rule for rule in active if is_project_rule(get_checker(rule))]
-    if project_rules and sources:
-        project_findings: Optional[List[Finding]] = None
-        combined = cache.project_hash(hashes) if cache is not None else ""
-        if cache is not None:
-            project_findings = cache.lookup_project(combined, active)
-        if project_findings is None:
-            project_findings, project_suppressed = _project_stage(
-                sources, config, project_rules
-            )
-            report.suppressed += project_suppressed
-            if cache is not None:
-                cache.store_project(combined, active, project_findings)
-        if restrict is not None:
-            project_findings = [
-                finding
-                for finding in project_findings
-                if finding.path in restrict
-            ]
-        report.findings.extend(project_findings)
-    if cache is not None:
-        cache.save()
+    report.files_checked = len(sources)
+    findings, report.suppressed = _lint_sources(sources, config)
+    report.findings.extend(findings)
     report.new_findings = baseline.filter_new(report.findings)
     report.baselined = len(report.findings) - len(report.new_findings)
     return report

@@ -5,10 +5,10 @@ A finding is suppressed when a disable comment names its rule (or
 preceding line when that line is a comment *only* -- the idiom for
 expressions too long to carry a trailing comment::
 
-    rng = np.random.default_rng(seed)  # repro-lint: disable=RPR006
+    rng = np.random.default_rng(seed)  # repro-lint: disable=RPR002
 
     # The serial path must stay bit-identical to the historical CLI.
-    # repro-lint: disable=RPR006
+    # repro-lint: disable=RPR002
     rng = np.random.default_rng(
         seed,
     )

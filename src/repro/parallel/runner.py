@@ -228,7 +228,7 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
             group_size=spec.group_size, interval_s=spec.interval_s,
             # The serial seed is the historical CLI stream, which
             # predates the SeedSequence tree (shards pass a spawned one).
-            rng=np.random.default_rng(spec.seed),  # repro-lint: disable=RPR006
+            rng=np.random.default_rng(spec.seed),  # repro-lint: disable=RPR002
             telemetry=telemetry, progress=progress,
             chaos=(
                 ChaosInjector(spec.chaos_policy, seed=spec.chaos_seed)

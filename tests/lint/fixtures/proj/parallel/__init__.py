@@ -1,1 +1,1 @@
-"""Campaign-scoped fixture modules (the RPR010 enforcement scope)."""
+"""Campaign-scoped fixture modules (where RPR002 polices draws)."""

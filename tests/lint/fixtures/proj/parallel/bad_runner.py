@@ -1,4 +1,4 @@
-"""RPR010 TP: an unseeded RNG crosses two call hops into a draw.
+"""RPR002 TP: an unseeded RNG crosses two call hops into a draw.
 
 The generator is constructed in ``proj.core.make_unseeded`` (hop 1,
 reached through the ``proj.api`` re-export), passed through

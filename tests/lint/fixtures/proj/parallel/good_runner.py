@@ -1,4 +1,4 @@
-"""RPR010 TN: the same two-hop shape rooted in the SeedSequence tree.
+"""RPR002 TN: the same two-hop shape rooted in the SeedSequence tree.
 
 Shares ``wrap`` with the TP fixture, so flagging this module means the
 analysis leaked one caller's taint into another's chain.

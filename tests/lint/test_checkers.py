@@ -6,14 +6,20 @@ snippet is the sanctioned repair.  The fixtures lint in memory through
 :func:`repro.lint.runner.lint_source` -- no filesystem involved.
 """
 
+import os
 import textwrap
 
 import pytest
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Severity
-from repro.lint.registry import all_checkers, get_checker
+from repro.lint.registry import all_checkers, get_checker, known_rules
 from repro.lint.runner import PARSE_ERROR_RULE, lint_source
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 
 def rules_of(source, path="pkg/mod.py", config=None):
@@ -23,16 +29,19 @@ def rules_of(source, path="pkg/mod.py", config=None):
 
 
 class TestRegistry:
-    def test_all_twelve_rules_registered(self):
+    def test_all_ten_rules_registered(self):
+        # RPR006 and RPR010 were folded into RPR002 and stay retired.
         assert [c.rule for c in all_checkers()] == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR009", "RPR010", "RPR011", "RPR012",
+            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
+            "RPR007", "RPR008", "RPR009", "RPR011", "RPR012",
         ]
 
     def test_get_checker(self):
         assert get_checker("RPR001").name == "outcome-literal"
-        with pytest.raises(KeyError):
-            get_checker("RPR999")
+        assert get_checker("RPR002").name == "unrooted-rng"
+        for retired in ("RPR006", "RPR010", "RPR999"):
+            with pytest.raises(KeyError):
+                get_checker(retired)
 
     def test_every_rule_documents_its_origin(self):
         for checker in all_checkers():
@@ -135,6 +144,40 @@ class TestUnseededRng:
         rng = np.random.default_rng()
         """
         assert rules_of(source, path="src/repro/core/rng.py") == []
+
+    def test_default_argument_flagged(self):
+        # Defaults run at definition time, outside any function body.
+        source = """\
+        import numpy as np
+        def simulate(rng=np.random.default_rng()):
+            return rng
+        """
+        assert rules_of(source) == ["RPR002"]
+
+    def test_class_body_and_lambda_flagged(self):
+        source = """\
+        import random
+        import numpy as np
+        class Sampler:
+            shared = random.Random()
+        draw = lambda: np.random.random()
+        """
+        assert rules_of(source) == ["RPR002", "RPR002"]
+
+    def test_one_finding_per_site(self):
+        # An argument bound to a project function's parameter is
+        # evaluated more than once by the taint pass; it is one site.
+        source = """\
+        import numpy as np
+        def simulate(rng):
+            return rng
+        def run(spec):
+            return simulate(rng=np.random.default_rng(spec.seed))
+        """
+        findings = lint_source(
+            textwrap.dedent(source), "src/repro/parallel/worker.py"
+        )
+        assert [(f.rule, f.line) for f in findings] == [("RPR002", 5)]
 
     CAMPAIGN = "src/repro/reliability/raresim.py"
 
@@ -293,14 +336,14 @@ class TestParallelRng:
         import numpy as np
         rng = np.random.default_rng(seed)
         """
-        assert rules_of(source, path=self.PARALLEL) == ["RPR006"]
+        assert rules_of(source, path=self.PARALLEL) == ["RPR002"]
 
     def test_stdlib_random_in_parallel_path_flagged(self):
         source = """\
         import random
         rng = random.Random(seed + shard)
         """
-        assert rules_of(source, path=self.PARALLEL) == ["RPR006"]
+        assert rules_of(source, path=self.PARALLEL) == ["RPR002"]
 
     def test_seed_tree_derivation_clean(self):
         source = """\
@@ -321,12 +364,14 @@ class TestParallelRng:
         """
         assert rules_of(source, path="src/repro/sttram/faults.py") == []
 
-    def test_sharding_module_exempt(self):
-        source = """\
-        import numpy as np
-        rng = np.random.default_rng(entropy)
-        """
-        assert rules_of(source, path="src/repro/parallel/sharding.py") == []
+    def test_real_sharding_module_lints_clean(self):
+        # The seed-derivation module needs no exemption: every generator
+        # it builds is rooted in a SeedSequence by flow facts.
+        path = os.path.join(SRC, "repro", "parallel", "sharding.py")
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        config = LintConfig(exemptions={})
+        assert lint_source(source, "src/repro/parallel/sharding.py", config) == []
 
 
 class TestWallClockDuration:
@@ -464,6 +509,59 @@ class TestPerLineLoop:
         assert rules_of(
             source, path="src/repro/kernels/reference.py"
         ) == []
+
+
+#: One minimal snippet (and the path it lints under) per registered
+#: rule; each trips exactly its own rule.  A rule with no entry here --
+#: or an entry for a rule that no longer exists -- fails the suite.
+RULE_FIXTURES = {
+    "RPR001": ('ok = outcome == "sdc"', "pkg/mod.py"),
+    "RPR002": (
+        "import numpy as np\nrng = np.random.default_rng()\n",
+        "pkg/mod.py",
+    ),
+    "RPR003": ('f = open(p, "w")', "pkg/mod.py"),
+    "RPR004": ('n = bin(x).count("1")', "pkg/mod.py"),
+    "RPR005": (
+        "from repro.coding.bitvec import flip_bits\n"
+        "v = flip_bits(value, positions)\n",
+        "pkg/mod.py",
+    ),
+    "RPR007": ("import time\nstarted = time.time()\n", "pkg/mod.py"),
+    "RPR008": (
+        "from repro.sttram.faults import PermanentFaultMap\n"
+        "fault_map = PermanentFaultMap(line_bits)\n",
+        "src/repro/reliability/montecarlo.py",
+    ),
+    "RPR009": (
+        "for index in range(num_lines):\n    scrub(index)\n",
+        "pkg/mod.py",
+    ),
+    "RPR011": (
+        "import json\n"
+        "def dump(shards):\n"
+        "    return json.dumps(list({s.name for s in shards}))\n",
+        "pkg/mod.py",
+    ),
+    "RPR012": (
+        "import hashlib\nimport os\n"
+        "def digest(spec):\n"
+        "    return hashlib.sha256(str((spec, os.getenv('HOST'))).encode())\n",
+        "pkg/mod.py",
+    ),
+}
+
+
+def test_every_rule_has_a_failing_fixture():
+    assert sorted(RULE_FIXTURES) == known_rules()
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_FIXTURES))
+def test_rule_fixture_trips_exactly_its_rule(rule):
+    source, path = RULE_FIXTURES[rule]
+    assert rules_of(source, path=path) == [rule]
+    disabled = LintConfig(disable=frozenset({rule}))
+    assert rules_of(source, path=path, config=disabled) == []
 
 
 class TestConfigSelection:

@@ -8,10 +8,15 @@ the exit-code contract the CI job relies on -- 0 clean, 1 findings,
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.lint.cli import configure_lint_parser, run_lint_command
+import repro
+from repro.lint.cli import FORMATS, configure_lint_parser, run_lint_command
+from repro.lint.reporting import FORMATTERS
 
 
 def run(argv):
@@ -68,8 +73,24 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert run(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("RPR001", "RPR006"):
-            assert rule in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [
+            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
+            "RPR007", "RPR008", "RPR009", "RPR011", "RPR012",
+        ]
+        assert "RPR002  unrooted-rng" in out
+
+    def test_retired_rule_ids_exit_two(self, dirty_tree, capsys):
+        for retired in ("RPR006", "RPR010"):
+            assert run([".", "--select", retired]) == 2
+            assert "unknown rule" in capsys.readouterr().err
+
+    def test_removed_options_are_rejected(self, dirty_tree):
+        for option in (["--fix"], ["--no-cache"], ["--cache", "c.json"],
+                       ["--changed-only", "HEAD"]):
+            with pytest.raises(SystemExit) as exit_info:
+                run(["."] + option)
+            assert exit_info.value.code == 2
 
 
 class TestFormats:
@@ -88,56 +109,6 @@ class TestFormats:
         assert "title=RPR003" in out
 
 
-class TestFixFlag:
-    def test_fix_repairs_then_lints_clean(self, tmp_path, monkeypatch, capsys):
-        (tmp_path / "mod.py").write_text(
-            "import time\n\n\ndef stamp():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        monkeypatch.chdir(tmp_path)
-        assert run([".", "--fix"]) == 0
-        out = capsys.readouterr().out
-        assert "1 fix(es)" in out
-        assert "RPR007: 1" in out
-        fixed = (tmp_path / "mod.py").read_text(encoding="utf-8")
-        assert "time.perf_counter()" in fixed
-
-    def test_fix_is_a_noop_on_clean_trees(self, tmp_path, monkeypatch, capsys):
-        (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        assert run([".", "--fix"]) == 0
-        assert "nothing to fix" in capsys.readouterr().out
-
-    def test_unfixable_findings_still_gate_after_fix(self, dirty_tree, capsys):
-        # open(p, "w") without a with-block is RPR003 but not the
-        # mechanical shape; --fix leaves it and the lint still fails.
-        assert run([".", "--fix"]) == 1
-        assert "RPR003" in capsys.readouterr().out
-
-
-class TestChangedOnly:
-    def test_outside_a_git_checkout_exits_two(self, dirty_tree, capsys):
-        assert run([".", "--changed-only", "HEAD"]) == 2
-        assert "cannot diff" in capsys.readouterr().err
-
-
-class TestCacheFlags:
-    def test_default_cache_file_is_written(self, dirty_tree):
-        assert run(["."]) == 1
-        assert (dirty_tree / ".lint-cache.json").exists()
-
-    def test_no_cache_skips_the_file(self, dirty_tree):
-        assert run([".", "--no-cache"]) == 1
-        assert not (dirty_tree / ".lint-cache.json").exists()
-
-    def test_warm_run_matches_cold_run(self, dirty_tree, capsys):
-        assert run(["."]) == 1
-        cold = capsys.readouterr().out
-        assert run(["."]) == 1
-        warm = capsys.readouterr().out
-        assert warm == cold
-
-
 class TestSarifFormat:
     def test_sarif_output_parses_and_carries_the_finding(
         self, dirty_tree, capsys
@@ -147,6 +118,29 @@ class TestSarifFormat:
         assert log["version"] == "2.1.0"
         (result,) = log["runs"][0]["results"]
         assert result["ruleId"] == "RPR003"
+
+
+class TestParserIsCheap:
+    def test_format_choices_match_the_formatters(self):
+        assert FORMATS == tuple(sorted(FORMATTERS))
+
+    def test_building_the_cli_parser_loads_no_lint_pipeline(self):
+        # ``repro serve`` and every other subcommand build the full
+        # parser; the lint pipeline must stay off that path.
+        probe = (
+            "import json, sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print(json.dumps(sorted(\n"
+            "    m for m in sys.modules if m.startswith('repro.lint'))))\n"
+        )
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert json.loads(out) == ["repro.lint", "repro.lint.cli"]
 
 
 class TestBaselineFlow:

@@ -1,4 +1,4 @@
-"""Interprocedural taint rules (RPR010-RPR012) over the fixtures.
+"""Interprocedural taint rules (RPR002, RPR011, RPR012) over the fixtures.
 
 Every TP/TN pair lives in the same index, sharing helpers, so these
 tests also pin the precision property: one caller's unseeded taint must
@@ -7,6 +7,7 @@ pass-through function.
 """
 
 import os
+import textwrap
 
 import pytest
 
@@ -14,11 +15,10 @@ from repro.lint.config import LintConfig
 from repro.lint.dataflow import (
     ImpureDigestChecker,
     UnorderedPersistChecker,
-    UnrootedCampaignRngChecker,
+    UnrootedRngChecker,
     analyze_project,
-    module_seed_rooted_names,
 )
-from repro.lint.runner import lint_paths
+from repro.lint.runner import lint_paths, lint_source
 
 from .conftest import FIXTURES
 
@@ -28,34 +28,82 @@ def analysis(fixture_files):
     return analyze_project(fixture_files)
 
 
-def paths_flagged(checker, analysis):
-    return {os.path.basename(f.path) for f in checker.check_project(analysis)}
+def paths_flagged(checker, analysis, consumption_only=False):
+    return {
+        os.path.basename(f.path)
+        for f in checker.check_project(analysis)
+        if not consumption_only or "draw through" in f.message
+    }
 
 
-class TestRPR010:
+class TestRngConsumption:
     def test_unseeded_two_hop_chain_is_flagged(self, analysis):
-        flagged = paths_flagged(UnrootedCampaignRngChecker(), analysis)
+        flagged = paths_flagged(UnrootedRngChecker(), analysis)
         assert "bad_runner.py" in flagged
 
     def test_seed_rooted_chain_is_not_flagged(self, analysis):
-        flagged = paths_flagged(UnrootedCampaignRngChecker(), analysis)
+        flagged = paths_flagged(UnrootedRngChecker(), analysis)
         assert "good_runner.py" not in flagged
 
     def test_flag_lands_on_the_consumption_site(self, analysis):
         (finding,) = [
             f
-            for f in UnrootedCampaignRngChecker().check_project(analysis)
+            for f in UnrootedRngChecker().check_project(analysis)
             if f.path.endswith("bad_runner.py")
         ]
+        assert finding.rule == "RPR002"
         assert "gen.integers" in finding.content
         assert "unseeded" in finding.message
 
-    def test_non_campaign_modules_are_out_of_scope(self, analysis):
-        # core.py holds the unseeded constructor but is not under a
-        # reliability/parallel/serve path; only consumption in campaign
-        # scope is flagged.
-        flagged = paths_flagged(UnrootedCampaignRngChecker(), analysis)
-        assert "core.py" not in flagged
+    def test_consumption_finding_lands_only_in_campaign_scope(self, analysis):
+        # core.py holds the unseeded constructor, which is flagged where
+        # it is built; it is not under a reliability/parallel/serve path,
+        # so no *consumption* finding lands there.
+        assert "core.py" in paths_flagged(UnrootedRngChecker(), analysis)
+        consumed = paths_flagged(
+            UnrootedRngChecker(), analysis, consumption_only=True
+        )
+        assert consumed == {"bad_runner.py"}
+
+
+def rpr002_lines(source, path):
+    return [
+        f.line
+        for f in lint_source(textwrap.dedent(source), path)
+        if f.rule == "RPR002"
+    ]
+
+
+class TestSameModuleChains:
+    """Two hops through helpers defined in the consuming module itself."""
+
+    PATH = "src/repro/parallel/m.py"
+
+    def test_unseeded_same_module_chain_is_flagged(self):
+        source = """\
+        import numpy as np
+        def bad():
+            return np.random.default_rng()
+        def use_bad():
+            g = bad()
+            return g.integers(0, 2)
+        """
+        # Line 3 is the construction; line 6 is the draw, visible only
+        # when ``bad()`` resolves to this module's ``bad``.
+        assert rpr002_lines(source, self.PATH) == [3, 6]
+
+    def test_rooted_same_module_chain_is_clean(self):
+        source = """\
+        import numpy as np
+        def rooted(seed):
+            return np.random.default_rng(np.random.SeedSequence(seed))
+        def passthrough(gen):
+            return gen
+        def use_rooted(seed):
+            g = passthrough(rooted(seed))
+            return g.integers(0, 2)
+        """
+        assert rpr002_lines(source, self.PATH) == []
 
 
 class TestRPR011:
@@ -92,40 +140,48 @@ class TestRPR012:
 
 
 class TestSeedRootedNames:
+    """Provenance is a flow fact: each name below is rooted (or not)."""
+
     def test_flow_rooted_chain_resolves_through_hops(self):
-        source = (
-            "import numpy as np\n"
-            "def run(root):\n"
-            "    tree = np.random.SeedSequence(root)\n"
-            "    child = tree.spawn(1)[0]\n"
-            "    rng = np.random.default_rng(child)\n"
-            "    return rng\n"
-        )
-        rooted = module_seed_rooted_names("src/repro/parallel/x.py", source)
-        assert {"tree", "child", "rng"} <= rooted
+        # A parallel-path constructor fed from each of tree, child and
+        # rng is clean only if that name carries seed-tree provenance.
+        source = """\
+        import random
+        import numpy as np
+        def run(root):
+            tree = np.random.SeedSequence(root)
+            child = tree.spawn(1)[0]
+            rng = np.random.default_rng(child)
+            a = np.random.default_rng(tree)
+            b = random.Random(rng.integers(2**32))
+            return rng, a, b
+        """
+        assert rpr002_lines(source, "src/repro/parallel/x.py") == []
 
     def test_unseeded_names_are_not_rooted(self):
-        source = (
-            "import numpy as np\n"
-            "def run():\n"
-            "    rng = np.random.default_rng()\n"
-            "    return rng\n"
-        )
-        rooted = module_seed_rooted_names("src/repro/parallel/y.py", source)
-        assert "rng" not in rooted
+        source = """\
+        import numpy as np
+        def run():
+            rng = np.random.default_rng()
+            seq = rng
+            other = np.random.default_rng(seq)
+            return other
+        """
+        # The unseeded construction, and the constructor fed from it.
+        assert rpr002_lines(source, "src/repro/parallel/y.py") == [3, 5]
 
 
 class TestRunnerIntegration:
     def test_project_rules_surface_through_lint_paths(self):
         report = lint_paths([FIXTURES], LintConfig())
         rules = {f.rule for f in report.findings}
-        assert {"RPR010", "RPR011", "RPR012"} <= rules
+        assert {"RPR002", "RPR011", "RPR012"} <= rules
 
-    def test_per_module_rpr006_accepts_flow_rooted_derivation(self):
+    def test_rng_rule_accepts_flow_rooted_derivation(self):
         # good_runner derives its seed through tree.spawn(1)[0]; the
-        # flow-fact upgrade of RPR006 must accept it.
+        # parallel-path constructor check must accept it.
         report = lint_paths([FIXTURES], LintConfig())
         assert not any(
-            f.rule == "RPR006" and f.path.endswith("good_runner.py")
+            f.rule == "RPR002" and f.path.endswith("good_runner.py")
             for f in report.findings
         )
