@@ -40,7 +40,7 @@ class BaselineCache:
 
     def set_backend(self, backend: Union[str, KernelBackend]) -> None:
         """Swap the kernel backend (per-line resolution is scheme-opaque,
-        so only the bulk dirty-population reduction routes through it)."""
+        so baselines accept it only to share the engines' signature)."""
         self.backend = resolve_backend(backend)
 
     # -- interface subclasses implement ------------------------------------------

@@ -4,8 +4,8 @@ This subpackage implements, from scratch, every code SuDoku and its
 baselines rely on:
 
 * :mod:`repro.coding.bitvec` -- bit-vector helpers over Python integers.
-* :mod:`repro.coding.parity` -- XOR parity lines and helpers for RAID-style
-  region parity.
+* :mod:`repro.coding.parity` -- the XOR fold behind RAID-style region
+  parity.
 * :mod:`repro.coding.crc` -- a generic cyclic-redundancy-check engine and the
   CRC-31 instance SuDoku attaches to every cache line.
 * :mod:`repro.coding.hamming` -- Hamming SEC / SEC-DED codes (the per-line
@@ -28,7 +28,7 @@ from repro.coding.crc import CRC, CRC31_SUDOKU, crc31
 from repro.coding.gf2m import GF2m
 from repro.coding.hamming import HammingSEC, HammingSECDED
 from repro.coding.bch import BCH
-from repro.coding.parity import ParityAccumulator, xor_reduce
+from repro.coding.parity import xor_reduce
 from repro.coding.interleave import BitInterleaver
 from repro.coding.crcdistance import (
     min_weight_multiple_bound,
@@ -50,7 +50,6 @@ __all__ = [
     "HammingSEC",
     "HammingSECDED",
     "BCH",
-    "ParityAccumulator",
     "xor_reduce",
     "BitInterleaver",
     "min_weight_multiple_bound",

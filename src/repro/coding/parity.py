@@ -1,18 +1,16 @@
-"""XOR parity helpers used by the RAID-style region protection schemes.
+"""XOR parity: the one fold every RAID-style region scheme shares.
 
 RAID-4 over cache lines reduces to integer XOR: the parity line of a
 RAID-Group is the XOR of every member line, and reconstructing one missing
-member is the XOR of the parity with every *other* member.  These helpers
-keep that arithmetic in one audited place, shared by SuDoku's Parity Line
-Table, the RAID-6 baseline (row + diagonal parity), and the 2DP baseline
-(horizontal + vertical parity).
+member is the XOR of the parity with every *other* member.
+:func:`xor_reduce` is that fold; SuDoku's RAID-4 group repair, the
+reference kernel backend's parity fold, and the CPPC and RAID-6
+baselines call it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
-
-from repro.coding.bitvec import mask_of, popcount
+from typing import Iterable
 
 
 def xor_reduce(values: Iterable[int]) -> int:
@@ -21,142 +19,3 @@ def xor_reduce(values: Iterable[int]) -> int:
     for value in values:
         result ^= value
     return result
-
-
-def reconstruct(parity: int, other_members: Iterable[int]) -> int:
-    """RAID-4 reconstruction of one missing member from parity + the rest."""
-    return parity ^ xor_reduce(other_members)
-
-
-class ParityAccumulator:
-    """Incrementally maintained XOR parity over a fixed set of slots.
-
-    This mirrors how hardware maintains the Parity Line Table: every write
-    to slot ``i`` XORs ``old ^ new`` into the running parity, so the
-    accumulator never needs to re-read the whole group.  ``rebuild`` is the
-    scrub-time ground-truth recomputation used to find mismatch positions.
-    """
-
-    def __init__(self, width: int) -> None:
-        if width <= 0:
-            raise ValueError("width must be positive")
-        self._width = width
-        self._mask = mask_of(width)
-        self._parity = 0
-
-    @property
-    def width(self) -> int:
-        """Bit width of the protected lines."""
-        return self._width
-
-    @property
-    def parity(self) -> int:
-        """Current parity value."""
-        return self._parity
-
-    def update(self, old_value: int, new_value: int) -> None:
-        """Fold an in-place overwrite of one member into the parity."""
-        self._check(old_value)
-        self._check(new_value)
-        self._parity ^= old_value ^ new_value
-
-    def set_parity(self, parity: int) -> None:
-        """Overwrite the stored parity (used when loading a PLT image)."""
-        self._check(parity)
-        self._parity = parity
-
-    def rebuild(self, members: Sequence[int]) -> int:
-        """Recompute parity from scratch over ``members`` and store it."""
-        for member in members:
-            self._check(member)
-        self._parity = xor_reduce(members)
-        return self._parity
-
-    def mismatch(self, members: Sequence[int]) -> int:
-        """Bit positions (as a vector) where stored parity disagrees.
-
-        The returned int has a 1 wherever the XOR of ``members`` differs
-        from the stored parity -- exactly the candidate-fault positions SDR
-        enumerates.
-        """
-        return self._parity ^ xor_reduce(members)
-
-    def _check(self, value: int) -> None:
-        if value < 0 or value > self._mask:
-            raise ValueError(f"value does not fit in {self._width} bits")
-
-
-def diagonal_parity(members: Sequence[int], width: int) -> int:
-    """Diagonal parity over a group of equal-width lines (RAID-6 style).
-
-    Bit ``d`` of the result is the XOR of ``members[i]`` bit
-    ``(d - i) mod width`` for all ``i`` -- i.e. parity along wrapping
-    diagonals of the (line x bit) matrix.  Together with row parity this
-    lets the RAID-6 baseline solve for two unknown lines.
-    """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    result = 0
-    for index, member in enumerate(members):
-        if member < 0 or member >> width:
-            raise ValueError(f"member {index} does not fit in {width} bits")
-        shift = index % width
-        rotated = ((member << shift) | (member >> (width - shift))) & mask_of(width)
-        result ^= rotated
-    return result
-
-
-def column_parities(members: Sequence[int], width: int) -> int:
-    """Vertical (column-wise) parity of a group: simply the XOR of members.
-
-    Provided as a named alias so 2DP call sites read as the paper describes
-    (horizontal parity per line, vertical parity per column).
-    """
-    for index, member in enumerate(members):
-        if member < 0 or member >> width:
-            raise ValueError(f"member {index} does not fit in {width} bits")
-    return xor_reduce(members)
-
-
-def row_parity_bits(members: Sequence[int]) -> List[int]:
-    """Horizontal (per-line) parity bit for each member line."""
-    return [popcount_parity(member) for member in members]
-
-
-def popcount_parity(value: int) -> int:
-    """Even/odd parity (0 or 1) of a non-negative integer.
-
-    Delegates to the shared :func:`repro.coding.bitvec.popcount` kernel
-    (``int.bit_count`` on 3.10+, table-driven on 3.9), which also owns
-    the single negative-value check.
-    """
-    return popcount(value) & 1
-
-
-def interleave_groups(num_items: int, group_size: int) -> Dict[int, List[int]]:
-    """Partition ``range(num_items)`` into strided groups of ``group_size``.
-
-    Item ``i`` joins group ``i % num_groups``; used for the "every Nth
-    line" style of grouping (the paper's Hash-2 illustration in Fig. 5).
-    """
-    if group_size <= 0:
-        raise ValueError("group_size must be positive")
-    if num_items % group_size:
-        raise ValueError("num_items must be a multiple of group_size")
-    num_groups = num_items // group_size
-    groups: Dict[int, List[int]] = {g: [] for g in range(num_groups)}
-    for item in range(num_items):
-        groups[item % num_groups].append(item)
-    return groups
-
-
-def contiguous_groups(num_items: int, group_size: int) -> Dict[int, List[int]]:
-    """Partition ``range(num_items)`` into consecutive runs of ``group_size``."""
-    if group_size <= 0:
-        raise ValueError("group_size must be positive")
-    if num_items % group_size:
-        raise ValueError("num_items must be a multiple of group_size")
-    return {
-        group: list(range(group * group_size, (group + 1) * group_size))
-        for group in range(num_items // group_size)
-    }

@@ -3,8 +3,7 @@
 A :class:`KernelBackend` supplies the per-group *bulk* operations the
 engines, injectors, and codecs would otherwise run as per-line Python
 loops: fault-vector scatter, burst mask folding, XOR parity folds,
-batched syndrome/CRC line decodes, and dirty-population reduction over
-plane-backed storage.
+and batched syndrome/CRC line decodes.
 
 The contract every backend must honour is **bit-identity**: for the
 same inputs, every operation returns exactly what the reference
@@ -83,20 +82,6 @@ class KernelBackend:
         codec).  Backends may exploit the promise to skip the
         syndrome/CRC machinery and only extract the payload.
         """
-        raise NotImplementedError
-
-    # -- dirty-population reduction ------------------------------------------------
-
-    def dirty_lines(
-        self, stored: Sequence[int], golden: Sequence[int]
-    ) -> List[int]:
-        """Sorted indices where the stored word diverges from golden."""
-        raise NotImplementedError
-
-    def dirty_from_planes(
-        self, stored: np.ndarray, golden: np.ndarray
-    ) -> List[int]:
-        """Plane-matrix variant of :meth:`dirty_lines` (same contract)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -210,19 +210,3 @@ class NumpyBackend(KernelBackend):
         return [
             LineDecode(DecodeStatus.CLEAN, word, extract(word)) for word in words
         ]
-
-    def dirty_lines(
-        self, stored: Sequence[int], golden: Sequence[int]
-    ) -> List[int]:
-        # Int-list storage: the comparison is already O(lines) with no
-        # per-line decode; numpy cannot beat it without a repack.
-        return [
-            index
-            for index, (stored_word, golden_word) in enumerate(zip(stored, golden))
-            if stored_word != golden_word
-        ]
-
-    def dirty_from_planes(
-        self, stored: np.ndarray, golden: np.ndarray
-    ) -> List[int]:
-        return np.flatnonzero((stored != golden).any(axis=1)).tolist()

@@ -8,15 +8,15 @@ code base already uses for CRC computation and PLT entry checksums
 (``value.to_bytes(..., "little")``), so packing is a straight
 reinterpretation, not a permutation.
 
-Conversions between the Python-int line representation (arbitrary
-precision, used by the reference backend and every public API) and the
-plane representation live here so the two backends and the plane-backed
-array storage agree on exactly one layout.
+The conversion from the Python-int line representation (arbitrary
+precision, used by the reference backend and every public API) to the
+plane representation lives here so every numpy kernel agrees on exactly
+one layout.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,17 +26,6 @@ def words_per_line(line_bits: int) -> int:
     if line_bits <= 0:
         raise ValueError("line_bits must be positive")
     return (line_bits + 63) // 64
-
-
-def pack_line(value: int, line_bits: int) -> np.ndarray:
-    """One line int -> a ``(words_per_line,)`` little-endian uint64 row."""
-    nbytes = words_per_line(line_bits) * 8
-    return np.frombuffer(value.to_bytes(nbytes, "little"), dtype="<u8")
-
-
-def unpack_line(row: np.ndarray) -> int:
-    """A plane row -> the line value as a Python int."""
-    return int.from_bytes(np.ascontiguousarray(row, dtype="<u8").tobytes(), "little")
 
 
 def pack_lines(values: Sequence[int], line_bits: int) -> np.ndarray:
@@ -55,14 +44,3 @@ def pack_lines(values: Sequence[int], line_bits: int) -> np.ndarray:
         buffer[offset:offset + nbytes] = value.to_bytes(nbytes, "little")
         offset += nbytes
     return np.frombuffer(bytes(buffer), dtype="<u8").reshape(len(values), wpl)
-
-
-def unpack_lines(rows: np.ndarray) -> List[int]:
-    """An ``(N, words_per_line)`` plane matrix -> line values as ints."""
-    matrix = np.ascontiguousarray(rows, dtype="<u8")
-    raw = matrix.tobytes()
-    nbytes = matrix.shape[1] * 8
-    return [
-        int.from_bytes(raw[offset:offset + nbytes], "little")
-        for offset in range(0, len(raw), nbytes)
-    ]

@@ -51,21 +51,3 @@ class ReferenceBackend(KernelBackend):
     def batch_decode_clean(self, codec, words: Sequence[int]) -> List[object]:
         # The clean promise buys nothing scalar-side; decode as usual.
         return [codec.decode(word) for word in words]
-
-    def dirty_lines(
-        self, stored: Sequence[int], golden: Sequence[int]
-    ) -> List[int]:
-        return [
-            index
-            for index, (stored_word, golden_word) in enumerate(zip(stored, golden))
-            if stored_word != golden_word
-        ]
-
-    def dirty_from_planes(
-        self, stored: np.ndarray, golden: np.ndarray
-    ) -> List[int]:
-        return [
-            index
-            for index in range(stored.shape[0])
-            if not bool(np.array_equal(stored[index], golden[index]))
-        ]

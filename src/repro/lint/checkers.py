@@ -426,12 +426,13 @@ class PerLineLoopChecker(Checker):
 
     Flags ``for ... in range(<...>.num_lines)`` (statements and
     comprehensions alike).  Walking the array one line at a time in
-    Python is exactly the pattern the :mod:`repro.kernels` backends
-    exist to replace: bulk work belongs in ``scrub_frames`` /
-    ``batch_decode`` / the dirty-line reductions, where the numpy
-    backend can vectorize it over bit-planes.  The reference backend is
-    the one sanctioned home of the scalar loops (exempt by config);
-    pre-existing sites are grandfathered in the baseline.
+    Python makes the cost follow the line count instead of the fault
+    count: bulk work belongs on the array's dirty-frame index
+    (``dirty_frames``, ``scrub_frames``) or in a :mod:`repro.kernels`
+    batch (``batch_decode``), where the numpy backend can vectorize it
+    over bit-planes.  The reference backend is the one sanctioned home
+    of the scalar loops (exempt by config); the few sites where
+    O(lines) is the semantics carry an inline suppression.
     """
 
     rule = "RPR009"
@@ -474,8 +475,7 @@ class PerLineLoopChecker(Checker):
         yield self.finding(
             iterator,
             ctx,
-            "per-line Python loop over array storage; route the bulk "
-            "operation through a repro.kernels backend (scrub_frames, "
-            "batch decode, dirty-line reduction) instead of walking "
-            "range(num_lines)",
+            "per-line Python loop over array storage; walk the dirty-frame "
+            "index (dirty_frames, scrub_frames) or a repro.kernels batch "
+            "decode instead of range(num_lines)",
         )

@@ -19,6 +19,9 @@ over a multiprocessing queue pumped on a fixed tick.  The lifecycle:
   after a restart resumes from the boundary instead of starting over --
   and, because checkpointed campaigns are bit-identically resumable,
   the final result equals an uninterrupted run.
+* Terminal jobs past :data:`MAX_TERMINAL_JOBS` leave the job table,
+  oldest first, so memory does not grow with requests; their results
+  stay in the store and a resubmission is still a store hit.
 * ``drain`` (SIGTERM) stops claiming, flips every running job's cancel
   event, and waits under a :class:`~repro.resilience.Deadline` for the
   workers to stop at a trial boundary and flush checkpoints.
@@ -32,9 +35,10 @@ import multiprocessing
 import os
 import signal
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from queue import Empty
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry, ProgressReporter, Telemetry
 from repro.obs.export import metrics_snapshot
@@ -63,6 +67,10 @@ _START_METHOD = (
 
 #: Job states; "done", "failed", and "cancelled" are terminal.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+#: Terminal jobs kept in ``Scheduler.jobs``, oldest evicted first.  A
+#: finished result outlives its job record: it stays in the store.
+MAX_TERMINAL_JOBS = 1024
 
 
 def _raise_interrupt(signum, frame):  # pragma: no cover - signal path
@@ -229,6 +237,7 @@ class Scheduler:
         self.jobs: Dict[str, Job] = {}
         self.running: Dict[str, Job] = {}
         self.active_by_digest: Dict[str, str] = {}
+        self._terminal: Deque[str] = deque()
         self.draining = False
         self._counter = 0
         self._context = multiprocessing.get_context(_START_METHOD)
@@ -278,6 +287,7 @@ class Scheduler:
             job.status = "done"
             job.cached = True
             self._publish(job, "done", {"digest": digest, "cached": True})
+            self._retire(job)
             return job, False
         job = self._new_job(spec, digest, tenant, priority)
         self.active_by_digest[digest] = job.job_id
@@ -301,6 +311,16 @@ class Scheduler:
         )
         self.jobs[job.job_id] = job
         return job
+
+    def _retire(self, job: Job) -> None:
+        """Record a terminal job; evict the oldest past the cap.
+
+        Only terminal jobs are ever evicted: queued and running ones
+        stay reachable through ``active_by_digest`` and ``running``.
+        """
+        self._terminal.append(job.job_id)
+        while len(self._terminal) > MAX_TERMINAL_JOBS:
+            self.jobs.pop(self._terminal.popleft(), None)
 
     # -- events -------------------------------------------------------------------
 
@@ -496,6 +516,7 @@ class Scheduler:
         if job.error:
             data["error"] = job.error.strip().splitlines()[-1]
         self._publish(job, status, data)
+        self._retire(job)
 
     # -- drain --------------------------------------------------------------------
 

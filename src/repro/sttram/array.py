@@ -1,18 +1,23 @@
 """A bit-level array of encoded lines that faults act on.
 
-:class:`STTRAMArray` holds, per line, both the *stored* value (which
+:class:`STTRAMArray` tracks, per line, both the *stored* value (which
 faults corrupt) and the *golden* value (what was last written).  The
 golden copy is simulator bookkeeping, not hardware: it is what lets the
 Monte-Carlo harness classify every correction attempt as success,
 detectable-uncorrectable (DUE), or silent data corruption (SDC).
 
-The array additionally maintains a *dirty-frame set*: the indices whose
-stored word currently diverges from golden.  Every mutation keeps it
-exact (``write`` cleans, ``inject``/``restore`` compare against golden),
-so membership is O(1) and enumerating the faulty population is O(dirty)
-instead of O(lines) -- the index behind the sparse scrub fast path
+Storage follows the faults, not the line count.  A *fill word* is the
+golden value of every line never written on its own (``format()`` sets
+it to the encoded zero line); ``_written`` holds the golden values that
+differ from it; ``_diverged`` holds the stored word of every line whose
+stored copy differs from its golden.  The key set of ``_diverged`` *is*
+the *dirty-frame set*: every mutation keeps it exact (``write`` cleans,
+``inject``/``restore`` compare against golden), so membership is O(1)
+and enumerating the faulty population is O(dirty) instead of O(lines)
+-- the index behind the sparse scrub fast path
 (:meth:`repro.sttram.scrub.ScrubEngine.scrub_pass` with ``sparse=True``)
-and the campaign ``heal`` step.
+and the campaign ``heal`` step.  A healed line simply leaves
+``_diverged``, so memory does not grow with the lines ever repaired.
 
 Permanent (stuck-at) faults attach via :meth:`attach_permanent_faults`.
 Stuck bits re-assert through every ``write``/``restore``/``inject``:
@@ -32,84 +37,31 @@ for the scrub fast path:
 from __future__ import annotations
 
 import random as _stdlib_random
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.coding.bitvec import mask_of, popcount, random_bits
 from repro.core.rng import SeedLike, resolve_rng
-from repro.kernels.planes import pack_line, unpack_line, words_per_line
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (faults imports array)
-    from repro.kernels.interface import KernelBackend
     from repro.sttram.faults import PermanentFaultMap
-
-#: Valid ``STTRAMArray(storage=...)`` modes.
-STORAGE_MODES = ("list", "planes")
-
-
-class _PlaneStore:
-    """List-protocol facade over an ``(N, words_per_line)`` uint64 matrix.
-
-    Lines read and write as Python ints (so every existing call site and
-    the reference backend work unchanged), while the backing store stays
-    a contiguous bit-plane matrix the numpy kernels can reduce over
-    without repacking (see :meth:`STTRAMArray.recompute_dirty_frames`).
-    """
-
-    __slots__ = ("_planes",)
-
-    def __init__(self, num_lines: int, line_bits: int) -> None:
-        self._planes = np.zeros(
-            (num_lines, words_per_line(line_bits)), dtype=np.uint64
-        )
-
-    @property
-    def planes(self) -> np.ndarray:
-        """The backing ``(N, words_per_line)`` uint64 matrix."""
-        return self._planes
-
-    def __getitem__(self, index: int) -> int:
-        return unpack_line(self._planes[index])
-
-    def __setitem__(self, index: int, value: int) -> None:
-        self._planes[index] = pack_line(value, self._planes.shape[1] * 64)
-
-    def __len__(self) -> int:
-        return self._planes.shape[0]
-
-    def __iter__(self) -> Iterator[int]:
-        raw = self._planes.tobytes()
-        nbytes = self._planes.shape[1] * 8
-        for offset in range(0, len(raw), nbytes):
-            yield int.from_bytes(raw[offset:offset + nbytes], "little")
 
 
 class STTRAMArray:
     """Fixed-geometry array of ``num_lines`` lines of ``line_bits`` bits."""
 
-    def __init__(
-        self, num_lines: int, line_bits: int, *, storage: str = "list"
-    ) -> None:
+    def __init__(self, num_lines: int, line_bits: int) -> None:
         if num_lines <= 0:
             raise ValueError("num_lines must be positive")
         if line_bits <= 0:
             raise ValueError("line_bits must be positive")
-        if storage not in STORAGE_MODES:
-            raise ValueError(
-                f"unknown storage mode {storage!r}; expected one of {STORAGE_MODES}"
-            )
         self.num_lines = num_lines
         self.line_bits = line_bits
-        self.storage = storage
         self._mask = mask_of(line_bits)
-        if storage == "planes":
-            self._stored = _PlaneStore(num_lines, line_bits)
-            self._golden = _PlaneStore(num_lines, line_bits)
-        else:
-            self._stored = [0] * num_lines
-            self._golden = [0] * num_lines
-        self._dirty: Set[int] = set()
+        self._fill = 0
+        self._written: Dict[int, int] = {}
+        self._diverged: Dict[int, int] = {}
         self._fault_map: Optional["PermanentFaultMap"] = None
 
     # -- permanent faults -------------------------------------------------------
@@ -133,9 +85,18 @@ class STTRAMArray:
             for line_index in masks:
                 self._check(line_index, 0)
         self._fault_map = fault_map
+        self._assert_stuck_bits()
+
+    def _assert_stuck_bits(self) -> None:
+        """Re-read every stuck line through its mask (O(stuck lines))."""
+        fault_map = self._fault_map
+        if fault_map is None:
+            return
         touched = set(fault_map.stuck_at_one) | set(fault_map.stuck_at_zero)
         for index in touched:
-            self._settle(index, fault_map.apply(index, self._stored[index]))
+            golden = self._written.get(index, self._fill)
+            stored = self._diverged.get(index, golden)
+            self._settle(index, fault_map.apply(index, stored), golden)
 
     @property
     def has_permanent_faults(self) -> bool:
@@ -153,20 +114,12 @@ class STTRAMArray:
             return value
         return self._fault_map.apply(index, value)
 
-    def _settle(self, index: int, stored: int) -> None:
-        """Store a line's new value and keep the dirty set exact.
-
-        A value equal to golden is stored *as* the golden object, so a
-        repaired line holds no int of its own: memory follows the dirty
-        count, not the number of lines ever repaired.
-        """
-        golden = self._golden[index]
+    def _settle(self, index: int, stored: int, golden: int) -> None:
+        """Store a line's new value and keep the dirty set exact."""
         if stored == golden:
-            self._stored[index] = golden
-            self._dirty.discard(index)
+            self._diverged.pop(index, None)
         else:
-            self._stored[index] = stored
-            self._dirty.add(index)
+            self._diverged[index] = stored
 
     # -- access ---------------------------------------------------------------
 
@@ -181,24 +134,23 @@ class STTRAMArray:
         re-encountering).
         """
         self._check(index, value)
-        previous = self._stored[index]
-        self._stored[index] = self._through_faults(index, value)
-        self._golden[index] = value
-        if self._stored[index] != value:
-            self._dirty.add(index)
+        previous = self._diverged.get(index, self._written.get(index, self._fill))
+        if value == self._fill:
+            self._written.pop(index, None)
         else:
-            self._dirty.discard(index)
+            self._written[index] = value
+        self._settle(index, self._through_faults(index, value), value)
         return previous
 
     def read(self, index: int) -> int:
         """Read the stored (possibly corrupted) value."""
         self._check(index, 0)
-        return self._stored[index]
+        return self._diverged.get(index, self._written.get(index, self._fill))
 
     def golden(self, index: int) -> int:
         """The last value actually written (fault-free reference)."""
         self._check(index, 0)
-        return self._golden[index]
+        return self._written.get(index, self._fill)
 
     # -- fault manipulation -----------------------------------------------------
 
@@ -210,9 +162,9 @@ class STTRAMArray:
         stuck mask.
         """
         self._check(index, error_vector)
-        self._settle(
-            index, self._through_faults(index, self._stored[index] ^ error_vector)
-        )
+        golden = self._written.get(index, self._fill)
+        stored = self._diverged.get(index, golden) ^ error_vector
+        self._settle(index, self._through_faults(index, stored), golden)
 
     def restore(self, index: int, value: int) -> None:
         """Write back a corrected value without touching golden.
@@ -224,12 +176,17 @@ class STTRAMArray:
         line still leaves the stuck bits wrong in storage.
         """
         self._check(index, value)
-        self._settle(index, self._through_faults(index, value))
+        self._settle(
+            index,
+            self._through_faults(index, value),
+            self._written.get(index, self._fill),
+        )
 
     def error_vector(self, index: int) -> int:
         """Current stored-vs-golden difference mask."""
         self._check(index, 0)
-        return self._stored[index] ^ self._golden[index]
+        golden = self._written.get(index, self._fill)
+        return self._diverged.get(index, golden) ^ golden
 
     def residual_vector(self, index: int) -> int:
         """Stored-vs-golden difference beyond what stuck bits force.
@@ -239,8 +196,9 @@ class STTRAMArray:
         its polarity.
         """
         self._check(index, 0)
-        return self._stored[index] ^ self._through_faults(
-            index, self._golden[index]
+        golden = self._written.get(index, self._fill)
+        return self._diverged.get(index, golden) ^ self._through_faults(
+            index, golden
         )
 
     def is_clean(self, index: int) -> bool:
@@ -257,7 +215,7 @@ class STTRAMArray:
 
     def is_dirty(self, index: int) -> bool:
         """O(1) membership test against the dirty-frame set."""
-        return index in self._dirty
+        return index in self._diverged
 
     def dirty_frames(self) -> List[int]:
         """Sorted indices whose stored word diverges from golden.
@@ -267,35 +225,12 @@ class STTRAMArray:
         (group repairs consume parity state, so visit order matters for
         bit-identical outcome accounting).
         """
-        return sorted(self._dirty)
-
-    def recompute_dirty_frames(
-        self, backend: Optional["KernelBackend"] = None
-    ) -> List[int]:
-        """Rebuild the dirty set from a full stored-vs-golden sweep.
-
-        The incremental set is exact by construction; this is the
-        audit / bulk path (checkpoint restore, equivalence tests) routed
-        through the kernel backend's dirty-population reduction: a
-        whole-matrix compare in plane mode, the plain zip walk in list
-        mode.  Returns the sorted dirty indices.
-        """
-        from repro.kernels import resolve_backend
-
-        kernels = resolve_backend(backend)
-        if isinstance(self._stored, _PlaneStore):
-            dirty = kernels.dirty_from_planes(
-                self._stored.planes, self._golden.planes
-            )
-        else:
-            dirty = kernels.dirty_lines(self._stored, self._golden)
-        self._dirty = set(dirty)
-        return sorted(dirty)
+        return sorted(self._diverged)
 
     @property
     def dirty_count(self) -> int:
         """Number of currently dirty frames (O(1))."""
-        return len(self._dirty)
+        return len(self._diverged)
 
     def faulty_lines(self) -> List[int]:
         """Indices of lines whose stored value differs from golden."""
@@ -303,9 +238,10 @@ class STTRAMArray:
 
     def total_faulty_bits(self) -> int:
         """Total number of corrupted bits across the array (O(dirty))."""
+        fill, written = self._fill, self._written
         return sum(
-            popcount(self._stored[index] ^ self._golden[index])
-            for index in self._dirty
+            popcount(stored ^ written.get(index, fill))
+            for index, stored in self._diverged.items()
         )
 
     # -- bulk helpers -------------------------------------------------------------
@@ -314,22 +250,15 @@ class STTRAMArray:
         """Write one value to every line: the bulk formatting primitive.
 
         Semantically identical to ``write(index, value)`` over every
-        index; cache ``_format`` paths route here so the per-line walk
-        lives in one sanctioned place next to the storage it owns.  In
-        plane mode with no stuck-at map the fill is a single broadcast
-        into the bit-plane matrix.
+        index, at O(stuck lines) cost: the value becomes the fill word,
+        both sparse maps empty, and stuck bits re-assert on the lines
+        that have them.
         """
         self._check(0, value)
-        if self._fault_map is None and isinstance(self._stored, _PlaneStore):
-            packed = pack_line(value, self._stored.planes.shape[1] * 64)
-            self._stored.planes[:] = packed
-            self._golden.planes[:] = packed
-            self._dirty.clear()
-            return
-        # The sanctioned scalar fill: stuck bits must re-assert per line.
-        # repro-lint: disable=RPR009
-        for index in range(self.num_lines):
-            self.write(index, value)
+        self._fill = value
+        self._written.clear()
+        self._diverged.clear()
+        self._assert_stuck_bits()
 
     def fill_random(
         self,
@@ -358,7 +287,13 @@ class STTRAMArray:
         return self.num_lines
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._stored)
+        """Every line's stored word in index order (O(lines))."""
+        words = [self._fill] * self.num_lines
+        for index, value in self._written.items():
+            words[index] = value
+        for index, value in self._diverged.items():
+            words[index] = value
+        return iter(words)
 
     def _check(self, index: int, value: int) -> None:
         if not 0 <= index < self.num_lines:

@@ -2,20 +2,9 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coding.parity import (
-    ParityAccumulator,
-    column_parities,
-    contiguous_groups,
-    diagonal_parity,
-    interleave_groups,
-    popcount_parity,
-    reconstruct,
-    row_parity_bits,
-    xor_reduce,
-)
+from repro.coding.parity import xor_reduce
 
 
 class TestXorReduce:
@@ -31,103 +20,15 @@ class TestXorReduce:
 
 
 class TestReconstruct:
+    """RAID-4 reconstruction is the fold of the parity with the rest."""
+
     def test_recovers_missing_member(self):
         rng = random.Random(1)
         members = [rng.getrandbits(64) for _ in range(8)]
         parity = xor_reduce(members)
         for index in range(8):
             others = members[:index] + members[index + 1 :]
-            assert reconstruct(parity, others) == members[index]
-
-
-class TestParityAccumulator:
-    def test_incremental_matches_rebuild(self):
-        rng = random.Random(2)
-        width = 64
-        members = [0] * 8
-        accumulator = ParityAccumulator(width)
-        for _ in range(100):
-            slot = rng.randrange(8)
-            new_value = rng.getrandbits(width)
-            accumulator.update(members[slot], new_value)
-            members[slot] = new_value
-        assert accumulator.parity == xor_reduce(members)
-        assert accumulator.mismatch(members) == 0
-
-    def test_mismatch_localises_error(self):
-        members = [0b1111, 0b0000]
-        accumulator = ParityAccumulator(4)
-        accumulator.rebuild(members)
-        members[0] ^= 0b0101  # corrupt two bits
-        assert accumulator.mismatch(members) == 0b0101
-
-    def test_width_validation(self):
-        accumulator = ParityAccumulator(4)
-        with pytest.raises(ValueError):
-            accumulator.update(0, 16)
-        with pytest.raises(ValueError):
-            ParityAccumulator(0)
-
-    def test_set_parity(self):
-        accumulator = ParityAccumulator(8)
-        accumulator.set_parity(0xAB)
-        assert accumulator.parity == 0xAB
-
-
-class TestDiagonalParity:
-    def test_zero_members(self):
-        assert diagonal_parity([0, 0, 0], 8) == 0
-
-    def test_single_member_identity(self):
-        assert diagonal_parity([0b1010], 8) == 0b1010
-
-    def test_rotation_applied_per_position(self):
-        # Member 1 is rotated left by 1.
-        assert diagonal_parity([0, 0b0001], 4) == 0b0010
-
-    def test_wraparound(self):
-        assert diagonal_parity([0, 0b1000], 4) == 0b0001
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            diagonal_parity([16], 4)
-
-
-class TestRowAndColumnParity:
-    def test_column_parities_is_xor(self):
-        members = [0b11, 0b01]
-        assert column_parities(members, 2) == 0b10
-
-    def test_row_parity_bits(self):
-        assert row_parity_bits([0b111, 0b11, 0]) == [1, 0, 0]
-
-    def test_popcount_parity(self):
-        assert popcount_parity(0b101) == 0
-        assert popcount_parity(0b111) == 1
-        with pytest.raises(ValueError):
-            popcount_parity(-1)
-
-
-class TestGroupPartitions:
-    def test_contiguous(self):
-        groups = contiguous_groups(8, 4)
-        assert groups == {0: [0, 1, 2, 3], 1: [4, 5, 6, 7]}
-
-    def test_interleaved(self):
-        groups = interleave_groups(8, 4)
-        assert groups == {0: [0, 2, 4, 6], 1: [1, 3, 5, 7]}
-
-    def test_partitions_are_disjoint_and_complete(self):
-        for builder in (contiguous_groups, interleave_groups):
-            groups = builder(64, 8)
-            seen = sorted(item for members in groups.values() for item in members)
-            assert seen == list(range(64))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            contiguous_groups(10, 4)
-        with pytest.raises(ValueError):
-            interleave_groups(10, 4)
+            assert xor_reduce([parity, *others]) == members[index]
 
 
 @settings(max_examples=50)
@@ -136,4 +37,4 @@ def test_property_reconstruct_any_member(members):
     parity = xor_reduce(members)
     index = len(members) // 2
     others = members[:index] + members[index + 1 :]
-    assert reconstruct(parity, others) == members[index]
+    assert xor_reduce([parity, *others]) == members[index]

@@ -23,13 +23,7 @@ import pytest
 from repro.coding.bitvec import bit_positions, random_bits
 from repro.coding.interleave import BitInterleaver
 from repro.kernels import BACKEND_NAMES, get_backend, resolve_backend
-from repro.kernels.planes import (
-    pack_line,
-    pack_lines,
-    unpack_line,
-    unpack_lines,
-    words_per_line,
-)
+from repro.kernels.planes import pack_lines, words_per_line
 from repro.reliability.scenario import (
     SCHEMES,
     BurstSpec,
@@ -179,84 +173,30 @@ class TestCampaignAndRaresimBackends:
         assert results[0] == results[1]
 
 
-class TestPlaneStorageMode:
-    """The plane-backed array storage is observably identical to lists."""
-
-    @staticmethod
-    def _twin_arrays(num_lines=12, line_bits=553, seed=31):
-        from repro.sttram.array import STTRAMArray
-
-        rng = random.Random(seed)
-        arrays = [
-            STTRAMArray(num_lines, line_bits, storage=storage)
-            for storage in ("list", "planes")
-        ]
-        for index in range(num_lines):
-            value = random_bits(line_bits, rng)
-            for array in arrays:
-                array.write(index, value)
-        return arrays
-
-    def test_write_inject_restore_agree(self):
-        list_array, plane_array = self._twin_arrays()
-        rng = random.Random(32)
-        for index in range(len(list_array)):
-            if rng.random() < 0.5:
-                vector = random_bits(553, rng)
-                list_array.inject(index, vector)
-                plane_array.inject(index, vector)
-        for index in range(len(list_array)):
-            assert plane_array.read(index) == list_array.read(index)
-            assert plane_array.golden(index) == list_array.golden(index)
-            assert plane_array.is_dirty(index) == list_array.is_dirty(index)
-        assert plane_array.dirty_frames() == list_array.dirty_frames()
-        assert list(plane_array) == list(list_array)
-
-    def test_recompute_dirty_frames_agrees_across_backends(self):
-        list_array, plane_array = self._twin_arrays(seed=33)
-        rng = random.Random(34)
-        for index in (1, 4, 9):
-            vector = 1 << rng.randrange(553)
-            list_array.inject(index, vector)
-            plane_array.inject(index, vector)
-        expected = list_array.dirty_frames()
-        for backend in BACKEND_NAMES:
-            assert (
-                plane_array.recompute_dirty_frames(backend) == expected
-            )
-            assert (
-                list_array.recompute_dirty_frames(backend) == expected
-            )
-
-    def test_invalid_storage_mode_rejected(self):
-        from repro.sttram.array import STTRAMArray
-
-        with pytest.raises(ValueError, match="storage"):
-            STTRAMArray(4, 64, storage="sqlite")
-
-
 class TestPlanePacking:
     """Property tests: the plane layout is the little-endian layout."""
 
     WIDTHS = (1, 7, 64, 65, 128, 553)
+
+    @staticmethod
+    def _unpack(row):
+        return int.from_bytes(row.tobytes(), "little")
 
     def test_round_trip_random_lines(self):
         rng = random.Random(41)
         for width in self.WIDTHS:
             values = [random_bits(width, rng) for _ in range(64)]
             values += [0, (1 << width) - 1, 1 << (width - 1)]
-            for value in values:
-                assert unpack_line(pack_line(value, width)) == value
             matrix = pack_lines(values, width)
             assert matrix.shape == (len(values), words_per_line(width))
-            assert unpack_lines(matrix) == values
+            assert [self._unpack(row) for row in matrix] == values
 
     def test_bit_layout_matches_bitvec(self):
         """Bit b of line value lives at word b//64, offset b%64."""
         rng = random.Random(42)
         for width in self.WIDTHS:
             value = random_bits(width, rng)
-            row = pack_line(value, width)
+            row = pack_lines([value], width)[0]
             unpacked = {
                 word * 64 + offset
                 for word in range(row.shape[0])
@@ -265,12 +205,13 @@ class TestPlanePacking:
             }
             assert unpacked == set(bit_positions(value))
 
-    def test_pack_lines_matches_pack_line(self):
+    def test_pack_lines_matches_to_bytes(self):
         rng = random.Random(43)
         values = [random_bits(553, rng) for _ in range(32)]
         matrix = pack_lines(values, 553)
+        nbytes = words_per_line(553) * 8
         for index, value in enumerate(values):
-            assert np.array_equal(matrix[index], pack_line(value, 553))
+            assert matrix[index].tobytes() == value.to_bytes(nbytes, "little")
 
     def test_round_trip_through_interleaver(self):
         """Interleaved rows survive the plane representation exactly."""
@@ -279,9 +220,9 @@ class TestPlanePacking:
             interleaver = BitInterleaver(line_bits=553, depth=depth)
             lines = [random_bits(553, rng) for _ in range(depth)]
             row_value = interleaver.interleave(lines)
-            packed = pack_line(row_value, interleaver.row_bits)
-            assert unpack_line(packed) == row_value
-            assert interleaver.deinterleave(unpack_line(packed)) == lines
+            packed = pack_lines([row_value], interleaver.row_bits)[0]
+            assert self._unpack(packed) == row_value
+            assert interleaver.deinterleave(self._unpack(packed)) == lines
 
     def test_xor_fold_matches_reference(self):
         rng = random.Random(45)

@@ -10,7 +10,11 @@ import asyncio
 import json
 import os
 
+from repro.serve import scheduler as scheduler_module
 from repro.serve.app import ServeApp
+from repro.serve.scheduler import Scheduler
+from repro.serve.specs import parse_submission
+from repro.serve.store import ResultStore
 
 SPEC = {
     "kind": "campaign", "level": "Z", "ber": 2e-3,
@@ -192,6 +196,52 @@ class TestSubmitAndDedup:
                 _, again = await _request(port, "POST", "/v1/jobs", hinted)
                 assert again["cached"]
                 assert again["digest"] == job["digest"]
+
+        asyncio.run(scenario())
+
+
+class TestJobTableBound:
+    CAP = 8
+
+    def test_cached_resubmissions_keep_the_table_bounded(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler_module, "MAX_TERMINAL_JOBS", self.CAP)
+        scheduler = Scheduler(ResultStore(str(tmp_path / "store")), str(tmp_path))
+        spec, _, _ = parse_submission(SPEC)
+        stored = scheduler.store.put(spec.digest(), {"result": {"ok": True}})
+        queued, created = scheduler.submit(dict(SPEC, seed=99))
+        assert created and queued.status == "queued"
+        for _ in range(3 * self.CAP):
+            job, created = scheduler.submit(SPEC)
+            assert job.cached and job.status == "done" and not created
+        # Every cached job past the cap is gone; the queued one is not.
+        assert len(scheduler.jobs) == self.CAP + 1
+        assert scheduler.jobs[queued.job_id] is queued
+        assert scheduler.active_by_digest[queued.digest] == queued.job_id
+        assert job.job_id in scheduler.jobs
+        assert scheduler.store.get_bytes(job.digest) == stored
+
+    def test_fresh_resubmission_after_eviction_serves_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(scheduler_module, "MAX_TERMINAL_JOBS", self.CAP)
+
+        async def scenario():
+            async with _RunningApp(tmp_path, workers=1) as running:
+                port = running.port
+                _, job = await _request(port, "POST", "/v1/jobs", SPEC)
+                await _sse_events(port, job["job_id"])
+                _, first_bytes = await _raw_result(port, job["digest"])
+                for _ in range(2 * self.CAP):
+                    await _request(port, "POST", "/v1/jobs", SPEC)
+                jobs = running.app.scheduler.jobs
+                assert len(jobs) == self.CAP
+                assert job["job_id"] not in jobs
+                status, again = await _request(port, "POST", "/v1/jobs", SPEC)
+                assert status == 200 and again["cached"]
+                status, body = await _raw_result(port, again["digest"])
+                assert status == 200 and body == first_bytes
 
         asyncio.run(scenario())
 

@@ -1,9 +1,13 @@
 """Unit tests for repro.sttram.array."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.sttram.array import STTRAMArray
+from repro.sttram.faults import FaultKind, PermanentFaultMap
 
 
 class TestBasics:
@@ -161,7 +165,7 @@ class TestBulk:
 
 
 class TestMemoryFollowsFaults:
-    """A line back at golden shares golden's int object."""
+    """Storage follows the dirty count, not the lines or the repairs."""
 
     def test_restore_and_inject_share_golden(self):
         array = STTRAMArray(4, 600)
@@ -178,7 +182,7 @@ class TestMemoryFollowsFaults:
         from repro.core.engine import build_engine
         from repro.reliability.montecarlo import run_engine_campaign
 
-        array = STTRAMArray(256, 553, storage="list")
+        array = STTRAMArray(256, 553)
         engine = build_engine("Z", array, group_size=16)
         result = run_engine_campaign(
             engine, ber=2e-5, intervals=40, randomize_content=False, seed=11,
@@ -186,4 +190,131 @@ class TestMemoryFollowsFaults:
         # Repairs only (no heal ran); RAID-4 write-backs count too.
         assert result.interval_failures == 0
         assert result.outcomes["corrected_ecc1"] > 20
-        assert len({id(word) for word in array}) <= 1 + array.dirty_count
+        assert array.dirty_count == 0
+        assert array._diverged == {} and array._written == {}
+
+    def test_z_engine_build_at_4m_lines_allocates_under_8mb(self):
+        from repro.core.engine import build_engine
+        from repro.core.linecodec import LineCodec
+
+        codec = LineCodec()
+        # Warm the codec and kernel tables so only the build is measured.
+        build_engine("Z", STTRAMArray(2 ** 18, codec.stored_bits),
+                     group_size=512, codec=codec, backend="numpy")
+        tracemalloc.start()
+        try:
+            array = STTRAMArray(2 ** 22, codec.stored_bits)
+            engine = build_engine(
+                "Z", array, group_size=512, codec=codec, backend="numpy"
+            )
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert engine.array is array
+        assert allocated < 8 * 2 ** 20
+
+
+class _TwoListModel:
+    """The naive storage: full stored and golden lists, brute-force scans."""
+
+    def __init__(self, num_lines, line_bits):
+        self.stored = [0] * num_lines
+        self.golden = [0] * num_lines
+        self.fault_map = None
+
+    def through(self, index, value):
+        if self.fault_map is None:
+            return value
+        return self.fault_map.apply(index, value)
+
+    def attach(self, fault_map):
+        self.fault_map = fault_map
+        for index, value in enumerate(self.stored):
+            self.stored[index] = self.through(index, value)
+
+    def write(self, index, value):
+        previous = self.stored[index]
+        self.stored[index] = self.through(index, value)
+        self.golden[index] = value
+        return previous
+
+    def inject(self, index, vector):
+        self.stored[index] = self.through(index, self.stored[index] ^ vector)
+
+    def restore(self, index, value):
+        self.stored[index] = self.through(index, value)
+
+    def fill_word(self, value):
+        for index in range(len(self.stored)):
+            self.write(index, value)
+
+
+class TestMatchesTwoListModel:
+    """Fill word + sparse maps observe exactly what two full lists do."""
+
+    LINES = 24
+    BITS = 40
+
+    def _assert_same(self, array, model):
+        for index in range(self.LINES):
+            stored, golden = model.stored[index], model.golden[index]
+            residual = stored ^ model.through(index, golden)
+            assert array.read(index) == stored
+            assert array.golden(index) == golden
+            assert array.is_dirty(index) == (stored != golden)
+            assert array.is_clean(index) == (residual == 0)
+            assert array.error_vector(index) == stored ^ golden
+            assert array.residual_vector(index) == residual
+        pairs = list(zip(model.stored, model.golden))
+        assert array.dirty_frames() == [
+            index for index, (s, g) in enumerate(pairs) if s != g
+        ]
+        assert array.dirty_count == len(array.dirty_frames())
+        assert array.total_faulty_bits() == sum(
+            bin(s ^ g).count("1") for s, g in pairs
+        )
+        assert list(array) == model.stored
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_operation_sequences(self, seed):
+        rng = random.Random(seed)
+        array = STTRAMArray(self.LINES, self.BITS)
+        model = _TwoListModel(self.LINES, self.BITS)
+        attach_at = rng.randrange(40, 120)
+        # A small pool of values makes writes of the fill word, repairs
+        # back to golden and cancelling injections common.
+        pool = [rng.getrandbits(self.BITS) for _ in range(4)]
+        for step in range(300):
+            if step == attach_at:
+                fault_map = PermanentFaultMap(line_bits=self.BITS)
+                for _ in range(10):
+                    kind = rng.choice(
+                        (FaultKind.STUCK_AT_ONE, FaultKind.STUCK_AT_ZERO)
+                    )
+                    try:
+                        fault_map.add(
+                            rng.randrange(self.LINES),
+                            rng.randrange(self.BITS), kind,
+                        )
+                    except ValueError:
+                        pass  # the opposite polarity is already stuck
+                array.attach_permanent_faults(fault_map)
+                model.attach(fault_map)
+            index = rng.randrange(self.LINES)
+            op = rng.random()
+            if op < 0.3:
+                value = rng.choice(pool)
+                assert array.write(index, value) == model.write(index, value)
+            elif op < 0.6:
+                vector = 1 << rng.randrange(self.BITS)
+                array.inject(index, vector)
+                model.inject(index, vector)
+            elif op < 0.9:
+                value = rng.choice((model.golden[index], rng.choice(pool)))
+                array.restore(index, value)
+                model.restore(index, value)
+            else:
+                value = rng.choice(pool)
+                array.fill_word(value)
+                model.fill_word(value)
+            self._assert_same(array, model)
