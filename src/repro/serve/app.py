@@ -9,7 +9,7 @@ Routes (all JSON; connections are one-shot, ``Connection: close``):
   joins it instead of re-running.
 * ``GET /v1/jobs`` -- all jobs plus the queue snapshot.
 * ``GET /v1/jobs/<id>`` -- one job record.
-* ``DELETE /v1/jobs/<id>`` -- request cancellation of a running job.
+* ``DELETE /v1/jobs/<id>`` -- cancel a running or queued job.
 * ``GET /v1/jobs/<id>/events`` -- Server-Sent Events: the job's event
   history replayed, then live ``progress``/``metrics`` frames until a
   terminal ``done``/``failed``/``cancelled`` event.
@@ -28,11 +28,13 @@ jobs on resubmission and never serves a torn result.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
 from typing import Dict, Optional, Tuple
 
+from repro.core.linecodec import LineCodec
 from repro.obs import MetricsRegistry
 from repro.obs.atomicio import atomic_write_text
 from repro.serve.scheduler import TERMINAL_STATES, Job, Scheduler
@@ -74,6 +76,9 @@ class ServeApp:
         """Bind and start serving; returns the bound (host, port)."""
         os.makedirs(self.store.root, exist_ok=True)
         os.makedirs(self.scheduler.checkpoint_dir, exist_ok=True)
+        # Build the shared CRC and Hamming tables once, so every forked
+        # job worker inherits them instead of rebuilding its own.
+        LineCodec().encode(0)
         self._server = await asyncio.start_server(
             self._handle_connection, host=host, port=port
         )
@@ -126,6 +131,10 @@ class ServeApp:
         ):
             pass  # client went away mid-request/-response
         finally:
+            # Forked job workers inherit this socket, so closing our
+            # descriptor alone would not end the response: send FIN.
+            with contextlib.suppress(OSError):
+                writer.write_eof()
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -5,11 +5,9 @@ then within a bucket tenants take turns round-robin, each contributing
 its oldest job.  One tenant enqueueing a thousand campaigns therefore
 delays a second tenant by at most one job, regardless of arrival order.
 
-``claim``/``complete``/``fail``/``release`` form a lease protocol: a
-claimed job is owned by a named worker until completed, failed, or
-released back to the front of its tenant's line.  The in-process
-scheduler is simply the first lease holder; the fleet-scale roadmap
-item plugs remote pullers into the same four calls.
+``claim``/``complete`` form a lease protocol: a claimed job is owned by
+a named worker until completed.  ``discard`` takes a job that was never
+claimed out of its line (a cancel before it ran).
 """
 
 from __future__ import annotations
@@ -96,26 +94,19 @@ class FairShareQueue:
         """Release the lease on a finished (or failed) job."""
         self._leased.pop(job_id, None)
 
-    fail = complete  # same queue-side effect; outcome lives on the job
+    def discard(self, job_id: str) -> bool:
+        """Drop a queued (unclaimed) job; True if it was queued.
 
-    def release(self, job_id: str) -> None:
-        """Return a leased job to the *front* of its tenant's line.
-
-        Used when a worker dies or the server drains mid-claim: the job
-        keeps its place rather than going to the back of the queue.
+        An emptied line stays until ``claim`` next reaches it, which
+        already retires drained tenants from the rotation.
         """
-        job = self._leased.pop(job_id, None)
-        if job is None:
-            return
-        job.worker = ""
-        bucket = self._lines.setdefault(job.priority, {})
-        line = bucket.get(job.tenant)
-        if line is None:
-            line = bucket[job.tenant] = deque()
-            self._rotation.setdefault(job.priority, deque()).appendleft(
-                job.tenant
-            )
-        line.appendleft(job)
+        for bucket in self._lines.values():
+            for line in bucket.values():
+                for job in line:
+                    if job.job_id == job_id:
+                        line.remove(job)
+                        return True
+        return False
 
     # -- introspection ------------------------------------------------------------
 

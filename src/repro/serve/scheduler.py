@@ -1,18 +1,24 @@
 """The serve scheduler: bounded worker pool, dedup, checkpoints, drain.
 
-One asyncio task owns all scheduling state; job subprocesses communicate
-over a multiprocessing queue pumped on a fixed tick.  The lifecycle:
+All scheduling state lives on the event loop, and nothing polls: a
+submission and the end of a job each schedule a slot fill, and each job
+subprocess writes to its own pipe, whose read end wakes the loop when a
+message arrives.  The lifecycle:
 
 * ``submit`` validates the spec, computes its content digest, and
   short-circuits: a store hit returns the finished job immediately
   (``cached=True``, zero trials simulated); an in-flight job with the
   same digest is joined rather than duplicated; otherwise the job
-  enters the :class:`FairShareQueue`.
-* ``run`` claims jobs while worker slots are free and spawns each as a
+  enters the :class:`FairShareQueue`.  Cancelling a queued job takes
+  it out of the queue; it never runs.
+* Slot fills claim jobs while worker slots are free and start each as a
   **non-daemon** subprocess (the sharded executors fork their own shard
-  workers, and daemonic processes cannot have children).  Progress
-  messages feed a per-job :class:`~repro.obs.ProgressReporter` whose
-  snapshots become SSE events.
+  workers, and daemonic processes cannot have children).  The parent
+  keeps only the read end of the job's pipe, so end-of-file means the
+  worker and any shard children are gone: without a terminal message
+  first, the job fails.  Progress messages feed a per-job
+  :class:`~repro.obs.ProgressReporter` whose snapshots become SSE
+  events.
 * Completion: an untruncated result is filed in the content-addressed
   store and the job's checkpoint files are deleted.  A truncated result
   (cancel/drain) keeps its checkpoints, so resubmitting the same spec
@@ -23,8 +29,8 @@ over a multiprocessing queue pumped on a fixed tick.  The lifecycle:
   oldest first, so memory does not grow with requests; their results
   stay in the store and a resubmission is still a store hit.
 * ``drain`` (SIGTERM) stops claiming, flips every running job's cancel
-  event, and waits under a :class:`~repro.resilience.Deadline` for the
-  workers to stop at a trial boundary and flush checkpoints.
+  event, and waits up to its grace for the workers to stop at a trial
+  boundary and flush checkpoints.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import signal
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from queue import Empty
+from multiprocessing.connection import Connection
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry, ProgressReporter, Telemetry
@@ -49,14 +55,10 @@ from repro.parallel.runner import (
 )
 from repro.parallel.sharding import shard_checkpoint_path
 from repro.reliability.scenario import FaultScenario
-from repro.resilience import Deadline
 from repro.resilience.checkpoint import job_checkpoint_path
 from repro.serve.queue import FairShareQueue, QueuedJob
 from repro.serve.specs import RESULT_VERSION, JobSpec, parse_submission
 from repro.serve.store import ResultStore
-
-#: Scheduler tick: message-queue pump + slot fill cadence.
-_TICK_S = 0.05
 
 #: Minimum spacing of per-job "progress" SSE events.
 _PROGRESS_EVENT_S = 0.2
@@ -78,27 +80,27 @@ def _raise_interrupt(signum, frame):  # pragma: no cover - signal path
 
 
 class _WorkerProgress:
-    """In-worker progress adapter: batches advances onto the queue."""
+    """In-worker progress adapter: batches advances onto the pipe."""
 
     enabled = True
 
-    def __init__(self, queue, batch: int) -> None:
-        self._queue = queue
+    def __init__(self, conn, batch: int) -> None:
+        self._conn = conn
         self._batch = max(1, batch)
         self._pending = 0
 
     def update(self, done: Optional[int] = None, advance: int = 1) -> None:
         self._pending += advance
         if self._pending >= self._batch:
-            self._queue.put(("progress", self._pending))
+            self._conn.send(("progress", self._pending))
             self._pending = 0
 
     def note_resumed(self, units: int) -> None:
-        self._queue.put(("resumed", units))
+        self._conn.send(("resumed", units))
 
     def finish(self) -> None:
         if self._pending:
-            self._queue.put(("progress", self._pending))
+            self._conn.send(("progress", self._pending))
             self._pending = 0
 
 
@@ -109,17 +111,17 @@ def _job_worker(
     checkpoint_path: str,
     resume_from: str,
     checkpoint_every: int,
-    queue,
+    conn,
     cancel_event,
 ) -> None:
-    """Subprocess entry point: run one job, ship messages back.
+    """Subprocess entry point: run one job, send messages up ``conn``.
 
     SIGTERM is mapped to :class:`KeyboardInterrupt` so a drained or
     directly-terminated worker stops at a trial boundary with its
     checkpoint flushed, exactly like an operator Ctrl-C.
     """
     signal.signal(signal.SIGTERM, _raise_interrupt)
-    progress = _WorkerProgress(queue, batch=max(1, params_units(params) // 200))
+    progress = _WorkerProgress(conn, batch=max(1, params_units(params) // 200))
     telemetry = Telemetry.create()
     common = dict(
         shards=params["shards"],
@@ -158,15 +160,19 @@ def _job_worker(
                 params["intervals"], params["group_size"], **common,
             )
         progress.finish()
-        queue.put(
-            ("result", result.as_dict(), metrics_snapshot(telemetry.metrics))
+        message: Tuple[object, ...] = (
+            "result", result.as_dict(), metrics_snapshot(telemetry.metrics)
         )
     except KeyboardInterrupt:
         # Interrupted outside the campaign loop (startup/teardown); the
         # checkpoint, if any, is from the last boundary.
-        queue.put(("interrupted", ""))
+        message = ("interrupted", "")
     except BaseException:
-        queue.put(("error", traceback.format_exc()))
+        message = ("error", traceback.format_exc())
+    # A late SIGINT/SIGTERM must not tear the last message mid-write:
+    # the server would read the rest of the pipe as garbage.
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    conn.send(message)
 
 
 def params_units(params: Dict) -> int:
@@ -192,10 +198,9 @@ class Job:
     subscribers: List[asyncio.Queue] = field(default_factory=list)
     progress: Optional[ProgressReporter] = None
     process: Optional[multiprocessing.process.BaseProcess] = None
-    mp_queue: object = None
+    conn: Optional[Connection] = None
     cancel_event: object = None
     _last_progress_emit: float = 0.0
-    _dead_ticks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -241,6 +246,12 @@ class Scheduler:
         self.draining = False
         self._counter = 0
         self._context = multiprocessing.get_context(_START_METHOD)
+        #: Bound by :meth:`run`: the loop that slot fills and pipe reads
+        #: run on, and an event set while no job runs (:meth:`drain`
+        #: waits on it).  Python 3.9 binds an Event to a loop when it
+        #: is created, so neither exists before the loop does.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._idle: Optional[asyncio.Event] = None
         registry = metrics if metrics is not None else MetricsRegistry()
         self.metrics = registry
         self._m_submitted = registry.counter(
@@ -299,6 +310,7 @@ class Scheduler:
         )
         self._publish(job, "queued", {"digest": digest})
         self._m_queued.set(float(self.queue.pending()))
+        self._wake()
         return job, True
 
     def _new_job(
@@ -363,7 +375,7 @@ class Scheduler:
             )
             else ""
         )
-        job.mp_queue = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
         job.cancel_event = self._context.Event()
         # Non-daemon: sharded jobs fork their own shard workers.
         job.process = self._context.Process(
@@ -371,7 +383,7 @@ class Scheduler:
             args=(
                 job.spec.kind, dict(job.spec.params),
                 dict(job.spec.execution), base, resume,
-                self.checkpoint_every, job.mp_queue, job.cancel_event,
+                self.checkpoint_every, writer, job.cancel_event,
             ),
             daemon=False,
         )
@@ -381,12 +393,29 @@ class Scheduler:
         )
         job.status = "running"
         job.process.start()
+        # Only the worker and its shard children hold the write end now,
+        # so end-of-file on the read end means they have all exited.
+        writer.close()
+        job.conn = reader
+        assert self._loop is not None and self._idle is not None
+        self._loop.add_reader(reader.fileno(), self._pump, job)
         self.running[job.job_id] = job
+        self._idle.clear()
         self._m_running.set(float(len(self.running)))
         self._publish(job, "running", {"resumed_from_checkpoint": bool(resume)})
 
     def cancel(self, job: Job) -> bool:
-        """Request cancellation; True if the job can still be stopped."""
+        """Cancel a queued job now, or ask a running one to stop.
+
+        Returns False for a terminal job.  A queued job leaves the queue
+        and ends ``cancelled`` without running; a running one stops at
+        its next trial boundary with its checkpoint flushed.
+        """
+        if job.status == "queued":
+            self.queue.discard(job.job_id)
+            self._m_queued.set(float(self.queue.pending()))
+            self._conclude(job, "cancelled", stop_reason="cancelled")
+            return True
         if job.status == "running" and job.cancel_event is not None:
             job.cancel_event.set()
             return True
@@ -398,71 +427,68 @@ class Scheduler:
         for job in list(self.running.values()):
             self.cancel(job)
 
-    # -- the scheduling loop ------------------------------------------------------
+    # -- event handlers -----------------------------------------------------------
 
     async def run(self, stop: asyncio.Event) -> None:
-        """Claim/pump/reap until ``stop`` is set, then drain in-flight."""
-        while not stop.is_set():
-            self.tick()
-            await asyncio.sleep(_TICK_S)
+        """Bind to the running loop, start queued jobs, wait for ``stop``.
 
-    def tick(self) -> None:
-        """One scheduling step (separate from run() for tests)."""
-        while (
-            not self.draining
-            and len(self.running) < self.workers
-            and self.queue.pending() > 0
-        ):
+        Nothing here polls: ``submit`` and each job's end schedule slot
+        fills, and each worker's pipe wakes :meth:`_pump`.
+        """
+        self._loop = asyncio.get_running_loop()
+        self._idle = asyncio.Event()
+        self._idle.set()
+        self._fill_slots()
+        await stop.wait()
+
+    def _wake(self) -> None:
+        """Schedule a slot fill, once :meth:`run` has bound a loop."""
+        if self._loop is not None:
+            self._loop.call_soon(self._fill_slots)
+
+    def _fill_slots(self) -> None:
+        """Start queued jobs while worker slots are free."""
+        while not self.draining and len(self.running) < self.workers:
             claimed = self.queue.claim("local")
-            if claimed is None:  # pragma: no cover - pending() said otherwise
+            if claimed is None:
                 break
             self._start_job(self.jobs[claimed.job_id])
-        for job in list(self.running.values()):
-            self._pump(job)
         self._m_queued.set(float(self.queue.pending()))
 
     def _pump(self, job: Job) -> None:
-        """Drain one job's message queue; reap it on completion."""
-        finished = False
-        while True:
-            try:
-                message = job.mp_queue.get_nowait()
-            except Empty:
-                break
-            kind = message[0]
-            if kind == "progress":
-                assert job.progress is not None
-                job.progress.update(advance=message[1])
-                self._m_units.inc(message[1])
-                self._emit_progress(job)
-            elif kind == "resumed":
-                assert job.progress is not None
-                job.progress.note_resumed(message[1])
-            elif kind == "result":
-                self._finish(job, message[1], message[2])
-                finished = True
-            elif kind == "interrupted":
-                self._conclude(job, "cancelled", stop_reason="interrupted")
-                finished = True
-            elif kind == "error":
-                job.error = message[1]
-                self._conclude(job, "failed")
-                finished = True
-        if finished:
+        """Handle one message from a job's pipe, or the worker's exit.
+
+        Pipe writes are synchronous, so end-of-file arrives only after
+        every message the worker sent: a worker that exits without a
+        terminal message died.
+        """
+        assert job.conn is not None and job.process is not None
+        try:
+            message = job.conn.recv()
+        except EOFError:
+            job.process.join(timeout=5.0)
+            job.error = (
+                f"worker exited with code {job.process.exitcode} "
+                "without reporting a result"
+            )
+            self._conclude(job, "failed")
             return
-        if job.process is not None and not job.process.is_alive():
-            # The final message can trail the process exit briefly in
-            # the queue's feeder pipe; only declare the worker dead
-            # after a few empty ticks.
-            job._dead_ticks += 1
-            if job._dead_ticks >= 4:
-                job.error = (
-                    f"worker exited with code {job.process.exitcode} "
-                    "without reporting a result"
-                )
-                self._conclude(job, "failed")
-        else:
-            job._dead_ticks = 0
+        kind = message[0]
+        if kind == "progress":
+            assert job.progress is not None
+            job.progress.update(advance=message[1])
+            self._m_units.inc(message[1])
+            self._emit_progress(job)
+        elif kind == "resumed":
+            assert job.progress is not None
+            job.progress.note_resumed(message[1])
+        elif kind == "result":
+            self._finish(job, message[1], message[2])
+        elif kind == "interrupted":
+            self._conclude(job, "cancelled", stop_reason="interrupted")
+        elif kind == "error":
+            job.error = message[1]
+            self._conclude(job, "failed")
 
     def _emit_progress(self, job: Job) -> None:
         assert job.progress is not None
@@ -508,6 +534,10 @@ class Scheduler:
         self.active_by_digest.pop(job.digest, None)
         self._m_running.set(float(len(self.running)))
         self._m_completed.labels(status=status).inc()
+        if job.conn is not None:
+            assert self._loop is not None
+            self._loop.remove_reader(job.conn.fileno())
+            job.conn.close()
         if job.process is not None:
             job.process.join(timeout=5.0)
         data: Dict[str, object] = {"digest": job.digest, "cached": job.cached}
@@ -517,22 +547,30 @@ class Scheduler:
             data["error"] = job.error.strip().splitlines()[-1]
         self._publish(job, status, data)
         self._retire(job)
+        if not self.running and self._idle is not None:
+            self._idle.set()
+        self._wake()
 
     # -- drain --------------------------------------------------------------------
 
     async def drain(self, grace_s: float = 10.0) -> None:
         """Cancel running jobs and wait for checkpointed shutdown."""
         self.request_drain()
-        deadline = Deadline(grace_s)
-        while self.running and not deadline.expired():
-            self.tick()
-            await asyncio.sleep(_TICK_S)
+        if await self._wait_idle(grace_s):
+            return
         for job in list(self.running.values()):
             # Out of grace: SIGTERM maps to KeyboardInterrupt in the
             # worker, which still flushes at the next boundary.
             if job.process is not None and job.process.is_alive():
                 job.process.terminate()
-        hard = Deadline(grace_s)
-        while self.running and not hard.expired():
-            self.tick()
-            await asyncio.sleep(_TICK_S)
+        await self._wait_idle(grace_s)
+
+    async def _wait_idle(self, timeout_s: float) -> bool:
+        """Wait up to ``timeout_s`` for no job to run; True if none does."""
+        if self.running:
+            assert self._idle is not None  # jobs start only after run()
+            try:
+                await asyncio.wait_for(self._idle.wait(), timeout_s)
+            except asyncio.TimeoutError:
+                pass
+        return not self.running

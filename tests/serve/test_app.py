@@ -9,6 +9,7 @@ groups) so a full submit -> SSE -> result round trip stays subsecond.
 import asyncio
 import json
 import os
+import signal
 
 from repro.serve import scheduler as scheduler_module
 from repro.serve.app import ServeApp
@@ -111,6 +112,20 @@ class _RunningApp:
         self.app._server.close()
         await self.app._server.wait_closed()
         await self._task
+
+
+async def _spin(turns=5):
+    """Let the loop run ready callbacks, with no wall-clock wait."""
+    for _ in range(turns):
+        await asyncio.sleep(0)
+
+
+async def _until_terminal(subscriber):
+    """Consume a scheduler subscription up to its terminal event."""
+    while True:
+        event, _ = await asyncio.wait_for(subscriber.get(), timeout=60)
+        if event in ("done", "failed", "cancelled"):
+            return event
 
 
 def _units_simulated(metrics_payload):
@@ -364,6 +379,103 @@ class TestCancelAndResume:
                     port, "DELETE", f"/v1/jobs/{job['job_id']}"
                 )
                 assert status == 409
+
+        asyncio.run(scenario())
+
+
+    def test_delete_queued_job_cancels_it_before_it_runs(self, tmp_path):
+        first_spec = dict(SPEC, intervals=80)  # holds the only slot
+
+        async def scenario():
+            async with _RunningApp(tmp_path, workers=1) as running:
+                port = running.port
+                _, first = await _request(port, "POST", "/v1/jobs", first_spec)
+                _, queued = await _request(port, "POST", "/v1/jobs", SPEC)
+                assert queued["status"] == "queued"
+                status, cancelled = await _request(
+                    port, "DELETE", f"/v1/jobs/{queued['job_id']}"
+                )
+                assert status == 202 and cancelled["status"] == "cancelled"
+                events = await _sse_events(port, queued["job_id"])
+                assert [name for name, _ in events] == ["queued", "cancelled"]
+                assert events[-1][1]["stop_reason"] == "cancelled"
+                assert running.app.scheduler.queue.pending() == 0
+
+                events = await _sse_events(port, first["job_id"])
+                assert events[-1][0] == "done"
+                _, metrics = await _request(port, "GET", "/metrics")
+                assert _units_simulated(metrics) == first_spec["intervals"]
+                status, _ = await _raw_result(port, queued["digest"])
+                assert status == 404
+
+                # The cancel released the digest: resubmitting runs anew.
+                _, again = await _request(port, "POST", "/v1/jobs", SPEC)
+                assert again["created"]
+                assert again["job_id"] != queued["job_id"]
+                events = await _sse_events(port, again["job_id"])
+                assert events[-1][0] == "done"
+
+        asyncio.run(scenario())
+
+
+class TestWorkerDeath:
+    def test_killed_worker_fails_its_job_and_frees_the_slot(self, tmp_path):
+        async def scenario():
+            async with _RunningApp(tmp_path, workers=1) as running:
+                port = running.port
+                _, doomed = await _request(
+                    port, "POST", "/v1/jobs", dict(SPEC, intervals=400)
+                )
+                _, waiting = await _request(port, "POST", "/v1/jobs", SPEC)
+                assert waiting["status"] == "queued"
+                job = running.app.scheduler.jobs[doomed["job_id"]]
+                for _ in range(400):
+                    if job.status == "running":
+                        break
+                    await asyncio.sleep(0.01)
+                os.kill(job.process.pid, signal.SIGKILL)
+
+                events = await _sse_events(port, doomed["job_id"])
+                assert events[-1][0] == "failed"
+                assert events[-1][1]["error"] == (
+                    f"worker exited with code {-signal.SIGKILL} "
+                    "without reporting a result"
+                )
+                # The freed slot runs the queued job to completion.
+                events = await _sse_events(port, waiting["job_id"])
+                assert events[-1][0] == "done"
+                assert not running.app.scheduler.running
+
+        asyncio.run(scenario())
+
+
+class TestEventDrivenScheduling:
+    """Jobs start on submit and on a slot freeing, not on a timer."""
+
+    def test_scheduling_needs_no_wall_clock_wait(self, tmp_path):
+        async def scenario():
+            os.makedirs(tmp_path / "ck")
+            scheduler = Scheduler(
+                ResultStore(str(tmp_path / "store")), str(tmp_path / "ck"),
+                workers=1,
+            )
+            stop = asyncio.Event()
+            loop_task = asyncio.create_task(scheduler.run(stop))
+            await _spin()  # idle: nothing queued
+            first, _ = scheduler.submit(SPEC)
+            second, _ = scheduler.submit(dict(SPEC, seed=4))
+            await _spin()
+            assert first.status == "running"
+            assert second.status == "queued"
+
+            # The job's end starts the next one in the same callback
+            # chain that published its terminal event.
+            assert await _until_terminal(scheduler.subscribe(first)) == "done"
+            await _spin()
+            assert second.status == "running"
+            assert await _until_terminal(scheduler.subscribe(second)) == "done"
+            stop.set()
+            await loop_task
 
         asyncio.run(scenario())
 

@@ -1,4 +1,4 @@
-"""Fair-share queue: priority, tenant rotation, lease protocol."""
+"""Fair-share queue: priority, tenant rotation, lease protocol, discard."""
 
 from repro.serve.queue import FairShareQueue, QueuedJob
 
@@ -60,21 +60,34 @@ class TestLease:
         queue.complete(job.job_id)
         assert queue.leased() == 0
 
-    def test_release_requeues_at_front(self):
+    def test_discard_drops_a_queued_job_and_keeps_order(self):
+        queue = FairShareQueue()
+        for job_id in ("a", "b", "c"):
+            queue.push(_job(job_id))
+        assert queue.discard("b")
+        assert queue.pending() == 2
+        assert [queue.claim().job_id for _ in range(2)] == ["a", "c"]
+        assert queue.claim() is None
+
+    def test_discard_last_job_retires_the_tenant(self):
+        queue = FairShareQueue()
+        queue.push(_job("a0", tenant="A"))
+        queue.push(_job("b0", tenant="B"))
+        queue.push(_job("b1", tenant="B"))
+        assert queue.discard("a0")
+        assert [queue.claim().job_id for _ in range(2)] == ["b0", "b1"]
+        # A's next job joins the rotation afresh.
+        queue.push(_job("a1", tenant="A"))
+        assert queue.claim().job_id == "a1"
+        assert queue.snapshot() == []
+
+    def test_discard_unknown_or_claimed_is_noop(self):
         queue = FairShareQueue()
         queue.push(_job("a"))
-        queue.push(_job("b"))
-        claimed = queue.claim()
-        assert claimed.job_id == "a"
-        queue.release("a")
-        # The released job keeps its place ahead of "b".
-        assert queue.claim().job_id == "a"
-        assert queue.claim().job_id == "b"
-
-    def test_release_unknown_is_noop(self):
-        queue = FairShareQueue()
-        queue.release("ghost")
-        assert len(queue) == 0
+        queue.claim()
+        assert not queue.discard("a")
+        assert not queue.discard("ghost")
+        assert queue.leased() == 1 and len(queue) == 0
 
 
 class TestIntrospection:
