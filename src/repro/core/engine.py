@@ -26,7 +26,7 @@ the quantity Table III tracks.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.coding.bitvec import popcount
 from repro.core.config import SuDokuConfig
@@ -49,6 +49,24 @@ from repro.sttram.array import STTRAMArray
 REPAIR_LATENCY_BUCKETS: Tuple[float, ...] = (
     1e-9, 1e-8, 1e-7, 1e-6, 2e-6, 5e-6, 1e-5, 5e-5, 1e-4,
 )
+
+
+class _Retry(NamedTuple):
+    """A Hash-2 peeling retry that left its group exactly as it found it.
+
+    ``state`` is the group snapshot before and after the retry (see
+    ``SuDokuZ._group_state``), ``steps`` the accounting calls it
+    made, in order, and the last two fields its scan's results.
+    """
+
+    state: tuple
+    steps: List[Tuple[Callable[..., None], tuple]]
+    line_outcomes: Dict[int, Outcome]
+    uncorrectable: List[int]
+
+
+def _no_repair() -> None:
+    """The work of a replayed repair: already done when it was simulated."""
 
 
 class SuDokuEngine:
@@ -98,6 +116,11 @@ class SuDokuEngine:
         #: Filled by batched prefetches; entries are only trusted while
         #: the frame's stored word still matches (repairs invalidate).
         self._decode_cache: Dict[int, Tuple[int, LineDecode]] = {}
+        #: Per-pass memo of no-op peeling retries: (table, group) -> the
+        #: retry to replay while the group's snapshot still matches.
+        self._retry_memo: Dict[Tuple[ParityLineTable, int], _Retry] = {}
+        #: Accounting steps of the retry being simulated, else None.
+        self._retry_log: Optional[List[Tuple[Callable[..., None], tuple]]] = None
         #: Optional structured event recorder (see repro.core.eventlog);
         #: attach one to capture per-line correction events.
         self.event_log = None
@@ -154,6 +177,7 @@ class SuDokuEngine:
         for plt, _ in self._tables():
             plt.backend = self.backend
         self._decode_cache.clear()
+        self._retry_memo.clear()
 
     def _cached_decode(self, frame: int, stored: int) -> LineDecode:
         """The frame's prefetched decode, iff still valid for ``stored``.
@@ -253,9 +277,20 @@ class SuDokuEngine:
         CORRECTED decode), raw stored bits otherwise -- so a line whose
         only divergence is a single stuck bit does not poison the group
         parity for every later RAID repair of its groupmates.
+
+        Only groups holding a written or dirty member are read and
+        decoded.  Every other group holds ``group_size`` copies of the
+        fill word, and group sizes are powers of two, so its parity is
+        zero: such an entry is stored directly, exactly as the full
+        rebuild would leave it (CRC written, quarantine lifted).
         """
+        touched_frames = self.array.written_frames() + self.array.dirty_frames()
         for plt, mapper in self._tables():
+            touched = {mapper.group_of(frame) for frame in touched_frames}
             for group in range(mapper.num_groups):
+                if group not in touched:
+                    plt.store(group, 0)
+                    continue
                 stored_words = [
                     self.array.read(frame) for frame in mapper.members(group)
                 ]
@@ -340,6 +375,7 @@ class SuDokuEngine:
         """Reset per-pass caches; call before each scrub walk."""
         self._pending.clear()
         self._decode_cache.clear()
+        self._retry_memo.clear()
 
     def scrub_line(self, frame: int) -> str:
         """Resolve one line (LineScrubber protocol); returns outcome label."""
@@ -474,6 +510,7 @@ class SuDokuEngine:
             counts[audited.value] += 1
         self._pending.clear()
         self._decode_cache.clear()
+        self._retry_memo.clear()
         return dict(counts)
 
     # -- line resolution --------------------------------------------------------------
@@ -578,16 +615,57 @@ class SuDokuEngine:
         """If exactly one uncorrectable line remains, rebuild it."""
         if len(scan.uncorrectable) != 1:
             return
+        self._account_raid4(
+            scan.group, len(scan.frames), scan.uncorrectable[0],
+            lambda: reconstruct_line(
+                self.array, self.codec, plt, scan, scan.uncorrectable[0]
+            ),
+        )
+
+    # -- correction accounting ---------------------------------------------------
+    #
+    # Every stat, latency addend, counter and span of a group repair goes
+    # through one of these helpers, which also log themselves while a
+    # peeling retry is simulated; replaying that log repeats a retry's
+    # accounting exactly (see SuDokuZ._retry_group).
+
+    def _record(self, account: Callable[..., None], *args) -> None:
+        """Log one accounting step of the peeling retry being simulated."""
+        if self._retry_log is not None:
+            self._retry_log.append((account, args))
+
+    def _account_scan(self, size: int) -> None:
+        self.stats.group_scans += 1
+        self.stats.lines_scanned += size
+        self._record(self._account_scan, size)
+
+    def _account_raid4(
+        self, group: int, size: int, frame: int, repair: Callable[[], object]
+    ) -> None:
+        """Count one RAID-4 reconstruction of ``frame``, run by ``repair``."""
         self.stats.raid4_invocations += 1
-        self.correction_time_s += self.latency.raid4_repair(len(scan.frames))
+        self.correction_time_s += self.latency.raid4_repair(size)
         self._m_corrections.labels(level=self.level, mechanism="raid4").inc()
         with self.telemetry.tracer.span(
-            "raid4_repair", level=self.level, group=scan.group,
-            frame=scan.uncorrectable[0],
+            "raid4_repair", level=self.level, group=group, frame=frame,
         ):
-            reconstruct_line(
-                self.array, self.codec, plt, scan, scan.uncorrectable[0]
-            )
+            repair()
+        self._record(self._account_raid4, group, size, frame, _no_repair)
+
+    def _account_sdr(
+        self, group: int, size: int, survivors: int, repair: Callable[[], int]
+    ) -> None:
+        """Count one SDR search, run by ``repair``, which returns its trials."""
+        self.stats.sdr_invocations += 1
+        self._m_corrections.labels(level=self.level, mechanism="sdr").inc()
+        with self.telemetry.tracer.span(
+            "sdr_repair", level=self.level, group=group, survivors=survivors,
+        ) as span:
+            trials = repair()
+            span.set_attribute("trials", trials)
+        self.stats.sdr_trials += trials
+        self.correction_time_s += self.latency.sdr_repair(size, trials)
+        self._record(self._account_sdr, group, size, survivors, lambda: trials)
 
     def _scan(self, mapper, group: int) -> GroupScan:
         """Scan one group, decoding only the members the dirty index flags.
@@ -598,8 +676,7 @@ class SuDokuEngine:
         decoding it.  Results are identical to a dense scan on every
         backend.
         """
-        self.stats.group_scans += 1
-        self.stats.lines_scanned += mapper.group_size
+        self._account_scan(mapper.group_size)
         members = mapper.members(group)
         is_dirty = self.array.is_dirty
         self._prefetch_decodes([frame for frame in members if is_dirty(frame)])
@@ -722,23 +799,12 @@ class SuDokuY(SuDokuEngine):
 
     def _group_level_repair(self, scan: GroupScan, plt: ParityLineTable) -> None:
         if len(scan.uncorrectable) > 1:
-            self.stats.sdr_invocations += 1
-            self._m_corrections.labels(level=self.level, mechanism="sdr").inc()
-            with self.telemetry.tracer.span(
-                "sdr_repair", level=self.level, group=scan.group,
-                survivors=len(scan.uncorrectable),
-            ) as span:
-                report = resurrect(
-                    self.array,
-                    self.codec,
-                    plt,
-                    scan,
+            self._account_sdr(
+                scan.group, len(scan.frames), len(scan.uncorrectable),
+                lambda: resurrect(
+                    self.array, self.codec, plt, scan,
                     max_mismatches=self.sdr_max_mismatches,
-                )
-                span.set_attribute("trials", report.trials)
-            self.stats.sdr_trials += report.trials
-            self.correction_time_s += self.latency.sdr_repair(
-                len(scan.frames), report.trials
+                ).trials,
             )
         self._finish_with_raid4(scan, plt)
 
@@ -802,13 +868,10 @@ class SuDokuZ(SuDokuY):
                     (self.mapper2, self.plt2),
                     (self.mapper, self.plt),
                 ):
-                    scan = self._scan(mapper, mapper.group_of(survivor))
-                    self.correction_time_s += self.latency.raid4_repair(
-                        len(scan.frames)
+                    line_outcomes, uncorrectable = self._retry_group(
+                        mapper, plt, mapper.group_of(survivor)
                     )
-                    if self._verify_group_metadata(scan, plt):
-                        self._group_level_repair(scan, plt)
-                    for fixed_frame, fixed_outcome in scan.line_outcomes.items():
+                    for fixed_frame, fixed_outcome in line_outcomes.items():
                         if fixed_frame in unresolved:
                             unresolved.discard(fixed_frame)
                             outcomes[fixed_frame] = Outcome.CORRECTED_HASH2
@@ -817,7 +880,7 @@ class SuDokuZ(SuDokuY):
                             outcomes[fixed_frame] = fixed_outcome
                     # Faulty partners blocking this group join the work
                     # list; their *other* group may peel them next round.
-                    for blocked in scan.uncorrectable:
+                    for blocked in uncorrectable:
                         if blocked not in seen:
                             seen.add(blocked)
                             unresolved.add(blocked)
@@ -832,6 +895,63 @@ class SuDokuZ(SuDokuY):
             if outcomes.get(survivor) is not Outcome.METADATA_DUE:
                 outcomes[survivor] = Outcome.DUE
         return outcomes
+
+    def _retry_group(
+        self, mapper, plt: ParityLineTable, group: int
+    ) -> Tuple[Dict[int, Outcome], List[int]]:
+        """One peeling retry of a group: its scan's line outcomes and the
+        members still uncorrectable.
+
+        Simulate a retry once, account it every time.  Most retries find
+        their group as the previous retry left it, and a retry's result
+        is a function of that state alone (member stored words and dirty
+        flags, parity word, CRC validity, quarantine), so a retry that
+        changed none of it is remembered for the rest of the pass.  A
+        later retry of the same snapshot replays the logged accounting
+        -- scan counts, latency addends in their original order,
+        correction counters and repair spans -- instead of rescanning.
+        """
+        members = mapper.members(group)
+        state = self._group_state(members, plt, group)
+        key = (plt, group)
+        retry = self._retry_memo.get(key)
+        if retry is not None and retry.state == state:
+            for account, args in retry.steps:
+                account(*args)
+            return retry.line_outcomes, retry.uncorrectable
+        steps: List[Tuple[Callable[..., None], tuple]] = []
+        self._retry_log = steps
+        try:
+            scan = self._scan(mapper, group)
+            self._account_retry_read(len(scan.frames))
+            if self._verify_group_metadata(scan, plt):
+                self._group_level_repair(scan, plt)
+        finally:
+            self._retry_log = None
+        # A retry that raised a metadata event changed its group's
+        # parity, CRC validity or quarantine, so it is never remembered;
+        # the log holds every other accounting step.
+        if self._group_state(members, plt, group) == state:
+            self._retry_memo[key] = _Retry(
+                state, steps, scan.line_outcomes, scan.uncorrectable
+            )
+        return scan.line_outcomes, scan.uncorrectable
+
+    def _account_retry_read(self, size: int) -> None:
+        """The modelled latency of reading a group for a peeling retry."""
+        self.correction_time_s += self.latency.raid4_repair(size)
+        self._record(self._account_retry_read, size)
+
+    def _group_state(
+        self, members: List[int], plt: ParityLineTable, group: int
+    ) -> tuple:
+        """Everything a peeling retry of ``group`` reads."""
+        return (
+            self.array.snapshot(members),
+            plt.parity(group),
+            plt.verify(group),
+            plt.is_quarantined(group),
+        )
 
 
 def build_engine(

@@ -94,10 +94,18 @@ class ParityLineTable:
         A rebuild re-derives the entry from the protected lines, so it
         also lifts any quarantine on the group.
         """
-        self._check_group(group)
         for word in members:
             self._check_word(word)
-        value = self.backend.xor_fold(members, self.line_bits)
+        return self.store(group, self.backend.xor_fold(members, self.line_bits))
+
+    def store(self, group: int, value: int) -> int:
+        """Store a parity word already known to be the group's fold.
+
+        Like :meth:`rebuild`, this writes the entry CRC and lifts any
+        quarantine; the caller vouches for ``value``.
+        """
+        self._check_group(group)
+        self._check_word(value)
         self._parity[group] = value
         self._crc[group] = self._entry_crc(group, value)
         self.quarantined.discard(group)

@@ -37,7 +37,7 @@ for the scrub fast path:
 from __future__ import annotations
 
 import random as _stdlib_random
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +147,20 @@ class STTRAMArray:
         self._check(index, 0)
         return self._diverged.get(index, self._written.get(index, self._fill))
 
+    def snapshot(self, indices: Sequence[int]) -> Tuple[tuple, tuple]:
+        """Stored words and dirty flags of ``indices``, in order.
+
+        One call instead of a ``read`` and an ``is_dirty`` per line, for
+        callers that compare whole groups (the SuDoku-Z peeling memo).
+        """
+        if indices and not (0 <= min(indices) and max(indices) < self.num_lines):
+            raise IndexError("line index out of range")
+        diverged, written, fill = self._diverged, self._written, self._fill
+        return (
+            tuple([diverged.get(i, written.get(i, fill)) for i in indices]),
+            tuple([i in diverged for i in indices]),
+        )
+
     def golden(self, index: int) -> int:
         """The last value actually written (fault-free reference)."""
         self._check(index, 0)
@@ -226,6 +240,10 @@ class STTRAMArray:
         bit-identical outcome accounting).
         """
         return sorted(self._diverged)
+
+    def written_frames(self) -> List[int]:
+        """Sorted indices whose golden value differs from the fill word."""
+        return sorted(self._written)
 
     @property
     def dirty_count(self) -> int:

@@ -1,0 +1,152 @@
+"""Pinned correction accounting of failure-heavy SuDoku-Z runs.
+
+``golden_peel_accounting.json`` holds, per case, what a seeded run left
+in the engine and its telemetry: ``engine.stats.as_dict()``, the exact
+``repr`` of ``engine.correction_time_s`` (a float accumulated addend by
+addend, so any reordering or pre-summing shows), the Prometheus text
+export without its wall-clock families, and the completed-span
+sequence with timings removed (name, depth, status, attributes).  The
+cases cover the telemetry CI campaign, the campaign-z-fail operating
+point on the numpy backend, and a mixed-fault scenario with stuck-at
+lines and parity-metadata chaos on the reference backend.
+
+The Hash-2 peel may skip work it has already done, but it must account
+that work exactly as if it had run it; these goldens are the check.  Do
+not regenerate the file to make a failure pass.  Regenerate it only for
+a deliberate result change, by running this module as a script.
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from repro.core.engine import build_engine
+from repro.core.linecodec import LineCodec
+from repro.obs import Telemetry
+from repro.reliability import scenario as scenario_module
+from repro.reliability.montecarlo import run_engine_campaign
+from repro.reliability.scenario import (
+    BurstSpec,
+    FaultScenario,
+    StuckSpec,
+    run_scenario_campaign,
+)
+from repro.resilience.chaos import ChaosPolicy
+from repro.sttram.array import STTRAMArray
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_peel_accounting.json")
+
+#: Histogram families timed by the wall clock, not the simulation.
+WALL_CLOCK_FAMILIES = ("campaign_interval_seconds", "scenario_interval_seconds")
+
+MIXED = FaultScenario(
+    transient_ber=2e-3,
+    burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5)), interleave=2),
+    stuck=StuckSpec(ppm=300.0),
+)
+METADATA_CHAOS = ChaosPolicy(plt_flip_rate=0.05, map_swap_rate=0.02)
+
+
+def _campaign(group_size, ber, intervals, seed, backend):
+    """The serial ``repro campaign`` path with live telemetry."""
+    codec = LineCodec()
+    array = STTRAMArray(group_size * group_size, codec.stored_bits)
+    engine = build_engine("Z", array, group_size=group_size, codec=codec)
+    telemetry = Telemetry.create()
+    result = run_engine_campaign(
+        engine, ber, intervals, rng=np.random.default_rng(seed),
+        randomize_content=False, telemetry=telemetry, backend=backend,
+    )
+    return engine, telemetry, result
+
+
+def _scenario():
+    engines = []
+    setup = scenario_module._setup_scheme
+
+    def capture(*args, **kwargs):
+        engines.append(setup(*args, **kwargs))
+        return engines[-1]
+
+    scenario_module._setup_scheme = capture
+    try:
+        telemetry = Telemetry.create()
+        result = run_scenario_campaign(
+            "Z", MIXED, intervals=6, group_size=8, seed=3,
+            telemetry=telemetry, chaos_policy=METADATA_CHAOS, chaos_seed=4,
+            backend="reference",
+        )
+    finally:
+        scenario_module._setup_scheme = setup
+    (engine,) = engines
+    return engine, telemetry, result
+
+
+CASES = {
+    # The telemetry CI job: campaign --level Z --ber 2e-3 --intervals 5
+    # --group-size 8 --seed 5.
+    "ci-telemetry": lambda: _campaign(8, 2e-3, 5, 5, "reference"),
+    # The campaign-z-fail operating point (G=16, BER 2e-3, numpy).
+    "campaign-z-fail": lambda: _campaign(16, 2e-3, 4, 11, "numpy"),
+    "scenario-mixed-chaos": _scenario,
+}
+
+
+def _prometheus(telemetry):
+    keep = []
+    for line in telemetry.prometheus_text().splitlines():
+        name = line.split()[2] if line.startswith("#") else line
+        if not name.startswith(WALL_CLOCK_FAMILIES):
+            keep.append(line)
+    return "\n".join(keep)
+
+
+def _spans(telemetry):
+    return [
+        [span.name, span.depth, span.status, span.attributes]
+        for span in telemetry.tracer
+    ]
+
+
+def fingerprint(case):
+    """The pinned accounting of one case (JSON-ready)."""
+    engine, telemetry, result = CASES[case]()
+    spans = json.dumps(_spans(telemetry), sort_keys=True)
+    return {
+        "stats": engine.stats.as_dict(),
+        "correction_time_s": repr(engine.correction_time_s),
+        "result": json.loads(json.dumps(result.as_dict(), sort_keys=True)),
+        "prometheus": _prometheus(telemetry),
+        "span_count": len(telemetry.tracer),
+        "spans_sha256": hashlib.sha256(spans.encode("utf-8")).hexdigest(),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_accounting_matches_golden(case, golden):
+    got = fingerprint(case)
+    want = golden[case]
+    assert got["stats"] == want["stats"]
+    assert got["correction_time_s"] == want["correction_time_s"]
+    assert got["result"] == want["result"]
+    assert got["prometheus"] == want["prometheus"]
+    assert got["span_count"] == want["span_count"]
+    assert got["spans_sha256"] == want["spans_sha256"]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(
+            {case: fingerprint(case) for case in sorted(CASES)},
+            handle, indent=1, sort_keys=True,
+        )
+        handle.write("\n")

@@ -224,9 +224,10 @@ class TestPlanePacking:
             assert self._unpack(packed) == row_value
             assert interleaver.deinterleave(self._unpack(packed)) == lines
 
-    def test_xor_fold_matches_reference(self):
+    @pytest.mark.parametrize("size", [0, 1, 17, 512])
+    def test_xor_fold_matches_reference(self, size):
         rng = random.Random(45)
-        values = [random_bits(553, rng) for _ in range(17)]
+        values = [random_bits(553, rng) for _ in range(size)]
         folds = [
             resolve_backend(name).xor_fold(values, 553)
             for name in BACKEND_NAMES

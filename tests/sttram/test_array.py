@@ -149,6 +149,22 @@ class TestDirtySet:
             ]
             assert array.dirty_frames() == expected
 
+    def test_snapshot_and_written_frames(self):
+        array = STTRAMArray(8, 16)
+        array.fill_word(0x00FF)
+        array.write(2, 0x1234)
+        array.write(5, 0x00FF)  # the fill word: not a written line
+        array.inject(2, 0x0001)
+        array.inject(6, 0x0100)
+        frames = [6, 0, 2]
+        assert array.snapshot(frames) == (
+            tuple(array.read(i) for i in frames),
+            (True, False, True),
+        )
+        assert array.written_frames() == [2]
+        with pytest.raises(IndexError):
+            array.snapshot([0, 8])
+
 
 class TestBulk:
     def test_fill_random_reproducible(self):
