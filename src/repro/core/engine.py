@@ -26,7 +26,7 @@ the quantity Table III tracks.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.coding.bitvec import popcount
 from repro.core.config import SuDokuConfig
@@ -38,7 +38,12 @@ from repro.core.plt_ import ParityLineTable
 from repro.core.raid4 import GroupScan, reconstruct_line, scan_group
 from repro.core.sdr import resurrect
 from repro.core.stats import CorrectionStats, LatencyModel
-from repro.kernels import KernelBackend, resolve_backend
+from repro.kernels import (
+    CHECK_CLEAN,
+    KernelBackend,
+    decode_from_check,
+    resolve_backend,
+)
 from repro.obs import Telemetry, resolve_telemetry
 from repro.obs.metrics import CounterChild
 from repro.sttram.array import STTRAMArray
@@ -112,10 +117,11 @@ class SuDokuEngine:
         self.stats = CorrectionStats()
         self.correction_time_s = 0.0
         self._pending: Dict[int, Outcome] = {}
-        #: Per-pass decode memo: frame -> (stored word, its LineDecode).
-        #: Filled by batched prefetches; entries are only trusted while
-        #: the frame's stored word still matches (repairs invalidate).
-        self._decode_cache: Dict[int, Tuple[int, LineDecode]] = {}
+        #: Per-pass decode memo: frame -> (stored word, its LineDecode or
+        #: its ``batch_check`` code).  Filled by batched prefetches and by
+        #: the scrub's classification; entries are only trusted while the
+        #: frame's stored word still matches (repairs invalidate).
+        self._decode_cache: Dict[int, Tuple[int, Union[LineDecode, int]]] = {}
         #: Per-pass memo of no-op peeling retries: (table, group) -> the
         #: retry to replay while the group's snapshot still matches.
         self._retry_memo: Dict[Tuple[ParityLineTable, int], _Retry] = {}
@@ -187,9 +193,14 @@ class SuDokuEngine:
         word it was computed from is unchanged; otherwise decode fresh.
         """
         entry = self._decode_cache.get(frame)
-        if entry is not None and entry[0] == stored:
-            return entry[1]
-        return self.codec.decode(stored)
+        if entry is None or entry[0] != stored:
+            return self.codec.decode(stored)
+        decode = entry[1]
+        if isinstance(decode, int):
+            # A classification code: build the decode on first use.
+            decode = decode_from_check(self.codec, stored, decode)
+            self._decode_cache[frame] = (stored, decode)
+        return decode
 
     def _prefetch_decodes(self, frames: List[int]) -> None:
         """Batch-decode frames into the per-pass memo (batched backends).
@@ -202,37 +213,44 @@ class SuDokuEngine:
             return
         pending: List[int] = []
         words: List[int] = []
-        pristine: List[int] = []
-        pristine_words: List[int] = []
         for frame in frames:
             stored = self.array.read(frame)
             entry = self._decode_cache.get(frame)
-            if entry is not None and entry[0] == stored:
-                continue
-            # Dense scrub visits reach here with clean frames too.  A
-            # frame whose stored word still matches golden holds a
-            # valid codeword (everything written goes through the codec
-            # -- the invariant group scans trust outright through
-            # scan_group's trusted_clean path), so its decode is known
-            # CLEAN and the backend may skip the syndrome/CRC check for
-            # it.  The raw dirty-set test is required here, not
-            # is_clean(): a line whose only divergence is stuck-bit
-            # residue is *not* a valid codeword.
-            if not self.array.is_dirty(frame):
-                pristine.append(frame)
-                pristine_words.append(stored)
-            else:
+            if entry is None or entry[0] != stored:
                 pending.append(frame)
                 words.append(stored)
-        if pristine:
-            decodes = self.backend.batch_decode_clean(self.codec, pristine_words)
-            for frame, stored, decode in zip(pristine, pristine_words, decodes):
-                self._decode_cache[frame] = (stored, decode)
         if not pending:
             return
         decodes = self.backend.batch_decode(self.codec, words)
         for frame, stored, decode in zip(pending, words, decodes):
             self._decode_cache[frame] = (stored, decode)
+
+    def _classify(self, frames: List[int]) -> Optional[Tuple[tuple, List[int]]]:
+        """Snapshot ``frames`` and memo each one's ``batch_check`` code.
+
+        Returns the stored words and the codes, in frame order, or None
+        when the backend does not classify this codec's words.  Only
+        dirty frames are checked.  A frame whose stored word still
+        matches golden holds a valid codeword (everything written goes
+        through the codec -- the invariant group scans trust outright
+        through scan_group's trusted_clean path), so its code is known
+        CLEAN.  The raw dirty flag is required here, not is_clean(): a
+        line whose only divergence is stuck-bit residue is *not* a
+        valid codeword.
+        """
+        words, dirty = self.array.snapshot(frames)
+        codes = self.backend.batch_check(
+            self.codec, [word for word, flag in zip(words, dirty) if flag]
+        )
+        if codes is None:
+            return None
+        if len(codes) != len(frames):
+            checked = iter(codes)
+            codes = [next(checked) if flag else CHECK_CLEAN for flag in dirty]
+        cache = self._decode_cache
+        for frame, word, code in zip(frames, words, codes):
+            cache[frame] = (word, code)
+        return words, codes
 
     def format(self) -> None:
         """Initialise every frame to the encoded zero line and zero parity.
@@ -492,14 +510,24 @@ class SuDokuEngine:
         (clean lines contribute nothing but read time) at a fraction of
         the cost.  Outcomes of frames resolved collaterally by group
         repairs are drained and counted as well.
+
+        On a batched backend that classifies the codec's words, the
+        frames are classified once, up front, and each maximal run of
+        frames that ECC-1 alone repairs is resolved in bulk
+        (:meth:`_scrub_ecc1_run`); every other frame, and every frame
+        while an event log is attached, is resolved line by line from
+        the same classification.
         """
         self.begin_scrub_pass()
         frames = list(frames)
-        self._prefetch_decodes(frames)
         scrubbed: List[Outcome] = []
         try:
-            for frame in frames:
-                scrubbed.append(self._scrub_line(frame))
+            classified = self._classify(frames) if self.backend.batched else None
+            if classified is not None and self.event_log is None:
+                self._scrub_classified(frames, *classified, scrubbed)
+            else:
+                for frame in frames:
+                    scrubbed.append(self._scrub_line(frame))
         finally:
             if scrubbed and self.telemetry.enabled:
                 self._publish_line_outcomes(scrubbed)
@@ -513,6 +541,80 @@ class SuDokuEngine:
         self._retry_memo.clear()
         return dict(counts)
 
+    def _scrub_classified(
+        self,
+        frames: List[int],
+        words: Sequence[int],
+        codes: List[int],
+        scrubbed: List[Outcome],
+    ) -> None:
+        """Walk ``frames`` in order, resolving ECC-1 runs in bulk.
+
+        A frame joins the current run when its code says ECC-1 repairs
+        it, no group repair earlier in the pass has resolved it (it is
+        not in ``_pending``), it is not already in the run (a duplicated
+        visit), and its stored word is still the one classified.  Any
+        other frame first flushes the run, then takes ``_scrub_line``.
+        Only ``_scrub_line`` and run flushes write the array, so a
+        frame's eligibility cannot change between joining and flushing.
+        """
+        pending, read = self._pending, self.array.read
+        run: List[int] = []
+        fixed: List[int] = []
+        in_run: set = set()
+        for frame, word, code in zip(frames, words, codes):
+            if (
+                code >= 0
+                and frame not in pending
+                and frame not in in_run
+                and read(frame) == word
+            ):
+                run.append(frame)
+                fixed.append(word ^ (1 << code))
+                in_run.add(frame)
+                continue
+            if run:
+                scrubbed.extend(self._scrub_ecc1_run(run, fixed))
+                run, fixed, in_run = [], [], set()
+            scrubbed.append(self._scrub_line(frame))
+        if run:
+            scrubbed.extend(self._scrub_ecc1_run(run, fixed))
+
+    def _scrub_ecc1_run(self, run: List[int], fixed: List[int]) -> List[Outcome]:
+        """Resolve distinct ECC-1 frames to their repaired words at once.
+
+        Bit-identical to ``_scrub_line`` on each frame in turn: a frame's
+        restore and audit touch only that frame, the latency addends are
+        added one per line in order, the ECC-1 counter child is made on
+        first use and counts every repair, and outcomes are recorded in
+        order -- ECC-1, or SDC where the golden audit flags the repair.
+        """
+        clean = self.array.restore_many(run, fixed)
+        step = self.latency.ecc1_repair()
+        for _ in run:
+            self.correction_time_s += step
+        self._count_ecc1(len(run))
+        if self.audit and not all(clean):
+            outcomes = [
+                Outcome.CORRECTED_ECC1 if ok else Outcome.SDC for ok in clean
+            ]
+            for outcome in outcomes:
+                self.stats.record(outcome)
+            return outcomes
+        self.stats.outcomes[Outcome.CORRECTED_ECC1.value] += len(run)
+        return [Outcome.CORRECTED_ECC1] * len(run)
+
+    def _count_ecc1(self, repairs: int) -> None:
+        """Count ECC-1 repairs on the corrections counter (telemetry)."""
+        if self.telemetry.enabled:
+            if self._m_ecc1 is None:
+                # ECC-1 is the one per-line mechanism, so its child is
+                # held; made on first use, it exports where it did.
+                self._m_ecc1 = self._m_corrections.labels(
+                    level=self.level, mechanism="ecc1"
+                )
+            self._m_ecc1.inc(repairs)
+
     # -- line resolution --------------------------------------------------------------
 
     def _resolve_line(self, frame: int) -> Outcome:
@@ -523,14 +625,7 @@ class SuDokuEngine:
         if decode.status is DecodeStatus.CORRECTED:
             self.array.restore(frame, decode.word)
             self.correction_time_s += self.latency.ecc1_repair()
-            if self.telemetry.enabled:
-                if self._m_ecc1 is None:
-                    # ECC-1 is the one per-line mechanism, so its child is
-                    # held; made on first use, it exports where it did.
-                    self._m_ecc1 = self._m_corrections.labels(
-                        level=self.level, mechanism="ecc1"
-                    )
-                self._m_ecc1.inc()
+            self._count_ecc1(1)
             return Outcome.CORRECTED_ECC1
         outcomes = self._repair_group_of(frame)
         outcome = outcomes.pop(frame, Outcome.DUE)

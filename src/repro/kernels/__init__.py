@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-from repro.kernels.interface import KernelBackend
+from repro.kernels.interface import (
+    CHECK_CLEAN,
+    CHECK_UNCORRECTABLE,
+    KernelBackend,
+    check_code,
+    decode_from_check,
+)
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.reference import ReferenceBackend
 
@@ -60,9 +66,13 @@ def resolve_backend(
 __all__ = [
     "BACKENDS",
     "BACKEND_NAMES",
+    "CHECK_CLEAN",
+    "CHECK_UNCORRECTABLE",
     "KernelBackend",
     "NumpyBackend",
     "ReferenceBackend",
+    "check_code",
+    "decode_from_check",
     "get_backend",
     "resolve_backend",
 ]

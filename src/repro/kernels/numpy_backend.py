@@ -20,8 +20,9 @@ affine over GF(2), so ``v`` is affine: ``v(w) = A.w ^ c`` with
 ``c = v(0)``.  Column ``p`` of ``A`` is ``v(1 << p) ^ c``; the columns
 are derived once per codec from the scalar codec itself, so no second
 CRC or Hamming implementation exists.  Folding eight columns per byte
-gives one 256-entry table per word byte, and ``A.w`` for N words is a
-single gather over the packed byte matrix plus one XOR reduction.
+gives one 256-entry table per word byte; with ``c`` folded into the
+first byte's table, ``v`` for N words is a table gather over the packed
+byte matrix (in cache-sized blocks of words) plus one XOR reduction.
 
 The decision then reads straight off ``v``:
 
@@ -32,13 +33,15 @@ The decision then reads straight off ``v``:
   is the scalar path's CRC re-check passing: ``CORRECTED`` at ``p``;
 * anything else: ``UNCORRECTABLE``.
 
-The payload of a clean or repaired word comes from the scalar codec's
-run-based ``extract_data``.  The pipeline is only engaged for codecs
-whose semantics it provably matches (the stock
+That classification is ``batch_check``.  ``batch_decode`` is built on
+it: the payload of a clean or repaired word comes from the scalar
+codec's run-based ``extract_data``.  The pipeline is only engaged for
+codecs whose semantics it provably matches (the stock
 :class:`~repro.core.linecodec.LineCodec`: positional ``HammingSEC`` over
 ``data || CRC``, non-reflected byte-aligned CRC, a check vector that
-fits in 64 bits, little-endian host); anything else falls back to the
-scalar ``codec.decode`` per word, which is always correct.
+fits in 64 bits, little-endian host).  For anything else
+``batch_decode`` falls back to the scalar ``codec.decode`` per word,
+which is always correct, and ``batch_check`` returns None.
 """
 
 from __future__ import annotations
@@ -52,7 +55,11 @@ from repro.coding.hamming import HammingSEC
 from repro.coding.parity import xor_reduce
 from repro.core.layout import LineLayout
 from repro.core.linecodec import DecodeStatus, LineCodec, LineDecode
-from repro.kernels.interface import KernelBackend
+from repro.kernels.interface import (
+    CHECK_UNCORRECTABLE,
+    KernelBackend,
+    decode_from_check,
+)
 from repro.kernels.planes import pack_lines, words_per_line
 
 
@@ -65,57 +72,69 @@ def _check_vector(codec: LineCodec, word: int) -> int:
     return ecc.syndrome(word) | residue << ecc.r
 
 
+#: Words per table gather.  A gather materialises an index and a result
+#: matrix of 8 bytes per word byte; chunks this size keep both cache
+#: resident, which is ~3x faster than one gather over thousands of words.
+_GATHER_ROWS = 256
+
+
 class _LineCodecTables:
     """Per-byte check-vector tables for an eligible ``LineCodec``'s layout."""
 
     def __init__(self, codec: LineCodec) -> None:
         self.n = codec.layout.ecc.n
         self._syndrome_mask = (1 << codec.layout.ecc.r) - 1
-        self._constant = _check_vector(codec, 0)
-        #: col[p]: how flipping stored bit p moves the check vector.
-        self._columns = [
-            _check_vector(codec, 1 << p) ^ self._constant for p in range(self.n)
-        ]
+        constant = _check_vector(codec, 0)
+        # col[p]: how flipping stored bit p moves the check vector.
+        columns = [_check_vector(codec, 1 << p) ^ constant for p in range(self.n)]
         nbytes = words_per_line(self.n) * 8
         bit_columns = np.zeros((nbytes, 8), dtype=np.uint64)
-        bit_columns.reshape(-1)[: self.n] = self._columns
+        bit_columns.reshape(-1)[: self.n] = columns
         # tables[k, b]: XOR of the columns of the bits set in byte value
         # b at byte k, built by doubling (entries below 2^i are extended
         # by bit i).
-        self._tables = np.zeros((nbytes, 256), dtype=np.uint64)
+        tables = np.zeros((nbytes, 256), dtype=np.uint64)
         for bit in range(8):
             low = 1 << bit
-            self._tables[:, low:2 * low] = (
-                self._tables[:, :low] ^ bit_columns[:, bit:bit + 1]
-            )
-        self._byte_index = np.arange(nbytes)
+            tables[:, low:2 * low] = tables[:, :low] ^ bit_columns[:, bit:bit + 1]
+        # Every word has a byte 0, so folding c into its table adds c to
+        # each reduction exactly once: the gather yields v, not A.w.
+        tables[0] ^= np.uint64(constant)
+        # Byte k of a word indexes the flattened tables at 256 * k + value.
+        self._flat_tables = tables.reshape(-1)
+        self._byte_offsets = np.arange(0, 256 * nbytes, 256, dtype=np.intp)
+        # by_syndrome[s]: the check vector of a word ECC-1 repairs at bit
+        # s - 1, for syndromes 1..n.  Entry 0 is 0, the check vector of
+        # a clean word, whose code s - 1 = -1 is CHECK_CLEAN; entry n + 1
+        # (every syndrome past n is clamped to it) is 0 too, which no
+        # nonzero vector equals.
+        self._by_syndrome = np.array([0] + columns + [0], dtype=np.uint64)
 
-    def decode_batch(
-        self, codec: LineCodec, words: Sequence[int]
-    ) -> List[LineDecode]:
+    def check_batch(self, words: Sequence[int]) -> List[int]:
+        """``batch_check`` codes of ``words``: one gather, then one test.
+
+        With ``s`` the syndrome field of ``v``, clamped to ``n + 1``, the
+        code is ``s - 1`` when ``v == by_syndrome[s]``, else
+        UNCORRECTABLE.
+        """
         rows = pack_lines(words, self.n)
         byte_matrix = rows.view(np.uint8).reshape(len(words), -1)
-        linear = np.bitwise_xor.reduce(
-            self._tables[self._byte_index, byte_matrix], axis=1
+        vectors = np.empty(len(words), dtype=np.uint64)
+        for start in range(0, len(words), _GATHER_ROWS):
+            stop = start + _GATHER_ROWS
+            indices = byte_matrix[start:stop] + self._byte_offsets
+            np.bitwise_xor.reduce(
+                self._flat_tables.take(indices), axis=1, out=vectors[start:stop]
+            )
+        syndromes = np.minimum(
+            vectors & np.uint64(self._syndrome_mask), np.uint64(self.n + 1)
+        ).astype(np.intp)
+        codes = np.where(
+            vectors == self._by_syndrome[syndromes],
+            syndromes - 1,
+            CHECK_UNCORRECTABLE,
         )
-        extract = codec.extract_data
-        constant, columns, n = self._constant, self._columns, self.n
-        syndrome_mask = self._syndrome_mask
-        results: List[LineDecode] = []
-        for word, vector in zip(words, linear.tolist()):
-            vector ^= constant
-            if not vector:
-                results.append(LineDecode(DecodeStatus.CLEAN, word, extract(word)))
-                continue
-            position = (vector & syndrome_mask) - 1
-            if 0 <= position < n and vector == columns[position]:
-                fixed = word ^ (1 << position)
-                results.append(
-                    LineDecode(DecodeStatus.CORRECTED, fixed, extract(fixed), position)
-                )
-            else:
-                results.append(LineDecode(DecodeStatus.UNCORRECTABLE, word, None))
-        return results
+        return codes.tolist()
 
 
 #: Table cache.  The tables depend on the layout alone, so every stock
@@ -191,14 +210,22 @@ class NumpyBackend(KernelBackend):
         # fold alike.
         return xor_reduce(words)
 
-    def batch_decode(self, codec, words: Sequence[int]) -> List[object]:
-        words = list(words)
-        if not words:
-            return []
+    def batch_check(self, codec, words: Sequence[int]) -> Optional[List[int]]:
         tables = _tables_for(codec)
         if tables is None:
+            return None
+        words = list(words)
+        return tables.check_batch(words) if words else []
+
+    def batch_decode(self, codec, words: Sequence[int]) -> List[object]:
+        words = list(words)
+        tables = _tables_for(codec)
+        if tables is None or not words:
             return [codec.decode(word) for word in words]
-        return tables.decode_batch(codec, words)
+        return [
+            decode_from_check(codec, word, code)
+            for word, code in zip(words, tables.check_batch(words))
+        ]
 
     def batch_decode_clean(self, codec, words: Sequence[int]) -> List[object]:
         # A clean decode is LineDecode(CLEAN, word, data): with the

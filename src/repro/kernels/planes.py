@@ -38,9 +38,5 @@ def pack_lines(values: Sequence[int], line_bits: int) -> np.ndarray:
     """
     wpl = words_per_line(line_bits)
     nbytes = wpl * 8
-    buffer = bytearray(len(values) * nbytes)
-    offset = 0
-    for value in values:
-        buffer[offset:offset + nbytes] = value.to_bytes(nbytes, "little")
-        offset += nbytes
-    return np.frombuffer(bytes(buffer), dtype="<u8").reshape(len(values), wpl)
+    buffer = b"".join([value.to_bytes(nbytes, "little") for value in values])
+    return np.frombuffer(buffer, dtype="<u8").reshape(len(values), wpl)

@@ -3,18 +3,19 @@
 Every method here is the loop the call sites ran before the kernel
 interface existed (transient scatter from ``TransientFaultInjector``,
 burst folding from ``BurstFaultInjector``, ``xor_reduce`` parity folds,
-scalar ``codec.decode``).  This backend *is* the
-specification the numpy backend must match bit for bit; keep it boring.
+scalar ``codec.decode``, and line checks read off that decode).  This
+backend *is* the specification the numpy backend must match bit for
+bit; keep it boring.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.coding.parity import xor_reduce
-from repro.kernels.interface import KernelBackend
+from repro.kernels.interface import KernelBackend, check_code
 
 
 class ReferenceBackend(KernelBackend):
@@ -44,6 +45,10 @@ class ReferenceBackend(KernelBackend):
 
     def xor_fold(self, words: Sequence[int], line_bits: int) -> int:
         return xor_reduce(words)
+
+    def batch_check(self, codec, words: Sequence[int]) -> Optional[List[int]]:
+        codes = [check_code(codec.decode(word), word) for word in words]
+        return None if None in codes else codes
 
     def batch_decode(self, codec, words: Sequence[int]) -> List[object]:
         return [codec.decode(word) for word in words]

@@ -153,8 +153,7 @@ class STTRAMArray:
         One call instead of a ``read`` and an ``is_dirty`` per line, for
         callers that compare whole groups (the SuDoku-Z peeling memo).
         """
-        if indices and not (0 <= min(indices) and max(indices) < self.num_lines):
-            raise IndexError("line index out of range")
+        self._check_indices(indices)
         diverged, written, fill = self._diverged, self._written, self._fill
         return (
             tuple([diverged.get(i, written.get(i, fill)) for i in indices]),
@@ -180,6 +179,19 @@ class STTRAMArray:
         stored = self._diverged.get(index, golden) ^ error_vector
         self._settle(index, self._through_faults(index, stored), golden)
 
+    def inject_many(self, vectors: Dict[int, int]) -> None:
+        """``inject(index, vector)`` for every item of ``vectors``.
+
+        Indices and masks are validated once, all before any is applied;
+        the flips, and the stuck bits absorbing them, are exactly the
+        per-line ``inject``'s.
+        """
+        self._check_many(vectors.keys(), vectors.values())
+        for index, vector in vectors.items():
+            golden = self._written.get(index, self._fill)
+            stored = self._diverged.get(index, golden) ^ vector
+            self._settle(index, self._through_faults(index, stored), golden)
+
     def restore(self, index: int, value: int) -> None:
         """Write back a corrected value without touching golden.
 
@@ -195,6 +207,28 @@ class STTRAMArray:
             self._through_faults(index, value),
             self._written.get(index, self._fill),
         )
+
+    def restore_many(
+        self, indices: Sequence[int], values: Sequence[int]
+    ) -> List[bool]:
+        """``restore`` each index to its value; their ``is_clean`` after.
+
+        Validated once, all before any write.  Stuck bits re-assert as in
+        ``restore``, and a flag is residual cleanliness as ``is_clean``
+        defines it, so a correct repair of a stuck-conflicting line
+        reads clean while staying in the dirty set.
+        """
+        if len(indices) != len(values):
+            raise ValueError("restore_many needs one value per index")
+        self._check_many(indices, values)
+        clean: List[bool] = []
+        for index, value in zip(indices, values):
+            golden = self._written.get(index, self._fill)
+            stored = self._through_faults(index, value)
+            self._settle(index, stored, golden)
+            # residual_vector's test, on the word just stored.
+            clean.append(stored == self._through_faults(index, golden))
+        return clean
 
     def error_vector(self, index: int) -> int:
         """Current stored-vs-golden difference mask."""
@@ -317,6 +351,16 @@ class STTRAMArray:
         if not 0 <= index < self.num_lines:
             raise IndexError(f"line index {index} out of range")
         if value < 0 or value > self._mask:
+            raise ValueError(f"value does not fit in {self.line_bits} bits")
+
+    def _check_indices(self, indices) -> None:
+        if indices and not (0 <= min(indices) and max(indices) < self.num_lines):
+            raise IndexError("line index out of range")
+
+    def _check_many(self, indices, values) -> None:
+        """``_check`` of every (index, value) pair, as one range test each."""
+        self._check_indices(indices)
+        if values and (min(values) < 0 or max(values) > self._mask):
             raise ValueError(f"value does not fit in {self.line_bits} bits")
 
 

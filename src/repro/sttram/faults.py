@@ -140,15 +140,14 @@ class TransientFaultInjector:
 
         The campaign fast path: one binomial draw plus an O(faults)
         scatter, with the array's dirty-frame set maintained by
-        ``array.inject`` as a side effect.  The returned list equals the
-        dirty set delta for a clean array, which is exactly the visit
-        list a sparse scrub pass needs.  Consumes the same RNG sequence
-        as :meth:`error_vectors`, so campaigns are bit-identical whether
-        they use this helper or the manual inject loop.
+        ``array.inject_many`` as a side effect.  The returned list equals
+        the dirty set delta for a clean array, which is exactly the
+        visit list a sparse scrub pass needs.  Consumes the same RNG
+        sequence as :meth:`error_vectors`, so campaigns are bit-identical
+        whether they use this helper or the manual inject loop.
         """
         vectors = self.error_vectors(array.num_lines)
-        for line_index, vector in vectors.items():
-            array.inject(line_index, vector)
+        array.inject_many(vectors)
         return sorted(vectors)
 
     def inject_interval(self, array: "STTRAMArray") -> List[FaultEvent]:
@@ -444,6 +443,5 @@ class BurstFaultInjector:
     def inject_frames(self, array: "STTRAMArray") -> List[int]:
         """Inject one interval's bursts; return the sorted frames hit."""
         vectors = self.error_vectors(array.num_lines)
-        for line_index, vector in vectors.items():
-            array.inject(line_index, vector)
+        array.inject_many(vectors)
         return sorted(vectors)

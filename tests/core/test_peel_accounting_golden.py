@@ -7,11 +7,16 @@ addend, so any reordering or pre-summing shows), the Prometheus text
 export without its wall-clock families, and the completed-span
 sequence with timings removed (name, depth, status, attributes).  The
 cases cover the telemetry CI campaign, the campaign-z-fail operating
-point on the numpy backend, and a mixed-fault scenario with stuck-at
-lines and parity-metadata chaos on the reference backend.
+point on the numpy backend, a mixed-fault scenario with stuck-at lines
+and parity-metadata chaos on the reference backend, and two numpy runs
+dominated by single-bit lines: a 2^18-line, G=512 campaign whose
+thousands of ECC-1 lines per interval surround RAID-4, SDR and Hash-2
+repairs, and a mixed scenario with stuck-at lines and dropped and
+duplicated scrub visits.
 
-The Hash-2 peel may skip work it has already done, but it must account
-that work exactly as if it had run it; these goldens are the check.  Do
+The Hash-2 peel may skip work it has already done, and the scrub may
+resolve runs of ECC-1 lines in bulk, but both must account that work
+exactly as if they had run it line by line; these goldens are the check.  Do
 not regenerate the file to make a failure pass.  Regenerate it only for
 a deliberate result change, by running this module as a script.
 """
@@ -47,7 +52,14 @@ MIXED = FaultScenario(
     burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5)), interleave=2),
     stuck=StuckSpec(ppm=300.0),
 )
+#: MIXED at a tenth of the transient rate: mostly single-bit lines.
+MIXED_SPARSE = FaultScenario(
+    transient_ber=2e-4,
+    burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5)), interleave=2),
+    stuck=StuckSpec(ppm=300.0),
+)
 METADATA_CHAOS = ChaosPolicy(plt_flip_rate=0.05, map_swap_rate=0.02)
+VISIT_CHAOS = ChaosPolicy(visit_drop_rate=0.05, visit_duplicate_rate=0.1)
 
 
 def _campaign(group_size, ber, intervals, seed, backend):
@@ -63,7 +75,7 @@ def _campaign(group_size, ber, intervals, seed, backend):
     return engine, telemetry, result
 
 
-def _scenario():
+def _scenario(scenario, group_size, seed, backend, chaos_policy, chaos_seed):
     engines = []
     setup = scenario_module._setup_scheme
 
@@ -75,9 +87,9 @@ def _scenario():
     try:
         telemetry = Telemetry.create()
         result = run_scenario_campaign(
-            "Z", MIXED, intervals=6, group_size=8, seed=3,
-            telemetry=telemetry, chaos_policy=METADATA_CHAOS, chaos_seed=4,
-            backend="reference",
+            "Z", scenario, intervals=6, group_size=group_size, seed=seed,
+            telemetry=telemetry, chaos_policy=chaos_policy,
+            chaos_seed=chaos_seed, backend=backend,
         )
     finally:
         scenario_module._setup_scheme = setup
@@ -91,7 +103,17 @@ CASES = {
     "ci-telemetry": lambda: _campaign(8, 2e-3, 5, 5, "reference"),
     # The campaign-z-fail operating point (G=16, BER 2e-3, numpy).
     "campaign-z-fail": lambda: _campaign(16, 2e-3, 4, 11, "numpy"),
-    "scenario-mixed-chaos": _scenario,
+    "scenario-mixed-chaos": lambda: _scenario(
+        MIXED, 8, 3, "reference", METADATA_CHAOS, 4
+    ),
+    # The paper's G=512 over 2^18 lines at BER 1e-4: ~14k single-bit
+    # lines per interval around RAID-4, SDR and Hash-2 repairs.
+    "paper-g512-ecc1": lambda: _campaign(512, 1e-4, 6, 17, "numpy"),
+    # Stuck-at lines re-visited every interval, plus dropped and
+    # duplicated visits, on the numpy backend.
+    "scenario-mixed-stuck-numpy": lambda: _scenario(
+        MIXED_SPARSE, 32, 8, "numpy", VISIT_CHAOS, 6
+    ),
 }
 
 

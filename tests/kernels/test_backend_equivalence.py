@@ -291,6 +291,117 @@ class TestCleanDecodeFastPath:
         assert cached.status is not DecodeStatus.CLEAN
 
 
+class TestBatchCheck:
+    """``batch_check`` equals ``codec.decode``'s verdict on both backends."""
+
+    @staticmethod
+    def _assert_matches_decode(codec, words, backends=BACKEND_NAMES):
+        from repro.core.linecodec import DecodeStatus
+        from repro.kernels import (
+            CHECK_CLEAN,
+            CHECK_UNCORRECTABLE,
+            decode_from_check,
+        )
+
+        expected = [codec.decode(word) for word in words]
+        for name in backends:
+            codes = resolve_backend(name).batch_check(codec, words)
+            assert len(codes) == len(words)
+            for word, code, decode in zip(words, codes, expected):
+                if decode.status is DecodeStatus.CLEAN:
+                    assert code == CHECK_CLEAN
+                elif decode.status is DecodeStatus.UNCORRECTABLE:
+                    assert code == CHECK_UNCORRECTABLE
+                else:
+                    assert code == decode.flipped_position
+                    assert decode.word == word ^ (1 << code)
+                assert decode_from_check(codec, word, code) == decode
+        return expected
+
+    def test_clean_and_one_to_three_bit_words(self):
+        from repro.core.linecodec import DecodeStatus, LineCodec
+
+        codec = LineCodec()
+        rng = random.Random(61)
+        words = []
+        for flips in (0, 1, 2, 3) * 40:
+            word = codec.encode(random_bits(codec.layout.data_bits, rng))
+            for position in rng.sample(range(codec.stored_bits), flips):
+                word ^= 1 << position
+            words.append(word)
+        decodes = self._assert_matches_decode(codec, words)
+        assert {decode.status for decode in decodes} == set(DecodeStatus)
+
+    def test_crafted_miscorrection(self):
+        """One flip off *another* codeword: ECC-1 repairs it to that one."""
+        from repro.core.linecodec import DecodeStatus, LineCodec
+
+        codec = LineCodec()
+        rng = random.Random(62)
+        golden = codec.encode(random_bits(codec.layout.data_bits, rng))
+        delta = codec.encode(random_bits(codec.layout.data_bits, rng))
+        delta ^= codec.encode(0)
+        words = [
+            golden ^ (1 << position) ^ delta
+            for position in (0, 17, codec.stored_bits - 1)
+        ]
+        for decode in self._assert_matches_decode(codec, words):
+            assert decode.status is DecodeStatus.CORRECTED
+            assert decode.word == golden ^ delta
+
+    def test_empty_input(self):
+        from repro.core.linecodec import LineCodec
+
+        for name in BACKEND_NAMES:
+            assert resolve_backend(name).batch_check(LineCodec(), []) == []
+
+    def test_ineligible_codec_is_not_classified(self):
+        """numpy declines a ``LineCodec`` subclass without decoding it."""
+        from repro.core.linecodec import LineCodec
+
+        class CountingCodec(LineCodec):
+            decodes = 0
+
+            def decode(self, word):
+                CountingCodec.decodes += 1
+                return super().decode(word)
+
+        codec = CountingCodec()
+        rng = random.Random(63)
+        words = [
+            codec.encode(random_bits(codec.layout.data_bits, rng))
+            ^ (rng.getrandbits(3) << rng.randrange(codec.stored_bits - 3))
+            for _ in range(12)
+        ]
+        CountingCodec.decodes = 0
+        assert get_backend("numpy").batch_check(codec, words) is None
+        assert CountingCodec.decodes == 0
+        # Its decodes still fall back to the scalar codec, and the
+        # reference classifies it: its repairs are single flips.
+        decodes = get_backend("numpy").batch_decode(codec, words)
+        assert CountingCodec.decodes == len(words)
+        assert decodes == [codec.decode(word) for word in words]
+        self._assert_matches_decode(codec, words, backends=["reference"])
+
+    def test_multi_bit_repairs_are_not_classified(self):
+        """An ECC-2 repair flips two bits: no code describes it."""
+        from repro.core.ecc2 import ECC2LineCodec
+        from repro.core.linecodec import DecodeStatus
+
+        codec = ECC2LineCodec()
+        rng = random.Random(64)
+        golden = codec.encode(random_bits(codec.layout.data_bits, rng))
+        one, two = rng.sample(range(codec.stored_bits), 2)
+        single = golden ^ (1 << one)
+        double = single ^ (1 << two)
+        assert codec.decode(double).status is DecodeStatus.CORRECTED
+        assert codec.decode(double).word == golden
+        for name in BACKEND_NAMES:
+            assert resolve_backend(name).batch_check(codec, [single, double]) is None
+        assert get_backend("numpy").batch_check(codec, [golden, single]) is None
+        self._assert_matches_decode(codec, [golden, single], backends=["reference"])
+
+
 class TestCLIBackendFlag:
     def test_backend_flag_parses(self):
         from repro.cli import build_parser
