@@ -532,10 +532,17 @@ class SuDokuEngine:
             if scrubbed and self.telemetry.enabled:
                 self._publish_line_outcomes(scrubbed)
         counts = Counter(outcome.value for outcome in scrubbed)
-        for frame, outcome in list(self._pending.items()):
-            audited = self._audit(frame, outcome)
-            self.stats.record(audited)
-            counts[audited.value] += 1
+        if self._pending:
+            # A frame this pass already visited can re-enter _pending
+            # when a later group repair touches it again (a stuck-at
+            # line stays dirty after its repair); it was counted once.
+            visited = set(frames)
+            for frame, outcome in list(self._pending.items()):
+                if frame in visited:
+                    continue
+                audited = self._audit(frame, outcome)
+                self.stats.record(audited)
+                counts[audited.value] += 1
         self._pending.clear()
         self._decode_cache.clear()
         self._retry_memo.clear()

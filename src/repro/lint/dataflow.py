@@ -71,7 +71,6 @@ _SEED_TREE_PRODUCERS = frozenset(
     {
         "SeedSequence",
         "spawn_seed_sequences",
-        "spawn_generators",
         "shard_python_seeds",
     }
 )
@@ -630,7 +629,7 @@ class TaintEngine:
                         "provenance chain includes an unseeded "
                         "constructor; thread rng=/seed= from the campaign "
                         "SeedSequence tree (resolve_rng/resolve_pyrandom "
-                        "or parallel.sharding.spawn_generators) through "
+                        "or parallel.sharding.interval_generator) through "
                         "the call chain",
                     )
                 return receiver.without(DIGEST_OBJ)
@@ -726,7 +725,7 @@ class TaintEngine:
                     scope,
                     f"{last}(...) in a parallel path is not derived "
                     "from the campaign SeedSequence tree; use "
-                    "parallel.sharding.spawn_generators / shard_python_seeds",
+                    "parallel.sharding.interval_generator / shard_python_seeds",
                 )
             return arg_union | Taint(tags=frozenset({RNG}))
         prefix, _, attribute = resolved.rpartition(".")

@@ -6,14 +6,17 @@ This package splits a campaign into K deterministic shards run across a
 process pool and merges the aggregates:
 
 * :func:`run_sharded_campaign` -- sharded Monte-Carlo fault injection
-  (``--shards`` on the ``campaign`` and ``chaos`` CLI subcommands);
+  (``--shards`` on the ``campaign`` and ``chaos`` CLI subcommands),
+  whose merged result is bit-identical to the serial run at the same
+  seed;
 * :func:`run_sharded_raresim` -- sharded conditional rare-event FIT
   estimation (``--shards`` on ``raresim``);
 * :func:`run_sharded_scenario` -- sharded mixed transient/burst/stuck-at
   scenario campaigns (``--shards`` on ``scenario``), whose merged result
   is bit-identical to the serial run at the same seed;
 * :mod:`repro.parallel.sharding` -- the deterministic shard arithmetic
-  (unit splits, ``SeedSequence.spawn`` streams, checkpoint paths);
+  (unit splits, the per-interval seed tree, rare-event shard streams,
+  checkpoint paths);
 * :mod:`repro.parallel.merge` -- per-shard aggregate merging.
 
 See ``docs/parallelism.md`` for the seeding model, per-shard checkpoint
@@ -36,7 +39,6 @@ from repro.parallel.sharding import (
     interval_seed_sequence,
     shard_checkpoint_path,
     shard_python_seeds,
-    spawn_generators,
     spawn_seed_sequences,
     split_units,
 )
@@ -50,7 +52,6 @@ __all__ = [
     "merge_conditional_results",
     "split_units",
     "spawn_seed_sequences",
-    "spawn_generators",
     "shard_python_seeds",
     "shard_checkpoint_path",
     "interval_seed_sequence",

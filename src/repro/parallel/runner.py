@@ -1,24 +1,35 @@
 """Sharded campaign executor: K independent shards, one merged result.
 
-The Monte-Carlo and rare-event campaigns are embarrassingly parallel --
-every interval/trial is independent by construction (that is also what
-makes them checkpointable).  The executor exploits this by splitting a
-campaign into K shards, each a *complete* campaign over its slice of the
-work with its own deterministically spawned RNG stream, running the
-shards across worker processes, and merging the per-shard aggregates:
+The Monte-Carlo, scenario and rare-event campaigns are embarrassingly
+parallel -- every interval/trial is independent by construction (that
+is also what makes them checkpointable).  The executor exploits this by
+splitting a campaign into K shards, each a *complete* campaign over its
+slice of the work, running the shards across worker processes, and
+merging the per-shard aggregates.
+
+Determinism model
+-----------------
 
 * ``shards=1`` bypasses every parallel code path and calls the serial
-  runner with the exact RNG construction the CLI has always used, so it
-  is bit-identical to the pre-sharding behaviour.
-* ``shards=K`` is itself deterministic: the same ``(seed, shards)``
-  always reproduces the same merged result, because shard streams come
-  from ``SeedSequence.spawn`` and merging is order-fixed counter
-  addition (:mod:`repro.parallel.merge`).
-* Checkpoints compose per shard: shard *i* snapshots to
+  runner in-process.
+* Monte-Carlo and scenario campaigns derive interval ``i``'s randomness
+  from the campaign seed and the *global* index ``i`` (see
+  :mod:`repro.reliability.montecarlo`), so a shard is the same seed
+  plus the ``interval_start`` of its slice, and the merged K-shard
+  result is bit-identical to the serial run.
+* Rare-event shards draw from their own stdlib streams, seeded from the
+  campaign seed's ``SeedSequence.spawn`` children, so the same
+  ``(seed, shards)`` always reproduces the same merged result -- a
+  different quantity for each K.
+* Merging is order-fixed counter addition (:mod:`repro.parallel.merge`).
+
+Checkpoints and telemetry compose per shard:
+
+* Checkpoints: shard *i* snapshots to
   ``<base>.shard<i>of<K><ext>`` through the same atomic-write
   checkpointer as serial runs, so a killed-and-resumed sharded campaign
   equals an uninterrupted same-seed/same-K run bit for bit.
-* Telemetry composes by merge: each worker records into its own
+* Telemetry, by merge: each worker records into its own
   registry and tracer, shipped back with the shard result and folded
   into the caller's bundle (:func:`repro.obs.merge_registry` for
   counters, :func:`repro.obs.merge_traces` for spans -- worker phase
@@ -50,12 +61,10 @@ import signal
 import traceback
 from dataclasses import dataclass, replace
 from queue import Empty
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: scenario imports this package
     from repro.reliability.scenario import FaultScenario
-
-import numpy as np
 
 from repro.core.rng import resolve_pyrandom
 from repro.kernels import BACKEND_NAMES
@@ -74,7 +83,6 @@ from repro.parallel.merge import (
 from repro.parallel.sharding import (
     shard_checkpoint_path,
     shard_python_seeds,
-    spawn_seed_sequences,
     split_units,
 )
 from repro.reliability.montecarlo import (
@@ -86,7 +94,7 @@ from repro.reliability.raresim import (
     ConditionalGroupSimulator,
     ConditionalResult,
 )
-from repro.resilience.chaos import ChaosInjector, ChaosPolicy
+from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.checkpoint import (
     CancelWatch,
     Checkpointer,
@@ -127,8 +135,7 @@ class _ShardSpec:
     index: int
     shards: int
     units: int
-    # The campaign seed; a spawned SeedSequence for Monte-Carlo shards.
-    seed: Union[int, np.random.SeedSequence]
+    seed: int  # the campaign seed; a derived one for rare-event shards
     level: str  # campaign level, or the scheme name for scenario shards
     ber: float
     group_size: int
@@ -226,15 +233,9 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
         return run_group_campaign(
             spec.level, spec.ber, trials=spec.units,
             group_size=spec.group_size, interval_s=spec.interval_s,
-            # The serial seed is the historical CLI stream, which
-            # predates the SeedSequence tree (shards pass a spawned one).
-            rng=np.random.default_rng(spec.seed),  # repro-lint: disable=RPR002
+            seed=spec.seed, interval_start=spec.interval_start,
             telemetry=telemetry, progress=progress,
-            chaos=(
-                ChaosInjector(spec.chaos_policy, seed=spec.chaos_seed)
-                if spec.chaos_policy is not None
-                else None
-            ),
+            chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
             checkpointer=checkpointer, deadline=deadline,
             scrub_mode=spec.scrub_mode, backend=spec.backend,
         )
@@ -430,20 +431,17 @@ def _progress_batch(units: int) -> int:
 def _shard_spec(base: _ShardSpec, index: int, units: List[int]) -> _ShardSpec:
     """Shard ``index``'s slice of the campaign ``base`` describes.
 
-    Monte-Carlo and rare-event shards draw from their own streams,
-    spawned from the campaign seeds; a scenario shard keeps the seed
-    and starts at its slice's global interval index, so it re-derives
-    exactly the serial run's streams.  Checkpoint files are per shard.
+    A Monte-Carlo or scenario shard keeps the seed and starts at its
+    slice's global interval index, so it re-derives exactly the serial
+    run's streams; a rare-event shard draws from its own stream, spawned
+    from the campaign seed.  Checkpoint files are per shard.
     """
     shards = base.shards
-    seeds: Dict[str, object] = {}
-    if base.kind == "montecarlo":
-        seeds["seed"] = spawn_seed_sequences(base.seed, shards)[index]
-        seeds["chaos_seed"] = shard_python_seeds(base.chaos_seed, shards)[index]
-    elif base.kind == "raresim":
-        seeds["seed"] = shard_python_seeds(base.seed, shards)[index]
+    seed = base.seed
+    if base.kind == "raresim":
+        seed = shard_python_seeds(seed, shards)[index]
     return replace(
-        base, index=index, units=units[index],
+        base, index=index, units=units[index], seed=seed,
         interval_start=sum(units[:index]),
         checkpoint_path=(
             shard_checkpoint_path(base.checkpoint_path, index, shards)
@@ -454,7 +452,6 @@ def _shard_spec(base: _ShardSpec, index: int, units: List[int]) -> _ShardSpec:
             if base.resume_path else ""
         ),
         progress_batch=_progress_batch(base.units),
-        **seeds,
     )
 
 
@@ -527,15 +524,14 @@ def run_sharded_campaign(
 ) -> CampaignResult:
     """Sharded Monte-Carlo campaign (see :func:`run_group_campaign`).
 
-    With ``shards=1`` this delegates to the serial runner with
-    ``np.random.default_rng(seed)`` -- bit-identical to the historical
-    CLI path.  With ``shards=K`` the intervals are split K ways, each
-    shard runs in its own process on its own spawned RNG stream, and the
-    merged :class:`CampaignResult` is returned.  ``chaos_policy`` (when
-    enabled) gets an independent per-shard chaos stream derived from
-    ``chaos_seed`` the same way.  ``scrub_mode`` ("sparse"/"dense")
-    reaches every shard; per-seed results are bit-identical either way,
-    as is the kernel ``backend`` ("reference"/"numpy").
+    ``shards=1`` runs the serial campaign in-process.  With ``shards=K``
+    the intervals are split K ways into contiguous slices, each shard
+    runs its slice of the same seed tree in its own process, and the
+    merged :class:`CampaignResult` is bit-identical to ``shards=1`` at
+    the same seed -- chaos (``chaos_policy``/``chaos_seed``) included.
+    ``scrub_mode`` ("sparse"/"dense") reaches every shard; per-seed
+    results are bit-identical either way, as is the kernel ``backend``
+    ("reference"/"numpy").
 
     ``cancel`` is the job-level cancellation hook (polled between
     intervals): once truthy, the campaign stops at the next boundary
@@ -635,10 +631,8 @@ def run_sharded_scenario(
     ``i`` owns the contiguous slice starting at ``sum(units[:i])`` and
     re-derives exactly the streams the serial run uses for those
     intervals.  The merged result is therefore bit-identical to
-    ``shards=1`` at the same seed -- a stronger property than the
-    Monte-Carlo runner (whose K-shard result is deterministic but a
-    *different* quantity than serial), and the one the acceptance tests
-    pin.  ``shards=1`` runs in-process with no worker machinery.
+    ``shards=1`` at the same seed, as for :func:`run_sharded_campaign`.
+    ``shards=1`` runs in-process with no worker machinery.
     """
     return _run_sharded(
         _ShardSpec(

@@ -4,16 +4,21 @@ A sharded campaign is *defined* by three pure functions of
 ``(seed, shards)``:
 
 * :func:`split_units` -- how many intervals/trials each shard owns;
-* :func:`spawn_generators` / :func:`shard_python_seeds` -- the per-shard
-  RNG streams, derived with ``numpy.random.SeedSequence.spawn`` so the
-  streams are statistically independent *and* reproducible: the same
+* :func:`shard_python_seeds` -- the per-shard rare-event streams,
+  derived with ``numpy.random.SeedSequence.spawn`` so the streams are
+  statistically independent *and* reproducible: the same
   ``(seed, shards)`` always yields the same K streams, regardless of how
   the shards are scheduled across processes;
 * :func:`shard_checkpoint_path` -- where each shard snapshots its state.
 
+Interval campaigns (Monte-Carlo and scenario) need no per-shard
+streams: :func:`interval_generator` and :func:`interval_python_seed`
+derive each interval's streams from the campaign seed and the global
+interval index, so a shard replays the serial run's intervals exactly.
+
 Keeping these deterministic is what makes the merged result of a
-sharded campaign a well-defined quantity ("the K-shard outcome of seed
-S") that a killed-and-resumed run can reproduce bit for bit.
+sharded campaign a well-defined quantity that a killed-and-resumed run
+can reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -50,18 +55,10 @@ def spawn_seed_sequences(seed: int, shards: int) -> List[np.random.SeedSequence]
     return list(np.random.SeedSequence(seed).spawn(shards))
 
 
-def spawn_generators(seed: int, shards: int) -> List[np.random.Generator]:
-    """Independent per-shard numpy generators for campaign ``seed``."""
-    return [
-        np.random.default_rng(sequence)
-        for sequence in spawn_seed_sequences(seed, shards)
-    ]
-
-
 def shard_python_seeds(seed: int, shards: int) -> List[int]:
     """Independent per-shard seeds for ``random.Random`` campaigns.
 
-    Rare-event (and chaos) streams use the stdlib RNG; their shard seeds
+    Rare-event streams use the stdlib RNG; their shard seeds
     are drawn from the same spawned ``SeedSequence`` tree as the numpy
     streams, so one campaign seed governs every stream in the run.
     """
@@ -73,15 +70,15 @@ def shard_python_seeds(seed: int, shards: int) -> List[int]:
 
 
 def interval_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
-    """The per-interval child ``SeedSequence`` of a scenario campaign.
+    """The per-interval child ``SeedSequence`` of an interval campaign.
 
     ``SeedSequence(seed, spawn_key=(index,))`` is by construction the
     same sequence as ``SeedSequence(seed).spawn(n)[index]`` for any
     ``n > index``, so per-interval streams can be derived directly from
     the *global* interval index without knowing how many intervals the
     campaign has or which shard owns this one.  That property is what
-    makes scenario campaigns shard-invariant: serial and K-sharded runs
-    consume identical randomness per interval.
+    makes Monte-Carlo and scenario campaigns shard-invariant: serial and
+    K-sharded runs consume identical randomness per interval.
     """
     if index < 0:
         raise ValueError(f"index must be non-negative, got {index}")
@@ -96,7 +93,7 @@ def interval_generator(seed: int, index: int) -> np.random.Generator:
 def interval_python_seed(seed: int, index: int) -> int:
     """Stdlib-RNG seed for one (campaign seed, global index) pair.
 
-    Used for the per-interval chaos injectors of scenario campaigns:
+    Used for the per-interval chaos injectors of interval campaigns:
     deriving a fresh injector per interval (instead of threading one
     stateful stream through the loop) keeps chaos composable with
     sharding and RNG-free checkpoints.

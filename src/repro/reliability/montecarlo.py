@@ -11,19 +11,36 @@ strategy, mirroring section VII-A, is:
    frequencies at those BERs, which licenses quoting the analytical
    model at the paper's operating point.
 
+Determinism model
+-----------------
+
 Each campaign interval is independent: faults are injected, the engine
 scrubs, outcomes are recorded, and all surviving corruption is healed
-before the next interval (the golden copies make this exact).  That
-interval-boundary invariant is also what makes campaigns *resumable*:
-a checkpoint captured between intervals (RNG states + aggregates; see
-:mod:`repro.resilience.checkpoint`) plus a deterministic re-fill fully
-determines the rest of the run, so a killed-and-resumed campaign is
-bit-identical to an uninterrupted one.
+before the next interval (the golden copies make this exact).  Every
+random quantity derives from one root seed -- drawn once from the
+caller's ``rng`` (or ``seed``) -- through a ``SeedSequence`` tree keyed
+by **global interval index**:
+
+* child ``(0,)`` -- the content fill, when content is randomized;
+* child ``(1,)`` -- the stuck-at fault map (scenario campaigns only);
+* child ``(2 + i,)`` -- interval ``i``'s transient (and burst) draws;
+* ``interval_python_seed(chaos_seed, i)`` -- interval ``i``'s chaos
+  injector, built fresh each interval.
+
+Because ``SeedSequence(seed, spawn_key=(k,))`` is a pure function of
+``(seed, k)``, a shard that owns intervals ``[a, b)`` consumes exactly
+the randomness the serial run consumes for those intervals, and a
+checkpoint captured between intervals needs **no RNG state**: resuming
+at interval ``i`` re-derives child ``(2 + i,)``.  Serial, K-shard,
+resumed, sparse and dense runs of one seed are therefore bit-identical.
+:mod:`repro.reliability.scenario` runs its mixed-fault campaigns
+through the same interval loop.
 
 Chaos campaigns (:mod:`repro.resilience.chaos`) additionally corrupt
 the correction metadata each interval and perturb the scrub schedule;
-the boundary invariant is preserved by healing the array and running the
-engine's metadata scrub (``audit_metadata``) at every interval end.
+the boundary invariant is preserved by healing the array, re-deriving
+the parities and running the engine's metadata scrub
+(``audit_metadata``) at every chaos interval's end.
 """
 
 from __future__ import annotations
@@ -32,7 +49,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -44,15 +61,8 @@ from repro.reliability.fit import (
     fit_from_interval_probability,
     mttf_seconds_from_interval_probability,
 )
-from repro.resilience.checkpoint import (
-    BoundaryLoop,
-    Checkpointer,
-    CheckpointError,
-    Deadline,
-    numpy_rng_state,
-    restore_numpy_rng_state,
-)
-from repro.resilience.chaos import ChaosInjector
+from repro.resilience.checkpoint import BoundaryLoop, Checkpointer, Deadline
+from repro.resilience.chaos import ChaosInjector, ChaosPolicy
 from repro.sttram.array import STTRAMArray
 from repro.sttram.faults import TransientFaultInjector
 
@@ -208,99 +218,6 @@ def _restore_aggregates(
     result.metadata = Counter(aggregates.get("metadata", {}))
 
 
-def _finish(result: CampaignResult, completed: int, stop_reason: str) -> None:
-    result.intervals = completed
-    result.truncated = bool(stop_reason)
-    result.stop_reason = stop_reason
-
-
-def _run_interval(
-    engine,
-    inject: Callable[[], List[int]],
-    result: CampaignResult,
-    *,
-    chaos: Optional[ChaosInjector],
-    scrub_mode: str,
-    heal: Callable[[STTRAMArray], None],
-    tracer,
-    canonical: bool,
-    chaos_events=None,
-) -> Tuple[Dict[str, int], bool, List[int]]:
-    """One inject -> scrub -> failure check -> heal interval.
-
-    ``inject()`` applies the interval's faults and returns the
-    (pre-perturbation) dirty frames; outcomes, failures, and chaos
-    events accumulate on ``result``.  ``heal`` is each loop's own module
-    attribute.  Returns ``(counts, failed, dirty)``.
-
-    The interval ends in the boundary state the next one (and any
-    checkpoint) assumes.  A failure heals the array and restores
-    ground-truth parities: a DUE may have triggered a parity rebuild
-    over still-corrupt words (write-path poisoning semantics).  Chaos
-    heals the array and runs the engine's metadata scrub, so dropped
-    visits and undetected metadata corruption cannot leak across the
-    boundary.  ``canonical`` runs (scenarios) also heal every interval
-    and re-initialise parities after chaos, so each interval starts
-    from a pure function of the config.
-    """
-    array = engine.array
-    with tracer.span("phase_inject"):
-        events = []
-        if chaos is not None and hasattr(engine, "_tables"):
-            # Metadata chaos needs a parity-table surface; schemes
-            # without one (plain per-line ECC) still see the schedule
-            # chaos below.
-            events.append(chaos.corrupt_metadata(engine))
-        dirty = inject()
-        visits = dirty
-        if chaos is not None:
-            visits, applied = chaos.perturb_visits(visits)
-            events.append(applied)
-        for applied in events:
-            result.metadata.update(applied)
-            if chaos_events is not None:
-                for event, count in applied.items():
-                    chaos_events.labels(event=event).inc(count)
-    with tracer.span("phase_scrub"):
-        if scrub_mode == "dense":
-            counts = engine.scrub_frames(
-                _dense_walk(array.num_lines, dirty, visits)
-            )
-        else:
-            # Sparse fast path: decode the scheduled dirty visits only;
-            # every frame outside the (pre-perturbation) dirty set is a
-            # valid codeword and bulk-accounts as clean -- exactly the
-            # outcomes a dense walk records for those lines.
-            sparse_counts = Counter(engine.scrub_frames(visits))
-            bulk_clean = array.num_lines - len(dirty)
-            account = getattr(engine, "account_bulk_clean", None)
-            if account is not None:
-                account(bulk_clean)
-            sparse_counts[Outcome.CLEAN.value] += bulk_clean
-            counts = dict(sparse_counts)
-    result.outcomes.update(counts)
-    failed = any(
-        count and is_failure_label(label) for label, count in counts.items()
-    )
-    with tracer.span("phase_correct"):
-        if failed:
-            result.interval_failures += 1
-        if failed or chaos is not None or canonical:
-            heal(array)
-        if failed or (canonical and chaos is not None):
-            initialize = getattr(engine, "initialize_parities", None)
-            if initialize is not None:
-                initialize()
-        if chaos is not None:
-            audit = getattr(engine, "audit_metadata", None)
-            if audit is not None:
-                audit_report = audit(repair=True)
-                for key in ("crc_faults", "recompute_faults", "rebuilt"):
-                    if audit_report.get(key):
-                        result.metadata["residual_" + key] += audit_report[key]
-    return counts, failed, dirty
-
-
 def run_engine_campaign(
     engine: SuDokuEngine,
     ber: float,
@@ -310,18 +227,30 @@ def run_engine_campaign(
     randomize_content: bool = True,
     telemetry: Optional[Telemetry] = None,
     progress=NULL_PROGRESS,
-    chaos: Optional[ChaosInjector] = None,
+    chaos_policy: Optional[ChaosPolicy] = None,
     checkpointer: Optional[Checkpointer] = None,
     deadline: Optional[Deadline] = None,
     scrub_mode: str = "sparse",
     seed: Optional[SeedLike] = None,
     backend: Optional[str] = None,
+    *,
+    chaos_seed: int = 0,
+    interval_start: int = 0,
 ) -> CampaignResult:
     """Inject-scrub-heal for ``intervals`` independent intervals.
+
+    Runs global intervals ``[interval_start, interval_start +
+    intervals)`` of the campaign rooted at one seed drawn from ``rng``
+    (or from ``seed``); a shard passes its slice via ``interval_start``,
+    the serial run passes 0.  See the module docstring for the seed
+    tree, which is what makes a K-shard or resumed run equal the serial
+    run.
 
     :param engine: a formatted SuDoku engine (or any object with the same
         array / scrub_frames / write_data interface, e.g. the baselines).
     :param ber: accelerated per-bit flip probability per interval.
+    :param rng: the source of the campaign's root seed, taken in one
+        draw; ``seed=s`` is the same as ``rng=default_rng(s)``.
     :param backend: optional kernel backend name (``"reference"`` or
         ``"numpy"``); when given, the engine and the fault injector route
         their bulk operations through it.  Backends are bit-identical by
@@ -336,9 +265,10 @@ def run_engine_campaign(
         checkpoints deliberately omit the mode -- a dense run may be
         resumed sparse and vice versa.  ``"dense"`` exists as the
         trust-nothing audit mode; see docs/performance.md.
-    :param randomize_content: write random data once before the campaign
-        (recommended; all-zero content makes overlap pathologies invisible
-        to content-sensitive bugs the campaign exists to catch).
+    :param randomize_content: write random data once before the campaign,
+        from seed-tree child ``(0,)`` (recommended; all-zero content
+        makes overlap pathologies invisible to content-sensitive bugs
+        the campaign exists to catch).
     :param telemetry: optional :class:`repro.obs.Telemetry`; when given it
         is also attached to the engine, so per-mechanism counters and
         repair spans are recorded alongside the campaign-level series.
@@ -346,17 +276,19 @@ def run_engine_campaign(
         with it on or off.
     :param progress: a :class:`repro.obs.ProgressReporter` (default: the
         shared no-op) fed once per interval.
-    :param chaos: optional :class:`repro.resilience.chaos.ChaosInjector`;
-        each interval it corrupts the engine's parity metadata and
-        perturbs the scrub visit list.  It draws from its *own* RNG, so
-        ``chaos=None`` and an all-zero policy are bit-identical.
+    :param chaos_policy: optional
+        :class:`repro.resilience.chaos.ChaosPolicy`; each interval a fresh
+        :class:`ChaosInjector` seeded from ``(chaos_seed, index)``
+        corrupts the engine's parity metadata and perturbs the scrub
+        visit list.  A disabled (all-zero) policy is the same as none.
     :param checkpointer: optional
         :class:`repro.resilience.checkpoint.Checkpointer`; snapshots are
         taken at interval boundaries and flushed on schedule, interrupt,
         deadline expiry, and completion.  When its ``resume`` payload is
-        set, the campaign validates it against the current parameters and
-        continues where the snapshot left off (pass a *freshly built*
-        engine -- content is re-derived deterministically).
+        set, the campaign validates it against the current parameters
+        (root seed included) and continues where the snapshot left off
+        (pass a *freshly built* engine -- content is re-derived from the
+        seed).
     :param deadline: optional wall-clock
         :class:`repro.resilience.checkpoint.Deadline`; on expiry the
         campaign ends cleanly with partial results
@@ -372,7 +304,82 @@ def run_engine_campaign(
         setter = getattr(engine, "set_backend", None)
         if setter is not None:
             setter(backend)
-    generator = resolve_rng(rng, seed, owner="run_engine_campaign")
+    root = int(
+        resolve_rng(rng, seed, owner="run_engine_campaign").integers(0, 2 ** 63)
+    )
+    array = engine.array
+    level = str(getattr(engine, "level", "?"))
+    config: Dict[str, object] = {
+        "kind": "montecarlo",
+        "level": level,
+        "ber": ber,
+        "intervals": intervals,
+        "interval_s": interval_s,
+        "lines": array.num_lines,
+        "line_bits": array.line_bits,
+        "group_size": getattr(engine, "group_size", None),
+        "randomize_content": bool(randomize_content),
+        "seed": root,
+        "interval_start": interval_start,
+        "chaos": chaos_policy.as_dict() if chaos_policy is not None else None,
+        "chaos_seed": chaos_seed if chaos_policy is not None else None,
+    }
+    if randomize_content:
+        _fill_random_through_engine(engine, root)
+    return _run_intervals(
+        engine, ber, intervals, interval_s, config, level=level, seed=root,
+        interval_start=interval_start, burst=None, chaos_policy=chaos_policy,
+        chaos_seed=chaos_seed, telemetry=telemetry, progress=progress,
+        checkpointer=checkpointer, deadline=deadline, scrub_mode=scrub_mode,
+    )
+
+
+def _run_intervals(
+    engine,
+    ber: float,
+    intervals: int,
+    interval_s: float,
+    config: Dict[str, object],
+    *,
+    level: str,
+    seed: int,
+    interval_start: int,
+    burst: Optional[Callable[[np.random.Generator], object]],
+    chaos_policy: Optional[ChaosPolicy],
+    chaos_seed: int,
+    telemetry: Optional[Telemetry],
+    progress,
+    checkpointer: Optional[Checkpointer],
+    deadline: Optional[Deadline],
+    scrub_mode: str,
+) -> CampaignResult:
+    """The one interval loop behind Monte-Carlo and scenario campaigns.
+
+    Interval ``i`` (global index) draws its transient faults, then its
+    bursts (``burst(stream)`` returns an injector, or ``None``), from
+    ``interval_generator(seed, 2 + i)``; with a live chaos policy a
+    fresh injector seeded from ``(chaos_seed, i)`` corrupts the parity
+    metadata first and perturbs the visit list after.  ``config`` is the
+    checkpoint fingerprint; its ``"kind"`` names the snapshot kind.
+
+    Every interval ends in the same boundary state, whatever ran: the
+    array is healed (``heal`` is looked up on this module each time, so
+    a wrapper installed on it sees every call), parities are
+    re-initialised after a failure or chaos (a DUE may have triggered a
+    parity rebuild over still-corrupt words, write-path poisoning
+    semantics), and chaos ends in the engine's metadata audit.  So the
+    state entering interval ``i`` is a pure function of the config, and
+    a checkpoint needs no RNG state.
+    """
+    # Imported here, not at the top: repro.parallel imports this module.
+    from repro.parallel.sharding import interval_generator, interval_python_seed
+
+    if intervals < 0:
+        raise ValueError("intervals must be non-negative")
+    if interval_start < 0:
+        raise ValueError("interval_start must be non-negative")
+    if chaos_policy is not None and not chaos_policy.enabled:
+        chaos_policy = None
     tel = resolve_telemetry(telemetry)
     if telemetry is not None:
         attach = getattr(engine, "attach_telemetry", None)
@@ -411,87 +418,94 @@ def run_engine_campaign(
     )
 
     array = engine.array
-    level = getattr(engine, "level", "?")
-    config_fingerprint: Dict[str, object] = {
-        "kind": "montecarlo",
-        "level": str(level),
-        "ber": ber,
-        "intervals": intervals,
-        "interval_s": interval_s,
-        "lines": array.num_lines,
-        "line_bits": array.line_bits,
-        "group_size": getattr(engine, "group_size", None),
-        "randomize_content": bool(randomize_content),
-        "chaos": chaos.policy.as_dict() if chaos is not None else None,
-    }
+    kernels = getattr(engine, "backend", None)
     result = CampaignResult(
         intervals=intervals, ber=ber, interval_s=interval_s, lines=array.num_lines
     )
-    fill_seed: Optional[int] = None
-
-    def restore(aggregates: Dict[str, object]) -> None:
-        nonlocal fill_seed
-        _restore_aggregates(result, aggregates)
-        raw_fill_seed = aggregates.get("fill_seed")
-        fill_seed = int(raw_fill_seed) if raw_fill_seed is not None else None
-        if randomize_content and fill_seed is None:
-            raise CheckpointError(
-                "checkpoint is missing the content fill seed; cannot "
-                "re-derive the campaign's array content"
-            )
-
-    def rng_state() -> Dict[str, object]:
-        block: Dict[str, object] = {"numpy": numpy_rng_state(generator)}
-        if chaos is not None:
-            block["chaos"] = chaos.rng_state()
-        return block
-
-    def restore_rng(block: Dict[str, object]) -> None:
-        # RNG states are captured at interval boundaries, and the
-        # content re-fill below draws from its own seeded stream, so
-        # the restored streams replay the exact random sequence the
-        # uninterrupted run would have seen.
-        restore_numpy_rng_state(generator, block["numpy"])
-        if chaos is not None and "chaos" in block:
-            chaos.restore_rng_state(block["chaos"])
-
     loop = BoundaryLoop(
-        "montecarlo", config_fingerprint, checkpointer,
-        aggregates=lambda: {**_aggregates(result), "fill_seed": fill_seed},
-        restore=restore, rng_state=rng_state, restore_rng=restore_rng,
+        str(config["kind"]), config, checkpointer,
+        aggregates=lambda: _aggregates(result),
+        restore=lambda aggregates: _restore_aggregates(result, aggregates),
         telemetry=tel, flushes=m_checkpoints, deadline=deadline,
         progress=progress,
     )
-    if randomize_content:
-        if fill_seed is None:  # a fresh run; a resume restored the seed
-            fill_seed = int(generator.integers(0, 2 ** 63))
-        _fill_random_through_engine(engine, fill_seed)
-    injector = TransientFaultInjector(
-        array.line_bits, ber, generator,
-        backend=getattr(engine, "backend", None),
-    )
-
-    def inject() -> List[int]:
-        dirty = injector.inject_frames(array)
-        if array.has_permanent_faults:
-            # Stuck-conflicting lines are permanently dirty even when no
-            # transient landed on them this interval; the sparse pass
-            # must keep visiting them to stay bit-identical to dense.
-            dirty = array.dirty_frames()
-        return dirty
-
+    metadata_chaos = hasattr(engine, "_tables")
+    initialize = getattr(engine, "initialize_parities", None)
+    audit = getattr(engine, "audit_metadata", None)
     # Per-phase spans are attribute-free: a live tracer pays two clock
     # reads per span, the NullTracer pays one no-op call, and either way
     # the RNG stream is untouched.
     tracer = tel.tracer
 
-    def step(_unit: int) -> None:
+    def step(relative: int) -> None:
         started = time.perf_counter() if tel.enabled else 0.0
-        counts, failed, dirty = _run_interval(
-            engine, inject, result, chaos=chaos, scrub_mode=scrub_mode,
-            heal=heal, tracer=tracer, canonical=False,
-            chaos_events=m_chaos if tel.enabled else None,
+        index = interval_start + relative
+        stream = interval_generator(seed, 2 + index)
+        chaos = (
+            ChaosInjector(
+                chaos_policy, seed=interval_python_seed(chaos_seed, index)
+            )
+            if chaos_policy is not None
+            else None
         )
+        with tracer.span("phase_inject"):
+            events = []
+            if chaos is not None and metadata_chaos:
+                # Metadata chaos needs a parity-table surface; schemes
+                # without one (plain per-line ECC) still see the schedule
+                # chaos below.
+                events.append(chaos.corrupt_metadata(engine))
+            if ber > 0:
+                TransientFaultInjector(
+                    array.line_bits, ber, stream, backend=kernels
+                ).inject_frames(array)
+            injector = burst(stream) if burst is not None else None
+            if injector is not None:
+                injector.inject_frames(array)
+            # This interval's hits plus any permanently-dirty stuck
+            # lines: the sparse pass must visit both to match dense.
+            dirty = array.dirty_frames()
+            visits = dirty
+            if chaos is not None:
+                visits, applied = chaos.perturb_visits(visits)
+                events.append(applied)
+            for applied in events:
+                result.metadata.update(applied)
+                if tel.enabled:
+                    for event, count in applied.items():
+                        m_chaos.labels(event=event).inc(count)
+        with tracer.span("phase_scrub"):
+            if scrub_mode == "dense":
+                counts = engine.scrub_frames(
+                    _dense_walk(array.num_lines, dirty, visits)
+                )
+            else:
+                # Sparse fast path: decode the scheduled dirty visits
+                # only; every frame outside the (pre-perturbation) dirty
+                # set is a valid codeword and bulk-accounts as clean --
+                # exactly the outcomes a dense walk records for them.
+                sparse_counts = Counter(engine.scrub_frames(visits))
+                bulk_clean = array.num_lines - len(dirty)
+                account = getattr(engine, "account_bulk_clean", None)
+                if account is not None:
+                    account(bulk_clean)
+                sparse_counts[Outcome.CLEAN.value] += bulk_clean
+                counts = dict(sparse_counts)
+        result.outcomes.update(counts)
+        failed = any(
+            count and is_failure_label(label) for label, count in counts.items()
+        )
+        with tracer.span("phase_correct"):
+            if failed:
+                result.interval_failures += 1
+            heal(array)
+            if (failed or chaos is not None) and initialize is not None:
+                initialize()
+            if chaos is not None and audit is not None:
+                audit_report = audit(repair=True)
+                for key in ("crc_faults", "recompute_faults", "rebuilt"):
+                    if audit_report.get(key):
+                        result.metadata["residual_" + key] += audit_report[key]
         if tel.enabled:
             m_intervals.inc()
             if failed:
@@ -505,11 +519,13 @@ def run_engine_campaign(
         "campaign", level=level, ber=ber, intervals=intervals,
         lines=array.num_lines,
     ))
-    _finish(result, completed, stop_reason)
+    result.intervals = completed
+    result.truncated = bool(stop_reason)
+    result.stop_reason = stop_reason
     if telemetry is not None:
         stats = getattr(engine, "stats", None)
         if stats is not None:
-            stats.publish_to(metrics, level=str(level))
+            stats.publish_to(metrics, level=level)
     return result
 
 
@@ -522,20 +538,24 @@ def run_group_campaign(
     rng: Optional[np.random.Generator] = None,
     telemetry: Optional[Telemetry] = None,
     progress=NULL_PROGRESS,
-    chaos: Optional[ChaosInjector] = None,
+    chaos_policy: Optional[ChaosPolicy] = None,
     checkpointer: Optional[Checkpointer] = None,
     deadline: Optional[Deadline] = None,
     scrub_mode: str = "sparse",
     seed: Optional[SeedLike] = None,
     backend: Optional[str] = None,
+    *,
+    chaos_seed: int = 0,
+    interval_start: int = 0,
 ) -> CampaignResult:
     """Single-cache campaign sized for group-level statistics.
 
     Builds a compact engine (``group_size^2`` lines so SuDoku-Z's skewed
     hash is valid) and runs :func:`run_engine_campaign` -- the analytical
     model evaluated at the same geometry is the comparison target.  The
-    resilience knobs (``chaos``, ``checkpointer``, ``deadline``),
-    ``scrub_mode``, and ``backend`` pass straight through.
+    resilience knobs (``chaos_policy``/``chaos_seed``, ``checkpointer``,
+    ``deadline``), ``scrub_mode``, ``backend`` and ``interval_start``
+    pass straight through.
     """
     from repro.core.linecodec import LineCodec
 
@@ -548,21 +568,25 @@ def run_group_campaign(
     return run_engine_campaign(
         engine, ber, trials, interval_s=interval_s, rng=rng,
         randomize_content=False, telemetry=telemetry, progress=progress,
-        chaos=chaos, checkpointer=checkpointer, deadline=deadline,
-        scrub_mode=scrub_mode, seed=seed,
+        chaos_policy=chaos_policy, checkpointer=checkpointer,
+        deadline=deadline, scrub_mode=scrub_mode, seed=seed,
+        chaos_seed=chaos_seed, interval_start=interval_start,
     )
 
 
 def _fill_random_through_engine(engine: SuDokuEngine, seed: int) -> None:
     """Write random content via the engine so parities stay consistent.
 
-    The content stream is a ``random.Random(seed)`` so a resumed
-    campaign can re-derive the identical array from the checkpointed
-    seed without consuming the campaign generator.
+    The content stream is a ``random.Random`` seeded from child ``(0,)``
+    of the campaign seed, so a resumed campaign or a shard re-derives
+    the identical array from the seed alone.
     """
     import random as _random
 
-    local = _random.Random(seed)
+    # Imported here, not at the top: repro.parallel imports this module.
+    from repro.parallel.sharding import interval_generator
+
+    local = _random.Random(int(interval_generator(seed, 0).integers(0, 2 ** 63)))
     data_bits = engine.data_bits
     # Each write must go through engine.write_data so the parity tables
     # track the content; there is no bulk engine write to route to.

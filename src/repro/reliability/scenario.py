@@ -19,24 +19,14 @@ schemes diverge sharply.  This module defines:
 Determinism model
 -----------------
 
-Unlike the Monte-Carlo loop (one sequential RNG stream, whose *state*
-must be checkpointed), scenario campaigns derive every random quantity
-from a ``SeedSequence`` tree keyed by **global interval index**:
-
-* child ``(0,)`` -- the content fill seed;
-* child ``(1,)`` -- the stuck-at fault map;
-* child ``(2 + i,)`` -- interval ``i``'s transient + burst draws (and,
-  via :func:`repro.parallel.sharding.interval_python_seed`, interval
-  ``i``'s chaos injector).
-
-Because ``SeedSequence(seed, spawn_key=(k,))`` is a pure function of
-``(seed, k)``, a shard that owns intervals ``[a, b)`` consumes exactly
-the randomness the serial run consumes for those intervals, and a
-checkpoint needs **no RNG state at all** -- resuming at interval ``i``
-just re-derives child ``(2 + i,)``.  That is what makes the sharded,
-resumed, and sparse-scrub variants of a scenario campaign bit-identical
-to the serial dense run (the acceptance property
-``tests/reliability/test_scenario.py`` pins down).
+A scenario campaign runs the Monte-Carlo interval loop of
+:mod:`repro.reliability.montecarlo` and shares its seed tree, keyed by
+**global interval index**: child ``(0,)`` seeds the content fill, child
+``(1,)`` the stuck-at fault map, and child ``(2 + i,)`` interval
+``i``'s transient then burst draws.  Serial, sharded, resumed and
+sparse-scrub runs are therefore bit-identical to the serial dense run
+(the acceptance property ``tests/reliability/test_scenario.py`` pins
+down), and checkpoints carry no RNG state.
 
 The interval-boundary invariant extends to permanent faults: after each
 interval's heal, every stored word equals its golden value *as read
@@ -51,31 +41,27 @@ See docs/faultmodels.md for the spec format and semantics.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import build_engine
-from repro.obs import NULL_PROGRESS, Telemetry, resolve_telemetry
-from repro.parallel.sharding import interval_generator, interval_python_seed
+from repro.obs import NULL_PROGRESS, Telemetry
+from repro.parallel.sharding import interval_generator
 from repro.reliability.montecarlo import (
-    INTERVAL_BUCKETS,
     CampaignResult,
-    _aggregates,
     _fill_random_through_engine,
-    _finish,
-    _restore_aggregates,
-    _run_interval,
-    heal,
+    _run_intervals,
     require_scrub_mode,
 )
-from repro.resilience.chaos import ChaosInjector, ChaosPolicy
-from repro.resilience.checkpoint import BoundaryLoop, Checkpointer, Deadline
+# Re-exported for callers that wrap ``heal`` by module; the interval
+# loop calls montecarlo's own module attribute.
+from repro.reliability.montecarlo import heal  # noqa: F401
+from repro.resilience.chaos import ChaosPolicy
+from repro.resilience.checkpoint import Checkpointer, Deadline
 from repro.sttram.array import STTRAMArray
 from repro.sttram.faults import (
     BurstFaultInjector,
     PermanentFaultMap,
-    TransientFaultInjector,
     burst_line_masks,
 )
 
@@ -475,8 +461,7 @@ def _setup_scheme(
     )
     if stuck_map is not None:
         array.attach_permanent_faults(stuck_map)
-    fill_seed = int(interval_generator(seed, 0).integers(0, 2 ** 63))
-    _fill_random_through_engine(engine, fill_seed)
+    _fill_random_through_engine(engine, seed)
     initialize = getattr(engine, "initialize_parities", None)
     if initialize is not None:
         initialize()
@@ -521,35 +506,10 @@ def run_scenario_campaign(
     require_scrub_mode(scrub_mode)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if intervals < 0:
-        raise ValueError("intervals must be non-negative")
-    if interval_start < 0:
-        raise ValueError("interval_start must be non-negative")
-    tel = resolve_telemetry(telemetry)
     engine = _setup_scheme(scheme, group_size, scenario, seed, backend)
-    kernels = getattr(engine, "backend", None)
-    if telemetry is not None:
-        attach = getattr(engine, "attach_telemetry", None)
-        if attach is not None:
-            attach(telemetry)
     array = engine.array
-    m_intervals = tel.metrics.counter(
-        "scenario_intervals_total", "Scenario campaign intervals completed."
-    )
-    m_outcomes = tel.metrics.counter(
-        "scenario_outcomes_total",
-        "Line outcomes accumulated across scenario intervals.",
-        labels=("outcome",),
-    )
-    m_interval_time = tel.metrics.histogram(
-        "scenario_interval_seconds",
-        "Wall-clock time per scenario interval (inject + scrub + heal).",
-        buckets=INTERVAL_BUCKETS,
-    )
-    m_checkpoints = tel.metrics.counter(
-        "scenario_checkpoint_writes_total", "Scenario checkpoints flushed."
-    )
-    config_fingerprint: Dict[str, object] = {
+    kernels = getattr(engine, "backend", None)
+    config: Dict[str, object] = {
         "kind": "scenario",
         "scheme": scheme,
         "group_size": group_size,
@@ -563,62 +523,13 @@ def run_scenario_campaign(
         "chaos": chaos_policy.as_dict() if chaos_policy is not None else None,
         "chaos_seed": chaos_seed if chaos_policy is not None else None,
     }
-    result = CampaignResult(
-        intervals=intervals,
-        ber=scenario.transient_ber,
-        interval_s=interval_s,
-        lines=array.num_lines,
+    return _run_intervals(
+        engine, scenario.transient_ber, intervals, interval_s, config,
+        level=scheme, seed=seed, interval_start=interval_start,
+        burst=lambda stream: scenario.build_burst_injector(
+            array.line_bits, stream, backend=kernels
+        ),
+        chaos_policy=chaos_policy, chaos_seed=chaos_seed,
+        telemetry=telemetry, progress=progress, checkpointer=checkpointer,
+        deadline=deadline, scrub_mode=scrub_mode,
     )
-    # No RNG block: every stream re-derives from (seed, index).
-    loop = BoundaryLoop(
-        "scenario", config_fingerprint, checkpointer,
-        aggregates=lambda: _aggregates(result),
-        restore=lambda aggregates: _restore_aggregates(result, aggregates),
-        telemetry=tel, flushes=m_checkpoints, deadline=deadline,
-        progress=progress,
-    )
-    tracer = tel.tracer
-
-    def step(relative: int) -> None:
-        started = time.perf_counter() if tel.enabled else 0.0
-        index = interval_start + relative
-        stream = interval_generator(seed, 2 + index)
-        chaos = (
-            ChaosInjector(
-                chaos_policy, seed=interval_python_seed(chaos_seed, index)
-            )
-            if chaos_policy is not None
-            else None
-        )
-
-        def inject() -> List[int]:
-            if scenario.transient_ber > 0:
-                TransientFaultInjector(
-                    array.line_bits, scenario.transient_ber, stream,
-                    backend=kernels,
-                ).inject_frames(array)
-            burst = scenario.build_burst_injector(
-                array.line_bits, stream, backend=kernels
-            )
-            if burst is not None:
-                burst.inject_frames(array)
-            # The dirty set is the union of this interval's hits and the
-            # permanently-dirty stuck lines.
-            return array.dirty_frames()
-
-        counts, _, _ = _run_interval(
-            engine, inject, result, chaos=chaos, scrub_mode=scrub_mode,
-            heal=heal, tracer=tracer, canonical=True,
-        )
-        if tel.enabled:
-            m_intervals.inc()
-            for label, count in counts.items():
-                m_outcomes.labels(outcome=label).inc(count)
-            m_interval_time.observe(time.perf_counter() - started)
-
-    completed, stop_reason = loop.run(intervals, step, tracer.span(
-        "scenario_campaign", scheme=scheme, intervals=intervals,
-        lines=array.num_lines,
-    ))
-    _finish(result, completed, stop_reason)
-    return result

@@ -10,8 +10,8 @@ hardware: *what survives when things fail?*
   group quarantine, CRC-verified rebuilds, and the explicit
   ``metadata_due`` outcome instead of silent corruption.
 * :mod:`repro.resilience.checkpoint` -- crash-safe, bit-identically
-  resumable campaign state: atomic JSON snapshots of RNG streams and
-  aggregates, a wall-clock :class:`Deadline` watchdog, and the
+  resumable campaign state: atomic JSON snapshots of aggregates (and
+  the rare-event RNG stream), a wall-clock :class:`Deadline` watchdog, and the
   :class:`CheckpointError` taxonomy the CLI turns into one-line errors.
 
 See ``docs/resilience.md`` for the full story.
@@ -27,10 +27,8 @@ from repro.resilience.checkpoint import (
     build_payload,
     job_checkpoint_path,
     load_checkpoint,
-    numpy_rng_state,
     python_rng_state,
     require_config_match,
-    restore_numpy_rng_state,
     restore_python_rng_state,
 )
 
@@ -46,8 +44,6 @@ __all__ = [
     "job_checkpoint_path",
     "load_checkpoint",
     "require_config_match",
-    "numpy_rng_state",
-    "restore_numpy_rng_state",
     "python_rng_state",
     "restore_python_rng_state",
 ]

@@ -25,6 +25,8 @@ nothing, so campaigns with chaos disabled remain bit-identical to
 campaigns that never heard of this module.  The injector keeps its own
 ``random.Random`` stream, fully separate from the campaign's fault RNG,
 so enabling chaos never shifts the data-fault sequence either.
+Campaigns build a fresh injector per interval, seeded from the chaos
+seed and the interval index, so no injector state outlives an interval.
 """
 
 from __future__ import annotations
@@ -146,15 +148,3 @@ class ChaosInjector:
                 applied["visits_duplicated"] += 1
         self.events.update(applied)
         return visits, applied
-
-    # -- checkpoint support ---------------------------------------------------------
-
-    def rng_state(self) -> List[object]:
-        """JSON-serialisable snapshot of the chaos RNG stream."""
-        version, internal, gauss = self._rng.getstate()
-        return [version, list(internal), gauss]
-
-    def restore_rng_state(self, state) -> None:
-        """Restore a snapshot produced by :meth:`rng_state`."""
-        version, internal, gauss = state
-        self._rng.setstate((version, tuple(internal), gauss))

@@ -2,14 +2,16 @@
 
 A multi-hour campaign must survive being killed: every
 ``--checkpoint-every`` intervals (and on SIGINT or deadline expiry) the
-campaign writes a JSON snapshot -- RNG states, completed-interval
-counter, and the running aggregates -- via the same atomic
-tmp-file+rename helper the telemetry exporters use.  ``--resume``
-restores the snapshot and continues; because RNG state is captured
-*between* intervals, a resumed campaign replays the exact random
-sequence an uninterrupted run would have seen, so the final aggregates
-are bit-identical (the acceptance property ``tests/reliability/
-test_resume.py`` pins down).
+campaign writes a JSON snapshot -- completed-unit counter, running
+aggregates and, for the rare-event simulator, its RNG state -- via the
+same atomic tmp-file+rename helper the telemetry exporters use.
+``--resume`` restores the snapshot and continues.  Interval campaigns
+(Monte-Carlo and scenario) re-derive each interval's streams from the
+seed and the interval index, so their snapshots carry no RNG state; the
+rare-event stream is captured *between* trials.  Either way a resumed
+campaign replays the exact random sequence an uninterrupted run would
+have seen, so the final aggregates are bit-identical (the acceptance
+property ``tests/reliability/test_resume.py`` pins down).
 
 Checkpoints are validated up front: a missing file, corrupt JSON, a
 snapshot from a different campaign kind, or mismatched campaign
@@ -19,7 +21,7 @@ never a traceback from deep inside the interval loop.
 :class:`BoundaryLoop` is the one place that protocol runs: every
 campaign kind (Monte-Carlo and scenario intervals, rare-event trials)
 drives its units through it and supplies only the per-unit step, its
-aggregates, and its RNG block.
+aggregates, and (rare-event trials only) its RNG block.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.obs.atomicio import atomic_write_json
 
 #: Format version stamped into every checkpoint file.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -331,26 +333,6 @@ class BoundaryLoop:
 
 
 # -- RNG state (de)serialisation --------------------------------------------------
-
-
-def numpy_rng_state(generator) -> Dict[str, object]:
-    """JSON-serialisable snapshot of a ``numpy.random.Generator``."""
-    state = generator.bit_generator.state
-    return json.loads(json.dumps(state, default=int))
-
-
-def restore_numpy_rng_state(generator, state: Dict[str, object]) -> None:
-    """Restore a :func:`numpy_rng_state` snapshot onto ``generator``."""
-    expected = type(generator.bit_generator).__name__
-    saved = state.get("bit_generator") if isinstance(state, dict) else None
-    if saved != expected:
-        raise CheckpointError(
-            f"checkpoint RNG is {saved!r} but this run uses {expected!r}"
-        )
-    try:
-        generator.bit_generator.state = state
-    except (KeyError, TypeError, ValueError) as error:
-        raise CheckpointError(f"checkpoint RNG state is corrupt: {error}")
 
 
 def python_rng_state(rng) -> List[object]:

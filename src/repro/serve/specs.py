@@ -8,7 +8,7 @@ content digest that keys the result store.
 
 The digest covers exactly what determines the result *bits*: the kind,
 the normalized semantic parameters (including seed and shard count --
-a K-shard Monte-Carlo result is a different quantity than serial), and
+a K-shard rare-event result is a different quantity than serial), and
 :data:`RESULT_VERSION`.  Execution hints that are bit-identical by
 construction (``scrub_mode``, kernel ``backend``) and submission
 envelope fields (tenant, priority) are deliberately excluded, so
@@ -28,7 +28,7 @@ from repro.reliability.scenario import SCHEMES, FaultScenario
 
 #: Bump when a code change alters campaign results at a fixed spec;
 #: stored results from older versions then simply stop matching.
-RESULT_VERSION = 1
+RESULT_VERSION = 2
 
 #: Campaign kinds the service schedules.
 KINDS: Tuple[str, ...] = ("campaign", "raresim", "scenario")

@@ -24,8 +24,8 @@ WIDTH = 553
 #: the retries the peel accounts (``stats.group_scans``, equal to the
 #: scan_group calls made before retries were memoised) and the scans it
 #: actually runs.
-Z_FAIL_ACCOUNTED_SCANS = 697
-Z_FAIL_SCAN_CALLS = 65
+Z_FAIL_ACCOUNTED_SCANS = 598
+Z_FAIL_SCAN_CALLS = 62
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import pytest
 from repro.parallel import (
     shard_checkpoint_path,
     shard_python_seeds,
-    spawn_generators,
     spawn_seed_sequences,
     split_units,
 )
@@ -39,14 +38,6 @@ class TestSeedSpawning:
         b = spawn_seed_sequences(42, 3)
         assert [s.entropy for s in a] == [s.entropy for s in b]
         assert [s.spawn_key for s in a] == [s.spawn_key for s in b]
-
-    def test_generators_are_reproducible_and_distinct(self):
-        first = [g.integers(0, 2**32, 8).tolist()
-                 for g in spawn_generators(7, 3)]
-        second = [g.integers(0, 2**32, 8).tolist()
-                  for g in spawn_generators(7, 3)]
-        assert first == second
-        assert len({tuple(draws) for draws in first}) == 3
 
     def test_python_seeds_deterministic_and_distinct(self):
         seeds = shard_python_seeds(0, 4)

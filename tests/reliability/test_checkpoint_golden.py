@@ -2,7 +2,8 @@
 
 ``golden_checkpoints/<kind>-after-2.json`` holds the exact payload each
 campaign kind flushed after its second unit, captured from a small
-seeded run.  Two properties are pinned per kind:
+seeded run (``montecarlo-v1-after-2.json`` is the version 1 capture,
+kept to pin its refusal).  Two properties are pinned per kind:
 
 * the same run still flushes exactly that payload after unit 2 (same
   key set, aggregates, RNG block and config fingerprint), and
@@ -26,7 +27,7 @@ from repro.core.linecodec import LineCodec
 from repro.reliability.montecarlo import run_engine_campaign
 from repro.reliability.raresim import ConditionalGroupSimulator
 from repro.reliability.scenario import run_scenario_campaign
-from repro.resilience import ChaosInjector, Checkpointer, load_checkpoint
+from repro.resilience import Checkpointer, CheckpointError, load_checkpoint
 from repro.sttram.array import STTRAMArray
 
 from tests.reliability.test_seed_golden import GOLDEN_CHAOS, GOLDEN_MIXED
@@ -54,7 +55,7 @@ def _montecarlo(checkpointer=None):
     )
     return run_engine_campaign(
         engine, 1e-3, UNITS, rng=np.random.default_rng(0),
-        chaos=ChaosInjector(GOLDEN_CHAOS, seed=5), checkpointer=checkpointer,
+        chaos_policy=GOLDEN_CHAOS, chaos_seed=5, checkpointer=checkpointer,
     )
 
 
@@ -99,3 +100,13 @@ def test_captured_checkpoint_resumes_bit_identically(kind, tmp_path):
     )
     assert not resumed.truncated
     assert resumed.as_dict() == RUNS[kind]().as_dict()
+
+
+def test_version_1_checkpoint_is_refused():
+    """Version 1 Monte-Carlo snapshots carried numpy and chaos RNG state
+    and a fill seed; version 2 re-derives all three from the seed tree,
+    so an old file cannot resume and is refused up front."""
+    with pytest.raises(CheckpointError, match="format version 1"):
+        load_checkpoint(
+            os.path.join(GOLDEN_DIR, "montecarlo-v1-after-2.json"), "montecarlo"
+        )

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.cppc import CPPCCache
 from repro.core.engine import SuDokuX
 from repro.core.linecodec import LineCodec
+from repro.parallel import merge_campaign_results, run_sharded_campaign
 from repro.reliability.montecarlo import (
     CampaignResult,
     agreement_ratio,
@@ -14,6 +15,7 @@ from repro.reliability.montecarlo import (
     run_group_campaign,
 )
 from repro.reliability.sudokumodel import SuDokuReliabilityModel
+from repro.resilience import ChaosPolicy
 from repro.sttram.array import STTRAMArray
 
 
@@ -137,3 +139,93 @@ class TestGroupCampaignValidation:
         assert agreement_ratio(2.0, 1.0) == 2.0
         assert agreement_ratio(0.0, 0.0) == 1.0
         assert agreement_ratio(1.0, 0.0) == float("inf")
+
+
+class TestSeedTreeInvariance:
+    """Monte-Carlo campaigns run on the per-interval seed tree: serial,
+    K-shard, resumed, sparse and dense runs of one seed are one result."""
+
+    LEVEL, BER, INTERVALS, GROUP, SEED = "Z", 2e-3, 7, 8, 13
+    CHAOS = ChaosPolicy(
+        plt_flip_rate=0.05, map_swap_rate=0.02,
+        visit_drop_rate=0.05, visit_duplicate_rate=0.05,
+    )
+
+    def _run(self, **kwargs):
+        return run_sharded_campaign(
+            self.LEVEL, self.BER, self.INTERVALS, self.GROUP,
+            seed=self.SEED, **kwargs,
+        ).as_dict()
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
+    def test_serial_equals_sharded_in_both_scrub_modes(self, chaos):
+        extra = dict(chaos_policy=self.CHAOS, chaos_seed=4) if chaos else {}
+        serial = self._run(shards=1, **extra)
+        assert sum(serial["outcomes"].values()) >= self.INTERVALS * self.GROUP ** 2
+        for shards in (1, 2, 3):
+            for mode in ("sparse", "dense"):
+                assert self._run(shards=shards, scrub_mode=mode, **extra) == serial
+
+    def test_interval_start_slices_compose_to_the_serial_run(self):
+        def part(start, count):
+            return run_group_campaign(
+                self.LEVEL, self.BER, trials=count, group_size=self.GROUP,
+                seed=self.SEED, interval_start=start,
+            )
+
+        serial = part(0, self.INTERVALS)
+        merged = merge_campaign_results([part(0, 3), part(3, 2), part(5, 2)])
+        assert merged.as_dict() == serial.as_dict()
+
+    def test_mid_run_checkpoint_is_rng_free_and_resumes(self, tmp_path):
+        from repro.resilience import Checkpointer, load_checkpoint
+
+        class InterruptAfter:
+            def __init__(self, updates):
+                self.remaining = updates
+
+            def update(self, n=1):
+                self.remaining -= 1
+                if self.remaining <= 0:
+                    raise KeyboardInterrupt
+
+            def finish(self):
+                pass
+
+        def campaign(**kwargs):
+            return run_group_campaign(
+                self.LEVEL, self.BER, trials=self.INTERVALS,
+                group_size=self.GROUP, seed=self.SEED,
+                chaos_policy=self.CHAOS, chaos_seed=4, **kwargs,
+            )
+
+        path = str(tmp_path / "ck.json")
+        partial = campaign(
+            checkpointer=Checkpointer(path=path), progress=InterruptAfter(3)
+        )
+        assert partial.truncated and partial.intervals == 3
+        payload = load_checkpoint(path, "montecarlo")
+        assert payload["completed"] == 3
+        assert payload["rng"] == {}
+        assert "fill_seed" not in payload["aggregates"]
+        resumed = campaign(
+            checkpointer=Checkpointer(path=path, resume=payload)
+        )
+        assert resumed.as_dict() == campaign().as_dict()
+
+    def test_resume_refuses_another_root_seed(self, tmp_path):
+        from repro.resilience import Checkpointer, CheckpointError, load_checkpoint
+
+        path = str(tmp_path / "ck.json")
+        run_group_campaign(
+            self.LEVEL, self.BER, trials=2, group_size=self.GROUP,
+            seed=self.SEED, checkpointer=Checkpointer(path=path),
+        )
+        with pytest.raises(CheckpointError, match="seed"):
+            run_group_campaign(
+                self.LEVEL, self.BER, trials=2, group_size=self.GROUP,
+                seed=self.SEED + 1,
+                checkpointer=Checkpointer(
+                    path=path, resume=load_checkpoint(path, "montecarlo")
+                ),
+            )

@@ -8,7 +8,6 @@ import pytest
 from repro.reliability.montecarlo import run_group_campaign
 from repro.reliability.raresim import ConditionalGroupSimulator
 from repro.resilience import (
-    ChaosInjector,
     ChaosPolicy,
     Checkpointer,
     Deadline,
@@ -97,18 +96,18 @@ class TestMonteCarloResume:
         path = str(tmp_path / "ck.json")
         policy = ChaosPolicy(plt_flip_rate=0.05, visit_drop_rate=0.05)
         partial = mc_campaign(
-            chaos=ChaosInjector(policy, seed=5),
+            chaos_policy=policy, chaos_seed=5,
             checkpointer=Checkpointer(path=path),
             progress=InterruptAfter(4),
         )
         assert partial.truncated
         resumed = mc_campaign(
-            chaos=ChaosInjector(policy, seed=5),
+            chaos_policy=policy, chaos_seed=5,
             checkpointer=Checkpointer(
                 path=path, resume=load_checkpoint(path, "montecarlo")
             ),
         )
-        baseline = mc_campaign(chaos=ChaosInjector(policy, seed=5))
+        baseline = mc_campaign(chaos_policy=policy, chaos_seed=5)
         assert resumed.as_dict() == baseline.as_dict()
 
     def test_resume_refuses_different_config(self, tmp_path):
@@ -126,8 +125,7 @@ class TestMonteCarloResume:
             )
 
     def test_chaos_off_bit_identical_to_no_chaos_argument(self):
-        zero = ChaosInjector(ChaosPolicy(), seed=9)
-        with_knob = mc_campaign(chaos=zero)
+        with_knob = mc_campaign(chaos_policy=ChaosPolicy(), chaos_seed=9)
         without = mc_campaign()
         assert with_knob.as_dict() == without.as_dict()
 
@@ -302,4 +300,4 @@ class TestCheckpointTelemetry:
         telemetry = Telemetry.create()
         ck = Checkpointer(path=str(tmp_path / "ck.json"), every=4)
         TestScenarioResume.campaign(telemetry=telemetry, checkpointer=ck)
-        self._check(telemetry, ck, "scenario_checkpoint_writes_total")
+        self._check(telemetry, ck, "campaign_checkpoint_writes_total")

@@ -195,6 +195,19 @@ class TestCheckpointResume:
         assert payload["rng"] == {}
         assert payload["config"]["scenario"] == MIXED.as_dict()
 
+    def test_stuck_lines_are_counted_once_per_pass(self):
+        """A stuck-at line stays dirty after its repair, so a later group
+        repair in the same pass touches it again; it is still one line
+        visit.  Seeds 3/4/5 once accounted 1283/1294/1296 outcomes."""
+        for seed in (3, 4, 5):
+            results = [
+                _serial("Z", intervals=20, group_size=8, seed=seed,
+                        scrub_mode=mode).as_dict()
+                for mode in ("sparse", "dense")
+            ]
+            assert results[0] == results[1]
+            assert sum(results[0]["outcomes"].values()) == 20 * 8 * 8
+
     def test_mismatched_scenario_rejected_on_resume(self, tmp_path):
         from repro.resilience import CheckpointError
 

@@ -25,7 +25,7 @@ from repro.reliability.montecarlo import (
     run_group_campaign,
 )
 from repro.reliability.raresim import ConditionalGroupSimulator
-from repro.resilience.chaos import ChaosInjector, ChaosPolicy
+from repro.resilience.chaos import ChaosPolicy
 from repro.sttram.array import STTRAMArray
 
 BER = 3e-4
@@ -39,15 +39,13 @@ REGION_CODE = BCH(256, 3, m=9)
 
 def _campaign(make_scheme, scrub_mode, seed=5, ber=BER, chaos_policy=None):
     """One campaign on a freshly built scheme; twin runs share the seed."""
-    chaos = (
-        ChaosInjector(chaos_policy, seed=99) if chaos_policy is not None else None
-    )
     return run_engine_campaign(
         make_scheme(),
         ber=ber,
         intervals=INTERVALS,
         rng=np.random.default_rng(seed),
-        chaos=chaos,
+        chaos_policy=chaos_policy,
+        chaos_seed=99,
         scrub_mode=scrub_mode,
     )
 
@@ -85,7 +83,7 @@ class TestSuDokuEngines:
             run_group_campaign(
                 level, 8e-4, trials=INTERVALS, group_size=GROUP,
                 rng=np.random.default_rng(33),
-                chaos=ChaosInjector(policy, seed=7),
+                chaos_policy=policy, chaos_seed=7,
                 scrub_mode=mode,
             )
             for mode in ("dense", "sparse")

@@ -4,7 +4,6 @@ import json
 import os
 import random
 
-import numpy as np
 import pytest
 
 from repro.obs import atomic_write_json, atomic_write_text
@@ -17,10 +16,8 @@ from repro.resilience import (
     build_payload,
     job_checkpoint_path,
     load_checkpoint,
-    numpy_rng_state,
     python_rng_state,
     require_config_match,
-    restore_numpy_rng_state,
     restore_python_rng_state,
 )
 
@@ -212,22 +209,6 @@ class TestConfigMatch:
 
 
 class TestRngRoundTrips:
-    def test_numpy_state_json_round_trip(self):
-        generator = np.random.default_rng(42)
-        generator.integers(0, 100, size=7)
-        state = json.loads(json.dumps(numpy_rng_state(generator)))
-        expected = generator.integers(0, 2 ** 32, size=16)
-        fresh = np.random.default_rng(0)
-        restore_numpy_rng_state(fresh, state)
-        assert (fresh.integers(0, 2 ** 32, size=16) == expected).all()
-
-    def test_numpy_wrong_bit_generator(self):
-        generator = np.random.default_rng(0)
-        state = numpy_rng_state(generator)
-        state["bit_generator"] = "MT19937"
-        with pytest.raises(CheckpointError, match="MT19937"):
-            restore_numpy_rng_state(np.random.default_rng(1), state)
-
     def test_python_state_json_round_trip(self):
         rng = random.Random(7)
         rng.random()
