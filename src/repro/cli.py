@@ -976,9 +976,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 level, rate,
                 *(result.outcomes.get(o.value, 0) for o in failure_columns),
                 meta.get("plt_flips", 0) + meta.get("map_swaps", 0),
-                meta.get("residual_crc_faults", 0)
-                + meta.get("residual_recompute_faults", 0),
-                meta.get("residual_rebuilt", 0),
             ])
             records.append({
                 "level": level,
@@ -991,7 +988,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     progress.finish()
     print(format_table(
         ["level", "flip rate", *(o.value for o in failure_columns),
-         "faults injected", "residual detected", "rebuilt"],
+         "faults injected"],
         rows,
     ))
     print(

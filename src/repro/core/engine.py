@@ -502,7 +502,22 @@ class SuDokuEngine:
             ).inc(count)
         return count
 
-    def scrub_frames(self, frames) -> Dict[str, int]:
+    @property
+    def resolves_single_flips(self) -> bool:
+        """Whether :meth:`scrub_frames` resolves ECC-1-only frames unstored.
+
+        True where a scrub pass classifies its frames: a batched backend
+        that classifies this codec's words, and no event log.
+        """
+        return (
+            self.backend.batched
+            and self.event_log is None
+            and self.backend.batch_check(self.codec, ()) is not None
+        )
+
+    def scrub_frames(
+        self, frames, ecc1_only: Optional[Dict[int, int]] = None
+    ) -> Dict[str, int]:
         """Scrub a subset of frames (plus whatever group repairs touch).
 
         The Monte-Carlo harness uses this to visit only the frames it
@@ -517,21 +532,54 @@ class SuDokuEngine:
         (:meth:`_scrub_ecc1_run`); every other frame, and every frame
         while an event log is attached, is resolved line by line from
         the same classification.
+
+        ``ecc1_only`` maps *ECC-1-only frames* to the one bit flipped in
+        each; they appear in ``frames`` but not in the array.  Such a
+        flip is on a line that is otherwise clean and has no stuck
+        cells, and the caller guarantees that no group it belongs to
+        under any hash holds a frame that can be uncorrectable (a
+        multi-bit, dirty or stuck line).  Group scans start only from
+        uncorrectable frames and their groups, so no scan of this pass
+        can read such a frame: ECC-1 repairs it exactly when it is
+        visited, and nothing else can see it.  Each therefore joins its
+        ECC-1 run with its outcome known, and is counted without being
+        stored, read or restored.  Only an engine whose
+        :attr:`resolves_single_flips` holds accepts them.
         """
         self.begin_scrub_pass()
         frames = list(frames)
-        scrubbed: List[Outcome] = []
+        ecc1_only = ecc1_only or {}
+        if ecc1_only and not self.resolves_single_flips:
+            raise ValueError(
+                "ECC-1-only frames need a scrub that classifies its frames "
+                "(resolves_single_flips); store these flips instead"
+            )
+        tally: Counter = Counter()
+        # Per-line outcomes in scrub order feed only the repair-latency
+        # histogram, so they are kept only when telemetry is on.
+        scrubbed: Optional[List[Outcome]] = (
+            [] if self.telemetry.enabled else None
+        )
         try:
-            classified = self._classify(frames) if self.backend.batched else None
+            stored = (
+                [frame for frame in frames if frame not in ecc1_only]
+                if ecc1_only
+                else frames
+            )
+            classified = self._classify(stored) if self.backend.batched else None
             if classified is not None and self.event_log is None:
-                self._scrub_classified(frames, *classified, scrubbed)
+                self._scrub_classified(
+                    frames, *classified, ecc1_only, tally, scrubbed
+                )
             else:
                 for frame in frames:
-                    scrubbed.append(self._scrub_line(frame))
+                    outcome = self._scrub_line(frame)
+                    tally[outcome.value] += 1
+                    if scrubbed is not None:
+                        scrubbed.append(outcome)
         finally:
-            if scrubbed and self.telemetry.enabled:
+            if scrubbed:
                 self._publish_line_outcomes(scrubbed)
-        counts = Counter(outcome.value for outcome in scrubbed)
         if self._pending:
             # A frame this pass already visited can re-enter _pending
             # when a later group repair touches it again (a stuck-at
@@ -542,50 +590,94 @@ class SuDokuEngine:
                     continue
                 audited = self._audit(frame, outcome)
                 self.stats.record(audited)
-                counts[audited.value] += 1
+                tally[audited.value] += 1
         self._pending.clear()
         self._decode_cache.clear()
         self._retry_memo.clear()
-        return dict(counts)
+        return dict(tally)
 
     def _scrub_classified(
         self,
         frames: List[int],
         words: Sequence[int],
         codes: List[int],
-        scrubbed: List[Outcome],
+        ecc1_only: Dict[int, int],
+        tally: Counter,
+        scrubbed: Optional[List[Outcome]],
     ) -> None:
         """Walk ``frames`` in order, resolving ECC-1 runs in bulk.
 
-        A frame joins the current run when its code says ECC-1 repairs
-        it, no group repair earlier in the pass has resolved it (it is
-        not in ``_pending``), it is not already in the run (a duplicated
-        visit), and its stored word is still the one classified.  Any
-        other frame first flushes the run, then takes ``_scrub_line``.
-        Only ``_scrub_line`` and run flushes write the array, so a
-        frame's eligibility cannot change between joining and flushing.
+        ``words`` and ``codes`` classify the frames outside
+        ``ecc1_only``, in order.  Such a frame joins the current run
+        when its code says ECC-1 repairs it, no group repair earlier in
+        the pass has resolved it (it is not in ``_pending``), it is not
+        already in the run (a duplicated visit), and its stored word is
+        still the one classified.  An ECC-1-only frame joins on its
+        first visit, with nothing to read; a repeat visit finds it
+        clean, as it finds a restored frame.  Any other frame first
+        flushes the run, then takes ``_scrub_line``.  Only
+        ``_scrub_line`` and run flushes write the array, so a frame's
+        eligibility cannot change between joining and flushing.
+
+        A run is flushed in pieces, one wherever it switches between
+        stored and ECC-1-only frames.  Every piece accounts its frames
+        one by one, in walk order, so the pieces add up to the whole
+        run exactly; outcomes are tallied per piece, not per line.
         """
         pending, read = self._pending, self.array.read
+        checked = zip(words, codes)
         run: List[int] = []
         fixed: List[int] = []
         in_run: set = set()
-        for frame, word, code in zip(frames, words, codes):
-            if (
-                code >= 0
-                and frame not in pending
-                and frame not in in_run
-                and read(frame) == word
-            ):
-                run.append(frame)
-                fixed.append(word ^ (1 << code))
-                in_run.add(frame)
-                continue
+        unstored = 0
+        resolved: set = set()
+
+        def flush() -> None:
+            nonlocal run, fixed, in_run, unstored
             if run:
-                scrubbed.extend(self._scrub_ecc1_run(run, fixed))
+                outcomes = self._scrub_ecc1_run(run, fixed)
                 run, fixed, in_run = [], [], set()
-            scrubbed.append(self._scrub_line(frame))
-        if run:
-            scrubbed.extend(self._scrub_ecc1_run(run, fixed))
+            elif unstored:
+                outcomes = self._resolve_unstored(unstored)
+                unstored = 0
+            else:
+                return
+            if Outcome.SDC in outcomes:
+                for outcome in outcomes:
+                    tally[outcome.value] += 1
+            else:
+                tally[Outcome.CORRECTED_ECC1.value] += len(outcomes)
+            if scrubbed is not None:
+                scrubbed.extend(outcomes)
+
+        for frame in frames:
+            if frame in ecc1_only:
+                if frame not in resolved:
+                    resolved.add(frame)
+                    if run:
+                        flush()
+                    unstored += 1
+                    continue
+            else:
+                word, code = next(checked)
+                if (
+                    code >= 0
+                    and frame not in pending
+                    and frame not in in_run
+                    and read(frame) == word
+                ):
+                    if unstored:
+                        flush()
+                    run.append(frame)
+                    fixed.append(word ^ (1 << code))
+                    in_run.add(frame)
+                    continue
+            flush()
+            outcome = self._scrub_line(frame)
+            tally[outcome.value] += 1
+            if scrubbed is not None:
+                scrubbed.append(outcome)
+        flush()
 
     def _scrub_ecc1_run(self, run: List[int], fixed: List[int]) -> List[Outcome]:
         """Resolve distinct ECC-1 frames to their repaired words at once.
@@ -597,10 +689,7 @@ class SuDokuEngine:
         order -- ECC-1, or SDC where the golden audit flags the repair.
         """
         clean = self.array.restore_many(run, fixed)
-        step = self.latency.ecc1_repair()
-        for _ in run:
-            self.correction_time_s += step
-        self._count_ecc1(len(run))
+        self._account_ecc1(len(run))
         if self.audit and not all(clean):
             outcomes = [
                 Outcome.CORRECTED_ECC1 if ok else Outcome.SDC for ok in clean
@@ -610,6 +699,23 @@ class SuDokuEngine:
             return outcomes
         self.stats.outcomes[Outcome.CORRECTED_ECC1.value] += len(run)
         return [Outcome.CORRECTED_ECC1] * len(run)
+
+    def _resolve_unstored(self, repairs: int) -> List[Outcome]:
+        """Account ``repairs`` ECC-1-only frames as ``_scrub_line`` would.
+
+        Each was a single flip on a clean line: ECC-1 restores golden,
+        so the audit passes and the outcome is ECC-1.
+        """
+        self._account_ecc1(repairs)
+        self.stats.outcomes[Outcome.CORRECTED_ECC1.value] += repairs
+        return [Outcome.CORRECTED_ECC1] * repairs
+
+    def _account_ecc1(self, repairs: int) -> None:
+        """One ECC-1 latency addend per repair, in order, and the counter."""
+        step = self.latency.ecc1_repair()
+        for _ in range(repairs):
+            self.correction_time_s += step
+        self._count_ecc1(repairs)
 
     def _count_ecc1(self, repairs: int) -> None:
         """Count ECC-1 repairs on the corrections counter (telemetry)."""
@@ -631,8 +737,7 @@ class SuDokuEngine:
             return Outcome.CLEAN
         if decode.status is DecodeStatus.CORRECTED:
             self.array.restore(frame, decode.word)
-            self.correction_time_s += self.latency.ecc1_repair()
-            self._count_ecc1(1)
+            self._account_ecc1(1)
             return Outcome.CORRECTED_ECC1
         outcomes = self._repair_group_of(frame)
         outcome = outcomes.pop(frame, Outcome.DUE)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 
 class GroupMapper:
     """Single-hash partition of frames into consecutive RAID-Groups."""
@@ -41,6 +43,10 @@ class GroupMapper:
         """Group id of a physical frame."""
         self._check(frame)
         return frame >> self._shift
+
+    def groups_of(self, frames: np.ndarray) -> np.ndarray:
+        """Group id of each frame of an integer array (unchecked)."""
+        return frames >> self._shift
 
     def members(self, group: int) -> List[int]:
         """Frames belonging to a group, ascending."""
@@ -86,6 +92,12 @@ class SkewedGroupMapper:
             raise IndexError(f"frame {frame} out of range")
         low = frame & self._low_mask
         high = frame >> (2 * self._g)
+        return low | (high << self._g)
+
+    def groups_of(self, frames: np.ndarray) -> np.ndarray:
+        """Group id of each frame of an integer array (unchecked)."""
+        low = frames & self._low_mask
+        high = frames >> (2 * self._g)
         return low | (high << self._g)
 
     def members(self, group: int) -> List[int]:

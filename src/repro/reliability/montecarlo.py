@@ -38,9 +38,8 @@ through the same interval loop.
 
 Chaos campaigns (:mod:`repro.resilience.chaos`) additionally corrupt
 the correction metadata each interval and perturb the scrub schedule;
-the boundary invariant is preserved by healing the array, re-deriving
-the parities and running the engine's metadata scrub
-(``audit_metadata``) at every chaos interval's end.
+the boundary invariant is preserved by healing the array and
+re-deriving every parity entry from it at every chaos interval's end.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,8 +85,7 @@ class CampaignResult:
     ``"interrupted"`` or ``"deadline"``); ``intervals`` then reflects the
     intervals actually *completed*, so every derived estimate remains
     valid for the partial run.  ``metadata`` counts chaos events applied
-    and residual metadata faults detected/rebuilt by the interval-end
-    metadata scrub (empty for non-chaos campaigns).
+    (empty for non-chaos campaigns).
     """
 
     intervals: int
@@ -201,6 +199,50 @@ def _dense_walk(num_lines: int, dirty, visits) -> list:
     return walk
 
 
+#: An interval with no transient flips.
+_NO_FLIPS = np.empty(0, dtype=np.int64)
+
+
+def _split_ecc1_only(
+    flips: np.ndarray, line_bits: int, mappers, anchors: List[int]
+) -> Tuple[np.ndarray, Dict[int, int]]:
+    """Split drawn flips into those the array stores and ECC-1-only frames.
+
+    ``flips`` are distinct flat bit indices (index ``i`` flips bit
+    ``i % line_bits`` of line ``i // line_bits``); ``anchors`` are the
+    frames already dirty, stuck or burst-hit.  A frame is ECC-1-only
+    when its one flip is the only one drawn on it, it is not an anchor,
+    and no mapper puts it in a group with an anchor or a multi-flip
+    line.  Group scans start only from uncorrectable frames, which are
+    all anchors or multi-flip lines, so no scan can read such a frame
+    (see ``SuDokuEngine.scrub_frames``).
+
+    Returns the flips to store and ``{frame: bit}`` of the ECC-1-only
+    frames, ascending by frame.
+    """
+    flips = np.sort(flips)
+    lines = flips // line_bits
+    # Sorted flat indices are sorted by line: a flip is its line's only
+    # one when neither neighbour is on the same line.
+    lone = np.ones(len(lines), dtype=bool)
+    shared = lines[1:] == lines[:-1]
+    lone[1:] &= ~shared
+    lone[:-1] &= ~shared
+    anchor_lines = np.asarray(anchors, dtype=np.int64)
+    if anchor_lines.size:
+        lone &= ~np.isin(lines, anchor_lines)
+    blocked = np.concatenate([lines[~lone], anchor_lines])
+    if blocked.size:
+        for mapper in mappers:
+            hit = np.zeros(mapper.num_groups, dtype=bool)
+            hit[mapper.groups_of(blocked)] = True
+            lone &= ~hit[mapper.groups_of(lines)]
+    ecc1_only = dict(
+        zip(lines[lone].tolist(), (flips[lone] % line_bits).tolist())
+    )
+    return flips[~lone], ecc1_only
+
+
 def _aggregates(result: CampaignResult) -> Dict[str, object]:
     """The running tallies a campaign checkpoint carries."""
     return {
@@ -264,7 +306,14 @@ def run_engine_campaign(
         equivalence tests pin this, including under chaos), so
         checkpoints deliberately omit the mode -- a dense run may be
         resumed sparse and vice versa.  ``"dense"`` exists as the
-        trust-nothing audit mode; see docs/performance.md.
+        trust-nothing audit mode; see docs/performance.md.  A sparse
+        scrub on a batched backend never stores an *ECC-1-only* flip:
+        one flip on an otherwise clean, unstuck line that shares no
+        Hash-1 or Hash-2 group with a multi-bit, dirty, stuck or
+        burst-hit line.  Group scans start only from uncorrectable
+        frames and their groups, so no scan can reach such a line, and
+        ECC-1 repairs it when it is visited; the engine counts that
+        repair without storing the flip.  Results are bit-identical.
     :param randomize_content: write random data once before the campaign,
         from seed-tree child ``(0,)`` (recommended; all-zero content
         makes overlap pathologies invisible to content-sensitive bugs
@@ -364,12 +413,18 @@ def _run_intervals(
 
     Every interval ends in the same boundary state, whatever ran: the
     array is healed (``heal`` is looked up on this module each time, so
-    a wrapper installed on it sees every call), parities are
+    a wrapper installed on it sees every call), and parities are
     re-initialised after a failure or chaos (a DUE may have triggered a
     parity rebuild over still-corrupt words, write-path poisoning
-    semantics), and chaos ends in the engine's metadata audit.  So the
-    state entering interval ``i`` is a pure function of the config, and
-    a checkpoint needs no RNG state.
+    semantics; chaos corrupted entries).  So the state entering
+    interval ``i`` is a pure function of the config, and a checkpoint
+    needs no RNG state.
+
+    On a sparse scrub where the engine resolves ECC-1-only frames
+    (:attr:`SuDokuEngine.resolves_single_flips`), the flips are drawn as
+    before but only those a group repair can see are stored
+    (:func:`_split_ecc1_only`); the rest stay in the visit list, where
+    chaos can drop or duplicate them, and in the faulty-line count.
     """
     # Imported here, not at the top: repro.parallel imports this module.
     from repro.parallel.sharding import interval_generator, interval_python_seed
@@ -431,7 +486,20 @@ def _run_intervals(
     )
     metadata_chaos = hasattr(engine, "_tables")
     initialize = getattr(engine, "initialize_parities", None)
-    audit = getattr(engine, "audit_metadata", None)
+    # The reference backend and the dense walk store every flip: they
+    # are the oracles the split is tested against.
+    split = scrub_mode == "sparse" and getattr(
+        engine, "resolves_single_flips", False
+    )
+    mappers = [mapper for _, mapper in engine._tables()] if split else []
+    # The array absorbs a flip on a stuck cell, so every stuck line
+    # stores its flips, dirty or not.
+    fault_map = array.permanent_faults
+    stuck = (
+        sorted(set(fault_map.stuck_at_one) | set(fault_map.stuck_at_zero))
+        if fault_map is not None
+        else []
+    )
     # Per-phase spans are attribute-free: a live tracer pays two clock
     # reads per span, the NullTracer pays one no-op call, and either way
     # the RNG stream is untouched.
@@ -455,17 +523,35 @@ def _run_intervals(
                 # without one (plain per-line ECC) still see the schedule
                 # chaos below.
                 events.append(chaos.corrupt_metadata(engine))
+            flips = _NO_FLIPS
             if ber > 0:
-                TransientFaultInjector(
+                transient = TransientFaultInjector(
                     array.line_bits, ber, stream, backend=kernels
-                ).inject_frames(array)
+                )
+                if split:
+                    flips = transient.draw_flips(array.num_lines)
+                else:
+                    transient.inject_frames(array)
             injector = burst(stream) if burst is not None else None
             if injector is not None:
                 injector.inject_frames(array)
+            ecc1_only: Dict[int, int] = {}
+            if len(flips):
+                # Store only the flips a group repair can see; the rest
+                # are ECC-1-only frames, resolved without the array.
+                stored, ecc1_only = _split_ecc1_only(
+                    flips, array.line_bits, mappers,
+                    array.dirty_frames() + stuck,
+                )
+                if len(stored):
+                    array.inject_many(
+                        kernels.scatter_fault_vectors(stored, array.line_bits)
+                    )
             # This interval's hits plus any permanently-dirty stuck
             # lines: the sparse pass must visit both to match dense.
             dirty = array.dirty_frames()
-            visits = dirty
+            faulty = sorted(dirty + list(ecc1_only)) if ecc1_only else dirty
+            visits = faulty
             if chaos is not None:
                 visits, applied = chaos.perturb_visits(visits)
                 events.append(applied)
@@ -484,8 +570,12 @@ def _run_intervals(
                 # only; every frame outside the (pre-perturbation) dirty
                 # set is a valid codeword and bulk-accounts as clean --
                 # exactly the outcomes a dense walk records for them.
-                sparse_counts = Counter(engine.scrub_frames(visits))
-                bulk_clean = array.num_lines - len(dirty)
+                sparse_counts = Counter(
+                    engine.scrub_frames(visits, ecc1_only)
+                    if ecc1_only
+                    else engine.scrub_frames(visits)
+                )
+                bulk_clean = array.num_lines - len(faulty)
                 account = getattr(engine, "account_bulk_clean", None)
                 if account is not None:
                     account(bulk_clean)
@@ -501,16 +591,11 @@ def _run_intervals(
             heal(array)
             if (failed or chaos is not None) and initialize is not None:
                 initialize()
-            if chaos is not None and audit is not None:
-                audit_report = audit(repair=True)
-                for key in ("crc_faults", "recompute_faults", "rebuilt"):
-                    if audit_report.get(key):
-                        result.metadata["residual_" + key] += audit_report[key]
         if tel.enabled:
             m_intervals.inc()
             if failed:
                 m_failures.inc()
-            m_faulty.observe(len(dirty))
+            m_faulty.observe(len(faulty))
             for label, count in counts.items():
                 m_outcomes.labels(outcome=label).inc(count)
             m_interval.observe(time.perf_counter() - started)

@@ -125,15 +125,25 @@ class TransientFaultInjector:
         of O(lines) -- the difference between hours and seconds for a
         million-line cache at BER ~ 5e-6.
         """
+        flat = self.draw_flips(num_lines)
+        if not len(flat):
+            return {}
+        return self.backend.scatter_fault_vectors(flat, self.line_bits)
+
+    def draw_flips(self, num_lines: int) -> np.ndarray:
+        """One interval's flips as distinct flat bit indices.
+
+        Index ``i`` flips bit ``i % line_bits`` of line ``i // line_bits``.
+        This is the whole draw behind :meth:`error_vectors`, which only
+        scatters it into masks, so the two consume the same RNG sequence.
+        """
         if num_lines < 0:
             raise ValueError("num_lines must be non-negative")
         total_bits = num_lines * self.line_bits
         count = int(self._rng.binomial(total_bits, self.ber))
         if count == 0:
-            return {}
-        # Sample distinct flat bit indices, then split into (line, bit).
-        flat = self._sample_distinct(total_bits, count)
-        return self.backend.scatter_fault_vectors(flat, self.line_bits)
+            return np.empty(0, dtype=np.int64)
+        return self._sample_distinct(total_bits, count)
 
     def inject_frames(self, array: "STTRAMArray") -> List[int]:
         """Inject one interval's faults; return the sorted frames hit.
