@@ -13,10 +13,16 @@ records:
 * ``materialised_frames_per_interval`` -- frames whose flips reach the
   array (``STTRAMArray.inject_many``), per interval, and
 * ``per_line_frames_per_interval`` -- frames that took ``_scrub_line``,
-  per interval, both counted on one seeded run.  Each is a pure
-  function of the seed, so ``benchmarks/baseline.json`` gates both
-  exactly (tolerance 0): storing every flip again, or losing the bulk
-  path, trips them on any host.
+  per interval, and
+* ``array_reads_per_interval`` -- ``STTRAMArray.read`` calls per
+  interval.  A group scan reads only its dirty members and takes the
+  XOR of the clean ones from the array's index, so ~4.5 Hash-1 repairs
+  of 512 members cost ~25 reads, not ~1,900.
+
+All three are counted on one seeded run.  Each is a pure function of
+the seed, so ``benchmarks/baseline.json`` gates them exactly
+(tolerance 0): storing every flip again, losing the bulk path, or a
+scan that reads its clean members again trips them on any host.
 * ``interval_ms`` -- campaign wall time per interval, the median of
   ``RUNS`` runs of ``INTERVALS`` intervals each (gated ``max``).
 
@@ -58,14 +64,17 @@ def _run(engine):
 
 
 def _count_work(engine):
-    """One run with stored frames and ``_scrub_line`` calls counted.
+    """One run with stored frames, ``_scrub_line`` calls and array reads
+    counted.
 
-    Returns (result, frames stored, ``_scrub_line`` calls).
+    Returns (result, frames stored, ``_scrub_line`` calls, reads).
     """
     stored = [0]
     calls = [0]
+    reads = [0]
     inject_many = engine.array.inject_many
     scrub_line = engine._scrub_line
+    read = engine.array.read
 
     def storing(vectors):
         stored[0] += len(vectors)
@@ -75,19 +84,25 @@ def _count_work(engine):
         calls[0] += 1
         return scrub_line(frame)
 
+    def reading(index):
+        reads[0] += 1
+        return read(index)
+
     engine.array.inject_many = storing
     engine._scrub_line = counting
+    engine.array.read = reading
     try:
         result = _run(engine)
     finally:
         del engine.array.inject_many
         del engine._scrub_line
-    return result, stored[0], calls[0]
+        del engine.array.read
+    return result, stored[0], calls[0], reads[0]
 
 
 def _measure() -> dict:
     engine = _engine()
-    reference, stored, per_line = _count_work(engine)
+    reference, stored, per_line, reads = _count_work(engine)
     assert reference.interval_failures == 0
     wall_ms = []
     for _ in range(RUNS):
@@ -102,6 +117,7 @@ def _measure() -> dict:
     return {
         "materialised_frames_per_interval": stored / INTERVALS,
         "per_line_frames_per_interval": per_line / INTERVALS,
+        "array_reads_per_interval": reads / INTERVALS,
         "scrubbed_frames_per_interval": scrubbed / INTERVALS,
         "interval_ms": statistics.median(wall_ms),
         "interval_ms_runs": wall_ms,
@@ -119,6 +135,8 @@ def test_bench_paper_point(benchmark):
              f"{figures['materialised_frames_per_interval']:.2f}"],
             ["frames through _scrub_line per interval",
              f"{figures['per_line_frames_per_interval']:.2f}"],
+            ["STTRAMArray.read calls per interval",
+             f"{figures['array_reads_per_interval']:.2f}"],
             ["faulty frames resolved per interval",
              f"{figures['scrubbed_frames_per_interval']:.2f}"],
             [f"interval wall time, median of {RUNS} runs [ms]",
@@ -139,6 +157,7 @@ def test_bench_paper_point(benchmark):
             "per_line_frames_per_interval": (
                 figures["per_line_frames_per_interval"]
             ),
+            "array_reads_per_interval": figures["array_reads_per_interval"],
             "interval_ms": round(figures["interval_ms"], 3),
         },
         "config": {

@@ -794,7 +794,7 @@ class SuDokuEngine:
             if not plt.verify(group):
                 event = "crc_fault"
             elif not scan.uncorrectable and plt.mismatch(
-                group, [scan.words[frame] for frame in scan.frames]
+                group, scan.parity_terms()
             ):
                 event = "recompute_mismatch"
             if event is None:
@@ -808,7 +808,7 @@ class SuDokuEngine:
             # A member is still corrupt: the parity cannot be re-derived
             # trustworthily, so the group stays quarantined.
             return False
-        plt.rebuild(group, [scan.words[frame] for frame in scan.frames])
+        plt.rebuild(group, scan.parity_terms())
         self.stats.metadata_rebuilds += 1
         if self.telemetry.enabled:
             self._m_metadata.labels(level=self.level, event="rebuild").inc()
@@ -875,21 +875,22 @@ class SuDokuEngine:
         self._record(self._account_sdr, group, size, survivors, lambda: trials)
 
     def _scan(self, mapper, group: int) -> GroupScan:
-        """Scan one group, decoding only the members the dirty index flags.
+        """Scan one group, reading only the members the dirty index flags.
 
         A member whose stored word matches golden holds a codec-written
         codeword, so its decode is known ``CLEAN`` and contributes its
         stored word unchanged; the scan trusts the index instead of
-        decoding it.  Results are identical to a dense scan on every
-        backend.
+        reading and decoding it, and takes the clean members' XOR from
+        the array in one split.  Results are identical to a dense scan
+        on every backend.
         """
         self._account_scan(mapper.group_size)
         members = mapper.members(group)
-        is_dirty = self.array.is_dirty
-        self._prefetch_decodes([frame for frame in members if is_dirty(frame)])
+        split = self.array.split_clean(members)
+        self._prefetch_decodes(split[0])
         return scan_group(
             self.array, self.codec, group, members,
-            trusted_clean=True, decoder=self._cached_decode,
+            trusted_clean=True, decoder=self._cached_decode, split=split,
         )
 
     # -- audit ------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def resurrect(
     """
     report = SDRReport(resurrected_frames=[])
     while scan.uncorrectable:
-        mismatch = plt.mismatch(scan.group, [scan.words[f] for f in scan.frames])
+        mismatch = plt.mismatch(scan.group, scan.parity_terms())
         positions = bit_positions(mismatch)
         width = len(positions)
         report.mismatch_history.append(width)

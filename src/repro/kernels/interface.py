@@ -139,6 +139,12 @@ class KernelBackend:
         still matches golden, and everything written went through the
         codec).  Backends may exploit the promise to skip the
         syndrome/CRC machinery and only extract the payload.
+
+        No engine calls it: group scans neither read nor decode their
+        clean members.  It stays because the end-to-end benchmark's
+        layer tracer (``benchmarks/e2e/layers.py``) wraps it on each
+        backend class through the class dict, which fails on a missing
+        method; it goes when that hook does.
         """
         raise NotImplementedError
 

@@ -34,7 +34,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: scenario imports repro.parallel
     from repro.reliability.scenario import FaultScenario
@@ -345,23 +345,18 @@ class ConditionalGroupSimulator:
 
     # -- repair drivers ---------------------------------------------------------------
 
-    def _batched_decoder(self, array: STTRAMArray):
-        """A scan decoder backed by one batched decode of the group.
+    def _batched_decoder(self, array: STTRAMArray, frames: Sequence[int]):
+        """A scan decoder backed by one batched decode of ``frames``.
 
-        Prefetches exactly the frames the scan will decode (all of them,
-        or only the dirty ones under ``sparse``) and serves each from
-        the memo while the stored word is unchanged; anything rewritten
-        mid-scan falls through to the scalar decode.  ``None`` for
-        non-batched backends -- the scan then uses ``codec.decode``
+        ``frames`` are exactly the members the scan will decode (all of
+        them, or only the dirty ones under ``sparse``); each is served
+        from the memo while the stored word is unchanged, and anything
+        rewritten mid-scan falls through to the scalar decode.  ``None``
+        for non-batched backends -- the scan then uses ``codec.decode``
         directly, as before.
         """
         if not self.backend.batched:
             return None
-        frames = [
-            frame
-            for frame in range(self.group_size)
-            if not self.sparse or array.is_dirty(frame)
-        ]
         words = [array.read(frame) for frame in frames]
         decodes = self.backend.batch_decode(self.codec, words)
         memo = {
@@ -380,10 +375,15 @@ class ConditionalGroupSimulator:
     def _repair_y(self, array: STTRAMArray, plt: ParityLineTable) -> List[int]:
         """Full SuDoku-Y repair of one group; returns surviving frames."""
         with self._tracer.span("phase_scrub"):
+            frames = range(self.group_size)
+            split = array.split_clean(frames) if self.sparse else None
             scan = scan_group(
-                array, self.codec, 0, range(self.group_size),
+                array, self.codec, 0, frames,
                 trusted_clean=self.sparse,
-                decoder=self._batched_decoder(array),
+                decoder=self._batched_decoder(
+                    array, frames if split is None else split[0]
+                ),
+                split=split,
             )
         with self._tracer.span("phase_correct"):
             if len(scan.uncorrectable) > 1:

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.coding.bitvec import mask_of, popcount, random_bits
+from repro.coding.parity import xor_reduce
 from repro.core.rng import SeedLike, resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (faults imports array)
@@ -159,6 +160,28 @@ class STTRAMArray:
             tuple([diverged.get(i, written.get(i, fill)) for i in indices]),
             tuple([i in diverged for i in indices]),
         )
+
+    def split_clean(self, indices: Sequence[int]) -> Tuple[List[int], int]:
+        """The dirty members of ``indices``, in order, and the XOR of the
+        stored words of all the others.
+
+        A line outside the dirty set stores its golden word, which is
+        ``_written.get(i, fill)``, so the clean half is never read line
+        by line: its XOR is that of the clean written words, with the
+        fill word folded in once when the clean unwritten count is odd.
+        A group scan reads and decodes only the dirty half.
+        """
+        self._check_indices(indices)
+        diverged, written = self._diverged, self._written
+        dirty = [i for i in indices if i in diverged]
+        words: List[int] = []
+        if written:
+            clean = [i for i in indices if i not in diverged] if dirty else indices
+            words = [written[i] for i in clean if i in written]
+        clean_xor = xor_reduce(words)
+        if (len(indices) - len(dirty) - len(words)) & 1:
+            clean_xor ^= self._fill
+        return dirty, clean_xor
 
     def golden(self, index: int) -> int:
         """The last value actually written (fault-free reference)."""

@@ -180,21 +180,29 @@ class TransientFaultInjector:
 def sample_distinct(
     rng: np.random.Generator, population: int, count: int
 ) -> np.ndarray:
-    """Distinct uniform indices without materialising the population.
+    """Distinct uniform indices, ascending, without materialising the
+    population.
 
     Rejection sampling: at realistic fault densities count << population,
-    so one round almost always suffices.  Shared by the transient
+    so one round almost always suffices.  Each round draws the shortfall,
+    sorts it in with the indices kept so far and keeps every element
+    that differs from its left neighbour -- the set the draws so far
+    cover, so the ``rng.integers`` calls and their sizes are those of a
+    Python ``set`` accumulating the same draws.  Shared by the transient
     injector, the burst injector, and :meth:`PermanentFaultMap.random`
     (whose with-replacement draws used to silently OR duplicate indices
     into the same bit, undercounting the requested density).
     """
     if count > population:
         raise ValueError("cannot sample more faults than bits")
-    chosen: set = set()
+    chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < count:
         draw = rng.integers(0, population, size=count - len(chosen))
-        chosen.update(int(v) for v in draw)
-    return np.fromiter(chosen, dtype=np.int64, count=count)
+        merged = np.sort(np.concatenate([chosen, draw]))
+        fresh = np.ones(len(merged), dtype=bool)
+        fresh[1:] = merged[1:] != merged[:-1]
+        chosen = merged[fresh]
+    return chosen
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Engine group scans trust the dirty index, with dense-scan results.
 
-``SuDokuEngine._scan`` decodes only the members the array's dirty index
-flags and passes ``trusted_clean=True`` to
+``SuDokuEngine._scan`` reads and decodes only the members the array's
+dirty index flags and passes ``trusted_clean=True`` to
 :func:`repro.core.raid4.scan_group`: a member whose stored word matches
 golden holds a codec-written codeword, so its decode is known ``CLEAN``.
 These tests pin the two halves of that claim: every trusted scan a real
@@ -33,9 +33,24 @@ from repro.sttram.array import STTRAMArray
 
 def _scan_fields(scan):
     return (
-        scan.group, scan.frames, scan.words, scan.uncorrectable,
+        scan.group, scan.frames, scan.xor_of_words(), scan.uncorrectable,
         scan.line_outcomes,
     )
+
+
+def _assert_same_scan(trusted, dense, dirty):
+    """A trusted scan equals the dense one on every field, and tracks
+    exactly the members that were dirty, with the dense scan's words.
+
+    The dense scan tracks every member (``clean_xor`` 0); the trusted
+    one folds its clean members into ``clean_xor``, so the XOR over all
+    member words must agree as well.
+    """
+    assert dense.clean_xor == 0 and list(dense.words) == dense.frames
+    assert list(trusted.words.items()) == [
+        (frame, dense.words[frame]) for frame in dirty
+    ]
+    assert _scan_fields(trusted) == _scan_fields(dense)
 
 
 def _array_state(array):
@@ -48,9 +63,9 @@ def checked_scans(monkeypatch):
 
     The dense scan runs first, on a deep copy of the array, with the
     plain scalar ``codec.decode`` and no decode memo; the trusted scan
-    then runs on the live array.  Both the returned ``GroupScan`` and
-    the array state each scan leaves behind (ECC-1 write-backs) must
-    agree.
+    then runs on the live array.  Both the returned ``GroupScan`` (see
+    ``_assert_same_scan``) and the array state each scan leaves behind
+    (ECC-1 write-backs) must agree.
     """
     trusted_scan = engine_module.scan_group
     checked = []
@@ -59,9 +74,10 @@ def checked_scans(monkeypatch):
         assert kwargs.get("trusted_clean") is True
         frames = list(frames)
         shadow = copy.deepcopy(array)
+        dirty = [frame for frame in frames if shadow.is_dirty(frame)]
         dense = scan_group(shadow, codec, group, frames)
         scan = trusted_scan(array, codec, group, frames, **kwargs)
-        assert _scan_fields(scan) == _scan_fields(dense)
+        _assert_same_scan(scan, dense, dirty)
         assert _array_state(array) == _array_state(shadow)
         checked.append(group)
         return scan

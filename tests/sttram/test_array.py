@@ -166,6 +166,88 @@ class TestDirtySet:
             array.snapshot([0, 8])
 
 
+def _brute_split(array, indices):
+    """``split_clean`` by definition: one ``read`` per clean member."""
+    dirty = [i for i in indices if array.is_dirty(i)]
+    clean_xor = 0
+    for i in indices:
+        if not array.is_dirty(i):
+            clean_xor ^= array.read(i)
+    return dirty, clean_xor
+
+
+def _stuck_array():
+    """A 16-line array with fill, written, dirty and stuck lines.
+
+    Line 3 is stuck against its golden bit (permanently dirty); line 4
+    is stuck at the bit it already holds (clean).
+    """
+    array = STTRAMArray(16, 16)
+    array.fill_word(0x00FF)
+    for index, value in {1: 0x1234, 3: 0x0F0F, 4: 0x0F0F, 9: 0xBEEF}.items():
+        array.write(index, value)
+    array.write(6, 0x00FF)  # the fill word: not a written line
+    fault_map = PermanentFaultMap(16)
+    fault_map.add(3, 4, FaultKind.STUCK_AT_ONE)  # golden bit 4 is 0
+    fault_map.add(4, 0, FaultKind.STUCK_AT_ONE)  # golden bit 0 is 1
+    array.attach_permanent_faults(fault_map)
+    array.inject(1, 0x0001)
+    array.inject(12, 0x0300)
+    return array
+
+
+class TestSplitClean:
+    def test_fill_only_group(self):
+        array = STTRAMArray(16, 16)
+        array.fill_word(0x00FF)
+        assert array.split_clean(range(5)) == ([], 0x00FF)
+        assert array.split_clean(range(4)) == ([], 0)
+        assert array.split_clean([]) == ([], 0)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            range(16),
+            range(8),
+            [12, 0, 3, 9, 4, 1],
+            [0, 2, 5],  # fill only, odd clean count
+            [0, 2, 5, 7],  # fill only, even clean count
+            [9, 4, 6],  # written, stuck-matching and fill
+            [1, 3, 12],  # dirty only
+        ],
+    )
+    def test_matches_read_and_xor(self, indices):
+        array = _stuck_array()
+        assert array.is_dirty(3) and not array.is_dirty(4)
+        assert array.split_clean(indices) == _brute_split(array, indices)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_operation_sequences(self, seed):
+        rng = random.Random(seed)
+        array = _stuck_array()
+        for _ in range(60):
+            index = rng.randrange(16)
+            value = rng.getrandbits(16)
+            op = rng.randrange(4)
+            if op == 0:
+                array.write(index, value)
+            elif op == 1:
+                array.inject(index, value)
+            elif op == 2:
+                array.restore(index, array.golden(index))
+            else:
+                array.write(index, 0x00FF)
+            indices = rng.sample(range(16), rng.randrange(17))
+            assert array.split_clean(indices) == _brute_split(array, indices)
+
+    def test_out_of_range_raises(self):
+        array = _stuck_array()
+        with pytest.raises(IndexError):
+            array.split_clean([0, 16])
+        with pytest.raises(IndexError):
+            array.split_clean(range(-1, 3))
+
+
 class TestBulk:
     def test_fill_random_reproducible(self):
         array_a = STTRAMArray(32, 553)

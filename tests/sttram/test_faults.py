@@ -187,6 +187,39 @@ class TestSampleDistinct:
         with pytest.raises(ValueError):
             sample_distinct(np.random.default_rng(0), 4, 5)
 
+    @staticmethod
+    def _set_based(rng, population, count):
+        """The set-accumulating rejection loop ``sample_distinct`` replaced."""
+        chosen = set()
+        while len(chosen) < count:
+            draw = rng.integers(0, population, size=count - len(chosen))
+            chosen.update(int(v) for v in draw)
+        return chosen
+
+    @pytest.mark.parametrize(
+        "population,count",
+        [
+            (64, 0),
+            (64, 1),
+            (64, 60),  # collision-heavy: many rejection rounds
+            (64, 64),  # the whole population
+            (1000, 990),
+            (7, 7),
+            ((1 << 20) * 553, 3070),  # the paper point's transient draw
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_equals_set_based_loop(self, population, count, seed):
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        values = sample_distinct(rng, population, count)
+        expected = self._set_based(twin, population, count)
+        assert values.dtype == np.int64
+        assert len(values) == count
+        assert set(values.tolist()) == expected
+        assert np.all(np.diff(values) > 0)  # ascending and unique
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestBurstErrors:
     def test_shape(self):
