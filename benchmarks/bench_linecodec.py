@@ -13,10 +13,12 @@ seeded population of lines and reports microseconds per call:
   true fault (ECC-1 then repairs the other), half an innocent bit (the
   CRC rejects the miscorrection), as SDR's search sees them.
 
-One batched row rides along: the numpy backend's ``batch_decode`` of four
-one-bit-fault words, a batch as small as a sparse group scan's few dirty
-members.  Its per-call figure is dominated by fixed numpy overhead,
-which the gate keeps from creeping back.
+Two batched rows ride along.  The numpy backend's ``batch_decode`` of
+four one-bit-fault words is a batch as small as a sparse group scan's
+few dirty members; its per-call figure is dominated by fixed numpy
+overhead, which the gate keeps from creeping back.  ``encode_many`` of
+512 data words is how a rare-event trial builds its G=512 group; its
+figure is per line, so it reads directly against scalar ``encode``.
 
 Each figure is the minimum over interleaved repeats of the mean over the
 population, the least noisy estimator on a shared box.  The results are
@@ -38,6 +40,8 @@ LINES = 200
 REPEATS = 7
 #: Words per numpy ``batch_decode`` call in the small-batch row.
 SMALL_BATCH = 4
+#: Data words per ``encode_many`` call: one paper-geometry group.
+ENCODE_BATCH = 512
 
 
 def _min_us_per_call(func, args):
@@ -66,6 +70,9 @@ def test_bench_linecodec(benchmark):
         else:
             position = rng.choice([p for p in range(n) if p not in faults])
         trials.append((word ^ vector, position))
+    batch_data = [
+        rng.getrandbits(codec.layout.data_bits) for _ in range(ENCODE_BATCH)
+    ]
 
     # Correctness first: the timed calls must do the real work.
     for value, word, faulty in zip(data, words, one_bit):
@@ -82,6 +89,9 @@ def test_bench_linecodec(benchmark):
         assert numpy.batch_decode(codec, batch) == [
             codec.decode(word) for word in batch
         ]
+    assert codec.encode_many(batch_data) == [
+        codec.encode(value) for value in batch_data
+    ]
     trial_words = [codec.try_flip_and_repair(*trial) for trial in trials]
     for index, (result, word) in enumerate(zip(trial_words, words)):
         assert result == (word if index % 2 else None)
@@ -94,6 +104,9 @@ def test_bench_linecodec(benchmark):
         ),
         "flip_and_repair_us": _min_us_per_call(codec.try_flip_and_repair, trials),
         "numpy_decode_batch4_us": _min_us_per_call(numpy.batch_decode, batches),
+        "encode_batch_us": (
+            _min_us_per_call(codec.encode_many, [(batch_data,)]) / ENCODE_BATCH
+        ),
     }
 
     benchmark(codec.decode, one_bit[0])
@@ -106,6 +119,7 @@ def test_bench_linecodec(benchmark):
         "numpy_decode_batch4_us": (
             f"numpy batch_decode ({SMALL_BATCH} one-bit words, per call)"
         ),
+        "encode_batch_us": f"encode_many ({ENCODE_BATCH} words, per line)",
     }
     emit({
         "title": "Line codec per-call cost (553-bit stored line)",
@@ -120,5 +134,8 @@ def test_bench_linecodec(benchmark):
         # Tracked trajectory scalars; "max"-direction baseline entries
         # fail CI if the codec slides back toward per-bit loops.
         "scalars": timings,
-        "config": {"lines": LINES, "seed": SEED, "stored_bits": n},
+        "config": {
+            "lines": LINES, "seed": SEED, "stored_bits": n,
+            "encode_batch": ENCODE_BATCH,
+        },
     })

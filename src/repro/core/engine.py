@@ -59,7 +59,7 @@ REPAIR_LATENCY_BUCKETS: Tuple[float, ...] = (
 class _Retry(NamedTuple):
     """A Hash-2 peeling retry that left its group exactly as it found it.
 
-    ``state`` is the group snapshot before and after the retry (see
+    ``state`` is the group's state before and after the retry (see
     ``SuDokuZ._group_state``), ``steps`` the accounting calls it
     made, in order, and the last two fields its scan's results.
     """
@@ -123,7 +123,7 @@ class SuDokuEngine:
         #: frame's stored word still matches (repairs invalidate).
         self._decode_cache: Dict[int, Tuple[int, Union[LineDecode, int]]] = {}
         #: Per-pass memo of no-op peeling retries: (table, group) -> the
-        #: retry to replay while the group's snapshot still matches.
+        #: retry to replay while the group's state still matches.
         self._retry_memo: Dict[Tuple[ParityLineTable, int], _Retry] = {}
         #: Accounting steps of the retry being simulated, else None.
         self._retry_log: Optional[List[Tuple[Callable[..., None], tuple]]] = None
@@ -1112,10 +1112,10 @@ class SuDokuZ(SuDokuY):
 
         Simulate a retry once, account it every time.  Most retries find
         their group as the previous retry left it, and a retry's result
-        is a function of that state alone (member stored words and dirty
-        flags, parity word, CRC validity, quarantine), so a retry that
+        is a function of that state alone (the dirty members' stored
+        words, parity word, CRC validity, quarantine), so a retry that
         changed none of it is remembered for the rest of the pass.  A
-        later retry of the same snapshot replays the logged accounting
+        later retry of the same state replays the logged accounting
         -- scan counts, latency addends in their original order,
         correction counters and repair spans -- instead of rescanning.
         """
@@ -1153,9 +1153,15 @@ class SuDokuZ(SuDokuY):
     def _group_state(
         self, members: List[int], plt: ParityLineTable, group: int
     ) -> tuple:
-        """Everything a peeling retry of ``group`` reads."""
+        """Everything a peeling retry of ``group`` reads.
+
+        Members are keyed by their dirty ``(frame, stored word)`` pairs
+        alone: a clean member stores its golden word, and golden changes
+        only through ``write``, which no scrub pass calls (a demand
+        write also moves the group's parity by the word's change).
+        """
         return (
-            self.array.snapshot(members),
+            self.array.dirty_items(members),
             plt.parity(group),
             plt.verify(group),
             plt.is_quarantined(group),

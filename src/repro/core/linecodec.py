@@ -11,14 +11,20 @@ The codec implements the per-line fast path of section III:
    the signal to escalate to the RAID machinery.
 
 The codec is stateless; all of SuDoku's group-level logic composes it.
+:meth:`LineCodec.encode_many` encodes a batch in one table pass (see
+:class:`_EncodeTables`); the scalar :meth:`LineCodec.encode` stays the
+definition it is derived from and tested against.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.affine import ByteTables, affine_columns, supports_byte_tables
 from repro.core.layout import LineLayout
 
 
@@ -65,6 +71,18 @@ class LineCodec:
         crc_value = self.layout.compute_crc(data)
         payload = self.layout.compose_payload(data, crc_value)
         return self._ecc.encode(payload)
+
+    def encode_many(self, data_words: Sequence[int]) -> List[int]:
+        """``[self.encode(d) for d in data_words]``, in one table pass.
+
+        The stock codec over a table-capable layout encodes the whole
+        batch through :class:`_EncodeTables`; any other codec (a
+        subclass may override ``encode``) takes the scalar loop.
+        """
+        tables = _encode_tables_for(self)
+        if tables is None or not data_words:
+            return [self.encode(data) for data in data_words]
+        return tables.encode(data_words)
 
     # -- verify -------------------------------------------------------------------
 
@@ -146,3 +164,113 @@ class LineCodec:
     def stored_bits(self) -> int:
         """Stored width per line."""
         return self.layout.stored_bits
+
+
+def _runs(positions: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """``positions`` as ``(start, stop, offset)`` runs: for ``start <= i <
+    stop``, ``positions[i] == i + offset``."""
+    runs: List[Tuple[int, int, int]] = []
+    start = 0
+    for index in range(1, len(positions) + 1):
+        if (
+            index == len(positions)
+            or positions[index] - index != positions[start] - start
+        ):
+            runs.append((start, index, positions[start] - start))
+            start = index
+    return runs
+
+
+class _EncodeTables:
+    """Batched encoding for the stock codec over one layout.
+
+    A codeword is the data bits, scattered to their codeword positions,
+    plus the *redundancy*: the CRC field and the Hamming check bits, the
+    ``crc_bits + r`` other stored bits.  The redundancy is affine in the
+    data, so a batch's comes from one per-byte table gather
+    (:class:`repro.core.affine.ByteTables`, columns taken from the
+    scalar :meth:`LineCodec.encode`).  Both halves are then placed as
+    runs of contiguous bit columns in one ``(N, stored bits)`` bit
+    matrix, which packs back into the codewords.
+    """
+
+    def __init__(self, codec: LineCodec) -> None:
+        layout = codec.layout
+        ecc = layout.ecc
+        self._data_bytes = layout.data_bits // 8
+        self._row_bytes = (ecc.n + 7) // 8
+        # The codeword bit each payload bit is read back from.
+        position: Dict[int, int] = {}
+        for bit in range(ecc.n):
+            payload_bit = ecc.extract_data(1 << bit)
+            if payload_bit:
+                position[payload_bit.bit_length() - 1] = bit
+        data_positions = [position[i] for i in range(layout.data_bits)]
+        data_set = set(data_positions)
+        redundant = [bit for bit in range(ecc.n) if bit not in data_set]
+
+        def redundancy(data: int) -> int:
+            word = codec.encode(data)
+            return sum(
+                ((word >> bit) & 1) << index for index, bit in enumerate(redundant)
+            )
+
+        constant, columns = affine_columns(redundancy, layout.data_bits)
+        self._redundancy = ByteTables(columns, constant, self._data_bytes)
+        self._data_runs = _runs(data_positions)
+        self._redundant_runs = _runs(redundant)
+
+    def encode(self, data_words: Sequence[int]) -> List[int]:
+        count = len(data_words)
+        try:
+            buffer = b"".join(
+                [data.to_bytes(self._data_bytes, "little") for data in data_words]
+            )
+        except OverflowError:
+            raise ValueError(
+                f"data does not fit in {8 * self._data_bytes} bits"
+            ) from None
+        data_bytes = np.frombuffer(buffer, dtype=np.uint8).reshape(count, -1)
+        redundancy = self._redundancy.apply(data_bytes)
+        sources = (
+            (np.unpackbits(data_bytes, axis=1, bitorder="little"), self._data_runs),
+            (
+                np.unpackbits(
+                    redundancy.view(np.uint8).reshape(count, 8),
+                    axis=1, bitorder="little",
+                ),
+                self._redundant_runs,
+            ),
+        )
+        bits = np.zeros((count, 8 * self._row_bytes), dtype=np.uint8)
+        for source, runs in sources:
+            for start, stop, offset in runs:
+                bits[:, start + offset:stop + offset] = source[:, start:stop]
+        rows = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        width = self._row_bytes
+        return [
+            int.from_bytes(rows[start:start + width], "little")
+            for start in range(0, count * width, width)
+        ]
+
+
+#: Encode-table cache.  The tables depend on the layout alone, so every
+#: stock codec over one layout shares them; they are built on a layout's
+#: first ``encode_many``.
+_ENCODE_TABLES: Dict[LineLayout, _EncodeTables] = {}
+
+
+def _encode_tables_for(codec: LineCodec) -> Optional[_EncodeTables]:
+    """Encode tables for a codec, or None when it takes the scalar loop.
+
+    The same conservative test as the numpy backend's check tables:
+    exactly the stock ``LineCodec`` over a layout
+    :func:`~repro.core.affine.supports_byte_tables` accepts.
+    """
+    if type(codec) is not LineCodec:
+        return None
+    layout = codec.layout
+    tables = _ENCODE_TABLES.get(layout)
+    if tables is None and supports_byte_tables(layout):
+        tables = _ENCODE_TABLES[layout] = _EncodeTables(codec)
+    return tables

@@ -18,11 +18,11 @@ of ``r + crc_bits`` bits (41 for the paper's layout).  The syndrome and
 the payload fields are linear in the stored word ``w`` and the CRC is
 affine over GF(2), so ``v`` is affine: ``v(w) = A.w ^ c`` with
 ``c = v(0)``.  Column ``p`` of ``A`` is ``v(1 << p) ^ c``; the columns
-are derived once per codec from the scalar codec itself, so no second
-CRC or Hamming implementation exists.  Folding eight columns per byte
-gives one 256-entry table per word byte; with ``c`` folded into the
-first byte's table, ``v`` for N words is a table gather over the packed
-byte matrix (in cache-sized blocks of words) plus one XOR reduction.
+are derived once per layout from the scalar codec itself, so no second
+CRC or Hamming implementation exists.  They become per-byte tables
+(:class:`repro.core.affine.ByteTables`, the builder the batched encoder
+shares), and ``v`` for N words is a table gather over the packed byte
+matrix plus one XOR reduction.
 
 The decision then reads straight off ``v``:
 
@@ -37,22 +37,22 @@ That classification is ``batch_check``.  ``batch_decode`` is built on
 it: the payload of a clean or repaired word comes from the scalar
 codec's run-based ``extract_data``.  The pipeline is only engaged for
 codecs whose semantics it provably matches (the stock
-:class:`~repro.core.linecodec.LineCodec`: positional ``HammingSEC`` over
-``data || CRC``, non-reflected byte-aligned CRC, a check vector that
-fits in 64 bits, little-endian host).  For anything else
-``batch_decode`` falls back to the scalar ``codec.decode`` per word,
+:class:`~repro.core.linecodec.LineCodec` over a layout
+:func:`~repro.core.affine.supports_byte_tables` accepts: positional
+``HammingSEC`` over ``data || CRC``, non-reflected byte-aligned CRC, a
+check vector that fits in 64 bits, little-endian host).  For anything
+else ``batch_decode`` falls back to the scalar ``codec.decode`` per word,
 which is always correct, and ``batch_check`` returns None.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coding.hamming import HammingSEC
 from repro.coding.parity import xor_reduce
+from repro.core.affine import ByteTables, affine_columns, supports_byte_tables
 from repro.core.layout import LineLayout
 from repro.core.linecodec import DecodeStatus, LineCodec, LineDecode
 from repro.kernels.interface import (
@@ -72,37 +72,17 @@ def _check_vector(codec: LineCodec, word: int) -> int:
     return ecc.syndrome(word) | residue << ecc.r
 
 
-#: Words per table gather.  A gather materialises an index and a result
-#: matrix of 8 bytes per word byte; chunks this size keep both cache
-#: resident, which is ~3x faster than one gather over thousands of words.
-_GATHER_ROWS = 256
-
-
 class _LineCodecTables:
     """Per-byte check-vector tables for an eligible ``LineCodec``'s layout."""
 
     def __init__(self, codec: LineCodec) -> None:
         self.n = codec.layout.ecc.n
         self._syndrome_mask = (1 << codec.layout.ecc.r) - 1
-        constant = _check_vector(codec, 0)
         # col[p]: how flipping stored bit p moves the check vector.
-        columns = [_check_vector(codec, 1 << p) ^ constant for p in range(self.n)]
-        nbytes = words_per_line(self.n) * 8
-        bit_columns = np.zeros((nbytes, 8), dtype=np.uint64)
-        bit_columns.reshape(-1)[: self.n] = columns
-        # tables[k, b]: XOR of the columns of the bits set in byte value
-        # b at byte k, built by doubling (entries below 2^i are extended
-        # by bit i).
-        tables = np.zeros((nbytes, 256), dtype=np.uint64)
-        for bit in range(8):
-            low = 1 << bit
-            tables[:, low:2 * low] = tables[:, :low] ^ bit_columns[:, bit:bit + 1]
-        # Every word has a byte 0, so folding c into its table adds c to
-        # each reduction exactly once: the gather yields v, not A.w.
-        tables[0] ^= np.uint64(constant)
-        # Byte k of a word indexes the flattened tables at 256 * k + value.
-        self._flat_tables = tables.reshape(-1)
-        self._byte_offsets = np.arange(0, 256 * nbytes, 256, dtype=np.intp)
+        constant, columns = affine_columns(
+            lambda word: _check_vector(codec, word), self.n
+        )
+        self._vectors = ByteTables(columns, constant, words_per_line(self.n) * 8)
         # by_syndrome[s]: the check vector of a word ECC-1 repairs at bit
         # s - 1, for syndromes 1..n.  Entry 0 is 0, the check vector of
         # a clean word, whose code s - 1 = -1 is CHECK_CLEAN; entry n + 1
@@ -118,14 +98,7 @@ class _LineCodecTables:
         UNCORRECTABLE.
         """
         rows = pack_lines(words, self.n)
-        byte_matrix = rows.view(np.uint8).reshape(len(words), -1)
-        vectors = np.empty(len(words), dtype=np.uint64)
-        for start in range(0, len(words), _GATHER_ROWS):
-            stop = start + _GATHER_ROWS
-            indices = byte_matrix[start:stop] + self._byte_offsets
-            np.bitwise_xor.reduce(
-                self._flat_tables.take(indices), axis=1, out=vectors[start:stop]
-            )
+        vectors = self._vectors.apply(rows.view(np.uint8).reshape(len(words), -1))
         syndromes = np.minimum(
             vectors & np.uint64(self._syndrome_mask), np.uint64(self.n + 1)
         ).astype(np.intp)
@@ -146,28 +119,15 @@ def _tables_for(codec) -> Optional[_LineCodecTables]:
     """Check-vector tables for a codec, or None when ineligible.
 
     Eligibility is deliberately conservative: exactly the stock
-    ``LineCodec`` (subclasses may override ``decode``), a positional
-    ``HammingSEC``, a non-reflected byte-aligned CRC whose residue and
-    the syndrome fit one uint64 check vector, and a little-endian host
-    (the plane layout reinterprets raw bytes).
+    ``LineCodec`` (subclasses may override ``decode``) over a layout
+    :func:`~repro.core.affine.supports_byte_tables` accepts.
     """
-    if type(codec) is not LineCodec or sys.byteorder != "little":
+    if type(codec) is not LineCodec:
         return None
     layout = codec.layout
     tables = _TABLE_CACHE.get(layout)
-    if tables is not None:
-        return tables
-    crc = layout.crc
-    if (
-        type(layout.ecc) is not HammingSEC
-        or crc.refin
-        or crc.refout
-        or layout.ecc.r + layout.crc_bits > 64
-        or layout.data_bits % 8
-    ):
-        return None
-    tables = _LineCodecTables(codec)
-    _TABLE_CACHE[layout] = tables
+    if tables is None and supports_byte_tables(layout):
+        tables = _TABLE_CACHE[layout] = _LineCodecTables(codec)
     return tables
 
 

@@ -292,7 +292,10 @@ class ConditionalGroupSimulator:
         stuck bits (golden keeps the intent) -- the same setup order as
         scenario campaigns.  The parity is rebuilt over the golden
         words, so stuck bits appear to the repair machinery as what they
-        physically are: pre-existing storage faults.
+        physically are: pre-existing storage faults.  The content is
+        drawn, encoded and written as one batch each: the same draws,
+        codewords and stored words as one ``encode`` and ``write`` per
+        line.
         """
         array = STTRAMArray(self.group_size, self.line_bits)
         if self.scenario is not None:
@@ -302,11 +305,12 @@ class ConditionalGroupSimulator:
             if stuck_map is not None:
                 array.attach_permanent_faults(stuck_map)
         plt = ParityLineTable(1, self.line_bits, backend=self.backend)
-        words = []
-        for frame in range(self.group_size):
-            word = self.codec.encode(self._rng.getrandbits(self.codec.layout.data_bits))
-            array.write(frame, word)
-            words.append(word)
+        data_bits = self.codec.layout.data_bits
+        getrandbits = self._rng.getrandbits
+        words = self.codec.encode_many(
+            [getrandbits(data_bits) for _ in range(self.group_size)]
+        )
+        array.write_many(range(self.group_size), words)
         plt.rebuild(0, words)
         return array, plt
 

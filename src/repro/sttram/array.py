@@ -143,6 +143,32 @@ class STTRAMArray:
         self._settle(index, self._through_faults(index, value), value)
         return previous
 
+    def write_many(self, indices: Sequence[int], values: Sequence[int]) -> None:
+        """``write(index, value)`` for each pair, in order.
+
+        Validated once, all before any write.  A repeated index keeps
+        its last value, and stuck bits assert in the stored copies as
+        in ``write``.  Without a stuck-at map every written line stores
+        its golden word, so the batch is one dict update plus the
+        removal of the fill-valued words and of the lines' stale faults.
+        """
+        if len(indices) != len(values):
+            raise ValueError("write_many needs one value per index")
+        self._check_many(indices, values)
+        if self._fault_map is not None:
+            for index, value in zip(indices, values):
+                self.write(index, value)
+            return
+        fill, written, diverged = self._fill, self._written, self._diverged
+        written.update(zip(indices, values))
+        if fill in values:
+            for index in indices:
+                if written.get(index) == fill:
+                    del written[index]
+        if diverged:
+            for index in indices:
+                diverged.pop(index, None)
+
     def read(self, index: int) -> int:
         """Read the stored (possibly corrupted) value."""
         self._check(index, 0)
@@ -160,6 +186,18 @@ class STTRAMArray:
             tuple([diverged.get(i, written.get(i, fill)) for i in indices]),
             tuple([i in diverged for i in indices]),
         )
+
+    def dirty_items(self, indices: Sequence[int]) -> tuple:
+        """``(index, stored word)`` of the dirty members of ``indices``,
+        in order.
+
+        Every other member stores its golden word, so with golden fixed
+        this names the stored state of all of ``indices`` at O(dirty)
+        Python cost -- the SuDoku-Z peeling memo's key.
+        """
+        self._check_indices(indices)
+        diverged = self._diverged
+        return tuple([(i, diverged[i]) for i in indices if i in diverged])
 
     def split_clean(self, indices: Sequence[int]) -> Tuple[List[int], int]:
         """The dirty members of ``indices``, in order, and the XOR of the

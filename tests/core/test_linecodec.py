@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.coding.bitvec import random_error_vector
 from repro.core.layout import LineLayout
+from repro.core import linecodec
 from repro.core.linecodec import DecodeStatus, LineCodec, LineDecode
 
 
@@ -276,3 +277,65 @@ def test_property_single_fault_repaired(data, position):
     word = codec.encode(data)
     decode = codec.decode(word ^ (1 << position))
     assert decode.status is DecodeStatus.CORRECTED and decode.data == data
+
+
+class TestEncodeMany:
+    """``encode_many`` equals a scalar ``encode`` per word, in order."""
+
+    @pytest.mark.parametrize("layout", [LineLayout(), LineLayout(data_bits=128)])
+    def test_structured_words(self, layout):
+        codec = LineCodec(layout)
+        k = layout.data_bits
+        words = [0, (1 << k) - 1] + [1 << bit for bit in range(k)]
+        assert codec.encode_many(words) == [codec.encode(word) for word in words]
+        assert linecodec._ENCODE_TABLES.get(layout) is not None
+
+    def test_empty_batch(self):
+        assert LineCodec().encode_many([]) == []
+
+    def test_out_of_range_data_raises(self):
+        codec = LineCodec()
+        for bad in (-1, 1 << 512):
+            with pytest.raises(ValueError):
+                codec.encode_many([0, bad])
+
+    def test_subclass_takes_the_scalar_path(self):
+        class CountingCodec(LineCodec):
+            calls = 0
+
+            def encode(self, data):
+                CountingCodec.calls += 1
+                return super().encode(data)
+
+        codec = CountingCodec()
+        rng = random.Random(4)
+        words = [rng.getrandbits(512) for _ in range(5)]
+        assert codec.encode_many(words) == [
+            LineCodec.encode(codec, word) for word in words
+        ]
+        assert CountingCodec.calls == len(words)
+
+    def test_non_byte_aligned_layout_takes_the_scalar_path(self):
+        layout = _BitLayout(data_bits=60)
+        codec = LineCodec(layout)
+        rng = random.Random(6)
+        words = [0, (1 << 60) - 1, 1 << 59] + [rng.getrandbits(60) for _ in range(8)]
+        assert codec.encode_many(words) == [codec.encode(word) for word in words]
+        assert layout not in linecodec._ENCODE_TABLES
+
+
+class _BitLayout(LineLayout):
+    """A layout over any data width: bit-serial CRC, no byte alignment."""
+
+    def __post_init__(self) -> None:
+        pass
+
+    def compute_crc(self, data: int) -> int:
+        return self.crc.compute_bits(data, self.data_bits)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 512) - 1), max_size=40))
+def test_property_encode_many_matches_encode(words):
+    codec = LineCodec()
+    assert codec.encode_many(words) == [codec.encode(word) for word in words]

@@ -172,6 +172,25 @@ class TestCampaignAndRaresimBackends:
             results.append(simulator.run("Z", 30).as_dict())
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("level", ["Y", "Z"])
+    def test_raresim_backends_agree_with_scenario_overlay(self, level):
+        from repro.reliability.raresim import ConditionalGroupSimulator
+
+        scenario = FaultScenario(
+            transient_ber=1e-3,
+            burst=BurstSpec.fixed_length(rate=0.05, length=3, interleave=2),
+            stuck=StuckSpec(ppm=500.0),
+        )
+        results = []
+        for backend in BACKEND_NAMES:
+            simulator = ConditionalGroupSimulator(
+                ber=1e-3, group_size=16, num_groups=16, rng=random.Random(5),
+                backend=backend, scenario=scenario,
+            )
+            results.append(simulator.run(level, 30).as_dict())
+        assert results[0] == results[1]
+        assert 0 < results[0]["conditional_failures"] < 30
+
 
 class TestPlanePacking:
     """Property tests: the plane layout is the little-endian layout."""

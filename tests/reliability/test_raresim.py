@@ -86,6 +86,42 @@ class TestTrials:
         assert high >= conditional_model * 0.2
 
 
+class TestBatchedGroupBuild:
+    def test_warmed_y_trial_encodes_no_line_on_its_own(self, monkeypatch):
+        """A G=512 group is encoded in one ``encode_many`` batch: once
+        its tables exist, no trial calls the scalar ``encode``."""
+        from repro.core.linecodec import LineCodec
+
+        calls = []
+        scalar = LineCodec.encode
+
+        def spy(self, data):
+            calls.append(data)
+            return scalar(self, data)
+
+        monkeypatch.setattr(LineCodec, "encode", spy)
+        simulator = make_simulator(ber=5.3e-6, group=512)
+        simulator.trial_y()
+        calls.clear()
+        simulator.trial_y()
+        assert calls == []
+
+    def test_fresh_group_matches_per_line_build(self):
+        """The batched build stores what one ``encode`` and ``write`` per
+        line stored, from the same draws."""
+        batched, by_line = make_simulator(seed=9), make_simulator(seed=9)
+        array, plt = batched._fresh_group()
+        data = [
+            by_line._rng.getrandbits(by_line.codec.layout.data_bits)
+            for _ in range(GROUP)
+        ]
+        words = [by_line.codec.encode(value) for value in data]
+        assert list(array) == words
+        assert [array.golden(f) for f in range(GROUP)] == words
+        assert array.dirty_count == 0
+        assert batched._rng.getstate() == by_line._rng.getstate()
+
+
 class TestResultArithmetic:
     def test_composition(self):
         result = ConditionalResult(

@@ -164,6 +164,10 @@ class TestDirtySet:
         assert array.written_frames() == [2]
         with pytest.raises(IndexError):
             array.snapshot([0, 8])
+        assert array.dirty_items(frames) == ((6, array.read(6)), (2, array.read(2)))
+        assert array.dirty_items([0, 5]) == ()
+        with pytest.raises(IndexError):
+            array.dirty_items([0, 8])
 
 
 def _brute_split(array, indices):
@@ -347,6 +351,63 @@ class TestBulkInjectRestore:
         assert _state(array) == before
         array.inject_many({})
         assert array.restore_many([], []) == []
+
+
+class TestWriteMany:
+    """``write_many`` equals a ``write`` per pair, in order."""
+
+    @staticmethod
+    def _full_state(array):
+        goldens = [array.golden(i) for i in range(array.num_lines)]
+        return _state(array) + (goldens,)
+
+    @pytest.mark.parametrize("stuck", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_write(self, stuck, seed):
+        (bulk, single), _ = _twin_arrays(stuck)
+        rng = random.Random(seed)
+        vectors = {index: rng.getrandbits(32) | 1 for index in range(0, 64, 3)}
+        bulk.inject_many(vectors)
+        single.inject_many(vectors)
+        for _ in range(3):
+            # Repeated indices (the last value wins) and fill-valued
+            # words, over written, dirty, stuck and untouched lines.
+            indices = [rng.randrange(64) for _ in range(48)]
+            values = [
+                0x0F0F0F0F if rng.random() < 0.25 else rng.getrandbits(32)
+                for _ in indices
+            ]
+            bulk.write_many(indices, values)
+            for index, value in zip(indices, values):
+                single.write(index, value)
+            assert self._full_state(bulk) == self._full_state(single)
+
+    def test_range_indices_over_a_fresh_array(self):
+        bulk, single = STTRAMArray(16, 16), STTRAMArray(16, 16)
+        values = [random.Random(5).getrandbits(16) for _ in range(16)]
+        values[3] = 0  # the fill word of a fresh array
+        bulk.write_many(range(16), values)
+        for index, value in enumerate(values):
+            single.write(index, value)
+        assert self._full_state(bulk) == self._full_state(single)
+        assert list(bulk) == values
+
+    def test_bad_index_or_value_raises_before_any_write(self):
+        (array, _), _ = _twin_arrays(True)
+        before = self._full_state(array)
+        with pytest.raises(IndexError):
+            array.write_many([0, 64], [1, 1])
+        with pytest.raises(IndexError):
+            array.write_many([-1, 0], [1, 1])
+        with pytest.raises(ValueError):
+            array.write_many([0, 1], [1, 1 << 32])
+        with pytest.raises(ValueError):
+            array.write_many([0, 1], [-1, 1])
+        with pytest.raises(ValueError):
+            array.write_many([0, 1], [1])
+        assert self._full_state(array) == before
+        array.write_many([], [])
+        assert self._full_state(array) == before
 
 
 class TestMemoryFollowsFaults:
