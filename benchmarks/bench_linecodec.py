@@ -11,7 +11,15 @@ seeded population of lines and reports microseconds per call:
 * one-bit ``decode`` -- ECC-1 repair plus the CRC re-check;
 * ``try_flip_and_repair`` on two-fault lines -- half the trials flip a
   true fault (ECC-1 then repairs the other), half an innocent bit (the
-  CRC rejects the miscorrection), as SDR's search sees them.
+  CRC rejects the miscorrection), as SDR's search sees them;
+* one SDR search (:func:`repro.core.sdr.flip_search`) of a two-fault
+  line over six candidate positions, its two faults among them: the
+  stock codec's check vector once, then one XOR and one lookup per
+  candidate up to the first repair.
+
+The stock codec classifies by its check-vector tables; the per-call
+figures of ``decode`` and ``try_flip_and_repair`` are those of the
+table path, not of the CRC+Hamming definition.
 
 Two batched rows ride along.  The numpy backend's ``batch_decode`` of
 four one-bit-fault words is a batch as small as a sparse group scan's
@@ -32,7 +40,8 @@ import time
 
 from conftest import emit
 from repro.coding.bitvec import random_error_vector
-from repro.core.linecodec import DecodeStatus, LineCodec
+from repro.core.linecodec import DecodeStatus, LineCodec, line_tables
+from repro.core.sdr import flip_search
 from repro.kernels import get_backend
 
 SEED = 553
@@ -42,6 +51,8 @@ REPEATS = 7
 SMALL_BATCH = 4
 #: Data words per ``encode_many`` call: one paper-geometry group.
 ENCODE_BATCH = 512
+#: Candidate positions per SDR search: the paper's mismatch cap.
+SEARCH_WIDTH = 6
 
 
 def _min_us_per_call(func, args):
@@ -73,6 +84,15 @@ def test_bench_linecodec(benchmark):
     batch_data = [
         rng.getrandbits(codec.layout.data_bits) for _ in range(ENCODE_BATCH)
     ]
+    tables = line_tables(codec)
+    searches = []
+    for word in words:
+        vector = random_error_vector(n, 2, rng)
+        faults = [p for p in range(n) if (vector >> p) & 1]
+        innocent = rng.sample(
+            [p for p in range(n) if p not in faults], SEARCH_WIDTH - 2
+        )
+        searches.append((codec, word ^ vector, sorted(faults + innocent)))
 
     # Correctness first: the timed calls must do the real work.
     for value, word, faulty in zip(data, words, one_bit):
@@ -95,6 +115,14 @@ def test_bench_linecodec(benchmark):
     trial_words = [codec.try_flip_and_repair(*trial) for trial in trials]
     for index, (result, word) in enumerate(zip(trial_words, words)):
         assert result == (word if index % 2 else None)
+    # The search stops at the first candidate that is a fault: flipping
+    # it leaves one fault, which ECC-1 repairs.
+    assert tables is not None
+    for (_, faulty, positions), word in zip(searches, words):
+        first = min(p for p in positions if (faulty ^ word) >> p & 1)
+        assert flip_search(codec, faulty, positions) == (
+            positions.index(first) + 1, word
+        )
 
     timings = {
         "encode_us": _min_us_per_call(codec.encode, [(v,) for v in data]),
@@ -107,6 +135,7 @@ def test_bench_linecodec(benchmark):
         "encode_batch_us": (
             _min_us_per_call(codec.encode_many, [(batch_data,)]) / ENCODE_BATCH
         ),
+        "sdr_search_us": _min_us_per_call(flip_search, searches),
     }
 
     benchmark(codec.decode, one_bit[0])
@@ -120,6 +149,9 @@ def test_bench_linecodec(benchmark):
             f"numpy batch_decode ({SMALL_BATCH} one-bit words, per call)"
         ),
         "encode_batch_us": f"encode_many ({ENCODE_BATCH} words, per line)",
+        "sdr_search_us": (
+            f"SDR search (two-fault line, {SEARCH_WIDTH} candidates)"
+        ),
     }
     emit({
         "title": "Line codec per-call cost (553-bit stored line)",
@@ -136,6 +168,6 @@ def test_bench_linecodec(benchmark):
         "scalars": timings,
         "config": {
             "lines": LINES, "seed": SEED, "stored_bits": n,
-            "encode_batch": ENCODE_BATCH,
+            "encode_batch": ENCODE_BATCH, "search_width": SEARCH_WIDTH,
         },
     })

@@ -94,8 +94,8 @@ class ParityLineTable:
         A rebuild re-derives the entry from the protected lines, so it
         also lifts any quarantine on the group.
         """
-        for word in members:
-            self._check_word(word)
+        if members and (min(members) < 0 or max(members) > self._mask):
+            raise ValueError(f"word does not fit in {self.line_bits} bits")
         return self.store(group, self.backend.xor_fold(members, self.line_bits))
 
     def store(self, group: int, value: int) -> int:

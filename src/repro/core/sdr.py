@@ -14,6 +14,14 @@ shrinking the search for the remaining lines) and stops when a pass makes
 no progress.  Per the paper, SDR is not attempted when the mismatch has
 more than ``max_mismatches`` (default six) candidate positions.
 
+Each trial flips one position and runs the line decode.  For the stock
+codec the search runs by linearity instead (:meth:`LineTables.search
+<repro.core.linecodec.LineTables.search>`): a line's check vector is
+computed once and each candidate costs one XOR and one lookup, with the
+same trial count and repaired word as the per-position
+:meth:`~repro.core.linecodec.LineCodec.try_flip_and_repair` loop, which
+every other codec still takes (:func:`flip_search`).
+
 If SDR leaves exactly one line unrepaired, the caller finishes it with
 plain RAID-4 reconstruction -- "if we correct even N-1 faulty lines out
 of the N faulty lines ... we correct the final uncorrectable line using
@@ -23,10 +31,10 @@ the RAID-4 based correction" (section IV-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Sequence, Tuple
 
 from repro.coding.bitvec import bit_positions
-from repro.core.linecodec import LineCodec
+from repro.core.linecodec import LineCodec, line_tables
 from repro.core.outcomes import Outcome
 from repro.core.plt_ import ParityLineTable
 from repro.core.raid4 import GroupScan
@@ -91,21 +99,37 @@ def resurrect(
 
         progressed = False
         for frame in list(scan.uncorrectable):
-            word = scan.words[frame]
-            for position in positions:
-                report.trials += 1
-                repaired = codec.try_flip_and_repair(word, position)
-                if repaired is None:
-                    continue
-                array.restore(frame, repaired)
-                scan.words[frame] = repaired
-                scan.uncorrectable.remove(frame)
-                scan.line_outcomes[frame] = Outcome.CORRECTED_SDR
-                report.resurrected_frames.append(frame)
-                progressed = True
-                break
+            trials, repaired = flip_search(codec, scan.words[frame], positions)
+            report.trials += trials
+            if repaired is None:
+                continue
+            array.restore(frame, repaired)
+            scan.words[frame] = repaired
+            scan.uncorrectable.remove(frame)
+            scan.line_outcomes[frame] = Outcome.CORRECTED_SDR
+            report.resurrected_frames.append(frame)
+            progressed = True
         if not progressed:
             break
         # A resurrection changes the group XOR; re-derive the mismatch so
         # the next line searches only the still-unexplained positions.
     return report
+
+
+def flip_search(
+    codec: LineCodec, word: int, positions: Sequence[int]
+) -> Tuple[int, Optional[int]]:
+    """SDR's search of one line: ``(trials, repaired word or None)``.
+
+    ``codec.try_flip_and_repair`` on each position in turn, stopping at
+    the first success.  A codec with :func:`line_tables` runs the same
+    search on them by linearity, with the same answer.
+    """
+    tables = line_tables(codec)
+    if tables is not None:
+        return tables.search(word, positions)
+    for trial, position in enumerate(positions, 1):
+        repaired = codec.try_flip_and_repair(word, position)
+        if repaired is not None:
+            return trial, repaired
+    return len(positions), None

@@ -18,7 +18,7 @@ from repro.kernels.interface import (
     check_code,
     decode_from_check,
 )
-from repro.kernels.numpy_backend import NumpyBackend
+from repro.kernels.numpy_backend import NumpyBackend, warm_line_tables
 from repro.kernels.reference import ReferenceBackend
 
 #: Registry of constructable backends, in documentation order.
@@ -75,4 +75,5 @@ __all__ = [
     "decode_from_check",
     "get_backend",
     "resolve_backend",
+    "warm_line_tables",
 ]

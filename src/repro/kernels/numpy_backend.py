@@ -17,12 +17,14 @@ in one *check vector*
 of ``r + crc_bits`` bits (41 for the paper's layout).  The syndrome and
 the payload fields are linear in the stored word ``w`` and the CRC is
 affine over GF(2), so ``v`` is affine: ``v(w) = A.w ^ c`` with
-``c = v(0)``.  Column ``p`` of ``A`` is ``v(1 << p) ^ c``; the columns
-are derived once per layout from the scalar codec itself, so no second
-CRC or Hamming implementation exists.  They become per-byte tables
-(:class:`repro.core.affine.ByteTables`, the builder the batched encoder
-shares), and ``v`` for N words is a table gather over the packed byte
-matrix plus one XOR reduction.
+``c = v(0)``.  Column ``p`` of ``A`` is ``v(1 << p) ^ c``.  The columns
+are the stock codec's own (:class:`repro.core.linecodec.LineTables`,
+derived once per layout from the scalar CRC+Hamming definition), which
+its scalar decode classifies by too, so there is one derivation and no
+second CRC or Hamming implementation.  Here they become numpy per-byte
+tables (:class:`repro.core.affine.ByteTables`, the builder the batched
+encoder shares), and ``v`` for N words is a table gather over the
+packed byte matrix plus one XOR reduction.
 
 The decision then reads straight off ``v``:
 
@@ -36,8 +38,9 @@ The decision then reads straight off ``v``:
 That classification is ``batch_check``.  ``batch_decode`` is built on
 it: the payload of a clean or repaired word comes from the scalar
 codec's run-based ``extract_data``.  The pipeline is only engaged for
-codecs whose semantics it provably matches (the stock
-:class:`~repro.core.linecodec.LineCodec` over a layout
+codecs whose semantics it provably matches: those
+:func:`~repro.core.linecodec.line_tables` gives tables (the stock
+``LineCodec`` over a layout
 :func:`~repro.core.affine.supports_byte_tables` accepts: positional
 ``HammingSEC`` over ``data || CRC``, non-reflected byte-aligned CRC, a
 check vector that fits in 64 bits, little-endian host).  For anything
@@ -52,9 +55,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coding.parity import xor_reduce
-from repro.core.affine import ByteTables, affine_columns, supports_byte_tables
+from repro.core.affine import ByteTables
 from repro.core.layout import LineLayout
-from repro.core.linecodec import DecodeStatus, LineCodec, LineDecode
+from repro.core.linecodec import (
+    DecodeStatus,
+    LineCodec,
+    LineDecode,
+    LineTables,
+    line_tables,
+)
 from repro.kernels.interface import (
     CHECK_UNCORRECTABLE,
     KernelBackend,
@@ -63,32 +72,21 @@ from repro.kernels.interface import (
 from repro.kernels.planes import pack_lines, words_per_line
 
 
-def _check_vector(codec: LineCodec, word: int) -> int:
-    """The scalar codec's syndrome and CRC residue of ``word``, as one int."""
-    layout = codec.layout
-    ecc = layout.ecc
-    data, stored_crc = layout.split_payload(ecc.extract_data(word))
-    residue = layout.compute_crc(data) ^ stored_crc
-    return ecc.syndrome(word) | residue << ecc.r
-
-
 class _LineCodecTables:
-    """Per-byte check-vector tables for an eligible ``LineCodec``'s layout."""
+    """Numpy check-vector tables over one layout's :class:`LineTables`."""
 
-    def __init__(self, codec: LineCodec) -> None:
-        self.n = codec.layout.ecc.n
-        self._syndrome_mask = (1 << codec.layout.ecc.r) - 1
-        # col[p]: how flipping stored bit p moves the check vector.
-        constant, columns = affine_columns(
-            lambda word: _check_vector(codec, word), self.n
+    def __init__(self, layout: LineLayout, line: LineTables) -> None:
+        self.n = line.n
+        self._syndrome_mask = (1 << layout.ecc.r) - 1
+        self._vectors = ByteTables(
+            line.columns, line.constant, words_per_line(self.n) * 8
         )
-        self._vectors = ByteTables(columns, constant, words_per_line(self.n) * 8)
         # by_syndrome[s]: the check vector of a word ECC-1 repairs at bit
         # s - 1, for syndromes 1..n.  Entry 0 is 0, the check vector of
         # a clean word, whose code s - 1 = -1 is CHECK_CLEAN; entry n + 1
         # (every syndrome past n is clamped to it) is 0 too, which no
         # nonzero vector equals.
-        self._by_syndrome = np.array([0] + columns + [0], dtype=np.uint64)
+        self._by_syndrome = np.array([0] + line.columns + [0], dtype=np.uint64)
 
     def check_batch(self, words: Sequence[int]) -> List[int]:
         """``batch_check`` codes of ``words``: one gather, then one test.
@@ -118,17 +116,29 @@ _TABLE_CACHE: Dict[LineLayout, _LineCodecTables] = {}
 def _tables_for(codec) -> Optional[_LineCodecTables]:
     """Check-vector tables for a codec, or None when ineligible.
 
-    Eligibility is deliberately conservative: exactly the stock
-    ``LineCodec`` (subclasses may override ``decode``) over a layout
-    :func:`~repro.core.affine.supports_byte_tables` accepts.
+    Eligible are exactly the codecs :func:`line_tables` gives tables.
     """
-    if type(codec) is not LineCodec:
+    line = line_tables(codec)
+    if line is None:
         return None
     layout = codec.layout
     tables = _TABLE_CACHE.get(layout)
-    if tables is None and supports_byte_tables(layout):
-        tables = _TABLE_CACHE[layout] = _LineCodecTables(codec)
+    if tables is None:
+        tables = _TABLE_CACHE[layout] = _LineCodecTables(layout, line)
     return tables
+
+
+def warm_line_tables() -> None:
+    """Build every per-layout line table of the default layout.
+
+    The stock codec's check and encode tables
+    (:func:`repro.core.linecodec.line_tables`), and the CRC and Hamming
+    tables they are derived from, and the numpy backend's check tables
+    are per-process caches.  Call this before forking workers: each
+    child then inherits them, instead of deriving the columns again in
+    its first interval.
+    """
+    _tables_for(LineCodec())
 
 
 class NumpyBackend(KernelBackend):

@@ -67,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - cycle: scenario imports this package
     from repro.reliability.scenario import FaultScenario
 
 from repro.core.rng import resolve_pyrandom
-from repro.kernels import BACKEND_NAMES
+from repro.kernels import BACKEND_NAMES, warm_line_tables
 from repro.obs import (
     NULL_PROGRESS,
     Telemetry,
@@ -332,6 +332,9 @@ def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
                     cancel: Optional[Callable[[], bool]] = None):
     """Run shard specs across processes; returns results in shard order."""
     _check_resume_files(specs)
+    # Forked shards inherit the line tables instead of each deriving
+    # them in its first interval.
+    warm_line_tables()
     context = multiprocessing.get_context(_START_METHOD)
     queue = context.Queue()
     processes = [

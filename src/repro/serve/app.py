@@ -34,7 +34,7 @@ import os
 import signal
 from typing import Dict, Optional, Tuple
 
-from repro.core.linecodec import LineCodec
+from repro.kernels import warm_line_tables
 from repro.obs import MetricsRegistry
 from repro.obs.atomicio import atomic_write_text
 from repro.serve.scheduler import TERMINAL_STATES, Job, Scheduler
@@ -76,9 +76,9 @@ class ServeApp:
         """Bind and start serving; returns the bound (host, port)."""
         os.makedirs(self.store.root, exist_ok=True)
         os.makedirs(self.scheduler.checkpoint_dir, exist_ok=True)
-        # Build the shared CRC and Hamming tables once, so every forked
-        # job worker inherits them instead of rebuilding its own.
-        LineCodec().encode(0)
+        # Build the line tables once, so every forked job worker
+        # inherits them instead of rebuilding its own.
+        warm_line_tables()
         self._server = await asyncio.start_server(
             self._handle_connection, host=host, port=port
         )

@@ -288,7 +288,7 @@ class TestEncodeMany:
         k = layout.data_bits
         words = [0, (1 << k) - 1] + [1 << bit for bit in range(k)]
         assert codec.encode_many(words) == [codec.encode(word) for word in words]
-        assert linecodec._ENCODE_TABLES.get(layout) is not None
+        assert linecodec._LINE_TABLES.get(layout) is not None
 
     def test_empty_batch(self):
         assert LineCodec().encode_many([]) == []
@@ -321,7 +321,7 @@ class TestEncodeMany:
         rng = random.Random(6)
         words = [0, (1 << 60) - 1, 1 << 59] + [rng.getrandbits(60) for _ in range(8)]
         assert codec.encode_many(words) == [codec.encode(word) for word in words]
-        assert layout not in linecodec._ENCODE_TABLES
+        assert layout not in linecodec._LINE_TABLES
 
 
 class _BitLayout(LineLayout):
@@ -339,3 +339,97 @@ class _BitLayout(LineLayout):
 def test_property_encode_many_matches_encode(words):
     codec = LineCodec()
     assert codec.encode_many(words) == [codec.encode(word) for word in words]
+
+
+@pytest.mark.parametrize("layout", [LineLayout(), LineLayout(data_bits=256)])
+class TestDecodeMatchesDefinition:
+    """The table decode equals the CRC+Hamming definition, called directly.
+
+    ``decode`` classifies by the check-vector columns, and so does the
+    numpy backend, so this is what anchors both to the codes.
+    """
+
+    def _assert_matches(self, codec, words):
+        for word in words:
+            expected = codec.decode_by_definition(word)
+            assert codec.decode(word) == expected
+            assert codec.verify(word) is (expected.status is DecodeStatus.CLEAN)
+
+    def test_tables_are_in_use(self, layout):
+        codec = LineCodec(layout)
+        assert codec._tables is not None
+        assert codec._tables is linecodec.line_tables(LineCodec(layout))
+
+    def test_every_single_flip(self, layout):
+        codec = LineCodec(layout)
+        base = codec.encode(random.Random(11).getrandbits(layout.data_bits))
+        words = [base] + [base ^ (1 << p) for p in range(codec.stored_bits)]
+        self._assert_matches(codec, words)
+        assert all(
+            codec.decode(word).status is DecodeStatus.CORRECTED
+            for word in words[1:]
+        )
+
+    def test_double_flips_within_and_across_regions(self, layout):
+        codec = LineCodec(layout)
+        ecc = layout.ecc
+        regions = {
+            "check": [(1 << j) - 1 for j in range(ecc.r)],
+            "data": [ecc._data_cw_shift[i] for i in range(0, layout.data_bits, 37)],
+            "crc": [
+                ecc._data_cw_shift[i]
+                for i in range(layout.data_bits, layout.payload_bits, 5)
+            ],
+        }
+        base = codec.encode(random.Random(12).getrandbits(layout.data_bits))
+        words = [
+            base ^ (1 << p) ^ (1 << q)
+            for first in regions.values()
+            for second in regions.values()
+            for p in first
+            for q in second
+            if p != q
+        ]
+        self._assert_matches(codec, words)
+
+    def test_random_words_with_two_to_five_flips(self, layout):
+        codec = LineCodec(layout)
+        rng = random.Random(13)
+        words = []
+        for _ in range(150):
+            word = codec.encode(rng.getrandbits(layout.data_bits))
+            for flips in range(2, 6):
+                words.append(
+                    word ^ random_error_vector(codec.stored_bits, flips, rng)
+                )
+        self._assert_matches(codec, words)
+
+    def test_syndromes_beyond_n(self, layout):
+        codec = LineCodec(layout)
+        n = codec.stored_bits
+        base = codec.encode(random.Random(14).getrandbits(layout.data_bits))
+        pairs = [
+            (p, q) for p in range(0, n, 7) for q in range(p + 1, n, 11)
+            if (p + 1) ^ (q + 1) > n
+        ]
+        assert pairs
+        words = [base ^ (1 << p) ^ (1 << q) for p, q in pairs]
+        assert all(layout.ecc.syndrome(word) > n for word in words)
+        self._assert_matches(codec, words)
+
+    def test_valid_hamming_codeword_with_a_bad_crc(self, layout):
+        codec = LineCodec(layout)
+        ecc = layout.ecc
+        rng = random.Random(15)
+        payload = ecc.extract_data(codec.encode(rng.getrandbits(layout.data_bits)))
+        word = ecc.encode(payload ^ (1 << rng.randrange(layout.data_bits)))
+        assert ecc.syndrome(word) == 0
+        self._assert_matches(codec, [word])
+        assert codec.decode(word).status is DecodeStatus.UNCORRECTABLE
+
+    def test_out_of_range_words_raise(self, layout):
+        codec = LineCodec(layout)
+        for bad in (-1, 1 << codec.stored_bits, (1 << (codec.stored_bits + 3)) - 1):
+            for method in (codec.decode, codec.decode_by_definition, codec.verify):
+                with pytest.raises(ValueError, match="does not fit"):
+                    method(bad)

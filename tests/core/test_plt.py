@@ -59,3 +59,21 @@ class TestParityLineTable:
             plt.update(0, 0, 1 << 8)
         with pytest.raises(ValueError):
             plt.amortised_bits_per_line(0)
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 8])
+    def test_rebuild_rejects_a_bad_word_before_any_change(self, bad):
+        plt = ParityLineTable(2, 8)
+        plt.rebuild(1, [0x0F, 0x30])
+        plt.quarantine(1)
+        # Twice over, so the fold itself would cancel it and fit.
+        with pytest.raises(ValueError, match="does not fit in 8 bits"):
+            plt.rebuild(1, [0x01, bad, bad, 0x02])
+        assert plt.parity(1) == 0x3F
+        assert plt.is_quarantined(1)
+        assert plt.verify(1)
+
+    def test_rebuild_of_no_members_stores_zero(self):
+        plt = ParityLineTable(1, 8)
+        plt.rebuild(0, [0x11])
+        assert plt.rebuild(0, []) == 0
+        assert plt.parity(0) == 0 and plt.verify(0)

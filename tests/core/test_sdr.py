@@ -5,10 +5,11 @@ import random
 import pytest
 
 from repro.coding.bitvec import random_error_vector
-from repro.core.linecodec import LineCodec
+from repro.core.ecc2 import ECC2LineCodec
+from repro.core.linecodec import LineCodec, line_tables
 from repro.core.plt_ import ParityLineTable
 from repro.core.raid4 import reconstruct_line, scan_group
-from repro.core.sdr import resurrect
+from repro.core.sdr import flip_search, resurrect
 from repro.sttram.array import STTRAMArray
 
 GROUP = 16
@@ -217,3 +218,124 @@ class TestRandomisedSDR:
             for frame in array.faulty_lines():
                 array.restore(frame, array.golden(frame))
         assert recovered == trials  # full overlap probability ~ 6.5e-6
+
+
+def _trial_loop(codec, word, positions):
+    """The per-position search: try_flip_and_repair until one repairs."""
+    for trial, position in enumerate(positions, 1):
+        repaired = codec.try_flip_and_repair(word, position)
+        if repaired is not None:
+            return trial, repaired
+    return len(positions), None
+
+
+class TestLinearSearch:
+    """The stock codec's linear search equals the per-position loop."""
+
+    @pytest.mark.parametrize("faults", [2, 3])
+    def test_random_words_and_candidate_sets(self, faults):
+        codec = LineCodec()
+        tables = line_tables(codec)
+        n = codec.stored_bits
+        rng = random.Random(100 + faults)
+        outcomes = set()
+        for _ in range(120):
+            word = codec.encode(rng.getrandbits(512))
+            vector = random_error_vector(n, faults, rng)
+            fault_bits = [p for p in range(n) if (vector >> p) & 1]
+            for width in range(1, 7):
+                true = rng.sample(fault_bits, rng.randint(0, min(width, faults)))
+                others = [p for p in range(n) if p not in fault_bits]
+                positions = true + rng.sample(others, width - len(true))
+                rng.shuffle(positions)
+                expected = _trial_loop(codec, word ^ vector, positions)
+                assert tables.search(word ^ vector, positions) == expected
+                assert flip_search(codec, word ^ vector, positions) == expected
+                outcomes.add((expected[1] is None, expected[1] == word))
+        # Two-fault searches both fail and repair the line; a three-fault
+        # line keeps two faults after any one flip, so ECC-1 never
+        # repairs it.
+        expected_outcomes = {(True, False)}
+        if faults == 2:
+            expected_outcomes.add((False, True))
+        assert outcomes == expected_outcomes
+
+    def test_out_of_range_position_raises(self):
+        codec = LineCodec()
+        word = codec.encode(5) ^ 0b11
+        for bad in (-1, codec.stored_bits):
+            with pytest.raises(ValueError):
+                line_tables(codec).search(word, [bad])
+            with pytest.raises(ValueError):
+                _trial_loop(codec, word, [bad])
+
+
+class _CountingCodec(LineCodec):
+    """A LineCodec subclass: no tables, so SDR must run its decode."""
+
+    def __init__(self):
+        super().__init__()
+        self.decodes = 0
+
+    def decode(self, word):
+        self.decodes += 1
+        return super().decode(word)
+
+
+def _scanned_group(codec, seed, fault_lines):
+    rng = random.Random(seed)
+    array = STTRAMArray(GROUP, codec.stored_bits)
+    plt = ParityLineTable(1, codec.stored_bits)
+    words = []
+    for frame in range(GROUP):
+        word = codec.encode(rng.getrandbits(512))
+        array.write(frame, word)
+        words.append(word)
+    plt.rebuild(0, words)
+    for frame, faults in fault_lines:
+        array.inject(frame, random_error_vector(codec.stored_bits, faults, rng))
+    return array, plt, scan_group(array, codec, 0, range(GROUP))
+
+
+class TestSearchDispatch:
+    PATTERNS = [((1, 2), (2, 2)), ((3, 2), (4, 3)), ((1, 2), (5, 2), (9, 2))]
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_stock_and_subclass_resurrect_alike(self, pattern):
+        stock = LineCodec()
+        counting = _CountingCodec()
+        assert line_tables(counting) is None
+        results = []
+        for codec in (stock, counting):
+            array, plt, state = _scanned_group(codec, 7, pattern)
+            report = resurrect(array, codec, plt, state, max_mismatches=6)
+            results.append((
+                report, state.uncorrectable, dict(state.words),
+                [array.read(frame) for frame in range(GROUP)],
+            ))
+        assert results[0] == results[1]
+        assert results[0][0].trials > 0
+
+    def test_subclass_decode_is_never_bypassed(self):
+        codec = _CountingCodec()
+        array, plt, state = _scanned_group(codec, 8, [(1, 2), (2, 2)])
+        before = codec.decodes
+        report = resurrect(array, codec, plt, state, max_mismatches=6)
+        assert report.trials > 0
+        assert codec.decodes - before == report.trials
+
+    def test_ecc2_codec_takes_the_trial_loop(self, monkeypatch):
+        codec = ECC2LineCodec()
+        assert line_tables(codec) is None
+        calls = []
+        original = ECC2LineCodec.try_flip_and_repair
+
+        def counted(self, word, position):
+            calls.append(position)
+            return original(self, word, position)
+
+        monkeypatch.setattr(ECC2LineCodec, "try_flip_and_repair", counted)
+        array, plt, state = _scanned_group(codec, 9, [(1, 3), (2, 3)])
+        report = resurrect(array, codec, plt, state, max_mismatches=6)
+        assert report.trials > 0
+        assert len(calls) == report.trials

@@ -1,11 +1,14 @@
-"""The numpy backend's one-gather line check equals ``codec.decode``.
+"""The numpy backend's one-gather line check equals the line decode.
 
 ``NumpyBackend.batch_decode`` classifies each word from its affine check
 vector (syndrome and CRC residue in one uint64, see
 :mod:`repro.kernels.numpy_backend`).  Every decode it returns must equal
-the scalar ``LineCodec.decode`` element-wise -- status, repaired word,
+the CRC+Hamming definition (``LineCodec.decode_by_definition``) and the
+scalar ``LineCodec.decode`` element-wise -- status, repaired word,
 payload and flipped position -- for any batch size, any fault pattern
 and any eligible layout; an ineligible codec must take the scalar path.
+The scalar decode classifies by the same check-vector columns, so the
+definition is what anchors the two.
 """
 
 import random
@@ -34,6 +37,7 @@ def _random_words(codec, count, rng, max_flips=5):
 
 def _assert_matches_scalar(codec, words):
     decoded = NUMPY.batch_decode(codec, words)
+    assert decoded == [codec.decode_by_definition(word) for word in words]
     assert decoded == [codec.decode(word) for word in words]
     return decoded
 
