@@ -11,6 +11,11 @@ instead of rescanning.  This exhibit records:
   per interval, counted on one seeded run.  It is a pure function of
   the seed, so ``benchmarks/baseline.json`` gates it exactly
   (tolerance 0): a lost memo trips it on any host.
+* ``state_checks_per_interval`` -- full ``SuDokuZ._group_state``
+  evaluations per interval on the same run.  A remembered retry whose
+  epoch stamp still matches replays without one, so this counts the
+  fresh retries and the replays after some store moved the stamp.
+  Also a pure function of the seed, gated exactly.
 * ``accounted_scans_per_interval`` -- ``stats.group_scans`` per
   interval: every retry as the engine accounts it, replayed or not
   (informational).
@@ -53,25 +58,33 @@ def _run():
     return engine, result
 
 
-def _count_scans():
-    """One run with ``scan_group`` counted: (engine, result, calls)."""
-    calls = [0]
-    original = engine_module.scan_group
+def _count_work():
+    """One run with ``scan_group`` calls and ``_group_state`` evaluations
+    counted: (engine, result, scan calls, state checks)."""
+    scans, checks = [0], [0]
+    scan_group = engine_module.scan_group
+    group_state = engine_module.SuDokuZ._group_state
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def counting_scan(*args, **kwargs):
+        scans[0] += 1
+        return scan_group(*args, **kwargs)
 
-    engine_module.scan_group = counting
+    def counting_state(*args, **kwargs):
+        checks[0] += 1
+        return group_state(*args, **kwargs)
+
+    engine_module.scan_group = counting_scan
+    engine_module.SuDokuZ._group_state = counting_state
     try:
         engine, result = _run()
     finally:
-        engine_module.scan_group = original
-    return engine, result, calls[0]
+        engine_module.scan_group = scan_group
+        engine_module.SuDokuZ._group_state = group_state
+    return engine, result, scans[0], checks[0]
 
 
 def _measure() -> dict:
-    engine, reference, scan_calls = _count_scans()
+    engine, reference, scan_calls, state_checks = _count_work()
     assert reference.interval_failures == INTERVALS
     wall_ms = []
     for _ in range(RUNS):
@@ -81,6 +94,7 @@ def _measure() -> dict:
         assert result.outcomes == reference.outcomes
     return {
         "scan_calls_per_interval": scan_calls / INTERVALS,
+        "state_checks_per_interval": state_checks / INTERVALS,
         "accounted_scans_per_interval": engine.stats.group_scans / INTERVALS,
         "interval_ms": statistics.median(wall_ms),
         "interval_ms_runs": wall_ms,
@@ -96,6 +110,8 @@ def test_bench_hash2_peel(benchmark):
         "rows": [
             ["scan_group calls per interval",
              f"{figures['scan_calls_per_interval']:.2f}"],
+            ["group state checks per interval",
+             f"{figures['state_checks_per_interval']:.2f}"],
             ["group scans accounted per interval",
              f"{figures['accounted_scans_per_interval']:.2f}"],
             [f"interval wall time, median of {RUNS} runs [ms]",
@@ -111,6 +127,7 @@ def test_bench_hash2_peel(benchmark):
         ),
         "scalars": {
             "scan_calls_per_interval": figures["scan_calls_per_interval"],
+            "state_checks_per_interval": figures["state_checks_per_interval"],
             "interval_ms": round(figures["interval_ms"], 3),
         },
         "config": {

@@ -21,10 +21,10 @@ with ``c = crc(0)`` and ``L`` linear.  :meth:`CRC.compute_int`, the
 per-line hot path, evaluates that map directly: bit ``j`` of the CRC is
 bit ``j`` of ``c`` XOR the parity of ``v & row[j]``, one masked popcount
 per CRC bit instead of one table step per message byte.  The constant
-and the ``width`` row masks are derived lazily, once per ``nbits``, from
-the byte-table path (:meth:`CRC.compute`) evaluated on the zero message
-and the ``nbits`` basis vectors, so the two paths agree on every input
-by linearity; :meth:`CRC.compute` and the bit-serial
+is the byte-table path (:meth:`CRC.compute`) on the zero message; the
+``width`` row masks come from ``nbits`` steps of the CRC register (one
+multiply by x mod poly per message bit), derived lazily, once per
+``nbits``.  :meth:`CRC.compute` and the bit-serial
 :meth:`CRC.compute_bits` remain the references the tests hold it to.
 """
 
@@ -105,16 +105,29 @@ class CRC:
 
         Column ``i`` of the linear part is ``crc(1 << i) ^ crc(0)``; row
         ``j`` collects the message bits whose column has bit ``j`` set.
+        A 1 fed as stream bit ``p`` (byte ``p // 8``, MSB first within
+        the byte, LSB first under ``refin``) leaves ``poly`` in the
+        register, and each of the ``nbits - 1 - p`` bits after it
+        multiplies that by x mod poly; ``refout`` then reverses the
+        register, which reverses the rows.  So the columns come from
+        ``nbits`` register steps, walking the stream from its last bit.
         """
         rows = self._affine.get(nbits)
         if rows is None:
-            nbytes = nbits // 8
-            constant = self.compute(bytes(nbytes))
+            constant = self.compute(bytes(nbits // 8))
             masks = [0] * self.width
-            for index in range(nbits):
-                column = self.compute((1 << index).to_bytes(nbytes, "little"))
-                for crc_bit in bit_positions(column ^ constant):
+            register = self.poly
+            for position in range(nbits - 1, -1, -1):
+                offset = position & 7
+                index = position - offset + (offset if self.refin else 7 - offset)
+                for crc_bit in bit_positions(register):
                     masks[crc_bit] |= 1 << index
+                if register & self._topbit:
+                    register = ((register << 1) & self._mask) ^ self.poly
+                else:
+                    register <<= 1
+            if self.refout:
+                masks.reverse()
             rows = (constant, masks)
             self._affine[nbits] = rows
         return rows

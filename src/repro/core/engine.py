@@ -56,22 +56,45 @@ REPAIR_LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 
+class _Replay:
+    """A peeling retry's accounting, gathered while it is simulated and
+    applied again each time it is replayed.
+
+    The stat deltas, the latency addends in their original order (so
+    ``correction_time_s`` gets the same float additions), and the
+    corrections the retry counted and spanned, as (mechanism, span
+    attributes) pairs in order.
+    """
+
+    __slots__ = (
+        "group_scans", "lines_scanned", "raid4_invocations",
+        "sdr_invocations", "sdr_trials", "addends", "corrections",
+    )
+
+    def __init__(self) -> None:
+        self.group_scans = 0
+        self.lines_scanned = 0
+        self.raid4_invocations = 0
+        self.sdr_invocations = 0
+        self.sdr_trials = 0
+        self.addends: List[float] = []
+        self.corrections: List[Tuple[str, Dict[str, int]]] = []
+
+
 class _Retry(NamedTuple):
     """A Hash-2 peeling retry that left its group exactly as it found it.
 
     ``state`` is the group's state before and after the retry (see
-    ``SuDokuZ._group_state``), ``steps`` the accounting calls it
-    made, in order, and the last two fields its scan's results.
+    ``SuDokuZ._group_state``), and ``stamp`` the array's and table's
+    epochs when that state was last confirmed.  ``replay`` is the
+    retry's accounting and the last two fields its scan's results.
     """
 
     state: tuple
-    steps: List[Tuple[Callable[..., None], tuple]]
+    stamp: Tuple[int, int]
+    replay: _Replay
     line_outcomes: Dict[int, Outcome]
     uncorrectable: List[int]
-
-
-def _no_repair() -> None:
-    """The work of a replayed repair: already done when it was simulated."""
 
 
 class SuDokuEngine:
@@ -125,8 +148,8 @@ class SuDokuEngine:
         #: Per-pass memo of no-op peeling retries: (table, group) -> the
         #: retry to replay while the group's state still matches.
         self._retry_memo: Dict[Tuple[ParityLineTable, int], _Retry] = {}
-        #: Accounting steps of the retry being simulated, else None.
-        self._retry_log: Optional[List[Tuple[Callable[..., None], tuple]]] = None
+        #: Accounting of the retry being simulated, else None.
+        self._retry_log: Optional[_Replay] = None
         #: Optional structured event recorder (see repro.core.eventlog);
         #: attach one to capture per-line correction events.
         self.event_log = None
@@ -832,47 +855,76 @@ class SuDokuEngine:
     # -- correction accounting ---------------------------------------------------
     #
     # Every stat, latency addend, counter and span of a group repair goes
-    # through one of these helpers, which also log themselves while a
-    # peeling retry is simulated; replaying that log repeats a retry's
-    # accounting exactly (see SuDokuZ._retry_group).
+    # through one of these helpers, which also record what they added
+    # while a peeling retry is simulated; applying that record again
+    # repeats a retry's accounting exactly (see SuDokuZ._retry_group).
 
-    def _record(self, account: Callable[..., None], *args) -> None:
-        """Log one accounting step of the peeling retry being simulated."""
-        if self._retry_log is not None:
-            self._retry_log.append((account, args))
+    def _record(
+        self,
+        group_scans: int = 0,
+        lines_scanned: int = 0,
+        raid4_invocations: int = 0,
+        sdr_invocations: int = 0,
+        sdr_trials: int = 0,
+        addend: Optional[float] = None,
+        correction: Optional[Tuple[str, Dict[str, int]]] = None,
+    ) -> None:
+        """Add one helper's contribution to the retry being simulated."""
+        log = self._retry_log
+        if log is None:
+            return
+        log.group_scans += group_scans
+        log.lines_scanned += lines_scanned
+        log.raid4_invocations += raid4_invocations
+        log.sdr_invocations += sdr_invocations
+        log.sdr_trials += sdr_trials
+        if addend is not None:
+            log.addends.append(addend)
+        if correction is not None:
+            log.corrections.append(correction)
 
     def _account_scan(self, size: int) -> None:
         self.stats.group_scans += 1
         self.stats.lines_scanned += size
-        self._record(self._account_scan, size)
+        self._record(group_scans=1, lines_scanned=size)
 
     def _account_raid4(
         self, group: int, size: int, frame: int, repair: Callable[[], object]
     ) -> None:
         """Count one RAID-4 reconstruction of ``frame``, run by ``repair``."""
         self.stats.raid4_invocations += 1
-        self.correction_time_s += self.latency.raid4_repair(size)
-        self._m_corrections.labels(level=self.level, mechanism="raid4").inc()
-        with self.telemetry.tracer.span(
-            "raid4_repair", level=self.level, group=group, frame=frame,
-        ):
+        addend = self.latency.raid4_repair(size)
+        self.correction_time_s += addend
+        attributes = {"group": group, "frame": frame}
+        with self._correction("raid4", **attributes):
             repair()
-        self._record(self._account_raid4, group, size, frame, _no_repair)
+        self._record(
+            raid4_invocations=1, addend=addend, correction=("raid4", attributes)
+        )
 
     def _account_sdr(
         self, group: int, size: int, survivors: int, repair: Callable[[], int]
     ) -> None:
         """Count one SDR search, run by ``repair``, which returns its trials."""
         self.stats.sdr_invocations += 1
-        self._m_corrections.labels(level=self.level, mechanism="sdr").inc()
-        with self.telemetry.tracer.span(
-            "sdr_repair", level=self.level, group=group, survivors=survivors,
-        ) as span:
+        with self._correction("sdr", group=group, survivors=survivors) as span:
             trials = repair()
             span.set_attribute("trials", trials)
         self.stats.sdr_trials += trials
-        self.correction_time_s += self.latency.sdr_repair(size, trials)
-        self._record(self._account_sdr, group, size, survivors, lambda: trials)
+        addend = self.latency.sdr_repair(size, trials)
+        self.correction_time_s += addend
+        attributes = {"group": group, "survivors": survivors, "trials": trials}
+        self._record(
+            sdr_invocations=1, sdr_trials=trials, addend=addend,
+            correction=("sdr", attributes),
+        )
+
+    def _correction(self, mechanism: str, **attributes):
+        """Count one ``mechanism`` invocation and return its repair span."""
+        self._m_corrections.labels(level=self.level, mechanism=mechanism).inc()
+        return self.telemetry.tracer.span(
+            f"{mechanism}_repair", level=self.level, **attributes
+        )
 
     def _scan(self, mapper, group: int) -> GroupScan:
         """Scan one group, reading only the members the dirty index flags.
@@ -1054,10 +1106,8 @@ class SuDokuZ(SuDokuY):
             return outcomes
 
         self.stats.hash2_invocations += 1
-        self._m_corrections.labels(level=self.level, mechanism="hash2").inc()
-        with self.telemetry.tracer.span(
-            "hash2_repair", level=self.level,
-            group=self.mapper.group_of(frame), survivors=len(unresolved),
+        with self._correction(
+            "hash2", group=self.mapper.group_of(frame), survivors=len(unresolved),
         ):
             outcomes = self._peel_hash2(outcomes, unresolved)
         return outcomes
@@ -1115,20 +1165,24 @@ class SuDokuZ(SuDokuY):
         is a function of that state alone (the dirty members' stored
         words, parity word, CRC validity, quarantine), so a retry that
         changed none of it is remembered for the rest of the pass.  A
-        later retry of the same state replays the logged accounting
-        -- scan counts, latency addends in their original order,
-        correction counters and repair spans -- instead of rescanning.
+        later retry of the same state replays its accounting instead of
+        rescanning.  While neither the array nor the table has mutated
+        since the state was last confirmed (the entry's epoch stamp),
+        the state is not even read; a moved stamp falls back to
+        comparing it, and re-stamps the entry when it still matches.
         """
+        key = (plt, group)
+        stamp = (self.array.epoch, plt.epoch)
+        retry = self._retry_memo.get(key)
+        if retry is not None and retry.stamp == stamp:
+            return self._replay(retry)
         members = mapper.members(group)
         state = self._group_state(members, plt, group)
-        key = (plt, group)
-        retry = self._retry_memo.get(key)
         if retry is not None and retry.state == state:
-            for account, args in retry.steps:
-                account(*args)
-            return retry.line_outcomes, retry.uncorrectable
-        steps: List[Tuple[Callable[..., None], tuple]] = []
-        self._retry_log = steps
+            self._retry_memo[key] = retry._replace(stamp=stamp)
+            return self._replay(retry)
+        replay = _Replay()
+        self._retry_log = replay
         try:
             scan = self._scan(mapper, group)
             self._account_retry_read(len(scan.frames))
@@ -1138,17 +1192,44 @@ class SuDokuZ(SuDokuY):
             self._retry_log = None
         # A retry that raised a metadata event changed its group's
         # parity, CRC validity or quarantine, so it is never remembered;
-        # the log holds every other accounting step.
-        if self._group_state(members, plt, group) == state:
+        # the record holds every other accounting step.  A retry that
+        # stored nothing left the state as it was, unread.
+        after = (self.array.epoch, plt.epoch)
+        if after == stamp or self._group_state(members, plt, group) == state:
             self._retry_memo[key] = _Retry(
-                state, steps, scan.line_outcomes, scan.uncorrectable
+                state, after, replay, scan.line_outcomes, scan.uncorrectable
             )
         return scan.line_outcomes, scan.uncorrectable
 
+    def _replay(self, retry: _Retry) -> Tuple[Dict[int, Outcome], List[int]]:
+        """Account a remembered retry again; return its scan's results.
+
+        Apply its record: the stat deltas, then each latency addend in
+        order.  Its corrections are counted and spanned only when
+        telemetry records them.
+        """
+        replay = retry.replay
+        stats = self.stats
+        stats.group_scans += replay.group_scans
+        stats.lines_scanned += replay.lines_scanned
+        stats.raid4_invocations += replay.raid4_invocations
+        stats.sdr_invocations += replay.sdr_invocations
+        stats.sdr_trials += replay.sdr_trials
+        total = self.correction_time_s
+        for addend in replay.addends:
+            total += addend
+        self.correction_time_s = total
+        if self.telemetry.enabled:
+            for mechanism, attributes in replay.corrections:
+                with self._correction(mechanism, **attributes):
+                    pass
+        return retry.line_outcomes, retry.uncorrectable
+
     def _account_retry_read(self, size: int) -> None:
         """The modelled latency of reading a group for a peeling retry."""
-        self.correction_time_s += self.latency.raid4_repair(size)
-        self._record(self._account_retry_read, size)
+        addend = self.latency.raid4_repair(size)
+        self.correction_time_s += addend
+        self._record(addend=addend)
 
     def _group_state(
         self, members: List[int], plt: ParityLineTable, group: int

@@ -30,9 +30,8 @@ path of every other codec: a subclass, or a layout
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,14 +54,15 @@ class DecodeStatus(enum.Enum):
     UNCORRECTABLE = "uncorrectable"    # needs group-level correction
 
 
-@dataclass(frozen=True)
-class LineDecode:
+class LineDecode(NamedTuple):
     """Outcome of :meth:`LineCodec.decode`.
 
     ``word`` is the post-repair stored word (unchanged when
     uncorrectable); ``data`` the extracted payload when the CRC endorsed
     it, else ``None``.  ``flipped_position`` reports the stored-word bit
-    ECC-1 flipped, when it did.
+    ECC-1 flipped, when it did.  A named tuple because scrubs and group
+    scans build one per decode, and it builds several times faster than
+    a frozen dataclass.
     """
 
     status: DecodeStatus

@@ -70,6 +70,11 @@ class ParityLineTable:
         self.quarantined: Set[int] = set()
         self.write_updates = 0  # PLT write traffic, for section VII-I
         self.corruptions = 0  # chaos events applied to this table
+        #: Mutation counter: every operation that can change an entry's
+        #: parity, CRC or quarantine flag bumps it, so an unchanged epoch
+        #: proves no entry moved (the SuDoku-Z peeling memo's stamp).
+        #: ``quarantined`` must change only through those operations.
+        self.epoch = 0
 
     # -- hardware operations ------------------------------------------------------
 
@@ -84,6 +89,7 @@ class ParityLineTable:
         self._check_word(old_word)
         self._check_word(new_word)
         value = self._parity[group] ^ old_word ^ new_word
+        self.epoch += 1
         self._parity[group] = value
         self._crc[group] = self._entry_crc(group, value)
         self.write_updates += 1
@@ -106,6 +112,7 @@ class ParityLineTable:
         """
         self._check_group(group)
         self._check_word(value)
+        self.epoch += 1
         self._parity[group] = value
         self._crc[group] = self._entry_crc(group, value)
         self.quarantined.discard(group)
@@ -133,6 +140,7 @@ class ParityLineTable:
     def quarantine(self, group: int) -> None:
         """Mark a group's entry untrustworthy until rebuilt."""
         self._check_group(group)
+        self.epoch += 1
         self.quarantined.add(group)
 
     def is_quarantined(self, group: int) -> bool:
@@ -151,6 +159,7 @@ class ParityLineTable:
         """
         self._check_group(group)
         self._check_word(error_mask)
+        self.epoch += 1
         self._parity[group] ^= error_mask
         self.corruptions += 1
         return self._parity[group]
@@ -170,6 +179,7 @@ class ParityLineTable:
         self._check_group(group_b)
         if group_a == group_b:
             return
+        self.epoch += 1
         self._parity[group_a], self._parity[group_b] = (
             self._parity[group_b],
             self._parity[group_a],

@@ -19,6 +19,12 @@ and enumerating the faulty population is O(dirty) instead of O(lines)
 and the campaign ``heal`` step.  A healed line simply leaves
 ``_diverged``, so memory does not grow with the lines ever repaired.
 
+``epoch`` counts mutations.  Every store goes through ``_settle``,
+``write_many`` or ``fill_word``, and each bumps it, so an unchanged
+epoch proves that no stored or golden word moved: a caller that
+remembered a result over some lines may skip re-reading them (the
+SuDoku-Z peeling memo's stamp).
+
 Permanent (stuck-at) faults attach via :meth:`attach_permanent_faults`.
 Stuck bits re-assert through every ``write``/``restore``/``inject``:
 the stored value is always read through the mask, modelling cells that
@@ -64,6 +70,8 @@ class STTRAMArray:
         self._written: Dict[int, int] = {}
         self._diverged: Dict[int, int] = {}
         self._fault_map: Optional["PermanentFaultMap"] = None
+        #: Mutation counter, bumped by every store (module docstring).
+        self.epoch = 0
 
     # -- permanent faults -------------------------------------------------------
 
@@ -117,6 +125,7 @@ class STTRAMArray:
 
     def _settle(self, index: int, stored: int, golden: int) -> None:
         """Store a line's new value and keep the dirty set exact."""
+        self.epoch += 1
         if stored == golden:
             self._diverged.pop(index, None)
         else:
@@ -159,6 +168,7 @@ class STTRAMArray:
             for index, value in zip(indices, values):
                 self.write(index, value)
             return
+        self.epoch += 1
         fill, written, diverged = self._fill, self._written, self._diverged
         written.update(zip(indices, values))
         if fill in values:
@@ -368,6 +378,7 @@ class STTRAMArray:
         that have them.
         """
         self._check(0, value)
+        self.epoch += 1
         self._fill = value
         self._written.clear()
         self._diverged.clear()

@@ -113,6 +113,19 @@ def _table_compute_int(engine, value, nbits):
     return engine.compute(value.to_bytes(nbits // 8, "little"))
 
 
+def _basis_vector_rows(engine, nbits):
+    """The affine rows derived from one byte-table CRC per basis vector."""
+    nbytes = nbits // 8
+    constant = engine.compute(bytes(nbytes))
+    masks = [0] * engine.width
+    for index in range(nbits):
+        column = engine.compute((1 << index).to_bytes(nbytes, "little"))
+        for crc_bit in range(engine.width):
+            if (column ^ constant) >> crc_bit & 1:
+                masks[crc_bit] |= 1 << index
+    return constant, masks
+
+
 #: Catalogue engines plus non-catalogue mixes of the Rocksoft knobs
 #: (refin without refout and the reverse, non-trivial init/xorout).
 _AFFINE_ENGINES = [
@@ -157,6 +170,15 @@ class TestAffineComputeInt:
         constant, masks = rows
         assert constant == CRC31_SUDOKU.compute(bytes(64))
         assert len(masks) == engine.width
+
+    @pytest.mark.parametrize("engine", _AFFINE_ENGINES, ids=lambda e: e.name)
+    @pytest.mark.parametrize("nbits", [0, 8, 24, 64, 136, 512, 520])
+    def test_rows_equal_basis_vector_derivation(self, engine, nbits):
+        fresh = CRC(
+            engine.width, engine.poly, init=engine.init, refin=engine.refin,
+            refout=engine.refout, xorout=engine.xorout,
+        )
+        assert fresh._affine_rows(nbits) == _basis_vector_rows(fresh, nbits)
 
     def test_zero_length_message(self):
         for engine in _AFFINE_ENGINES:

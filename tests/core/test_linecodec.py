@@ -179,6 +179,37 @@ class _OracleCodec:
         return result.word
 
 
+class TestLineDecode:
+    """The decode record's fields, default, ``ok``, equality and repr."""
+
+    def test_fields_and_default(self):
+        assert LineDecode._fields == ("status", "word", "data", "flipped_position")
+        decode = LineDecode(DecodeStatus.CLEAN, 5, 7)
+        assert decode.flipped_position is None
+        assert (decode.status, decode.word, decode.data) == (
+            DecodeStatus.CLEAN, 5, 7,
+        )
+        with pytest.raises(AttributeError):
+            decode.word = 6
+
+    def test_ok(self):
+        assert LineDecode(DecodeStatus.CLEAN, 1, 1).ok
+        assert LineDecode(DecodeStatus.CORRECTED, 1, 1, 3).ok
+        assert not LineDecode(DecodeStatus.UNCORRECTABLE, 1, None).ok
+
+    def test_equality(self):
+        decode = LineDecode(DecodeStatus.CORRECTED, 9, 4, 2)
+        assert decode == LineDecode(DecodeStatus.CORRECTED, 9, 4, 2)
+        assert decode != LineDecode(DecodeStatus.CORRECTED, 9, 4, 3)
+        assert decode != LineDecode(DecodeStatus.CLEAN, 9, 4, 2)
+
+    def test_repr(self):
+        assert repr(LineDecode(DecodeStatus.CORRECTED, 9, None, 2)) == (
+            "LineDecode(status=<DecodeStatus.CORRECTED: 'corrected'>, "
+            "word=9, data=None, flipped_position=2)"
+        )
+
+
 class TestDecodeDifferential:
     """decode / try_flip_and_repair against the oracle on 0-8 fault words."""
 

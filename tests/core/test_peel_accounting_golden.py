@@ -16,9 +16,12 @@ duplicated scrub visits.
 
 The Hash-2 peel may skip work it has already done, and the scrub may
 resolve runs of ECC-1 lines in bulk, but both must account that work
-exactly as if they had run it line by line; these goldens are the check.  Do
-not regenerate the file to make a failure pass.  Regenerate it only for
-a deliberate result change, by running this module as a script.
+exactly as if they had run it line by line; these goldens are the check.
+Every case also runs without telemetry, where a replayed retry applies
+its compiled record alone, and must leave the same stats, correction
+time and result.  Do not regenerate the file to make a failure pass.
+Regenerate it only for a deliberate result change, by running this
+module as a script.
 """
 
 import hashlib
@@ -62,20 +65,21 @@ METADATA_CHAOS = ChaosPolicy(plt_flip_rate=0.05, map_swap_rate=0.02)
 VISIT_CHAOS = ChaosPolicy(visit_drop_rate=0.05, visit_duplicate_rate=0.1)
 
 
-def _campaign(group_size, ber, intervals, seed, backend):
-    """The serial ``repro campaign`` path with live telemetry."""
+def _campaign(group_size, ber, intervals, seed, backend, telemetry):
+    """The serial ``repro campaign`` path."""
     codec = LineCodec()
     array = STTRAMArray(group_size * group_size, codec.stored_bits)
     engine = build_engine("Z", array, group_size=group_size, codec=codec)
-    telemetry = Telemetry.create()
     result = run_engine_campaign(
         engine, ber, intervals, rng=np.random.default_rng(seed),
         randomize_content=False, telemetry=telemetry, backend=backend,
     )
-    return engine, telemetry, result
+    return engine, result
 
 
-def _scenario(scenario, group_size, seed, backend, chaos_policy, chaos_seed):
+def _scenario(
+    scenario, group_size, seed, backend, chaos_policy, chaos_seed, telemetry
+):
     engines = []
     setup = scenario_module._setup_scheme
 
@@ -85,7 +89,6 @@ def _scenario(scenario, group_size, seed, backend, chaos_policy, chaos_seed):
 
     scenario_module._setup_scheme = capture
     try:
-        telemetry = Telemetry.create()
         result = run_scenario_campaign(
             "Z", scenario, intervals=6, group_size=group_size, seed=seed,
             telemetry=telemetry, chaos_policy=chaos_policy,
@@ -94,25 +97,26 @@ def _scenario(scenario, group_size, seed, backend, chaos_policy, chaos_seed):
     finally:
         scenario_module._setup_scheme = setup
     (engine,) = engines
-    return engine, telemetry, result
+    return engine, result
 
 
+#: Each case runs with the telemetry bundle it is given (None: none).
 CASES = {
     # The telemetry CI job: campaign --level Z --ber 2e-3 --intervals 5
     # --group-size 8 --seed 5.
-    "ci-telemetry": lambda: _campaign(8, 2e-3, 5, 5, "reference"),
+    "ci-telemetry": lambda t: _campaign(8, 2e-3, 5, 5, "reference", t),
     # The campaign-z-fail operating point (G=16, BER 2e-3, numpy).
-    "campaign-z-fail": lambda: _campaign(16, 2e-3, 4, 11, "numpy"),
-    "scenario-mixed-chaos": lambda: _scenario(
-        MIXED, 8, 3, "reference", METADATA_CHAOS, 4
+    "campaign-z-fail": lambda t: _campaign(16, 2e-3, 4, 11, "numpy", t),
+    "scenario-mixed-chaos": lambda t: _scenario(
+        MIXED, 8, 3, "reference", METADATA_CHAOS, 4, t
     ),
     # The paper's G=512 over 2^18 lines at BER 1e-4: ~14k single-bit
     # lines per interval around RAID-4, SDR and Hash-2 repairs.
-    "paper-g512-ecc1": lambda: _campaign(512, 1e-4, 6, 17, "numpy"),
+    "paper-g512-ecc1": lambda t: _campaign(512, 1e-4, 6, 17, "numpy", t),
     # Stuck-at lines re-visited every interval, plus dropped and
     # duplicated visits, on the numpy backend.
-    "scenario-mixed-stuck-numpy": lambda: _scenario(
-        MIXED_SPARSE, 32, 8, "numpy", VISIT_CHAOS, 6
+    "scenario-mixed-stuck-numpy": lambda t: _scenario(
+        MIXED_SPARSE, 32, 8, "numpy", VISIT_CHAOS, 6, t
     ),
 }
 
@@ -135,7 +139,8 @@ def _spans(telemetry):
 
 def fingerprint(case):
     """The pinned accounting of one case (JSON-ready)."""
-    engine, telemetry, result = CASES[case]()
+    telemetry = Telemetry.create()
+    engine, result = CASES[case](telemetry)
     spans = json.dumps(_spans(telemetry), sort_keys=True)
     return {
         "stats": engine.stats.as_dict(),
@@ -163,6 +168,17 @@ def test_accounting_matches_golden(case, golden):
     assert got["prometheus"] == want["prometheus"]
     assert got["span_count"] == want["span_count"]
     assert got["spans_sha256"] == want["spans_sha256"]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_accounting_without_telemetry_matches_golden(case, golden):
+    # Without telemetry a replayed peeling retry takes the compiled
+    # record alone: the same pins hold for it.
+    engine, result = CASES[case](None)
+    want = golden[case]
+    assert engine.stats.as_dict() == want["stats"]
+    assert repr(engine.correction_time_s) == want["correction_time_s"]
+    assert json.loads(json.dumps(result.as_dict(), sort_keys=True)) == want["result"]
 
 
 if __name__ == "__main__":

@@ -146,24 +146,106 @@ def test_quarantined_retry_replays_without_metadata_event(scanned_groups):
     assert not list(events.samples())
 
 
-@pytest.mark.parametrize("change", ["parity", "crc", "quarantine"])
-def test_parity_entry_change_forces_a_fresh_retry(scanned_groups, change):
-    # Formatted content only: every parity entry is zero, so swapping two
-    # entries changes the CRC validity alone.
+def _healed(engine, frame=1):
+    """A codeword for ``frame`` that differs from its golden word."""
+    return engine.codec.encode(frame + 1)
+
+
+#: Every mutator of the array, applied so that it changes what a retry
+#: of Hash-1 group 0 (frames 0-7, with lines 1 and 2 blocked) reads.
+ARRAY_CHANGES = {
+    "inject": lambda e, g: e.array.inject(3, 1 << 7),
+    "inject_many": lambda e, g: e.array.inject_many({3: 1 << 7}),
+    "restore": lambda e, g: e.array.restore(1, e.array.golden(1)),
+    "restore_many": lambda e, g: e.array.restore_many([1], [e.array.golden(1)]),
+    "write": lambda e, g: e.array.write(1, _healed(e)),
+    "write_many": lambda e, g: e.array.write_many([1], [_healed(e)]),
+    "fill_word": lambda e, g: e.array.fill_word(e.codec.encode(0)),
+}
+
+
+def _swap_entries(engine, group):
+    # Formatted content only: every parity entry is zero, so swapping
+    # two entries changes the CRC validity alone.
+    engine.plt.swap(group, group + 1)
+    assert engine.plt.parity(group) == 0 and not engine.plt.verify(group)
+
+
+#: Every mutator of a parity table's entry, applied to group 0's.
+ENTRY_CHANGES = {
+    # A consistent entry with a new parity.
+    "parity": lambda e, g: e.plt.update(g, 0, 1 << 5),
+    "store": lambda e, g: e.plt.store(g, 1 << 5),
+    "quarantine": lambda e, g: e.plt.quarantine(g),
+    "corrupt": lambda e, g: e.plt.corrupt(g, 1 << 5),
+    "crc": _swap_entries,
+}
+
+
+def _assert_change_forces_a_fresh_retry(scanned_groups, change):
+    """``change`` bumps its owner's epoch, so the remembered retry's
+    stamp goes stale, and the group state it moved makes the retry run
+    afresh."""
     rng, array, engine = _z_engine(fill=False)
     _blocked_pair(rng, array)
     group = engine.mapper.group_of(1)
+    assert group == 0
     engine.begin_scrub_pass()
     engine._retry_group(engine.mapper, engine.plt, group)
-    if change == "parity":
-        engine.plt.update(group, 0, 1 << 5)  # consistent entry, new parity
-    elif change == "crc":
-        engine.plt.swap(group, group + 1)
-        assert engine.plt.parity(group) == 0 and not engine.plt.verify(group)
-    else:
-        engine.plt.quarantine(group)
+    engine._retry_group(engine.mapper, engine.plt, group)
+    assert scanned_groups == [group]
+    epochs = (array.epoch, engine.plt.epoch)
+    change(engine, group)
+    assert (array.epoch, engine.plt.epoch) != epochs
     engine._retry_group(engine.mapper, engine.plt, group)
     assert scanned_groups == [group, group]
+
+
+@pytest.mark.parametrize("change", sorted(ARRAY_CHANGES))
+def test_array_change_forces_a_fresh_retry(scanned_groups, change):
+    _assert_change_forces_a_fresh_retry(scanned_groups, ARRAY_CHANGES[change])
+
+
+@pytest.mark.parametrize("change", sorted(ENTRY_CHANGES))
+def test_parity_entry_change_forces_a_fresh_retry(scanned_groups, change):
+    _assert_change_forces_a_fresh_retry(scanned_groups, ENTRY_CHANGES[change])
+
+
+def test_moved_epoch_with_unchanged_state_replays(scanned_groups, monkeypatch):
+    rng, array, engine = _z_engine()
+    _blocked_pair(rng, array)
+    group = engine.mapper.group_of(1)
+    state_checks = []
+    group_state = SuDokuZ._group_state
+
+    def counting(self, *args):
+        state_checks.append(args[-1])
+        return group_state(self, *args)
+
+    monkeypatch.setattr(SuDokuZ, "_group_state", counting)
+    engine.begin_scrub_pass()
+
+    def retry():
+        before = engine.stats.as_dict()
+        result = engine._retry_group(engine.mapper, engine.plt, group)
+        stats = engine.stats.as_dict()
+        return result, {key: stats[key] - before[key] for key in stats}
+
+    first = retry()
+    # Nothing was stored: the state is read once, before the retry.
+    assert state_checks == [group]
+    assert retry() == first
+    assert state_checks == [group]
+    # A fault in another group moves the array's epoch, not this
+    # group's state: the retry compares the state, replays and re-stamps.
+    epoch = array.epoch
+    array.inject(engine.mapper.members(group + 1)[0], 1 << 9)
+    assert array.epoch != epoch
+    assert retry() == first
+    assert state_checks == [group, group]
+    assert retry() == first
+    assert state_checks == [group, group]
+    assert scanned_groups == [group]
 
 
 def test_memo_lasts_one_scrub_pass(scanned_groups):
