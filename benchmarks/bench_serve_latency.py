@@ -119,12 +119,11 @@ async def _serve_and_measure(root: str):
 def _in_process(spec) -> dict:
     """The spec run through the library, as the job worker runs it."""
     job, _, _ = parse_submission(spec)
-    params, execution = job.params, job.execution
+    params = job.params
     result = run_sharded_campaign(
         params["level"], params["ber"], params["intervals"],
         params["group_size"], shards=params["shards"], seed=params["seed"],
-        interval_s=params["interval_s"], scrub_mode=execution["scrub_mode"],
-        backend=execution["backend"],
+        interval_s=params["interval_s"],
     )
     return json.loads(json.dumps(result.as_dict()))
 

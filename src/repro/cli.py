@@ -47,9 +47,9 @@ flags (see :mod:`repro.obs` and ``docs/telemetry.md``):
 default) is bit-identical to the serial path, and checkpoints compose
 per shard.  ``campaign``, ``raresim``, and ``chaos`` also accept
 ``--scenario FILE`` to overlay a mixed fault scenario
-(``docs/faultmodels.md``).  The same four commands accept
-``--backend {reference,numpy}`` to pick the bit-plane kernel backend
-(``docs/kernels.md``); outcomes are bit-identical either way.
+(``docs/faultmodels.md``).  Every campaign runs the numpy bit-plane
+kernels (``docs/kernels.md``) and the sparse scrub
+(``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -162,50 +162,6 @@ def _resilience_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _scrub_mode_parent() -> argparse.ArgumentParser:
-    """Shared ``--sparse``/``--dense`` scrub-mode flags.
-
-    The two modes produce bit-identical outcome counters (see
-    docs/performance.md); ``--dense`` exists as a trust-nothing audit
-    mode that decodes every frame instead of only the fault-indexed
-    dirty ones.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("scrub mode")
-    mode = group.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--sparse", action="store_const", const="sparse", dest="scrub_mode",
-        help="fault-indexed sparse scrub: decode only dirty frames and "
-             "bulk-account the rest as clean (default; bit-identical "
-             "counters to --dense)",
-    )
-    mode.add_argument(
-        "--dense", action="store_const", const="dense", dest="scrub_mode",
-        help="decode every frame each pass (trust-nothing audit mode)",
-    )
-    parent.set_defaults(scrub_mode="sparse")
-    return parent
-
-
-def _backend_parent() -> argparse.ArgumentParser:
-    """Shared ``--backend`` kernel-backend flag.
-
-    Both backends produce bit-identical outcome counters (see
-    docs/kernels.md); ``numpy`` vectorizes the bit-plane hot loops,
-    ``reference`` keeps the original pure-Python paths.
-    """
-    from repro.kernels import BACKEND_NAMES
-
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("kernel backend")
-    group.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default="reference",
-        help="bit-plane kernel backend for the hot loops (bit-identical "
-             "outcomes; 'numpy' is the vectorized fast path)",
-    )
-    return parent
-
-
 def _burst_pmf(text: str) -> List:
     """Argparse type: ``LEN:PROB[,LEN:PROB...]`` burst-length PMF.
 
@@ -288,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience = _resilience_parent()
     chaos_flags = _chaos_parent()
     parallel = _parallel_parent()
-    scrub_mode = _scrub_mode_parent()
     scenario_file = _scenario_parent()
-    backend = _backend_parent()
 
     sub.add_parser("summary", help="headline reliability numbers")
 
@@ -303,10 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign", help="Monte-Carlo fault injection",
-        parents=[
-            telemetry, resilience, chaos_flags, parallel, scrub_mode,
-            scenario_file, backend,
-        ],
+        parents=[telemetry, resilience, chaos_flags, parallel, scenario_file],
     )
     campaign.add_argument("--level", choices=["X", "Y", "Z"], default="Z")
     campaign.add_argument("--ber", type=float, default=8e-4)
@@ -316,10 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     raresim = sub.add_parser(
         "raresim", help="conditional rare-event FIT estimate",
-        parents=[
-            telemetry, resilience, parallel, scrub_mode, scenario_file,
-            backend,
-        ],
+        parents=[telemetry, resilience, parallel, scenario_file],
     )
     raresim.add_argument("--level", choices=["Y", "Z"], default="Z")
     raresim.add_argument("--ber", type=float, default=1e-4)
@@ -331,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help="sweep metadata-fault rates; report SDC/DUE per SuDoku level",
-        parents=[telemetry, parallel, scrub_mode, scenario_file, backend],
+        parents=[telemetry, parallel, scenario_file],
     )
     chaos.add_argument(
         "--levels", nargs="+", choices=["X", "Y", "Z"], default=["X", "Y", "Z"]
@@ -360,9 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario = sub.add_parser(
         "scenario",
         help="mixed transient/burst/stuck-at campaign over any scheme",
-        parents=[
-            telemetry, resilience, chaos_flags, parallel, scrub_mode, backend,
-        ],
+        parents=[telemetry, resilience, chaos_flags, parallel],
     )
     scenario.add_argument(
         "--scheme", choices=list(SCHEMES), default="Z",
@@ -736,7 +682,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         progress=make_progress(intervals, f"campaign-{level}"),
         chaos_policy=policy if policy.enabled else None,
         chaos_seed=args.chaos_seed,
-        scrub_mode=args.scrub_mode, backend=args.backend,
         **resilience,
     )
     model = SuDokuReliabilityModel(
@@ -812,7 +757,6 @@ def _scenario_campaign(
         progress=make_progress(intervals, f"scenario-{scheme}"),
         chaos_policy=policy if policy.enabled else None,
         chaos_seed=args.chaos_seed,
-        scrub_mode=args.scrub_mode, backend=args.backend,
         **resilience,
     )
     low, high = result.wilson_interval()
@@ -904,7 +848,6 @@ def cmd_raresim(args: argparse.Namespace) -> int:
         args.group_size, args.num_groups,
         shards=args.shards, seed=args.seed, telemetry=telemetry,
         progress=make_progress(args.trials, f"raresim-{args.level}"),
-        scrub_mode=args.scrub_mode, backend=args.backend,
         scenario=scenario,
         **resilience,
     )
@@ -969,7 +912,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 telemetry=telemetry,
                 chaos_policy=policy if policy.enabled else None,
                 chaos_seed=args.chaos_seed,
-                scrub_mode=args.scrub_mode, backend=args.backend,
             )
             meta = result.metadata
             rows.append([

@@ -141,9 +141,9 @@ class SuDokuEngine:
         self.correction_time_s = 0.0
         self._pending: Dict[int, Outcome] = {}
         #: Per-pass decode memo: frame -> (stored word, its LineDecode or
-        #: its ``batch_check`` code).  Filled by batched prefetches and by
-        #: the scrub's classification; entries are only trusted while the
-        #: frame's stored word still matches (repairs invalidate).
+        #: its ``batch_check`` code).  Filled by the scrub's
+        #: classification; entries are only trusted while the frame's
+        #: stored word still matches (repairs invalidate).
         self._decode_cache: Dict[int, Tuple[int, Union[LineDecode, int]]] = {}
         #: Per-pass memo of no-op peeling retries: (table, group) -> the
         #: retry to replay while the group's state still matches.
@@ -209,7 +209,7 @@ class SuDokuEngine:
         self._retry_memo.clear()
 
     def _cached_decode(self, frame: int, stored: int) -> LineDecode:
-        """The frame's prefetched decode, iff still valid for ``stored``.
+        """The frame's memoised decode, iff still valid for ``stored``.
 
         Repairs rewrite lines mid-pass (and chaos scans can revisit a
         frame), so a memoised decode is only trusted while the stored
@@ -224,29 +224,6 @@ class SuDokuEngine:
             decode = decode_from_check(self.codec, stored, decode)
             self._decode_cache[frame] = (stored, decode)
         return decode
-
-    def _prefetch_decodes(self, frames: List[int]) -> None:
-        """Batch-decode frames into the per-pass memo (batched backends).
-
-        Frames whose memo entry is still valid are skipped; the rest are
-        decoded in one backend call.  A no-op for non-batched backends,
-        where the scalar decode at point of use is exactly as fast.
-        """
-        if not self.backend.batched:
-            return
-        pending: List[int] = []
-        words: List[int] = []
-        for frame in frames:
-            stored = self.array.read(frame)
-            entry = self._decode_cache.get(frame)
-            if entry is None or entry[0] != stored:
-                pending.append(frame)
-                words.append(stored)
-        if not pending:
-            return
-        decodes = self.backend.batch_decode(self.codec, words)
-        for frame, stored, decode in zip(pending, words, decodes):
-            self._decode_cache[frame] = (stored, decode)
 
     def _classify(self, frames: List[int]) -> Optional[Tuple[tuple, List[int]]]:
         """Snapshot ``frames`` and memo each one's ``batch_check`` code.
@@ -939,7 +916,6 @@ class SuDokuEngine:
         self._account_scan(mapper.group_size)
         members = mapper.members(group)
         split = self.array.split_clean(members)
-        self._prefetch_decodes(split[0])
         return scan_group(
             self.array, self.codec, group, members,
             trusted_clean=True, decoder=self._cached_decode, split=split,

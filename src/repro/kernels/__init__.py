@@ -1,10 +1,11 @@
-"""Pluggable bit-plane kernel backends.
+"""Bit-plane kernel backends.
 
-``get_backend("reference")`` returns the historical pure-Python loops;
-``get_backend("numpy")`` returns the batched uint64 bit-plane kernels.
-Both honour the bit-identity contract documented on
-:class:`~repro.kernels.interface.KernelBackend` and pinned by
-``tests/kernels``; see docs/kernels.md for the layout and guarantees.
+``get_backend("numpy")`` returns the batched uint64 bit-plane kernels,
+the production path; ``get_backend("reference")`` returns the
+historical pure-Python loops, kept as the oracle ``tests/kernels``
+holds numpy to.  Both honour the bit-identity contract documented on
+:class:`~repro.kernels.interface.KernelBackend`; see docs/kernels.md
+for the layout and guarantees.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ BACKENDS = {
     "numpy": NumpyBackend,
 }
 
-#: Valid ``--backend`` values, for CLI choices and shard validation.
+#: Valid backend names, for shard validation.
 BACKEND_NAMES = tuple(BACKENDS)
 
 _INSTANCES: Dict[str, KernelBackend] = {}
 
 
-def get_backend(name: str = "reference") -> KernelBackend:
+def get_backend(name: str = "numpy") -> KernelBackend:
     """The singleton backend registered under ``name``.
 
     Backends are stateless (caches only), so one shared instance per
@@ -55,9 +56,9 @@ def get_backend(name: str = "reference") -> KernelBackend:
 def resolve_backend(
     spec: Optional[Union[str, KernelBackend]]
 ) -> KernelBackend:
-    """Normalise a backend argument: None -> reference, str -> lookup."""
+    """Normalise a backend argument: None -> numpy, str -> lookup."""
     if spec is None:
-        return get_backend("reference")
+        return get_backend()
     if isinstance(spec, KernelBackend):
         return spec
     return get_backend(spec)

@@ -50,14 +50,19 @@ interrupt rollback and progress.
 Workers communicate over a single message queue: ``("resumed", i, n)``
 when a shard restores n completed units from its checkpoint,
 ``("progress", i, n)`` for batched progress, and ``("result", ...)`` /
-``("error", ...)`` exactly once per shard.
+``("error", ...)`` exactly once per shard.  Job-level cancellation
+travels the other way on one shared event, which each shard's boundary
+loop polls like a deadline.
+
+Every run takes the numpy kernels and the sparse scrub.  ``backend``
+can still name the reference kernels, which give bit-identical results
+and serve as the oracle the kernel tests hold numpy to.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 import traceback
 from dataclasses import dataclass, replace
 from queue import Empty
@@ -85,11 +90,7 @@ from repro.parallel.sharding import (
     shard_python_seeds,
     split_units,
 )
-from repro.reliability.montecarlo import (
-    CampaignResult,
-    require_scrub_mode,
-    run_group_campaign,
-)
+from repro.reliability.montecarlo import CampaignResult, run_group_campaign
 from repro.reliability.raresim import (
     ConditionalGroupSimulator,
     ConditionalResult,
@@ -149,10 +150,9 @@ class _ShardSpec:
     telemetry: bool = False
     deadline_s: Optional[float] = None
     progress_batch: int = 1
-    scrub_mode: str = "sparse"
     scenario: Optional["FaultScenario"] = None
     interval_start: int = 0
-    backend: str = "reference"
+    backend: str = "numpy"
 
 
 class _ShardProgress:
@@ -237,7 +237,7 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
             telemetry=telemetry, progress=progress,
             chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
             checkpointer=checkpointer, deadline=deadline,
-            scrub_mode=spec.scrub_mode, backend=spec.backend,
+            backend=spec.backend,
         )
     if spec.kind == "raresim":
         simulator = ConditionalGroupSimulator(
@@ -246,7 +246,6 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
             # Bit-identical to the historical stdlib stream
             # (resolve_pyrandom(seed=s) is exactly random.Random(s)).
             rng=resolve_pyrandom(seed=spec.seed, owner="run_sharded_raresim"),
-            sparse=spec.scrub_mode == "sparse",
             scenario=spec.scenario,
             backend=spec.backend,
         )
@@ -268,7 +267,7 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
             telemetry=telemetry, progress=progress,
             chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
             checkpointer=checkpointer, deadline=deadline,
-            scrub_mode=spec.scrub_mode, backend=spec.backend,
+            backend=spec.backend,
         )
     raise ValueError(  # pragma: no cover - specs are built here only
         f"unknown campaign kind {spec.kind!r}"
@@ -276,12 +275,12 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
 
 
 def _run_shard(
-    spec: _ShardSpec, queue
+    spec: _ShardSpec, queue, cancel: Optional[Callable[[], bool]]
 ) -> Tuple[object, Optional[object], Optional[List[Dict]]]:
     """Execute one shard; returns (result, metrics or None, spans or None)."""
     telemetry = Telemetry.create() if spec.telemetry else None
     progress = _ShardProgress(queue, spec.index, spec.progress_batch)
-    result = _run_campaign(spec, telemetry, progress)
+    result = _run_campaign(spec, telemetry, progress, cancel)
     if telemetry is None:
         return result, None, None
     # Spans ship as plain dicts (the export_spans wire form): Span
@@ -290,10 +289,16 @@ def _run_shard(
     return result, telemetry.metrics, export_spans(telemetry.tracer)
 
 
-def _shard_worker(spec: _ShardSpec, queue) -> None:
-    """Process entry point: run the shard, ship the outcome back."""
+def _shard_worker(spec: _ShardSpec, queue, cancel_event) -> None:
+    """Process entry point: run the shard, ship the outcome back.
+
+    ``cancel_event``, when given, is the run's shared cancellation
+    event: the shard's boundary loop polls it and stops with
+    ``stop_reason="cancelled"`` once the parent sets it.
+    """
+    cancel = cancel_event.is_set if cancel_event is not None else None
     try:
-        result, metrics, spans = _run_shard(spec, queue)
+        result, metrics, spans = _run_shard(spec, queue, cancel)
         queue.put(("result", spec.index, result, metrics, spans))
     except BaseException:
         queue.put(("error", spec.index, traceback.format_exc()))
@@ -312,22 +317,6 @@ def _check_resume_files(specs: List[_ShardSpec]) -> None:
         )
 
 
-def _signal_cancel(processes) -> None:
-    """SIGINT live workers so their campaign loops stop at a boundary.
-
-    Workers treat the signal exactly like an operator Ctrl-C: the
-    campaign loop catches :class:`KeyboardInterrupt`, flushes its
-    checkpoint, and ships a truncated result -- nothing is lost, and the
-    parent keeps draining the queue as usual.
-    """
-    for process in processes:
-        if process.is_alive() and process.pid is not None:
-            try:
-                os.kill(process.pid, signal.SIGINT)
-            except (OSError, ProcessLookupError):  # pragma: no cover - race
-                pass
-
-
 def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
                     cancel: Optional[Callable[[], bool]] = None):
     """Run shard specs across processes; returns results in shard order."""
@@ -337,8 +326,13 @@ def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
     warm_line_tables()
     context = multiprocessing.get_context(_START_METHOD)
     queue = context.Queue()
+    # Workers poll the event only when there is a hook to forward.
+    cancel_event = context.Event() if cancel is not None else None
     processes = [
-        context.Process(target=_shard_worker, args=(spec, queue), daemon=True)
+        context.Process(
+            target=_shard_worker, args=(spec, queue, cancel_event),
+            daemon=True,
+        )
         for spec in specs
     ]
     for process in processes:
@@ -346,18 +340,20 @@ def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
     outcomes: Dict[int, Tuple[object, Optional[object], Optional[List[Dict]]]] = {}
     errors: Dict[int, str] = {}
     pending = {spec.index for spec in specs}
-    cancelled = False
     try:
         while pending:
-            if cancel is not None and not cancelled and cancel():
-                cancelled = True
-                _signal_cancel(processes)
+            if (
+                cancel_event is not None
+                and not cancel_event.is_set()
+                and cancel()
+            ):
+                cancel_event.set()
             try:
                 message = queue.get(timeout=_POLL_S)
             except KeyboardInterrupt:
-                # The workers received the same SIGINT; their campaign
-                # loops catch it, flush checkpoints, and ship truncated
-                # results -- keep draining so nothing is lost.
+                # An operator's Ctrl-C reaches the workers too; their
+                # campaign loops catch it, flush checkpoints, and ship
+                # truncated results -- keep draining so nothing is lost.
                 continue
             except Empty:
                 if any(process.is_alive() for process in processes):
@@ -407,8 +403,7 @@ def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
 
 
 def _validate(shards: int, units: int, checkpoint_path: str,
-              checkpoint_every: int, scrub_mode: str = "sparse",
-              backend: str = "reference") -> None:
+              checkpoint_every: int, backend: str) -> None:
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if units < 0:
@@ -417,9 +412,8 @@ def _validate(shards: int, units: int, checkpoint_path: str,
         raise CheckpointError(
             "periodic checkpointing requires a checkpoint path"
         )
-    # Fail fast in the parent: a bad mode inside a worker would only
+    # Fail fast in the parent: a bad backend inside a worker would only
     # surface as a ShardError traceback.
-    require_scrub_mode(scrub_mode)
     if backend not in BACKEND_NAMES:
         raise ValueError(
             f"backend must be one of {BACKEND_NAMES}, got {backend!r}"
@@ -473,7 +467,7 @@ def _run_sharded(
     """
     checkpoint_path = base.checkpoint_path or base.resume_path
     _validate(base.shards, base.units, checkpoint_path, base.checkpoint_every,
-              base.scrub_mode, base.backend)
+              base.backend)
     chaos_policy = base.chaos_policy
     if chaos_policy is not None and not chaos_policy.enabled:
         chaos_policy = None
@@ -522,8 +516,7 @@ def run_sharded_campaign(
     resume_from: str = "",
     deadline_s: Optional[float] = None,
     cancel: Optional[Callable[[], bool]] = None,
-    scrub_mode: str = "sparse",
-    backend: str = "reference",
+    backend: str = "numpy",
 ) -> CampaignResult:
     """Sharded Monte-Carlo campaign (see :func:`run_group_campaign`).
 
@@ -532,15 +525,13 @@ def run_sharded_campaign(
     runs its slice of the same seed tree in its own process, and the
     merged :class:`CampaignResult` is bit-identical to ``shards=1`` at
     the same seed -- chaos (``chaos_policy``/``chaos_seed``) included.
-    ``scrub_mode`` ("sparse"/"dense") reaches every shard; per-seed
-    results are bit-identical either way, as is the kernel ``backend``
-    ("reference"/"numpy").
+    The kernel ``backend`` ("numpy", or the "reference" oracle) reaches
+    every shard; per-seed results are bit-identical either way.
 
     ``cancel`` is the job-level cancellation hook (polled between
-    intervals): once truthy, the campaign stops at the next boundary
-    with checkpoints flushed and returns a truncated result
-    (``stop_reason="cancelled"`` serially; sharded workers are SIGINTed
-    and report ``"interrupted"``).
+    intervals): once truthy, the campaign -- every shard of it -- stops
+    at the next boundary with checkpoints flushed and returns a
+    truncated result with ``stop_reason="cancelled"``.
     """
     return _run_sharded(
         _ShardSpec(
@@ -550,7 +541,7 @@ def run_sharded_campaign(
             chaos_seed=chaos_seed, checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every, resume_path=resume_from,
             telemetry=telemetry is not None, deadline_s=deadline_s,
-            scrub_mode=scrub_mode, backend=backend,
+            backend=backend,
         ),
         telemetry, progress, cancel,
     )
@@ -573,9 +564,8 @@ def run_sharded_raresim(
     resume_from: str = "",
     deadline_s: Optional[float] = None,
     cancel: Optional[Callable[[], bool]] = None,
-    scrub_mode: str = "sparse",
     scenario: Optional["FaultScenario"] = None,
-    backend: str = "reference",
+    backend: str = "numpy",
 ) -> ConditionalResult:
     """Sharded conditional rare-event campaign (see ``estimate_fit``).
 
@@ -583,13 +573,10 @@ def run_sharded_raresim(
     with ``random.Random(seed)`` bit for bit; ``shards=K`` splits the
     trials across processes with per-shard stdlib RNG streams derived
     from the same seed tree, then merges the conditional aggregates.
-    ``scrub_mode`` controls the simulator's trusted-clean scan fast path
-    ("sparse", the default) vs full decodes ("dense"); trial outcomes
-    are bit-identical in both modes.  ``scenario`` overlays per-group
-    stuck-at maps and per-trial bursts on the conditioned transients.
-    ``backend`` selects the kernel backend in every shard; outcomes are
-    bit-identical across backends.  ``cancel`` behaves as in
-    :func:`run_sharded_campaign`.
+    ``scenario`` overlays per-group stuck-at maps and per-trial bursts
+    on the conditioned transients.  ``backend`` selects the kernel
+    backend in every shard; outcomes are bit-identical across backends.
+    ``cancel`` behaves as in :func:`run_sharded_campaign`.
     """
     return _run_sharded(
         _ShardSpec(
@@ -599,7 +586,7 @@ def run_sharded_raresim(
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every, resume_path=resume_from,
             telemetry=telemetry is not None, deadline_s=deadline_s,
-            scrub_mode=scrub_mode, scenario=scenario, backend=backend,
+            scenario=scenario, backend=backend,
         ),
         telemetry, progress, cancel,
     )
@@ -623,8 +610,7 @@ def run_sharded_scenario(
     resume_from: str = "",
     deadline_s: Optional[float] = None,
     cancel: Optional[Callable[[], bool]] = None,
-    scrub_mode: str = "sparse",
-    backend: str = "reference",
+    backend: str = "numpy",
 ) -> CampaignResult:
     """Sharded mixed-fault scenario campaign (see
     :func:`repro.reliability.scenario.run_scenario_campaign`).
@@ -646,7 +632,7 @@ def run_sharded_scenario(
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every, resume_path=resume_from,
             telemetry=telemetry is not None, deadline_s=deadline_s,
-            scrub_mode=scrub_mode, scenario=scenario, backend=backend,
+            scenario=scenario, backend=backend,
         ),
         telemetry, progress, cancel,
     )

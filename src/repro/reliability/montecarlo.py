@@ -32,7 +32,8 @@ Because ``SeedSequence(seed, spawn_key=(k,))`` is a pure function of
 the randomness the serial run consumes for those intervals, and a
 checkpoint captured between intervals needs **no RNG state**: resuming
 at interval ``i`` re-derives child ``(2 + i,)``.  Serial, K-shard,
-resumed, sparse and dense runs of one seed are therefore bit-identical.
+and resumed runs of one seed are therefore bit-identical, and so is the
+dense audit walk the tests run through :data:`_DENSE`.
 :mod:`repro.reliability.scenario` runs its mixed-fault campaigns
 through the same interval loop.
 
@@ -161,23 +162,16 @@ def heal(array: STTRAMArray) -> None:
         array.restore(frame, array.golden(frame))
 
 
-#: Valid values for the campaign ``scrub_mode`` knob.
-SCRUB_MODES = ("sparse", "dense")
-
-
-def require_scrub_mode(scrub_mode: str) -> None:
-    """The one ``scrub_mode`` check every campaign entry point runs.
-
-    :raises ValueError: for anything outside :data:`SCRUB_MODES`.
-    """
-    if scrub_mode not in SCRUB_MODES:
-        raise ValueError(
-            f"scrub_mode must be one of {SCRUB_MODES}, got {scrub_mode!r}"
-        )
+#: Test oracle seam: when true, :func:`_run_intervals` stores every
+#: drawn flip and scrubs every line in index order (:func:`_dense_walk`)
+#: instead of only the dirty frames.  Read at call time; no entry point
+#: sets it -- the equivalence tests patch it to check that the sparse
+#: scrub and the ECC-1-only split equal the dense audit walk.
+_DENSE = False
 
 
 def _dense_walk(num_lines: int, dirty, visits) -> list:
-    """Full-pass visit order for dense-mode scrubs.
+    """Full-pass visit order for the dense audit walk.
 
     Every line is visited in index order; the faulty frames follow their
     (possibly chaos-perturbed) schedule -- a dropped visit is omitted, a
@@ -188,8 +182,8 @@ def _dense_walk(num_lines: int, dirty, visits) -> list:
     dirty_set = set(dirty)
     walk = []
     # A dense pass is defined as visiting every line in index order;
-    # O(lines) is the semantics here, not an accident (sparse mode is
-    # the fast path that skips this entirely).
+    # O(lines) is the semantics here, not an accident (the sparse scrub
+    # is the production path that skips this entirely).
     # repro-lint: disable=RPR009
     for frame in range(num_lines):
         if frame in dirty_set:
@@ -272,7 +266,6 @@ def run_engine_campaign(
     chaos_policy: Optional[ChaosPolicy] = None,
     checkpointer: Optional[Checkpointer] = None,
     deadline: Optional[Deadline] = None,
-    scrub_mode: str = "sparse",
     seed: Optional[SeedLike] = None,
     backend: Optional[str] = None,
     *,
@@ -288,6 +281,19 @@ def run_engine_campaign(
     tree, which is what makes a K-shard or resumed run equal the serial
     run.
 
+    Each interval scrubs only the frames the array's dirty index
+    reports and bulk-accounts the rest as ``clean``: every other line
+    holds a valid codeword, so a dense walk over the whole array
+    records the same outcomes (the equivalence tests pin this through
+    :data:`_DENSE`, chaos included).  On a batched backend the scrub
+    also never stores an *ECC-1-only* flip: one flip on an otherwise
+    clean, unstuck line that shares no Hash-1 or Hash-2 group with a
+    multi-bit, dirty, stuck or burst-hit line.  Group scans start only
+    from uncorrectable frames and their groups, so no scan can reach
+    such a line, and ECC-1 repairs it when it is visited; the engine
+    counts that repair without storing the flip.  Results are
+    bit-identical.
+
     :param engine: a formatted SuDoku engine (or any object with the same
         array / scrub_frames / write_data interface, e.g. the baselines).
     :param ber: accelerated per-bit flip probability per interval.
@@ -298,22 +304,6 @@ def run_engine_campaign(
         their bulk operations through it.  Backends are bit-identical by
         contract, so checkpoints deliberately omit the choice -- a
         reference run may be resumed on numpy and vice versa.
-    :param scrub_mode: ``"sparse"`` (default) scrubs only the frames the
-        array's dirty index reports and bulk-accounts the rest as
-        ``clean``; ``"dense"`` decodes every line of the array each
-        interval.  The two modes draw the identical RNG sequence and
-        produce bit-identical outcome counters per seed (the golden
-        equivalence tests pin this, including under chaos), so
-        checkpoints deliberately omit the mode -- a dense run may be
-        resumed sparse and vice versa.  ``"dense"`` exists as the
-        trust-nothing audit mode; see docs/performance.md.  A sparse
-        scrub on a batched backend never stores an *ECC-1-only* flip:
-        one flip on an otherwise clean, unstuck line that shares no
-        Hash-1 or Hash-2 group with a multi-bit, dirty, stuck or
-        burst-hit line.  Group scans start only from uncorrectable
-        frames and their groups, so no scan can reach such a line, and
-        ECC-1 repairs it when it is visited; the engine counts that
-        repair without storing the flip.  Results are bit-identical.
     :param randomize_content: write random data once before the campaign,
         from seed-tree child ``(0,)`` (recommended; all-zero content
         makes overlap pathologies invisible to content-sensitive bugs
@@ -348,7 +338,6 @@ def run_engine_campaign(
     stop_reason="interrupted"``) with the last boundary snapshot flushed,
     instead of discarding completed intervals.
     """
-    require_scrub_mode(scrub_mode)
     if backend is not None:
         setter = getattr(engine, "set_backend", None)
         if setter is not None:
@@ -379,7 +368,7 @@ def run_engine_campaign(
         engine, ber, intervals, interval_s, config, level=level, seed=root,
         interval_start=interval_start, burst=None, chaos_policy=chaos_policy,
         chaos_seed=chaos_seed, telemetry=telemetry, progress=progress,
-        checkpointer=checkpointer, deadline=deadline, scrub_mode=scrub_mode,
+        checkpointer=checkpointer, deadline=deadline,
     )
 
 
@@ -400,7 +389,6 @@ def _run_intervals(
     progress,
     checkpointer: Optional[Checkpointer],
     deadline: Optional[Deadline],
-    scrub_mode: str,
 ) -> CampaignResult:
     """The one interval loop behind Monte-Carlo and scenario campaigns.
 
@@ -420,11 +408,13 @@ def _run_intervals(
     interval ``i`` is a pure function of the config, and a checkpoint
     needs no RNG state.
 
-    On a sparse scrub where the engine resolves ECC-1-only frames
+    Where the engine resolves ECC-1-only frames
     (:attr:`SuDokuEngine.resolves_single_flips`), the flips are drawn as
     before but only those a group repair can see are stored
     (:func:`_split_ecc1_only`); the rest stay in the visit list, where
     chaos can drop or duplicate them, and in the faulty-line count.
+    With :data:`_DENSE` set, every flip is stored and every line is
+    scrubbed: the oracle both shortcuts are tested against.
     """
     # Imported here, not at the top: repro.parallel imports this module.
     from repro.parallel.sharding import interval_generator, interval_python_seed
@@ -488,9 +478,8 @@ def _run_intervals(
     initialize = getattr(engine, "initialize_parities", None)
     # The reference backend and the dense walk store every flip: they
     # are the oracles the split is tested against.
-    split = scrub_mode == "sparse" and getattr(
-        engine, "resolves_single_flips", False
-    )
+    dense = _DENSE
+    split = not dense and getattr(engine, "resolves_single_flips", False)
     mappers = [mapper for _, mapper in engine._tables()] if split else []
     # The array absorbs a flip on a stuck cell, so every stuck line
     # stores its flips, dirty or not.
@@ -561,15 +550,15 @@ def _run_intervals(
                     for event, count in applied.items():
                         m_chaos.labels(event=event).inc(count)
         with tracer.span("phase_scrub"):
-            if scrub_mode == "dense":
+            if dense:
                 counts = engine.scrub_frames(
                     _dense_walk(array.num_lines, dirty, visits)
                 )
             else:
-                # Sparse fast path: decode the scheduled dirty visits
-                # only; every frame outside the (pre-perturbation) dirty
-                # set is a valid codeword and bulk-accounts as clean --
-                # exactly the outcomes a dense walk records for them.
+                # Decode the scheduled dirty visits only; every frame
+                # outside the (pre-perturbation) dirty set is a valid
+                # codeword and bulk-accounts as clean -- exactly the
+                # outcomes a dense walk records for them.
                 sparse_counts = Counter(
                     engine.scrub_frames(visits, ecc1_only)
                     if ecc1_only
@@ -626,7 +615,6 @@ def run_group_campaign(
     chaos_policy: Optional[ChaosPolicy] = None,
     checkpointer: Optional[Checkpointer] = None,
     deadline: Optional[Deadline] = None,
-    scrub_mode: str = "sparse",
     seed: Optional[SeedLike] = None,
     backend: Optional[str] = None,
     *,
@@ -639,8 +627,8 @@ def run_group_campaign(
     hash is valid) and runs :func:`run_engine_campaign` -- the analytical
     model evaluated at the same geometry is the comparison target.  The
     resilience knobs (``chaos_policy``/``chaos_seed``, ``checkpointer``,
-    ``deadline``), ``scrub_mode``, ``backend`` and ``interval_start``
-    pass straight through.
+    ``deadline``), ``backend`` and ``interval_start`` pass straight
+    through.
     """
     from repro.core.linecodec import LineCodec
 
@@ -654,7 +642,7 @@ def run_group_campaign(
         engine, ber, trials, interval_s=interval_s, rng=rng,
         randomize_content=False, telemetry=telemetry, progress=progress,
         chaos_policy=chaos_policy, checkpointer=checkpointer,
-        deadline=deadline, scrub_mode=scrub_mode, seed=seed,
+        deadline=deadline, seed=seed,
         chaos_seed=chaos_seed, interval_start=interval_start,
     )
 

@@ -211,6 +211,13 @@ class ConditionalResult:
 class ConditionalGroupSimulator:
     """Samples conditioned fault patterns and runs the real machinery."""
 
+    #: Group scans consult the array's dirty-frame index and skip
+    #: decoding known-clean lines -- the scan result is provably
+    #: identical (see :func:`repro.core.raid4.scan_group`).  Test oracle
+    #: seam: the equivalence tests set it false on an instance to run
+    #: the trust-nothing full decode and compare trial outcomes.
+    sparse = True
+
     def __init__(
         self,
         ber: float,
@@ -220,7 +227,6 @@ class ConditionalGroupSimulator:
         codec: Optional[LineCodec] = None,
         sdr_max_mismatches: int = 6,
         rng: Optional[random.Random] = None,
-        sparse: bool = True,
         seed: Optional[int] = None,
         scenario: Optional["FaultScenario"] = None,
         backend: Optional[str] = None,
@@ -248,13 +254,6 @@ class ConditionalGroupSimulator:
         self._rng = resolve_pyrandom(
             rng, seed, owner="ConditionalGroupSimulator"
         )
-        #: With ``sparse`` (the default) group scans consult the array's
-        #: dirty-frame index and skip decoding known-clean lines -- the
-        #: scan result is provably identical (see
-        #: :func:`repro.core.raid4.scan_group`), so trial outcomes and
-        #: checkpoints are bit-identical in both modes; ``sparse=False``
-        #: is the trust-nothing audit mode.
-        self.sparse = sparse
         #: Kernel backend for bulk operations (parity folds, batched
         #: group decodes).  Bit-identical by contract and fed no RNG, so
         #: it is deliberately absent from the checkpoint fingerprint.
@@ -574,7 +573,6 @@ def estimate_fit(
     progress=NULL_PROGRESS,
     checkpointer: Optional[Checkpointer] = None,
     deadline: Optional[Deadline] = None,
-    sparse: bool = True,
     backend: Optional[str] = None,
 ) -> ConditionalResult:
     """Convenience wrapper: conditional FIT estimate for SuDoku-Y or -Z.
@@ -589,7 +587,6 @@ def estimate_fit(
         group_size=group_size,
         num_groups=num_groups,
         rng=resolve_pyrandom(seed=seed, owner="estimate_fit"),
-        sparse=sparse,
         backend=backend,
     )
     return simulator.run(

@@ -23,10 +23,10 @@ A scenario campaign runs the Monte-Carlo interval loop of
 :mod:`repro.reliability.montecarlo` and shares its seed tree, keyed by
 **global interval index**: child ``(0,)`` seeds the content fill, child
 ``(1,)`` the stuck-at fault map, and child ``(2 + i,)`` interval
-``i``'s transient then burst draws.  Serial, sharded, resumed and
-sparse-scrub runs are therefore bit-identical to the serial dense run
-(the acceptance property ``tests/reliability/test_scenario.py`` pins
-down), and checkpoints carry no RNG state.
+``i``'s transient then burst draws.  Serial, sharded and resumed runs
+are therefore bit-identical, and equal the dense audit walk (the
+acceptance property ``tests/reliability/test_scenario.py`` pins down);
+checkpoints carry no RNG state.
 
 The interval-boundary invariant extends to permanent faults: after each
 interval's heal, every stored word equals its golden value *as read
@@ -51,7 +51,6 @@ from repro.reliability.montecarlo import (
     CampaignResult,
     _fill_random_through_engine,
     _run_intervals,
-    require_scrub_mode,
 )
 # Re-exported for callers that wrap ``heal`` by module; the interval
 # loop calls montecarlo's own module attribute.
@@ -483,7 +482,6 @@ def run_scenario_campaign(
     chaos_seed: int = 0,
     checkpointer: Optional[Checkpointer] = None,
     deadline: Optional[Deadline] = None,
-    scrub_mode: str = "sparse",
     backend: Optional[str] = None,
 ) -> CampaignResult:
     """Inject-scrub-heal under a mixed fault scenario.
@@ -497,13 +495,10 @@ def run_scenario_campaign(
 
     ``chaos_policy`` composes: interval ``i`` gets a fresh
     :class:`ChaosInjector` seeded from ``(chaos_seed, i)``, so chaos
-    events are also shard- and resume-invariant.  ``scrub_mode`` selects
-    the sparse fast path (default) or the dense audit walk; outcome
-    counters are bit-identical between them -- permanently-dirty
-    stuck lines stay in the dirty set, which is what keeps the sparse
-    visit schedule complete.
+    events are also shard- and resume-invariant.  Permanently-dirty
+    stuck lines stay in the dirty set, which keeps the sparse visit
+    schedule complete: outcome counters equal the dense audit walk's.
     """
-    require_scrub_mode(scrub_mode)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     engine = _setup_scheme(scheme, group_size, scenario, seed, backend)
@@ -531,5 +526,5 @@ def run_scenario_campaign(
         ),
         chaos_policy=chaos_policy, chaos_seed=chaos_seed,
         telemetry=telemetry, progress=progress, checkpointer=checkpointer,
-        deadline=deadline, scrub_mode=scrub_mode,
+        deadline=deadline,
     )

@@ -107,7 +107,6 @@ class _WorkerProgress:
 def _job_worker(
     kind: str,
     params: Dict,
-    execution: Dict,
     checkpoint_path: str,
     resume_from: str,
     checkpoint_every: int,
@@ -133,8 +132,6 @@ def _job_worker(
         checkpoint_every=checkpoint_every,
         resume_from=resume_from,
         cancel=cancel_event.is_set,
-        scrub_mode=execution["scrub_mode"],
-        backend=execution["backend"],
     )
     try:
         if kind == "campaign":
@@ -381,8 +378,7 @@ class Scheduler:
         job.process = self._context.Process(
             target=_job_worker,
             args=(
-                job.spec.kind, dict(job.spec.params),
-                dict(job.spec.execution), base, resume,
+                job.spec.kind, dict(job.spec.params), base, resume,
                 self.checkpoint_every, writer, job.cancel_event,
             ),
             daemon=False,

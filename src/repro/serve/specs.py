@@ -9,21 +9,22 @@ content digest that keys the result store.
 The digest covers exactly what determines the result *bits*: the kind,
 the normalized semantic parameters (including seed and shard count --
 a K-shard rare-event result is a different quantity than serial), and
-:data:`RESULT_VERSION`.  Execution hints that are bit-identical by
-construction (``scrub_mode``, kernel ``backend``) and submission
-envelope fields (tenant, priority) are deliberately excluded, so
-equivalent work dedups across tenants and backends.
+:data:`RESULT_VERSION`.  Submission envelope fields (tenant,
+priority) are deliberately excluded, so equivalent work dedups across
+tenants.  Keys a spec does not define are ignored -- among them the
+retired scrub-mode and kernel-backend hints, which never changed a
+result -- so a submission that still carries them shares its digest
+with one that does not.  Every job runs the numpy kernels and the
+sparse scrub.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.kernels import BACKEND_NAMES
-from repro.reliability.montecarlo import SCRUB_MODES
 from repro.reliability.scenario import SCHEMES, FaultScenario
 
 #: Bump when a code change alters campaign results at a fixed spec;
@@ -88,13 +89,11 @@ class JobSpec:
     """A validated, normalized campaign submission.
 
     ``params`` is the canonical semantic parameter dict (digest-
-    relevant); ``execution`` carries bit-identical execution hints that
-    stay out of the digest.
+    relevant).
     """
 
     kind: str
     params: Dict[str, object]
-    execution: Dict[str, str] = field(default_factory=dict)
 
     @property
     def seed(self) -> int:
@@ -120,26 +119,13 @@ class JobSpec:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "execution": dict(self.execution),
-        }
 
-
-def _parse_common(payload: Dict) -> Tuple[int, int, float, Dict[str, str]]:
+def _parse_common(payload: Dict) -> Tuple[int, int, float]:
     seed = _get_int(payload, "seed", 0, 0)
     shards = _get_int(payload, "shards", 1, 1)
     _require(shards <= _MAX_SHARDS, f"'shards' must be <= {_MAX_SHARDS}")
     interval_s = _get_float(payload, "interval_s", 0.020, 1e-9, 3600.0)
-    execution = {
-        "scrub_mode": _get_choice(payload, "scrub_mode", "sparse", SCRUB_MODES),
-        "backend": _get_choice(
-            payload, "backend", "reference", tuple(BACKEND_NAMES)
-        ),
-    }
-    return seed, shards, interval_s, execution
+    return seed, shards, interval_s
 
 
 def _parse_scenario_field(payload: Dict) -> Optional[Dict[str, object]]:
@@ -165,7 +151,7 @@ def parse_spec(payload: object) -> JobSpec:
     _require(isinstance(payload, dict), "spec must be a JSON object")
     assert isinstance(payload, dict)
     kind = _get_choice(payload, "kind", "", KINDS)
-    seed, shards, interval_s, execution = _parse_common(payload)
+    seed, shards, interval_s = _parse_common(payload)
     if kind == "campaign":
         params: Dict[str, object] = {
             "level": _get_choice(payload, "level", "Z", _CAMPAIGN_LEVELS),
@@ -196,7 +182,7 @@ def parse_spec(payload: object) -> JobSpec:
     params["seed"] = seed
     params["shards"] = shards
     params["interval_s"] = interval_s
-    return JobSpec(kind=kind, params=params, execution=execution)
+    return JobSpec(kind=kind, params=params)
 
 
 def parse_submission(payload: object) -> Tuple[JobSpec, str, int]:

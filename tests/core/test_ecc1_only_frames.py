@@ -1,13 +1,13 @@
 """ECC-1-only frames: a scrub that never stores them equals one that does.
 
-On a sparse scrub over a batched backend the campaign loop stores only
+On a batched backend the campaign loop stores only
 the transient flips a group repair can see.  A lone flip on a clean,
 unstuck line that shares no Hash-1 or Hash-2 group with a multi-bit,
 dirty, stuck or burst-hit line reaches ``SuDokuEngine.scrub_frames`` as
 an ECC-1-only frame instead.  Every test here runs the real interval
 loop over crafted faults on twin engines: numpy with the split, against
 an oracle that stores every flip (the reference backend, or the dense
-walk).  Each compares what the loop leaves behind -- the result, the
+walk through the ``montecarlo._DENSE`` seam).  Each compares what the loop leaves behind -- the result, the
 engine's ``stats``, the exact ``repr`` of ``correction_time_s``, stored
 words and the dirty set just before every heal and at the end, parity
 tables and, against the reference twin, the Prometheus export -- and
@@ -33,8 +33,8 @@ LINES = 256
 GROUP = 8
 BITS = LineCodec().stored_bits
 LEVELS = ("X", "Y", "Z")
-#: (backend, scrub mode) of the oracle twin, which stores every flip.
-ORACLES = (("reference", "sparse"), ("numpy", "dense"))
+#: (backend, dense walk?) of the oracle twin, which stores every flip.
+ORACLES = (("reference", False), ("numpy", True))
 _HEAL = montecarlo.heal
 
 # With G=8, Hash-1 groups are runs of 8 frames and frame f's Hash-2
@@ -80,11 +80,12 @@ def _engine(level, backend, fault_map):
     return engine
 
 
-def _run(engine, scrub_mode, flips, monkeypatch, bursts, chaos, intervals):
+def _run(engine, dense, flips, monkeypatch, bursts, chaos, intervals):
     """The interval loop over ``flips`` (and ``bursts``) every interval.
 
     Returns the fingerprint and the frames the array was asked to store.
     """
+    monkeypatch.setattr(montecarlo, "_DENSE", dense)
     monkeypatch.setattr(
         TransientFaultInjector, "draw_flips", lambda self, lines: _flat(flips)
     )
@@ -109,7 +110,6 @@ def _run(engine, scrub_mode, flips, monkeypatch, bursts, chaos, intervals):
         burst=(lambda stream: _Burst(bursts)) if bursts else None,
         chaos_policy=chaos, chaos_seed=3, telemetry=engine.telemetry,
         progress=NULL_PROGRESS, checkpointer=None, deadline=None,
-        scrub_mode=scrub_mode,
     )
     del engine.array.inject_many
     fingerprint = {
@@ -141,20 +141,20 @@ def _compare(
     Returns the split twin's result, the frames it stored, and the
     frames whose flip only the oracle held at some heal.
     """
-    backend, scrub_mode = oracle
+    backend, dense = oracle
     split = _engine(level, "numpy", fault_map)
     assert split.resolves_single_flips
     reference = _engine(level, backend, fault_map)
     got, stored = _run(
-        split, "sparse", flips, monkeypatch, bursts, chaos, intervals
+        split, False, flips, monkeypatch, bursts, chaos, intervals
     )
     want, _ = _run(
-        reference, scrub_mode, flips, monkeypatch, bursts, chaos, intervals
+        reference, dense, flips, monkeypatch, bursts, chaos, intervals
     )
     unvisited = _unvisited_flips(
         got.pop("before_heal"), want.pop("before_heal"), flips
     )
-    if scrub_mode == "dense":
+    if dense:
         # A dense walk meets clean lines first and times every clean
         # line's syndrome check; sparse passes count them last, in bulk.
         for key in ("outcome_order", "prometheus"):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,8 +21,35 @@ class TestParser:
         args = build_parser().parse_args(["perf", "--workloads", "mcf", "gcc"])
         assert args.workloads == ["mcf", "gcc"]
 
+    def test_retired_execution_flags_exit_2(self, capsys):
+        """Campaigns always run numpy kernels and the sparse scrub."""
+        for command in ("campaign", "raresim", "chaos", "scenario"):
+            for flags in (["--dense"], ["--sparse"], ["--backend", "numpy"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args([command, *flags])
+                assert excinfo.value.code == 2, (command, flags)
+
 
 class TestCommands:
+    @pytest.mark.parametrize("level, seed", [("Z", 3), ("Y", 5)])
+    def test_campaign_result_equals_reference_backend(
+        self, level, seed, tmp_path, capsys
+    ):
+        from repro.parallel import run_sharded_campaign
+
+        out = tmp_path / "result.json"
+        assert main([
+            "campaign", "--level", level, "--ber", "5e-3", "--intervals", "4",
+            "--group-size", "8", "--seed", str(seed), "--result-out", str(out),
+        ]) == 0
+        oracle = run_sharded_campaign(
+            level, 5e-3, 4, 8, seed=seed, backend="reference"
+        )
+        assert json.loads(out.read_text()) == json.loads(
+            json.dumps(oracle.as_dict())
+        )
+        assert oracle.interval_failures or oracle.outcomes["corrected_ecc1"]
+
     def test_summary(self, capsys):
         assert main(["summary"]) == 0
         out = capsys.readouterr().out

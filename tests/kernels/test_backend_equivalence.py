@@ -1,13 +1,13 @@
 """Reference-vs-numpy backend equivalence, pinned bit for bit.
 
 The numpy backend is only allowed to exist because it changes *nothing*
-observable: for every scheme, fault mix, scrub mode, and sharding
+observable: for every scheme, fault mix, scrub walk, and sharding
 degree, the outcome counters (and metadata counters, and hence every
 derived statistic) must equal the reference backend's exactly.  These
 tests sweep that matrix through the scenario campaign runner -- all
 eight schemes under transient, interleaved-burst (D = 1/2/4), stuck-at,
-and metadata-chaos faults, dense and sparse scrub, serial and 4-shard
-execution.
+and metadata-chaos faults, the sparse scrub and the dense audit walk
+(the ``montecarlo._DENSE`` seam), serial and 4-shard execution.
 
 The property tests at the bottom pin the plane layout itself: packing
 is the little-endian serialisation the CRC/PLT code already uses, so
@@ -24,6 +24,7 @@ from repro.coding.bitvec import bit_positions, random_bits
 from repro.coding.interleave import BitInterleaver
 from repro.kernels import BACKEND_NAMES, get_backend, resolve_backend
 from repro.kernels.planes import pack_lines, words_per_line
+from repro.reliability import montecarlo
 from repro.reliability.scenario import (
     SCHEMES,
     BurstSpec,
@@ -55,12 +56,13 @@ FAULT_SCENARIOS = {
 }
 
 
-def _run(scheme, scenario, backend, scrub_mode, chaos_policy=None):
-    return run_scenario_campaign(
-        scheme, scenario, intervals=INTERVALS, group_size=GROUP,
-        seed=SEED, scrub_mode=scrub_mode, backend=backend,
-        chaos_policy=chaos_policy,
-    ).as_dict()
+def _run(scheme, scenario, backend, dense, chaos_policy=None):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_DENSE", dense)
+        return run_scenario_campaign(
+            scheme, scenario, intervals=INTERVALS, group_size=GROUP,
+            seed=SEED, backend=backend, chaos_policy=chaos_policy,
+        ).as_dict()
 
 
 class TestRegistry:
@@ -77,7 +79,8 @@ class TestRegistry:
     def test_resolve_passthrough(self):
         backend = get_backend("reference")
         assert resolve_backend(backend) is backend
-        assert resolve_backend(None).name == "reference"
+        assert resolve_backend(None).name == "numpy"
+        assert get_backend().name == "numpy"
         assert resolve_backend("numpy").name == "numpy"
 
 
@@ -88,11 +91,11 @@ class TestSchemeEquivalence:
     @pytest.mark.parametrize("fault", sorted(FAULT_SCENARIOS))
     def test_backends_bit_identical(self, scheme, fault):
         scenario = FAULT_SCENARIOS[fault]
-        reference = _run(scheme, scenario, "reference", "sparse")
+        reference = _run(scheme, scenario, "reference", False)
         assert sum(reference["outcomes"].values()) > 0
-        assert _run(scheme, scenario, "reference", "dense") == reference
-        for mode in ("sparse", "dense"):
-            assert _run(scheme, scenario, "numpy", mode) == reference
+        assert _run(scheme, scenario, "reference", True) == reference
+        for dense in (False, True):
+            assert _run(scheme, scenario, "numpy", dense) == reference
 
 
 class TestChaosEquivalence:
@@ -110,12 +113,12 @@ class TestChaosEquivalence:
         )
         scenario = FAULT_SCENARIOS["transient"]
         reference = _run(
-            level, scenario, "reference", "sparse", chaos_policy=policy
+            level, scenario, "reference", False, chaos_policy=policy
         )
         for backend in BACKEND_NAMES:
-            for mode in ("sparse", "dense"):
+            for dense in (False, True):
                 assert _run(
-                    level, scenario, backend, mode, chaos_policy=policy
+                    level, scenario, backend, dense, chaos_policy=policy
                 ) == reference
 
 
@@ -275,13 +278,14 @@ class TestCleanDecodeFastPath:
             decoded = resolve_backend(name).batch_decode_clean(codec, words)
             assert decoded == expected
 
-    def test_prefetch_keeps_stuck_residue_off_the_clean_path(self):
+    def test_classify_keeps_stuck_residue_off_the_clean_path(self):
         """Stuck-bit residue passes ``is_clean`` but is not a codeword.
 
         A line whose only stored-vs-golden divergence is a re-asserted
-        stuck bit must still go through the full decode in the prefetch
-        (the raw dirty set, not ``is_clean``, guards the fast path) --
-        otherwise the numpy backend would label a corrupt word CLEAN.
+        stuck bit must still be checked when the scrub classifies its
+        frames (the raw dirty set, not ``is_clean``, guards the fast
+        path) -- otherwise the numpy backend would label a corrupt word
+        CLEAN.
         """
         from repro.core.engine import build_engine
         from repro.core.linecodec import DecodeStatus, LineCodec
@@ -302,9 +306,8 @@ class TestCleanDecodeFastPath:
         array.attach_permanent_faults(fault_map)
         assert array.is_clean(frame) and array.is_dirty(frame)
 
-        engine.set_backend("numpy")
         stored = array.read(frame)
-        engine._prefetch_decodes([frame])
+        engine._classify([frame])
         cached = engine._cached_decode(frame, stored)
         assert cached == codec.decode(stored)
         assert cached.status is not DecodeStatus.CLEAN
@@ -422,16 +425,6 @@ class TestBatchCheck:
 
 
 class TestCLIBackendFlag:
-    def test_backend_flag_parses(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        for command in ("campaign", "raresim", "chaos", "scenario"):
-            assert parser.parse_args([command]).backend == "reference"
-            assert parser.parse_args(
-                [command, "--backend", "numpy"]
-            ).backend == "numpy"
-
     def test_unknown_backend_rejected(self):
         from repro.cli import build_parser
 

@@ -17,6 +17,7 @@ from repro.parallel import (
     run_sharded_campaign,
     run_sharded_raresim,
 )
+from repro.reliability import montecarlo
 from repro.reliability.montecarlo import run_group_campaign
 from repro.reliability.raresim import estimate_fit
 from repro.resilience import CheckpointError
@@ -61,26 +62,40 @@ class TestSerialEquivalence:
 
 
 class TestScrubModeThreading:
-    def test_sharded_dense_matches_sparse(self, sharded_reference):
-        """The modes are bit-identical, so the sharded dense run must
-        reproduce the (sparse-default) reference merge exactly."""
+    def test_sharded_dense_matches_sparse(self, sharded_reference, monkeypatch):
+        """The dense audit walk is bit-identical, so forked shards that
+        inherit the test seam must reproduce the reference merge."""
+        monkeypatch.setattr(montecarlo, "_DENSE", True)
         dense = run_sharded_campaign(
             LEVEL, BER, INTERVALS, GROUP, shards=2, seed=SEED,
-            scrub_mode="dense",
         )
         assert dense.as_dict() == sharded_reference.as_dict()
 
     def test_invalid_scrub_mode_fails_fast(self):
-        with pytest.raises(ValueError, match="scrub_mode"):
+        """The retired knob is refused in the parent, before any fork."""
+        with pytest.raises(TypeError, match="scrub_mode"):
             run_sharded_campaign(
                 LEVEL, BER, INTERVALS, GROUP, shards=2, seed=SEED,
-                scrub_mode="bogus",
+                scrub_mode="dense",
             )
-        with pytest.raises(ValueError, match="scrub_mode"):
+        with pytest.raises(TypeError, match="scrub_mode"):
             run_sharded_raresim(
                 RARE["level"], RARE["ber"], RARE["trials"],
                 RARE["group_size"], RARE["num_groups"], shards=2,
-                seed=SEED, scrub_mode="bogus",
+                seed=SEED, scrub_mode="dense",
+            )
+
+    def test_invalid_backend_fails_fast(self):
+        with pytest.raises(ValueError, match="backend"):
+            run_sharded_campaign(
+                LEVEL, BER, INTERVALS, GROUP, shards=2, seed=SEED,
+                backend="bogus",
+            )
+        with pytest.raises(ValueError, match="backend"):
+            run_sharded_raresim(
+                RARE["level"], RARE["ber"], RARE["trials"],
+                RARE["group_size"], RARE["num_groups"], shards=2,
+                seed=SEED, backend="bogus",
             )
 
 
@@ -204,7 +219,7 @@ class TestCancellation:
             cancel=lambda: state["done"] >= 20,
         )
         assert result.truncated
-        assert result.stop_reason == "interrupted"
+        assert result.stop_reason == "cancelled"
         assert result.trials < 4000
 
 

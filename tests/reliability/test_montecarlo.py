@@ -7,6 +7,7 @@ from repro.baselines.cppc import CPPCCache
 from repro.core.engine import SuDokuX
 from repro.core.linecodec import LineCodec
 from repro.parallel import merge_campaign_results, run_sharded_campaign
+from repro.reliability import montecarlo
 from repro.reliability.montecarlo import (
     CampaignResult,
     agreement_ratio,
@@ -91,29 +92,39 @@ class TestEngineCampaign:
             randomize_content=False,
         )
         assert result.interval_failures == 0
-        # Sparse mode bulk-accounts every untouched line as clean: with
-        # zero BER that is all 64 lines in each of the 10 intervals.
+        # The sparse scrub bulk-accounts every untouched line as clean:
+        # with zero BER that is all 64 lines in each of the 10 intervals.
         assert result.outcomes == {"clean": 640}
 
-    def test_zero_ber_dense_decodes_everything(self):
+    def test_zero_ber_dense_decodes_everything(self, monkeypatch):
         codec = LineCodec()
         array = STTRAMArray(64, codec.stored_bits)
         engine = SuDokuX(array, group_size=8, codec=codec)
+        scrubbed = []
+        scrub_frames = engine.scrub_frames
+        monkeypatch.setattr(
+            engine, "scrub_frames",
+            lambda frames: scrubbed.append(len(frames)) or scrub_frames(frames),
+        )
+        monkeypatch.setattr(montecarlo, "_DENSE", True)
         result = run_engine_campaign(
             engine, ber=0.0, intervals=10, rng=np.random.default_rng(9),
-            randomize_content=False, scrub_mode="dense",
+            randomize_content=False,
         )
         assert result.interval_failures == 0
         assert result.outcomes == {"clean": 640}
+        assert scrubbed == [64] * 10
 
     def test_rejects_unknown_scrub_mode(self):
+        """Every campaign scrubs sparse: the retired knob is refused,
+        not silently ignored."""
         codec = LineCodec()
         array = STTRAMArray(16, codec.stored_bits)
         engine = SuDokuX(array, group_size=4, codec=codec)
-        with pytest.raises(ValueError, match="scrub_mode"):
+        with pytest.raises(TypeError, match="scrub_mode"):
             run_engine_campaign(
                 engine, ber=0.0, intervals=1,
-                rng=np.random.default_rng(0), scrub_mode="bogus",
+                rng=np.random.default_rng(0), scrub_mode="dense",
             )
 
 
@@ -143,7 +154,8 @@ class TestGroupCampaignValidation:
 
 class TestSeedTreeInvariance:
     """Monte-Carlo campaigns run on the per-interval seed tree: serial,
-    K-shard, resumed, sparse and dense runs of one seed are one result."""
+    K-shard and resumed runs of one seed, and the dense audit walk, are
+    one result."""
 
     LEVEL, BER, INTERVALS, GROUP, SEED = "Z", 2e-3, 7, 8, 13
     CHAOS = ChaosPolicy(
@@ -158,13 +170,15 @@ class TestSeedTreeInvariance:
         ).as_dict()
 
     @pytest.mark.parametrize("chaos", [False, True], ids=["plain", "chaos"])
-    def test_serial_equals_sharded_in_both_scrub_modes(self, chaos):
+    def test_serial_equals_sharded_in_both_scrub_modes(self, chaos, monkeypatch):
         extra = dict(chaos_policy=self.CHAOS, chaos_seed=4) if chaos else {}
         serial = self._run(shards=1, **extra)
         assert sum(serial["outcomes"].values()) >= self.INTERVALS * self.GROUP ** 2
-        for shards in (1, 2, 3):
-            for mode in ("sparse", "dense"):
-                assert self._run(shards=shards, scrub_mode=mode, **extra) == serial
+        # Forked shards inherit the dense seam from this process.
+        for dense in (False, True):
+            monkeypatch.setattr(montecarlo, "_DENSE", dense)
+            for shards in (1, 2, 3):
+                assert self._run(shards=shards, **extra) == serial
 
     def test_interval_start_slices_compose_to_the_serial_run(self):
         def part(start, count):

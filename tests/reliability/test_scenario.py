@@ -2,11 +2,12 @@
 
 The scenario subsystem's contract (docs/faultmodels.md): for the same
 ``(scheme, scenario, intervals, seed)`` the campaign result is
-bit-identical whether it runs serial or sharded, dense or sparse,
-uninterrupted or killed-and-resumed, with or without the work split
-across ``interval_start`` boundaries.  Every test here pins one face of
-that contract; the CI fault-scenario job re-checks the same guarantees
-end-to-end through the CLI.
+bit-identical whether it runs serial or sharded, uninterrupted or
+killed-and-resumed, with or without the work split across
+``interval_start`` boundaries, and equals the dense audit walk (reached
+through the ``montecarlo._DENSE`` test seam).  Every test here pins one
+face of that contract; the CI fault-scenario job re-checks the serial,
+sharded and resumed runs end-to-end through the CLI.
 """
 
 import json
@@ -15,6 +16,7 @@ import random
 import pytest
 
 from repro.parallel import run_sharded_scenario
+from repro.reliability import montecarlo
 from repro.reliability.scenario import (
     SCHEMES,
     BurstSpec,
@@ -38,12 +40,13 @@ MIXED = FaultScenario(
 CHAOS = ChaosPolicy(plt_flip_rate=0.02, visit_drop_rate=0.02)
 
 
-def _serial(scheme, scenario=MIXED, **kwargs):
-    defaults = dict(
-        intervals=INTERVALS, group_size=GROUP, seed=SEED, scrub_mode="sparse"
-    )
+def _serial(scheme, scenario=MIXED, dense=False, **kwargs):
+    """The serial campaign; ``dense`` runs it as the dense audit walk."""
+    defaults = dict(intervals=INTERVALS, group_size=GROUP, seed=SEED)
     defaults.update(kwargs)
-    return run_scenario_campaign(scheme, scenario, **defaults)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_DENSE", dense)
+        return run_scenario_campaign(scheme, scenario, **defaults)
 
 
 class TestSpecs:
@@ -96,9 +99,17 @@ class TestSchemes:
 class TestDeterminism:
     @pytest.mark.parametrize("scheme", ["Z", "eccline", "raid6"])
     def test_sparse_matches_dense(self, scheme):
-        dense = _serial(scheme, scrub_mode="dense")
-        sparse = _serial(scheme, scrub_mode="sparse")
+        dense = _serial(scheme, dense=True)
+        sparse = _serial(scheme)
         assert sparse.as_dict() == dense.as_dict()
+
+    def test_ci_mixed_scenario_dense_matches_serial(self):
+        """The CI fault-scenario job's run (Z, 10 intervals, G=8, seed
+        11) through the dense audit walk equals the serial result."""
+        point = dict(intervals=10, group_size=8, seed=11)
+        serial = _serial("Z", **point)
+        assert _serial("Z", dense=True, **point).as_dict() == serial.as_dict()
+        assert sum(serial.outcomes.values()) == 10 * 8 * 8
 
     def test_interval_split_matches_serial(self):
         """Splitting [0,12) into [0,5)+[5,9)+[9,12) via interval_start is
@@ -135,10 +146,8 @@ class TestChaosComposition:
     @pytest.mark.parametrize("scheme", ["Z", "raid6"])
     def test_chaos_sparse_matches_dense(self, scheme):
         runs = [
-            _serial(
-                scheme, chaos_policy=CHAOS, chaos_seed=5, scrub_mode=mode
-            )
-            for mode in ("dense", "sparse")
+            _serial(scheme, chaos_policy=CHAOS, chaos_seed=5, dense=dense)
+            for dense in (True, False)
         ]
         assert runs[0].as_dict() == runs[1].as_dict()
 
@@ -202,8 +211,8 @@ class TestCheckpointResume:
         for seed in (3, 4, 5):
             results = [
                 _serial("Z", intervals=20, group_size=8, seed=seed,
-                        scrub_mode=mode).as_dict()
-                for mode in ("sparse", "dense")
+                        dense=dense).as_dict()
+                for dense in (False, True)
             ]
             assert results[0] == results[1]
             assert sum(results[0]["outcomes"].values()) == 20 * 8 * 8
@@ -228,10 +237,12 @@ class TestRaresimOverlay:
     def _simulator(scenario, sparse=True, seed=3):
         from repro.reliability.raresim import ConditionalGroupSimulator
 
-        return ConditionalGroupSimulator(
+        simulator = ConditionalGroupSimulator(
             ber=1e-3, group_size=8, num_groups=32,
-            rng=random.Random(seed), sparse=sparse, scenario=scenario,
+            rng=random.Random(seed), scenario=scenario,
         )
+        simulator.sparse = sparse
+        return simulator
 
     def test_overlay_is_deterministic(self):
         results = [

@@ -1,11 +1,13 @@
 """Dense-vs-sparse golden equivalence for the scrub fast path.
 
-The sparse scrub mode decodes only the array's dirty frames and
-bulk-accounts every other line as ``clean``.  These tests pin the load
-bearing claim from docs/performance.md: for the same seed, the outcome
-counters (and hence every failure statistic derived from them) are
-*bit-identical* between modes -- for the SuDoku engines, for every
-baseline, under metadata/visit chaos, and for the rare-event simulator.
+Campaigns scrub only the array's dirty frames and bulk-account every
+other line as ``clean``.  These tests pin the load bearing claim from
+docs/performance.md: for the same seed, the outcome counters (and hence
+every failure statistic derived from them) are *bit-identical* to the
+dense audit walk -- for the SuDoku engines, for every baseline, under
+metadata/visit chaos, and for the rare-event simulator.  The dense walk
+is reached only through the test seams ``montecarlo._DENSE`` and
+``ConditionalGroupSimulator.sparse``.
 """
 
 import random
@@ -20,6 +22,7 @@ from repro.baselines.raid6 import RAID6Cache
 from repro.baselines.twodp import TwoDPCache
 from repro.coding.bch import BCH
 from repro.core.linecodec import LineCodec
+from repro.reliability import montecarlo
 from repro.reliability.montecarlo import (
     run_engine_campaign,
     run_group_campaign,
@@ -37,7 +40,15 @@ LINE_CODE = BCH(64, 3, m=8)
 REGION_CODE = BCH(256, 3, m=9)
 
 
-def _campaign(make_scheme, scrub_mode, seed=5, ber=BER, chaos_policy=None):
+def dense_and_sparse(run):
+    """``run()`` under the dense audit walk, then as every entry point runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_DENSE", True)
+        dense = run()
+    return [dense, run()]
+
+
+def _campaign(make_scheme, seed=5, ber=BER, chaos_policy=None):
     """One campaign on a freshly built scheme; twin runs share the seed."""
     return run_engine_campaign(
         make_scheme(),
@@ -46,13 +57,13 @@ def _campaign(make_scheme, scrub_mode, seed=5, ber=BER, chaos_policy=None):
         rng=np.random.default_rng(seed),
         chaos_policy=chaos_policy,
         chaos_seed=99,
-        scrub_mode=scrub_mode,
     )
 
 
 def _assert_equivalent(make_scheme, ber=BER, chaos_policy=None):
-    dense = _campaign(make_scheme, "dense", ber=ber, chaos_policy=chaos_policy)
-    sparse = _campaign(make_scheme, "sparse", ber=ber, chaos_policy=chaos_policy)
+    dense, sparse = dense_and_sparse(
+        lambda: _campaign(make_scheme, ber=ber, chaos_policy=chaos_policy)
+    )
     assert sparse.as_dict() == dense.as_dict()
     assert sum(sparse.outcomes.values()) > 0
 
@@ -60,13 +71,12 @@ def _assert_equivalent(make_scheme, ber=BER, chaos_policy=None):
 class TestSuDokuEngines:
     @pytest.mark.parametrize("level", ["X", "Y", "Z"])
     def test_group_campaign_equivalence(self, level):
-        results = [
-            run_group_campaign(
+        results = dense_and_sparse(
+            lambda: run_group_campaign(
                 level, BER, trials=INTERVALS, group_size=GROUP,
-                rng=np.random.default_rng(21), scrub_mode=mode,
+                rng=np.random.default_rng(21),
             )
-            for mode in ("dense", "sparse")
-        ]
+        )
         assert results[0].as_dict() == results[1].as_dict()
 
     @pytest.mark.parametrize("level", ["X", "Y", "Z"])
@@ -79,15 +89,13 @@ class TestSuDokuEngines:
             visit_drop_rate=0.05,
             visit_duplicate_rate=0.05,
         )
-        results = [
-            run_group_campaign(
+        results = dense_and_sparse(
+            lambda: run_group_campaign(
                 level, 8e-4, trials=INTERVALS, group_size=GROUP,
                 rng=np.random.default_rng(33),
                 chaos_policy=policy, chaos_seed=7,
-                scrub_mode=mode,
             )
-            for mode in ("dense", "sparse")
-        ]
+        )
         assert results[0].as_dict() == results[1].as_dict()
 
 
@@ -133,8 +141,9 @@ class TestRaresim:
         for sparse in (False, True):
             simulator = ConditionalGroupSimulator(
                 ber=4e-4, group_size=16, num_groups=16,
-                rng=random.Random(3), sparse=sparse,
+                rng=random.Random(3),
             )
+            simulator.sparse = sparse
             results.append(simulator.run("Z", 40).as_dict())
         assert results[0] == results[1]
 
@@ -174,8 +183,7 @@ class TestPermanentFaults:
         array = engine.array
         assert array.has_permanent_faults
         run_engine_campaign(
-            engine, ber=0.0, intervals=3,
-            rng=np.random.default_rng(1), scrub_mode="sparse",
+            engine, ber=0.0, intervals=3, rng=np.random.default_rng(1),
         )
         # After scrubbing with zero transient faults, any line whose
         # stored value still differs from golden does so only because
@@ -198,31 +206,11 @@ class TestPermanentFaults:
             burst=BurstSpec.fixed_length(rate=0.05, length=3, interleave=2),
             stuck=StuckSpec(ppm=400.0),
         )
-        results = [
-            run_scenario_campaign(
-                scheme, scenario, intervals=INTERVALS, group_size=4,
-                seed=13, scrub_mode=mode,
+        results = dense_and_sparse(
+            lambda: run_scenario_campaign(
+                scheme, scenario, intervals=INTERVALS, group_size=4, seed=13,
             )
-            for mode in ("dense", "sparse")
-        ]
+        )
         assert results[0].as_dict() == results[1].as_dict()
         assert sum(results[0].outcomes.values()) > 0
 
-
-class TestCLIFlags:
-    def test_scrub_mode_flags_parse(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert parser.parse_args(["campaign"]).scrub_mode == "sparse"
-        assert parser.parse_args(["campaign", "--dense"]).scrub_mode == "dense"
-        assert parser.parse_args(["campaign", "--sparse"]).scrub_mode == "sparse"
-        assert parser.parse_args(["raresim", "--dense"]).scrub_mode == "dense"
-        assert parser.parse_args(["chaos", "--dense"]).scrub_mode == "dense"
-
-    def test_flags_mutually_exclusive(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["campaign", "--sparse", "--dense"])

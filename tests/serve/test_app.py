@@ -205,12 +205,21 @@ class TestSubmitAndDedup:
                 port = running.port
                 _, job = await _request(port, "POST", "/v1/jobs", SPEC)
                 await _sse_events(port, job["job_id"])
-                hinted = dict(SPEC)
-                hinted["backend"] = "numpy"
-                hinted["scrub_mode"] = "dense"
-                _, again = await _request(port, "POST", "/v1/jobs", hinted)
-                assert again["cached"]
-                assert again["digest"] == job["digest"]
+                _, stored = await _request(
+                    port, "GET", f"/v1/results/{job['digest']}"
+                )
+                # Retired hints, as older clients still send them.
+                for hints in ({"backend": "reference", "scrub_mode": "dense"},
+                              {"backend": "numpy", "scrub_mode": "sparse"}):
+                    _, again = await _request(
+                        port, "POST", "/v1/jobs", dict(SPEC, **hints)
+                    )
+                    assert again["cached"]
+                    assert again["digest"] == job["digest"]
+                    _, served = await _request(
+                        port, "GET", f"/v1/results/{again['digest']}"
+                    )
+                    assert served == stored
 
         asyncio.run(scenario())
 

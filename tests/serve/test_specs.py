@@ -22,9 +22,6 @@ class TestParseSpec:
         assert spec.params["seed"] == 3
         assert spec.params["shards"] == 1
         assert spec.params["interval_s"] == pytest.approx(0.020)
-        assert spec.execution == {
-            "scrub_mode": "sparse", "backend": "reference",
-        }
         assert spec.total_units == 8
 
     def test_raresim_counts_trials(self):
@@ -62,7 +59,6 @@ class TestParseSpec:
         ({"seed": -1}, "seed"),
         ({"shards": 100_000}, "shards"),
         ({"level": "Q"}, "level"),
-        ({"backend": "cuda"}, "backend"),
     ])
     def test_invalid_fields_rejected(self, mutation, match):
         payload = dict(CAMPAIGN)
@@ -90,11 +86,16 @@ class TestDigest:
             assert parse_spec(payload).digest() != base, key
 
     def test_execution_hints_do_not_change_digest(self):
-        base = parse_spec(dict(CAMPAIGN)).digest()
-        for key, value in [("backend", "numpy"), ("scrub_mode", "dense")]:
+        """The retired ``backend``/``scrub_mode`` hints are ignored, with
+        any value: every job runs numpy kernels and the sparse scrub."""
+        base = parse_spec(dict(CAMPAIGN))
+        for key, value in [("backend", "numpy"), ("backend", "reference"),
+                           ("scrub_mode", "dense"), ("backend", "torch")]:
             payload = dict(CAMPAIGN)
             payload[key] = value
-            assert parse_spec(payload).digest() == base, key
+            spec = parse_spec(payload)
+            assert spec.digest() == base.digest(), (key, value)
+            assert spec == base, (key, value)
 
 
 class TestParseSubmission:
