@@ -10,7 +10,7 @@ see EXPERIMENTS.md.)
 
 
 from conftest import emit
-from repro.reliability.raresim import estimate_fit
+from repro.parallel import run_sharded_raresim
 from repro.reliability.sudokumodel import SuDokuReliabilityModel
 
 GROUP = 32
@@ -21,8 +21,8 @@ def test_bench_conditional_y_sweep(benchmark):
     def sweep():
         rows = []
         for ber, trials in ((6e-4, 800), (3e-4, 800), (1.5e-4, 800)):
-            result = estimate_fit(
-                "Y", ber, trials=trials, group_size=GROUP,
+            result = run_sharded_raresim(
+                "Y", ber, trials, group_size=GROUP,
                 num_groups=NUM_GROUPS, seed=11,
             )
             model = SuDokuReliabilityModel(
@@ -71,7 +71,7 @@ def test_bench_conditional_y_sweep(benchmark):
 
 def test_bench_conditional_z_bound(benchmark):
     result = benchmark.pedantic(
-        estimate_fit,
+        run_sharded_raresim,
         kwargs=dict(level="Z", ber=8e-4, trials=400, group_size=GROUP,
                     num_groups=NUM_GROUPS, seed=12),
         rounds=1,

@@ -122,7 +122,7 @@ def _in_process(spec) -> dict:
     params = job.params
     result = run_sharded_campaign(
         params["level"], params["ber"], params["intervals"],
-        params["group_size"], shards=params["shards"], seed=params["seed"],
+        params["group_size"], shards=job.shards, seed=params["seed"],
         interval_s=params["interval_s"],
     )
     return json.loads(json.dumps(result.as_dict()))

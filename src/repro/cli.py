@@ -126,9 +126,9 @@ def _parallel_parent() -> argparse.ArgumentParser:
     group = parent.add_argument_group("parallelism")
     group.add_argument(
         "--shards", type=_positive_int, default=1, metavar="N",
-        help="split the campaign across N worker processes with "
-             "deterministically spawned RNG streams (1: serial, "
-             "bit-identical to the pre-sharding behaviour)",
+        help="split the campaign across N worker processes; every "
+             "unit draws from its own seed-tree child, so any N gives "
+             "the serial result bit for bit (1: serial, in-process)",
     )
     return parent
 

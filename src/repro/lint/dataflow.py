@@ -70,8 +70,8 @@ _EMPTY: FrozenSet[str] = frozenset()
 _SEED_TREE_PRODUCERS = frozenset(
     {
         "SeedSequence",
-        "spawn_seed_sequences",
-        "shard_python_seeds",
+        "interval_seed_sequence",
+        "interval_python_seed",
     }
 )
 
@@ -667,7 +667,7 @@ class TaintEngine:
             self._check_call_sinks(node, resolved, last, arg_tags, scope)
 
         # -- the blessed seed-tree roots ----------------------------------------
-        # ``resolve_rng``/``resolve_pyrandom`` and the sharding spawners
+        # ``resolve_rng``/``resolve_pyrandom`` and the seed-tree helpers
         # are matched *before* the internal-summary path: their bodies
         # contain the one sanctioned unseeded fallback (exempt from
         # RPR002, and it warns at runtime), so analysing them like
@@ -725,7 +725,7 @@ class TaintEngine:
                     scope,
                     f"{last}(...) in a parallel path is not derived "
                     "from the campaign SeedSequence tree; use "
-                    "parallel.sharding.interval_generator / shard_python_seeds",
+                    "parallel.sharding.interval_generator / interval_python_seed",
                 )
             return arg_union | Taint(tags=frozenset({RNG}))
         prefix, _, attribute = resolved.rpartition(".")

@@ -10,13 +10,13 @@ process pool and merges the aggregates:
   whose merged result is bit-identical to the serial run at the same
   seed;
 * :func:`run_sharded_raresim` -- sharded conditional rare-event FIT
-  estimation (``--shards`` on ``raresim``);
+  estimation (``--shards`` on ``raresim``), whose merged result is
+  bit-identical to the serial run at the same seed;
 * :func:`run_sharded_scenario` -- sharded mixed transient/burst/stuck-at
   scenario campaigns (``--shards`` on ``scenario``), whose merged result
   is bit-identical to the serial run at the same seed;
 * :mod:`repro.parallel.sharding` -- the deterministic shard arithmetic
-  (unit splits, the per-interval seed tree, rare-event shard streams,
-  checkpoint paths);
+  (unit splits, the per-unit seed tree, checkpoint paths);
 * :mod:`repro.parallel.merge` -- per-shard aggregate merging.
 
 See ``docs/parallelism.md`` for the seeding model, per-shard checkpoint
@@ -38,8 +38,6 @@ from repro.parallel.sharding import (
     interval_python_seed,
     interval_seed_sequence,
     shard_checkpoint_path,
-    shard_python_seeds,
-    spawn_seed_sequences,
     split_units,
 )
 
@@ -51,8 +49,6 @@ __all__ = [
     "merge_campaign_results",
     "merge_conditional_results",
     "split_units",
-    "spawn_seed_sequences",
-    "shard_python_seeds",
     "shard_checkpoint_path",
     "interval_seed_sequence",
     "interval_generator",

@@ -12,15 +12,12 @@ Determinism model
 
 * ``shards=1`` bypasses every parallel code path and calls the serial
   runner in-process.
-* Monte-Carlo and scenario campaigns derive interval ``i``'s randomness
-  from the campaign seed and the *global* index ``i`` (see
-  :mod:`repro.reliability.montecarlo`), so a shard is the same seed
-  plus the ``interval_start`` of its slice, and the merged K-shard
-  result is bit-identical to the serial run.
-* Rare-event shards draw from their own stdlib streams, seeded from the
-  campaign seed's ``SeedSequence.spawn`` children, so the same
-  ``(seed, shards)`` always reproduces the same merged result -- a
-  different quantity for each K.
+* Every campaign kind derives unit ``i``'s randomness from the
+  campaign seed and the *global* index ``i`` (Monte-Carlo and scenario
+  intervals: :mod:`repro.reliability.montecarlo`; rare-event trials:
+  :mod:`repro.reliability.raresim`), so a shard is the same seed plus
+  the start of its slice, and the merged K-shard result is
+  bit-identical to the serial run.
 * Merging is order-fixed counter addition (:mod:`repro.parallel.merge`).
 
 Checkpoints and telemetry compose per shard:
@@ -28,7 +25,7 @@ Checkpoints and telemetry compose per shard:
 * Checkpoints: shard *i* snapshots to
   ``<base>.shard<i>of<K><ext>`` through the same atomic-write
   checkpointer as serial runs, so a killed-and-resumed sharded campaign
-  equals an uninterrupted same-seed/same-K run bit for bit.
+  equals an uninterrupted same-seed run bit for bit.
 * Telemetry, by merge: each worker records into its own
   registry and tracer, shipped back with the shard result and folded
   into the caller's bundle (:func:`repro.obs.merge_registry` for
@@ -71,7 +68,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - cycle: scenario imports this package
     from repro.reliability.scenario import FaultScenario
 
-from repro.core.rng import resolve_pyrandom
 from repro.kernels import BACKEND_NAMES, warm_line_tables
 from repro.obs import (
     NULL_PROGRESS,
@@ -85,11 +81,7 @@ from repro.parallel.merge import (
     merge_campaign_results,
     merge_conditional_results,
 )
-from repro.parallel.sharding import (
-    shard_checkpoint_path,
-    shard_python_seeds,
-    split_units,
-)
+from repro.parallel.sharding import shard_checkpoint_path, split_units
 from repro.reliability.montecarlo import CampaignResult, run_group_campaign
 from repro.reliability.raresim import (
     ConditionalGroupSimulator,
@@ -136,7 +128,7 @@ class _ShardSpec:
     index: int
     shards: int
     units: int
-    seed: int  # the campaign seed; a derived one for rare-event shards
+    seed: int  # the campaign seed
     level: str  # campaign level, or the scheme name for scenario shards
     ber: float
     group_size: int
@@ -151,7 +143,7 @@ class _ShardSpec:
     deadline_s: Optional[float] = None
     progress_batch: int = 1
     scenario: Optional["FaultScenario"] = None
-    interval_start: int = 0
+    interval_start: int = 0  # global index of the first interval or trial
     backend: str = "numpy"
 
 
@@ -224,8 +216,9 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
                   cancel: Optional[Callable[[], bool]] = None):
     """Run the campaign ``spec`` describes: the serial run or one shard.
 
-    ``spec`` carries the run's own seeds (see :func:`_shard_spec`), so
-    the serial run and every shard construct their streams alike.
+    ``spec`` carries the campaign seed and the run's first unit (see
+    :func:`_shard_spec`), so the serial run and every shard construct
+    their streams alike.
     """
     checkpointer = _checkpointer(spec, progress)
     deadline = _watch(spec.deadline_s, cancel)
@@ -243,9 +236,7 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
         simulator = ConditionalGroupSimulator(
             ber=spec.ber, group_size=spec.group_size,
             num_groups=spec.num_groups, interval_s=spec.interval_s,
-            # Bit-identical to the historical stdlib stream
-            # (resolve_pyrandom(seed=s) is exactly random.Random(s)).
-            rng=resolve_pyrandom(seed=spec.seed, owner="run_sharded_raresim"),
+            seed=spec.seed, trial_start=spec.interval_start,
             scenario=spec.scenario,
             backend=spec.backend,
         )
@@ -428,17 +419,13 @@ def _progress_batch(units: int) -> int:
 def _shard_spec(base: _ShardSpec, index: int, units: List[int]) -> _ShardSpec:
     """Shard ``index``'s slice of the campaign ``base`` describes.
 
-    A Monte-Carlo or scenario shard keeps the seed and starts at its
-    slice's global interval index, so it re-derives exactly the serial
-    run's streams; a rare-event shard draws from its own stream, spawned
-    from the campaign seed.  Checkpoint files are per shard.
+    A shard of any kind keeps the seed and starts at its slice's global
+    unit index, so it re-derives exactly the serial run's streams.
+    Checkpoint files are per shard.
     """
     shards = base.shards
-    seed = base.seed
-    if base.kind == "raresim":
-        seed = shard_python_seeds(seed, shards)[index]
     return replace(
-        base, index=index, units=units[index], seed=seed,
+        base, index=index, units=units[index],
         interval_start=sum(units[:index]),
         checkpoint_path=(
             shard_checkpoint_path(base.checkpoint_path, index, shards)
@@ -567,15 +554,17 @@ def run_sharded_raresim(
     scenario: Optional["FaultScenario"] = None,
     backend: str = "numpy",
 ) -> ConditionalResult:
-    """Sharded conditional rare-event campaign (see ``estimate_fit``).
+    """Sharded conditional rare-event campaign (see
+    :class:`repro.reliability.raresim.ConditionalGroupSimulator`).
 
-    ``shards=1`` matches :func:`repro.reliability.raresim.estimate_fit`
-    with ``random.Random(seed)`` bit for bit; ``shards=K`` splits the
-    trials across processes with per-shard stdlib RNG streams derived
-    from the same seed tree, then merges the conditional aggregates.
-    ``scenario`` overlays per-group stuck-at maps and per-trial bursts
-    on the conditioned transients.  ``backend`` selects the kernel
-    backend in every shard; outcomes are bit-identical across backends.
+    Trial ``t`` draws only from seed-tree child ``(seed, t)``, so
+    ``shards=K`` splits the trials into contiguous slices, each shard
+    runs its slice of the same seed tree in its own process, and the
+    merged :class:`ConditionalResult` is bit-identical to ``shards=1``
+    at the same seed.  ``shards=1`` runs in-process.  ``scenario``
+    overlays per-group stuck-at maps and per-trial bursts on the
+    conditioned transients.  ``backend`` selects the kernel backend in
+    every shard; outcomes are bit-identical across backends.
     ``cancel`` behaves as in :func:`run_sharded_campaign`.
     """
     return _run_sharded(

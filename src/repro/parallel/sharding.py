@@ -1,24 +1,21 @@
-"""Deterministic shard arithmetic: unit splits, RNG streams, paths.
+"""Deterministic shard arithmetic: unit splits, the seed tree, paths.
 
-A sharded campaign is *defined* by three pure functions of
-``(seed, shards)``:
+A sharded campaign is *defined* by pure functions of the campaign seed
+and the global unit index:
 
 * :func:`split_units` -- how many intervals/trials each shard owns;
-* :func:`shard_python_seeds` -- the per-shard rare-event streams,
-  derived with ``numpy.random.SeedSequence.spawn`` so the streams are
-  statistically independent *and* reproducible: the same
-  ``(seed, shards)`` always yields the same K streams, regardless of how
-  the shards are scheduled across processes;
+* :func:`interval_seed_sequence`, :func:`interval_generator` and
+  :func:`interval_python_seed` -- the seed tree: a unit's streams are
+  children of the campaign seed keyed by its global index, whichever
+  shard runs it;
 * :func:`shard_checkpoint_path` -- where each shard snapshots its state.
 
-Interval campaigns (Monte-Carlo and scenario) need no per-shard
-streams: :func:`interval_generator` and :func:`interval_python_seed`
-derive each interval's streams from the campaign seed and the global
-interval index, so a shard replays the serial run's intervals exactly.
-
-Keeping these deterministic is what makes the merged result of a
-sharded campaign a well-defined quantity that a killed-and-resumed run
-can reproduce bit for bit.
+Every campaign kind (Monte-Carlo, scenario, rare-event) derives each
+unit's streams from the campaign seed and the unit's global index, so
+a shard replays exactly the serial run's units and a checkpoint needs
+no RNG state.  That is what makes the merged result of a sharded
+campaign equal the serial one, and what lets a killed-and-resumed run
+reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -48,27 +45,6 @@ def split_units(total: int, shards: int) -> List[int]:
     return [base + (1 if index < extra else 0) for index in range(shards)]
 
 
-def spawn_seed_sequences(seed: int, shards: int) -> List[np.random.SeedSequence]:
-    """The K child ``SeedSequence``s of campaign ``seed``."""
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return list(np.random.SeedSequence(seed).spawn(shards))
-
-
-def shard_python_seeds(seed: int, shards: int) -> List[int]:
-    """Independent per-shard seeds for ``random.Random`` campaigns.
-
-    Rare-event streams use the stdlib RNG; their shard seeds
-    are drawn from the same spawned ``SeedSequence`` tree as the numpy
-    streams, so one campaign seed governs every stream in the run.
-    """
-    seeds = []
-    for sequence in spawn_seed_sequences(seed, shards):
-        words = sequence.generate_state(_PYTHON_SEED_WORDS, dtype=np.uint32)
-        seeds.append(int.from_bytes(words.tobytes(), "little"))
-    return seeds
-
-
 def interval_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
     """The per-interval child ``SeedSequence`` of an interval campaign.
 
@@ -77,8 +53,8 @@ def interval_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
     ``n > index``, so per-interval streams can be derived directly from
     the *global* interval index without knowing how many intervals the
     campaign has or which shard owns this one.  That property is what
-    makes Monte-Carlo and scenario campaigns shard-invariant: serial and
-    K-sharded runs consume identical randomness per interval.
+    makes every campaign kind shard-invariant: serial and K-sharded
+    runs consume identical randomness per unit.
     """
     if index < 0:
         raise ValueError(f"index must be non-negative, got {index}")
@@ -93,10 +69,10 @@ def interval_generator(seed: int, index: int) -> np.random.Generator:
 def interval_python_seed(seed: int, index: int) -> int:
     """Stdlib-RNG seed for one (campaign seed, global index) pair.
 
-    Used for the per-interval chaos injectors of interval campaigns:
-    deriving a fresh injector per interval (instead of threading one
-    stateful stream through the loop) keeps chaos composable with
-    sharding and RNG-free checkpoints.
+    Used for the stdlib streams: each rare-event trial and each
+    interval's chaos injector.  Deriving a fresh stream per unit
+    (instead of threading one stateful stream through the loop) keeps
+    them composable with sharding and RNG-free checkpoints.
     """
     words = interval_seed_sequence(seed, index).generate_state(
         _PYTHON_SEED_WORDS, dtype=np.uint32

@@ -41,7 +41,7 @@ from repro.reliability.montecarlo import (
     run_engine_campaign,
     run_group_campaign,
 )
-from repro.reliability.raresim import ConditionalGroupSimulator, estimate_fit
+from repro.reliability.raresim import ConditionalGroupSimulator
 from repro.reliability.scenario import (
     SCHEMES,
     BurstSpec,
@@ -79,7 +79,6 @@ __all__ = [
     "run_engine_campaign",
     "run_group_campaign",
     "ConditionalGroupSimulator",
-    "estimate_fit",
     "SCHEMES",
     "BurstSpec",
     "StuckSpec",

@@ -209,7 +209,9 @@ def _split_ecc1_only(
     and no mapper puts it in a group with an anchor or a multi-flip
     line.  Group scans start only from uncorrectable frames, which are
     all anchors or multi-flip lines, so no scan can read such a frame
-    (see ``SuDokuEngine.scrub_frames``).
+    (see ``SuDokuEngine.scrub_frames``).  ``mappers`` is never empty:
+    an anchor shares every group it is in, itself included, so the
+    group check alone drops a flip on an anchor.
 
     Returns the flips to store and ``{frame: bit}`` of the ECC-1-only
     frames, ascending by frame.
@@ -222,10 +224,9 @@ def _split_ecc1_only(
     shared = lines[1:] == lines[:-1]
     lone[1:] &= ~shared
     lone[:-1] &= ~shared
-    anchor_lines = np.asarray(anchors, dtype=np.int64)
-    if anchor_lines.size:
-        lone &= ~np.isin(lines, anchor_lines)
-    blocked = np.concatenate([lines[~lone], anchor_lines])
+    blocked = np.concatenate(
+        [lines[~lone], np.asarray(anchors, dtype=np.int64)]
+    )
     if blocked.size:
         for mapper in mappers:
             hit = np.zeros(mapper.num_groups, dtype=bool)

@@ -20,6 +20,12 @@ is exact, and the variance reduction vs naive campaigns is the inverse
 of the conditioning probability -- three orders of magnitude at
 BER 1e-4 for the paper geometry.
 
+Trial ``t`` (a global index) draws only from its own stream,
+``random.Random(interval_python_seed(seed, t))``: the seed-tree child
+``(seed, t)`` that Monte-Carlo and scenario intervals use too.  So a
+K-shard run, which hands each shard a slice of trial indices, equals
+the serial run at the same seed, and a checkpoint carries no RNG state.
+
 Single-fault background lines are provably irrelevant (the group scan
 repairs them before any parity computation), so they are not sampled.
 Hash-2 side-groups sample their own multi-line background at the
@@ -43,19 +49,12 @@ from repro.coding.bitvec import random_error_vector
 from repro.core.linecodec import LineCodec
 from repro.core.plt_ import ParityLineTable
 from repro.core.raid4 import reconstruct_line, scan_group
-from repro.core.rng import resolve_pyrandom
 from repro.kernels import resolve_backend
 from repro.core.sdr import resurrect
 from repro.obs import NULL_PROGRESS, NullTracer, Telemetry, resolve_telemetry
 from repro.reliability.binomial import binomial_pmf, binomial_tail, complement_power
 from repro.reliability.fit import fit_from_interval_probability
-from repro.resilience.checkpoint import (
-    BoundaryLoop,
-    Checkpointer,
-    Deadline,
-    python_rng_state,
-    restore_python_rng_state,
-)
+from repro.resilience.checkpoint import BoundaryLoop, Checkpointer, Deadline
 from repro.sttram.array import STTRAMArray
 
 #: Bucket edges for conditioned-trial wall times: a Y trial is one group
@@ -226,13 +225,15 @@ class ConditionalGroupSimulator:
         interval_s: float = 0.020,
         codec: Optional[LineCodec] = None,
         sdr_max_mismatches: int = 6,
-        rng: Optional[random.Random] = None,
-        seed: Optional[int] = None,
+        seed: int = 0,
+        trial_start: int = 0,
         scenario: Optional["FaultScenario"] = None,
         backend: Optional[str] = None,
     ) -> None:
         if not 0.0 < ber < 1.0:
             raise ValueError("ber must be in (0, 1)")
+        if trial_start < 0:
+            raise ValueError("trial_start must be non-negative")
         self.ber = ber
         self.group_size = group_size
         self.num_groups = num_groups
@@ -242,8 +243,8 @@ class ConditionalGroupSimulator:
         #: Optional mixed-fault overlay: each trial group is built with a
         #: freshly sampled stuck-at map (the spec's ppm density) and the
         #: conditioned transient pattern is augmented with one interval's
-        #: burst events.  All extra draws come from the simulator's one
-        #: python stream, so checkpoints stay a single RNG state.  The
+        #: burst events.  All extra draws come from the trial's stream,
+        #: like every other draw of the trial.  The
         #: ``transient_ber`` field is *not* consumed here -- the
         #: conditioned ``ber`` is this estimator's transient model (the
         #: CLI maps ``scenario.transient_ber`` onto it).  Hash-2
@@ -251,9 +252,10 @@ class ConditionalGroupSimulator:
         #: blocking a side-group retry is a second-order term, neglected
         #: like the deeper peeling levels (see EXPERIMENTS.md).
         self.scenario = scenario
-        self._rng = resolve_pyrandom(
-            rng, seed, owner="ConditionalGroupSimulator"
-        )
+        #: The campaign seed; trial ``t`` draws from child ``(seed, t)``.
+        self.seed = seed
+        #: Global index of this run's first trial (a shard's slice start).
+        self.trial_start = trial_start
         #: Kernel backend for bulk operations (parity folds, batched
         #: group decodes).  Bit-identical by contract and fed no RNG, so
         #: it is deliberately absent from the checkpoint fingerprint.
@@ -283,7 +285,16 @@ class ConditionalGroupSimulator:
 
     # -- group construction ----------------------------------------------------------
 
-    def _fresh_group(self) -> Tuple[STTRAMArray, ParityLineTable]:
+    def _trial_rng(self, trial: int) -> random.Random:
+        """Trial ``trial``'s one stream: seed-tree child ``(seed, trial)``."""
+        # Imported here, not at the top: repro.parallel imports this module.
+        from repro.parallel.sharding import interval_python_seed
+
+        return random.Random(interval_python_seed(self.seed, trial))
+
+    def _fresh_group(
+        self, rng: random.Random
+    ) -> Tuple[STTRAMArray, ParityLineTable]:
         """A formatted G-line array with content, parity, and no faults.
 
         With a scenario overlay the group gets its stuck-at map attached
@@ -299,13 +310,13 @@ class ConditionalGroupSimulator:
         array = STTRAMArray(self.group_size, self.line_bits)
         if self.scenario is not None:
             stuck_map = self.scenario.sample_stuck_map_py(
-                self._rng, self.group_size, self.line_bits
+                rng, self.group_size, self.line_bits
             )
             if stuck_map is not None:
                 array.attach_permanent_faults(stuck_map)
         plt = ParityLineTable(1, self.line_bits, backend=self.backend)
         data_bits = self.codec.layout.data_bits
-        getrandbits = self._rng.getrandbits
+        getrandbits = rng.getrandbits
         words = self.codec.encode_many(
             [getrandbits(data_bits) for _ in range(self.group_size)]
         )
@@ -313,37 +324,62 @@ class ConditionalGroupSimulator:
         plt.rebuild(0, words)
         return array, plt
 
-    def _inject_conditioned(self, array: STTRAMArray) -> List[int]:
+    def _side_group(
+        self, rng: random.Random, array: STTRAMArray, survivor: int
+    ) -> Tuple[STTRAMArray, ParityLineTable]:
+        """``survivor``'s Hash-2 group, the survivor aliased to slot 0.
+
+        Fresh partner lines (disjoint from the Hash-1 group by the
+        skewing invariant) with an unconditioned multi-fault background.
+        The parity covers the golden words, as in :meth:`_fresh_group`:
+        a side line's stuck bits stay faults for the repair to find.
+        """
+        side_array, side_plt = self._fresh_group(rng)
+        side_array.write(0, array.golden(survivor))
+        side_plt.rebuild(
+            0, [side_array.golden(f) for f in range(self.group_size)]
+        )
+        side_array.inject(0, array.error_vector(survivor))
+        self._inject_background(rng, side_array, exclude=0)
+        return side_array, side_plt
+
+    def _inject_conditioned(
+        self, rng: random.Random, array: STTRAMArray
+    ) -> List[int]:
         """Inject the conditioned multi-fault pattern; returns hit frames."""
-        count = _draw(self._rng, self._multi_support, self._multi_weights)
-        frames = self._rng.sample(range(self.group_size), count)
+        count = _draw(rng, self._multi_support, self._multi_weights)
+        frames = rng.sample(range(self.group_size), count)
         for frame in frames:
-            faults = _draw(self._rng, self._fault_support, self._fault_weights)
+            faults = _draw(rng, self._fault_support, self._fault_weights)
             array.inject(
-                frame, random_error_vector(self.line_bits, faults, self._rng)
+                frame, random_error_vector(self.line_bits, faults, rng)
             )
-        self._inject_scenario_bursts(array)
+        self._inject_scenario_bursts(rng, array)
         return frames
 
-    def _inject_scenario_bursts(self, array: STTRAMArray) -> None:
+    def _inject_scenario_bursts(
+        self, rng: random.Random, array: STTRAMArray
+    ) -> None:
         """Overlay one interval's burst events onto the trial group."""
         if self.scenario is None:
             return
         vectors = self.scenario.sample_burst_vectors_py(
-            self._rng, self.group_size, self.line_bits
+            rng, self.group_size, self.line_bits
         )
         for frame in sorted(vectors):
             array.inject(frame, vectors[frame])
 
-    def _inject_background(self, array: STTRAMArray, exclude: int) -> None:
+    def _inject_background(
+        self, rng: random.Random, array: STTRAMArray, exclude: int
+    ) -> None:
         """Unconditioned multi-fault background for a Hash-2 side-group."""
         for frame in range(self.group_size):
             if frame == exclude:
                 continue
-            if self._rng.random() < self.p_multi:
-                faults = _draw(self._rng, self._fault_support, self._fault_weights)
+            if rng.random() < self.p_multi:
+                faults = _draw(rng, self._fault_support, self._fault_weights)
                 array.inject(
-                    frame, random_error_vector(self.line_bits, faults, self._rng)
+                    frame, random_error_vector(self.line_bits, faults, rng)
                 )
 
     # -- repair drivers ---------------------------------------------------------------
@@ -399,37 +435,30 @@ class ConditionalGroupSimulator:
                 )
         return list(scan.uncorrectable)
 
-    def trial_y(self) -> bool:
-        """One conditioned trial of SuDoku-Y; True = the group failed."""
+    def trial_y(self, trial: int) -> bool:
+        """Conditioned trial ``trial`` of SuDoku-Y; True = the group failed."""
+        rng = self._trial_rng(trial)
         with self._tracer.span("phase_inject"):
-            array, plt = self._fresh_group()
-            self._inject_conditioned(array)
+            array, plt = self._fresh_group(rng)
+            self._inject_conditioned(rng, array)
         return bool(self._repair_y(array, plt))
 
-    def trial_z(self) -> bool:
-        """One conditioned trial of SuDoku-Z (one peeling level of Hash-2)."""
+    def trial_z(self, trial: int) -> bool:
+        """Conditioned trial ``trial`` of SuDoku-Z (one Hash-2 peeling level)."""
+        rng = self._trial_rng(trial)
         with self._tracer.span("phase_inject"):
-            array, plt = self._fresh_group()
-            self._inject_conditioned(array)
+            array, plt = self._fresh_group(rng)
+            self._inject_conditioned(rng, array)
         survivors = self._repair_y(array, plt)
         if not survivors:
             return False
-        # Each survivor retries in its Hash-2 group: fresh partner lines
-        # (guaranteed disjoint by the skewing invariant) with an
-        # unconditioned multi-fault background.
+        # Each survivor retries in its Hash-2 group.
         for survivor in survivors:
             with self._tracer.span("phase_inject"):
-                side_array, side_plt = self._fresh_group()
-                golden = array.golden(survivor)
-                side_array.write(0, golden)  # the survivor aliases slot 0
-                side_plt.rebuild(
-                    0, [side_array.read(f) for f in range(self.group_size)]
-                )
-                side_array.inject(0, array.error_vector(survivor))
-                self._inject_background(side_array, exclude=0)
+                side_array, side_plt = self._side_group(rng, array, survivor)
             self._repair_y(side_array, side_plt)
             if side_array.is_clean(0):
-                array.restore(survivor, golden)
+                array.restore(survivor, array.golden(survivor))
         # Hash-2 fixes feed back into a final Hash-1 attempt.
         remaining = self._repair_y(array, plt)
         return bool(remaining)
@@ -445,7 +474,7 @@ class ConditionalGroupSimulator:
         checkpointer: Optional[Checkpointer] = None,
         deadline: Optional[Deadline] = None,
     ) -> ConditionalResult:
-        """Run ``trials`` conditioned trials for level 'Y' or 'Z'.
+        """Run trials ``[trial_start, trial_start + trials)`` for 'Y' or 'Z'.
 
         :param telemetry: optional :class:`repro.obs.Telemetry` for
             per-trial timing histograms and counters (RNG-neutral).
@@ -456,8 +485,9 @@ class ConditionalGroupSimulator:
             boundaries are snapshot points, flushed on schedule,
             interrupt, deadline expiry, and completion.  A resumed
             campaign replays the exact trial sequence of an
-            uninterrupted same-seed run (every trial draws only from the
-            simulator RNG, whose state is checkpointed).
+            uninterrupted same-seed run: every trial draws only from
+            its own seed-tree child, so the snapshot needs no RNG
+            state.
         :param deadline: optional wall-clock
             :class:`repro.resilience.checkpoint.Deadline`; on expiry the
             campaign ends cleanly with partial results.
@@ -506,9 +536,10 @@ class ConditionalGroupSimulator:
             "interval_s": self.interval_s,
             "line_bits": self.line_bits,
             "sdr_max_mismatches": self.sdr_max_mismatches,
-            # Always present (None when no overlay): an old checkpoint
-            # without the key still matches a scenario-free resume, and
-            # a scenario resume refuses a scenario-free checkpoint.
+            "seed": self.seed,
+            "trial_start": self.trial_start,
+            # Always present (None when no overlay): a scenario resume
+            # refuses a scenario-free checkpoint.
             "scenario": (
                 self.scenario.as_dict() if self.scenario is not None else None
             ),
@@ -523,18 +554,14 @@ class ConditionalGroupSimulator:
             "raresim", config_fingerprint, checkpointer,
             aggregates=lambda: {"conditional_failures": failures},
             restore=restore,
-            rng_state=lambda: {"python": python_rng_state(self._rng)},
-            restore_rng=lambda block: restore_python_rng_state(
-                self._rng, block["python"]
-            ),
             telemetry=tel, flushes=m_checkpoints, deadline=deadline,
             progress=progress,
         )
 
-        def step(_unit: int) -> None:
+        def step(relative: int) -> None:
             nonlocal failures
             started = time.perf_counter() if tel.enabled else 0.0
-            failed = trial()
+            failed = trial(self.trial_start + relative)
             if failed:
                 failures += 1
             if tel.enabled:
@@ -561,35 +588,3 @@ class ConditionalGroupSimulator:
             stop_reason=stop_reason,
         )
 
-
-def estimate_fit(
-    level: str,
-    ber: float,
-    trials: int = 2000,
-    group_size: int = 64,
-    num_groups: int = 2048,
-    seed: int = 0,
-    telemetry: Optional[Telemetry] = None,
-    progress=NULL_PROGRESS,
-    checkpointer: Optional[Checkpointer] = None,
-    deadline: Optional[Deadline] = None,
-    backend: Optional[str] = None,
-) -> ConditionalResult:
-    """Convenience wrapper: conditional FIT estimate for SuDoku-Y or -Z.
-
-    Seed resolution routes through :func:`repro.core.rng.resolve_pyrandom`
-    (not an inline ``random.Random(seed)``) so the campaign entry point
-    honors the one sanctioned seed policy: explicit seeds derive the
-    historical stream bit for bit, and the unseeded path warns once.
-    """
-    simulator = ConditionalGroupSimulator(
-        ber=ber,
-        group_size=group_size,
-        num_groups=num_groups,
-        rng=resolve_pyrandom(seed=seed, owner="estimate_fit"),
-        backend=backend,
-    )
-    return simulator.run(
-        level, trials, telemetry=telemetry, progress=progress,
-        checkpointer=checkpointer, deadline=deadline,
-    )

@@ -280,9 +280,9 @@ class FaultScenario:
     ) -> Optional[PermanentFaultMap]:
         """Stuck-at map drawn from a stdlib ``random.Random``.
 
-        The rare-event simulator keeps *all* its randomness on one
-        python stream so its checkpoints stay a single RNG state; this
-        sampler lives on that stream rather than the numpy tree.
+        The rare-event simulator draws each trial from one python
+        stream (the trial's seed-tree child); this sampler lives on
+        that stream rather than the numpy tree.
         """
         if self.stuck is None or self.stuck.ppm <= 0:
             return None

@@ -10,8 +10,8 @@ hardware: *what survives when things fail?*
   group quarantine, CRC-verified rebuilds, and the explicit
   ``metadata_due`` outcome instead of silent corruption.
 * :mod:`repro.resilience.checkpoint` -- crash-safe, bit-identically
-  resumable campaign state: atomic JSON snapshots of aggregates (and
-  the rare-event RNG stream), a wall-clock :class:`Deadline` watchdog, and the
+  resumable campaign state: atomic JSON snapshots of aggregates, a
+  wall-clock :class:`Deadline` watchdog, and the
   :class:`CheckpointError` taxonomy the CLI turns into one-line errors.
 
 See ``docs/resilience.md`` for the full story.
@@ -27,9 +27,7 @@ from repro.resilience.checkpoint import (
     build_payload,
     job_checkpoint_path,
     load_checkpoint,
-    python_rng_state,
     require_config_match,
-    restore_python_rng_state,
 )
 
 __all__ = [
@@ -44,6 +42,4 @@ __all__ = [
     "job_checkpoint_path",
     "load_checkpoint",
     "require_config_match",
-    "python_rng_state",
-    "restore_python_rng_state",
 ]

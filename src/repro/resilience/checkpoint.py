@@ -2,16 +2,15 @@
 
 A multi-hour campaign must survive being killed: every
 ``--checkpoint-every`` intervals (and on SIGINT or deadline expiry) the
-campaign writes a JSON snapshot -- completed-unit counter, running
-aggregates and, for the rare-event simulator, its RNG state -- via the
-same atomic tmp-file+rename helper the telemetry exporters use.
-``--resume`` restores the snapshot and continues.  Interval campaigns
-(Monte-Carlo and scenario) re-derive each interval's streams from the
-seed and the interval index, so their snapshots carry no RNG state; the
-rare-event stream is captured *between* trials.  Either way a resumed
-campaign replays the exact random sequence an uninterrupted run would
-have seen, so the final aggregates are bit-identical (the acceptance
-property ``tests/reliability/test_resume.py`` pins down).
+campaign writes a JSON snapshot -- completed-unit counter and running
+aggregates -- via the same atomic tmp-file+rename helper the telemetry
+exporters use.  ``--resume`` restores the snapshot and continues.
+Every campaign kind (Monte-Carlo and scenario intervals, rare-event
+trials) re-derives each unit's streams from the seed and the unit's
+index, so snapshots carry no RNG state and a resumed campaign replays
+the exact random sequence an uninterrupted run would have seen: the
+final aggregates are bit-identical (the acceptance property
+``tests/reliability/test_resume.py`` pins down).
 
 Checkpoints are validated up front: a missing file, corrupt JSON, a
 snapshot from a different campaign kind, or mismatched campaign
@@ -20,8 +19,8 @@ never a traceback from deep inside the interval loop.
 
 :class:`BoundaryLoop` is the one place that protocol runs: every
 campaign kind (Monte-Carlo and scenario intervals, rare-event trials)
-drives its units through it and supplies only the per-unit step, its
-aggregates, and (rare-event trials only) its RNG block.
+drives its units through it and supplies only the per-unit step and
+its aggregates.
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.atomicio import atomic_write_json
 
 #: Format version stamped into every checkpoint file.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(Exception):
@@ -170,7 +169,6 @@ def build_payload(
     config: Dict[str, object],
     completed: int,
     aggregates: Dict[str, object],
-    rng: Dict[str, object],
 ) -> Dict[str, object]:
     """Assemble a checkpoint payload in the canonical shape."""
     return {
@@ -179,7 +177,6 @@ def build_payload(
         "config": dict(config),
         "completed": completed,
         "aggregates": dict(aggregates),
-        "rng": dict(rng),
     }
 
 
@@ -209,7 +206,7 @@ def load_checkpoint(path: str, kind: str) -> Dict[str, object]:
             f"checkpoint {path!r} is a {payload.get('kind')!r} snapshot, "
             f"not {kind!r}"
         )
-    for key in ("config", "completed", "aggregates", "rng"):
+    for key in ("config", "completed", "aggregates"):
         if key not in payload:
             raise CheckpointError(f"checkpoint {path!r} is missing {key!r}")
     return payload
@@ -238,13 +235,13 @@ class BoundaryLoop:
 
     A campaign runs independent units (Monte-Carlo or scenario
     intervals, rare-event trials); between two units its whole state is
-    its aggregates plus, for stream-driven kinds, its RNG block.  The
-    loop owns everything that happens at those boundaries:
+    its aggregates.  The loop owns everything that happens at those
+    boundaries:
 
     * resume -- on construction a ``checkpointer.resume`` payload is
-      validated against ``config`` and applied through ``restore`` and
-      ``restore_rng``, so :attr:`start` is known before the caller
-      builds anything that depends on the restored state;
+      validated against ``config`` and applied through ``restore``, so
+      :attr:`start` is known before the caller builds anything that
+      depends on the restored state;
     * a snapshot after every unit, flushed when ``checkpointer.due``
       and once more at the end, each flush in a ``checkpoint_write``
       span and counted on ``flushes`` while telemetry is live;
@@ -253,22 +250,19 @@ class BoundaryLoop:
     * ``progress.update()`` per unit that does not end the run, and
       ``progress.finish()`` after the final flush.
 
-    ``aggregates()`` and ``rng_state()`` return the JSON-ready blocks a
-    snapshot carries (``rng_state=None``: streams re-derive from the
-    unit index, the block is empty); ``restore`` applies an aggregates
-    block on resume and on rollback.
+    ``aggregates()`` returns the JSON-ready block a snapshot carries;
+    ``restore`` applies it on resume and on rollback.
     """
 
     def __init__(self, kind: str, config: Dict[str, object],
                  checkpointer: Optional[Checkpointer], *, aggregates,
-                 restore, rng_state=None, restore_rng=None, telemetry,
-                 flushes, deadline=None, progress) -> None:
+                 restore, telemetry, flushes, deadline=None,
+                 progress) -> None:
         self._kind = kind
         self._config = config
         self._checkpointer = checkpointer
         self._aggregates = aggregates
         self._restore = restore
-        self._rng_state = rng_state
         self._telemetry = telemetry
         self._flushes = flushes
         self._deadline = deadline
@@ -280,13 +274,10 @@ class BoundaryLoop:
             require_config_match(resume, config)
             self.start = int(resume["completed"])
             restore(resume["aggregates"])
-            if restore_rng is not None:
-                restore_rng(resume["rng"])
 
     def _snapshot(self, completed: int) -> Dict[str, object]:
-        rng = self._rng_state() if self._rng_state is not None else {}
         return build_payload(
-            self._kind, self._config, completed, self._aggregates(), rng
+            self._kind, self._config, completed, self._aggregates()
         )
 
     def _flush(self, snapshot: Dict[str, object]) -> None:
@@ -331,20 +322,3 @@ class BoundaryLoop:
         self._progress.finish()
         return completed, stop_reason
 
-
-# -- RNG state (de)serialisation --------------------------------------------------
-
-
-def python_rng_state(rng) -> List[object]:
-    """JSON-serialisable snapshot of a ``random.Random``."""
-    version, internal, gauss = rng.getstate()
-    return [version, list(internal), gauss]
-
-
-def restore_python_rng_state(rng, state) -> None:
-    """Restore a :func:`python_rng_state` snapshot onto ``rng``."""
-    try:
-        version, internal, gauss = state
-        rng.setstate((version, tuple(internal), gauss))
-    except (TypeError, ValueError) as error:
-        raise CheckpointError(f"checkpoint RNG state is corrupt: {error}")

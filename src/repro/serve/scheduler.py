@@ -20,11 +20,13 @@ message arrives.  The lifecycle:
   :class:`~repro.obs.ProgressReporter` whose snapshots become SSE
   events.
 * Completion: an untruncated result is filed in the content-addressed
-  store and the job's checkpoint files are deleted.  A truncated result
-  (cancel/drain) keeps its checkpoints, so resubmitting the same spec
-  after a restart resumes from the boundary instead of starting over --
-  and, because checkpointed campaigns are bit-identically resumable,
-  the final result equals an uninterrupted run.
+  store and every checkpoint file of its digest is deleted, whatever
+  shard count wrote it (``shards`` is not part of the digest).  A
+  truncated result (cancel/drain) keeps its checkpoints, so
+  resubmitting the same spec after a restart resumes from the boundary
+  instead of starting over -- and, because checkpointed campaigns are
+  bit-identically resumable, the final result equals an uninterrupted
+  run.
 * Terminal jobs past :data:`MAX_TERMINAL_JOBS` leave the job table,
   oldest first, so memory does not grow with requests; their results
   stay in the store and a resubmission is still a store hit.
@@ -36,6 +38,7 @@ message arrives.  The lifecycle:
 from __future__ import annotations
 
 import asyncio
+import glob
 import io
 import multiprocessing
 import os
@@ -107,6 +110,7 @@ class _WorkerProgress:
 def _job_worker(
     kind: str,
     params: Dict,
+    shards: int,
     checkpoint_path: str,
     resume_from: str,
     checkpoint_every: int,
@@ -123,7 +127,7 @@ def _job_worker(
     progress = _WorkerProgress(conn, batch=max(1, params_units(params) // 200))
     telemetry = Telemetry.create()
     common = dict(
-        shards=params["shards"],
+        shards=shards,
         seed=params["seed"],
         interval_s=params["interval_s"],
         telemetry=telemetry,
@@ -354,13 +358,25 @@ class Scheduler:
 
     def _checkpoint_candidates(self, job: Job) -> List[str]:
         base = job_checkpoint_path(self.checkpoint_dir, job.digest)
-        shards = int(job.spec.params["shards"])
+        shards = job.spec.shards
         if shards == 1:
             return [base]
         return [
             shard_checkpoint_path(base, index, shards)
             for index in range(shards)
         ]
+
+    def _checkpoint_files(self, job: Job) -> List[str]:
+        """Every checkpoint file of the job's digest, at any shard count.
+
+        An earlier submission of the same spec may have been cancelled
+        under another ``shards``; its files are this digest's too.
+        """
+        base = job_checkpoint_path(self.checkpoint_dir, job.digest)
+        root, extension = os.path.splitext(base)
+        return [base] + sorted(
+            glob.glob(f"{glob.escape(root)}.shard*of*{extension}")
+        )
 
     def _start_job(self, job: Job) -> None:
         base = job_checkpoint_path(self.checkpoint_dir, job.digest)
@@ -378,8 +394,8 @@ class Scheduler:
         job.process = self._context.Process(
             target=_job_worker,
             args=(
-                job.spec.kind, dict(job.spec.params), base, resume,
-                self.checkpoint_every, writer, job.cancel_event,
+                job.spec.kind, dict(job.spec.params), job.spec.shards, base,
+                resume, self.checkpoint_every, writer, job.cancel_event,
             ),
             daemon=False,
         )
@@ -511,7 +527,7 @@ class Scheduler:
             "result": result,
         }
         self.store.put(job.digest, record)
-        for path in self._checkpoint_candidates(job):
+        for path in self._checkpoint_files(job):
             try:
                 os.remove(path)
             except FileNotFoundError:

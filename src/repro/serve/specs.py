@@ -7,15 +7,17 @@ scenario round-tripped through :class:`FaultScenario`), and derives the
 content digest that keys the result store.
 
 The digest covers exactly what determines the result *bits*: the kind,
-the normalized semantic parameters (including seed and shard count --
-a K-shard rare-event result is a different quantity than serial), and
-:data:`RESULT_VERSION`.  Submission envelope fields (tenant,
-priority) are deliberately excluded, so equivalent work dedups across
-tenants.  Keys a spec does not define are ignored -- among them the
-retired scrub-mode and kernel-backend hints, which never changed a
-result -- so a submission that still carries them shares its digest
-with one that does not.  Every job runs the numpy kernels and the
-sparse scrub.
+the normalized semantic parameters (seed included) and
+:data:`RESULT_VERSION`.  The shard count is an execution choice, not a
+parameter: every campaign kind draws unit ``i`` from seed-tree child
+``(seed, i)``, so a K-shard result equals the serial one and specs
+that differ only in ``shards`` share a digest.  Submission envelope
+fields (tenant, priority) are deliberately excluded too, so equivalent
+work dedups across tenants.  A key a spec does not define is a
+:class:`SpecError` naming it, so a misspelt parameter cannot silently
+run its default; only the retired scrub-mode and kernel-backend hints,
+which never changed a result, are still accepted and ignored.  Every
+job runs the numpy kernels and the sparse scrub.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.reliability.scenario import SCHEMES, FaultScenario
 
 #: Bump when a code change alters campaign results at a fixed spec;
 #: stored results from older versions then simply stop matching.
-RESULT_VERSION = 2
+RESULT_VERSION = 3
 
 #: Campaign kinds the service schedules.
 KINDS: Tuple[str, ...] = ("campaign", "raresim", "scenario")
@@ -38,6 +40,13 @@ _CAMPAIGN_LEVELS = ("X", "Y", "Z")
 _RARESIM_LEVELS = ("Y", "Z")
 
 _MAX_SHARDS = 64
+
+#: Keys every kind accepts besides its own parameters.
+_COMMON_KEYS = frozenset({"kind", "seed", "shards", "interval_s"})
+
+#: Accepted and ignored: the retired execution hints, and the envelope
+#: fields a bare submission carries inline.
+_IGNORED_KEYS = frozenset({"scrub_mode", "backend", "tenant", "priority"})
 
 
 class SpecError(ValueError):
@@ -89,11 +98,13 @@ class JobSpec:
     """A validated, normalized campaign submission.
 
     ``params`` is the canonical semantic parameter dict (digest-
-    relevant).
+    relevant); ``shards`` is how many processes run it, which never
+    changes the result and so stays out of the digest.
     """
 
     kind: str
     params: Dict[str, object]
+    shards: int = 1
 
     @property
     def seed(self) -> int:
@@ -126,6 +137,13 @@ def _parse_common(payload: Dict) -> Tuple[int, int, float]:
     _require(shards <= _MAX_SHARDS, f"'shards' must be <= {_MAX_SHARDS}")
     interval_s = _get_float(payload, "interval_s", 0.020, 1e-9, 3600.0)
     return seed, shards, interval_s
+
+
+def _reject_unknown_keys(payload: Dict, params: Dict[str, object]) -> None:
+    """Refuse a key the kind does not define (a typo must not run defaults)."""
+    known = _COMMON_KEYS | _IGNORED_KEYS | set(params)
+    for key in payload:
+        _require(key in known, f"unknown spec key {key!r}")
 
 
 def _parse_scenario_field(payload: Dict) -> Optional[Dict[str, object]]:
@@ -179,10 +197,10 @@ def parse_spec(payload: object) -> JobSpec:
             "intervals": _get_int(payload, "intervals", 100, 1),
             "group_size": _get_int(payload, "group_size", 8, 2),
         }
+    _reject_unknown_keys(payload, params)
     params["seed"] = seed
-    params["shards"] = shards
     params["interval_s"] = interval_s
-    return JobSpec(kind=kind, params=params)
+    return JobSpec(kind=kind, params=params, shards=shards)
 
 
 def parse_submission(payload: object) -> Tuple[JobSpec, str, int]:

@@ -50,7 +50,7 @@ class TestBitIdenticalResults:
     def test_raresim_identical_with_and_without_telemetry(self):
         def run(telemetry):
             simulator = ConditionalGroupSimulator(
-                ber=1e-3, group_size=16, rng=random.Random(11)
+                ber=1e-3, group_size=16, seed=11
             )
             return simulator.run("Z", trials=20, telemetry=telemetry)
 

@@ -170,7 +170,7 @@ class TestCampaignAndRaresimBackends:
         for backend in BACKEND_NAMES:
             simulator = ConditionalGroupSimulator(
                 ber=4e-4, group_size=16, num_groups=16,
-                rng=random.Random(3), backend=backend,
+                seed=3, backend=backend,
             )
             results.append(simulator.run("Z", 30).as_dict())
         assert results[0] == results[1]
@@ -187,7 +187,7 @@ class TestCampaignAndRaresimBackends:
         results = []
         for backend in BACKEND_NAMES:
             simulator = ConditionalGroupSimulator(
-                ber=1e-3, group_size=16, num_groups=16, rng=random.Random(5),
+                ber=1e-3, group_size=16, num_groups=16, seed=5,
                 backend=backend, scenario=scenario,
             )
             results.append(simulator.run(level, 30).as_dict())

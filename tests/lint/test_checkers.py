@@ -182,8 +182,8 @@ class TestUnseededRng:
     CAMPAIGN = "src/repro/reliability/raresim.py"
 
     def test_inline_construction_in_campaign_path_flagged(self):
-        # The estimate_fit bug class: rng=random.Random(seed) as a call
-        # argument bypasses resolve_pyrandom entirely.
+        # The old estimate_fit bug class: rng=random.Random(seed) as a
+        # call argument bypasses resolve_pyrandom entirely.
         source = """\
         import random
         sim = Simulator(ber=ber, rng=random.Random(seed))
@@ -214,8 +214,8 @@ class TestUnseededRng:
     def test_seed_tree_inline_construction_clean(self):
         source = """\
         import random
-        from repro.parallel.sharding import shard_python_seeds
-        sim = Simulator(rng=random.Random(shard_python_seeds(seed, k)[i]))
+        from repro.parallel.sharding import interval_python_seed
+        sim = Simulator(rng=random.Random(interval_python_seed(seed, t)))
         """
         assert rules_of(source, path="src/repro/parallel/runner.py") == []
 
@@ -348,10 +348,10 @@ class TestParallelRng:
     def test_seed_tree_derivation_clean(self):
         source = """\
         import numpy as np
-        from repro.parallel.sharding import spawn_seed_sequences
+        from repro.parallel.sharding import interval_seed_sequence
         rngs = [
-            np.random.default_rng(sequence)
-            for sequence in spawn_seed_sequences(seed, shards)
+            np.random.default_rng(interval_seed_sequence(seed, index))
+            for index in range(units)
         ]
         direct = np.random.default_rng(np.random.SeedSequence(seed))
         """

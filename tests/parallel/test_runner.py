@@ -3,7 +3,7 @@
 These pin the three guarantees docs/parallelism.md promises:
 
 * ``shards=1`` is bit-identical to the serial runners;
-* the K-shard outcome of a seed is reproducible run to run;
+* the K-shard outcome of a seed equals the serial one, for every kind;
 * a sharded campaign killed mid-flight (deadline as a deterministic
   stand-in for kill -9) and resumed equals the uninterrupted run.
 """
@@ -19,7 +19,8 @@ from repro.parallel import (
 )
 from repro.reliability import montecarlo
 from repro.reliability.montecarlo import run_group_campaign
-from repro.reliability.raresim import estimate_fit
+from repro.reliability.raresim import ConditionalGroupSimulator
+from repro.reliability.scenario import BurstSpec, FaultScenario, StuckSpec
 from repro.resilience import CheckpointError
 
 # Small but non-trivial: BER high enough that every run sees corrections
@@ -27,6 +28,19 @@ from repro.resilience import CheckpointError
 LEVEL, BER, INTERVALS, GROUP = "Z", 5e-3, 6, 16
 RARE = dict(level="Z", ber=1e-3, trials=80, group_size=16, num_groups=64)
 SEED = 7
+#: Stuck-at plus burst overlay for the rare-event determinism cases.
+RARE_OVERLAY = FaultScenario(
+    transient_ber=1e-3,
+    burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5)), interleave=2),
+    stuck=StuckSpec(ppm=500.0),
+)
+
+
+def _raresim(level=RARE["level"], trials=RARE["trials"], **kwargs):
+    return run_sharded_raresim(
+        level, RARE["ber"], trials, RARE["group_size"], RARE["num_groups"],
+        seed=SEED, **kwargs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -48,16 +62,12 @@ class TestSerialEquivalence:
         )
         assert sharded.as_dict() == serial.as_dict()
 
-    def test_shards_one_matches_estimate_fit(self):
-        sharded = run_sharded_raresim(
-            RARE["level"], RARE["ber"], RARE["trials"],
-            RARE["group_size"], RARE["num_groups"], shards=1, seed=SEED,
-        )
-        serial = estimate_fit(
-            RARE["level"], RARE["ber"], trials=RARE["trials"],
-            group_size=RARE["group_size"], num_groups=RARE["num_groups"],
-            seed=SEED,
-        )
+    def test_shards_one_matches_simulator_run(self):
+        sharded = _raresim(shards=1)
+        serial = ConditionalGroupSimulator(
+            ber=RARE["ber"], group_size=RARE["group_size"],
+            num_groups=RARE["num_groups"], seed=SEED,
+        ).run(RARE["level"], RARE["trials"])
         assert sharded.as_dict() == serial.as_dict()
 
 
@@ -130,21 +140,45 @@ class TestShardedDeterminism:
 
     def test_raresim_kill_then_resume_matches_uninterrupted(self, tmp_path):
         ck = str(tmp_path / "ck.json")
-        reference = run_sharded_raresim(
-            RARE["level"], RARE["ber"], RARE["trials"],
-            RARE["group_size"], RARE["num_groups"], shards=2, seed=SEED,
+        reference = _raresim(shards=1)
+        _raresim(
+            shards=2, checkpoint_path=ck, checkpoint_every=5,
+            deadline_s=1e-6,
         )
-        run_sharded_raresim(
-            RARE["level"], RARE["ber"], RARE["trials"],
-            RARE["group_size"], RARE["num_groups"], shards=2, seed=SEED,
-            checkpoint_path=ck, checkpoint_every=5, deadline_s=1e-6,
-        )
-        resumed = run_sharded_raresim(
-            RARE["level"], RARE["ber"], RARE["trials"],
-            RARE["group_size"], RARE["num_groups"], shards=2, seed=SEED,
-            checkpoint_path=ck, checkpoint_every=5, resume_from=ck,
+        resumed = _raresim(
+            shards=2, checkpoint_path=ck, checkpoint_every=5,
+            resume_from=ck,
         )
         assert resumed.as_dict() == reference.as_dict()
+
+    def test_raresim_serial_kill_then_resume_matches_uninterrupted(
+        self, tmp_path
+    ):
+        ck = str(tmp_path / "ck.json")
+        partial = _raresim(
+            shards=1, checkpoint_path=ck, checkpoint_every=5,
+            deadline_s=1e-6,
+        )
+        assert partial.truncated and partial.trials < RARE["trials"]
+        resumed = _raresim(
+            shards=1, checkpoint_path=ck, checkpoint_every=5,
+            resume_from=ck,
+        )
+        assert resumed.as_dict() == _raresim(shards=1).as_dict()
+
+    @pytest.mark.parametrize("overlay", [None, RARE_OVERLAY],
+                             ids=["plain", "overlay"])
+    @pytest.mark.parametrize("level", ["Y", "Z"])
+    def test_raresim_shards_equal_serial(self, level, overlay):
+        """Trial t draws from seed-tree child (seed, t) whichever shard
+        runs it, so every K merges to the serial result."""
+        serial = _raresim(level, trials=30, shards=1, scenario=overlay)
+        assert 0 < serial.conditional_failures < 30
+        for shards in (2, 3):
+            sharded = _raresim(
+                level, trials=30, shards=shards, scenario=overlay
+            )
+            assert sharded.as_dict() == serial.as_dict(), shards
 
 
 class TestCancellation:

@@ -1,11 +1,12 @@
 """Unit tests for the deterministic shard arithmetic."""
 
+import numpy as np
 import pytest
 
 from repro.parallel import (
+    interval_python_seed,
+    interval_seed_sequence,
     shard_checkpoint_path,
-    shard_python_seeds,
-    spawn_seed_sequences,
     split_units,
 )
 
@@ -33,24 +34,33 @@ class TestSplitUnits:
 
 
 class TestSeedSpawning:
+    """The seed tree: each unit draws from a child keyed by its index."""
+
     def test_same_seed_same_streams(self):
-        a = spawn_seed_sequences(42, 3)
-        b = spawn_seed_sequences(42, 3)
+        a = [interval_seed_sequence(42, index) for index in range(3)]
+        b = [interval_seed_sequence(42, index) for index in range(3)]
         assert [s.entropy for s in a] == [s.entropy for s in b]
         assert [s.spawn_key for s in a] == [s.spawn_key for s in b]
 
     def test_python_seeds_deterministic_and_distinct(self):
-        seeds = shard_python_seeds(0, 4)
-        assert seeds == shard_python_seeds(0, 4)
+        seeds = [interval_python_seed(0, index) for index in range(4)]
+        assert seeds == [interval_python_seed(0, index) for index in range(4)]
         assert len(set(seeds)) == 4
         assert all(seed >= 0 for seed in seeds)
 
     def test_seed_changes_streams(self):
-        assert shard_python_seeds(0, 2) != shard_python_seeds(1, 2)
+        assert interval_python_seed(0, 2) != interval_python_seed(1, 2)
 
-    def test_invalid_shards(self):
+    def test_child_is_independent_of_the_unit_count(self):
+        """Child i is the same sequence however many siblings exist,
+        so a shard needs only the global index of its first unit."""
+        spawned = np.random.SeedSequence(9).spawn(5)[3]
+        direct = interval_seed_sequence(9, 3)
+        assert (spawned.generate_state(4) == direct.generate_state(4)).all()
+
+    def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            spawn_seed_sequences(0, 0)
+            interval_seed_sequence(0, -1)
 
 
 class TestShardCheckpointPath:

@@ -2,11 +2,12 @@
 
 ``golden_checkpoints/<kind>-after-2.json`` holds the exact payload each
 campaign kind flushed after its second unit, captured from a small
-seeded run (``montecarlo-v1-after-2.json`` is the version 1 capture,
-kept to pin its refusal).  Two properties are pinned per kind:
+seeded run (``montecarlo-v1-after-2.json`` and
+``raresim-v2-after-2.json`` are older captures, kept to pin their
+refusal).  Two properties are pinned per kind:
 
 * the same run still flushes exactly that payload after unit 2 (same
-  key set, aggregates, RNG block and config fingerprint), and
+  key set, aggregates and config fingerprint), and
 * the captured file still resumes, finishing bit-identical to an
   uninterrupted run -- so checkpoints written by earlier builds of the
   same ``CHECKPOINT_VERSION`` stay usable.
@@ -17,7 +18,6 @@ format change bumps ``CHECKPOINT_VERSION`` instead.
 
 import json
 import os
-import random
 
 import numpy as np
 import pytest
@@ -68,7 +68,7 @@ def _scenario(checkpointer=None):
 
 def _raresim(checkpointer=None):
     simulator = ConditionalGroupSimulator(
-        ber=1e-3, group_size=16, num_groups=64, rng=random.Random(3)
+        ber=1e-3, group_size=16, num_groups=64, seed=3
     )
     return simulator.run("Z", UNITS, checkpointer=checkpointer)
 
@@ -109,4 +109,14 @@ def test_version_1_checkpoint_is_refused():
     with pytest.raises(CheckpointError, match="format version 1"):
         load_checkpoint(
             os.path.join(GOLDEN_DIR, "montecarlo-v1-after-2.json"), "montecarlo"
+        )
+
+
+def test_version_2_checkpoint_is_refused():
+    """Version 2 rare-event snapshots carried the stdlib stream state of
+    one sequential RNG; version 3 trials draw from seed-tree child
+    ``(seed, t)`` and carry no RNG block, so the old file is refused."""
+    with pytest.raises(CheckpointError, match="format version 2"):
+        load_checkpoint(
+            os.path.join(GOLDEN_DIR, "raresim-v2-after-2.json"), "raresim"
         )

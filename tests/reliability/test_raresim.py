@@ -6,20 +6,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coding.parity import xor_reduce
+from repro.parallel import interval_python_seed, run_sharded_raresim
 from repro.reliability.raresim import (
     ConditionalGroupSimulator,
     ConditionalResult,
-    estimate_fit,
 )
+from repro.reliability.scenario import FaultScenario, StuckSpec
 from repro.reliability.sudokumodel import SuDokuReliabilityModel
 
 GROUP = 16
 BER = 4e-4
 
 
-def make_simulator(ber=BER, group=GROUP, seed=3):
+def make_simulator(ber=BER, group=GROUP, seed=3, **kwargs):
     return ConditionalGroupSimulator(
-        ber=ber, group_size=group, num_groups=group, rng=random.Random(seed)
+        ber=ber, group_size=group, num_groups=group, seed=seed, **kwargs
     )
 
 
@@ -35,9 +37,10 @@ class TestConditionalDistributions:
 
     def test_injected_patterns_are_conditioned(self):
         simulator = make_simulator()
-        for _ in range(20):
-            array, _ = simulator._fresh_group()
-            frames = simulator._inject_conditioned(array)
+        for trial in range(20):
+            rng = simulator._trial_rng(trial)
+            array, _ = simulator._fresh_group(rng)
+            frames = simulator._inject_conditioned(rng, array)
             assert len(frames) >= 2
             for frame in frames:
                 faults = bin(array.error_vector(frame)).count("1")
@@ -45,9 +48,7 @@ class TestConditionalDistributions:
 
     def test_fresh_group_parity_consistent(self):
         simulator = make_simulator()
-        array, plt = simulator._fresh_group()
-        from repro.coding.parity import xor_reduce
-
+        array, plt = simulator._fresh_group(simulator._trial_rng(0))
         assert plt.parity(0) == xor_reduce(
             array.read(f) for f in range(GROUP)
         )
@@ -64,18 +65,18 @@ class TestTrials:
         # At a mild BER most conditioned patterns are two 2-fault lines,
         # which Y repairs; failures must be the rare exception.
         simulator = make_simulator(seed=5)
-        failures = sum(simulator.trial_y() for _ in range(60))
+        failures = sum(simulator.trial_y(trial) for trial in range(60))
         assert failures < 15
 
     def test_z_trial_no_worse_than_y(self):
         simulator_y = make_simulator(ber=1.5e-3, seed=6)
-        failures_y = sum(simulator_y.trial_y() for _ in range(60))
+        failures_y = sum(simulator_y.trial_y(trial) for trial in range(60))
         simulator_z = make_simulator(ber=1.5e-3, seed=6)
-        failures_z = sum(simulator_z.trial_z() for _ in range(60))
+        failures_z = sum(simulator_z.trial_z(trial) for trial in range(60))
         assert failures_z <= failures_y
 
     def test_y_estimate_brackets_model(self):
-        result = estimate_fit("Y", 6e-4, trials=400, group_size=GROUP, seed=9)
+        result = run_sharded_raresim("Y", 6e-4, 400, GROUP, seed=9)
         model = SuDokuReliabilityModel(
             ber=6e-4, group_size=GROUP, num_lines=GROUP * GROUP
         )
@@ -101,25 +102,52 @@ class TestBatchedGroupBuild:
 
         monkeypatch.setattr(LineCodec, "encode", spy)
         simulator = make_simulator(ber=5.3e-6, group=512)
-        simulator.trial_y()
+        simulator.trial_y(0)
         calls.clear()
-        simulator.trial_y()
+        simulator.trial_y(1)
         assert calls == []
 
     def test_fresh_group_matches_per_line_build(self):
         """The batched build stores what one ``encode`` and ``write`` per
         line stored, from the same draws."""
-        batched, by_line = make_simulator(seed=9), make_simulator(seed=9)
-        array, plt = batched._fresh_group()
+        simulator = make_simulator(seed=9)
+        batched, by_line = simulator._trial_rng(0), simulator._trial_rng(0)
+        array, plt = simulator._fresh_group(batched)
         data = [
-            by_line._rng.getrandbits(by_line.codec.layout.data_bits)
+            by_line.getrandbits(simulator.codec.layout.data_bits)
             for _ in range(GROUP)
         ]
-        words = [by_line.codec.encode(value) for value in data]
+        words = [simulator.codec.encode(value) for value in data]
         assert list(array) == words
         assert [array.golden(f) for f in range(GROUP)] == words
         assert array.dirty_count == 0
-        assert batched._rng.getstate() == by_line._rng.getstate()
+        assert batched.getstate() == by_line.getstate()
+
+
+class TestSideGroupParity:
+    def test_side_group_parity_covers_golden_words(self):
+        """A Hash-2 side group's parity is the XOR of its golden words,
+        so its own stuck bits stay faults for the repair to find
+        instead of being folded into the parity."""
+        group = 64
+        simulator = make_simulator(
+            ber=1e-3, group=group, seed=5,
+            scenario=FaultScenario(
+                transient_ber=1e-3, stuck=StuckSpec(ppm=2000.0)
+            ),
+        )
+        rng = simulator._trial_rng(0)
+        array, _ = simulator._fresh_group(rng)
+        survivor = simulator._inject_conditioned(rng, array)[0]
+        side_array, side_plt = simulator._side_group(rng, array, survivor)
+        golden = [side_array.golden(f) for f in range(group)]
+        assert side_plt.parity(0) == xor_reduce(golden)
+        # The stuck bits do conflict with the content here, so a parity
+        # over the stored words would differ.
+        stuck = side_array.permanent_faults
+        assert xor_reduce(
+            stuck.apply(f, word) for f, word in enumerate(golden)
+        ) != side_plt.parity(0)
 
 
 class TestResultArithmetic:
@@ -236,19 +264,33 @@ class TestConditionalCiProperties:
         assert (high_b - low_b) <= (high_a - low_a)
 
 
-class TestEstimateFitSeedResolution:
-    def test_seeded_stream_matches_inline_random(self):
-        # resolve_pyrandom(seed=s) must be bit-identical to the
-        # historical inline random.Random(s) construction.
-        via_api = estimate_fit("Y", BER, trials=40, group_size=GROUP, seed=11)
-        simulator = ConditionalGroupSimulator(
-            ber=BER, group_size=GROUP, num_groups=2048,
-            rng=random.Random(11),
+class TestTrialStreams:
+    def test_trial_draws_only_from_its_seed_tree_child(self):
+        """Trial ``t`` draws from ``random.Random(interval_python_seed(seed,
+        t))`` alone, so its outcome does not depend on which trials ran
+        before it: the trials in reverse order give the serial run."""
+        simulator = make_simulator(seed=11)
+        expected = random.Random(interval_python_seed(11, 7))
+        assert simulator._trial_rng(7).getstate() == expected.getstate()
+        serial = simulator.run("Y", 40)
+        reverse = sum(
+            make_simulator(seed=11).trial_y(trial)
+            for trial in reversed(range(40))
         )
-        direct = simulator.run("Y", 40)
-        assert via_api.as_dict() == direct.as_dict()
+        assert serial.conditional_failures == reverse
 
-    def test_injected_rng_unsupported_seed_still_deterministic(self):
-        first = estimate_fit("Z", BER, trials=30, group_size=GROUP, seed=4)
-        second = estimate_fit("Z", BER, trials=30, group_size=GROUP, seed=4)
+    def test_trial_start_slices_add_up_to_the_serial_run(self):
+        whole = make_simulator(seed=4).run("Z", 30)
+        head = make_simulator(seed=4).run("Z", 12)
+        tail = make_simulator(seed=4, trial_start=12).run("Z", 18)
+        assert (head.conditional_failures + tail.conditional_failures
+                == whole.conditional_failures)
+
+    def test_same_seed_reproduces(self):
+        first = run_sharded_raresim("Z", BER, 30, GROUP, seed=4)
+        second = run_sharded_raresim("Z", BER, 30, GROUP, seed=4)
         assert first.as_dict() == second.as_dict()
+
+    def test_negative_trial_start_rejected(self):
+        with pytest.raises(ValueError, match="trial_start"):
+            make_simulator(trial_start=-1)

@@ -1,6 +1,5 @@
 """Kill-and-resume acceptance tests: resumed == uninterrupted, bit for bit."""
 
-import random
 
 import numpy as np
 import pytest
@@ -166,7 +165,7 @@ class TestRaresimResume:
     def simulator(self):
         return ConditionalGroupSimulator(
             ber=1e-3, group_size=GROUP_SIZE, num_groups=64,
-            rng=random.Random(3),
+            seed=3,
         )
 
     def test_interrupted_then_resumed_equals_uninterrupted(self, tmp_path):

@@ -10,7 +10,6 @@ is reached only through the test seams ``montecarlo._DENSE`` and
 ``ConditionalGroupSimulator.sparse``.
 """
 
-import random
 
 import numpy as np
 import pytest
@@ -141,7 +140,7 @@ class TestRaresim:
         for sparse in (False, True):
             simulator = ConditionalGroupSimulator(
                 ber=4e-4, group_size=16, num_groups=16,
-                rng=random.Random(3),
+                seed=3,
             )
             simulator.sparse = sparse
             results.append(simulator.run("Z", 40).as_dict())

@@ -1,11 +1,11 @@
 """Golden same-seed results: a seeded campaign is a pure function of its seed.
 
-The rare-event dictionary was captured from the seeded sharded runner
-*before* the ``core.rng`` seed-threading refactor and the RPR001-RPR003
-repairs landed.  The Monte-Carlo and scenario dictionaries were
-re-captured at ``RESULT_VERSION`` 2, when Monte-Carlo campaigns moved
-onto the per-interval seed tree and a stuck-at line stopped being
-counted twice in one scrub pass.  Any drift here means a code change
+The Monte-Carlo and scenario dictionaries were re-captured at
+``RESULT_VERSION`` 2, when Monte-Carlo campaigns moved onto the
+per-interval seed tree and a stuck-at line stopped being counted twice
+in one scrub pass.  The rare-event dictionaries were re-captured at
+``RESULT_VERSION`` 3, when trial ``t`` moved onto seed-tree child
+``(seed, t)`` and Hash-2 side-group parity onto golden words.  Any drift here means a code change
 silently rewired an RNG stream or an outcome label.
 
 Do not "update" these values to make a failure pass without
@@ -41,7 +41,7 @@ GOLDEN_CAMPAIGN = {
 
 GOLDEN_RARESIM = {
     "trials": 6,
-    "conditional_failures": 1,
+    "conditional_failures": 0,
     "conditioning_probability": 0.5208748866882723,
     "ber": 0.001,
     "group_size": 16,
@@ -49,15 +49,14 @@ GOLDEN_RARESIM = {
     "interval_s": 0.02,
     "truncated": False,
     "stop_reason": "",
-    "conditional_failure_probability": 0.16666666666666666,
-    "fit": 1046177647133291.6,
-    # Derived fields added to as_dict() by the serve PR; every tally
-    # above is untouched, and these are pure functions of those tallies
-    # (pinned against ConditionalResult's own recomputation in
+    "conditional_failure_probability": 0.0,
+    "fit": 0.0,
+    # Derived fields: pure functions of the tallies above (pinned
+    # against ConditionalResult's own recomputation in
     # tests/reliability/test_raresim.py::TestResultSchema).
-    "conditional_ci_low": 0.03005258587173032,
-    "conditional_ci_high": 0.563509436563646,
-    "cache_failure_probability": 0.9970088520623641,
+    "conditional_ci_low": 0.0,
+    "conditional_ci_high": 0.3903430336530645,
+    "cache_failure_probability": 0.0,
 }
 
 
@@ -92,6 +91,18 @@ GOLDEN_MIXED = FaultScenario(
     transient_ber=2e-3,
     burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5)), interleave=2),
     stuck=StuckSpec(ppm=300.0),
+)
+
+#: The same rare-event run under the mixed overlay: stuck-at maps and
+#: bursts on every trial group, and a failure for the tally to pin.
+GOLDEN_RARESIM_MIXED = dict(
+    GOLDEN_RARESIM,
+    conditional_failures=1,
+    conditional_failure_probability=0.16666666666666666,
+    fit=1046177647133291.6,
+    conditional_ci_low=0.03005258587173032,
+    conditional_ci_high=0.563509436563646,
+    cache_failure_probability=0.9970088520623641,
 )
 
 GOLDEN_CHAOS_CAMPAIGN = {
@@ -167,3 +178,16 @@ def test_seeded_scenario_is_bit_identical(shards):
         chaos_policy=GOLDEN_CHAOS, chaos_seed=5,
     ).as_dict()
     assert result == GOLDEN_SCENARIO
+
+
+#: Trial t draws from seed-tree child (seed, t) whichever shard runs
+#: it, so every shard count pins the serial dicts.
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_seeded_raresim_is_shard_invariant(shards):
+    plain = run_sharded_raresim(
+        "Z", 1e-3, 6, 16, 64, shards=shards, seed=3
+    ).as_dict()
+    mixed = run_sharded_raresim(
+        "Z", 1e-3, 6, 16, 64, shards=shards, seed=3, scenario=GOLDEN_MIXED
+    ).as_dict()
+    assert (plain, mixed) == (GOLDEN_RARESIM, GOLDEN_RARESIM_MIXED)

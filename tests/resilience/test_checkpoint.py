@@ -2,7 +2,6 @@
 
 import json
 import os
-import random
 
 import pytest
 
@@ -16,9 +15,7 @@ from repro.resilience import (
     build_payload,
     job_checkpoint_path,
     load_checkpoint,
-    python_rng_state,
     require_config_match,
-    restore_python_rng_state,
 )
 
 
@@ -133,7 +130,7 @@ class TestCheckpointer:
     def test_save_round_trip(self, tmp_path):
         path = tmp_path / "ck.json"
         ck = Checkpointer(path=str(path), every=1)
-        payload = build_payload("montecarlo", {"ber": 1e-3}, 4, {"n": 4}, {})
+        payload = build_payload("montecarlo", {"ber": 1e-3}, 4, {"n": 4})
         ck.save(payload)
         assert ck.writes == 1
         loaded = load_checkpoint(str(path), "montecarlo")
@@ -147,7 +144,7 @@ class TestLoadCheckpoint:
         return str(path)
 
     def good_payload(self):
-        return build_payload("montecarlo", {"ber": 1e-3}, 2, {}, {})
+        return build_payload("montecarlo", {"ber": 1e-3}, 2, {})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
@@ -178,9 +175,9 @@ class TestLoadCheckpoint:
 
     def test_missing_key(self, tmp_path):
         payload = self.good_payload()
-        del payload["rng"]
+        del payload["aggregates"]
         path = self.write(tmp_path, payload)
-        with pytest.raises(CheckpointError, match="missing 'rng'"):
+        with pytest.raises(CheckpointError, match="missing 'aggregates'"):
             load_checkpoint(path, "montecarlo")
 
     def test_error_messages_are_one_line(self, tmp_path):
@@ -194,30 +191,15 @@ class TestLoadCheckpoint:
 
 class TestConfigMatch:
     def test_accepts_identical(self):
-        payload = build_payload("montecarlo", {"ber": 1e-3, "n": 4}, 0, {}, {})
+        payload = build_payload("montecarlo", {"ber": 1e-3, "n": 4}, 0, {})
         require_config_match(payload, {"ber": 1e-3, "n": 4})
 
     def test_names_mismatched_key(self):
-        payload = build_payload("montecarlo", {"ber": 1e-3, "n": 4}, 0, {}, {})
+        payload = build_payload("montecarlo", {"ber": 1e-3, "n": 4}, 0, {})
         with pytest.raises(CheckpointError, match="ber"):
             require_config_match(payload, {"ber": 2e-3, "n": 4})
 
     def test_catches_missing_and_extra_keys(self):
-        payload = build_payload("montecarlo", {"ber": 1e-3}, 0, {}, {})
+        payload = build_payload("montecarlo", {"ber": 1e-3}, 0, {})
         with pytest.raises(CheckpointError, match="extra"):
             require_config_match(payload, {"ber": 1e-3, "extra": 1})
-
-
-class TestRngRoundTrips:
-    def test_python_state_json_round_trip(self):
-        rng = random.Random(7)
-        rng.random()
-        state = json.loads(json.dumps(python_rng_state(rng)))
-        expected = [rng.random() for _ in range(5)]
-        fresh = random.Random(0)
-        restore_python_rng_state(fresh, state)
-        assert [fresh.random() for _ in range(5)] == expected
-
-    def test_python_corrupt_state(self):
-        with pytest.raises(CheckpointError, match="corrupt"):
-            restore_python_rng_state(random.Random(), [1])

@@ -224,6 +224,40 @@ class TestSubmitAndDedup:
         asyncio.run(scenario())
 
 
+    def test_shard_count_shares_the_cache_entry(self, tmp_path):
+        """Rare-event trial t draws from seed-tree child (seed, t), so a
+        K-shard result equals the serial one and ``shards`` stays out
+        of the digest: the sharded resubmission is a store hit."""
+        from repro.parallel import run_sharded_raresim
+
+        async def scenario():
+            async with _RunningApp(tmp_path, workers=1) as running:
+                port = running.port
+                _, job = await _request(port, "POST", "/v1/jobs", RARE_SPEC)
+                await _sse_events(port, job["job_id"])
+                _, metrics = await _request(port, "GET", "/metrics")
+                units = _units_simulated(metrics)
+                status, again = await _request(
+                    port, "POST", "/v1/jobs", dict(RARE_SPEC, shards=2)
+                )
+                assert status == 200 and again["cached"]
+                assert again["digest"] == job["digest"]
+                _, metrics = await _request(port, "GET", "/metrics")
+                assert _units_simulated(metrics) == units
+                _, stored = await _request(
+                    port, "GET", f"/v1/results/{job['digest']}"
+                )
+                return stored["result"]
+
+        stored = asyncio.run(scenario())
+        sharded = run_sharded_raresim(
+            RARE_SPEC["level"], RARE_SPEC["ber"], RARE_SPEC["trials"],
+            RARE_SPEC["group_size"], RARE_SPEC["num_groups"],
+            shards=2, seed=RARE_SPEC["seed"],
+        )
+        assert json.loads(json.dumps(sharded.as_dict())) == stored
+
+
 class TestJobTableBound:
     CAP = 8
 
@@ -280,6 +314,20 @@ class TestValidationAndRoutes:
                 )
                 assert status == 400
                 assert "ber" in body["error"]
+
+        asyncio.run(scenario())
+
+    def test_misspelt_key_is_400_naming_it(self, tmp_path):
+        async def scenario():
+            async with _RunningApp(tmp_path) as running:
+                spec = dict(SPEC)
+                spec["intervls"] = spec.pop("intervals")
+                status, body = await _request(
+                    running.port, "POST", "/v1/jobs", spec
+                )
+                assert status == 400
+                assert "'intervls'" in body["error"]
+                assert running.app.scheduler.jobs == {}
 
         asyncio.run(scenario())
 
@@ -377,6 +425,45 @@ class TestCancelAndResume:
         resumed = asyncio.run(interrupted(tmp_path / "a"))
         reference = asyncio.run(uninterrupted(tmp_path / "b"))
         assert resumed == reference
+
+    def test_completion_clears_checkpoints_of_any_shard_count(
+        self, tmp_path
+    ):
+        """``shards`` is not in the digest, so a job cancelled at two
+        shards and resubmitted serially shares its checkpoint namespace:
+        the serial run's completion deletes the 2-shard files too."""
+        spec = dict(SPEC, intervals=40)
+
+        async def scenario():
+            async with _RunningApp(tmp_path, workers=1) as running:
+                port = running.port
+                checkpoint_dir = running.app.scheduler.checkpoint_dir
+                _, job = await _request(
+                    port, "POST", "/v1/jobs", dict(spec, shards=2)
+                )
+                for _ in range(400):
+                    _, state = await _request(
+                        port, "GET", f"/v1/jobs/{job['job_id']}"
+                    )
+                    if state.get("progress", {}).get("done", 0) >= 5:
+                        break
+                    await asyncio.sleep(0.01)
+                await _request(port, "DELETE", f"/v1/jobs/{job['job_id']}")
+                events = await _sse_events(port, job["job_id"])
+                assert events[-1][0] == "cancelled"
+                assert sorted(os.listdir(checkpoint_dir)) == [
+                    f"job-{job['digest']}.ck.shard{i}of2.json"
+                    for i in range(2)
+                ]
+                _, again = await _request(
+                    port, "POST", "/v1/jobs", dict(spec, shards=1)
+                )
+                assert again["digest"] == job["digest"]
+                events = await _sse_events(port, again["job_id"])
+                assert events[-1][0] == "done"
+                assert os.listdir(checkpoint_dir) == []
+
+        asyncio.run(scenario())
 
     def test_delete_after_completion_conflicts(self, tmp_path):
         async def scenario():

@@ -20,7 +20,8 @@ class TestParseSpec:
         spec = parse_spec(dict(CAMPAIGN))
         assert spec.kind == "campaign"
         assert spec.params["seed"] == 3
-        assert spec.params["shards"] == 1
+        assert spec.shards == 1
+        assert "shards" not in spec.params
         assert spec.params["interval_s"] == pytest.approx(0.020)
         assert spec.total_units == 8
 
@@ -79,8 +80,7 @@ class TestDigest:
 
     def test_semantic_params_change_digest(self):
         base = parse_spec(dict(CAMPAIGN)).digest()
-        for key, value in [("seed", 4), ("intervals", 9), ("shards", 2),
-                           ("ber", 3e-3)]:
+        for key, value in [("seed", 4), ("intervals", 9), ("ber", 3e-3)]:
             payload = dict(CAMPAIGN)
             payload[key] = value
             assert parse_spec(payload).digest() != base, key
@@ -96,6 +96,46 @@ class TestDigest:
             spec = parse_spec(payload)
             assert spec.digest() == base.digest(), (key, value)
             assert spec == base, (key, value)
+
+
+    @pytest.mark.parametrize("kind_spec", [
+        CAMPAIGN,
+        {"kind": "raresim", "level": "Z", "ber": 1e-3, "trials": 50,
+         "group_size": 16, "num_groups": 8, "seed": 5},
+        {"kind": "scenario", "scheme": "Z", "intervals": 4,
+         "group_size": 8, "scenario": {"transient_ber": 1e-3}},
+    ], ids=["campaign", "raresim", "scenario"])
+    def test_shards_do_not_change_digest(self, kind_spec):
+        """Every kind draws unit i from seed-tree child (seed, i), so a
+        K-shard result equals the serial one: ``shards`` is an
+        execution choice, carried beside the digest, not in it."""
+        serial = parse_spec(dict(kind_spec))
+        for shards in (2, 7):
+            sharded = parse_spec(dict(kind_spec, shards=shards))
+            assert sharded.digest() == serial.digest(), shards
+            assert sharded.params == serial.params
+            assert sharded.shards == shards
+
+
+class TestUnknownKeys:
+    def test_misspelt_key_is_rejected_by_name(self):
+        payload = dict(CAMPAIGN)
+        payload["intervls"] = payload.pop("intervals")
+        with pytest.raises(SpecError, match="unknown spec key 'intervls'"):
+            parse_spec(payload)
+
+    def test_another_kinds_parameter_is_unknown(self):
+        with pytest.raises(SpecError, match="'trials'"):
+            parse_spec(dict(CAMPAIGN, trials=50))
+
+    def test_retired_hints_and_inline_envelope_keys_accepted(self):
+        base = parse_spec(dict(CAMPAIGN))
+        hinted = parse_spec(dict(
+            CAMPAIGN, backend="reference", scrub_mode="dense",
+            tenant="team-a", priority=3,
+        ))
+        assert hinted == base
+        assert hinted.digest() == base.digest()
 
 
 class TestParseSubmission:
