@@ -50,16 +50,23 @@ per shard.  ``campaign``, ``raresim``, and ``chaos`` also accept
 (``docs/faultmodels.md``).  Every campaign runs the numpy bit-plane
 kernels (``docs/kernels.md``) and the sparse scrub
 (``docs/performance.md``).
+
+These four commands build a campaign spec from their flags and
+validate it with :func:`repro.serve.specs.parse_spec`, as ``serve``
+does a request body, then run it through
+:func:`repro.parallel.runner.run_spec`.  Argparse only converts types;
+a value the spec rejects is a one-line ``repro: error:`` and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, NoReturn, Optional
 
 _NULL_CONTEXT = contextlib.nullcontext()
 
@@ -98,34 +105,12 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _rate(text: str) -> float:
-    """Argparse type: a probability in [0, 1] (chaos rates)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """Argparse type: a strictly positive integer (``--shards``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
 def _parallel_parent() -> argparse.ArgumentParser:
     """Shared ``--shards`` flag for the campaign-style subcommands."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("parallelism")
     group.add_argument(
-        "--shards", type=_positive_int, default=1, metavar="N",
+        "--shards", type=int, default=1, metavar="N",
         help="split the campaign across N worker processes; every "
              "unit draws from its own seed-tree child, so any N gives "
              "the serial result bit for bit (1: serial, in-process)",
@@ -166,7 +151,8 @@ def _burst_pmf(text: str) -> List:
     """Argparse type: ``LEN:PROB[,LEN:PROB...]`` burst-length PMF.
 
     A bare ``LEN`` (no colon) gets weight 1; weights are normalized by
-    the spec, so ``2,3,4`` means uniform over {2, 3, 4}.
+    the spec, so ``2,3,4`` means uniform over {2, 3, 4}.  The spec
+    checks the values.
     """
     entries = []
     for part in text.split(","):
@@ -183,10 +169,6 @@ def _burst_pmf(text: str) -> List:
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"{part!r} is not LEN or LEN:PROB"
-            )
-        if length < 1 or weight < 0:
-            raise argparse.ArgumentTypeError(
-                f"{part!r}: length must be >= 1 and weight >= 0"
             )
         entries.append((length, weight))
     if not entries:
@@ -211,19 +193,19 @@ def _chaos_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("chaos")
     group.add_argument(
-        "--plt-flip-rate", type=_rate, default=0.0, metavar="P",
+        "--plt-flip-rate", type=float, default=0.0, metavar="P",
         help="per-group, per-interval probability of a PLT parity bit flip",
     )
     group.add_argument(
-        "--map-swap-rate", type=_rate, default=0.0, metavar="P",
+        "--map-swap-rate", type=float, default=0.0, metavar="P",
         help="per-group, per-interval probability of a group-mapping swap",
     )
     group.add_argument(
-        "--visit-drop-rate", type=_rate, default=0.0, metavar="P",
+        "--visit-drop-rate", type=float, default=0.0, metavar="P",
         help="per-visit probability a scheduled scrub visit is dropped",
     )
     group.add_argument(
-        "--visit-duplicate-rate", type=_rate, default=0.0, metavar="P",
+        "--visit-duplicate-rate", type=float, default=0.0, metavar="P",
         help="per-visit probability a scrub visit is performed twice",
     )
     group.add_argument(
@@ -285,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--levels", nargs="+", choices=["X", "Y", "Z"], default=["X", "Y", "Z"]
     )
     chaos.add_argument(
-        "--plt-flip-rates", nargs="+", type=_rate,
+        "--plt-flip-rates", nargs="+", type=float,
         default=[0.0, 1e-3, 1e-2], metavar="P",
         help="PLT bit-flip rates to sweep",
     )
     chaos.add_argument(
-        "--map-swap-rate", type=_rate, default=0.0, metavar="P",
+        "--map-swap-rate", type=float, default=0.0, metavar="P",
         help="group-mapping swap rate applied at every sweep point",
     )
     chaos.add_argument("--ber", type=float, default=8e-4)
@@ -323,11 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--group-size", type=int, default=8)
     scenario.add_argument("--seed", type=int, default=0)
     scenario.add_argument(
-        "--ber", type=_rate, default=1e-3,
+        "--ber", type=float, default=1e-3,
         help="transient per-bit flip probability per interval",
     )
     scenario.add_argument(
-        "--burst-rate", type=_rate, default=0.0, metavar="P",
+        "--burst-rate", type=float, default=0.0, metavar="P",
         help="per-line, per-interval probability of a burst event",
     )
     scenario.add_argument(
@@ -337,19 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
              "are uniform: '2,3,4')",
     )
     scenario.add_argument(
-        "--burst-span", type=_positive_int, default=None, metavar="BITS",
+        "--burst-span", type=int, default=None, metavar="BITS",
         help="bit window bursts may start in (default: the physical row)",
     )
     scenario.add_argument(
-        "--burst-alignment", type=_positive_int, default=1, metavar="BITS",
+        "--burst-alignment", type=int, default=1, metavar="BITS",
         help="burst start positions snap to multiples of this",
     )
     scenario.add_argument(
-        "--burst-multiplicity", type=_positive_int, default=1, metavar="N",
+        "--burst-multiplicity", type=int, default=1, metavar="N",
         help="adjacent physical rows struck per burst event",
     )
     scenario.add_argument(
-        "--interleave", type=_positive_int, default=1, metavar="DEG",
+        "--interleave", type=int, default=1, metavar="DEG",
         help="bit-interleave degree: logical lines per physical row "
              "(1 = no interleaving)",
     )
@@ -572,7 +554,7 @@ def cmd_exhibits(args: argparse.Namespace) -> int:
 
 
 def _resilience_kwargs(args: argparse.Namespace) -> Dict[str, object]:
-    """Sharded-runner keyword arguments from the resilience flags.
+    """:func:`run_spec` keyword arguments from the resilience flags.
 
     :raises CheckpointError: on inconsistent flag combinations (one-line
         message; ``main`` turns it into a non-zero exit).  An unreadable
@@ -618,258 +600,225 @@ def _truncation_exit(result, default: int = 0) -> int:
     return default
 
 
-def _load_scenario_file(path: str):
-    """Parse a ``--scenario`` JSON file into a :class:`FaultScenario`.
+def _usage_error(message: str) -> NoReturn:
+    """A rejected flag value: one ``repro: error:`` line, exit 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    Malformed files surface as a one-line ``repro: error:`` (via
-    SystemExit), not a traceback -- the file is user input.
-    """
-    from repro.reliability.scenario import FaultScenario
+
+def _parse_spec(payload: Dict[str, object]):
+    """Validate a spec payload built from flags, exactly as serve does."""
+    from repro.serve.specs import SpecError, parse_spec
 
     try:
-        return FaultScenario.load(path)
+        return parse_spec(payload)
+    except SpecError as error:
+        _usage_error(str(error))
+
+
+def _read_scenario_file(path: str) -> object:
+    """The JSON of a ``--scenario`` file; :func:`_parse_spec` checks it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
     except (OSError, ValueError) as error:
-        raise SystemExit(f"repro: error: --scenario {path!r}: {error}")
+        _usage_error(f"--scenario {path!r}: {error}")
 
 
-def _scenario_summary(scenario) -> str:
+def _inline_scenario(args: argparse.Namespace) -> Dict[str, object]:
+    """The scenario payload ``repro scenario``'s inline flags describe."""
+    burst = None
+    if args.burst_rate:
+        burst = {
+            "rate": args.burst_rate,
+            "length_pmf": {str(k): w for k, w in args.burst_lengths},
+            "span": args.burst_span,
+            "alignment": args.burst_alignment,
+            "multiplicity": args.burst_multiplicity,
+            "interleave": args.interleave,
+        }
+    return {
+        "transient_ber": args.ber,
+        "burst": burst,
+        "stuck": {"ppm": args.stuck_ppm} if args.stuck_ppm else None,
+    }
+
+
+def _scenario_summary(scenario: Dict) -> str:
     """One-line human description of a scenario's active sources."""
-    parts = [f"transient BER {scenario.transient_ber:g}"]
-    if scenario.burst is not None and scenario.burst.rate > 0:
-        lengths = ",".join(str(k) for k, _ in scenario.burst.length_pmf)
+    parts = [f"transient BER {scenario['transient_ber']:g}"]
+    burst, stuck = scenario["burst"], scenario["stuck"]
+    if burst is not None and burst["rate"] > 0:
+        lengths = ",".join(burst["length_pmf"])
         parts.append(
-            f"bursts rate {scenario.burst.rate:g} lengths {{{lengths}}}"
+            f"bursts rate {burst['rate']:g} lengths {{{lengths}}}"
             + (
-                f" interleave {scenario.burst.interleave}"
-                if scenario.burst.interleave > 1 else ""
+                f" interleave {burst['interleave']}"
+                if burst["interleave"] > 1 else ""
             )
         )
-    if scenario.stuck is not None and scenario.stuck.ppm > 0:
-        parts.append(f"stuck-at {scenario.stuck.ppm:g} ppm")
+    if stuck is not None and stuck["ppm"] > 0:
+        parts.append(f"stuck-at {stuck['ppm']:g} ppm")
     return ", ".join(parts)
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import format_table
-    from repro.core.outcomes import Outcome
-    from repro.parallel import run_sharded_campaign
-    from repro.reliability.sudokumodel import SuDokuReliabilityModel
-
-    level, ber = args.level, args.ber
-    intervals, group_size, seed = args.intervals, args.group_size, args.seed
-    if args.scenario:
-        # A mixed scenario routes through the scenario engine (whose
-        # RNG model supports burst/stuck sources); the file is
-        # authoritative, including its transient BER.
-        return _scenario_campaign(
-            args, "campaign", level, f"SuDoku-{level}",
-            _load_scenario_file(args.scenario),
-        )
-    telemetry, make_progress = _build_telemetry(args)
-    resilience = _resilience_kwargs(args)
-    policy = _chaos_policy(args)
-    started = time.perf_counter()
-    print(
-        f"running SuDoku-{level} campaign: BER {ber:g}, {intervals} intervals, "
-        f"{group_size}-line groups, {group_size * group_size} lines"
-        + (" [chaos enabled]" if policy.enabled else "")
-        + (f" [{args.shards} shards]" if args.shards > 1 else "")
-    )
-    result = run_sharded_campaign(
-        level, ber, intervals, group_size,
-        shards=args.shards, seed=seed,
-        telemetry=telemetry,
-        progress=make_progress(intervals, f"campaign-{level}"),
-        chaos_policy=policy if policy.enabled else None,
-        chaos_seed=args.chaos_seed,
-        **resilience,
-    )
-    model = SuDokuReliabilityModel(
-        ber=ber, group_size=group_size, num_lines=group_size * group_size
-    )
-    predicted = {
-        "X": model.cache_fail_x, "Y": model.cache_fail_y, "Z": model.cache_fail_z,
-    }[level]()
-    low, high = result.wilson_interval()
-    rows = [
-        ["intervals completed", result.intervals],
-        ["measured P(fail)/interval", result.failure_probability],
-        ["95% CI", f"[{low:.4f}, {high:.4f}]"],
-        ["analytical model", predicted],
-        ["SDC events", result.outcomes.get(Outcome.SDC.value, 0)],
-    ]
-    rows += [[f"outcome: {k}", v] for k, v in sorted(result.outcomes.items())]
-    rows += [[f"metadata: {k}", v] for k, v in sorted(result.metadata.items())]
-    print(format_table(["quantity", "value"], rows))
-    _write_result_out(args, result.as_dict())
-    _export_telemetry(
-        args, telemetry, "campaign",
-        {
-            "level": level, "ber": ber, "intervals": intervals,
-            "group_size": group_size, "shards": args.shards,
-            "chaos": policy.as_dict(),
-        },
-        seed, started,
-    )
-    return _truncation_exit(result)
-
-
-def _chaos_policy(args: argparse.Namespace):
-    """The :class:`ChaosPolicy` the chaos flags describe."""
+def _chaos_policy(**rates):
+    """The :class:`ChaosPolicy` of some chaos rate flags."""
     from repro.resilience import ChaosPolicy
 
-    return ChaosPolicy(
-        plt_flip_rate=args.plt_flip_rate,
-        map_swap_rate=args.map_swap_rate,
-        visit_drop_rate=args.visit_drop_rate,
-        visit_duplicate_rate=args.visit_duplicate_rate,
-    )
+    try:
+        return ChaosPolicy(**rates)
+    except ValueError as error:
+        _usage_error(str(error))
 
 
-def _scenario_campaign(
-    args: argparse.Namespace, command: str, scheme: str, title: str, scenario
-) -> int:
-    """Run, print, and export one scenario campaign.
+def _spec_payload(args: argparse.Namespace) -> Dict[str, object]:
+    """The spec payload a ``campaign``/``scenario``/``raresim`` command's
+    flags describe.
 
-    Shared by ``scenario`` and ``campaign --scenario``; ``command`` names
-    the manifest (whose config keys the scheme as ``scheme`` or, for
-    ``campaign``, ``level``) and ``title`` the banner's scheme label.
+    ``campaign --scenario`` runs the scenario engine (whose RNG model
+    supports burst/stuck sources); the file is authoritative, including
+    its transient BER, and ``--level`` names the scheme.
     """
-    from repro.analysis.tables import format_table
-    from repro.core.outcomes import Outcome
-    from repro.parallel import run_sharded_scenario
+    common: Dict[str, object] = {"seed": args.seed, "shards": args.shards}
+    scenario = _read_scenario_file(args.scenario) if args.scenario else None
+    if args.command == "raresim":
+        return dict(
+            common, kind="raresim", level=args.level, ber=args.ber,
+            trials=args.trials, group_size=args.group_size,
+            num_groups=args.num_groups, scenario=scenario,
+        )
+    if args.command == "scenario" or scenario is not None:
+        return dict(
+            common, kind="scenario",
+            scheme=args.scheme if args.command == "scenario" else args.level,
+            scenario=scenario if scenario is not None
+            else _inline_scenario(args),
+            intervals=args.intervals, group_size=args.group_size,
+        )
+    return dict(
+        common, kind="campaign", level=args.level, ber=args.ber,
+        intervals=args.intervals, group_size=args.group_size,
+    )
 
-    telemetry, make_progress = _build_telemetry(args)
-    resilience = _resilience_kwargs(args)
-    policy = _chaos_policy(args)
-    intervals, group_size = args.intervals, args.group_size
-    started = time.perf_counter()
-    print(
-        f"running {title} scenario campaign: "
-        f"{_scenario_summary(scenario)}, {intervals} intervals, "
-        f"{group_size * group_size} lines"
-        + (" [chaos enabled]" if policy.enabled else "")
-        + (f" [{args.shards} shards]" if args.shards > 1 else "")
+
+def _banner(command: str, kind: str, params: Dict) -> str:
+    """The line announcing a run (before the shard/chaos tags)."""
+    group_size = params["group_size"]
+    if kind == "campaign":
+        return (
+            f"running SuDoku-{params['level']} campaign: BER "
+            f"{params['ber']:g}, {params['intervals']} intervals, "
+            f"{group_size}-line groups, {group_size * group_size} lines"
+        )
+    if kind == "scenario":
+        title = params["scheme"]
+        if command == "campaign":
+            title = f"SuDoku-{title}"
+        return (
+            f"running {title} scenario campaign: "
+            f"{_scenario_summary(params['scenario'])}, "
+            f"{params['intervals']} intervals, {group_size * group_size} lines"
+        )
+    return (
+        f"running SuDoku-{params['level']} conditional campaign: BER "
+        f"{params['ber']:g}, {params['trials']} trials, "
+        f"{group_size}-line groups"
+        + (
+            f" [scenario: {_scenario_summary(params['scenario'])}]"
+            if params["scenario"] else ""
+        )
     )
-    result = run_sharded_scenario(
-        scheme, scenario, intervals, group_size,
-        shards=args.shards, seed=args.seed, telemetry=telemetry,
-        progress=make_progress(intervals, f"scenario-{scheme}"),
-        chaos_policy=policy if policy.enabled else None,
-        chaos_seed=args.chaos_seed,
-        **resilience,
-    )
+
+
+def _result_rows(kind: str, params: Dict, result) -> List[List[object]]:
+    """The quantity/value table a run prints."""
+    from repro.core.outcomes import Outcome
+
+    if kind == "raresim":
+        low, high = result.conditional_ci()
+        return [
+            ["trials completed", result.trials],
+            ["conditional failures", result.conditional_failures],
+            ["P(DUE | >=2 multi-bit lines)",
+             result.conditional_failure_probability],
+            ["95% CI", f"[{low:.4g}, {high:.4g}]"],
+            ["conditioning probability", result.conditioning_probability],
+            ["estimated cache FIT", result.fit()],
+        ]
     low, high = result.wilson_interval()
-    rows = [
-        ["scheme", scheme],
+    rows: List[List[object]] = [
         ["intervals completed", result.intervals],
         ["measured P(fail)/interval", result.failure_probability],
         ["95% CI", f"[{low:.4f}, {high:.4f}]"],
-        ["measured FIT", result.fit()],
-        ["SDC events", result.outcomes.get(Outcome.SDC.value, 0)],
     ]
+    if kind == "campaign":
+        from repro.reliability.sudokumodel import SuDokuReliabilityModel
+
+        group_size = params["group_size"]
+        model = SuDokuReliabilityModel(
+            ber=params["ber"], group_size=group_size,
+            num_lines=group_size * group_size,
+        )
+        predicted = {
+            "X": model.cache_fail_x, "Y": model.cache_fail_y,
+            "Z": model.cache_fail_z,
+        }[params["level"]]()
+        rows.append(["analytical model", predicted])
+    else:
+        rows.insert(0, ["scheme", params["scheme"]])
+        rows.append(["measured FIT", result.fit()])
+    rows.append(["SDC events", result.outcomes.get(Outcome.SDC.value, 0)])
     rows += [[f"outcome: {k}", v] for k, v in sorted(result.outcomes.items())]
     rows += [[f"metadata: {k}", v] for k, v in sorted(result.metadata.items())]
-    print(format_table(["quantity", "value"], rows))
-    # Result JSON for scenario runs: campaign aggregates + the spec.
-    payload = dict(result.as_dict())
-    payload["scheme"] = scheme
-    payload["scenario"] = scenario.as_dict()
-    _write_result_out(args, payload)
-    _export_telemetry(
-        args, telemetry, command,
-        {
-            "level" if command == "campaign" else "scheme": scheme,
-            "scenario": scenario.as_dict(),
-            "intervals": intervals, "group_size": group_size,
-            "shards": args.shards, "chaos": policy.as_dict(),
-        },
-        args.seed, started,
-    )
-    return _truncation_exit(result)
+    return rows
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.reliability.scenario import (
-        BurstSpec,
-        FaultScenario,
-        StuckSpec,
-    )
-
-    if args.scenario:
-        scenario = _load_scenario_file(args.scenario)
-    else:
-        burst = (
-            BurstSpec(
-                rate=args.burst_rate,
-                length_pmf=tuple(sorted(args.burst_lengths)),
-                span=args.burst_span,
-                alignment=args.burst_alignment,
-                multiplicity=args.burst_multiplicity,
-                interleave=args.interleave,
-            )
-            if args.burst_rate > 0 else None
-        )
-        stuck = StuckSpec(ppm=args.stuck_ppm) if args.stuck_ppm > 0 else None
-        try:
-            scenario = FaultScenario(
-                transient_ber=args.ber, burst=burst, stuck=stuck
-            )
-        except ValueError as error:
-            raise SystemExit(f"repro: error: {error}")
-    return _scenario_campaign(
-        args, "scenario", args.scheme, args.scheme, scenario
-    )
-
-
-def cmd_raresim(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
+    """``campaign``, ``scenario`` and ``raresim``: one spec, one run."""
     from repro.analysis.tables import format_table
-    from repro.parallel import run_sharded_raresim
+    from repro.parallel import run_spec
 
+    spec = _parse_spec(_spec_payload(args))
+    kind, params = spec.kind, spec.params
+    policy = None
+    if args.command != "raresim":
+        policy = _chaos_policy(
+            plt_flip_rate=args.plt_flip_rate,
+            map_swap_rate=args.map_swap_rate,
+            visit_drop_rate=args.visit_drop_rate,
+            visit_duplicate_rate=args.visit_duplicate_rate,
+        )
     telemetry, make_progress = _build_telemetry(args)
     resilience = _resilience_kwargs(args)
-    scenario = None
-    ber = args.ber
-    if args.scenario:
-        scenario = _load_scenario_file(args.scenario)
-        # The conditioned estimator needs a nonzero transient BER; the
-        # scenario's transient field takes over when it sets one.
-        if scenario.transient_ber > 0:
-            ber = scenario.transient_ber
     started = time.perf_counter()
     print(
-        f"running SuDoku-{args.level} conditional campaign: BER {ber:g}, "
-        f"{args.trials} trials, {args.group_size}-line groups"
-        + (f" [scenario: {_scenario_summary(scenario)}]" if scenario else "")
-        + (f" [{args.shards} shards]" if args.shards > 1 else "")
+        _banner(args.command, kind, params)
+        + (" [chaos enabled]" if policy is not None and policy.enabled else "")
+        + (f" [{spec.shards} shards]" if spec.shards > 1 else "")
     )
-    result = run_sharded_raresim(
-        args.level, ber, args.trials,
-        args.group_size, args.num_groups,
-        shards=args.shards, seed=args.seed, telemetry=telemetry,
-        progress=make_progress(args.trials, f"raresim-{args.level}"),
-        scenario=scenario,
+    label = params["scheme"] if kind == "scenario" else params["level"]
+    result = run_spec(
+        kind, params, shards=spec.shards, telemetry=telemetry,
+        progress=make_progress(spec.total_units, f"{kind}-{label}"),
+        chaos_policy=policy,
+        chaos_seed=getattr(args, "chaos_seed", 0),
         **resilience,
     )
-    low, high = result.conditional_ci()
-    rows = [
-        ["trials completed", result.trials],
-        ["conditional failures", result.conditional_failures],
-        ["P(DUE | >=2 multi-bit lines)", result.conditional_failure_probability],
-        ["95% CI", f"[{low:.4g}, {high:.4g}]"],
-        ["conditioning probability", result.conditioning_probability],
-        ["estimated cache FIT", result.fit()],
-    ]
-    print(format_table(["quantity", "value"], rows))
-    _write_result_out(args, result.as_dict())
+    print(format_table(["quantity", "value"], _result_rows(kind, params, result)))
+    payload = dict(result.as_dict())
+    if kind == "scenario":
+        # Scenario results carry their scheme and scenario along.
+        payload["scheme"] = params["scheme"]
+        payload["scenario"] = params["scenario"]
+    _write_result_out(args, payload)
     _export_telemetry(
-        args, telemetry, "raresim",
-        {
-            "level": args.level, "ber": args.ber, "trials": args.trials,
-            "group_size": args.group_size, "num_groups": args.num_groups,
-            "shards": args.shards,
-        },
-        args.seed, started,
+        args, telemetry, args.command,
+        dict(
+            params, shards=spec.shards,
+            chaos=policy.as_dict() if policy is not None else None,
+        ),
+        spec.seed, started,
     )
     return _truncation_exit(result)
 
@@ -877,53 +826,64 @@ def cmd_raresim(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.core.outcomes import Outcome
-    from repro.parallel import run_sharded_campaign, run_sharded_scenario
-    from repro.resilience import ChaosPolicy
+    from repro.parallel import run_spec
 
     # Failure columns come from the taxonomy, not hand-picked strings:
     # a future failure-class Outcome gets a column automatically instead
     # of silently vanishing from the sweep table (the PR-4 bug class).
     failure_columns = [Outcome.SDC] + [o for o in Outcome if o.is_due]
+    scenario = _read_scenario_file(args.scenario) if args.scenario else None
+    common = {
+        "seed": args.seed, "shards": args.shards,
+        "intervals": args.intervals, "group_size": args.group_size,
+    }
+    # A scenario takes the BER's place (and its engine).
+    specs = [
+        (level, _parse_spec(
+            dict(common, kind="campaign", level=level, ber=args.ber)
+            if scenario is None
+            else dict(common, kind="scenario", scheme=level, scenario=scenario)
+        ))
+        for level in args.levels
+    ]
+    policies = [
+        _chaos_policy(plt_flip_rate=rate, map_swap_rate=args.map_swap_rate)
+        for rate in args.plt_flip_rates
+    ]
     telemetry, make_progress = _build_telemetry(args)
-    scenario = _load_scenario_file(args.scenario) if args.scenario else None
-    run = run_sharded_campaign if scenario is None else run_sharded_scenario
     started = time.perf_counter()
-    total = len(args.levels) * len(args.plt_flip_rates)
-    progress = make_progress(total, "chaos-sweep")
+    first = specs[0][1]
+    progress = make_progress(len(specs) * len(policies), "chaos-sweep")
     print(
         f"chaos sweep: levels {','.join(args.levels)} x PLT flip rates "
         f"{args.plt_flip_rates} (map swap {args.map_swap_rate:g}), "
         f"BER {args.ber:g}, {args.intervals} intervals"
-        + (f" [scenario: {_scenario_summary(scenario)}]" if scenario else "")
-        + (f" [{args.shards} shards]" if args.shards > 1 else "")
+        + (
+            f" [scenario: {_scenario_summary(first.params['scenario'])}]"
+            if scenario is not None else ""
+        )
+        + (f" [{first.shards} shards]" if first.shards > 1 else "")
     )
     rows = []
     records = []
-    for level in args.levels:
-        for rate in args.plt_flip_rates:
-            policy = ChaosPolicy(
-                plt_flip_rate=rate, map_swap_rate=args.map_swap_rate
-            )
-            # A scenario takes the BER's place (and its engine).
-            result = run(
-                level, scenario if scenario is not None else args.ber,
-                args.intervals, args.group_size,
-                shards=args.shards, seed=args.seed,
-                telemetry=telemetry,
-                chaos_policy=policy if policy.enabled else None,
+    for level, spec in specs:
+        for policy in policies:
+            result = run_spec(
+                spec.kind, spec.params, shards=spec.shards,
+                telemetry=telemetry, chaos_policy=policy,
                 chaos_seed=args.chaos_seed,
             )
             meta = result.metadata
             rows.append([
-                level, rate,
+                level, policy.plt_flip_rate,
                 *(result.outcomes.get(o.value, 0) for o in failure_columns),
                 meta.get("plt_flips", 0) + meta.get("map_swaps", 0),
             ])
             records.append({
                 "level": level,
-                "plt_flip_rate": rate,
+                "plt_flip_rate": policy.plt_flip_rate,
                 "map_swap_rate": args.map_swap_rate,
-                "scenario": scenario.as_dict() if scenario else None,
+                "scenario": spec.params.get("scenario"),
                 "result": result.as_dict(),
             })
             progress.update()
@@ -941,10 +901,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     _export_telemetry(
         args, telemetry, "chaos",
         {
-            "levels": args.levels, "plt_flip_rates": args.plt_flip_rates,
-            "map_swap_rate": args.map_swap_rate, "ber": args.ber,
-            "intervals": args.intervals, "group_size": args.group_size,
-            "shards": args.shards,
+            "specs": [spec.params for _, spec in specs],
+            "shards": first.shards,
+            "chaos": {
+                "plt_flip_rates": args.plt_flip_rates,
+                "map_swap_rate": args.map_swap_rate,
+            },
         },
         args.seed, started,
     )
@@ -1002,14 +964,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_summary()
         if args.command == "exhibits":
             return cmd_exhibits(args)
-        if args.command == "campaign":
-            return cmd_campaign(args)
-        if args.command == "raresim":
-            return cmd_raresim(args)
+        if args.command in ("campaign", "raresim", "scenario"):
+            return cmd_run(args)
         if args.command == "chaos":
             return cmd_chaos(args)
-        if args.command == "scenario":
-            return cmd_scenario(args)
         if args.command == "perf":
             return cmd_perf(args)
         if args.command == "report":

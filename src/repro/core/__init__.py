@@ -23,7 +23,7 @@ from repro.core.grouping import GroupMapper, SkewedGroupMapper
 from repro.core.plt_ import ParityLineTable
 from repro.core.outcomes import Outcome
 from repro.core.engine import SuDokuEngine, SuDokuX, SuDokuY, SuDokuZ, build_engine
-from repro.core.rng import UnseededRNGWarning, resolve_pyrandom, resolve_rng
+from repro.core.rng import UnseededRNGWarning, resolve_rng
 from repro.core.stats import CorrectionStats, LatencyModel
 
 __all__ = [
@@ -46,6 +46,5 @@ __all__ = [
     "CorrectionStats",
     "LatencyModel",
     "UnseededRNGWarning",
-    "resolve_pyrandom",
     "resolve_rng",
 ]

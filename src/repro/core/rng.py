@@ -8,8 +8,7 @@ chain and the run stops being reproducible without any signal.  The
 ``repro lint`` rule RPR002 now forbids that idiom; this module provides
 the replacement.
 
-:func:`resolve_rng` (numpy) and :func:`resolve_pyrandom` (stdlib) apply
-one policy:
+:func:`resolve_rng` applies one policy:
 
 * an explicit ``rng`` wins (passing both ``rng`` and ``seed`` is an
   error -- the ambiguity has no right answer);
@@ -22,7 +21,6 @@ one policy:
 
 from __future__ import annotations
 
-import random
 import warnings
 from typing import Optional, Set, Union
 
@@ -93,23 +91,3 @@ def resolve_rng(
     # exempts this module): interactive use, after the warning above.
     return np.random.default_rng()
 
-
-def resolve_pyrandom(
-    rng: Optional[random.Random] = None,
-    seed: Optional[int] = None,
-    *,
-    owner: str = "component",
-) -> random.Random:
-    """Resolve a stdlib :class:`random.Random` from rng/seed.
-
-    Stdlib counterpart of :func:`resolve_rng` for the rare-event and
-    chaos streams, which use ``random.Random`` for its cheap
-    ``getrandbits``/``sample`` on Python ints.
-    """
-    _check_exclusive(rng, seed, owner)
-    if rng is not None:
-        return rng
-    if seed is not None:
-        return random.Random(seed)
-    _warn_unseeded(owner)
-    return random.Random()

@@ -77,7 +77,7 @@ _SEED_TREE_PRODUCERS = frozenset(
 
 #: The sanctioned resolution API: returns a generator rooted in
 #: whatever the caller threaded in.
-_RESOLVERS = frozenset({"resolve_rng", "resolve_pyrandom"})
+_RESOLVERS = frozenset({"resolve_rng"})
 
 #: Canonical RNG constructors.
 _STDLIB_RANDOM = "random.Random"
@@ -628,8 +628,8 @@ class TaintEngine:
                         f"draw through {attr}() on a generator whose "
                         "provenance chain includes an unseeded "
                         "constructor; thread rng=/seed= from the campaign "
-                        "SeedSequence tree (resolve_rng/resolve_pyrandom "
-                        "or parallel.sharding.interval_generator) through "
+                        "SeedSequence tree (resolve_rng or "
+                        "parallel.sharding.interval_generator) through "
                         "the call chain",
                     )
                 return receiver.without(DIGEST_OBJ)
@@ -667,7 +667,7 @@ class TaintEngine:
             self._check_call_sinks(node, resolved, last, arg_tags, scope)
 
         # -- the blessed seed-tree roots ----------------------------------------
-        # ``resolve_rng``/``resolve_pyrandom`` and the seed-tree helpers
+        # ``resolve_rng`` and the seed-tree helpers
         # are matched *before* the internal-summary path: their bodies
         # contain the one sanctioned unseeded fallback (exempt from
         # RPR002, and it warns at runtime), so analysing them like
@@ -781,9 +781,8 @@ class TaintEngine:
     ) -> None:
         """A seeded ``random.Random(...)`` passed straight as an argument.
 
-        ``rng=random.Random(seed)`` bypasses ``resolve_pyrandom`` -- no
-        ``rng=`` injection, no unseeded warning -- unless its seed comes
-        from the seed tree (the zero-argument form is flagged anyway).
+        ``rng=random.Random(seed)`` is flagged unless its seed comes from
+        the seed tree (the zero-argument form is flagged anyway).
         """
         for _, argument, taint in args:
             if (
@@ -798,9 +797,10 @@ class TaintEngine:
                     argument,
                     scope,
                     "random.Random(...) constructed inline in a campaign "
-                    "entry point; route it through repro.core.rng."
-                    "resolve_pyrandom(rng=..., seed=..., owner=...) so "
-                    "callers can inject rng= and unseeded use warns",
+                    "entry point without seed-tree provenance; seed it "
+                    "from repro.parallel.sharding.interval_python_seed "
+                    "so every unit's stream is a child of the campaign "
+                    "seed",
                 )
 
     def _check_call_sinks(
@@ -905,15 +905,14 @@ class UnrootedRngChecker(ProjectChecker):
     * a seeded constructor in a ``parallel`` path whose argument carries
       no seed-tree provenance (two shards would get correlated streams);
     * a seeded ``random.Random(...)`` passed inline as a call argument
-      in reliability/parallel code without seed-tree provenance (it
-      bypasses ``resolve_pyrandom``);
+      in reliability/parallel code without seed-tree provenance;
     * a draw, in reliability/parallel/serve code, through a generator
       whose chain -- two call hops away, returned from a helper, stored
       on ``self`` -- contains an unseeded constructor.
 
     Provenance is a flow fact, not a name: ``ss = tree.spawn(1)[0];
     rng = default_rng(ss)`` is rooted through both hops.  Chains rooted
-    in ``resolve_rng``/``resolve_pyrandom``/``SeedSequence.spawn`` (or
+    in ``resolve_rng``/``SeedSequence.spawn`` (or
     any value threaded from them through parameters) are clean.  The
     retired ids RPR006 and RPR010 named two of these shapes.
     """

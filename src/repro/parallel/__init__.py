@@ -5,16 +5,14 @@ evaluation and are embarrassingly parallel (independent intervals).
 This package splits a campaign into K deterministic shards run across a
 process pool and merges the aggregates:
 
-* :func:`run_sharded_campaign` -- sharded Monte-Carlo fault injection
-  (``--shards`` on the ``campaign`` and ``chaos`` CLI subcommands),
-  whose merged result is bit-identical to the serial run at the same
-  seed;
-* :func:`run_sharded_raresim` -- sharded conditional rare-event FIT
-  estimation (``--shards`` on ``raresim``), whose merged result is
-  bit-identical to the serial run at the same seed;
-* :func:`run_sharded_scenario` -- sharded mixed transient/burst/stuck-at
-  scenario campaigns (``--shards`` on ``scenario``), whose merged result
-  is bit-identical to the serial run at the same seed;
+* :func:`run_spec` -- run one normalized campaign spec (the
+  ``(kind, params)`` of :func:`repro.serve.specs.parse_spec`, which the
+  CLI and serve both build) serially or across ``shards`` processes;
+  every kind draws unit ``i`` from seed-tree child ``(seed, i)``, so the
+  merged result is bit-identical to the serial run at the same seed;
+* :func:`run_sharded_campaign`, :func:`run_sharded_raresim`,
+  :func:`run_sharded_scenario` -- library fronts that build the spec
+  for one kind from positional arguments and call :func:`run_spec`;
 * :mod:`repro.parallel.sharding` -- the deterministic shard arithmetic
   (unit splits, the per-unit seed tree, checkpoint paths);
 * :mod:`repro.parallel.merge` -- per-shard aggregate merging.
@@ -32,6 +30,7 @@ from repro.parallel.runner import (
     run_sharded_campaign,
     run_sharded_raresim,
     run_sharded_scenario,
+    run_spec,
 )
 from repro.parallel.sharding import (
     interval_generator,
@@ -43,6 +42,7 @@ from repro.parallel.sharding import (
 
 __all__ = [
     "ShardError",
+    "run_spec",
     "run_sharded_campaign",
     "run_sharded_raresim",
     "run_sharded_scenario",

@@ -36,10 +36,14 @@ Checkpoints and telemetry compose per shard:
   :class:`~repro.obs.ProgressReporter` in the parent is fed from a shard
   progress queue.
 
-The three public entry points (``run_sharded_campaign``,
-``run_sharded_raresim``, ``run_sharded_scenario``) are thin fronts over
-one body, and the serial run and every shard worker dispatch through
-one function (``_run_campaign``).  Underneath, all three campaign kinds
+Every entry point runs :func:`run_spec` on one normalized
+``(kind, params)`` spec: the CLI and serve build it with
+:func:`repro.serve.specs.parse_spec`, and the three library fronts
+(``run_sharded_campaign``, ``run_sharded_raresim``,
+``run_sharded_scenario``) build it from their arguments.  The serial
+run and every shard worker dispatch through one function
+(``_run_campaign``), the one place params meet a kind's runner.
+Underneath, all three campaign kinds
 run one boundary loop (:class:`repro.resilience.checkpoint.BoundaryLoop`)
 for resume, snapshots, checkpoint flushes, deadline/cancel stops,
 interrupt rollback and progress.
@@ -96,6 +100,13 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
 )
 
+#: The campaign kinds a spec names (:mod:`repro.serve.specs` validates
+#: them); raresim counts trials, the other two intervals.
+KINDS: Tuple[str, ...] = ("campaign", "raresim", "scenario")
+
+#: The kind a campaign's checkpoints record, where it is not the spec's.
+_SNAPSHOT_KINDS = {"campaign": "montecarlo"}
+
 #: Seconds between liveness checks while waiting on shard messages.
 _POLL_S = 0.2
 
@@ -122,18 +133,18 @@ class ShardError(RuntimeError):
 
 @dataclass(frozen=True)
 class _ShardSpec:
-    """Everything a worker needs to run one shard (must stay picklable)."""
+    """Everything a worker needs to run one shard (must stay picklable).
 
-    kind: str  # "montecarlo" | "raresim" | "scenario"
+    ``kind`` and ``params`` are the campaign as
+    :func:`repro.serve.specs.parse_spec` normalizes it; the other fields
+    say how to run it (this shard's slice, checkpoints, telemetry).
+    """
+
+    kind: str  # "campaign" | "raresim" | "scenario"
+    params: Dict[str, object]
     index: int
     shards: int
     units: int
-    seed: int  # the campaign seed
-    level: str  # campaign level, or the scheme name for scenario shards
-    ber: float
-    group_size: int
-    interval_s: float
-    num_groups: int = 0
     chaos_policy: Optional[ChaosPolicy] = None
     chaos_seed: int = 0
     checkpoint_path: str = ""
@@ -142,39 +153,45 @@ class _ShardSpec:
     telemetry: bool = False
     deadline_s: Optional[float] = None
     progress_batch: int = 1
-    scenario: Optional["FaultScenario"] = None
     interval_start: int = 0  # global index of the first interval or trial
     backend: str = "numpy"
 
 
-class _ShardProgress:
-    """Worker-side progress adapter: batches updates onto the queue.
+class BatchingProgress:
+    """Worker-side progress adapter: batches updates onto a channel.
 
-    Batching by count (not wall clock) keeps the adapter deterministic
-    and cheap even for microsecond-scale validation intervals.
+    ``send(kind, units)`` ships ``("progress", n)`` batches and one
+    ``("resumed", n)`` note; a shard tags them with its index onto the
+    runner's queue, a serve job writes them to its pipe.  Batching by
+    count (not wall clock) keeps the adapter deterministic and cheap
+    even for microsecond-scale validation intervals.
     """
 
     enabled = True
 
-    def __init__(self, queue, index: int, batch: int) -> None:
-        self._queue = queue
-        self._index = index
+    def __init__(self, send: Callable[[str, int], None], batch: int) -> None:
+        self._send = send
         self._batch = max(1, batch)
         self._pending = 0
 
     def update(self, done: Optional[int] = None, advance: int = 1) -> None:
         self._pending += advance
         if self._pending >= self._batch:
-            self._queue.put(("progress", self._index, self._pending))
+            self._send("progress", self._pending)
             self._pending = 0
 
     def finish(self) -> None:
         if self._pending:
-            self._queue.put(("progress", self._index, self._pending))
+            self._send("progress", self._pending)
             self._pending = 0
 
     def note_resumed(self, units: int) -> None:
-        self._queue.put(("resumed", self._index, units))
+        self._send("resumed", units)
+
+
+def spec_units(kind: str, params: Dict[str, object]) -> int:
+    """Work units (intervals, or trials for raresim) a spec describes."""
+    return int(params["trials" if kind == "raresim" else "intervals"])
 
 
 def _checkpointer(spec: _ShardSpec, progress) -> Optional[Checkpointer]:
@@ -191,7 +208,9 @@ def _checkpointer(spec: _ShardSpec, progress) -> Optional[Checkpointer]:
     payload = None
     serial = spec.shards == 1
     if spec.resume_path and (serial or os.path.exists(spec.resume_path)):
-        payload = load_checkpoint(spec.resume_path, spec.kind)
+        payload = load_checkpoint(
+            spec.resume_path, _SNAPSHOT_KINDS.get(spec.kind, spec.kind)
+        )
         progress.note_resumed(int(payload["completed"]))
     return Checkpointer(
         path=spec.checkpoint_path, every=spec.checkpoint_every, resume=payload
@@ -212,55 +231,60 @@ def _watch(deadline_s: Optional[float],
     return CancelWatch(cancel, deadline=deadline)
 
 
+def _scenario(params: Dict[str, object]) -> Optional["FaultScenario"]:
+    """The spec's scenario object, or None when it has none."""
+    from repro.reliability.scenario import FaultScenario
+
+    raw = params.get("scenario")
+    return FaultScenario.from_dict(raw) if raw else None
+
+
 def _run_campaign(spec: _ShardSpec, telemetry, progress,
                   cancel: Optional[Callable[[], bool]] = None):
     """Run the campaign ``spec`` describes: the serial run or one shard.
 
-    ``spec`` carries the campaign seed and the run's first unit (see
+    The one place a spec's ``params`` meet a kind's runner.  ``spec``
+    carries the campaign seed and the run's first unit (see
     :func:`_shard_spec`), so the serial run and every shard construct
     their streams alike.
     """
+    params = spec.params
     checkpointer = _checkpointer(spec, progress)
     deadline = _watch(spec.deadline_s, cancel)
-    if spec.kind == "montecarlo":
+    run = dict(
+        telemetry=telemetry, progress=progress,
+        checkpointer=checkpointer, deadline=deadline,
+    )
+    if spec.kind == "campaign":
         return run_group_campaign(
-            spec.level, spec.ber, trials=spec.units,
-            group_size=spec.group_size, interval_s=spec.interval_s,
-            seed=spec.seed, interval_start=spec.interval_start,
-            telemetry=telemetry, progress=progress,
+            params["level"], params["ber"], trials=spec.units,
+            group_size=params["group_size"], interval_s=params["interval_s"],
+            seed=params["seed"], interval_start=spec.interval_start,
             chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
-            checkpointer=checkpointer, deadline=deadline,
-            backend=spec.backend,
+            backend=spec.backend, **run,
         )
     if spec.kind == "raresim":
         simulator = ConditionalGroupSimulator(
-            ber=spec.ber, group_size=spec.group_size,
-            num_groups=spec.num_groups, interval_s=spec.interval_s,
-            seed=spec.seed, trial_start=spec.interval_start,
-            scenario=spec.scenario,
-            backend=spec.backend,
+            ber=params["ber"], group_size=params["group_size"],
+            num_groups=params["num_groups"], interval_s=params["interval_s"],
+            seed=params["seed"], trial_start=spec.interval_start,
+            scenario=_scenario(params), backend=spec.backend,
         )
-        return simulator.run(
-            spec.level, spec.units, telemetry=telemetry, progress=progress,
-            checkpointer=checkpointer, deadline=deadline,
-        )
+        return simulator.run(params["level"], spec.units, **run)
     if spec.kind == "scenario":
         # Resolved at call time, not at import: wrappers installed on
         # the scenario module (profilers, benchmark harnesses) must see
         # the serial run and every shard.
         from repro.reliability.scenario import run_scenario_campaign
 
-        assert spec.scenario is not None
         return run_scenario_campaign(
-            spec.level, spec.scenario, spec.units,
-            group_size=spec.group_size, interval_s=spec.interval_s,
-            seed=spec.seed, interval_start=spec.interval_start,
-            telemetry=telemetry, progress=progress,
+            params["scheme"], _scenario(params), spec.units,
+            group_size=params["group_size"], interval_s=params["interval_s"],
+            seed=params["seed"], interval_start=spec.interval_start,
             chaos_policy=spec.chaos_policy, chaos_seed=spec.chaos_seed,
-            checkpointer=checkpointer, deadline=deadline,
-            backend=spec.backend,
+            backend=spec.backend, **run,
         )
-    raise ValueError(  # pragma: no cover - specs are built here only
+    raise ValueError(  # pragma: no cover - run_spec checks the kind
         f"unknown campaign kind {spec.kind!r}"
     )
 
@@ -270,7 +294,11 @@ def _run_shard(
 ) -> Tuple[object, Optional[object], Optional[List[Dict]]]:
     """Execute one shard; returns (result, metrics or None, spans or None)."""
     telemetry = Telemetry.create() if spec.telemetry else None
-    progress = _ShardProgress(queue, spec.index, spec.progress_batch)
+
+    def send(kind: str, units: int) -> None:
+        queue.put((kind, spec.index, units))
+
+    progress = BatchingProgress(send, spec.progress_batch)
     result = _run_campaign(spec, telemetry, progress, cancel)
     if telemetry is None:
         return result, None, None
@@ -439,49 +467,72 @@ def _shard_spec(base: _ShardSpec, index: int, units: List[int]) -> _ShardSpec:
     )
 
 
-def _run_sharded(
-    base: _ShardSpec,
-    telemetry: Optional[Telemetry],
-    progress,
-    cancel: Optional[Callable[[], bool]],
+def run_spec(
+    kind: str,
+    params: Dict[str, object],
+    *,
+    shards: int = 1,
+    telemetry: Optional[Telemetry] = None,
+    progress=NULL_PROGRESS,
+    checkpoint_path: str = "",
+    checkpoint_every: int = 0,
+    resume_from: str = "",
+    deadline_s: Optional[float] = None,
+    cancel: Optional[Callable[[], bool]] = None,
+    chaos_policy: Optional[ChaosPolicy] = None,
+    chaos_seed: int = 0,
+    backend: str = "numpy",
 ):
-    """The one body behind the three ``run_sharded_*`` fronts.
+    """Run one campaign spec; the one path from every entry point.
 
-    ``base`` describes the whole campaign (``units`` is the total, the
-    checkpoint fields are the caller's paths).  ``shards == 1`` runs it
-    in-process; otherwise it is split into per-shard specs, run across
-    processes under one ``sharded_*`` span, and merged.
+    ``(kind, params)`` is the normalized spec of
+    :func:`repro.serve.specs.parse_spec`, which the CLI and serve both
+    build and validate; this function trusts it.  ``shards == 1`` runs
+    the campaign in-process; otherwise the units are split into
+    contiguous slices, run across processes under one ``sharded_<kind>``
+    span, and merged.  Every kind draws unit ``i`` from seed-tree child
+    ``(seed, i)``, so the merged result equals the serial one bit for
+    bit.
+
+    ``chaos_policy``/``chaos_seed`` inject metadata faults (campaign and
+    scenario kinds).  ``cancel`` is the job-level cancellation hook,
+    polled between units: once truthy, the campaign -- every shard of
+    it -- stops at the next boundary with checkpoints flushed and
+    returns a truncated result with ``stop_reason="cancelled"``.
+    ``backend`` names the kernels ("numpy", or the "reference" oracle);
+    results are bit-identical either way.
+
+    Returns a :class:`CampaignResult`, or a :class:`ConditionalResult`
+    for ``kind="raresim"``.
     """
-    checkpoint_path = base.checkpoint_path or base.resume_path
-    _validate(base.shards, base.units, checkpoint_path, base.checkpoint_every,
-              base.backend)
-    chaos_policy = base.chaos_policy
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    units = spec_units(kind, params)
+    checkpoint_path = checkpoint_path or resume_from
+    _validate(shards, units, checkpoint_path, checkpoint_every, backend)
     if chaos_policy is not None and not chaos_policy.enabled:
         chaos_policy = None
-    base = replace(
-        base, checkpoint_path=checkpoint_path, chaos_policy=chaos_policy
+    base = _ShardSpec(
+        kind=kind, params=dict(params), index=0, shards=shards, units=units,
+        chaos_policy=chaos_policy, chaos_seed=chaos_seed,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+        resume_path=resume_from, telemetry=telemetry is not None,
+        deadline_s=deadline_s, backend=backend,
     )
-    if base.shards == 1:
+    if shards == 1:
         return _run_campaign(base, telemetry, progress, cancel)
-    units = split_units(base.units, base.shards)
-    specs = [_shard_spec(base, index, units) for index in range(base.shards)]
-    if base.kind == "scenario":
-        name = "sharded_scenario"
-        attributes = {"scheme": base.level, "intervals": base.units}
-    elif base.kind == "raresim":
-        name = "sharded_raresim"
-        attributes = {"level": base.level, "ber": base.ber, "trials": base.units}
-    else:
-        name = "sharded_campaign"
-        attributes = {
-            "level": base.level, "ber": base.ber, "intervals": base.units,
-        }
+    slices = split_units(units, shards)
+    specs = [_shard_spec(base, index, slices) for index in range(shards)]
+    attributes = {
+        key: value for key, value in params.items() if key != "scenario"
+    }
     tracer = resolve_telemetry(telemetry).tracer
-    with tracer.span(name, **attributes, shards=base.shards):
+    with tracer.span(f"sharded_{kind}", **attributes, shards=shards):
         results = _execute_shards(specs, telemetry, progress, cancel=cancel)
     progress.finish()
-    if base.kind == "raresim":
+    if kind == "raresim":
         return merge_conditional_results(results)
+    # Looked up by name at call time: profilers wrap it on this module.
     return merge_campaign_results(results)
 
 
@@ -505,32 +556,16 @@ def run_sharded_campaign(
     cancel: Optional[Callable[[], bool]] = None,
     backend: str = "numpy",
 ) -> CampaignResult:
-    """Sharded Monte-Carlo campaign (see :func:`run_group_campaign`).
-
-    ``shards=1`` runs the serial campaign in-process.  With ``shards=K``
-    the intervals are split K ways into contiguous slices, each shard
-    runs its slice of the same seed tree in its own process, and the
-    merged :class:`CampaignResult` is bit-identical to ``shards=1`` at
-    the same seed -- chaos (``chaos_policy``/``chaos_seed``) included.
-    The kernel ``backend`` ("numpy", or the "reference" oracle) reaches
-    every shard; per-seed results are bit-identical either way.
-
-    ``cancel`` is the job-level cancellation hook (polled between
-    intervals): once truthy, the campaign -- every shard of it -- stops
-    at the next boundary with checkpoints flushed and returns a
-    truncated result with ``stop_reason="cancelled"``.
-    """
-    return _run_sharded(
-        _ShardSpec(
-            kind="montecarlo", index=0, shards=shards, units=intervals,
-            seed=seed, level=level, ber=ber, group_size=group_size,
-            interval_s=interval_s, chaos_policy=chaos_policy,
-            chaos_seed=chaos_seed, checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every, resume_path=resume_from,
-            telemetry=telemetry is not None, deadline_s=deadline_s,
-            backend=backend,
-        ),
-        telemetry, progress, cancel,
+    """Sharded Monte-Carlo campaign (see :func:`run_group_campaign`);
+    :func:`run_spec` with ``kind="campaign"``."""
+    return run_spec(
+        "campaign",
+        {"level": level, "ber": ber, "intervals": intervals,
+         "group_size": group_size, "seed": seed, "interval_s": interval_s},
+        shards=shards, telemetry=telemetry, progress=progress,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+        resume_from=resume_from, deadline_s=deadline_s, cancel=cancel,
+        chaos_policy=chaos_policy, chaos_seed=chaos_seed, backend=backend,
     )
 
 
@@ -555,29 +590,20 @@ def run_sharded_raresim(
     backend: str = "numpy",
 ) -> ConditionalResult:
     """Sharded conditional rare-event campaign (see
-    :class:`repro.reliability.raresim.ConditionalGroupSimulator`).
-
-    Trial ``t`` draws only from seed-tree child ``(seed, t)``, so
-    ``shards=K`` splits the trials into contiguous slices, each shard
-    runs its slice of the same seed tree in its own process, and the
-    merged :class:`ConditionalResult` is bit-identical to ``shards=1``
-    at the same seed.  ``shards=1`` runs in-process.  ``scenario``
-    overlays per-group stuck-at maps and per-trial bursts on the
-    conditioned transients.  ``backend`` selects the kernel backend in
-    every shard; outcomes are bit-identical across backends.
-    ``cancel`` behaves as in :func:`run_sharded_campaign`.
-    """
-    return _run_sharded(
-        _ShardSpec(
-            kind="raresim", index=0, shards=shards, units=trials,
-            seed=seed, level=level, ber=ber, group_size=group_size,
-            interval_s=interval_s, num_groups=num_groups,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every, resume_path=resume_from,
-            telemetry=telemetry is not None, deadline_s=deadline_s,
-            scenario=scenario, backend=backend,
-        ),
-        telemetry, progress, cancel,
+    :class:`repro.reliability.raresim.ConditionalGroupSimulator`);
+    :func:`run_spec` with ``kind="raresim"``.  ``scenario`` overlays
+    per-group stuck-at maps and per-trial bursts on the conditioned
+    transients; ``ber`` is used as given."""
+    return run_spec(
+        "raresim",
+        {"level": level, "ber": ber, "trials": trials,
+         "group_size": group_size, "num_groups": num_groups,
+         "scenario": scenario.as_dict() if scenario is not None else None,
+         "seed": seed, "interval_s": interval_s},
+        shards=shards, telemetry=telemetry, progress=progress,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+        resume_from=resume_from, deadline_s=deadline_s, cancel=cancel,
+        backend=backend,
     )
 
 
@@ -602,26 +628,15 @@ def run_sharded_scenario(
     backend: str = "numpy",
 ) -> CampaignResult:
     """Sharded mixed-fault scenario campaign (see
-    :func:`repro.reliability.scenario.run_scenario_campaign`).
-
-    Scenario campaigns derive every random draw from the *global*
-    interval index, so sharding is pure interval partitioning: shard
-    ``i`` owns the contiguous slice starting at ``sum(units[:i])`` and
-    re-derives exactly the streams the serial run uses for those
-    intervals.  The merged result is therefore bit-identical to
-    ``shards=1`` at the same seed, as for :func:`run_sharded_campaign`.
-    ``shards=1`` runs in-process with no worker machinery.
-    """
-    return _run_sharded(
-        _ShardSpec(
-            kind="scenario", index=0, shards=shards, units=intervals,
-            seed=seed, level=scheme, ber=scenario.transient_ber,
-            group_size=group_size, interval_s=interval_s,
-            chaos_policy=chaos_policy, chaos_seed=chaos_seed,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every, resume_path=resume_from,
-            telemetry=telemetry is not None, deadline_s=deadline_s,
-            scenario=scenario, backend=backend,
-        ),
-        telemetry, progress, cancel,
+    :func:`repro.reliability.scenario.run_scenario_campaign`);
+    :func:`run_spec` with ``kind="scenario"``."""
+    return run_spec(
+        "scenario",
+        {"scheme": scheme, "scenario": scenario.as_dict(),
+         "intervals": intervals, "group_size": group_size, "seed": seed,
+         "interval_s": interval_s},
+        shards=shards, telemetry=telemetry, progress=progress,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+        resume_from=resume_from, deadline_s=deadline_s, cancel=cancel,
+        chaos_policy=chaos_policy, chaos_seed=chaos_seed, backend=backend,
     )

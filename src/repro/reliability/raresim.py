@@ -80,6 +80,31 @@ def _conditional_distribution(probabilities: List[float]) -> List[float]:
     return [p / total for p in probabilities]
 
 
+def conditioned_weights(
+    ber: float, group_size: int, line_bits: int
+) -> Tuple[float, List[float], List[float]]:
+    """The per-line multi-fault probability and the conditioned tails.
+
+    Returns ``(p_multi, fault_weights, multi_weights)``: the probability
+    that a line holds >= 2 faults, the conditioned weights of a
+    multi-bit line's fault count (2..MAX_FAULTS_PER_LINE), and those of
+    the group's multi-bit line count (2..MAX_MULTI_LINES).
+
+    :raises ValueError: when either conditioned distribution has zero
+        probability in floating point (``ber`` too close to 0 or 1).
+    """
+    p_multi = binomial_tail(line_bits, 2, ber)
+    fault_weights = _conditional_distribution([
+        binomial_pmf(line_bits, k, ber)
+        for k in range(2, MAX_FAULTS_PER_LINE + 1)
+    ])
+    multi_weights = _conditional_distribution([
+        binomial_pmf(group_size, m, p_multi)
+        for m in range(2, MAX_MULTI_LINES + 1)
+    ])
+    return p_multi, fault_weights, multi_weights
+
+
 def _draw(rng: random.Random, support: List[int], weights: List[float]) -> int:
     point = rng.random()
     cumulative = 0.0
@@ -246,11 +271,13 @@ class ConditionalGroupSimulator:
         #: burst events.  All extra draws come from the trial's stream,
         #: like every other draw of the trial.  The
         #: ``transient_ber`` field is *not* consumed here -- the
-        #: conditioned ``ber`` is this estimator's transient model (the
-        #: CLI maps ``scenario.transient_ber`` onto it).  Hash-2
-        #: side-groups sample their own stuck map but no bursts: a burst
-        #: blocking a side-group retry is a second-order term, neglected
-        #: like the deeper peeling levels (see EXPERIMENTS.md).
+        #: conditioned ``ber`` is this estimator's transient model
+        #: (:func:`repro.serve.specs.parse_spec` maps a nonzero
+        #: ``scenario.transient_ber`` onto it, for the CLI and serve
+        #: alike).  Hash-2 side-groups sample their own stuck map but no
+        #: bursts: a burst blocking a side-group retry is a second-order
+        #: term, neglected like the deeper peeling levels (see
+        #: EXPERIMENTS.md).
         self.scenario = scenario
         #: The campaign seed; trial ``t`` draws from child ``(seed, t)``.
         self.seed = seed
@@ -265,21 +292,11 @@ class ConditionalGroupSimulator:
         #: tracer (RNG-neutral: spans never touch the trial stream).
         self._tracer = NullTracer()
 
-        # Per-line multi-fault probability and the conditioned tails.
-        self.p_multi = binomial_tail(self.line_bits, 2, ber)
-        fault_pmf = [
-            binomial_pmf(self.line_bits, k, ber)
-            for k in range(2, MAX_FAULTS_PER_LINE + 1)
-        ]
+        self.p_multi, self._fault_weights, self._multi_weights = (
+            conditioned_weights(ber, group_size, self.line_bits)
+        )
         self._fault_support = list(range(2, MAX_FAULTS_PER_LINE + 1))
-        self._fault_weights = _conditional_distribution(fault_pmf)
-
-        multi_pmf = [
-            binomial_pmf(group_size, m, self.p_multi)
-            for m in range(2, MAX_MULTI_LINES + 1)
-        ]
         self._multi_support = list(range(2, MAX_MULTI_LINES + 1))
-        self._multi_weights = _conditional_distribution(multi_pmf)
         #: P[the conditioning event]: >= 2 multi-bit lines in the group.
         self.conditioning_probability = binomial_tail(group_size, 2, self.p_multi)
 

@@ -12,13 +12,14 @@ message arrives.  The lifecycle:
   enters the :class:`FairShareQueue`.  Cancelling a queued job takes
   it out of the queue; it never runs.
 * Slot fills claim jobs while worker slots are free and start each as a
-  **non-daemon** subprocess (the sharded executors fork their own shard
-  workers, and daemonic processes cannot have children).  The parent
-  keeps only the read end of the job's pipe, so end-of-file means the
-  worker and any shard children are gone: without a terminal message
-  first, the job fails.  Progress messages feed a per-job
-  :class:`~repro.obs.ProgressReporter` whose snapshots become SSE
-  events.
+  **non-daemon** subprocess, which runs the job's normalized spec
+  through :func:`repro.parallel.runner.run_spec` as the CLI does (a
+  sharded run forks its own shard workers, and daemonic processes
+  cannot have children).  The parent keeps only the read end of the
+  job's pipe, so end-of-file means the worker and any shard children
+  are gone: without a terminal message first, the job fails.
+  Progress messages feed a per-job :class:`~repro.obs.ProgressReporter`
+  whose snapshots become SSE events.
 * Completion: an untruncated result is filed in the content-addressed
   store and every checkpoint file of its digest is deleted, whatever
   shard count wrote it (``shards`` is not part of the digest).  A
@@ -51,13 +52,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry, ProgressReporter, Telemetry
 from repro.obs.export import metrics_snapshot
-from repro.parallel.runner import (
-    run_sharded_campaign,
-    run_sharded_raresim,
-    run_sharded_scenario,
-)
+from repro.parallel.runner import BatchingProgress, run_spec
 from repro.parallel.sharding import shard_checkpoint_path
-from repro.reliability.scenario import FaultScenario
 from repro.resilience.checkpoint import job_checkpoint_path
 from repro.serve.queue import FairShareQueue, QueuedJob
 from repro.serve.specs import RESULT_VERSION, JobSpec, parse_submission
@@ -82,35 +78,8 @@ def _raise_interrupt(signum, frame):  # pragma: no cover - signal path
     raise KeyboardInterrupt()
 
 
-class _WorkerProgress:
-    """In-worker progress adapter: batches advances onto the pipe."""
-
-    enabled = True
-
-    def __init__(self, conn, batch: int) -> None:
-        self._conn = conn
-        self._batch = max(1, batch)
-        self._pending = 0
-
-    def update(self, done: Optional[int] = None, advance: int = 1) -> None:
-        self._pending += advance
-        if self._pending >= self._batch:
-            self._conn.send(("progress", self._pending))
-            self._pending = 0
-
-    def note_resumed(self, units: int) -> None:
-        self._conn.send(("resumed", units))
-
-    def finish(self) -> None:
-        if self._pending:
-            self._conn.send(("progress", self._pending))
-            self._pending = 0
-
-
 def _job_worker(
-    kind: str,
-    params: Dict,
-    shards: int,
+    spec: JobSpec,
     checkpoint_path: str,
     resume_from: str,
     checkpoint_every: int,
@@ -124,42 +93,20 @@ def _job_worker(
     checkpoint flushed, exactly like an operator Ctrl-C.
     """
     signal.signal(signal.SIGTERM, _raise_interrupt)
-    progress = _WorkerProgress(conn, batch=max(1, params_units(params) // 200))
+
+    def send(kind: str, units: int) -> None:
+        conn.send((kind, units))
+
+    progress = BatchingProgress(send, batch=spec.total_units // 200)
     telemetry = Telemetry.create()
-    common = dict(
-        shards=shards,
-        seed=params["seed"],
-        interval_s=params["interval_s"],
-        telemetry=telemetry,
-        progress=progress,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        resume_from=resume_from,
-        cancel=cancel_event.is_set,
-    )
     try:
-        if kind == "campaign":
-            result = run_sharded_campaign(
-                params["level"], params["ber"], params["intervals"],
-                params["group_size"], **common,
-            )
-        elif kind == "raresim":
-            scenario = (
-                FaultScenario.from_dict(params["scenario"])
-                if params.get("scenario")
-                else None
-            )
-            result = run_sharded_raresim(
-                params["level"], params["ber"], params["trials"],
-                params["group_size"], params["num_groups"],
-                scenario=scenario, **common,
-            )
-        else:
-            result = run_sharded_scenario(
-                params["scheme"],
-                FaultScenario.from_dict(params["scenario"]),
-                params["intervals"], params["group_size"], **common,
-            )
+        result = run_spec(
+            spec.kind, spec.params, shards=spec.shards,
+            telemetry=telemetry, progress=progress,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, resume_from=resume_from,
+            cancel=cancel_event.is_set,
+        )
         progress.finish()
         message: Tuple[object, ...] = (
             "result", result.as_dict(), metrics_snapshot(telemetry.metrics)
@@ -174,11 +121,6 @@ def _job_worker(
     # the server would read the rest of the pipe as garbage.
     signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
     conn.send(message)
-
-
-def params_units(params: Dict) -> int:
-    """Total work units (trials or intervals) a params dict describes."""
-    return int(params.get("trials", params.get("intervals", 0)))
 
 
 @dataclass
@@ -394,8 +336,8 @@ class Scheduler:
         job.process = self._context.Process(
             target=_job_worker,
             args=(
-                job.spec.kind, dict(job.spec.params), job.spec.shards, base,
-                resume, self.checkpoint_every, writer, job.cancel_event,
+                job.spec, base, resume, self.checkpoint_every, writer,
+                job.cancel_event,
             ),
             daemon=False,
         )

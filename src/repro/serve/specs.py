@@ -1,10 +1,20 @@
 """Job specs: validation, normalization, and content digests.
 
-A submission names one of the three campaign kinds and its parameters;
-this module validates the payload against the same constraints the CLI
-enforces, normalizes it to a canonical parameter dict (defaults applied,
-scenario round-tripped through :class:`FaultScenario`), and derives the
-content digest that keys the result store.
+A spec names one of the three campaign kinds and its parameters.  It
+is the one campaign description from every entry point to the shards:
+serve takes it from a request body, the CLI builds it from its flags,
+and both hand the normalized result to
+:func:`repro.parallel.runner.run_spec`.  :func:`parse_spec` validates
+the payload against the library's own constraints, so a value the run
+would reject is a :class:`SpecError` naming the field (HTTP 400, or a
+one-line CLI error) rather than a job that fails later.  It normalizes
+the payload to a canonical parameter dict (defaults applied, scenario
+round-tripped through :class:`FaultScenario`) and derives the content
+digest that keys the result store.
+
+One normalization is a rule, not a default: the rare-event estimator's
+transient model is its conditioned ``ber``, so a raresim scenario with
+``transient_ber > 0`` sets ``ber`` (docs/faultmodels.md).
 
 The digest covers exactly what determines the result *bits*: the kind,
 the normalized semantic parameters (seed included) and
@@ -27,19 +37,24 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.core.layout import LineLayout
+from repro.parallel.runner import KINDS, spec_units
+from repro.reliability.raresim import conditioned_weights
 from repro.reliability.scenario import SCHEMES, FaultScenario
 
 #: Bump when a code change alters campaign results at a fixed spec;
 #: stored results from older versions then simply stop matching.
 RESULT_VERSION = 3
 
-#: Campaign kinds the service schedules.
-KINDS: Tuple[str, ...] = ("campaign", "raresim", "scenario")
-
 _CAMPAIGN_LEVELS = ("X", "Y", "Z")
 _RARESIM_LEVELS = ("Y", "Z")
 
 _MAX_SHARDS = 64
+
+#: Schemes whose RAID groups a :class:`repro.core.grouping.GroupMapper`
+#: partitions, which needs a power-of-two group size.  The ECC-line,
+#: CPPC and Hi-ECC baselines and the rare-event group take any size >= 2.
+_POWER_OF_TWO_SCHEMES = frozenset({"X", "Y", "Z", "raid6", "twodp"})
 
 #: Keys every kind accepts besides its own parameters.
 _COMMON_KEYS = frozenset({"kind", "seed", "shards", "interval_s"})
@@ -113,8 +128,7 @@ class JobSpec:
     @property
     def total_units(self) -> int:
         """Work units (intervals or trials) the job simulates."""
-        key = "trials" if self.kind == "raresim" else "intervals"
-        return int(self.params[key])
+        return spec_units(self.kind, self.params)
 
     def digest_payload(self) -> Dict[str, object]:
         """The exact structure hashed into the content digest."""
@@ -161,6 +175,37 @@ def _parse_scenario_field(payload: Dict) -> Optional[Dict[str, object]]:
     return scenario.as_dict()
 
 
+def _check_group_size(group_size, scheme) -> None:
+    if scheme in _POWER_OF_TWO_SCHEMES:
+        _require(
+            group_size & (group_size - 1) == 0,
+            f"'group_size' must be a power of two for {scheme}, "
+            f"got {group_size}",
+        )
+
+
+def _raresim_ber(params: Dict) -> float:
+    """The conditioned BER a raresim spec runs at, checked.
+
+    A scenario with ``transient_ber > 0`` sets it: the estimator's
+    transient model is ``ber``, not the scenario's field.
+    """
+    scenario, ber = params["scenario"], params["ber"]
+    if scenario and scenario["transient_ber"] > 0:
+        ber = scenario["transient_ber"]
+    _require(
+        0.0 < ber < 1.0,
+        f"'ber' must be within (0, 1) for kind=raresim, got {ber}",
+    )
+    try:
+        conditioned_weights(
+            ber, params["group_size"], LineLayout().stored_bits
+        )
+    except ValueError as error:
+        raise SpecError(f"'ber' {ber} is out of the estimator's range: {error}")
+    return ber
+
+
 def parse_spec(payload: object) -> JobSpec:
     """Validate a spec payload and normalize it to a :class:`JobSpec`.
 
@@ -177,6 +222,7 @@ def parse_spec(payload: object) -> JobSpec:
             "intervals": _get_int(payload, "intervals", 100, 1),
             "group_size": _get_int(payload, "group_size", 32, 2),
         }
+        _check_group_size(params["group_size"], params["level"])
     elif kind == "raresim":
         params = {
             "level": _get_choice(payload, "level", "Z", _RARESIM_LEVELS),
@@ -186,6 +232,7 @@ def parse_spec(payload: object) -> JobSpec:
             "num_groups": _get_int(payload, "num_groups", 2048, 1),
             "scenario": _parse_scenario_field(payload),
         }
+        params["ber"] = _raresim_ber(params)
     else:  # scenario
         scenario = _parse_scenario_field(payload)
         _require(
@@ -197,6 +244,7 @@ def parse_spec(payload: object) -> JobSpec:
             "intervals": _get_int(payload, "intervals", 100, 1),
             "group_size": _get_int(payload, "group_size", 8, 2),
         }
+        _check_group_size(params["group_size"], params["scheme"])
     _reject_unknown_keys(payload, params)
     params["seed"] = seed
     params["interval_s"] = interval_s

@@ -1,6 +1,5 @@
 """The rng/seed resolution policy behind every stochastic constructor."""
 
-import random
 import warnings
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from repro.core.rng import (
     UnseededRNGWarning,
     reset_unseeded_warnings,
-    resolve_pyrandom,
     resolve_rng,
 )
 
@@ -51,29 +49,6 @@ class TestResolveRng:
             resolve_rng(owner="widget")  # second call: silent
         with pytest.warns(UnseededRNGWarning, match="gadget"):
             resolve_rng(owner="gadget")  # new owner warns again
-
-
-class TestResolvePyrandom:
-    def test_explicit_rng_wins(self):
-        generator = random.Random(1)
-        assert resolve_pyrandom(rng=generator) is generator
-
-    def test_seed_is_deterministic(self):
-        a = resolve_pyrandom(seed=42)
-        b = resolve_pyrandom(seed=42)
-        assert [a.getrandbits(32) for _ in range(8)] == \
-            [b.getrandbits(32) for _ in range(8)]
-
-    def test_both_rng_and_seed_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_pyrandom(rng=random.Random(1), seed=2)
-
-    def test_unseeded_warns_once(self):
-        with pytest.warns(UnseededRNGWarning):
-            resolve_pyrandom(owner="chaos-stream")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolve_pyrandom(owner="chaos-stream")
 
 
 class TestConstructorsAcceptSeed:

@@ -183,7 +183,7 @@ class TestUnseededRng:
 
     def test_inline_construction_in_campaign_path_flagged(self):
         # The old estimate_fit bug class: rng=random.Random(seed) as a
-        # call argument bypasses resolve_pyrandom entirely.
+        # call argument, with no seed-tree provenance.
         source = """\
         import random
         sim = Simulator(ber=ber, rng=random.Random(seed))
@@ -218,13 +218,6 @@ class TestUnseededRng:
         sim = Simulator(rng=random.Random(interval_python_seed(seed, t)))
         """
         assert rules_of(source, path="src/repro/parallel/runner.py") == []
-
-    def test_resolve_pyrandom_repair_clean(self):
-        source = """\
-        from repro.core.rng import resolve_pyrandom
-        sim = Simulator(rng=resolve_pyrandom(seed=seed, owner="sim"))
-        """
-        assert rules_of(source, path=self.CAMPAIGN) == []
 
 
 class TestNonAtomicWrite:

@@ -10,6 +10,7 @@ import asyncio
 import json
 import os
 import signal
+import time
 
 from repro.serve import scheduler as scheduler_module
 from repro.serve.app import ServeApp
@@ -317,6 +318,27 @@ class TestValidationAndRoutes:
 
         asyncio.run(scenario())
 
+    def test_values_the_run_rejects_are_400_not_failed_jobs(self, tmp_path):
+        """Each of these used to be accepted (202) and end ``failed``."""
+        bad = [
+            ({"kind": "campaign", "group_size": 3}, "'group_size'"),
+            ({"kind": "raresim", "ber": 0.0}, "'ber'"),
+            ({"kind": "scenario", "scheme": "raid6", "group_size": 6,
+              "scenario": {"transient_ber": 1e-3}}, "'group_size'"),
+        ]
+
+        async def scenario():
+            async with _RunningApp(tmp_path) as running:
+                for payload, field in bad:
+                    status, body = await _request(
+                        running.port, "POST", "/v1/jobs", payload
+                    )
+                    assert status == 400, payload
+                    assert field in body["error"], (payload, body)
+                assert running.app.scheduler.jobs == {}
+
+        asyncio.run(scenario())
+
     def test_misspelt_key_is_400_naming_it(self, tmp_path):
         async def scenario():
             async with _RunningApp(tmp_path) as running:
@@ -367,7 +389,7 @@ class TestValidationAndRoutes:
 
 class TestCancelAndResume:
     def test_delete_cancels_and_resubmission_resumes_bit_identical(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         """The acceptance criterion: cancel mid-job, resume on
         resubmission, final result bit-identical to an uninterrupted
@@ -375,6 +397,30 @@ class TestCancelAndResume:
 
         spec = dict(SPEC)
         spec["intervals"] = 40
+
+        def hold_until_cancelled(run_spec):
+            """The first (not resumed) run waits at its sixth unit
+            boundary until the DELETE lands, so it cannot finish first."""
+
+            def held_run(kind, params, *, cancel, resume_from, **kwargs):
+                if resume_from:
+                    return run_spec(kind, params, cancel=cancel,
+                                    resume_from=resume_from, **kwargs)
+                polls = [0]
+
+                def held_cancel():
+                    polls[0] += 1
+                    if polls[0] > 5:
+                        for _ in range(6000):
+                            if cancel():
+                                break
+                            time.sleep(0.01)
+                    return cancel()
+
+                return run_spec(kind, params, cancel=held_cancel,
+                                resume_from=resume_from, **kwargs)
+
+            return held_run
 
         async def interrupted(tmp):
             async with _RunningApp(tmp, workers=1) as running:
@@ -422,7 +468,13 @@ class TestCancelAndResume:
                 _, reference_bytes = await _raw_result(port, job["digest"])
                 return reference_bytes
 
-        resumed = asyncio.run(interrupted(tmp_path / "a"))
+        # Job workers fork from this process, so they inherit the hold.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                scheduler_module, "run_spec",
+                hold_until_cancelled(scheduler_module.run_spec),
+            )
+            resumed = asyncio.run(interrupted(tmp_path / "a"))
         reference = asyncio.run(uninterrupted(tmp_path / "b"))
         assert resumed == reference
 

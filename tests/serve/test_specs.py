@@ -72,6 +72,74 @@ class TestParseSpec:
             parse_spec([1, 2, 3])
 
 
+RARESIM = {
+    "kind": "raresim", "level": "Z", "ber": 1e-3, "trials": 20,
+    "group_size": 16, "num_groups": 8, "seed": 5,
+}
+SCENARIO = {
+    "kind": "scenario", "scheme": "Z", "intervals": 4, "group_size": 8,
+    "scenario": {"transient_ber": 1e-3},
+}
+
+
+class TestRunConstraints:
+    """Every value the run would reject is a 400 naming its field."""
+
+    @pytest.mark.parametrize("payload, match", [
+        # GroupMapper (X/Y/Z, RAID-6, 2DP) needs a power-of-two group.
+        (dict(CAMPAIGN, group_size=3), "'group_size' must be a power of two"),
+        (dict(CAMPAIGN, level="X", group_size=12), "'group_size'"),
+        (dict(SCENARIO, scheme="raid6", group_size=6), "'group_size'"),
+        (dict(SCENARIO, scheme="twodp", group_size=6), "'group_size'"),
+        # The conditioned estimator needs 0 < ber < 1 and a conditioning
+        # event of nonzero probability.
+        (dict(RARESIM, ber=0.0), "'ber' must be within \\(0, 1\\)"),
+        (dict(RARESIM, ber=1.0), "'ber'"),
+        (dict(RARESIM, ber=1e-300), "'ber'.*zero probability"),
+        (dict(RARESIM, ber=0.999), "'ber'.*zero probability"),
+    ])
+    def test_rejected(self, payload, match):
+        with pytest.raises(SpecError, match=match):
+            parse_spec(payload)
+
+    @pytest.mark.parametrize("payload", [
+        dict(SCENARIO, scheme="eccline", group_size=6),
+        dict(SCENARIO, scheme="cppc", group_size=3),
+        dict(SCENARIO, scheme="hiecc", group_size=5),
+        dict(RARESIM, group_size=12),
+    ], ids=["eccline", "cppc", "hiecc", "raresim"])
+    def test_schemes_without_group_mapper_take_any_size(self, payload):
+        assert parse_spec(payload).params["group_size"] == payload["group_size"]
+
+
+class TestRaresimBerRule:
+    """A raresim scenario with ``transient_ber > 0`` sets ``ber``."""
+
+    def test_scenario_transient_ber_sets_ber(self):
+        spec = parse_spec(dict(
+            RARESIM, ber=1e-4, scenario={"transient_ber": 2e-3}
+        ))
+        assert spec.params["ber"] == 2e-3
+
+    def test_rule_applies_before_the_range_check(self):
+        spec = parse_spec(dict(
+            RARESIM, ber=0.0, scenario={"transient_ber": 2e-3}
+        ))
+        assert spec.params["ber"] == 2e-3
+
+    def test_zero_transient_ber_keeps_ber(self):
+        spec = parse_spec(dict(
+            RARESIM, scenario={"transient_ber": 0.0, "stuck": {"ppm": 50}}
+        ))
+        assert spec.params["ber"] == RARESIM["ber"]
+
+    def test_submissions_differing_only_in_overridden_ber_share_a_digest(self):
+        scenario = {"transient_ber": 2e-3}
+        low = parse_spec(dict(RARESIM, ber=1e-4, scenario=scenario))
+        high = parse_spec(dict(RARESIM, ber=2e-3, scenario=scenario))
+        assert low.digest() == high.digest()
+
+
 class TestDigest:
     def test_digest_is_stable_and_version_pinned(self):
         spec = parse_spec(dict(CAMPAIGN))
