@@ -21,8 +21,8 @@ from repro.obs import Telemetry
 from repro.reliability.montecarlo import run_group_campaign
 
 #: Small but failure-rich campaign: every mechanism (ecc1/raid4/sdr/
-#: hash2) fires, so the instrumented run pays for spans too, not just
-#: the per-line counters.
+#: hash2) fires, so the instrumented run pays for repair spans too, not
+#: just the per-interval histograms and the end-of-run tally publish.
 CAMPAIGN = dict(level="Z", ber=8e-4, trials=3, group_size=8)
 REPEATS = 7
 OVERHEAD_BUDGET = 0.05

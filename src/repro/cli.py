@@ -420,10 +420,7 @@ def _check_out_paths(args: argparse.Namespace) -> None:
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             flag = "--" + attr.replace("_", "-")
-            raise SystemExit(
-                f"repro: error: {flag} {path!r}: "
-                f"directory {parent!r} does not exist"
-            )
+            _usage_error(f"{flag} {path!r}: directory {parent!r} does not exist")
 
 
 def _build_telemetry(args: argparse.Namespace):

@@ -45,15 +45,7 @@ from repro.kernels import (
     resolve_backend,
 )
 from repro.obs import Telemetry, resolve_telemetry
-from repro.obs.metrics import CounterChild
 from repro.sttram.array import STTRAMArray
-
-#: Bucket edges for modelled per-line repair latencies: the interesting
-#: range spans the 1-cycle syndrome check (~0.3 ns) up to multi-group
-#: Hash-2 repairs (tens of microseconds).
-REPAIR_LATENCY_BUCKETS: Tuple[float, ...] = (
-    1e-9, 1e-8, 1e-7, 1e-6, 2e-6, 5e-6, 1e-5, 5e-5, 1e-4,
-)
 
 
 class _Replay:
@@ -62,8 +54,8 @@ class _Replay:
 
     The stat deltas, the latency addends in their original order (so
     ``correction_time_s`` gets the same float additions), and the
-    corrections the retry counted and spanned, as (mechanism, span
-    attributes) pairs in order.
+    repair spans the retry opened, as (mechanism, span attributes)
+    pairs in order.
     """
 
     __slots__ = (
@@ -159,37 +151,14 @@ class SuDokuEngine:
             self.format()
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
-        """Attach a telemetry bundle (see :mod:`repro.obs`).
+        """Record this engine's repair spans on ``telemetry``'s tracer.
 
-        Registers this engine's metric families and caches them so the
-        scrub hot path pays one dict-free method call per event.  The
-        default (null) bundle makes every call a no-op; results are
-        bit-identical with telemetry attached or not.
+        The engine counts its events in :attr:`stats` alone; a campaign
+        publishes those tallies when it ends.  The default (null)
+        tracer makes every span a no-op; results are bit-identical with
+        telemetry attached or not.
         """
-        self.telemetry = telemetry
-        metrics = telemetry.metrics
-        self._m_outcomes = metrics.counter(
-            "sudoku_outcomes_total",
-            "Resolved line outcomes by engine level and outcome label.",
-            labels=("level", "outcome"),
-        )
-        self._m_corrections = metrics.counter(
-            "sudoku_corrections_total",
-            "Correction-mechanism invocations by engine level.",
-            labels=("level", "mechanism"),
-        )
-        self._m_ecc1: Optional[CounterChild] = None
-        self._m_repair_latency = metrics.histogram(
-            "sudoku_repair_latency_seconds",
-            "Modelled hardware latency of resolving one line.",
-            labels=("level",),
-            buckets=REPAIR_LATENCY_BUCKETS,
-        )
-        self._m_metadata = metrics.counter(
-            "sudoku_metadata_events_total",
-            "Parity-metadata integrity events by engine level and kind.",
-            labels=("level", "event"),
-        )
+        self.tracer = telemetry.tracer
 
     def _init_extra_tables(self) -> None:
         """Hook for subclasses that maintain additional parity tables."""
@@ -397,13 +366,10 @@ class SuDokuEngine:
 
     def scrub_line(self, frame: int) -> str:
         """Resolve one line (LineScrubber protocol); returns outcome label."""
-        outcome = self._scrub_line(frame)
-        if self.telemetry.enabled:
-            self._publish_line_outcomes([outcome])
-        return outcome.value
+        return self._scrub_line(frame).value
 
     def _scrub_line(self, frame: int) -> Outcome:
-        """:meth:`scrub_line` minus telemetry, which the caller publishes."""
+        """:meth:`scrub_line`, returning the :class:`Outcome` itself."""
         fault_bits = (
             popcount(self.array.error_vector(frame))
             if self.event_log is not None
@@ -423,24 +389,6 @@ class SuDokuEngine:
                 latency_s=self._latency_for(outcome),
             )
         return outcome
-
-    def _publish_line_outcomes(self, outcomes: List[Outcome]) -> None:
-        """Count scrubbed lines' outcomes and latencies, in scrub order.
-
-        One counter increment per outcome class, and one histogram call
-        for the whole batch, instead of two labelled updates per line.
-        Exports match per-line publishing exactly: counter values are
-        integer-valued floats, children appear in first-seen order, and
-        the histogram sum is accumulated in scrub order.
-        """
-        tally = Counter(outcomes)
-        latency: Dict[Outcome, float] = {}
-        for outcome, count in tally.items():
-            self._m_outcomes.labels(level=self.level, outcome=outcome.value).inc(count)
-            latency[outcome] = self._latency_for(outcome)
-        self._m_repair_latency.labels(level=self.level).observe_all(
-            list(map(latency.__getitem__, outcomes))
-        )
 
     def _latency_for(self, outcome: Outcome) -> float:
         """Modelled hardware latency of resolving a line this way."""
@@ -488,18 +436,11 @@ class SuDokuEngine:
     def account_bulk_clean(self, count: int) -> int:
         """Record ``count`` known-clean lines without decoding them.
 
-        Keeps ``stats`` and the outcome telemetry counter consistent with
-        a dense pass; per-line repair-latency observations are *not*
-        emitted for bulk-accounted lines (documented sparse-mode
-        divergence -- histograms are diagnostics, not results).
+        Keeps ``stats`` consistent with a dense pass.
         """
         if count < 0:
             raise ValueError("bulk clean count cannot be negative")
         self.stats.outcomes[Outcome.CLEAN.value] += count
-        if count and self.telemetry.enabled:
-            self._m_outcomes.labels(
-                level=self.level, outcome=Outcome.CLEAN.value
-            ).inc(count)
         return count
 
     @property
@@ -555,31 +496,17 @@ class SuDokuEngine:
                 "(resolves_single_flips); store these flips instead"
             )
         tally: Counter = Counter()
-        # Per-line outcomes in scrub order feed only the repair-latency
-        # histogram, so they are kept only when telemetry is on.
-        scrubbed: Optional[List[Outcome]] = (
-            [] if self.telemetry.enabled else None
+        stored = (
+            [frame for frame in frames if frame not in ecc1_only]
+            if ecc1_only
+            else frames
         )
-        try:
-            stored = (
-                [frame for frame in frames if frame not in ecc1_only]
-                if ecc1_only
-                else frames
-            )
-            classified = self._classify(stored) if self.backend.batched else None
-            if classified is not None and self.event_log is None:
-                self._scrub_classified(
-                    frames, *classified, ecc1_only, tally, scrubbed
-                )
-            else:
-                for frame in frames:
-                    outcome = self._scrub_line(frame)
-                    tally[outcome.value] += 1
-                    if scrubbed is not None:
-                        scrubbed.append(outcome)
-        finally:
-            if scrubbed:
-                self._publish_line_outcomes(scrubbed)
+        classified = self._classify(stored) if self.backend.batched else None
+        if classified is not None and self.event_log is None:
+            self._scrub_classified(frames, *classified, ecc1_only, tally)
+        else:
+            for frame in frames:
+                tally[self._scrub_line(frame).value] += 1
         if self._pending:
             # A frame this pass already visited can re-enter _pending
             # when a later group repair touches it again (a stuck-at
@@ -603,7 +530,6 @@ class SuDokuEngine:
         codes: List[int],
         ecc1_only: Dict[int, int],
         tally: Counter,
-        scrubbed: Optional[List[Outcome]],
     ) -> None:
         """Walk ``frames`` in order, resolving ECC-1 runs in bulk.
 
@@ -647,8 +573,6 @@ class SuDokuEngine:
                     tally[outcome.value] += 1
             else:
                 tally[Outcome.CORRECTED_ECC1.value] += len(outcomes)
-            if scrubbed is not None:
-                scrubbed.extend(outcomes)
 
         for frame in frames:
             if frame in ecc1_only:
@@ -673,10 +597,7 @@ class SuDokuEngine:
                     in_run.add(frame)
                     continue
             flush()
-            outcome = self._scrub_line(frame)
-            tally[outcome.value] += 1
-            if scrubbed is not None:
-                scrubbed.append(outcome)
+            tally[self._scrub_line(frame).value] += 1
         flush()
 
     def _scrub_ecc1_run(self, run: List[int], fixed: List[int]) -> List[Outcome]:
@@ -684,9 +605,9 @@ class SuDokuEngine:
 
         Bit-identical to ``_scrub_line`` on each frame in turn: a frame's
         restore and audit touch only that frame, the latency addends are
-        added one per line in order, the ECC-1 counter child is made on
-        first use and counts every repair, and outcomes are recorded in
-        order -- ECC-1, or SDC where the golden audit flags the repair.
+        added one per line in order, every repair is counted, and
+        outcomes are recorded in order -- ECC-1, or SDC where the golden
+        audit flags the repair.
         """
         clean = self.array.restore_many(run, fixed)
         self._account_ecc1(len(run))
@@ -711,22 +632,11 @@ class SuDokuEngine:
         return [Outcome.CORRECTED_ECC1] * repairs
 
     def _account_ecc1(self, repairs: int) -> None:
-        """One ECC-1 latency addend per repair, in order, and the counter."""
+        """One ECC-1 latency addend per repair, in order, and the count."""
         step = self.latency.ecc1_repair()
         for _ in range(repairs):
             self.correction_time_s += step
-        self._count_ecc1(repairs)
-
-    def _count_ecc1(self, repairs: int) -> None:
-        """Count ECC-1 repairs on the corrections counter (telemetry)."""
-        if self.telemetry.enabled:
-            if self._m_ecc1 is None:
-                # ECC-1 is the one per-line mechanism, so its child is
-                # held; made on first use, it exports where it did.
-                self._m_ecc1 = self._m_corrections.labels(
-                    level=self.level, mechanism="ecc1"
-                )
-            self._m_ecc1.inc(repairs)
+        self.stats.ecc1_repairs += repairs
 
     # -- line resolution --------------------------------------------------------------
 
@@ -799,19 +709,15 @@ class SuDokuEngine:
                 event = "recompute_mismatch"
             if event is None:
                 return True
-            self.stats.metadata_faults_detected += 1
+            self.stats.metadata_faults[event] += 1
             self.stats.metadata_quarantines += 1
             plt.quarantine(group)
-            if self.telemetry.enabled:
-                self._m_metadata.labels(level=self.level, event=event).inc()
         if scan.uncorrectable:
             # A member is still corrupt: the parity cannot be re-derived
             # trustworthily, so the group stays quarantined.
             return False
         plt.rebuild(group, scan.parity_terms())
         self.stats.metadata_rebuilds += 1
-        if self.telemetry.enabled:
-            self._m_metadata.labels(level=self.level, event="rebuild").inc()
         return True
 
     def _group_level_repair(self, scan: GroupScan, plt: ParityLineTable) -> None:
@@ -831,7 +737,7 @@ class SuDokuEngine:
 
     # -- correction accounting ---------------------------------------------------
     #
-    # Every stat, latency addend, counter and span of a group repair goes
+    # Every stat, latency addend and span of a group repair goes
     # through one of these helpers, which also record what they added
     # while a peeling retry is simulated; applying that record again
     # repeats a retry's accounting exactly (see SuDokuZ._retry_group).
@@ -897,9 +803,8 @@ class SuDokuEngine:
         )
 
     def _correction(self, mechanism: str, **attributes):
-        """Count one ``mechanism`` invocation and return its repair span."""
-        self._m_corrections.labels(level=self.level, mechanism=mechanism).inc()
-        return self.telemetry.tracer.span(
+        """The repair span of one ``mechanism`` invocation."""
+        return self.tracer.span(
             f"{mechanism}_repair", level=self.level, **attributes
         )
 
@@ -978,11 +883,7 @@ class SuDokuEngine:
                         "crc_faults" if event == "crc_fault"
                         else "recompute_faults"
                     ] += 1
-                    self.stats.metadata_faults_detected += 1
-                    if self.telemetry.enabled:
-                        self._m_metadata.labels(
-                            level=self.level, event=event
-                        ).inc()
+                    self.stats.metadata_faults[event] += 1
                 if repair and members_clean:
                     plt.rebuild(group, members)
                     report["rebuilt"] += 1
@@ -1181,8 +1082,7 @@ class SuDokuZ(SuDokuY):
         """Account a remembered retry again; return its scan's results.
 
         Apply its record: the stat deltas, then each latency addend in
-        order.  Its corrections are counted and spanned only when
-        telemetry records them.
+        order, then its repair spans when a tracer records them.
         """
         replay = retry.replay
         stats = self.stats
@@ -1195,7 +1095,9 @@ class SuDokuZ(SuDokuY):
         for addend in replay.addends:
             total += addend
         self.correction_time_s = total
-        if self.telemetry.enabled:
+        if self.tracer.enabled:
+            # Replays are the hot path of failing intervals: skip even
+            # the null spans when nothing records them.
             for mechanism, attributes in replay.corrections:
                 with self._correction(mechanism, **attributes):
                     pass

@@ -19,9 +19,18 @@ from repro.core.outcomes import Outcome
 
 @dataclass
 class CorrectionStats:
-    """Counters maintained by a SuDoku engine."""
+    """Counters maintained by a SuDoku engine: its only tallies.
+
+    Telemetry restates them when a campaign ends
+    (:func:`repro.reliability.tallies.publish_tallies`).
+    ``ecc1_repairs`` counts lines the scrub repaired by ECC-1 alone (not
+    those a group scan fixed); ``metadata_faults`` counts parity entries
+    found corrupt, by how: ``crc_fault`` (the entry failed its CRC) or
+    ``recompute_mismatch`` (it disagreed with its clean members).
+    """
 
     outcomes: Counter = field(default_factory=Counter)
+    ecc1_repairs: int = 0
     raid4_invocations: int = 0
     sdr_invocations: int = 0
     sdr_trials: int = 0
@@ -31,7 +40,7 @@ class CorrectionStats:
     writes: int = 0
     reads: int = 0
     parity_rebuilds: int = 0
-    metadata_faults_detected: int = 0
+    metadata_faults: Counter = field(default_factory=Counter)
     metadata_rebuilds: int = 0
     metadata_quarantines: int = 0
 
@@ -48,6 +57,11 @@ class CorrectionStats:
         return self.outcomes.get(label, 0)
 
     @property
+    def metadata_faults_detected(self) -> int:
+        """Metadata faults detected, of every kind."""
+        return sum(self.metadata_faults.values())
+
+    @property
     def failures(self) -> int:
         """Total DUE + METADATA_DUE + SDC lines."""
         return (
@@ -60,6 +74,7 @@ class CorrectionStats:
         """Plain-dict snapshot for reports."""
         snapshot = dict(self.outcomes)
         snapshot.update(
+            ecc1_repairs=self.ecc1_repairs,
             raid4_invocations=self.raid4_invocations,
             sdr_invocations=self.sdr_invocations,
             sdr_trials=self.sdr_trials,
@@ -70,27 +85,12 @@ class CorrectionStats:
             reads=self.reads,
             parity_rebuilds=self.parity_rebuilds,
             metadata_faults_detected=self.metadata_faults_detected,
+            metadata_crc_faults=self.metadata_faults["crc_fault"],
+            metadata_recompute_mismatches=self.metadata_faults["recompute_mismatch"],
             metadata_rebuilds=self.metadata_rebuilds,
             metadata_quarantines=self.metadata_quarantines,
         )
         return snapshot
-
-    def publish_to(self, metrics, level: str = "") -> None:
-        """Mirror the current snapshot into a metrics registry.
-
-        Each counter becomes one series of the
-        ``sudoku_engine_stat{level,stat}`` gauge family (gauges, not
-        counters, because this publishes absolute totals at a point in
-        time rather than deltas).  ``metrics`` is a
-        :class:`repro.obs.metrics.MetricsRegistry` (or the null one).
-        """
-        gauge = metrics.gauge(
-            "sudoku_engine_stat",
-            "CorrectionStats snapshot values by engine level.",
-            labels=("level", "stat"),
-        )
-        for stat, value in self.as_dict().items():
-            gauge.labels(level=level, stat=stat).set(value)
 
 
 @dataclass(frozen=True)

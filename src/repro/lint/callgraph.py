@@ -31,11 +31,26 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.context import dotted_name
 
 #: Maximum re-export/alias chain length followed during resolution --
 #: a cycle guard, far above any real chain in this repository.
 _MAX_ALIAS_HOPS = 16
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """The source-level dotted name of a ``Name``/``Attribute`` chain.
+
+    ``np.random.default_rng`` -> ``"np.random.default_rng"``; anything
+    that is not a pure attribute chain (calls, subscripts) is ``None``.
+    """
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted_name(node.value)
+        if base is None:
+            return None
+        return f"{base}.{node.attr}"
+    return None
 
 
 def module_name_for(path: str) -> str:

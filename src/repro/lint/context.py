@@ -13,21 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional
 
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """The source-level dotted name of a ``Name``/``Attribute`` chain.
-
-    ``np.random.default_rng`` -> ``"np.random.default_rng"``; anything
-    that is not a pure attribute chain (calls, subscripts) is ``None``.
-    """
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        if base is None:
-            return None
-        return f"{base}.{node.attr}"
-    return None
+from repro.lint.callgraph import _collect_aliases, dotted_name, module_name_for
 
 
 class ModuleContext:
@@ -40,34 +26,11 @@ class ModuleContext:
         self.lines: List[str] = source.splitlines()
         #: local name -> canonical dotted prefix, from import statements
         #: anywhere in the module (function-local imports included: this
-        #: codebase imports lazily inside CLI handlers).
-        self.aliases: Dict[str, str] = {}
-        self._collect_imports(tree)
-
-    # -- imports ---------------------------------------------------------------
-
-    def _collect_imports(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".", 1)[0]
-                    # ``import numpy.random`` binds ``numpy``; with
-                    # ``as`` the alias names the full dotted module.
-                    target = alias.name if alias.asname else local
-                    self.aliases[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                if node.level or node.module is None:
-                    # Relative imports stay repo-internal; resolve with
-                    # a best-effort module-less prefix.
-                    module = node.module or ""
-                else:
-                    module = node.module
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    prefix = f"{module}." if module else ""
-                    self.aliases[local] = f"{prefix}{alias.name}"
+        #: codebase imports lazily inside CLI handlers); relative imports
+        #: resolve against the module's package, as in the project index.
+        self.aliases: Dict[str, str] = _collect_aliases(
+            tree, module_name_for(path)
+        )
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Canonical dotted path of a callable expression, or ``None``.

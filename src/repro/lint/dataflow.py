@@ -47,8 +47,8 @@ from repro.lint.callgraph import (
     ModuleInfo,
     ProjectIndex,
     build_index,
+    dotted_name,
 )
-from repro.lint.context import dotted_name
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import ProjectChecker, register
 

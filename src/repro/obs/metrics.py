@@ -22,9 +22,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import Counter
-from functools import reduce
-from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -107,17 +104,6 @@ class HistogramChild:
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-
-    def observe_all(self, values: Sequence[float]) -> None:
-        """Record each of ``values``, exactly as one :meth:`observe` each.
-
-        Buckets are looked up once per distinct value, and ``reduce``
-        adds the values left to right, so the float ``sum`` is the same.
-        """
-        for value, count in Counter(values).items():
-            self.counts[bisect_left(self.buckets, value)] += count
-        self.sum = reduce(add, values, self.sum)
-        self.count += len(values)
 
     def cumulative_counts(self) -> List[int]:
         """Counts per bucket, cumulative, ending with the +Inf total."""
@@ -338,9 +324,6 @@ class _NullSeries:
         pass
 
     def observe(self, value: float) -> None:
-        pass
-
-    def observe_all(self, values: Sequence[float]) -> None:
         pass
 
 

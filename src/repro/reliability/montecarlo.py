@@ -61,6 +61,7 @@ from repro.reliability.fit import (
     fit_from_interval_probability,
     mttf_seconds_from_interval_probability,
 )
+from repro.reliability.tallies import publish_tallies
 from repro.resilience.checkpoint import BoundaryLoop, Checkpointer, Deadline
 from repro.resilience.chaos import ChaosInjector, ChaosPolicy
 from repro.sttram.array import STTRAMArray
@@ -310,10 +311,12 @@ def run_engine_campaign(
         makes overlap pathologies invisible to content-sensitive bugs
         the campaign exists to catch).
     :param telemetry: optional :class:`repro.obs.Telemetry`; when given it
-        is also attached to the engine, so per-mechanism counters and
-        repair spans are recorded alongside the campaign-level series.
-        Telemetry never touches the RNG stream: results are bit-identical
-        with it on or off.
+        is also attached to the engine, so repair spans are recorded
+        alongside the campaign-level series, and the engine's and the
+        campaign's tallies are published when the campaign ends
+        (:func:`repro.reliability.tallies.publish_tallies`).  Telemetry
+        never touches the RNG stream: results are bit-identical with it
+        on or off.
     :param progress: a :class:`repro.obs.ProgressReporter` (default: the
         shared no-op) fed once per interval.
     :param chaos_policy: optional
@@ -437,30 +440,10 @@ def _run_intervals(
         "Wall-clock time per campaign interval (inject + scrub + heal).",
         buckets=INTERVAL_BUCKETS,
     )
-    m_intervals = metrics.counter(
-        "campaign_intervals_total", "Campaign intervals completed."
-    )
-    m_failures = metrics.counter(
-        "campaign_interval_failures_total",
-        "Intervals with at least one DUE or SDC.",
-    )
-    m_outcomes = metrics.counter(
-        "campaign_outcomes_total",
-        "Line outcomes accumulated across campaign intervals.",
-        labels=("outcome",),
-    )
     m_faulty = metrics.histogram(
         "campaign_faulty_lines_per_interval",
         "Lines hit by at least one injected fault, per interval.",
         buckets=(0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 10000),
-    )
-    m_chaos = metrics.counter(
-        "chaos_events_total",
-        "Metadata chaos events applied to the engine.",
-        labels=("event",),
-    )
-    m_checkpoints = metrics.counter(
-        "campaign_checkpoint_writes_total", "Campaign checkpoints flushed."
     )
 
     array = engine.array
@@ -472,8 +455,7 @@ def _run_intervals(
         str(config["kind"]), config, checkpointer,
         aggregates=lambda: _aggregates(result),
         restore=lambda aggregates: _restore_aggregates(result, aggregates),
-        telemetry=tel, flushes=m_checkpoints, deadline=deadline,
-        progress=progress,
+        tracer=tel.tracer, deadline=deadline, progress=progress,
     )
     metadata_chaos = hasattr(engine, "_tables")
     initialize = getattr(engine, "initialize_parities", None)
@@ -547,9 +529,6 @@ def _run_intervals(
                 events.append(applied)
             for applied in events:
                 result.metadata.update(applied)
-                if tel.enabled:
-                    for event, count in applied.items():
-                        m_chaos.labels(event=event).inc(count)
         with tracer.span("phase_scrub"):
             if dense:
                 counts = engine.scrub_frames(
@@ -582,12 +561,7 @@ def _run_intervals(
             if (failed or chaos is not None) and initialize is not None:
                 initialize()
         if tel.enabled:
-            m_intervals.inc()
-            if failed:
-                m_failures.inc()
             m_faulty.observe(len(faulty))
-            for label, count in counts.items():
-                m_outcomes.labels(outcome=label).inc(count)
             m_interval.observe(time.perf_counter() - started)
 
     completed, stop_reason = loop.run(intervals, step, tracer.span(
@@ -597,10 +571,10 @@ def _run_intervals(
     result.intervals = completed
     result.truncated = bool(stop_reason)
     result.stop_reason = stop_reason
-    if telemetry is not None:
-        stats = getattr(engine, "stats", None)
-        if stats is not None:
-            stats.publish_to(metrics, level=level)
+    publish_tallies(
+        metrics, result, level=level, checkpointer=checkpointer,
+        stats=getattr(engine, "stats", None),
+    )
     return result
 
 

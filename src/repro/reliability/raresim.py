@@ -54,6 +54,7 @@ from repro.core.sdr import resurrect
 from repro.obs import NULL_PROGRESS, NullTracer, Telemetry, resolve_telemetry
 from repro.reliability.binomial import binomial_pmf, binomial_tail, complement_power
 from repro.reliability.fit import fit_from_interval_probability
+from repro.reliability.tallies import publish_tallies
 from repro.resilience.checkpoint import BoundaryLoop, Checkpointer, Deadline
 from repro.sttram.array import STTRAMArray
 
@@ -493,8 +494,10 @@ class ConditionalGroupSimulator:
     ) -> ConditionalResult:
         """Run trials ``[trial_start, trial_start + trials)`` for 'Y' or 'Z'.
 
-        :param telemetry: optional :class:`repro.obs.Telemetry` for
-            per-trial timing histograms and counters (RNG-neutral).
+        :param telemetry: optional :class:`repro.obs.Telemetry` for the
+            per-trial timing histogram; the trial, failure and
+            checkpoint counters are published from the result when the
+            run ends (RNG-neutral).
         :param progress: a :class:`repro.obs.ProgressReporter` fed once
             per conditioned trial.
         :param checkpointer: optional
@@ -521,28 +524,13 @@ class ConditionalGroupSimulator:
         # tracer for the duration of the run; a null bundle swaps the
         # no-op tracer back in.
         self._tracer = tel.tracer
-        metrics = tel.metrics
-        m_trials = metrics.counter(
-            "raresim_trials_total",
-            "Conditioned rare-event trials completed.",
-            labels=("level",),
-        )
-        m_failures = metrics.counter(
-            "raresim_conditional_failures_total",
-            "Conditioned trials ending in a group DUE.",
-            labels=("level",),
-        )
-        m_trial_time = metrics.histogram(
+        label = level.upper()
+        m_trial_time = tel.metrics.histogram(
             "raresim_trial_seconds",
             "Wall-clock time per conditioned trial.",
             labels=("level",),
             buckets=TRIAL_BUCKETS,
-        )
-        label = level.upper()
-        m_checkpoints = metrics.counter(
-            "raresim_checkpoint_writes_total",
-            "Rare-event campaign checkpoints flushed.",
-        )
+        ).labels(level=label)
         config_fingerprint = {
             "kind": "raresim",
             "level": label,
@@ -571,8 +559,7 @@ class ConditionalGroupSimulator:
             "raresim", config_fingerprint, checkpointer,
             aggregates=lambda: {"conditional_failures": failures},
             restore=restore,
-            telemetry=tel, flushes=m_checkpoints, deadline=deadline,
-            progress=progress,
+            tracer=tel.tracer, deadline=deadline, progress=progress,
         )
 
         def step(relative: int) -> None:
@@ -582,18 +569,13 @@ class ConditionalGroupSimulator:
             if failed:
                 failures += 1
             if tel.enabled:
-                m_trials.labels(level=label).inc()
-                if failed:
-                    m_failures.labels(level=label).inc()
-                m_trial_time.labels(level=label).observe(
-                    time.perf_counter() - started
-                )
+                m_trial_time.observe(time.perf_counter() - started)
 
         completed, stop_reason = loop.run(trials, step, tel.tracer.span(
             "raresim_campaign", level=label, trials=trials, ber=self.ber,
             group_size=self.group_size,
         ))
-        return ConditionalResult(
+        result = ConditionalResult(
             trials=completed,
             conditional_failures=failures,
             conditioning_probability=self.conditioning_probability,
@@ -604,4 +586,6 @@ class ConditionalGroupSimulator:
             truncated=bool(stop_reason),
             stop_reason=stop_reason,
         )
+        publish_tallies(tel.metrics, result, level=label, checkpointer=checkpointer)
+        return result
 

@@ -40,6 +40,7 @@ See docs/faultmodels.md for the spec format and semantics.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -125,6 +126,23 @@ class BurstSpec:
                 raise ValueError(f"{name} must be positive")
         if self.span is not None and self.span <= 0:
             raise ValueError("span must be positive")
+        longest = max(length for length, _ in self.length_pmf)
+        if self.span is not None and longest > self.span:
+            raise ValueError(f"'length_pmf' length {longest} exceeds 'span' {self.span}")
+
+    def check_row(self, line_bits: int) -> None:
+        """Refuse a span or length wider than a row of ``line_bits``-bit lines.
+
+        A row is ``line_bits * interleave`` bits (``BurstFaultInjector``).
+        """
+        row = line_bits * self.interleave
+        longest = max(length for length, _ in self.length_pmf)
+        for field, width in (("'span'", self.span), ("'length_pmf' length", longest)):
+            if width is not None and width > row:
+                raise ValueError(
+                    f"{field} {width} exceeds the {row}-bit row "
+                    f"({line_bits}-bit lines x interleave {self.interleave})"
+                )
 
     @classmethod
     def fixed_length(cls, rate: float, length: int, **kwargs) -> "BurstSpec":
@@ -310,6 +328,7 @@ class FaultScenario:
         if self.burst is None or self.burst.rate <= 0:
             return {}
         spec = self.burst
+        spec.check_row(line_bits)
         count = _binomial_draw_py(rng, num_lines, spec.rate)
         vectors: Dict[int, int] = {}
         if count == 0:
@@ -398,6 +417,12 @@ def build_scheme(name: str, group_size: int = 8, backend: Optional[str] = None):
         if setter is not None:
             setter(backend)
     return scheme
+
+
+@functools.lru_cache(maxsize=None)
+def scheme_line_bits(name: str) -> int:
+    """Stored bits per line of scheme ``name``, at every group size."""
+    return build_scheme(name, 2).array.line_bits
 
 
 def _build_scheme_inner(name: str, group_size: int, num_lines: int):

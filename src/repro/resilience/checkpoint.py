@@ -244,7 +244,7 @@ class BoundaryLoop:
       depends on the restored state;
     * a snapshot after every unit, flushed when ``checkpointer.due``
       and once more at the end, each flush in a ``checkpoint_write``
-      span and counted on ``flushes`` while telemetry is live;
+      span on ``tracer`` (``checkpointer.writes`` counts them);
     * deadline and cancellation stops, polled after each unit;
     * ``KeyboardInterrupt`` rollback to the last boundary snapshot;
     * ``progress.update()`` per unit that does not end the run, and
@@ -256,15 +256,13 @@ class BoundaryLoop:
 
     def __init__(self, kind: str, config: Dict[str, object],
                  checkpointer: Optional[Checkpointer], *, aggregates,
-                 restore, telemetry, flushes, deadline=None,
-                 progress) -> None:
+                 restore, tracer, deadline=None, progress) -> None:
         self._kind = kind
         self._config = config
         self._checkpointer = checkpointer
         self._aggregates = aggregates
         self._restore = restore
-        self._telemetry = telemetry
-        self._flushes = flushes
+        self._tracer = tracer
         self._deadline = deadline
         self._progress = progress
         #: Units already completed by the run being resumed (0 when fresh).
@@ -282,10 +280,8 @@ class BoundaryLoop:
 
     def _flush(self, snapshot: Dict[str, object]) -> None:
         path = self._checkpointer.path
-        with self._telemetry.tracer.span("checkpoint_write", path=path):
+        with self._tracer.span("checkpoint_write", path=path):
             self._checkpointer.save(snapshot)
-        if self._telemetry.enabled:
-            self._flushes.inc()
 
     def run(self, units: int, step: Callable[[int], None],
             span) -> Tuple[int, str]:

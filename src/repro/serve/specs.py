@@ -40,7 +40,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.layout import LineLayout
 from repro.parallel.runner import KINDS, spec_units
 from repro.reliability.raresim import conditioned_weights
-from repro.reliability.scenario import SCHEMES, FaultScenario
+from repro.reliability.scenario import SCHEMES, FaultScenario, scheme_line_bits
 
 #: Bump when a code change alters campaign results at a fixed spec;
 #: stored results from older versions then simply stop matching.
@@ -175,6 +175,16 @@ def _parse_scenario_field(payload: Dict) -> Optional[Dict[str, object]]:
     return scenario.as_dict()
 
 
+def _check_burst_row(params: Dict, scheme: str) -> None:
+    """Refuse a burst that does not fit in a row of ``scheme``'s lines."""
+    scenario = params["scenario"]
+    if scenario and scenario["burst"]:
+        try:
+            FaultScenario.from_dict(scenario).burst.check_row(scheme_line_bits(scheme))
+        except ValueError as error:
+            raise SpecError(f"invalid scenario burst for {scheme}: {error}")
+
+
 def _check_group_size(group_size, scheme) -> None:
     if scheme in _POWER_OF_TWO_SCHEMES:
         _require(
@@ -233,6 +243,7 @@ def parse_spec(payload: object) -> JobSpec:
             "scenario": _parse_scenario_field(payload),
         }
         params["ber"] = _raresim_ber(params)
+        _check_burst_row(params, params["level"])
     else:  # scenario
         scenario = _parse_scenario_field(payload)
         _require(
@@ -245,6 +256,7 @@ def parse_spec(payload: object) -> JobSpec:
             "group_size": _get_int(payload, "group_size", 8, 2),
         }
         _check_group_size(params["group_size"], params["scheme"])
+        _check_burst_row(params, params["scheme"])
     _reject_unknown_keys(payload, params)
     params["seed"] = seed
     params["interval_s"] = interval_s

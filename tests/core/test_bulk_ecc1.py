@@ -7,7 +7,7 @@ same faults: one on the numpy backend (bulk runs), one on the reference
 backend (every frame through ``_scrub_line``), and compares everything
 a scrub leaves behind -- outcome counts, ``stats``, the exact ``repr``
 of ``correction_time_s``, stored words and the dirty set, parity
-tables, and the Prometheus export.
+tables, and the repair spans.
 """
 
 import random
@@ -69,7 +69,7 @@ def _fingerprint(engine, counts):
         "stored": list(engine.array),
         "dirty": engine.array.dirty_frames(),
         "tables": tables,
-        "prometheus": engine.telemetry.prometheus_text(),
+        "spans": [(span.name, span.attributes) for span in engine.tracer],
     }
 
 

@@ -70,8 +70,7 @@ def _engine(level, backend, fault_map):
     codec = LineCodec()
     array = STTRAMArray(LINES, codec.stored_bits)
     engine = build_engine(
-        level, array, group_size=GROUP, codec=codec, backend=backend,
-        telemetry=Telemetry.create(),
+        level, array, group_size=GROUP, codec=codec, backend=backend
     )
     if fault_map is not None:
         array.attach_permanent_faults(fault_map)
@@ -96,6 +95,7 @@ def _run(engine, dense, flips, monkeypatch, bursts, chaos, intervals):
         _HEAL(array)
 
     monkeypatch.setattr(montecarlo, "heal", snapshot_then_heal)
+    telemetry = Telemetry.create()
     stored = set()
     inject_many = engine.array.inject_many
 
@@ -108,7 +108,7 @@ def _run(engine, dense, flips, monkeypatch, bursts, chaos, intervals):
         engine, 1e-3, intervals, 0.02, {"kind": "montecarlo"},
         level=engine.level, seed=5, interval_start=0,
         burst=(lambda stream: _Burst(bursts)) if bursts else None,
-        chaos_policy=chaos, chaos_seed=3, telemetry=engine.telemetry,
+        chaos_policy=chaos, chaos_seed=3, telemetry=telemetry,
         progress=NULL_PROGRESS, checkpointer=None, deadline=None,
     )
     del engine.array.inject_many
@@ -125,7 +125,7 @@ def _run(engine, dense, flips, monkeypatch, bursts, chaos, intervals):
             for plt, mapper in engine._tables()
         ],
         "prometheus": [
-            line for line in engine.telemetry.prometheus_text().splitlines()
+            line for line in telemetry.prometheus_text().splitlines()
             if "campaign_interval_seconds" not in line  # wall clock
         ],
     }

@@ -17,9 +17,8 @@ duplicated scrub visits.
 The Hash-2 peel may skip work it has already done, and the scrub may
 resolve runs of ECC-1 lines in bulk, but both must account that work
 exactly as if they had run it line by line; these goldens are the check.
-Every case also runs without telemetry, where a replayed retry applies
-its compiled record alone, and must leave the same stats, correction
-time and result.  Do not regenerate the file to make a failure pass.
+Every case also runs without telemetry and must leave the same stats,
+correction time and result.  Do not regenerate the file to make a failure pass.
 Regenerate it only for a deliberate result change, by running this
 module as a script.
 """
@@ -172,8 +171,7 @@ def test_accounting_matches_golden(case, golden):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_accounting_without_telemetry_matches_golden(case, golden):
-    # Without telemetry a replayed peeling retry takes the compiled
-    # record alone: the same pins hold for it.
+    # Telemetry only restates the tallies: the same pins hold without it.
     engine, result = CASES[case](None)
     want = golden[case]
     assert engine.stats.as_dict() == want["stats"]

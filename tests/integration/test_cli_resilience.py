@@ -53,17 +53,20 @@ class TestErrorPaths:
     def test_exporter_dir_missing(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--metrics-out", "/no/such/dir/m.txt"])
-        assert "does not exist" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "does not exist" in self.assert_one_line_error(capsys)
 
     def test_result_out_dir_missing(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--result-out", "/no/such/dir/r.json"])
-        assert "does not exist" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "does not exist" in self.assert_one_line_error(capsys)
 
     def test_checkpoint_dir_missing(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--checkpoint", "/no/such/dir/ck.json"])
-        assert "does not exist" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "does not exist" in self.assert_one_line_error(capsys)
 
     def test_checkpoint_every_without_checkpoint(self, capsys):
         code = main(["campaign", "--checkpoint-every", "5"] + SMALL)

@@ -41,6 +41,10 @@ class TestRejectedValues:
         (["scenario", "--burst-rate", "0.1", "--interleave", "0"],
          "interleave"),
         (["campaign", "--visit-drop-rate", "2"], "visit_drop_rate"),
+        (["scenario", "--burst-rate", "0.1", "--burst-lengths", "100",
+          "--burst-span", "16"], "'span'"),
+        (["scenario", "--scheme", "eccline", "--burst-rate", "0.1",
+          "--burst-span", "200"], "'span'"),
     ])
     def test_one_line_exit_2(self, argv, field, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -83,22 +83,22 @@ class TestCampaignMetricsSeries:
         assert stat.labels(level="Z", stat="group_scans").value > 0
 
     def test_engine_outcome_series_match_result(self):
-        # The engine publishes its outcome series once per scrub pass;
-        # the series must carry the plain outcome strings and add up to
-        # the campaign's outcome totals.
+        # The outcome series carries the plain outcome strings and
+        # restates the result's outcome totals.
         telemetry = Telemetry.create()
         result = run_group_campaign(
             **CAMPAIGN, rng=np.random.default_rng(SEED), telemetry=telemetry
         )
-        outcomes = telemetry.metrics.get("sudoku_outcomes_total")
+        outcomes = telemetry.metrics.get("campaign_outcomes_total")
         recorded = {values: child.value for values, child in outcomes.samples()}
         assert recorded == {
-            ("Z", label): float(count) for label, count in result.outcomes.items()
+            (label,): float(count) for label, count in result.outcomes.items()
         }
 
     def test_scrub_frames_exports_match_per_line_scrub(self):
-        # scrub_frames publishes a pass in one batch; a LineScrubber walk
-        # publishes line by line.  Both must export the same bytes.
+        # scrub_frames resolves a pass in bulk; a LineScrubber walk goes
+        # line by line.  Both must leave the tallies an export restates,
+        # and the same repair spans.
         def scrubbed_export(per_line):
             rng = random.Random(3)
             codec = LineCodec()
@@ -120,11 +120,13 @@ class TestCampaignMetricsSeries:
                     engine.scrub_frames(frames)
                 heal(array)
                 engine.initialize_parities()
-            return telemetry.prometheus_text()
+            spans = [(span.name, span.attributes) for span in telemetry.tracer]
+            return engine.stats.as_dict(), repr(engine.correction_time_s), spans
 
-        text = scrubbed_export(per_line=False)
-        assert 'mechanism="ecc1"' in text and 'mechanism="raid4"' in text
-        assert text == scrubbed_export(per_line=True)
+        stats, correction_time, spans = scrubbed_export(per_line=False)
+        assert stats["ecc1_repairs"] and stats["raid4_invocations"]
+        assert ("raid4_repair" in {name for name, _ in spans})
+        assert (stats, correction_time, spans) == scrubbed_export(per_line=True)
 
     def test_spans_cover_repair_paths(self):
         telemetry = Telemetry.create()
@@ -242,7 +244,7 @@ class TestCliExport:
         ]
         assert records and all("name" in record for record in records)
 
-    def test_unwritable_out_path_fails_before_running(self, tmp_path):
+    def test_unwritable_out_path_fails_before_running(self, tmp_path, capsys):
         """A bad export dir must not cost the user the whole campaign."""
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -250,7 +252,8 @@ class TestCliExport:
                 "--intervals", "2", "--group-size", "8", "--seed", "1",
                 "--metrics-out", str(tmp_path / "missing" / "m.prom"),
             ])
-        assert "does not exist" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert "does not exist" in capsys.readouterr().err
 
     def test_exhibits_telemetry(self, tmp_path, capsys):
         metrics_path = tmp_path / "exhibits.prom"
@@ -266,3 +269,144 @@ class TestCliExport:
         )
         assert record["name"] == "exhibit"
         assert "Table IX" in record["attributes"]["title"]
+
+
+#: Every metric family a campaign or rare-event run may export: the
+#: tally-backed counters and gauges, and the three per-unit wall-clock
+#: and load distributions.
+CATALOGUE = {
+    "campaign_intervals_total", "campaign_interval_failures_total",
+    "campaign_outcomes_total", "chaos_events_total",
+    "campaign_checkpoint_writes_total", "campaign_interval_seconds",
+    "campaign_faulty_lines_per_interval",
+    "sudoku_corrections_total", "sudoku_metadata_events_total",
+    "sudoku_engine_stat",
+    "raresim_trials_total", "raresim_conditional_failures_total",
+    "raresim_checkpoint_writes_total", "raresim_trial_seconds",
+}
+
+
+def _samples(telemetry, kind):
+    """{(family, label values): value} of every ``kind`` sample."""
+    return {
+        (family.name, labels): child.value
+        for family in telemetry.metrics.families()
+        if family.kind == kind
+        for labels, child in family.samples()
+    }
+
+
+def test_exports_equal_tallies(tmp_path, monkeypatch):
+    """Every exported counter restates one tally, at any shard count.
+
+    The chaos campaign drops and duplicates scrub visits, so group
+    repairs resolve lines the visit list never reaches; their outcomes
+    are tallied when the scrub pass drains them, and the export must
+    count them too.
+    """
+    from repro.parallel import run_sharded_campaign, run_sharded_raresim
+    from repro.parallel import runner
+    from repro.parallel.sharding import split_units
+    from repro.reliability import montecarlo
+    from repro.resilience.chaos import ChaosPolicy
+    from repro.resilience.checkpoint import Checkpointer
+
+    intervals, every = 12, 4
+    engines, checkpointers = [], []
+
+    def capture_engine(*args, **kwargs):
+        engines.append(build_engine(*args, **kwargs))
+        return engines[-1]
+
+    class CapturedCheckpointer(Checkpointer):
+        def __post_init__(self):
+            super().__post_init__()
+            checkpointers.append(self)
+
+    # In-process only: the serial run builds both here, the shards in
+    # their own processes.
+    monkeypatch.setattr(montecarlo, "build_engine", capture_engine)
+    monkeypatch.setattr(runner, "Checkpointer", CapturedCheckpointer)
+    policy = ChaosPolicy(visit_drop_rate=0.2, visit_duplicate_rate=0.2)
+    stats = None
+    for shards in (1, 2):
+        telemetry = Telemetry.create()
+        result = run_sharded_campaign(
+            "Z", 2e-3, intervals, 8, shards=shards, seed=SEED,
+            chaos_policy=policy, chaos_seed=3, telemetry=telemetry,
+            checkpoint_path=str(tmp_path / f"mc{shards}.json"),
+            checkpoint_every=every,
+        )
+        if shards == 1:
+            # Every interval starts from the same boundary state, so
+            # the shards' engines add up to the serial one's stats.
+            ((engine,), (checkpointer,)) = engines, checkpointers
+            stats, writes = engine.stats, checkpointer.writes
+        else:
+            # Each shard flushes every ``every`` units and once at the end.
+            writes = sum(n // every + 1 for n in split_units(intervals, 2))
+        assert result.metadata["visits_dropped"] > 0
+        # Every outcome series restates the result's outcome tally.
+        for family in telemetry.metrics.families():
+            if "outcome" in family.label_names:
+                at = family.label_names.index("outcome")
+                assert {
+                    labels[at]: child.value
+                    for labels, child in family.samples()
+                } == result.outcomes, (family.name, shards)
+        expected = {
+            ("campaign_intervals_total", ()): result.intervals,
+            ("campaign_interval_failures_total", ()): result.interval_failures,
+            ("campaign_checkpoint_writes_total", ()): writes,
+            **{
+                ("campaign_outcomes_total", (label,)): count
+                for label, count in result.outcomes.items()
+            },
+            **{
+                ("chaos_events_total", (event,)): count
+                for event, count in result.metadata.items()
+            },
+            **{
+                ("sudoku_corrections_total", ("Z", mechanism)): count
+                for mechanism, count in (
+                    ("ecc1", stats.ecc1_repairs),
+                    ("raid4", stats.raid4_invocations),
+                    ("sdr", stats.sdr_invocations),
+                    ("hash2", stats.hash2_invocations),
+                )
+                if count
+            },
+            **{
+                ("sudoku_metadata_events_total", ("Z", event)): count
+                for event, count in (
+                    ("crc_fault", stats.metadata_faults["crc_fault"]),
+                    ("recompute_mismatch",
+                     stats.metadata_faults["recompute_mismatch"]),
+                    ("rebuild", stats.metadata_rebuilds),
+                )
+                if count
+            },
+        }
+        assert _samples(telemetry, "counter") == expected, shards
+        gauges = _samples(telemetry, "gauge")
+        assert gauges and all(
+            value == getattr(stats, stat)
+            for (_, (_, stat)), value in gauges.items()
+        )
+        names = {family.name for family in telemetry.metrics.families()}
+        assert names <= CATALOGUE, names - CATALOGUE
+
+    telemetry = Telemetry.create()
+    rare = run_sharded_raresim(
+        "Z", 1e-3, 12, 16, shards=2, seed=3, telemetry=telemetry,
+        checkpoint_path=str(tmp_path / "rare.json"), checkpoint_every=every,
+    )
+    assert _samples(telemetry, "counter") == {
+        ("raresim_trials_total", ("Z",)): rare.trials,
+        ("raresim_conditional_failures_total", ("Z",)):
+            rare.conditional_failures,
+        ("raresim_checkpoint_writes_total", ()):
+            sum(n // every + 1 for n in split_units(12, 2)),
+    }
+    names = {family.name for family in telemetry.metrics.families()}
+    assert names <= CATALOGUE, names - CATALOGUE

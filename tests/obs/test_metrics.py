@@ -132,22 +132,6 @@ class TestHistogramBuckets:
         assert child.buckets == (1.0, 5.0, 10.0)
         assert child.counts == [0, 1, 0, 0]
 
-    def test_observe_all_matches_one_observe_per_value(self):
-        # Interleaved classes make the float sum order-sensitive, so the
-        # batch must add in the given order to match exactly.
-        values = [3e-10, 2.7e-9, 3e-10, 1.1e-5, 2.7e-9, 3e-10, 7.0, 0.1] * 9
-        one_by_one = MetricsRegistry().histogram("h", buckets=DEFAULT_BUCKETS)
-        batched = MetricsRegistry().histogram("h", buckets=DEFAULT_BUCKETS)
-        for value in values:
-            one_by_one.observe(value)
-        batched.labels().observe_all(values[:5])
-        batched.labels().observe_all(values[5:])
-        ((_, expected),) = one_by_one.samples()
-        ((_, child),) = batched.samples()
-        assert child.counts == expected.counts
-        assert child.count == expected.count
-        assert child.sum == expected.sum
-
     def test_empty_buckets_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):

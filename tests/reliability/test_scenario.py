@@ -11,6 +11,7 @@ sharded and resumed runs end-to-end through the CLI.
 """
 
 import json
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.reliability.scenario import (
     StuckSpec,
     build_scheme,
     run_scenario_campaign,
+    scheme_line_bits,
 )
 from repro.resilience import Checkpointer, ChaosPolicy, Deadline, load_checkpoint
 
@@ -81,6 +83,25 @@ class TestSpecs:
             StuckSpec(ppm=-1.0)
         with pytest.raises(ValueError):
             FaultScenario(transient_ber=2.0)
+
+    def test_burst_geometry_fits_the_row(self):
+        with pytest.raises(ValueError, match="'span' 16"):
+            BurstSpec(rate=0.1, length_pmf=((100, 1.0),), span=16)
+        wide = BurstSpec(rate=0.1, length_pmf=((4, 1.0),), span=200)
+        for scheme, fits in (("Z", True), ("eccline", False)):
+            row = scheme_line_bits(scheme)
+            assert row == build_scheme(scheme, GROUP).array.line_bits
+            if fits:
+                wide.check_row(row)
+            else:
+                with pytest.raises(ValueError, match="'span' 200"):
+                    wide.check_row(row)
+        # The rare-event sampler holds its bursts to the same bound.
+        scenario = FaultScenario(burst=BurstSpec(
+            rate=1.0, length_pmf=((4, 1.0),), span=600,
+        ))
+        with pytest.raises(ValueError, match="'span' 600"):
+            scenario.sample_burst_vectors_py(random.Random(0), 8, 553)
 
 
 class TestSchemes:

@@ -325,6 +325,17 @@ class TestValidationAndRoutes:
             ({"kind": "raresim", "ber": 0.0}, "'ber'"),
             ({"kind": "scenario", "scheme": "raid6", "group_size": 6,
               "scenario": {"transient_ber": 1e-3}}, "'group_size'"),
+            # A burst longer than its span, and a span wider than the
+            # scheme's row (line_bits x interleave: 88 bits for eccline).
+            ({"kind": "scenario", "scenario": {"burst": {
+                "rate": 0.1, "length_pmf": {"100": 1}, "span": 16}}},
+             "'span'"),
+            ({"kind": "scenario", "scheme": "eccline", "scenario": {
+                "burst": {"rate": 0.1, "length_pmf": {"4": 1},
+                          "span": 200}}}, "'span'"),
+            ({"kind": "raresim", "ber": 1e-3, "group_size": 16,
+              "scenario": {"burst": {"rate": 0.1, "length_pmf": {"4": 1},
+                                     "span": 600}}}, "'span'"),
         ]
 
         async def scenario():
