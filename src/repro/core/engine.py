@@ -257,8 +257,9 @@ class SuDokuEngine:
     def initialize_parities(self) -> None:
         """Rebuild every PLT entry from the current array contents.
 
-        Call once after bulk-loading the array (e.g. ``fill_random``) or
-        to re-canonicalize after out-of-band repairs; incremental
+        Call once after writing content around the engine (e.g.
+        ``array.write_many`` of codec-encoded words) or to
+        re-canonicalize after out-of-band repairs; incremental
         write-path updates keep parity consistent thereafter.  Members
         contribute their ECC-corrected word when one exists (CLEAN or
         CORRECTED decode), raw stored bits otherwise -- so a line whose
@@ -889,6 +890,8 @@ class SuDokuEngine:
                     report["rebuilt"] += 1
                     self.stats.metadata_rebuilds += 1
                 else:
+                    if not plt.is_quarantined(group):
+                        self.stats.metadata_quarantines += 1
                     plt.quarantine(group)
                     report["quarantined"] += 1
         return report

@@ -40,18 +40,21 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: scenario imports repro.parallel
     from repro.reliability.scenario import FaultScenario
 
 from repro.coding.bitvec import random_error_vector
+from repro.core.engine import SuDokuY
 from repro.core.linecodec import LineCodec
-from repro.core.plt_ import ParityLineTable
-from repro.core.raid4 import reconstruct_line, scan_group
+# The trials repair through SuDokuY and call none of these; they stay
+# module attributes because the end-to-end benchmark harness wraps
+# ``repro.reliability.raresim:<name>`` for its layer timings.
+from repro.core.raid4 import reconstruct_line, scan_group  # noqa: F401
+from repro.core.sdr import resurrect  # noqa: F401
 from repro.kernels import resolve_backend
-from repro.core.sdr import resurrect
-from repro.obs import NULL_PROGRESS, NullTracer, Telemetry, resolve_telemetry
+from repro.obs import NULL_PROGRESS, Telemetry, resolve_telemetry
 from repro.reliability.binomial import binomial_pmf, binomial_tail, complement_power
 from repro.reliability.fit import fit_from_interval_probability
 from repro.reliability.tallies import publish_tallies
@@ -234,14 +237,7 @@ class ConditionalResult:
 
 
 class ConditionalGroupSimulator:
-    """Samples conditioned fault patterns and runs the real machinery."""
-
-    #: Group scans consult the array's dirty-frame index and skip
-    #: decoding known-clean lines -- the scan result is provably
-    #: identical (see :func:`repro.core.raid4.scan_group`).  Test oracle
-    #: seam: the equivalence tests set it false on an instance to run
-    #: the trust-nothing full decode and compare trial outcomes.
-    sparse = True
+    """Samples conditioned fault patterns; the SuDoku engine repairs them."""
 
     def __init__(
         self,
@@ -284,14 +280,15 @@ class ConditionalGroupSimulator:
         self.seed = seed
         #: Global index of this run's first trial (a shard's slice start).
         self.trial_start = trial_start
-        #: Kernel backend for bulk operations (parity folds, batched
-        #: group decodes).  Bit-identical by contract and fed no RNG, so
-        #: it is deliberately absent from the checkpoint fingerprint.
+        #: Kernel backend of the trial engines and their parity tables.
+        #: Bit-identical by contract and fed no RNG, so it is
+        #: deliberately absent from the checkpoint fingerprint.
         self.backend = resolve_backend(backend)
         self.line_bits = self.codec.stored_bits
-        #: Phase-span tracer; :meth:`run` swaps in the campaign's live
-        #: tracer (RNG-neutral: spans never touch the trial stream).
-        self._tracer = NullTracer()
+        #: Telemetry the trial engines record their repair spans on;
+        #: :meth:`run` swaps in the campaign's bundle (RNG-neutral: spans
+        #: never touch the trial stream).
+        self._telemetry = resolve_telemetry(None)
 
         self.p_multi, self._fault_weights, self._multi_weights = (
             conditioned_weights(ber, group_size, self.line_bits)
@@ -310,20 +307,18 @@ class ConditionalGroupSimulator:
 
         return random.Random(interval_python_seed(self.seed, trial))
 
-    def _fresh_group(
-        self, rng: random.Random
-    ) -> Tuple[STTRAMArray, ParityLineTable]:
-        """A formatted G-line array with content, parity, and no faults.
+    def _fresh_group(self, rng: random.Random) -> SuDokuY:
+        """A SuDoku-Y engine over a G-line array with content and no faults.
 
         With a scenario overlay the group gets its stuck-at map attached
         *before* content is written, so the fill stores through the
         stuck bits (golden keeps the intent) -- the same setup order as
-        scenario campaigns.  The parity is rebuilt over the golden
-        words, so stuck bits appear to the repair machinery as what they
-        physically are: pre-existing storage faults.  The content is
-        drawn, encoded and written as one batch each: the same draws,
-        codewords and stored words as one ``encode`` and ``write`` per
-        line.
+        scenario campaigns.  The engine's parity table holds the parity
+        of the golden words, so stuck bits appear to the repair
+        machinery as what they physically are: pre-existing storage
+        faults.  The content is drawn, encoded and written as one batch
+        each: the same draws, codewords and stored words as one
+        ``encode`` and ``write`` per line.
         """
         array = STTRAMArray(self.group_size, self.line_bits)
         if self.scenario is not None:
@@ -332,19 +327,23 @@ class ConditionalGroupSimulator:
             )
             if stuck_map is not None:
                 array.attach_permanent_faults(stuck_map)
-        plt = ParityLineTable(1, self.line_bits, backend=self.backend)
+        engine = SuDokuY(
+            array, group_size=self.group_size, codec=self.codec,
+            format_array=False, telemetry=self._telemetry,
+            backend=self.backend, sdr_max_mismatches=self.sdr_max_mismatches,
+        )
         data_bits = self.codec.layout.data_bits
         getrandbits = rng.getrandbits
         words = self.codec.encode_many(
             [getrandbits(data_bits) for _ in range(self.group_size)]
         )
         array.write_many(range(self.group_size), words)
-        plt.rebuild(0, words)
-        return array, plt
+        engine.plt.rebuild(0, words)
+        return engine
 
     def _side_group(
         self, rng: random.Random, array: STTRAMArray, survivor: int
-    ) -> Tuple[STTRAMArray, ParityLineTable]:
+    ) -> SuDokuY:
         """``survivor``'s Hash-2 group, the survivor aliased to slot 0.
 
         Fresh partner lines (disjoint from the Hash-1 group by the
@@ -352,14 +351,15 @@ class ConditionalGroupSimulator:
         The parity covers the golden words, as in :meth:`_fresh_group`:
         a side line's stuck bits stay faults for the repair to find.
         """
-        side_array, side_plt = self._fresh_group(rng)
+        side = self._fresh_group(rng)
+        side_array = side.array
         side_array.write(0, array.golden(survivor))
-        side_plt.rebuild(
+        side.plt.rebuild(
             0, [side_array.golden(f) for f in range(self.group_size)]
         )
         side_array.inject(0, array.error_vector(survivor))
         self._inject_background(rng, side_array, exclude=0)
-        return side_array, side_plt
+        return side
 
     def _inject_conditioned(
         self, rng: random.Random, array: STTRAMArray
@@ -400,86 +400,46 @@ class ConditionalGroupSimulator:
                     frame, random_error_vector(self.line_bits, faults, rng)
                 )
 
-    # -- repair drivers ---------------------------------------------------------------
+    # -- trials -----------------------------------------------------------------------
 
-    def _batched_decoder(self, array: STTRAMArray, frames: Sequence[int]):
-        """A scan decoder backed by one batched decode of ``frames``.
+    def _repair(self, engine: SuDokuY) -> List[int]:
+        """The engine's repair of its one group; returns surviving frames.
 
-        ``frames`` are exactly the members the scan will decode (all of
-        them, or only the dirty ones under ``sparse``); each is served
-        from the memo while the stored word is unchanged, and anything
-        rewritten mid-scan falls through to the scalar decode.  ``None``
-        for non-batched backends -- the scan then uses ``codec.decode``
-        directly, as before.
+        PLT check, then scan -> SDR -> RAID-4: the Hash-1 group repair
+        every SuDoku-Y campaign runs.  Survivors come back in the scan's
+        order.
         """
-        if not self.backend.batched:
-            return None
-        words = [array.read(frame) for frame in frames]
-        decodes = self.backend.batch_decode(self.codec, words)
-        memo = {
-            frame: (stored, decode)
-            for frame, stored, decode in zip(frames, words, decodes)
-        }
-
-        def decoder(frame: int, stored: int):
-            entry = memo.get(frame)
-            if entry is not None and entry[0] == stored:
-                return entry[1]
-            return self.codec.decode(stored)
-
-        return decoder
-
-    def _repair_y(self, array: STTRAMArray, plt: ParityLineTable) -> List[int]:
-        """Full SuDoku-Y repair of one group; returns surviving frames."""
-        with self._tracer.span("phase_scrub"):
-            frames = range(self.group_size)
-            split = array.split_clean(frames) if self.sparse else None
-            scan = scan_group(
-                array, self.codec, 0, frames,
-                trusted_clean=self.sparse,
-                decoder=self._batched_decoder(
-                    array, frames if split is None else split[0]
-                ),
-                split=split,
-            )
-        with self._tracer.span("phase_correct"):
-            if len(scan.uncorrectable) > 1:
-                resurrect(
-                    array, self.codec, plt, scan, self.sdr_max_mismatches
-                )
-            if len(scan.uncorrectable) == 1:
-                reconstruct_line(
-                    array, self.codec, plt, scan, scan.uncorrectable[0]
-                )
-        return list(scan.uncorrectable)
+        with self._telemetry.tracer.span("phase_scrub"):
+            outcomes = engine._repair_hash1_group(0)
+        return [frame for frame, outcome in outcomes.items() if outcome.is_due]
 
     def trial_y(self, trial: int) -> bool:
         """Conditioned trial ``trial`` of SuDoku-Y; True = the group failed."""
         rng = self._trial_rng(trial)
-        with self._tracer.span("phase_inject"):
-            array, plt = self._fresh_group(rng)
-            self._inject_conditioned(rng, array)
-        return bool(self._repair_y(array, plt))
+        with self._telemetry.tracer.span("phase_inject"):
+            engine = self._fresh_group(rng)
+            self._inject_conditioned(rng, engine.array)
+        return bool(self._repair(engine))
 
     def trial_z(self, trial: int) -> bool:
         """Conditioned trial ``trial`` of SuDoku-Z (one Hash-2 peeling level)."""
         rng = self._trial_rng(trial)
-        with self._tracer.span("phase_inject"):
-            array, plt = self._fresh_group(rng)
+        with self._telemetry.tracer.span("phase_inject"):
+            engine = self._fresh_group(rng)
+            array = engine.array
             self._inject_conditioned(rng, array)
-        survivors = self._repair_y(array, plt)
+        survivors = self._repair(engine)
         if not survivors:
             return False
         # Each survivor retries in its Hash-2 group.
         for survivor in survivors:
-            with self._tracer.span("phase_inject"):
-                side_array, side_plt = self._side_group(rng, array, survivor)
-            self._repair_y(side_array, side_plt)
-            if side_array.is_clean(0):
+            with self._telemetry.tracer.span("phase_inject"):
+                side = self._side_group(rng, array, survivor)
+            self._repair(side)
+            if side.array.is_clean(0):
                 array.restore(survivor, array.golden(survivor))
         # Hash-2 fixes feed back into a final Hash-1 attempt.
-        remaining = self._repair_y(array, plt)
-        return bool(remaining)
+        return bool(self._repair(engine))
 
     # -- campaigns ---------------------------------------------------------------------
 
@@ -523,7 +483,7 @@ class ConditionalGroupSimulator:
         # Phase spans (inject/scrub/correct) record into the campaign's
         # tracer for the duration of the run; a null bundle swaps the
         # no-op tracer back in.
-        self._tracer = tel.tracer
+        self._telemetry = tel
         label = level.upper()
         m_trial_time = tel.metrics.histogram(
             "raresim_trial_seconds",

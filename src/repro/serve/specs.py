@@ -242,6 +242,8 @@ def parse_spec(payload: object) -> JobSpec:
             "num_groups": _get_int(payload, "num_groups", 2048, 1),
             "scenario": _parse_scenario_field(payload),
         }
+        # Each trial group runs on a SuDoku engine's GroupMapper.
+        _check_group_size(params["group_size"], params["level"])
         params["ber"] = _raresim_ber(params)
         _check_burst_row(params, params["level"])
     else:  # scenario

@@ -42,14 +42,10 @@ for the scrub fast path:
 
 from __future__ import annotations
 
-import random as _stdlib_random
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.coding.bitvec import mask_of, popcount, random_bits
+from repro.coding.bitvec import mask_of, popcount
 from repro.coding.parity import xor_reduce
-from repro.core.rng import SeedLike, resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (faults imports array)
     from repro.sttram.faults import PermanentFaultMap
@@ -384,29 +380,6 @@ class STTRAMArray:
         self._diverged.clear()
         self._assert_stuck_bits()
 
-    def fill_random(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        seed: Optional[SeedLike] = None,
-    ) -> None:
-        """Write uniformly random content to every line."""
-        generator = resolve_rng(rng, seed, owner="STTRAMArray.fill_random")
-        # One shim reseeded per line: ``Random(seed)`` and ``seed(seed)``
-        # initialise identical states, so the content stream is
-        # bit-identical to constructing a fresh shim per line (pinned by
-        # the seed-golden tests) without num_lines object constructions.
-        shim = _IntRandom(0)
-        # Content generation is the bulk path itself: the per-line
-        # reseed stream is pinned bit-identical by the seed-golden
-        # suite, so it cannot batch without changing the stream.
-        # repro-lint: disable=RPR009
-        for index in range(self.num_lines):
-            bits = generator.bit_generator.random_raw()  # cheap 64-bit seed
-            shim.reseed(int(bits))
-            value = random_bits(self.line_bits, shim)
-            self.write(index, value)
-
     def __len__(self) -> int:
         return self.num_lines
 
@@ -434,22 +407,3 @@ class STTRAMArray:
         self._check_indices(indices)
         if values and (min(values) < 0 or max(values) > self._mask):
             raise ValueError(f"value does not fit in {self.line_bits} bits")
-
-
-class _IntRandom:
-    """Minimal ``random.Random``-compatible shim seeded from numpy.
-
-    Only implements ``getrandbits`` (all :func:`random_bits` needs); keeps
-    :meth:`STTRAMArray.fill_random` reproducible from a single numpy
-    generator without importing the stdlib RNG state machinery.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._rng = _stdlib_random.Random(seed)
-
-    def reseed(self, seed: int) -> None:
-        """Reset to the state ``_IntRandom(seed)`` would construct."""
-        self._rng.seed(seed)
-
-    def getrandbits(self, width: int) -> int:
-        return self._rng.getrandbits(width)

@@ -5,9 +5,10 @@ dirty index flags and passes ``trusted_clean=True`` to
 :func:`repro.core.raid4.scan_group`: a member whose stored word matches
 golden holds a codec-written codeword, so its decode is known ``CLEAN``.
 These tests pin the two halves of that claim: every trusted scan a real
-campaign performs (stuck-at faults, metadata chaos, both backends) equals
-a dense scan of the same array state, and no pristine member reaches the
-codec or the kernel backend during a scan.
+campaign or rare-event trial performs (stuck-at faults, bursts, metadata
+chaos, both backends) equals a dense scan of the same array state, and
+no pristine member reaches the codec or the kernel backend during a
+scan.
 """
 
 import copy
@@ -22,7 +23,9 @@ from repro.kernels import BACKEND_NAMES
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.reference import ReferenceBackend
 from repro.reliability.montecarlo import _fill_random_through_engine
+from repro.reliability.raresim import ConditionalGroupSimulator
 from repro.reliability.scenario import (
+    BurstSpec,
     FaultScenario,
     StuckSpec,
     run_scenario_campaign,
@@ -110,6 +113,33 @@ def test_trusted_scans_equal_dense_under_chaos(checked_scans, backend, level):
         seed=9, backend=backend, chaos_policy=policy,
     )
     assert len(checked_scans) > 0
+
+
+#: The CI mixed scenario's burst and stuck-at sources, as a raresim overlay.
+MIXED = FaultScenario(
+    transient_ber=2e-3,
+    burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5)), interleave=2),
+    stuck=StuckSpec(ppm=300.0),
+)
+
+
+@pytest.mark.parametrize("overlay", [None, MIXED], ids=["plain", "mixed"])
+@pytest.mark.parametrize("level", ["Y", "Z"])
+def test_trusted_scans_equal_dense_in_rare_event_trials(
+    checked_scans, level, overlay
+):
+    """Rare-event trials repair through the engine's group scan, so the
+    same cross-check covers the main group, every Hash-2 side group and
+    the final Hash-1 attempt.  A Y trial scans its group once; Z trials
+    with survivors add side-group scans and a final Hash-1 scan."""
+    simulator = ConditionalGroupSimulator(
+        ber=2e-3, group_size=8, num_groups=32, seed=3, scenario=overlay,
+    )
+    simulator.run(level, 60)
+    if level == "Y":
+        assert len(checked_scans) == 60
+    else:
+        assert len(checked_scans) > 60
 
 
 def _recording(base):

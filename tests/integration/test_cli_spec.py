@@ -45,6 +45,7 @@ class TestRejectedValues:
           "--burst-span", "16"], "'span'"),
         (["scenario", "--scheme", "eccline", "--burst-rate", "0.1",
           "--burst-span", "200"], "'span'"),
+        (["raresim", "--group-size", "12"], "'group_size'"),
     ])
     def test_one_line_exit_2(self, argv, field, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -39,7 +39,7 @@ class TestConditionalDistributions:
         simulator = make_simulator()
         for trial in range(20):
             rng = simulator._trial_rng(trial)
-            array, _ = simulator._fresh_group(rng)
+            array = simulator._fresh_group(rng).array
             frames = simulator._inject_conditioned(rng, array)
             assert len(frames) >= 2
             for frame in frames:
@@ -48,9 +48,9 @@ class TestConditionalDistributions:
 
     def test_fresh_group_parity_consistent(self):
         simulator = make_simulator()
-        array, plt = simulator._fresh_group(simulator._trial_rng(0))
-        assert plt.parity(0) == xor_reduce(
-            array.read(f) for f in range(GROUP)
+        engine = simulator._fresh_group(simulator._trial_rng(0))
+        assert engine.plt.parity(0) == xor_reduce(
+            engine.array.read(f) for f in range(GROUP)
         )
 
     def test_invalid_parameters(self):
@@ -112,7 +112,7 @@ class TestBatchedGroupBuild:
         line stored, from the same draws."""
         simulator = make_simulator(seed=9)
         batched, by_line = simulator._trial_rng(0), simulator._trial_rng(0)
-        array, plt = simulator._fresh_group(batched)
+        array = simulator._fresh_group(batched).array
         data = [
             by_line.getrandbits(simulator.codec.layout.data_bits)
             for _ in range(GROUP)
@@ -137,9 +137,10 @@ class TestSideGroupParity:
             ),
         )
         rng = simulator._trial_rng(0)
-        array, _ = simulator._fresh_group(rng)
+        array = simulator._fresh_group(rng).array
         survivor = simulator._inject_conditioned(rng, array)[0]
-        side_array, side_plt = simulator._side_group(rng, array, survivor)
+        side = simulator._side_group(rng, array, survivor)
+        side_array, side_plt = side.array, side.plt
         golden = [side_array.golden(f) for f in range(group)]
         assert side_plt.parity(0) == xor_reduce(golden)
         # The stuck bits do conflict with the content here, so a parity

@@ -254,26 +254,19 @@ class TestCheckpointResume:
 
 class TestRaresimOverlay:
     @staticmethod
-    def _simulator(scenario, sparse=True, seed=3):
+    def _simulator(scenario, seed=3):
         from repro.reliability.raresim import ConditionalGroupSimulator
 
-        simulator = ConditionalGroupSimulator(
+        return ConditionalGroupSimulator(
             ber=1e-3, group_size=8, num_groups=32,
             seed=seed, scenario=scenario,
         )
-        simulator.sparse = sparse
-        return simulator
 
     def test_overlay_is_deterministic(self):
         results = [
             self._simulator(MIXED).run("Z", 60).as_dict() for _ in range(2)
         ]
         assert results[0] == results[1]
-
-    def test_overlay_sparse_matches_dense(self):
-        sparse = self._simulator(MIXED, sparse=True).run("Z", 60)
-        dense = self._simulator(MIXED, sparse=False).run("Z", 60)
-        assert sparse.as_dict() == dense.as_dict()
 
     def test_overlay_changes_the_estimate(self):
         # Stuck-at cells and bursts only add faults.  The overlay lifts

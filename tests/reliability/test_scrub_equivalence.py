@@ -4,10 +4,11 @@ Campaigns scrub only the array's dirty frames and bulk-account every
 other line as ``clean``.  These tests pin the load bearing claim from
 docs/performance.md: for the same seed, the outcome counters (and hence
 every failure statistic derived from them) are *bit-identical* to the
-dense audit walk -- for the SuDoku engines, for every baseline, under
-metadata/visit chaos, and for the rare-event simulator.  The dense walk
-is reached only through the test seams ``montecarlo._DENSE`` and
-``ConditionalGroupSimulator.sparse``.
+dense audit walk -- for the SuDoku engines, for every baseline, and
+under metadata/visit chaos.  The dense walk is reached only through the
+test seam ``montecarlo._DENSE``.  The rare-event simulator repairs
+through the engine's group scan, which ``tests/core/test_trusted_scan.py``
+checks against a dense scan.
 """
 
 
@@ -26,7 +27,6 @@ from repro.reliability.montecarlo import (
     run_engine_campaign,
     run_group_campaign,
 )
-from repro.reliability.raresim import ConditionalGroupSimulator
 from repro.resilience.chaos import ChaosPolicy
 from repro.sttram.array import STTRAMArray
 
@@ -132,19 +132,6 @@ class TestBaselines:
             ),
             ber=1e-3,
         )
-
-
-class TestRaresim:
-    def test_sparse_matches_dense_trials(self):
-        results = []
-        for sparse in (False, True):
-            simulator = ConditionalGroupSimulator(
-                ber=4e-4, group_size=16, num_groups=16,
-                seed=3,
-            )
-            simulator.sparse = sparse
-            results.append(simulator.run("Z", 40).as_dict())
-        assert results[0] == results[1]
 
 
 class TestPermanentFaults:

@@ -145,6 +145,17 @@ class TestEngineDegradation:
         assert report["rebuilt"] >= 2
         assert engine.plt.verify(0) and engine.plt.verify(1)
 
+    def test_audit_counts_each_quarantine_once(self):
+        engine = make_engine("Z")
+        engine.plt.corrupt(3, 1)
+        report = engine.audit_metadata(repair=False)
+        assert report["quarantined"] == 1
+        assert engine.plt.is_quarantined(3)
+        assert engine.stats.metadata_quarantines == 1
+        # Already quarantined: a second audit reports it, counts nothing.
+        assert engine.audit_metadata(repair=False)["quarantined"] == 1
+        assert engine.stats.metadata_quarantines == 1
+
     def test_z_falls_back_to_hash2_after_metadata_fault(self):
         engine = make_engine("Z")
         frame = 9

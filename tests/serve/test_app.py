@@ -336,6 +336,7 @@ class TestValidationAndRoutes:
             ({"kind": "raresim", "ber": 1e-3, "group_size": 16,
               "scenario": {"burst": {"rate": 0.1, "length_pmf": {"4": 1},
                                      "span": 600}}}, "'span'"),
+            ({"kind": "raresim", "group_size": 12}, "'group_size'"),
         ]
 
         async def scenario():

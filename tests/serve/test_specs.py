@@ -97,6 +97,8 @@ class TestRunConstraints:
         (dict(RARESIM, ber=1.0), "'ber'"),
         (dict(RARESIM, ber=1e-300), "'ber'.*zero probability"),
         (dict(RARESIM, ber=0.999), "'ber'.*zero probability"),
+        # Each rare-event trial group runs on a SuDoku engine.
+        (dict(RARESIM, group_size=12), "'group_size'"),
     ])
     def test_rejected(self, payload, match):
         with pytest.raises(SpecError, match=match):
@@ -106,8 +108,7 @@ class TestRunConstraints:
         dict(SCENARIO, scheme="eccline", group_size=6),
         dict(SCENARIO, scheme="cppc", group_size=3),
         dict(SCENARIO, scheme="hiecc", group_size=5),
-        dict(RARESIM, group_size=12),
-    ], ids=["eccline", "cppc", "hiecc", "raresim"])
+    ], ids=["eccline", "cppc", "hiecc"])
     def test_schemes_without_group_mapper_take_any_size(self, payload):
         assert parse_spec(payload).params["group_size"] == payload["group_size"]
 

@@ -253,13 +253,6 @@ class TestSplitClean:
 
 
 class TestBulk:
-    def test_fill_random_reproducible(self):
-        array_a = STTRAMArray(32, 553)
-        array_b = STTRAMArray(32, 553)
-        array_a.fill_random(np.random.default_rng(42))
-        array_b.fill_random(np.random.default_rng(42))
-        assert list(array_a) == list(array_b)
-
     def test_len_and_iter(self):
         array = STTRAMArray(8, 16)
         assert len(array) == 8
