@@ -20,11 +20,15 @@ is exact, and the variance reduction vs naive campaigns is the inverse
 of the conditioning probability -- three orders of magnitude at
 BER 1e-4 for the paper geometry.
 
-Trial ``t`` (a global index) draws only from its own stream,
-``random.Random(interval_python_seed(seed, t))``: the seed-tree child
-``(seed, t)`` that Monte-Carlo and scenario intervals use too.  So a
-K-shard run, which hands each shard a slice of trial indices, equals
-the serial run at the same seed, and a checkpoint carries no RNG state.
+Trial ``t`` (a global index) draws only from its own numpy generator,
+``interval_generator(seed, t)``: the seed-tree child ``(seed, t)`` that
+Monte-Carlo and scenario intervals use too.  So a K-shard run, which
+hands each shard a slice of trial indices, equals the serial run at the
+same seed, and a checkpoint carries no RNG state.  The faults come from
+the campaign samplers (``sample_distinct``, the scenario's stuck-at map
+and burst injector) and the repairs from the SuDoku engine; this module
+keeps only the conditioning: the multi-bit line count, the choice of
+lines, and the per-line fault-count tail.
 
 Single-fault background lines are provably irrelevant (the group scan
 repairs them before any parity computation), so they are not sampled.
@@ -40,12 +44,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - cycle: scenario imports repro.parallel
     from repro.reliability.scenario import FaultScenario
 
-from repro.coding.bitvec import random_error_vector
+from repro.coding.bitvec import flip_bits
 from repro.core.engine import SuDokuY
 from repro.core.linecodec import LineCodec
 # The trials repair through SuDokuY and call none of these; they stay
@@ -60,6 +66,7 @@ from repro.reliability.fit import fit_from_interval_probability
 from repro.reliability.tallies import publish_tallies
 from repro.resilience.checkpoint import BoundaryLoop, Checkpointer, Deadline
 from repro.sttram.array import STTRAMArray
+from repro.sttram.faults import sample_distinct
 
 #: Bucket edges for conditioned-trial wall times: a Y trial is one group
 #: scan (sub-millisecond at bench geometries); Z trials fan out into
@@ -107,16 +114,6 @@ def conditioned_weights(
         for m in range(2, MAX_MULTI_LINES + 1)
     ])
     return p_multi, fault_weights, multi_weights
-
-
-def _draw(rng: random.Random, support: List[int], weights: List[float]) -> int:
-    point = rng.random()
-    cumulative = 0.0
-    for value, weight in zip(support, weights):
-        cumulative += weight
-        if point <= cumulative:
-            return value
-    return support[-1]
 
 
 @dataclass
@@ -265,8 +262,8 @@ class ConditionalGroupSimulator:
         #: Optional mixed-fault overlay: each trial group is built with a
         #: freshly sampled stuck-at map (the spec's ppm density) and the
         #: conditioned transient pattern is augmented with one interval's
-        #: burst events.  All extra draws come from the trial's stream,
-        #: like every other draw of the trial.  The
+        #: burst events, drawn by the scenario campaigns' samplers from
+        #: the trial's generator, like every other draw of the trial.  The
         #: ``transient_ber`` field is *not* consumed here -- the
         #: conditioned ``ber`` is this estimator's transient model
         #: (:func:`repro.serve.specs.parse_spec` maps a nonzero
@@ -290,24 +287,19 @@ class ConditionalGroupSimulator:
         #: never touch the trial stream).
         self._telemetry = resolve_telemetry(None)
 
-        self.p_multi, self._fault_weights, self._multi_weights = (
-            conditioned_weights(ber, group_size, self.line_bits)
+        self.p_multi, fault_weights, multi_weights = conditioned_weights(
+            ber, group_size, self.line_bits
         )
-        self._fault_support = list(range(2, MAX_FAULTS_PER_LINE + 1))
-        self._multi_support = list(range(2, MAX_MULTI_LINES + 1))
+        self._fault_support = np.arange(2, MAX_FAULTS_PER_LINE + 1)
+        self._fault_weights = np.array(fault_weights)
+        self._multi_support = np.arange(2, MAX_MULTI_LINES + 1)
+        self._multi_weights = np.array(multi_weights)
         #: P[the conditioning event]: >= 2 multi-bit lines in the group.
         self.conditioning_probability = binomial_tail(group_size, 2, self.p_multi)
 
     # -- group construction ----------------------------------------------------------
 
-    def _trial_rng(self, trial: int) -> random.Random:
-        """Trial ``trial``'s one stream: seed-tree child ``(seed, trial)``."""
-        # Imported here, not at the top: repro.parallel imports this module.
-        from repro.parallel.sharding import interval_python_seed
-
-        return random.Random(interval_python_seed(self.seed, trial))
-
-    def _fresh_group(self, rng: random.Random) -> SuDokuY:
+    def _fresh_group(self, rng: np.random.Generator) -> SuDokuY:
         """A SuDoku-Y engine over a G-line array with content and no faults.
 
         With a scenario overlay the group gets its stuck-at map attached
@@ -316,14 +308,14 @@ class ConditionalGroupSimulator:
         scenario campaigns.  The engine's parity table holds the parity
         of the golden words, so stuck bits appear to the repair
         machinery as what they physically are: pre-existing storage
-        faults.  The content is drawn, encoded and written as one batch
-        each: the same draws, codewords and stored words as one
-        ``encode`` and ``write`` per line.
+        faults.  The content comes from a stdlib stream seeded off
+        ``rng``, the rule campaigns fill their arrays by, and is
+        encoded and written as one batch each.
         """
         array = STTRAMArray(self.group_size, self.line_bits)
         if self.scenario is not None:
-            stuck_map = self.scenario.sample_stuck_map_py(
-                rng, self.group_size, self.line_bits
+            stuck_map = self.scenario.build_stuck_map(
+                self.group_size, self.line_bits, rng
             )
             if stuck_map is not None:
                 array.attach_permanent_faults(stuck_map)
@@ -333,7 +325,7 @@ class ConditionalGroupSimulator:
             backend=self.backend, sdr_max_mismatches=self.sdr_max_mismatches,
         )
         data_bits = self.codec.layout.data_bits
-        getrandbits = rng.getrandbits
+        getrandbits = random.Random(int(rng.integers(0, 2 ** 63))).getrandbits
         words = self.codec.encode_many(
             [getrandbits(data_bits) for _ in range(self.group_size)]
         )
@@ -342,14 +334,15 @@ class ConditionalGroupSimulator:
         return engine
 
     def _side_group(
-        self, rng: random.Random, array: STTRAMArray, survivor: int
+        self, rng: np.random.Generator, array: STTRAMArray, survivor: int
     ) -> SuDokuY:
         """``survivor``'s Hash-2 group, the survivor aliased to slot 0.
 
         Fresh partner lines (disjoint from the Hash-1 group by the
-        skewing invariant) with an unconditioned multi-fault background.
-        The parity covers the golden words, as in :meth:`_fresh_group`:
-        a side line's stuck bits stay faults for the repair to find.
+        skewing invariant) with an unconditioned multi-fault background:
+        one Bernoulli draw per partner at ``p_multi``.  The parity
+        covers the golden words, as in :meth:`_fresh_group`: a side
+        line's stuck bits stay faults for the repair to find.
         """
         side = self._fresh_group(rng)
         side_array = side.array
@@ -358,47 +351,45 @@ class ConditionalGroupSimulator:
             0, [side_array.golden(f) for f in range(self.group_size)]
         )
         side_array.inject(0, array.error_vector(survivor))
-        self._inject_background(rng, side_array, exclude=0)
+        hits = np.flatnonzero(rng.random(self.group_size - 1) < self.p_multi)
+        self._inject_multi_bit(rng, side_array, hits + 1)
         return side
 
     def _inject_conditioned(
-        self, rng: random.Random, array: STTRAMArray
+        self, rng: np.random.Generator, array: STTRAMArray
     ) -> List[int]:
-        """Inject the conditioned multi-fault pattern; returns hit frames."""
-        count = _draw(rng, self._multi_support, self._multi_weights)
-        frames = rng.sample(range(self.group_size), count)
-        for frame in frames:
-            faults = _draw(rng, self._fault_support, self._fault_weights)
-            array.inject(
-                frame, random_error_vector(self.line_bits, faults, rng)
+        """Inject the conditioned multi-fault pattern; returns hit frames.
+
+        With a scenario overlay, one interval's burst events follow.
+        """
+        count = int(rng.choice(self._multi_support, p=self._multi_weights))
+        frames = [int(f) for f in sample_distinct(rng, self.group_size, count)]
+        self._inject_multi_bit(rng, array, frames)
+        if self.scenario is not None:
+            bursts = self.scenario.build_burst_injector(
+                self.line_bits, rng, backend=self.backend
             )
-        self._inject_scenario_bursts(rng, array)
+            if bursts is not None:
+                bursts.inject_frames(array)
         return frames
 
-    def _inject_scenario_bursts(
-        self, rng: random.Random, array: STTRAMArray
+    def _inject_multi_bit(
+        self, rng: np.random.Generator, array: STTRAMArray,
+        frames: Sequence[int],
     ) -> None:
-        """Overlay one interval's burst events onto the trial group."""
-        if self.scenario is None:
+        """Give each of ``frames`` a fault count from the conditioned
+        per-line tail, at distinct uniform bit positions."""
+        if not len(frames):
             return
-        vectors = self.scenario.sample_burst_vectors_py(
-            rng, self.group_size, self.line_bits
+        counts = rng.choice(
+            self._fault_support, size=len(frames), p=self._fault_weights
         )
-        for frame in sorted(vectors):
-            array.inject(frame, vectors[frame])
-
-    def _inject_background(
-        self, rng: random.Random, array: STTRAMArray, exclude: int
-    ) -> None:
-        """Unconditioned multi-fault background for a Hash-2 side-group."""
-        for frame in range(self.group_size):
-            if frame == exclude:
-                continue
-            if rng.random() < self.p_multi:
-                faults = _draw(rng, self._fault_support, self._fault_weights)
-                array.inject(
-                    frame, random_error_vector(self.line_bits, faults, rng)
-                )
+        for frame, count in zip(frames, counts):
+            positions = sample_distinct(rng, self.line_bits, int(count))
+            array.inject(
+                int(frame),
+                flip_bits(0, (int(p) for p in positions), width=self.line_bits),
+            )
 
     # -- trials -----------------------------------------------------------------------
 
@@ -413,21 +404,28 @@ class ConditionalGroupSimulator:
             outcomes = engine._repair_hash1_group(0)
         return [frame for frame, outcome in outcomes.items() if outcome.is_due]
 
-    def trial_y(self, trial: int) -> bool:
-        """Conditioned trial ``trial`` of SuDoku-Y; True = the group failed."""
-        rng = self._trial_rng(trial)
+    def _conditioned_group(
+        self, trial: int
+    ) -> Tuple[np.random.Generator, SuDokuY]:
+        """Trial ``trial``'s generator and its group, faults injected."""
+        # Imported here, not at the top: repro.parallel imports this module.
+        from repro.parallel.sharding import interval_generator
+
+        rng = interval_generator(self.seed, trial)
         with self._telemetry.tracer.span("phase_inject"):
             engine = self._fresh_group(rng)
             self._inject_conditioned(rng, engine.array)
+        return rng, engine
+
+    def trial_y(self, trial: int) -> bool:
+        """Conditioned trial ``trial`` of SuDoku-Y; True = the group failed."""
+        _, engine = self._conditioned_group(trial)
         return bool(self._repair(engine))
 
     def trial_z(self, trial: int) -> bool:
         """Conditioned trial ``trial`` of SuDoku-Z (one Hash-2 peeling level)."""
-        rng = self._trial_rng(trial)
-        with self._telemetry.tracer.span("phase_inject"):
-            engine = self._fresh_group(rng)
-            array = engine.array
-            self._inject_conditioned(rng, array)
+        rng, engine = self._conditioned_group(trial)
+        array = engine.array
         survivors = self._repair(engine)
         if not survivors:
             return False

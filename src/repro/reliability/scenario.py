@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.engine import build_engine
 from repro.obs import NULL_PROGRESS, Telemetry
@@ -59,11 +59,7 @@ from repro.reliability.montecarlo import heal  # noqa: F401
 from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.checkpoint import Checkpointer, Deadline
 from repro.sttram.array import STTRAMArray
-from repro.sttram.faults import (
-    BurstFaultInjector,
-    PermanentFaultMap,
-    burst_line_masks,
-)
+from repro.sttram.faults import BurstFaultInjector, PermanentFaultMap
 
 #: Every scheme name :func:`build_scheme` accepts: the three SuDoku
 #: levels plus the five baseline protection schemes.
@@ -261,12 +257,20 @@ class FaultScenario:
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
 
-    # -- seeded samplers (numpy, campaign path) --------------------------------
+    # -- seeded samplers ------------------------------------------------------
+    #
+    # The one place a scenario's stuck-at and burst sources are sampled:
+    # scenario campaigns draw from their seed-tree children, rare-event
+    # trials from the trial's generator.
 
     def build_stuck_map(
         self, num_lines: int, line_bits: int, rng
     ) -> Optional[PermanentFaultMap]:
-        """Sample the stuck-at map from a numpy generator (child ``(1,)``)."""
+        """Sample the stuck-at map from a numpy generator.
+
+        Scenario campaigns pass child ``(1,)``; a rare-event trial
+        passes its own generator.
+        """
         if self.stuck is None or self.stuck.ppm <= 0:
             return None
         return PermanentFaultMap.random(
@@ -276,9 +280,14 @@ class FaultScenario:
     def build_burst_injector(
         self, line_bits: int, rng, backend=None
     ) -> Optional[BurstFaultInjector]:
-        """Burst injector on a per-interval numpy generator."""
+        """Burst injector on a numpy generator (an interval's or a trial's).
+
+        :raises ValueError: naming the field when the span or a burst
+            length is wider than a row of ``line_bits``-bit lines.
+        """
         if self.burst is None or self.burst.rate <= 0:
             return None
+        self.burst.check_row(line_bits)
         return BurstFaultInjector(
             line_bits,
             self.burst.rate,
@@ -290,107 +299,6 @@ class FaultScenario:
             rng=rng,
             backend=backend,
         )
-
-    # -- seeded samplers (stdlib Random, raresim path) -------------------------
-
-    def sample_stuck_map_py(
-        self, rng, num_lines: int, line_bits: int
-    ) -> Optional[PermanentFaultMap]:
-        """Stuck-at map drawn from a stdlib ``random.Random``.
-
-        The rare-event simulator draws each trial from one python
-        stream (the trial's seed-tree child); this sampler lives on
-        that stream rather than the numpy tree.
-        """
-        if self.stuck is None or self.stuck.ppm <= 0:
-            return None
-        from repro.sttram.faults import FaultKind
-
-        total_bits = num_lines * line_bits
-        count = _binomial_draw_py(rng, total_bits, self.stuck.ppm * 1e-6)
-        fault_map = PermanentFaultMap(line_bits)
-        if count == 0:
-            return fault_map
-        for flat in sorted(rng.sample(range(total_bits), count)):
-            line_index, bit_position = divmod(flat, line_bits)
-            kind = (
-                FaultKind.STUCK_AT_ONE
-                if rng.getrandbits(1)
-                else FaultKind.STUCK_AT_ZERO
-            )
-            fault_map.add(line_index, bit_position, kind)
-        return fault_map
-
-    def sample_burst_vectors_py(
-        self, rng, num_lines: int, line_bits: int
-    ) -> Dict[int, int]:
-        """One interval's burst masks drawn from a stdlib ``random.Random``."""
-        if self.burst is None or self.burst.rate <= 0:
-            return {}
-        spec = self.burst
-        spec.check_row(line_bits)
-        count = _binomial_draw_py(rng, num_lines, spec.rate)
-        vectors: Dict[int, int] = {}
-        if count == 0:
-            return vectors
-        span = (
-            spec.span
-            if spec.span is not None
-            else line_bits * spec.interleave
-        )
-        lengths = [length for length, _ in spec.length_pmf]
-        total = sum(p for _, p in spec.length_pmf)
-        cumulative: List[float] = []
-        running = 0.0
-        for _, probability in spec.length_pmf:
-            running += probability / total
-            cumulative.append(running)
-        cumulative[-1] = 1.0
-        for base in sorted(rng.sample(range(num_lines), count)):
-            u = rng.random()
-            length = lengths[-1]
-            for candidate, bound in zip(lengths, cumulative):
-                if u <= bound:
-                    length = candidate
-                    break
-            slots = (span - length) // spec.alignment + 1
-            start = rng.randrange(slots) * spec.alignment
-            masks = burst_line_masks(
-                line_bits, start, length, interleave=spec.interleave
-            )
-            for row in range(spec.multiplicity):
-                row_base = base + row * spec.interleave
-                for offset, mask in masks:
-                    line_index = row_base + offset
-                    if line_index >= num_lines:
-                        continue
-                    vectors[line_index] = vectors.get(line_index, 0) | mask
-        return vectors
-
-
-def _binomial_draw_py(rng, n: int, p: float) -> int:
-    """Exact inverse-CDF binomial draw from a stdlib ``random.Random``.
-
-    The stdlib RNG has no binomial sampler; this walks the CDF with the
-    stable term recurrence, which is O(draw) -- fine for the small
-    ``n * p`` regimes the scenario samplers operate in (a few faults
-    per group/interval).  ``(1-p)^n`` underflowing to zero would need
-    ``n * p`` in the thousands, far outside those regimes.
-    """
-    if n <= 0 or p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    u = rng.random()
-    term = (1.0 - p) ** n
-    cdf = term
-    k = 0
-    ratio = p / (1.0 - p)
-    while u > cdf and k < n:
-        term *= (n - k) / (k + 1) * ratio
-        k += 1
-        cdf += term
-    return k
 
 
 def build_scheme(name: str, group_size: int = 8, backend: Optional[str] = None):

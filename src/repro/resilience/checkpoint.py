@@ -34,7 +34,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.obs.atomicio import atomic_write_json
 
 #: Format version stamped into every checkpoint file.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(Exception):

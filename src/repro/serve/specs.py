@@ -44,7 +44,7 @@ from repro.reliability.scenario import SCHEMES, FaultScenario, scheme_line_bits
 
 #: Bump when a code change alters campaign results at a fixed spec;
 #: stored results from older versions then simply stop matching.
-RESULT_VERSION = 3
+RESULT_VERSION = 4
 
 _CAMPAIGN_LEVELS = ("X", "Y", "Z")
 _RARESIM_LEVELS = ("Y", "Z")

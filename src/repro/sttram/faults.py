@@ -318,9 +318,8 @@ def burst_line_masks(
     ``min(k, D)`` logical lines at at most ``ceil(k / D)`` bits each --
     the geometric fact that makes interleaving load-bearing under MBUs.
 
-    Shared by the numpy-generator :class:`BurstFaultInjector` and the
-    stdlib-RNG scenario samplers, so both fault paths place identical
-    bursts for identical (start, length) draws.
+    Used by :class:`BurstFaultInjector`, the one burst sampler: scenario
+    campaigns and rare-event trials both place their bursts through it.
     """
     if interleave <= 0:
         raise ValueError("interleave must be positive")

@@ -2,8 +2,8 @@
 
 ``golden_checkpoints/<kind>-after-2.json`` holds the exact payload each
 campaign kind flushed after its second unit, captured from a small
-seeded run (``montecarlo-v1-after-2.json`` and
-``raresim-v2-after-2.json`` are older captures, kept to pin their
+seeded run (``montecarlo-v1-after-2.json``, ``raresim-v2-after-2.json``
+and ``raresim-v3-after-2.json`` are older captures, kept to pin their
 refusal).  Two properties are pinned per kind:
 
 * the same run still flushes exactly that payload after unit 2 (same
@@ -119,4 +119,16 @@ def test_version_2_checkpoint_is_refused():
     with pytest.raises(CheckpointError, match="format version 2"):
         load_checkpoint(
             os.path.join(GOLDEN_DIR, "raresim-v2-after-2.json"), "raresim"
+        )
+
+
+def test_version_3_checkpoint_is_refused():
+    """Version 3 rare-event trials drew from a stdlib stream seeded by
+    ``interval_python_seed(seed, t)``; version 4 trials draw from the
+    numpy generator ``interval_generator(seed, t)``.  Resuming a version
+    3 snapshot would splice old-stream trials into new ones, so it is
+    refused."""
+    with pytest.raises(CheckpointError, match="format version 3"):
+        load_checkpoint(
+            os.path.join(GOLDEN_DIR, "raresim-v3-after-2.json"), "raresim"
         )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.parity import xor_reduce
-from repro.parallel import interval_python_seed, run_sharded_raresim
+from repro.parallel import interval_generator, run_sharded_raresim
 from repro.reliability.raresim import (
     ConditionalGroupSimulator,
     ConditionalResult,
@@ -38,7 +38,7 @@ class TestConditionalDistributions:
     def test_injected_patterns_are_conditioned(self):
         simulator = make_simulator()
         for trial in range(20):
-            rng = simulator._trial_rng(trial)
+            rng = interval_generator(3, trial)
             array = simulator._fresh_group(rng).array
             frames = simulator._inject_conditioned(rng, array)
             assert len(frames) >= 2
@@ -48,7 +48,7 @@ class TestConditionalDistributions:
 
     def test_fresh_group_parity_consistent(self):
         simulator = make_simulator()
-        engine = simulator._fresh_group(simulator._trial_rng(0))
+        engine = simulator._fresh_group(interval_generator(3, 0))
         assert engine.plt.parity(0) == xor_reduce(
             engine.array.read(f) for f in range(GROUP)
         )
@@ -109,19 +109,21 @@ class TestBatchedGroupBuild:
 
     def test_fresh_group_matches_per_line_build(self):
         """The batched build stores what one ``encode`` and ``write`` per
-        line stored, from the same draws."""
+        line stored, from the campaign fill rule's content stream: a
+        ``random.Random`` seeded by one draw of the trial generator."""
         simulator = make_simulator(seed=9)
-        batched, by_line = simulator._trial_rng(0), simulator._trial_rng(0)
+        batched, by_line = interval_generator(9, 0), interval_generator(9, 0)
         array = simulator._fresh_group(batched).array
+        content = random.Random(int(by_line.integers(0, 2 ** 63)))
         data = [
-            by_line.getrandbits(simulator.codec.layout.data_bits)
+            content.getrandbits(simulator.codec.layout.data_bits)
             for _ in range(GROUP)
         ]
         words = [simulator.codec.encode(value) for value in data]
         assert list(array) == words
         assert [array.golden(f) for f in range(GROUP)] == words
         assert array.dirty_count == 0
-        assert batched.getstate() == by_line.getstate()
+        assert batched.bit_generator.state == by_line.bit_generator.state
 
 
 class TestSideGroupParity:
@@ -136,7 +138,7 @@ class TestSideGroupParity:
                 transient_ber=1e-3, stuck=StuckSpec(ppm=2000.0)
             ),
         )
-        rng = simulator._trial_rng(0)
+        rng = interval_generator(5, 0)
         array = simulator._fresh_group(rng).array
         survivor = simulator._inject_conditioned(rng, array)[0]
         side = simulator._side_group(rng, array, survivor)
@@ -266,13 +268,23 @@ class TestConditionalCiProperties:
 
 
 class TestTrialStreams:
-    def test_trial_draws_only_from_its_seed_tree_child(self):
-        """Trial ``t`` draws from ``random.Random(interval_python_seed(seed,
-        t))`` alone, so its outcome does not depend on which trials ran
-        before it: the trials in reverse order give the serial run."""
+    def test_trial_draws_only_from_its_seed_tree_child(self, monkeypatch):
+        """Trial ``t`` draws from ``interval_generator(seed, t)`` alone, so
+        its outcome does not depend on which trials ran before it: the
+        trials in reverse order give the serial run."""
+        import repro.parallel.sharding as sharding
+
+        children = []
+
+        def recording(seed, index):
+            children.append((seed, index))
+            return interval_generator(seed, index)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sharding, "interval_generator", recording)
+            make_simulator(seed=11).trial_z(7)
+        assert children == [(11, 7)]
         simulator = make_simulator(seed=11)
-        expected = random.Random(interval_python_seed(11, 7))
-        assert simulator._trial_rng(7).getstate() == expected.getstate()
         serial = simulator.run("Y", 40)
         reverse = sum(
             make_simulator(seed=11).trial_y(trial)

@@ -11,8 +11,8 @@ sharded and resumed runs end-to-end through the CLI.
 """
 
 import json
-import random
 
+import numpy as np
 import pytest
 
 from repro.parallel import run_sharded_scenario
@@ -96,12 +96,13 @@ class TestSpecs:
             else:
                 with pytest.raises(ValueError, match="'span' 200"):
                     wide.check_row(row)
-        # The rare-event sampler holds its bursts to the same bound.
+        # The one burst sampler, which rare-event trials use too, holds
+        # its bursts to the same bound.
         scenario = FaultScenario(burst=BurstSpec(
             rate=1.0, length_pmf=((4, 1.0),), span=600,
         ))
         with pytest.raises(ValueError, match="'span' 600"):
-            scenario.sample_burst_vectors_py(random.Random(0), 8, 553)
+            scenario.build_burst_injector(553, np.random.default_rng(0))
 
 
 class TestSchemes:
