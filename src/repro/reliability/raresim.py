@@ -116,6 +116,17 @@ def conditioned_weights(
     return p_multi, fault_weights, multi_weights
 
 
+def _cdf(weights: List[float]) -> np.ndarray:
+    cdf = np.cumsum(weights)
+    return cdf / cdf[-1]
+
+
+def _sample_tail(rng: np.random.Generator, tail, size: Optional[int]):
+    """``size`` draws (one when None) from a (support, CDF) tail."""
+    support, cdf = tail
+    return support[cdf.searchsorted(rng.random(size), side="right")]
+
+
 @dataclass
 class ConditionalResult:
     """Outcome of a conditional campaign.
@@ -290,10 +301,14 @@ class ConditionalGroupSimulator:
         self.p_multi, fault_weights, multi_weights = conditioned_weights(
             ber, group_size, self.line_bits
         )
-        self._fault_support = np.arange(2, MAX_FAULTS_PER_LINE + 1)
-        self._fault_weights = np.array(fault_weights)
-        self._multi_support = np.arange(2, MAX_MULTI_LINES + 1)
-        self._multi_weights = np.array(multi_weights)
+        #: The conditioned tails as (support, normalised CDF) pairs.  A
+        #: right-sided ``searchsorted`` of uniform draws is exactly what
+        #: ``Generator.choice(support, p=weights)`` draws, without the
+        #: per-call checks of ``p`` that cost more than the draw.
+        self._fault_tail = (
+            np.arange(2, MAX_FAULTS_PER_LINE + 1), _cdf(fault_weights)
+        )
+        self._multi_tail = (np.arange(2, MAX_MULTI_LINES + 1), _cdf(multi_weights))
         #: P[the conditioning event]: >= 2 multi-bit lines in the group.
         self.conditioning_probability = binomial_tail(group_size, 2, self.p_multi)
 
@@ -362,8 +377,8 @@ class ConditionalGroupSimulator:
 
         With a scenario overlay, one interval's burst events follow.
         """
-        count = int(rng.choice(self._multi_support, p=self._multi_weights))
-        frames = [int(f) for f in sample_distinct(rng, self.group_size, count)]
+        count = int(_sample_tail(rng, self._multi_tail, None))
+        frames = sample_distinct(rng, self.group_size, count).tolist()
         self._inject_multi_bit(rng, array, frames)
         if self.scenario is not None:
             bursts = self.scenario.build_burst_injector(
@@ -381,9 +396,7 @@ class ConditionalGroupSimulator:
         per-line tail, at distinct uniform bit positions."""
         if not len(frames):
             return
-        counts = rng.choice(
-            self._fault_support, size=len(frames), p=self._fault_weights
-        )
+        counts = _sample_tail(rng, self._fault_tail, len(frames))
         for frame, count in zip(frames, counts):
             positions = sample_distinct(rng, self.line_bits, int(count))
             array.inject(
@@ -478,9 +491,9 @@ class ConditionalGroupSimulator:
         if trial is None:
             raise ValueError("conditional campaigns support levels Y and Z")
         tel = resolve_telemetry(telemetry)
-        # Phase spans (inject/scrub/correct) record into the campaign's
-        # tracer for the duration of the run; a null bundle swaps the
-        # no-op tracer back in.
+        # Phase spans (inject/scrub) and the trial engines' repair spans
+        # record into the campaign's tracer for the duration of the run;
+        # a null bundle swaps the no-op tracer back in.
         self._telemetry = tel
         label = level.upper()
         m_trial_time = tel.metrics.histogram(
