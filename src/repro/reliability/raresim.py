@@ -116,13 +116,19 @@ def conditioned_weights(
     return p_multi, fault_weights, multi_weights
 
 
-def _cdf(weights: List[float]) -> np.ndarray:
+def _tail(weights: List[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """A conditioned tail over 2, 3, ...: its support and normalised CDF.
+
+    A right-sided ``searchsorted`` of uniform draws on the CDF is
+    exactly what ``Generator.choice(support, p=weights)`` draws, without
+    the per-call checks of ``p`` that cost more than the draw.
+    """
     cdf = np.cumsum(weights)
-    return cdf / cdf[-1]
+    return np.arange(2, 2 + len(weights)), cdf / cdf[-1]
 
 
 def _sample_tail(rng: np.random.Generator, tail, size: Optional[int]):
-    """``size`` draws (one when None) from a (support, CDF) tail."""
+    """``size`` draws (one when None) from a :func:`_tail`."""
     support, cdf = tail
     return support[cdf.searchsorted(rng.random(size), side="right")]
 
@@ -264,6 +270,11 @@ class ConditionalGroupSimulator:
             raise ValueError("ber must be in (0, 1)")
         if trial_start < 0:
             raise ValueError("trial_start must be non-negative")
+        if group_size < 2 or group_size & (group_size - 1):
+            # Each trial group runs on a SuDoku engine's GroupMapper.
+            raise ValueError(
+                f"group_size must be a power of two >= 2, got {group_size}"
+            )
         self.ber = ber
         self.group_size = group_size
         self.num_groups = num_groups
@@ -301,14 +312,8 @@ class ConditionalGroupSimulator:
         self.p_multi, fault_weights, multi_weights = conditioned_weights(
             ber, group_size, self.line_bits
         )
-        #: The conditioned tails as (support, normalised CDF) pairs.  A
-        #: right-sided ``searchsorted`` of uniform draws is exactly what
-        #: ``Generator.choice(support, p=weights)`` draws, without the
-        #: per-call checks of ``p`` that cost more than the draw.
-        self._fault_tail = (
-            np.arange(2, MAX_FAULTS_PER_LINE + 1), _cdf(fault_weights)
-        )
-        self._multi_tail = (np.arange(2, MAX_MULTI_LINES + 1), _cdf(multi_weights))
+        self._fault_tail = _tail(fault_weights)
+        self._multi_tail = _tail(multi_weights)
         #: P[the conditioning event]: >= 2 multi-bit lines in the group.
         self.conditioning_probability = binomial_tail(group_size, 2, self.p_multi)
 

@@ -25,13 +25,14 @@ from repro.kernels.reference import ReferenceBackend
 from repro.reliability.montecarlo import _fill_random_through_engine
 from repro.reliability.raresim import ConditionalGroupSimulator
 from repro.reliability.scenario import (
-    BurstSpec,
     FaultScenario,
     StuckSpec,
     run_scenario_campaign,
 )
 from repro.resilience.chaos import ChaosPolicy
 from repro.sttram.array import STTRAMArray
+
+from tests.reliability.test_seed_golden import GOLDEN_MIXED
 
 
 def _scan_fields(scan):
@@ -115,15 +116,7 @@ def test_trusted_scans_equal_dense_under_chaos(checked_scans, backend, level):
     assert len(checked_scans) > 0
 
 
-#: The CI mixed scenario's burst and stuck-at sources, as a raresim overlay.
-MIXED = FaultScenario(
-    transient_ber=2e-3,
-    burst=BurstSpec(rate=0.05, length_pmf=((2, 0.5), (4, 0.5)), interleave=2),
-    stuck=StuckSpec(ppm=300.0),
-)
-
-
-@pytest.mark.parametrize("overlay", [None, MIXED], ids=["plain", "mixed"])
+@pytest.mark.parametrize("overlay", [None, GOLDEN_MIXED], ids=["plain", "mixed"])
 @pytest.mark.parametrize("level", ["Y", "Z"])
 def test_trusted_scans_equal_dense_in_rare_event_trials(
     checked_scans, level, overlay

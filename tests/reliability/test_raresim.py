@@ -58,6 +58,8 @@ class TestConditionalDistributions:
             ConditionalGroupSimulator(ber=0.0)
         with pytest.raises(ValueError):
             make_simulator().run("X", 10)
+        with pytest.raises(ValueError, match="group_size"):
+            make_simulator(group=12)
 
 
 class TestTrials:
