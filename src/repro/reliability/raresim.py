@@ -30,6 +30,17 @@ and burst injector) and the repairs from the SuDoku engine; this module
 keeps only the conditioning: the multi-bit line count, the choice of
 lines, and the per-line fault-count tail.
 
+A trial group stores content only where it can matter.  ECC-1, the
+CRC, RAID-4 parity, the SDR flip search and Hash-2 peeling are all
+affine over GF(2), so a line's outcome depends on its error vector,
+not on its word; every line holds the format fill word.  A stuck cell
+is the exception -- it is an error only where it disagrees with the
+stored bit -- so under a stuck-at overlay the stuck lines (and a Z side
+group's stuck slot 0, which aliases the survivor) hold the random
+words the campaign fill rule would have given them.  Results equal an
+all-random-content build (``tests/reliability/test_raresim_content.py``),
+and a group without stuck lines encodes and writes no line at all.
+
 Single-fault background lines are provably irrelevant (the group scan
 repairs them before any parity computation), so they are not sampled.
 Hash-2 side-groups sample their own multi-line background at the
@@ -270,6 +281,10 @@ class ConditionalGroupSimulator:
             raise ValueError("ber must be in (0, 1)")
         if trial_start < 0:
             raise ValueError("trial_start must be non-negative")
+        if num_groups < 1:
+            raise ValueError(f"num_groups must be >= 1, got {num_groups}")
+        if not interval_s > 0:
+            raise ValueError(f"interval_s must be positive, got {interval_s}")
         if group_size < 2 or group_size & (group_size - 1):
             # Each trial group runs on a SuDoku engine's GroupMapper.
             raise ValueError(
@@ -304,6 +319,9 @@ class ConditionalGroupSimulator:
         #: deliberately absent from the checkpoint fingerprint.
         self.backend = resolve_backend(backend)
         self.line_bits = self.codec.stored_bits
+        #: The format fill word every trial line holds unless it is stuck
+        #: (see :meth:`_fresh_group`); encoded once, not per trial.
+        self._fill = self.codec.encode(0)
         #: Telemetry the trial engines record their repair spans on;
         #: :meth:`run` swaps in the campaign's bundle (RNG-neutral: spans
         #: never touch the trial stream).
@@ -319,20 +337,27 @@ class ConditionalGroupSimulator:
 
     # -- group construction ----------------------------------------------------------
 
-    def _fresh_group(self, rng: np.random.Generator) -> SuDokuY:
-        """A SuDoku-Y engine over a G-line array with content and no faults.
+    def _fresh_group(
+        self, rng: np.random.Generator
+    ) -> Tuple[SuDokuY, int]:
+        """A SuDoku-Y engine over a G-line array with content and no
+        faults, and the seed of its content stream.
 
-        With a scenario overlay the group gets its stuck-at map attached
-        *before* content is written, so the fill stores through the
-        stuck bits (golden keeps the intent) -- the same setup order as
-        scenario campaigns.  The engine's parity table holds the parity
-        of the golden words, so stuck bits appear to the repair
-        machinery as what they physically are: pre-existing storage
-        faults.  The content comes from a stdlib stream seeded off
-        ``rng``, the rule campaigns fill their arrays by, and is
-        encoded and written as one batch each.
+        Every line holds the format fill word (G copies have parity
+        zero, the table's initial state) except the lines of the
+        overlay's stuck-at map (module docstring): line ``i`` holds the
+        ``i``-th data word of a stdlib stream seeded by one draw of
+        ``rng``, the rule campaigns fill their arrays by.  The map is
+        attached before that content is written, so the writes store
+        through the stuck bits (golden keeps the intent), and the
+        parity covers the golden words: stuck bits appear to the repair
+        machinery as what they physically are, pre-existing storage
+        faults.  The seed is drawn with or without a map, so every later
+        draw of the trial is the same either way.
         """
         array = STTRAMArray(self.group_size, self.line_bits)
+        array.fill_word(self._fill)
+        stuck_map = None
         if self.scenario is not None:
             stuck_map = self.scenario.build_stuck_map(
                 self.group_size, self.line_bits, rng
@@ -344,17 +369,44 @@ class ConditionalGroupSimulator:
             format_array=False, telemetry=self._telemetry,
             backend=self.backend, sdr_max_mismatches=self.sdr_max_mismatches,
         )
+        content_seed = int(rng.integers(0, 2 ** 63))
+        if stuck_map is not None:
+            lines = sorted(
+                stuck_map.stuck_at_one.keys() | stuck_map.stuck_at_zero.keys()
+            )
+            if lines:
+                self._write_content(
+                    engine, lines, self._content(content_seed, lines)
+                )
+        return engine, content_seed
+
+    def _content(self, seed: int, lines: Sequence[int]) -> List[int]:
+        """The encoded words of ascending ``lines`` from content stream
+        ``seed``: line ``i`` holds its ``i``-th data word."""
+        getrandbits = random.Random(seed).getrandbits
         data_bits = self.codec.layout.data_bits
-        getrandbits = random.Random(int(rng.integers(0, 2 ** 63))).getrandbits
-        words = self.codec.encode_many(
-            [getrandbits(data_bits) for _ in range(self.group_size)]
-        )
-        array.write_many(range(self.group_size), words)
-        engine.plt.rebuild(0, words)
-        return engine
+        data = [getrandbits(data_bits) for _ in range(lines[-1] + 1)]
+        return self.codec.encode_many([data[line] for line in lines])
+
+    def _write_content(
+        self, engine: SuDokuY, lines: Sequence[int], words: Sequence[int]
+    ) -> None:
+        """Write ``words`` to ``lines`` and rebuild the golden parity.
+
+        Every line outside the written set holds the fill word, so the
+        parity is the XOR of the written goldens with the fill word
+        folded in once when the fill lines are odd in number.
+        """
+        array = engine.array
+        array.write_many(lines, words)
+        goldens = [array.golden(line) for line in array.written_frames()]
+        if (self.group_size - len(goldens)) & 1:
+            goldens.append(self._fill)
+        engine.plt.rebuild(0, goldens)
 
     def _side_group(
-        self, rng: np.random.Generator, array: STTRAMArray, survivor: int
+        self, rng: np.random.Generator, array: STTRAMArray, survivor: int,
+        content_seed: int,
     ) -> SuDokuY:
         """``survivor``'s Hash-2 group, the survivor aliased to slot 0.
 
@@ -362,14 +414,21 @@ class ConditionalGroupSimulator:
         skewing invariant) with an unconditioned multi-fault background:
         one Bernoulli draw per partner at ``p_multi``.  The parity
         covers the golden words, as in :meth:`_fresh_group`: a side
-        line's stuck bits stay faults for the repair to find.
+        line's stuck bits stay faults for the repair to find.  Slot 0
+        carries the side group's own stuck map, so where that map
+        sticks slot 0 the survivor's content matters even when the
+        survivor is not stuck in its Hash-1 group: it is drawn from
+        the Hash-1 group's stream, ``content_seed``.
         """
-        side = self._fresh_group(rng)
+        side, _ = self._fresh_group(rng)
         side_array = side.array
-        side_array.write(0, array.golden(survivor))
-        side.plt.rebuild(
-            0, [side_array.golden(f) for f in range(self.group_size)]
-        )
+        stuck_map = side_array.permanent_faults
+        if stuck_map is not None and (
+            0 in stuck_map.stuck_at_one or 0 in stuck_map.stuck_at_zero
+        ):
+            self._write_content(
+                side, [0], self._content(content_seed, [survivor])
+            )
         side_array.inject(0, array.error_vector(survivor))
         hits = np.flatnonzero(rng.random(self.group_size - 1) < self.p_multi)
         self._inject_multi_bit(rng, side_array, hits + 1)
@@ -424,25 +483,26 @@ class ConditionalGroupSimulator:
 
     def _conditioned_group(
         self, trial: int
-    ) -> Tuple[np.random.Generator, SuDokuY]:
-        """Trial ``trial``'s generator and its group, faults injected."""
+    ) -> Tuple[np.random.Generator, SuDokuY, int]:
+        """Trial ``trial``'s generator, its group with faults injected,
+        and the group's content seed."""
         # Imported here, not at the top: repro.parallel imports this module.
         from repro.parallel.sharding import interval_generator
 
         rng = interval_generator(self.seed, trial)
         with self._telemetry.tracer.span("phase_inject"):
-            engine = self._fresh_group(rng)
+            engine, content_seed = self._fresh_group(rng)
             self._inject_conditioned(rng, engine.array)
-        return rng, engine
+        return rng, engine, content_seed
 
     def trial_y(self, trial: int) -> bool:
         """Conditioned trial ``trial`` of SuDoku-Y; True = the group failed."""
-        _, engine = self._conditioned_group(trial)
+        _, engine, _ = self._conditioned_group(trial)
         return bool(self._repair(engine))
 
     def trial_z(self, trial: int) -> bool:
         """Conditioned trial ``trial`` of SuDoku-Z (one Hash-2 peeling level)."""
-        rng, engine = self._conditioned_group(trial)
+        rng, engine, content_seed = self._conditioned_group(trial)
         array = engine.array
         survivors = self._repair(engine)
         if not survivors:
@@ -450,7 +510,7 @@ class ConditionalGroupSimulator:
         # Each survivor retries in its Hash-2 group.
         for survivor in survivors:
             with self._telemetry.tracer.span("phase_inject"):
-                side = self._side_group(rng, array, survivor)
+                side = self._side_group(rng, array, survivor, content_seed)
             self._repair(side)
             if side.array.is_clean(0):
                 array.restore(survivor, array.golden(survivor))

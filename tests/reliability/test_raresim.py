@@ -39,7 +39,7 @@ class TestConditionalDistributions:
         simulator = make_simulator()
         for trial in range(20):
             rng = interval_generator(3, trial)
-            array = simulator._fresh_group(rng).array
+            array = simulator._fresh_group(rng)[0].array
             frames = simulator._inject_conditioned(rng, array)
             assert len(frames) >= 2
             for frame in frames:
@@ -48,7 +48,7 @@ class TestConditionalDistributions:
 
     def test_fresh_group_parity_consistent(self):
         simulator = make_simulator()
-        engine = simulator._fresh_group(interval_generator(3, 0))
+        engine, _ = simulator._fresh_group(interval_generator(3, 0))
         assert engine.plt.parity(0) == xor_reduce(
             engine.array.read(f) for f in range(GROUP)
         )
@@ -60,6 +60,21 @@ class TestConditionalDistributions:
             make_simulator().run("X", 10)
         with pytest.raises(ValueError, match="group_size"):
             make_simulator(group=12)
+
+    def test_zero_interval_rejected(self):
+        # Before the check every trial ran, then as_dict() raised.
+        with pytest.raises(ValueError, match="interval_s"):
+            make_simulator(interval_s=0.0)
+
+    def test_zero_num_groups_rejected(self):
+        # Before the check the result read FIT 0.0 beside its failures.
+        with pytest.raises(ValueError, match="num_groups"):
+            ConditionalGroupSimulator(ber=BER, group_size=GROUP, num_groups=0)
+
+    def test_negative_num_groups_rejected(self):
+        # Before the check the run failed midway in complement_power.
+        with pytest.raises(ValueError, match="num_groups"):
+            ConditionalGroupSimulator(ber=BER, group_size=GROUP, num_groups=-3)
 
 
 class TestTrials:
@@ -110,22 +125,50 @@ class TestBatchedGroupBuild:
         assert calls == []
 
     def test_fresh_group_matches_per_line_build(self):
-        """The batched build stores what one ``encode`` and ``write`` per
-        line stored, from the campaign fill rule's content stream: a
-        ``random.Random`` seeded by one draw of the trial generator."""
-        simulator = make_simulator(seed=9)
-        batched, by_line = interval_generator(9, 0), interval_generator(9, 0)
-        array = simulator._fresh_group(batched).array
-        content = random.Random(int(by_line.integers(0, 2 ** 63)))
-        data = [
-            content.getrandbits(simulator.codec.layout.data_bits)
-            for _ in range(GROUP)
-        ]
-        words = [simulator.codec.encode(value) for value in data]
-        assert list(array) == words
-        assert [array.golden(f) for f in range(GROUP)] == words
-        assert array.dirty_count == 0
-        assert batched.bit_generator.state == by_line.bit_generator.state
+        """Stuck lines store what one ``encode`` and ``write`` per line
+        stored, from the campaign fill rule's content stream: a
+        ``random.Random`` seeded by one draw of the trial generator.
+        Every other line holds the format fill word, and the generator
+        advances exactly as the per-line build's did."""
+        scenario = FaultScenario(transient_ber=1e-3, stuck=StuckSpec(ppm=300.0))
+        for overlay in (None, scenario):
+            simulator = make_simulator(seed=9, scenario=overlay)
+            batched, by_line = interval_generator(9, 0), interval_generator(9, 0)
+            engine, content_seed = simulator._fresh_group(batched)
+            stuck_map = None
+            if overlay is not None:
+                stuck_map = overlay.build_stuck_map(
+                    GROUP, simulator.line_bits, by_line
+                )
+            stuck = (
+                set(stuck_map.stuck_at_one) | set(stuck_map.stuck_at_zero)
+                if stuck_map is not None else set()
+            )
+            seed = int(by_line.integers(0, 2 ** 63))
+            assert content_seed == seed
+            content = random.Random(seed)
+            data = [
+                content.getrandbits(simulator.codec.layout.data_bits)
+                for _ in range(GROUP)
+            ]
+            fill = simulator.codec.encode(0)
+            words = [
+                simulator.codec.encode(value) if frame in stuck else fill
+                for frame, value in enumerate(data)
+            ]
+            array = engine.array
+            assert [array.golden(f) for f in range(GROUP)] == words
+            assert list(array) == [
+                stuck_map.apply(f, word) if stuck_map else word
+                for f, word in enumerate(words)
+            ]
+            assert engine.plt.parity(0) == xor_reduce(words)
+            assert batched.bit_generator.state == by_line.bit_generator.state
+            if overlay is None:
+                assert array.dirty_count == 0
+            else:
+                assert 0 < len(stuck) < GROUP
+                assert array.dirty_count > 0
 
 
 class TestSideGroupParity:
@@ -141,9 +184,10 @@ class TestSideGroupParity:
             ),
         )
         rng = interval_generator(5, 0)
-        array = simulator._fresh_group(rng).array
+        engine, content_seed = simulator._fresh_group(rng)
+        array = engine.array
         survivor = simulator._inject_conditioned(rng, array)[0]
-        side = simulator._side_group(rng, array, survivor)
+        side = simulator._side_group(rng, array, survivor, content_seed)
         side_array, side_plt = side.array, side.plt
         golden = [side_array.golden(f) for f in range(group)]
         assert side_plt.parity(0) == xor_reduce(golden)
