@@ -105,6 +105,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """Argparse type: an integer >= 0 (``--checkpoint-every``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _parallel_parent() -> argparse.ArgumentParser:
     """Shared ``--shards`` flag for the campaign-style subcommands."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -127,7 +138,7 @@ def _resilience_parent() -> argparse.ArgumentParser:
         help="write campaign checkpoints (atomically) to FILE",
     )
     group.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
+        "--checkpoint-every", type=non_negative_int, default=0, metavar="N",
         help="flush a checkpoint every N completed intervals/trials "
              "(0: only on interrupt, deadline, or completion)",
     )
@@ -566,7 +577,7 @@ def _resilience_kwargs(args: argparse.Namespace) -> Dict[str, object]:
         )
     return {
         "checkpoint_path": args.checkpoint or args.resume,
-        "checkpoint_every": max(0, args.checkpoint_every),
+        "checkpoint_every": args.checkpoint_every,
         "resume_from": args.resume,
         "deadline_s": args.deadline,
     }

@@ -13,18 +13,16 @@ are enforced on every commit instead of rediscovered by reviewers.
 Architecture (one module per concern):
 
 * :mod:`repro.lint.findings`     -- ``Finding`` / ``Severity`` value types;
-* :mod:`repro.lint.registry`     -- the checker registry and base classes;
-* :mod:`repro.lint.context`      -- per-module context (import-alias
-  resolution, source access) shared by the per-module checkers;
+* :mod:`repro.lint.registry`     -- the checker registry and base class;
+* :mod:`repro.lint.context`      -- per-module context (module naming,
+  import-alias resolution, source access) shared by the checkers;
 * :mod:`repro.lint.suppressions` -- inline ``# repro-lint: disable=...``;
 * :mod:`repro.lint.baseline`     -- the committed grandfather file;
 * :mod:`repro.lint.config`       -- run configuration and the blessed-
   module exemptions;
-* :mod:`repro.lint.checkers`     -- the seven per-module rules;
-* :mod:`repro.lint.callgraph`    -- project symbol table and call graph;
-* :mod:`repro.lint.dataflow`     -- the taint engine and the three
-  whole-program rules (RPR002, RPR011, RPR012);
-* :mod:`repro.lint.runner`       -- the two-stage pipeline;
+* :mod:`repro.lint.checkers`     -- the ten rules, every one per module;
+  RPR002, RPR011 and RPR012 follow values through one function body;
+* :mod:`repro.lint.runner`       -- the pipeline: one walk per file;
 * :mod:`repro.lint.reporting`    -- text / JSON / GitHub / SARIF output;
 * :mod:`repro.lint.cli`          -- the ``repro lint`` subcommand glue.
 

@@ -1,17 +1,18 @@
-"""The per-module RPR domain rules (RPR001, RPR003-RPR005, RPR007-RPR009).
+"""The RPR domain rules, every one of them per module.
 
 Each rule mechanizes a bug this repository actually shipped and fixed
 by hand in an earlier PR (the ``rationale`` attribute names it); the
-rule exists so the *class* cannot recur.  The whole-program rules
-(RPR002, RPR011, RPR012) live in :mod:`repro.lint.dataflow`.  See
-docs/static-analysis.md for the catalog and the repair direction of
-every rule.
+rule exists so the *class* cannot recur.  Seven rules match one node
+shape each; RPR002, RPR011 and RPR012 read the *local flow* of one
+function body (:func:`flow_findings`).  See docs/static-analysis.md for
+the catalog and the repair direction of every rule.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.outcomes import Outcome
 from repro.lint.context import ModuleContext
@@ -479,3 +480,503 @@ class PerLineLoopChecker(Checker):
             "index (dirty_frames, scrub_frames) or a repro.kernels batch "
             "decode instead of range(num_lines)",
         )
+
+
+# -- local flow: RPR002, RPR011, RPR012 ----------------------------------------
+#
+# Tags mark where a value inside one function body came from.  They
+# follow assignments in statement order (an assignment into an item or
+# attribute of a local adds to that local); a call's value carries the
+# tags of its arguments and receiver.  Parameters, attributes of
+# ``self`` and what other functions return carry none: a rule sees only
+# what one body shows.
+
+SEED_TREE = "seed-tree"
+UNORDERED = "unordered"
+WALLCLOCK = "wallclock"
+ENV = "env"
+DIGEST_OBJ = "digest-obj"
+
+_NO_TAGS: FrozenSet[str] = frozenset()
+_IMPURE = frozenset({WALLCLOCK, ENV})
+
+#: Calls (by last dotted segment) whose value is rooted in the campaign
+#: seed tree; ``.spawn(...)`` on any receiver is rooted too.
+_SEED_TREE_PRODUCERS = frozenset(
+    {"SeedSequence", "interval_seed_sequence", "interval_python_seed"}
+)
+
+_STDLIB_RANDOM = "random.Random"
+_RNG_CONSTRUCTORS = frozenset({"numpy.random.default_rng", _STDLIB_RANDOM})
+
+#: Calendar-time sources.
+_WALLCLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.localtime",
+        "time.gmtime",
+        "time.ctime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: Environment and locale sources (``os.environ`` is an attribute).
+_ENV_CALLS = frozenset(
+    {
+        "os.getenv",
+        "locale.getlocale",
+        "locale.getdefaultlocale",
+        "locale.getpreferredencoding",
+    }
+)
+
+_DIGEST_CONSTRUCTORS = frozenset(
+    {
+        "hashlib.sha1",
+        "hashlib.sha224",
+        "hashlib.sha256",
+        "hashlib.sha384",
+        "hashlib.sha512",
+        "hashlib.md5",
+        "hashlib.blake2b",
+        "hashlib.blake2s",
+        "hashlib.new",
+    }
+)
+
+#: Values whose element order is not a pure function of the inputs
+#: (``.iterdir()`` on any receiver too).
+_UNORDERED_CALLS = frozenset(
+    {"set", "frozenset", "os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
+)
+
+#: Calls (by last dotted segment) whose value does not depend on the
+#: order of their argument's elements.
+_ORDER_NEUTRAL_CALLS = frozenset(
+    {"sorted", "len", "sum", "min", "max", "any", "all", "popcount"}
+)
+
+#: Persist sinks (RPR011): canonical names, or last-segment prefixes.
+_PERSIST_CALLS = frozenset({"json.dump", "json.dumps", "pickle.dump", "pickle.dumps"})
+_PERSIST_PREFIXES = ("atomic_write", "write_checkpoint", "save_checkpoint")
+
+#: Digest sinks (RPR012) besides hashlib: callees whose last segment
+#: contains one of these; checkpoint sinks contain "checkpoint".
+_DIGEST_MARKERS = ("digest", "fingerprint")
+
+#: One flow event: (rule id, the node it anchors at, message).
+FlowEvent = Tuple[str, ast.AST, str]
+
+
+def _is_unseeded(call: ast.Call) -> bool:
+    """No seed argument, or only ``None`` ones (``default_rng(None)``)."""
+    seeds = [*call.args, *(keyword.value for keyword in call.keywords)]
+    return all(
+        isinstance(seed, ast.Constant) and seed.value is None for seed in seeds
+    )
+
+
+def _flow_scopes(tree: ast.Module) -> List[Tuple[str, Sequence[ast.stmt]]]:
+    """``(qualname, body)`` of the module and of every function in it."""
+    scopes: List[Tuple[str, Sequence[ast.stmt]]] = [("<module>", tree.body)]
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((prefix + child.name, child.body))
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return scopes
+
+
+class _LocalFlow:
+    """Tags of the local names of one scope, and the sinks they reach."""
+
+    def __init__(
+        self, ctx: ModuleContext, scope: str, events: Dict[Tuple, FlowEvent]
+    ) -> None:
+        self.ctx = ctx
+        self.scope = scope
+        self.events = events
+        self.env: Dict[str, FrozenSet[str]] = {}
+        self.parallel = ctx.path_contains("parallel")
+        self.inline = self.parallel or ctx.path_contains("reliability")
+
+    def emit(self, rule: str, node: ast.AST, detail: str) -> None:
+        key = (getattr(node, "lineno", 0), getattr(node, "col_offset", 0), rule)
+        self.events.setdefault(key, (rule, node, f"in {self.scope}: {detail}"))
+
+    # -- statements -------------------------------------------------------------
+
+    def run(self, body: Sequence[ast.stmt]) -> None:
+        for statement in body:
+            self.execute(statement)
+
+    def execute(self, node: ast.stmt) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # The body is a scope of its own; decorators and defaults
+            # run here, at definition time (``def f(rng=default_rng())``).
+            for child in [
+                *node.decorator_list,
+                *node.args.defaults,
+                *node.args.kw_defaults,
+            ]:
+                if child is not None:
+                    self.eval(child)
+        elif isinstance(node, ast.ClassDef):
+            for child in [*node.decorator_list, *node.bases]:
+                self.eval(child)
+            outer = dict(self.env)
+            self.run(node.body)
+            self.env = outer
+        elif isinstance(node, ast.Assign):
+            tags = self.eval(node.value)
+            for target in node.targets:
+                self.assign(target, tags)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            if node.value is not None:
+                tags = self.eval(node.value)
+                if isinstance(node, ast.AugAssign):
+                    tags |= self.eval(node.target)
+                self.assign(node.target, tags)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            self.assign(node.target, self.eval(node.iter))
+            self.run(node.body + node.orelse)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                tags = self.eval(item.context_expr)
+                if item.optional_vars is not None:
+                    self.assign(item.optional_vars, tags)
+            self.run(node.body)
+        else:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.expr):
+                    self.eval(child)
+                elif isinstance(child, ast.stmt):
+                    self.execute(child)
+                elif isinstance(child, ast.excepthandler):
+                    self.run(child.body)
+
+    def assign(self, target: ast.AST, tags: FrozenSet[str]) -> None:
+        if isinstance(target, ast.Name):
+            self.env[target.id] = tags
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self.assign(element, tags)
+        elif isinstance(target, ast.Starred):
+            self.assign(target.value, tags)
+        elif isinstance(target, (ast.Subscript, ast.Attribute)):
+            base = target.value
+            if isinstance(base, ast.Name):
+                self.env[base.id] = self.env.get(base.id, _NO_TAGS) | tags
+
+    # -- expressions ------------------------------------------------------------
+
+    def eval(self, node: ast.AST) -> FrozenSet[str]:
+        if isinstance(node, ast.Name):
+            return self.env.get(node.id, _NO_TAGS)
+        if isinstance(node, ast.Call):
+            return self.call(node)
+        if isinstance(node, ast.Attribute):
+            if self.ctx.resolve(node) == "os.environ":
+                return frozenset({ENV})
+            return self.eval(node.value)
+        if isinstance(node, ast.NamedExpr):
+            tags = self.eval(node.value)
+            self.assign(node.target, tags)
+            return tags
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
+            return self.comprehension(node)
+        if isinstance(node, ast.SetComp):
+            return self.comprehension(node) | {UNORDERED}
+        if isinstance(node, ast.Lambda):
+            # Evaluated for the sites in its body; its parameters shadow
+            # the enclosing names.
+            outer = self.env
+            shadowed = {
+                arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+            }
+            self.env = {n: t for n, t in outer.items() if n not in shadowed}
+            self.eval(node.body)
+            self.env = outer
+            return _NO_TAGS
+        tags = _NO_TAGS
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                tags |= self.eval(child)
+        return tags | {UNORDERED} if isinstance(node, ast.Set) else tags
+
+    def comprehension(self, node: ast.AST) -> FrozenSet[str]:
+        outer = self.env
+        self.env = dict(outer)
+        tags = _NO_TAGS
+        for generator in node.generators:  # type: ignore[attr-defined]
+            iterable = self.eval(generator.iter)
+            self.assign(generator.target, iterable)
+            tags |= iterable
+            for condition in generator.ifs:
+                self.eval(condition)
+        if isinstance(node, ast.DictComp):
+            tags |= self.eval(node.key) | self.eval(node.value)
+        else:
+            tags |= self.eval(node.elt)  # type: ignore[attr-defined]
+        self.env = outer
+        return tags
+
+    def call(self, node: ast.Call) -> FrozenSet[str]:
+        resolved = self.ctx.resolve(node.func) or ""
+        if isinstance(node.func, ast.Attribute):
+            method, receiver = node.func.attr, self.eval(node.func.value)
+        else:
+            method, receiver = "", _NO_TAGS
+        last = method or resolved.rsplit(".", 1)[-1]
+        arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+        argument_tags = [self.eval(argument) for argument in arguments]
+        tags = receiver.union(*argument_tags)
+        self.check_rng(node, resolved, last, tags, arguments, argument_tags)
+        self.check_sinks(node, resolved, last, method, receiver, tags)
+        if resolved in _WALLCLOCK_CALLS:
+            return frozenset({WALLCLOCK})
+        if resolved in _ENV_CALLS:
+            return frozenset({ENV})
+        if resolved in _DIGEST_CONSTRUCTORS:
+            return frozenset({DIGEST_OBJ})
+        # A hashlib object's methods return plain values.
+        tags -= {DIGEST_OBJ}
+        if last in _SEED_TREE_PRODUCERS or method == "spawn":
+            return tags | {SEED_TREE}
+        if resolved in _UNORDERED_CALLS or method == "iterdir":
+            return tags | {UNORDERED}
+        if last in _ORDER_NEUTRAL_CALLS:
+            return tags - {UNORDERED}
+        return tags
+
+    # -- the rules --------------------------------------------------------------
+
+    def check_rng(
+        self,
+        node: ast.Call,
+        resolved: str,
+        last: str,
+        tags: FrozenSet[str],
+        arguments: List[ast.expr],
+        argument_tags: List[FrozenSet[str]],
+    ) -> None:
+        """RPR002's four shapes at one call."""
+        if resolved in _RNG_CONSTRUCTORS:
+            if _is_unseeded(node):
+                self.emit(
+                    "RPR002",
+                    node,
+                    f"{last}() constructed without a seed; accept "
+                    "rng=/seed= and route the fallback through "
+                    "repro.core.rng.resolve_rng (warns on the truly "
+                    "unseeded interactive path)",
+                )
+            elif self.parallel and SEED_TREE not in tags:
+                self.emit(
+                    "RPR002",
+                    node,
+                    f"{last}(...) in a parallel path is not derived from the "
+                    "campaign SeedSequence tree; use parallel.sharding."
+                    "interval_generator / interval_python_seed",
+                )
+        elif resolved.startswith("numpy.random.") and last[:1].islower():
+            self.emit(
+                "RPR002",
+                node,
+                f"numpy.random.{last}() draws from the process-global RNG; "
+                "construct a Generator from an explicit seed instead",
+            )
+        if not self.inline:
+            return
+        for argument, argument_tag in zip(arguments, argument_tags):
+            if (
+                isinstance(argument, ast.Call)
+                and (argument.args or argument.keywords)
+                and SEED_TREE not in argument_tag
+                and self.ctx.resolve(argument.func) == _STDLIB_RANDOM
+            ):
+                self.emit(
+                    "RPR002",
+                    argument,
+                    "random.Random(...) constructed inline in a campaign "
+                    "entry point without seed-tree provenance; seed it from "
+                    "repro.parallel.sharding.interval_python_seed so every "
+                    "unit's stream is a child of the campaign seed",
+                )
+
+    def check_sinks(
+        self,
+        node: ast.Call,
+        resolved: str,
+        last: str,
+        method: str,
+        receiver: FrozenSet[str],
+        tags: FrozenSet[str],
+    ) -> None:
+        """RPR011 and RPR012 at one call."""
+        if UNORDERED in tags and (
+            resolved in _PERSIST_CALLS or last.startswith(_PERSIST_PREFIXES)
+        ):
+            self.emit(
+                "RPR011",
+                node,
+                f"value with set/scandir iteration order reaches {last}() "
+                "and becomes a persisted artifact",
+            )
+        if not tags & _IMPURE:
+            return
+        if resolved in _DIGEST_CONSTRUCTORS or any(
+            marker in last for marker in _DIGEST_MARKERS
+        ):
+            sink = "contaminates a content digest"
+        elif "checkpoint" in last:
+            sink = "enters a checkpoint payload"
+        elif method == "update" and DIGEST_OBJ in receiver:
+            sink = "is folded into a content digest"
+        else:
+            return
+        self.emit(
+            "RPR012",
+            node,
+            f"wall-clock/environment-derived value reaches {last}() and {sink}",
+        )
+
+
+@lru_cache(maxsize=1)
+def flow_events(ctx: ModuleContext) -> Tuple[FlowEvent, ...]:
+    """Every local-flow event of one module, once per site.
+
+    Cached for the module being linted: the three flow rules share one
+    pass over it.
+    """
+    events: Dict[Tuple, FlowEvent] = {}
+    for scope, body in _flow_scopes(ctx.tree):
+        _LocalFlow(ctx, scope, events).run(body)
+    return tuple(events[key] for key in sorted(events))
+
+
+class _FlowChecker(Checker):
+    """A rule reporting its own events of :func:`flow_events`."""
+
+    interests = ("Module",)
+    #: Appended to every message: the repair direction.
+    advice = ""
+
+    def check_node(
+        self, node: ast.AST, ctx: ModuleContext
+    ) -> Iterator[Finding]:
+        for rule, site, message in flow_events(ctx):
+            if rule == self.rule:
+                yield self.finding(site, ctx, message + self.advice)
+
+
+@register
+class UnrootedRngChecker(_FlowChecker):
+    """RPR002: randomness not rooted in the campaign SeedSequence tree.
+
+    Four shapes, each reported once per site:
+
+    * a zero-argument or ``None``-seeded ``default_rng`` /
+      ``random.Random``, anywhere;
+    * a call through numpy's process-global RNG (``np.random.normal``),
+      anywhere;
+    * a seeded constructor in a ``parallel`` path whose argument is not
+      locally ``seed-tree`` (two shards would get correlated streams);
+    * a seeded ``random.Random(...)`` passed inline as a call argument
+      in reliability/parallel code, not locally ``seed-tree``.
+
+    ``seed-tree`` is a local flow fact: ``ss = tree.spawn(1)[0]; rng =
+    default_rng(ss)`` is rooted through both assignments, while a
+    parameter is not, however its callers fill it.  A draw is never
+    flagged: every unseeded chain starts at a constructor, and the
+    first shape flags that.  The retired ids RPR006 and RPR010 named two
+    of these shapes.
+    """
+
+    rule = "RPR002"
+    name = "unrooted-rng"
+    severity = Severity.ERROR
+    description = (
+        "RNG not rooted in the SeedSequence tree (unseeded, global, or "
+        "seeded off the tree in campaign code)"
+    )
+    rationale = (
+        "ten `rng or np.random.default_rng()` fallback sites, the "
+        "estimate_fit inline random.Random(seed), and ad-hoc per-worker "
+        "streams each broke the guarantee that shards1==serial and resume "
+        "are bit-identical: every draw must be a pure function of the "
+        "SeedSequence tree"
+    )
+
+
+@register
+class UnorderedPersistChecker(_FlowChecker):
+    """RPR011: unordered iteration flowing into persisted artifacts.
+
+    Set and directory-scan iteration order is not a pure function of
+    the campaign inputs (string hashing is salted per process; the
+    filesystem returns entries in arbitrary order).  A value whose
+    order descends from one of those, persisted without an intervening
+    ``sorted()``, makes checkpoints, BenchRecords, and serve result
+    bodies compare unequal across bit-identical runs -- the exact
+    property the dedup store and resume tests pin.
+    """
+
+    rule = "RPR011"
+    name = "unordered-persist"
+    severity = Severity.ERROR
+    description = (
+        "set/scandir iteration order reaches a persisted artifact unsorted"
+    )
+    rationale = (
+        "serve-store dedup hashes normalized result bodies and resume "
+        "compares checkpoint fingerprints byte-for-byte; one set-ordered "
+        "list in either payload breaks both silently and only under "
+        "hash-seed variation"
+    )
+    advice = (
+        "; sort the iteration (sorted(...)) before it enters the "
+        "persisted payload"
+    )
+
+
+@register
+class ImpureDigestChecker(_FlowChecker):
+    """RPR012: wall-clock/environment values in digests or checkpoints.
+
+    A content digest must cover exactly what determines the result
+    bits, and a checkpoint payload must be reproducible from
+    ``(seed, interval)``.  Calendar time, ``os.environ``, and locale
+    state are none of those: folding them in makes byte-identical
+    submissions miss the dedup store and resumed runs fail fingerprint
+    checks they should pass.
+    """
+
+    rule = "RPR012"
+    name = "impure-digest"
+    severity = Severity.ERROR
+    description = (
+        "wall-clock/os.environ/locale value flows into a digest or checkpoint"
+    )
+    rationale = (
+        "the serve store keys results on sha256 of the normalized spec "
+        "and RESULT_VERSION precisely so identical submissions dedup to "
+        "byte-identical bodies; one timestamp in the hashed payload "
+        "voids the content-addressing contract"
+    )
+    advice = (
+        "; digests and checkpoint payloads must be pure functions of the "
+        "campaign inputs -- stamp timestamps outside the hashed/"
+        "fingerprinted structure"
+    )

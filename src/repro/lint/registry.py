@@ -5,6 +5,8 @@ originating bug it mechanizes) and a ``check_node`` method invoked for
 every AST node whose type name appears in its ``interests``.  The
 runner walks each module's tree exactly once and dispatches node events
 to every interested checker, so adding a rule never adds a tree walk.
+The three flow rules (RPR002, RPR011, RPR012) take the ``Module`` node
+and share one pass of their own over each function body.
 
 Registration is declarative::
 
@@ -86,34 +88,6 @@ class Checker:
         )
 
 
-#: Sentinel "interest" marking whole-program checkers; never matches an
-#: AST node type name, so the per-module dispatcher ignores them.
-PROJECT_INTEREST = "<project>"
-
-
-class ProjectChecker(Checker):
-    """Base class for whole-program rules (RPR002, RPR011, RPR012).
-
-    Project checkers do not participate in the per-module node walk;
-    instead the runner hands them the converged
-    :class:`~repro.lint.dataflow.ProjectAnalysis` once per run and they
-    yield findings anchored anywhere in the project.  Exemptions,
-    inline suppressions, and the baseline apply to those findings
-    exactly as they do to per-module ones.
-    """
-
-    interests: Tuple[str, ...] = (PROJECT_INTEREST,)
-
-    def check_project(self, analysis) -> Iterator[Finding]:
-        """Yield findings from converged whole-program facts."""
-        raise NotImplementedError
-
-
-def is_project_rule(checker: Type[Checker]) -> bool:
-    """Is this checker a whole-program rule?"""
-    return issubclass(checker, ProjectChecker)
-
-
 def register(checker: Type[Checker]) -> Type[Checker]:
     """Class decorator adding a checker to the global registry."""
     if not checker.rule:
@@ -156,7 +130,6 @@ def _ensure_builtin_checkers() -> None:
     while callers never have to remember to import the rule module.
     """
     import repro.lint.checkers  # noqa: F401  (registration side effect)
-    import repro.lint.dataflow  # noqa: F401  (RPR002/011/012 registration)
 
 
 def instantiate(

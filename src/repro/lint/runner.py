@@ -4,12 +4,10 @@ For every Python file the runner parses the source, builds one
 :class:`~repro.lint.context.ModuleContext`, instantiates the active
 checkers fresh (so per-module state cannot leak between files), and
 performs a *single* ``ast.walk`` dispatching each node to the checkers
-interested in its type.  After the per-module stage a *whole-program*
-stage hands every parsed file to the interprocedural engine
-(:mod:`repro.lint.dataflow`) and runs the project rules (RPR002,
-RPR011, RPR012) over the converged facts.  Raw findings from both
-stages then pass through the config exemptions, inline suppressions,
-and the baseline; whatever survives is "new" and gates the run.
+interested in its type.  Every rule is per module: a file's findings
+depend on that file alone.  Raw findings then pass through the config
+exemptions, inline suppressions, and the baseline; whatever survives
+is "new" and gates the run.
 
 A file that fails to parse produces a synthetic ``RPR000`` ERROR
 finding instead of crashing the run -- a broken file must fail lint,
@@ -28,13 +26,7 @@ from repro.lint.baseline import Baseline, load_baseline
 from repro.lint.config import LintConfig
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding, Severity
-from repro.lint.registry import (
-    ProjectChecker,
-    all_checkers,
-    get_checker,
-    instantiate,
-    is_project_rule,
-)
+from repro.lint.registry import all_checkers, instantiate
 from repro.lint.suppressions import SuppressionIndex
 
 #: Synthetic rule id for unparseable files.
@@ -105,10 +97,9 @@ def lint_source(
 ) -> List[Finding]:
     """Lint one in-memory module; returns raw-minus-suppressed findings.
 
-    Both stages run, the whole-program one over a one-file project, so
-    the fixture tests lint snippets for every rule without touching the
-    filesystem.  Config exemptions and inline suppressions apply; the
-    baseline is a cross-file concern and does not.
+    The fixture tests lint snippets for every rule this way without
+    touching the filesystem.  Config exemptions and inline suppressions
+    apply; the baseline is a cross-file concern and does not.
     """
     findings, _ = _lint_sources(
         [(_normalise_path(path), source)], config or LintConfig()
@@ -119,14 +110,9 @@ def lint_source(
 def _lint_sources(
     sources: Sequence[Tuple[str, str]], config: LintConfig
 ) -> Tuple[List[Finding], int]:
-    """Both stages over ``(path, source)`` pairs: (survived, suppressed).
-
-    Each file is parsed once; the per-module walk and the project index
-    share the tree.
-    """
+    """Lint ``(path, source)`` pairs: (survived, suppressed)."""
     findings: List[Finding] = []
-    raw: List[Finding] = []
-    parsed: List[Tuple[str, str, ast.Module]] = []
+    suppressed = 0
     for path, source in sources:
         try:
             tree = ast.parse(source, filename=path)
@@ -143,40 +129,24 @@ def _lint_sources(
                 )
             )
             continue
-        parsed.append((path, source, tree))
-        raw.extend(_module_stage(tree, source, path, config))
-    raw.extend(_project_stage(parsed, config))
-    survived = _unsuppressed(raw, dict(sources))
-    return findings + survived, len(raw) - len(survived)
-
-
-def _unsuppressed(
-    raw: Sequence[Finding], text: Dict[str, str]
-) -> List[Finding]:
-    """Drop findings an inline ``# repro-lint: disable=`` covers."""
-    indexes: Dict[str, SuppressionIndex] = {}
-    survived: List[Finding] = []
-    for finding in raw:
-        index = indexes.get(finding.path)
-        if index is None:
-            index = SuppressionIndex(text.get(finding.path, "").splitlines())
-            indexes[finding.path] = index
-        if not index.is_suppressed(finding.rule, finding.line):
-            survived.append(finding)
-    return survived
+        raw = _module_stage(tree, source, path, config)
+        index = SuppressionIndex(source.splitlines())
+        kept = [f for f in raw if not index.is_suppressed(f.rule, f.line)]
+        suppressed += len(raw) - len(kept)
+        findings.extend(kept)
+    return findings, suppressed
 
 
 def _module_stage(
     tree: ast.Module, source: str, path: str, config: LintConfig
 ) -> List[Finding]:
-    """Raw findings of the per-module rules on one parsed file."""
+    """Raw findings of every active rule on one parsed file."""
     ctx = ModuleContext(path=path, source=source, tree=tree)
     active = config.active_rules(all_checkers())
     checkers = [
         checker
         for checker in instantiate(active)
-        if not isinstance(checker, ProjectChecker)
-        and not config.is_exempt(checker.rule, path)
+        if not config.is_exempt(checker.rule, path)
     ]
     if not checkers:
         return []
@@ -192,33 +162,6 @@ def _module_stage(
     for checker in checkers:
         raw.extend(checker.end_module(ctx))
     raw.sort(key=lambda f: (f.line, f.column, f.rule))
-    return raw
-
-
-def _project_stage(
-    parsed: Sequence[Tuple[str, str, ast.Module]], config: LintConfig
-) -> List[Finding]:
-    """Raw findings of the whole-program rules over every parsed file."""
-    rules = [
-        rule
-        for rule in config.active_rules(all_checkers())
-        if is_project_rule(get_checker(rule))
-    ]
-    if not rules or not parsed:
-        return []
-    from repro.lint.callgraph import ProjectIndex
-    from repro.lint.dataflow import TaintEngine
-
-    analysis = TaintEngine(ProjectIndex.build(parsed)).run()
-    raw: List[Finding] = []
-    for rule in rules:
-        checker = get_checker(rule)()
-        raw.extend(
-            finding
-            for finding in checker.check_project(analysis)
-            if not config.is_exempt(rule, finding.path)
-        )
-    raw.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
     return raw
 
 

@@ -10,6 +10,8 @@ import argparse
 import asyncio
 import sys
 
+from repro.cli import non_negative_int
+
 
 def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -33,7 +35,7 @@ def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
         help="concurrent job subprocesses (default 2)",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=25,
+        "--checkpoint-every", type=non_negative_int, default=25,
         help="checkpoint flush cadence in work units (default 25)",
     )
     parser.add_argument(

@@ -50,6 +50,23 @@ class TestErrorPaths:
             main(["campaign", "--deadline", "soon"])
         assert excinfo.value.code != 0
 
+    def test_negative_checkpoint_every(self, capsys):
+        # Refused at parse time, not clamped to 0.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--checkpoint-every", "-1"] + SMALL)
+        assert excinfo.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_serve_negative_checkpoint_every(self, tmp_path, capsys):
+        # Refused before the server boots, not in every job's worker.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--store-dir", str(tmp_path / "store"),
+                  "--checkpoint-dir", str(tmp_path / "ck"),
+                  "--checkpoint-every", "-1"])
+        assert excinfo.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
     def test_exporter_dir_missing(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--metrics-out", "/no/such/dir/m.txt"])

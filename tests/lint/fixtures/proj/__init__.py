@@ -1,8 +1,7 @@
-"""Fixture project for the whole-program analyzer tests.
+"""Fixture project for the flow-rule tests.
 
-A miniature repo exercising exactly the resolution and flow shapes the
-call-graph and taint tests pin: aliased imports, re-export chains,
-methods and inheritance, and TP/TN pairs for RPR002/RPR011/RPR012.
-Nothing here is imported at test time -- the files are read as text
-and fed to :func:`repro.lint.callgraph.build_index`.
+A miniature repo with TP/TN pairs for RPR002/RPR011/RPR012, an aliased
+import, and an unseeded generator that reaches a draw through a
+re-export and a pass-through helper in other modules.  Nothing here is
+imported at test time -- the files are read as text and linted.
 """

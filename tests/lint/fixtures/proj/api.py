@@ -1,8 +1,4 @@
-"""Re-export facade: callers import the constructors from here.
-
-The call graph must chase ``proj.api.make_unseeded`` through this hop
-to ``proj.core.make_unseeded``.
-"""
+"""Re-export facade: callers import the constructors from here."""
 
 from proj.core import make_generator, make_unseeded
 

@@ -1,8 +1,8 @@
 """Pass-through helpers shared by seeded and unseeded callers.
 
-``wrap`` is the precision trap: both the TP and the TN fixture route
-their generator through it, so a context-insensitive summary that
-unions tags across callers would flag the seed-rooted chain too.
+Both the TP and the TN runner route their generator through ``wrap``,
+so a flag on the seed-rooted runner would mean one caller's provenance
+leaked into another's.
 """
 
 from proj import core as c

@@ -1,1 +1,1 @@
-"""Campaign-scoped fixture modules (where RPR002 polices draws)."""
+"""Campaign-scoped fixture modules (where RPR002 polices seeded streams)."""

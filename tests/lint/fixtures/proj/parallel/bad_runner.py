@@ -2,8 +2,9 @@
 
 The generator is constructed in ``proj.core.make_unseeded`` (hop 1,
 reached through the ``proj.api`` re-export), passed through
-``proj.helpers.wrap`` (hop 2), and consumed here -- no single module
-looks wrong.
+``proj.helpers.wrap`` (hop 2), and consumed here.  The rule flags the
+chain where it starts, at the unseeded constructor in ``proj.core``;
+nothing in this module looks wrong.
 """
 
 from proj.api import make_unseeded

@@ -1,25 +1,14 @@
-"""Call-graph construction over the fixture project.
+"""How the lint names modules and the callables a module calls.
 
-Pins the resolution behaviours the taint pass depends on: module
-naming from the on-disk package structure, aliased imports, re-export
-chains, constructor routing to ``__init__``, inherited-method lookup,
-and argument-to-parameter binding.
+Pins the two resolution steps every rule matches on: the dotted module
+name of a file (from the on-disk package structure, or the path for an
+in-memory source), and a call target rewritten through the module's
+import aliases (:meth:`repro.lint.context.ModuleContext.resolve`).
 """
 
 import ast
 
-import pytest
-
-from repro.lint.callgraph import build_index, module_name_for
-
-
-@pytest.fixture(scope="module")
-def index(fixture_files):
-    return build_index(fixture_files)
-
-
-def sites_to(index, callee):
-    return index.calls_to.get(callee, [])
+from repro.lint.context import ModuleContext, module_name_for
 
 
 class TestModuleNaming:
@@ -35,45 +24,28 @@ class TestModuleNaming:
 
 
 class TestResolution:
-    def test_aliased_module_import_resolves(self, index):
-        # engine.py does ``from proj import helpers as h`` then h.fresh.
-        sites = sites_to(index, "proj.helpers.fresh")
-        assert any(s.module == "proj.engine" for s in sites)
-        assert all(s.internal for s in sites)
-
-    def test_reexport_chain_canonicalizes(self, index):
-        assert (
-            index.canonicalize("proj.api.make_unseeded")
-            == "proj.core.make_unseeded"
-        )
-
-    def test_call_through_reexport_lands_on_definition(self, index):
-        # bad_runner imports make_unseeded from proj.api (a re-export).
-        sites = sites_to(index, "proj.core.make_unseeded")
-        assert any(s.module == "proj.parallel.bad_runner" for s in sites)
-
-    def test_constructor_routes_to_init(self, index):
-        sites = sites_to(index, "proj.engine.Engine.__init__")
-        assert any(s.caller == "proj.use_engine.build" for s in sites)
-
-    def test_inherited_method_resolves_to_base(self, index):
-        # Engine.__init__ calls self.setup, defined only on Base.
-        sites = sites_to(index, "proj.engine.Base.setup")
-        assert any(
-            s.caller == "proj.engine.Engine.__init__" for s in sites
-        )
-
-
-class TestBindings:
-    def test_positional_binding_maps_parameter_names(self, index):
-        (site,) = [
-            s
-            for s in sites_to(index, "proj.helpers.fresh")
-            if s.caller == "proj.engine.Base.setup"
+    def test_aliased_module_import_resolves(self, fixture_files):
+        # helpers.py does ``from proj import core as c`` then
+        # ``c.make_generator(seed)``.
+        ((path, source),) = [
+            (path, source)
+            for path, source in fixture_files
+            if path.endswith("helpers.py")
         ]
-        assert set(site.bindings) == {"seed"}
-        assert isinstance(site.bindings["seed"], ast.Name)
+        tree = ast.parse(source)
+        ctx = ModuleContext(path, source, tree)
+        callees = {
+            ctx.resolve(node.func)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert "proj.core.make_generator" in callees
 
-    def test_self_is_not_a_bindable_parameter(self, index):
-        function = index.functions["proj.engine.Base.setup"]
-        assert function.params == ("seed",)
+    def test_relative_import_resolves_against_the_package(self):
+        source = "from .sharding import interval_generator as ig\nig(1, 2)\n"
+        tree = ast.parse(source)
+        ctx = ModuleContext("src/repro/parallel/runner.py", source, tree)
+        (call,) = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        assert ctx.resolve(call.func) == (
+            "repro.parallel.sharding.interval_generator"
+        )
