@@ -44,10 +44,10 @@ flags (see :mod:`repro.obs` and ``docs/telemetry.md``):
 ``campaign``, ``raresim``, ``scenario``, and ``chaos`` accept
 ``--shards N`` to split the campaign across N worker processes (see
 :mod:`repro.parallel` and ``docs/parallelism.md``); ``--shards 1`` (the
-default) is bit-identical to the serial path, and checkpoints compose
-per shard.  ``campaign``, ``raresim``, and ``chaos`` also accept
-``--scenario FILE`` to overlay a mixed fault scenario
-(``docs/faultmodels.md``).  Every campaign runs the numpy bit-plane
+default) is bit-identical to the serial path, and a checkpoint written
+at one shard count resumes at any other.  ``campaign``, ``raresim``,
+and ``chaos`` also accept ``--scenario FILE`` to overlay a mixed fault
+scenario (``docs/faultmodels.md``).  Every campaign runs the numpy bit-plane
 kernels (``docs/kernels.md``) and the sparse scrub
 (``docs/performance.md``).
 
@@ -144,7 +144,8 @@ def _resilience_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--resume", default="", metavar="FILE",
-        help="resume from a checkpoint written by a previous run",
+        help="resume from a checkpoint written by a previous run "
+             "(at any --shards)",
     )
     group.add_argument(
         "--deadline", type=_positive_float, default=None, metavar="SECONDS",
@@ -576,7 +577,7 @@ def _resilience_kwargs(args: argparse.Namespace) -> Dict[str, object]:
             "--checkpoint-every requires --checkpoint (or --resume)"
         )
     return {
-        "checkpoint_path": args.checkpoint or args.resume,
+        "checkpoint_path": args.checkpoint,
         "checkpoint_every": args.checkpoint_every,
         "resume_from": args.resume,
         "deadline_s": args.deadline,

@@ -14,11 +14,11 @@ process pool and merges the aggregates:
   :func:`run_sharded_scenario` -- library fronts that build the spec
   for one kind from positional arguments and call :func:`run_spec`;
 * :mod:`repro.parallel.sharding` -- the deterministic shard arithmetic
-  (unit splits, the per-unit seed tree, checkpoint paths);
+  (unit splits and slices, the per-unit seed tree);
 * :mod:`repro.parallel.merge` -- per-shard aggregate merging.
 
-See ``docs/parallelism.md`` for the seeding model, per-shard checkpoint
-layout, and merge semantics.
+See ``docs/parallelism.md`` for the seeding model, the one-file
+checkpoint that resumes at any shard count, and merge semantics.
 """
 
 from repro.parallel.merge import (
@@ -36,7 +36,6 @@ from repro.parallel.sharding import (
     interval_generator,
     interval_python_seed,
     interval_seed_sequence,
-    shard_checkpoint_path,
     split_units,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "merge_campaign_results",
     "merge_conditional_results",
     "split_units",
-    "shard_checkpoint_path",
     "interval_seed_sequence",
     "interval_generator",
     "interval_python_seed",

@@ -9,7 +9,6 @@ byte-stable across runs of the same ``(seed, shards)``.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 from repro.reliability.montecarlo import CampaignResult
@@ -89,11 +88,3 @@ def merge_conditional_results(
         truncated=any(result.truncated for result in results),
         stop_reason=_merged_stop_reason(results),
     )
-
-
-# Counter is re-exported for callers that accumulate outcomes manually.
-__all__ = [
-    "Counter",
-    "merge_campaign_results",
-    "merge_conditional_results",
-]

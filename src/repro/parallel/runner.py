@@ -20,12 +20,18 @@ Determinism model
   bit-identical to the serial run.
 * Merging is order-fixed counter addition (:mod:`repro.parallel.merge`).
 
-Checkpoints and telemetry compose per shard:
+Checkpoints and telemetry compose across shards:
 
-* Checkpoints: shard *i* snapshots to
-  ``<base>.shard<i>of<K><ext>`` through the same atomic-write
-  checkpointer as serial runs, so a killed-and-resumed sharded campaign
-  equals an uninterrupted same-seed run bit for bit.
+* Checkpoints: a run writes one file, whatever its shard count
+  (:mod:`repro.resilience.checkpoint`: the completed global unit
+  ranges and their aggregates).  :func:`run_spec` loads a resume file
+  once and splits the units it has not done across the K it is given
+  (:func:`repro.parallel.sharding.shard_slices`); shard 0 carries the
+  resumed aggregates.  Shards send their boundary snapshots up the
+  message queue, and the parent alone writes the file: on each
+  periodic snapshot, and once after every shard has reported.  So a
+  run stopped at one shard count resumes at any other, and equals an
+  uninterrupted same-seed run bit for bit.
 * Telemetry, by merge: each worker records into its own
   registry and tracer, shipped back with the shard result and folded
   into the caller's bundle (:func:`repro.obs.merge_registry` for
@@ -48,10 +54,11 @@ run one boundary loop (:class:`repro.resilience.checkpoint.BoundaryLoop`)
 for resume, snapshots, checkpoint flushes, deadline/cancel stops,
 interrupt rollback and progress.
 
-Workers communicate over a single message queue: ``("resumed", i, n)``
-when a shard restores n completed units from its checkpoint,
-``("progress", i, n)`` for batched progress, and ``("result", ...)`` /
-``("error", ...)`` exactly once per shard.  Job-level cancellation
+Workers communicate over a single message queue: ``("progress", i, n)``
+for batched progress, ``("snapshot", i, (payload, final))`` for each
+checkpoint snapshot (``final`` for the one a shard takes as its run
+ends), and ``("result", ...)`` / ``("error", ...)`` exactly once per
+shard.  Job-level cancellation
 travels the other way on one shared event, which each shard's boundary
 loop polls like a deadline.
 
@@ -63,7 +70,6 @@ and serve as the oracle the kernel tests hold numpy to.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import traceback
 from dataclasses import dataclass, replace
 from queue import Empty
@@ -85,7 +91,7 @@ from repro.parallel.merge import (
     merge_campaign_results,
     merge_conditional_results,
 )
-from repro.parallel.sharding import shard_checkpoint_path, split_units
+from repro.parallel.sharding import shard_slices
 from repro.reliability.montecarlo import CampaignResult, run_group_campaign
 from repro.reliability.raresim import (
     ConditionalGroupSimulator,
@@ -97,15 +103,18 @@ from repro.resilience.checkpoint import (
     Checkpointer,
     CheckpointError,
     Deadline,
+    done_ranges,
     load_checkpoint,
+    merge_payloads,
+    payload_slice,
 )
 
 #: The campaign kinds a spec names (:mod:`repro.serve.specs` validates
 #: them); raresim counts trials, the other two intervals.
 KINDS: Tuple[str, ...] = ("campaign", "raresim", "scenario")
 
-#: The kind a campaign's checkpoints record, where it is not the spec's.
-_SNAPSHOT_KINDS = {"campaign": "montecarlo"}
+#: The kind each spec kind's checkpoints record.
+SNAPSHOT_KINDS = dict(campaign="montecarlo", raresim="raresim", scenario="scenario")
 
 #: Seconds between liveness checks while waiting on shard messages.
 _POLL_S = 0.2
@@ -138,18 +147,19 @@ class _ShardSpec:
     ``kind`` and ``params`` are the campaign as
     :func:`repro.serve.specs.parse_spec` normalizes it; the other fields
     say how to run it (this shard's slice, checkpoints, telemetry).
+    ``resume`` is the shard's part of a resumed checkpoint: the done
+    ranges inside its slice, and (shard 0 only) the resumed aggregates.
     """
 
     kind: str  # "campaign" | "raresim" | "scenario"
     params: Dict[str, object]
     index: int
-    shards: int
     units: int
     chaos_policy: Optional[ChaosPolicy] = None
     chaos_seed: int = 0
     checkpoint_path: str = ""
     checkpoint_every: int = 0
-    resume_path: str = ""
+    resume: Optional[Dict[str, object]] = None
     telemetry: bool = False
     deadline_s: Optional[float] = None
     progress_batch: int = 1
@@ -160,11 +170,12 @@ class _ShardSpec:
 class BatchingProgress:
     """Worker-side progress adapter: batches updates onto a channel.
 
-    ``send(kind, units)`` ships ``("progress", n)`` batches and one
-    ``("resumed", n)`` note; a shard tags them with its index onto the
-    runner's queue, a serve job writes them to its pipe.  Batching by
-    count (not wall clock) keeps the adapter deterministic and cheap
-    even for microsecond-scale validation intervals.
+    ``send(kind, units)`` ships ``("progress", n)`` batches and, for a
+    resumed serve job, one ``("resumed", n)`` note; a shard tags them
+    with its index onto the runner's queue, a serve job writes them to
+    its pipe.  Batching by count (not wall clock) keeps the adapter
+    deterministic and cheap even for microsecond-scale validation
+    intervals.
     """
 
     enabled = True
@@ -194,27 +205,23 @@ def spec_units(kind: str, params: Dict[str, object]) -> int:
     return int(params["trials" if kind == "raresim" else "intervals"])
 
 
-def _checkpointer(spec: _ShardSpec, progress) -> Optional[Checkpointer]:
-    """The run's checkpointer; a restored offset goes to ``progress``.
+@dataclass
+class _SnapshotRelay(Checkpointer):
+    """A shard's checkpointer: it writes no file.
 
-    The serial run refuses a missing ``--resume`` file.  A shard whose
-    file is missing starts fresh: that is the correct replay for a
-    shard killed before its first flush (the parent has already
-    verified that *some* shard file exists, so a wholesale wrong path
-    still fails fast).
+    ``send`` ships each snapshot to the parent, with whether the
+    shard's run has ended; ``path`` is the run's one checkpoint file,
+    which the parent writes.
     """
-    if not spec.checkpoint_path:
-        return None
-    payload = None
-    serial = spec.shards == 1
-    if spec.resume_path and (serial or os.path.exists(spec.resume_path)):
-        payload = load_checkpoint(
-            spec.resume_path, _SNAPSHOT_KINDS.get(spec.kind, spec.kind)
-        )
-        progress.note_resumed(int(payload["completed"]))
-    return Checkpointer(
-        path=spec.checkpoint_path, every=spec.checkpoint_every, resume=payload
-    )
+
+    send: Optional[Callable[[str, object], None]] = None
+
+    def save(self, payload: Dict[str, object], final: bool = False) -> None:
+        self.send("snapshot", (payload, final))
+        self.writes += 1
+
+    def finish(self, payload: Dict[str, object]) -> None:
+        self.save(payload, final=True)
 
 
 def _watch(deadline_s: Optional[float],
@@ -240,6 +247,7 @@ def _scenario(params: Dict[str, object]) -> Optional["FaultScenario"]:
 
 
 def _run_campaign(spec: _ShardSpec, telemetry, progress,
+                  checkpointer: Optional[Checkpointer],
                   cancel: Optional[Callable[[], bool]] = None):
     """Run the campaign ``spec`` describes: the serial run or one shard.
 
@@ -249,7 +257,6 @@ def _run_campaign(spec: _ShardSpec, telemetry, progress,
     their streams alike.
     """
     params = spec.params
-    checkpointer = _checkpointer(spec, progress)
     deadline = _watch(spec.deadline_s, cancel)
     run = dict(
         telemetry=telemetry, progress=progress,
@@ -295,11 +302,14 @@ def _run_shard(
     """Execute one shard; returns (result, metrics or None, spans or None)."""
     telemetry = Telemetry.create() if spec.telemetry else None
 
-    def send(kind: str, units: int) -> None:
-        queue.put((kind, spec.index, units))
+    def send(kind: str, value: object) -> None:
+        queue.put((kind, spec.index, value))
 
     progress = BatchingProgress(send, spec.progress_batch)
-    result = _run_campaign(spec, telemetry, progress, cancel)
+    relay = _SnapshotRelay(
+        spec.checkpoint_path, spec.checkpoint_every, spec.resume, send=send
+    ) if spec.checkpoint_path else None
+    result = _run_campaign(spec, telemetry, progress, relay, cancel)
     if telemetry is None:
         return result, None, None
     # Spans ship as plain dicts (the export_spans wire form): Span
@@ -317,29 +327,21 @@ def _shard_worker(spec: _ShardSpec, queue, cancel_event) -> None:
     """
     cancel = cancel_event.is_set if cancel_event is not None else None
     try:
-        result, metrics, spans = _run_shard(spec, queue, cancel)
-        queue.put(("result", spec.index, result, metrics, spans))
+        queue.put(("result", spec.index, *_run_shard(spec, queue, cancel)))
     except BaseException:
         queue.put(("error", spec.index, traceback.format_exc()))
 
 
-def _check_resume_files(specs: List[_ShardSpec]) -> None:
-    """Fail fast when a resume finds no shard checkpoints at all."""
-    if not any(spec.resume_path for spec in specs):
-        return
-    if not any(os.path.exists(spec.resume_path) for spec in specs):
-        base = specs[0].resume_path
-        raise CheckpointError(
-            f"no shard checkpoint files found (looked for {base!r} and "
-            f"siblings); was the interrupted run sharded with "
-            f"--shards {specs[0].shards}?"
-        )
-
-
 def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
+                    checkpointer: Optional[Checkpointer],
                     cancel: Optional[Callable[[], bool]] = None):
-    """Run shard specs across processes; returns results in shard order."""
-    _check_resume_files(specs)
+    """Run shard specs across processes; returns results in shard order.
+
+    ``checkpointer`` writes the run's one file: the merge of every
+    shard's latest snapshot (its resumed part until it sends one), on
+    each periodic snapshot and once after the shards have reported.
+    """
+    snapshots = [spec.resume for spec in specs]
     # Forked shards inherit the line tables instead of each deriving
     # them in its first interval.
     warm_line_tables()
@@ -385,10 +387,12 @@ def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
             kind = message[0]
             if kind == "progress":
                 progress.update(advance=message[2])
-            elif kind == "resumed":
-                progress.note_resumed(message[2])
+            elif kind == "snapshot":
+                snapshots[message[1]], final = message[2]
+                if not final:
+                    checkpointer.save(merge_payloads(snapshots))
             elif kind == "result":
-                outcomes[message[1]] = (message[2], message[3], message[4])
+                outcomes[message[1]] = message[2:]
                 pending.discard(message[1])
             elif kind == "error":
                 errors[message[1]] = message[2]
@@ -403,6 +407,9 @@ def _execute_shards(specs: List[_ShardSpec], telemetry, progress,
                 process.terminate()
                 process.join(timeout=5.0)
         queue.close()
+    if any(snapshots):
+        # Also after a failure: the other shards' work is kept.
+        checkpointer.save(merge_payloads(snapshots))
     for index in pending:
         errors.setdefault(
             index, "shard process died without reporting a result"
@@ -444,26 +451,21 @@ def _progress_batch(units: int) -> int:
     return max(1, units // 50)
 
 
-def _shard_spec(base: _ShardSpec, index: int, units: List[int]) -> _ShardSpec:
+def _shard_spec(base: _ShardSpec, index: int,
+                slices: List[Tuple[int, int]]) -> _ShardSpec:
     """Shard ``index``'s slice of the campaign ``base`` describes.
 
     A shard of any kind keeps the seed and starts at its slice's global
-    unit index, so it re-derives exactly the serial run's streams.
-    Checkpoint files are per shard.
+    unit index, so it re-derives exactly the serial run's streams.  Of
+    a resumed checkpoint it gets the done ranges inside its slice, and
+    shard 0 alone the aggregates, so the shards' snapshots add up to
+    the run's.
     """
-    shards = base.shards
+    start, end = slices[index]
+    resume = base.resume and payload_slice(base.resume, start, end, index == 0)
     return replace(
-        base, index=index, units=units[index],
-        interval_start=sum(units[:index]),
-        checkpoint_path=(
-            shard_checkpoint_path(base.checkpoint_path, index, shards)
-            if base.checkpoint_path else ""
-        ),
-        resume_path=(
-            shard_checkpoint_path(base.resume_path, index, shards)
-            if base.resume_path else ""
-        ),
-        progress_batch=_progress_batch(base.units),
+        base, index=index, units=end - start, interval_start=start,
+        resume=resume, progress_batch=_progress_batch(base.units),
     )
 
 
@@ -494,11 +496,15 @@ def run_spec(
     ``(seed, i)``, so the merged result equals the serial one bit for
     bit.
 
-    ``chaos_policy``/``chaos_seed`` inject metadata faults (campaign and
-    scenario kinds).  ``cancel`` is the job-level cancellation hook,
-    polled between units: once truthy, the campaign -- every shard of
-    it -- stops at the next boundary with checkpoints flushed and
-    returns a truncated result with ``stop_reason="cancelled"``.
+    ``resume_from`` names a checkpoint written at any shard count; its
+    done units are skipped and the rest split across ``shards``.
+    ``checkpoint_path`` (default: ``resume_from``) is the run's one
+    checkpoint file.  ``chaos_policy``/``chaos_seed`` inject metadata
+    faults (campaign and scenario kinds).  ``cancel`` is the job-level
+    cancellation hook, polled between units: once truthy, the campaign
+    -- every shard of it -- stops at the next boundary with checkpoints
+    flushed and returns a truncated result with
+    ``stop_reason="cancelled"``.
     ``backend`` names the kernels ("numpy", or the "reference" oracle);
     results are bit-identical either way.
 
@@ -512,23 +518,31 @@ def run_spec(
     _validate(shards, units, checkpoint_path, checkpoint_every, backend)
     if chaos_policy is not None and not chaos_policy.enabled:
         chaos_policy = None
+    resume = load_checkpoint(resume_from, SNAPSHOT_KINDS[kind]) if resume_from else None
+    done = done_ranges(resume, units) if resume is not None else []
+    if done:
+        progress.note_resumed(sum(end - start for start, end in done))
+    checkpointer = (
+        Checkpointer(checkpoint_path, checkpoint_every, resume)
+        if checkpoint_path else None
+    )
     base = _ShardSpec(
-        kind=kind, params=dict(params), index=0, shards=shards, units=units,
+        kind=kind, params=dict(params), index=0, units=units,
         chaos_policy=chaos_policy, chaos_seed=chaos_seed,
         checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-        resume_path=resume_from, telemetry=telemetry is not None,
+        resume=resume, telemetry=telemetry is not None,
         deadline_s=deadline_s, backend=backend,
     )
     if shards == 1:
-        return _run_campaign(base, telemetry, progress, cancel)
-    slices = split_units(units, shards)
+        return _run_campaign(base, telemetry, progress, checkpointer, cancel)
+    slices = shard_slices(units, shards, done)
     specs = [_shard_spec(base, index, slices) for index in range(shards)]
     attributes = {
         key: value for key, value in params.items() if key != "scenario"
     }
     tracer = resolve_telemetry(telemetry).tracer
     with tracer.span(f"sharded_{kind}", **attributes, shards=shards):
-        results = _execute_shards(specs, telemetry, progress, cancel=cancel)
+        results = _execute_shards(specs, telemetry, progress, checkpointer, cancel)
     progress.finish()
     if kind == "raresim":
         return merge_conditional_results(results)

@@ -1,27 +1,27 @@
-"""Deterministic shard arithmetic: unit splits, the seed tree, paths.
+"""Deterministic shard arithmetic: unit splits and the seed tree.
 
 A sharded campaign is *defined* by pure functions of the campaign seed
 and the global unit index:
 
 * :func:`split_units` -- how many intervals/trials each shard owns;
+* :func:`shard_slices` -- the contiguous global slice each shard runs,
+  sharing out the units a resumed checkpoint has not done yet;
 * :func:`interval_seed_sequence`, :func:`interval_generator` and
   :func:`interval_python_seed` -- the seed tree: a unit's streams are
   children of the campaign seed keyed by its global index, whichever
-  shard runs it;
-* :func:`shard_checkpoint_path` -- where each shard snapshots its state.
+  shard runs it.
 
 Every campaign kind (Monte-Carlo, scenario, rare-event) derives each
 unit's streams from the campaign seed and the unit's global index, so
 a shard replays exactly the serial run's units and a checkpoint needs
 no RNG state.  That is what makes the merged result of a sharded
-campaign equal the serial one, and what lets a killed-and-resumed run
-reproduce it bit for bit.
+campaign equal the serial one, and what lets a killed run resume at
+any shard count and reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,25 @@ def split_units(total: int, shards: int) -> List[int]:
         raise ValueError(f"total units must be non-negative, got {total}")
     base, extra = divmod(total, shards)
     return [base + (1 if index < extra else 0) for index in range(shards)]
+
+
+def shard_slices(
+    total: int, shards: int, done: Sequence[Tuple[int, int]] = ()
+) -> List[Tuple[int, int]]:
+    """Contiguous global slices ``[start, end)`` covering ``[0, total)``.
+
+    The units outside ``done`` (ascending, disjoint ranges a resumed
+    checkpoint has completed) are shared out as :func:`split_units`
+    shares ``total`` units; each done unit falls in whichever slice
+    surrounds it, and the shard running that slice skips it.  Without
+    ``done`` the slices are the plain :func:`split_units` split.
+    """
+    counts = split_units(total - sum(end - start for start, end in done), shards)
+    cuts = [sum(counts[:index]) for index in range(shards)]
+    for start, end in done:
+        # Each cut moves past the done units before it.
+        cuts = [cut + end - start if start < cut else cut for cut in cuts]
+    return list(zip(cuts, cuts[1:] + [total]))
 
 
 def interval_seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
@@ -78,19 +97,3 @@ def interval_python_seed(seed: int, index: int) -> int:
         _PYTHON_SEED_WORDS, dtype=np.uint32
     )
     return int.from_bytes(words.tobytes(), "little")
-
-
-def shard_checkpoint_path(base: str, index: int, shards: int) -> str:
-    """Per-shard checkpoint file derived from the base ``--checkpoint``.
-
-    ``ck.json`` with 4 shards maps to ``ck.shard0of4.json`` ...
-    ``ck.shard3of4.json``: the shard count is part of the name, so a
-    resume under a different ``--shards`` cannot silently pick up
-    incompatible snapshots (it finds no files and fails fast instead).
-    """
-    if not base:
-        raise ValueError("checkpoint base path must be non-empty")
-    if not 0 <= index < shards:
-        raise ValueError(f"shard index {index} out of range for {shards} shards")
-    root, extension = os.path.splitext(base)
-    return f"{root}.shard{index}of{shards}{extension}"

@@ -329,9 +329,9 @@ def run_engine_campaign(
         taken at interval boundaries and flushed on schedule, interrupt,
         deadline expiry, and completion.  When its ``resume`` payload is
         set, the campaign validates it against the current parameters
-        (root seed included) and continues where the snapshot left off
-        (pass a *freshly built* engine -- content is re-derived from the
-        seed).
+        (root seed included) and runs only the intervals its ``done``
+        ranges leave out (pass a *freshly built* engine -- content is
+        re-derived from the seed).
     :param deadline: optional wall-clock
         :class:`repro.resilience.checkpoint.Deadline`; on expiry the
         campaign ends cleanly with partial results
@@ -355,14 +355,12 @@ def run_engine_campaign(
         "kind": "montecarlo",
         "level": level,
         "ber": ber,
-        "intervals": intervals,
         "interval_s": interval_s,
         "lines": array.num_lines,
         "line_bits": array.line_bits,
         "group_size": getattr(engine, "group_size", None),
         "randomize_content": bool(randomize_content),
         "seed": root,
-        "interval_start": interval_start,
         "chaos": chaos_policy.as_dict() if chaos_policy is not None else None,
         "chaos_seed": chaos_seed if chaos_policy is not None else None,
     }
@@ -452,7 +450,7 @@ def _run_intervals(
         intervals=intervals, ber=ber, interval_s=interval_s, lines=array.num_lines
     )
     loop = BoundaryLoop(
-        str(config["kind"]), config, checkpointer,
+        str(config["kind"]), config, checkpointer, first=interval_start,
         aggregates=lambda: _aggregates(result),
         restore=lambda aggregates: _restore_aggregates(result, aggregates),
         tracer=tel.tracer, deadline=deadline, progress=progress,
@@ -477,9 +475,8 @@ def _run_intervals(
     # the RNG stream is untouched.
     tracer = tel.tracer
 
-    def step(relative: int) -> None:
+    def step(index: int) -> None:
         started = time.perf_counter() if tel.enabled else 0.0
-        index = interval_start + relative
         stream = interval_generator(seed, 2 + index)
         chaos = (
             ChaosInjector(

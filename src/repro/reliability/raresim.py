@@ -571,14 +571,12 @@ class ConditionalGroupSimulator:
             "kind": "raresim",
             "level": label,
             "ber": self.ber,
-            "trials": trials,
             "group_size": self.group_size,
             "num_groups": self.num_groups,
             "interval_s": self.interval_s,
             "line_bits": self.line_bits,
             "sdr_max_mismatches": self.sdr_max_mismatches,
             "seed": self.seed,
-            "trial_start": self.trial_start,
             # Always present (None when no overlay): a scenario resume
             # refuses a scenario-free checkpoint.
             "scenario": (
@@ -593,15 +591,16 @@ class ConditionalGroupSimulator:
 
         loop = BoundaryLoop(
             "raresim", config_fingerprint, checkpointer,
+            first=self.trial_start,
             aggregates=lambda: {"conditional_failures": failures},
             restore=restore,
             tracer=tel.tracer, deadline=deadline, progress=progress,
         )
 
-        def step(relative: int) -> None:
+        def step(unit: int) -> None:
             nonlocal failures
             started = time.perf_counter() if tel.enabled else 0.0
-            failed = trial(self.trial_start + relative)
+            failed = trial(unit)
             if failed:
                 failures += 1
             if tel.enabled:

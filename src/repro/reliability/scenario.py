@@ -443,8 +443,6 @@ def run_scenario_campaign(
         "group_size": group_size,
         "interval_s": interval_s,
         "seed": seed,
-        "interval_start": interval_start,
-        "intervals": intervals,
         "lines": array.num_lines,
         "line_bits": array.line_bits,
         "scenario": scenario.as_dict(),

@@ -2,25 +2,32 @@
 
 A multi-hour campaign must survive being killed: every
 ``--checkpoint-every`` intervals (and on SIGINT or deadline expiry) the
-campaign writes a JSON snapshot -- completed-unit counter and running
-aggregates -- via the same atomic tmp-file+rename helper the telemetry
-exporters use.  ``--resume`` restores the snapshot and continues.
+campaign writes a JSON snapshot via the same atomic tmp-file+rename
+helper the telemetry exporters use.  ``--resume`` restores the snapshot
+and continues.  A run writes one file, whatever its shard count:
+
+* ``config`` -- the campaign fingerprint, without the slice a run or
+  shard covers (its first unit and its length);
+* ``done`` -- the ascending, disjoint global unit ranges ``[a, b)``
+  already completed;
+* ``aggregates`` -- the running tallies of exactly those units.
+
 Every campaign kind (Monte-Carlo and scenario intervals, rare-event
-trials) re-derives each unit's streams from the seed and the unit's
-index, so snapshots carry no RNG state and a resumed campaign replays
-the exact random sequence an uninterrupted run would have seen: the
-final aggregates are bit-identical (the acceptance property
+trials) derives unit ``u`` from the seed and ``u`` alone, so snapshots
+carry no RNG state, and a resumed campaign -- at any shard count --
+runs the units outside ``done`` exactly as an uninterrupted run would
+have: the final aggregates are bit-identical (the acceptance property
 ``tests/reliability/test_resume.py`` pins down).
 
-Checkpoints are validated up front: a missing file, corrupt JSON, a
-snapshot from a different campaign kind, or mismatched campaign
-parameters all raise :class:`CheckpointError` with a one-line message --
-never a traceback from deep inside the interval loop.
+Checkpoints are outside input and are validated up front: a missing
+file, corrupt JSON, another format version, a snapshot from a different
+campaign kind, mismatched campaign parameters, or a malformed
+``done``/``aggregates`` block all raise :class:`CheckpointError` with a
+one-line message -- never a traceback from deep inside the unit loop.
 
 :class:`BoundaryLoop` is the one place that protocol runs: every
-campaign kind (Monte-Carlo and scenario intervals, rare-event trials)
-drives its units through it and supplies only the per-unit step and
-its aggregates.
+campaign kind drives its units through it and supplies only the
+per-unit step and its aggregates.
 """
 
 from __future__ import annotations
@@ -29,12 +36,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.atomicio import atomic_write_json
 
 #: Format version stamped into every checkpoint file.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(Exception):
@@ -151,6 +158,10 @@ class Checkpointer:
         atomic_write_json(self.path, payload)
         self.writes += 1
 
+    def finish(self, payload: Dict[str, object]) -> None:
+        """Write the run's last snapshot (a shard hands it to its parent)."""
+        self.save(payload)
+
 
 def job_checkpoint_path(directory: str, digest: str) -> str:
     """Checkpoint path for a serve job, keyed by its content digest.
@@ -167,7 +178,7 @@ def job_checkpoint_path(directory: str, digest: str) -> str:
 def build_payload(
     kind: str,
     config: Dict[str, object],
-    completed: int,
+    done: Sequence[Tuple[int, int]],
     aggregates: Dict[str, object],
 ) -> Dict[str, object]:
     """Assemble a checkpoint payload in the canonical shape."""
@@ -175,7 +186,7 @@ def build_payload(
         "version": CHECKPOINT_VERSION,
         "kind": kind,
         "config": dict(config),
-        "completed": completed,
+        "done": [[start, end] for start, end in done],
         "aggregates": dict(aggregates),
     }
 
@@ -184,7 +195,8 @@ def load_checkpoint(path: str, kind: str) -> Dict[str, object]:
     """Load and structurally validate a checkpoint file.
 
     :raises CheckpointError: on a missing/unreadable file, corrupt JSON,
-        wrong format version, or a snapshot of a different campaign kind.
+        wrong format version, a snapshot of a different campaign kind,
+        or a malformed ``config``, ``done`` or ``aggregates`` block.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -206,10 +218,93 @@ def load_checkpoint(path: str, kind: str) -> Dict[str, object]:
             f"checkpoint {path!r} is a {payload.get('kind')!r} snapshot, "
             f"not {kind!r}"
         )
-    for key in ("config", "completed", "aggregates"):
-        if key not in payload:
-            raise CheckpointError(f"checkpoint {path!r} is missing {key!r}")
+    for key in ("config", "aggregates"):
+        if not isinstance(payload.get(key), dict):
+            raise CheckpointError(
+                f"checkpoint {path!r} is missing {key!r} as a JSON object"
+            )
+    done_ranges(payload)
     return payload
+
+
+def done_ranges(
+    payload: Dict[str, object], units: Optional[int] = None
+) -> List[Tuple[int, int]]:
+    """The payload's completed ranges, validated as outside input.
+
+    ``done`` must be a list of ``[a, b]`` integer pairs, ascending and
+    disjoint, with ``0 <= a < b``, and ``b <= units`` when the run's
+    unit count is given.
+
+    :raises CheckpointError: naming ``done`` and the offending value.
+    """
+    done = payload.get("done")
+    previous = 0
+    for pair in done if isinstance(done, list) else [done]:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(bound) is int for bound in pair)
+                and previous <= pair[0] < pair[1]):
+            raise CheckpointError(
+                f"checkpoint 'done' must list ascending, disjoint [start, "
+                f"end] integer pairs with 0 <= start < end; got {pair!r} in "
+                f"{done!r}"
+            )
+        previous = pair[1]
+    if units is not None and previous > units:
+        raise CheckpointError(
+            f"checkpoint 'done' reaches unit {previous} but this run has "
+            f"{units} units; refusing to resume"
+        )
+    return [(start, end) for start, end in done]
+
+
+def merge_ranges(ranges: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Ascending, disjoint cover of the non-empty ``ranges`` (touching
+    ones coalesce)."""
+    merged: List[Tuple[int, int]] = []
+    for start, end in sorted(pair for pair in ranges if pair[0] < pair[1]):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def _sum(blocks: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    total: Dict[str, object] = {}
+    for block in blocks:
+        for key, value in block.items():
+            total[key] = (_sum([total.get(key, {}), value])
+                          if isinstance(value, dict) else total.get(key, 0) + value)
+    return total
+
+
+def merge_payloads(
+    payloads: Sequence[Optional[Dict[str, object]]]
+) -> Dict[str, object]:
+    """One payload for the union of the payloads' units (``None`` parts,
+    not yet reported, are skipped).
+
+    Every kind's aggregates are counts (nested dicts of them), so the
+    union of disjoint unit sets carries their sum.  ``kind`` and
+    ``config`` are the first part's; the runner merges snapshots of one
+    campaign, whose fingerprints agree.
+    """
+    parts = [payload for payload in payloads if payload is not None]
+    done = merge_ranges([pair for payload in parts for pair in payload["done"]])
+    aggregates = _sum([payload["aggregates"] for payload in parts])
+    return build_payload(parts[0]["kind"], parts[0]["config"], done, aggregates)
+
+
+def payload_slice(payload: Dict[str, object], start: int, end: int,
+                  aggregates: bool) -> Dict[str, object]:
+    """``payload`` cut to units ``[start, end)``: its done ranges there,
+    and all its aggregates or none (one slice of a run carries them)."""
+    return dict(
+        payload, aggregates=payload["aggregates"] if aggregates else {},
+        done=[[max(a, start), min(b, end)]
+              for a, b in payload["done"] if a < end and b > start],
+    )
 
 
 def require_config_match(
@@ -230,6 +325,15 @@ def require_config_match(
             )
 
 
+def _todo(first: int, end: int,
+          done: Sequence[Tuple[int, int]]) -> Iterator[int]:
+    """Units ``[first, end)`` outside the ascending ranges ``done``."""
+    # The gaps are [first, a1), [b1, a2), ..., [bn, end), clipped.
+    edges = [first, *(bound for pair in done for bound in pair), end]
+    return (unit for start, stop in zip(edges[::2], edges[1::2])
+            for unit in range(max(start, first), min(stop, end)))
+
+
 class BoundaryLoop:
     """The unit-boundary protocol shared by every campaign loop.
 
@@ -238,71 +342,75 @@ class BoundaryLoop:
     its aggregates.  The loop owns everything that happens at those
     boundaries:
 
-    * resume -- on construction a ``checkpointer.resume`` payload is
-      validated against ``config`` and applied through ``restore``, so
-      :attr:`start` is known before the caller builds anything that
-      depends on the restored state;
-    * a snapshot after every unit, flushed when ``checkpointer.due``
-      and once more at the end, each flush in a ``checkpoint_write``
-      span on ``tracer`` (``checkpointer.writes`` counts them);
+    * resume -- a ``checkpointer.resume`` payload is validated against
+      ``config`` and the run's units before any unit runs, its
+      aggregates are applied through ``restore``, and its ``done``
+      ranges are skipped;
+    * a boundary mark after every unit (its position and aggregates),
+      flushed as a snapshot when ``checkpointer.due`` and once more at
+      the end (``checkpointer.finish``), each flush in a
+      ``checkpoint_write`` span on ``tracer``; ranges are built only
+      at a flush;
     * deadline and cancellation stops, polled after each unit;
-    * ``KeyboardInterrupt`` rollback to the last boundary snapshot;
+    * ``KeyboardInterrupt`` rollback to the last boundary mark;
     * ``progress.update()`` per unit that does not end the run, and
       ``progress.finish()`` after the final flush.
 
     ``aggregates()`` returns the JSON-ready block a snapshot carries;
-    ``restore`` applies it on resume and on rollback.
+    ``restore`` applies it on resume and on rollback.  ``first`` is
+    the global index of the run's first unit (a shard's slice start).
     """
 
     def __init__(self, kind: str, config: Dict[str, object],
-                 checkpointer: Optional[Checkpointer], *, aggregates,
-                 restore, tracer, deadline=None, progress) -> None:
+                 checkpointer: Optional[Checkpointer], *, first: int = 0,
+                 aggregates, restore, tracer, deadline=None,
+                 progress) -> None:
         self._kind = kind
         self._config = config
         self._checkpointer = checkpointer
+        self._first = first
         self._aggregates = aggregates
         self._restore = restore
         self._tracer = tracer
         self._deadline = deadline
         self._progress = progress
-        #: Units already completed by the run being resumed (0 when fresh).
-        self.start = 0
-        resume = checkpointer.resume if checkpointer is not None else None
-        if resume is not None:
-            require_config_match(resume, config)
-            self.start = int(resume["completed"])
-            restore(resume["aggregates"])
 
-    def _snapshot(self, completed: int) -> Dict[str, object]:
-        return build_payload(
-            self._kind, self._config, completed, self._aggregates()
-        )
-
-    def _flush(self, snapshot: Dict[str, object]) -> None:
-        path = self._checkpointer.path
-        with self._tracer.span("checkpoint_write", path=path):
-            self._checkpointer.save(snapshot)
+    def _flush(self, save, done: List[Tuple[int, int]],
+               mark: Tuple[int, int, Dict[str, object]]) -> None:
+        position, _, aggregates = mark
+        done = merge_ranges(done + [(self._first, position)])
+        with self._tracer.span("checkpoint_write",
+                               path=self._checkpointer.path):
+            save(build_payload(self._kind, self._config, done, aggregates))
 
     def run(self, units: int, step: Callable[[int], None],
             span) -> Tuple[int, str]:
-        """Run units ``[start, units)`` inside ``span``.
+        """Run units ``[first, first + units)`` not yet done, in ``span``.
 
-        ``step(unit)`` performs one unit and updates the caller's
-        aggregates.  Returns ``(completed, stop_reason)``, where
-        ``stop_reason`` is ``""`` when every unit ran.
+        ``step(unit)`` performs global unit ``unit`` and updates the
+        caller's aggregates.  Returns ``(completed, stop_reason)``:
+        ``completed`` counts the resumed units too, and ``stop_reason``
+        is ``""`` when every unit ran.
         """
         checkpointer, deadline = self._checkpointer, self._deadline
-        completed = self.start
+        end = self._first + units
+        resume = checkpointer.resume if checkpointer is not None else None
+        done = [] if resume is None else done_ranges(resume, end)
+        if resume is not None:
+            require_config_match(resume, self._config)
+            self._restore(resume["aggregates"])
+        resumed = sum(stop - start for start, stop in done)
         stop_reason = ""
-        snapshot = self._snapshot(completed)
+        # (position, completed, aggregates): every unit below position
+        # is done, and the count and aggregates are theirs.
+        mark = (self._first, resumed, self._aggregates())
         with span:
             try:
-                for unit in range(self.start, units):
+                for unit in _todo(self._first, end, done):
                     step(unit)
-                    completed += 1
-                    snapshot = self._snapshot(completed)
-                    if checkpointer is not None and checkpointer.due(completed):
-                        self._flush(snapshot)
+                    mark = (unit + 1, mark[1] + 1, self._aggregates())
+                    if checkpointer is not None and checkpointer.due(mark[1] - resumed):
+                        self._flush(checkpointer.save, done, mark)
                     if deadline is not None and deadline.expired():
                         stop_reason = deadline.reason
                         break
@@ -311,10 +419,8 @@ class BoundaryLoop:
                 # Completed units are not discarded: roll back to the
                 # last boundary and return the partial aggregates.
                 stop_reason = "interrupted"
-                completed = int(snapshot["completed"])
-                self._restore(snapshot["aggregates"])
+                self._restore(mark[2])
         if checkpointer is not None:
-            self._flush(snapshot)
+            self._flush(checkpointer.finish, done, mark)
         self._progress.finish()
-        return completed, stop_reason
-
+        return mark[1], stop_reason

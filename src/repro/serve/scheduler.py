@@ -20,14 +20,18 @@ message arrives.  The lifecycle:
   are gone: without a terminal message first, the job fails.
   Progress messages feed a per-job :class:`~repro.obs.ProgressReporter`
   whose snapshots become SSE events.
+* Checkpoints: a job writes one file, ``job-<digest>.ck.json``,
+  whatever its shard count (``shards`` is not part of the digest, and a
+  checkpoint resumes at any shard count).  A job resumes that file
+  only when :func:`~repro.resilience.checkpoint.load_checkpoint`
+  accepts it; a file it refuses (another format version, say) is
+  overwritten by a fresh run instead of failing every resubmission.
 * Completion: an untruncated result is filed in the content-addressed
-  store and every checkpoint file of its digest is deleted, whatever
-  shard count wrote it (``shards`` is not part of the digest).  A
-  truncated result (cancel/drain) keeps its checkpoints, so
-  resubmitting the same spec after a restart resumes from the boundary
-  instead of starting over -- and, because checkpointed campaigns are
-  bit-identically resumable, the final result equals an uninterrupted
-  run.
+  store and the digest's checkpoint is deleted.  A truncated result
+  (cancel/drain) keeps its checkpoint, so resubmitting the same spec
+  after a restart resumes from the boundary instead of starting over
+  -- and, because checkpointed campaigns are bit-identically
+  resumable, the final result equals an uninterrupted run.
 * Terminal jobs past :data:`MAX_TERMINAL_JOBS` leave the job table,
   oldest first, so memory does not grow with requests; their results
   stay in the store and a resubmission is still a store hit.
@@ -39,7 +43,6 @@ message arrives.  The lifecycle:
 from __future__ import annotations
 
 import asyncio
-import glob
 import io
 import multiprocessing
 import os
@@ -52,9 +55,12 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs import MetricsRegistry, ProgressReporter, Telemetry
 from repro.obs.export import metrics_snapshot
-from repro.parallel.runner import BatchingProgress, run_spec
-from repro.parallel.sharding import shard_checkpoint_path
-from repro.resilience.checkpoint import job_checkpoint_path
+from repro.parallel.runner import SNAPSHOT_KINDS, BatchingProgress, run_spec
+from repro.resilience.checkpoint import (
+    CheckpointError,
+    job_checkpoint_path,
+    load_checkpoint,
+)
 from repro.serve.queue import FairShareQueue, QueuedJob
 from repro.serve.specs import RESULT_VERSION, JobSpec, parse_submission
 from repro.serve.store import ResultStore
@@ -298,38 +304,15 @@ class Scheduler:
 
     # -- worker pool --------------------------------------------------------------
 
-    def _checkpoint_candidates(self, job: Job) -> List[str]:
-        base = job_checkpoint_path(self.checkpoint_dir, job.digest)
-        shards = job.spec.shards
-        if shards == 1:
-            return [base]
-        return [
-            shard_checkpoint_path(base, index, shards)
-            for index in range(shards)
-        ]
-
-    def _checkpoint_files(self, job: Job) -> List[str]:
-        """Every checkpoint file of the job's digest, at any shard count.
-
-        An earlier submission of the same spec may have been cancelled
-        under another ``shards``; its files are this digest's too.
-        """
-        base = job_checkpoint_path(self.checkpoint_dir, job.digest)
-        root, extension = os.path.splitext(base)
-        return [base] + sorted(
-            glob.glob(f"{glob.escape(root)}.shard*of*{extension}")
-        )
-
     def _start_job(self, job: Job) -> None:
         base = job_checkpoint_path(self.checkpoint_dir, job.digest)
-        resume = (
-            base
-            if any(
-                os.path.exists(path)
-                for path in self._checkpoint_candidates(job)
-            )
-            else ""
-        )
+        try:
+            load_checkpoint(base, SNAPSHOT_KINDS[job.spec.kind])
+            resume = base
+        except CheckpointError:
+            # No file, or one this build refuses: the run starts fresh
+            # and its first flush replaces it.
+            resume = ""
         reader, writer = self._context.Pipe(duplex=False)
         job.cancel_event = self._context.Event()
         # Non-daemon: sharded jobs fork their own shard workers.
@@ -469,11 +452,10 @@ class Scheduler:
             "result": result,
         }
         self.store.put(job.digest, record)
-        for path in self._checkpoint_files(job):
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
+        try:
+            os.remove(job_checkpoint_path(self.checkpoint_dir, job.digest))
+        except FileNotFoundError:
+            pass
         self._publish(job, "metrics", {"series": metrics})
         self._conclude(job, "done")
 

@@ -126,7 +126,7 @@ class TestCampaignRoundTrip:
                      "--checkpoint-every", "2"])
         assert code == 0
         payload = load_checkpoint(ck, "montecarlo")
-        assert payload["completed"] == 4
+        assert payload["done"] == [[0, 4]]
 
 
 class TestRaresimRoundTrip:

@@ -40,5 +40,5 @@ class TestCampaignShards:
         code = main(["campaign", *SMALL, "--shards", "2", "--resume", ck])
         assert code == 2
         err = capsys.readouterr().err.strip()
-        assert "no shard checkpoint" in err
+        assert "cannot read checkpoint" in err
         assert "Traceback" not in err

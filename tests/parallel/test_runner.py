@@ -5,8 +5,12 @@ These pin the three guarantees docs/parallelism.md promises:
 * ``shards=1`` is bit-identical to the serial runners;
 * the K-shard outcome of a seed equals the serial one, for every kind;
 * a sharded campaign killed mid-flight (deadline as a deterministic
-  stand-in for kill -9) and resumed equals the uninterrupted run.
+  stand-in for kill -9) and resumed -- at the same or another shard
+  count -- equals the uninterrupted run.
 """
+
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -16,12 +20,18 @@ from repro.parallel import (
     ShardError,
     run_sharded_campaign,
     run_sharded_raresim,
+    run_sharded_scenario,
 )
 from repro.reliability import montecarlo
 from repro.reliability.montecarlo import run_group_campaign
 from repro.reliability.raresim import ConditionalGroupSimulator
 from repro.reliability.scenario import BurstSpec, FaultScenario, StuckSpec
-from repro.resilience import CheckpointError
+from repro.resilience import (
+    ChaosPolicy,
+    Checkpointer,
+    CheckpointError,
+    load_checkpoint,
+)
 
 # Small but non-trivial: BER high enough that every run sees corrections
 # and some failures, so the determinism assertions have teeth.
@@ -257,6 +267,69 @@ class TestCancellation:
         assert result.trials < 4000
 
 
+#: Per case: the snapshot kind, the unit count, and the run.
+CROSS_K = {
+    "campaign-chaos": ("montecarlo", 9, lambda **kwargs: run_sharded_campaign(
+        LEVEL, BER, 9, GROUP, seed=SEED, chaos_seed=4,
+        chaos_policy=ChaosPolicy(plt_flip_rate=0.05, visit_drop_rate=0.05),
+        **kwargs,
+    )),
+    "scenario": ("scenario", 9, lambda **kwargs: run_sharded_scenario(
+        "Z", RARE_OVERLAY, 9, 4, seed=SEED, **kwargs,
+    )),
+    "raresim": ("raresim", 21, lambda **kwargs: _raresim(
+        trials=21, **kwargs
+    )),
+    "raresim-overlay": ("raresim", 21, lambda **kwargs: _raresim(
+        trials=21, scenario=RARE_OVERLAY, **kwargs
+    )),
+}
+
+
+class TestCrossShardResume:
+    """A checkpoint is one file of completed global unit ranges, so a
+    run stopped at two shards resumes at any shard count."""
+
+    @pytest.mark.parametrize("resume_shards", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CROSS_K))
+    def test_stopped_at_two_resumed_at_k_equals_serial(
+        self, tmp_path, case, resume_shards
+    ):
+        kind, units, run = CROSS_K[case]
+        ck = str(tmp_path / "ck.json")
+        partial = run(
+            shards=2, checkpoint_path=ck, checkpoint_every=1, deadline_s=1e-6,
+        )
+        assert partial.truncated and partial.stop_reason == "deadline"
+        # Each shard stopped after its first unit: two disjoint ranges.
+        done = load_checkpoint(ck, kind)["done"]
+        assert len(done) == 2 and done[0][0] == 0
+        copy = str(tmp_path / "copy.json")
+        shutil.copy(ck, copy)
+        resumed = run(shards=resume_shards, resume_from=copy)
+        assert not resumed.truncated
+        assert resumed.as_dict() == run(shards=1).as_dict()
+        assert load_checkpoint(copy, kind)["done"] == [[0, units]]
+
+    def test_parent_writes_the_one_file(self, tmp_path, monkeypatch):
+        """Shards write no file: with no periodic snapshot due, the
+        parent writes once, after every shard has reported."""
+        written = []
+        save = Checkpointer.save
+
+        def recording_save(checkpointer, payload):
+            written.append(payload["done"])
+            save(checkpointer, payload)
+
+        monkeypatch.setattr(Checkpointer, "save", recording_save)
+        run_sharded_scenario(
+            "Z", RARE_OVERLAY, 6, 4, seed=SEED, shards=2,
+            checkpoint_path=str(tmp_path / "ck.json"), checkpoint_every=10,
+        )
+        assert written == [[[0, 6]]]
+        assert os.listdir(tmp_path) == ["ck.json"]
+
+
 class TestComposition:
     def test_telemetry_merges_across_shards(self):
         telemetry = Telemetry.create()
@@ -342,8 +415,10 @@ class TestMergedTraces:
 
 class TestFailureModes:
     def test_resume_without_shard_files_fails_fast(self, tmp_path):
+        """A sharded resume reads the run's one file in the parent, so a
+        missing file is the serial run's error, before any shard starts."""
         ck = str(tmp_path / "missing.json")
-        with pytest.raises(CheckpointError, match="no shard checkpoint"):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             run_sharded_campaign(
                 LEVEL, BER, INTERVALS, GROUP, shards=2, seed=SEED,
                 checkpoint_path=ck, resume_from=ck,

@@ -6,9 +6,9 @@ import pytest
 from repro.parallel import (
     interval_python_seed,
     interval_seed_sequence,
-    shard_checkpoint_path,
     split_units,
 )
+from repro.parallel.sharding import shard_slices
 
 
 class TestSplitUnits:
@@ -63,24 +63,32 @@ class TestSeedSpawning:
             interval_seed_sequence(0, -1)
 
 
-class TestShardCheckpointPath:
-    def test_extension_preserved(self):
-        assert (shard_checkpoint_path("out/ck.json", 0, 4)
-                == "out/ck.shard0of4.json")
-        assert (shard_checkpoint_path("out/ck.json", 3, 4)
-                == "out/ck.shard3of4.json")
+class TestShardSlices:
+    def test_fresh_run_is_the_unit_split(self):
+        assert shard_slices(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
+        assert shard_slices(2, 3) == [(0, 1), (1, 2), (2, 2)]
 
-    def test_no_extension(self):
-        assert shard_checkpoint_path("ck", 1, 2) == "ck.shard1of2"
+    def test_remaining_units_are_shared_evenly(self):
+        done = [(0, 1), (4, 5)]
+        slices = shard_slices(8, 3, done)
+        assert slices == [(0, 3), (3, 6), (6, 8)]
 
-    def test_shard_count_in_name_prevents_cross_k_resume(self):
-        assert (shard_checkpoint_path("ck.json", 0, 2)
-                != shard_checkpoint_path("ck.json", 0, 4))
+        def remaining(start, end):
+            return [u for u in range(start, end)
+                    if not any(a <= u < b for a, b in done)]
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            shard_checkpoint_path("", 0, 2)
-        with pytest.raises(ValueError):
-            shard_checkpoint_path("ck.json", 2, 2)
-        with pytest.raises(ValueError):
-            shard_checkpoint_path("ck.json", -1, 2)
+        assert [len(remaining(*s)) for s in slices] == split_units(6, 3)
+
+    def test_slices_cover_every_unit_once(self):
+        for done in ([], [(0, 4)], [(8, 10)], [(2, 4), (6, 7)], [(0, 10)]):
+            for shards in (1, 2, 3, 7):
+                slices = shard_slices(10, shards, done)
+                assert slices[0][0] == 0 and slices[-1][1] == 10
+                assert all(a <= b for a, b in slices)
+                assert all(
+                    left[1] == right[0]
+                    for left, right in zip(slices, slices[1:])
+                )
+
+    def test_done_head_moves_the_first_cut(self):
+        assert shard_slices(10, 2, [(0, 4)]) == [(0, 7), (7, 10)]

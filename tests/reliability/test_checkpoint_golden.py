@@ -2,9 +2,10 @@
 
 ``golden_checkpoints/<kind>-after-2.json`` holds the exact payload each
 campaign kind flushed after its second unit, captured from a small
-seeded run (``montecarlo-v1-after-2.json``, ``raresim-v2-after-2.json``
-and ``raresim-v3-after-2.json`` are older captures, kept to pin their
-refusal).  Two properties are pinned per kind:
+seeded run (``montecarlo-v1-after-2.json``, ``raresim-v2-after-2.json``,
+``raresim-v3-after-2.json`` and the three ``<kind>-v4-after-2.json``
+are older captures, kept to pin their refusal).  Two properties are
+pinned per kind:
 
 * the same run still flushes exactly that payload after unit 2 (same
   key set, aggregates and config fingerprint), and
@@ -84,7 +85,7 @@ def _golden_path(kind):
 def test_flushed_payload_matches_capture(kind, tmp_path):
     checkpointer = RecordingCheckpointer(str(tmp_path / "ck.json"), every=2)
     RUNS[kind](checkpointer)
-    after_two = [p for p in checkpointer.flushed if p["completed"] == 2]
+    after_two = [p for p in checkpointer.flushed if p["done"] == [[0, 2]]]
     with open(_golden_path(kind), "r", encoding="utf-8") as handle:
         golden = json.load(handle)
     assert after_two == [golden]
@@ -132,3 +133,16 @@ def test_version_3_checkpoint_is_refused():
         load_checkpoint(
             os.path.join(GOLDEN_DIR, "raresim-v3-after-2.json"), "raresim"
         )
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_version_4_checkpoint_is_refused(kind):
+    """Version 4 snapshots counted ``completed`` units from the start of
+    one shard's slice, and their fingerprint held that slice; version 5
+    records the completed global unit ranges of the whole run, so a
+    version 4 file is refused rather than guessed at."""
+    with pytest.raises(CheckpointError, match="format version 4") as caught:
+        load_checkpoint(
+            os.path.join(GOLDEN_DIR, f"{kind}-v4-after-2.json"), kind
+        )
+    assert "\n" not in str(caught.value)

@@ -219,7 +219,7 @@ class TestSeedTreeInvariance:
         )
         assert partial.truncated and partial.intervals == 3
         payload = load_checkpoint(path, "montecarlo")
-        assert payload["completed"] == 3
+        assert payload["done"] == [[0, 3]]
         assert "rng" not in payload
         assert "fill_seed" not in payload["aggregates"]
         resumed = campaign(

@@ -89,7 +89,7 @@ class TestMonteCarloResume:
         # INTERVALS/2 periodic writes plus the final completion flush.
         assert ck.writes == INTERVALS // 2 + 1
         final = load_checkpoint(path, "montecarlo")
-        assert final["completed"] == INTERVALS
+        assert final["done"] == [[0, INTERVALS]]
 
     def test_chaos_campaign_resumes_bit_identically(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -248,7 +248,7 @@ class TestScenarioResume:
         assert partial.truncated
         assert partial.stop_reason == "interrupted"
         assert partial.intervals == 3
-        assert load_checkpoint(path, "scenario")["completed"] == 3
+        assert load_checkpoint(path, "scenario")["done"] == [[0, 3]]
         resumed = self.campaign(
             checkpointer=Checkpointer(
                 path=path, resume=load_checkpoint(path, "scenario")

@@ -17,6 +17,7 @@ from repro.resilience import (
     load_checkpoint,
     require_config_match,
 )
+from repro.resilience.checkpoint import done_ranges, merge_payloads
 
 
 class TestAtomicWrite:
@@ -130,7 +131,7 @@ class TestCheckpointer:
     def test_save_round_trip(self, tmp_path):
         path = tmp_path / "ck.json"
         ck = Checkpointer(path=str(path), every=1)
-        payload = build_payload("montecarlo", {"ber": 1e-3}, 4, {"n": 4})
+        payload = build_payload("montecarlo", {"ber": 1e-3}, [(0, 4)], {"n": 4})
         ck.save(payload)
         assert ck.writes == 1
         loaded = load_checkpoint(str(path), "montecarlo")
@@ -144,7 +145,7 @@ class TestLoadCheckpoint:
         return str(path)
 
     def good_payload(self):
-        return build_payload("montecarlo", {"ber": 1e-3}, 2, {})
+        return build_payload("montecarlo", {"ber": 1e-3}, [(0, 2)], {})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
@@ -191,15 +192,127 @@ class TestLoadCheckpoint:
 
 class TestConfigMatch:
     def test_accepts_identical(self):
-        payload = build_payload("montecarlo", {"ber": 1e-3, "n": 4}, 0, {})
+        payload = build_payload("montecarlo", {"ber": 1e-3, "n": 4}, [], {})
         require_config_match(payload, {"ber": 1e-3, "n": 4})
 
     def test_names_mismatched_key(self):
-        payload = build_payload("montecarlo", {"ber": 1e-3, "n": 4}, 0, {})
+        payload = build_payload("montecarlo", {"ber": 1e-3, "n": 4}, [], {})
         with pytest.raises(CheckpointError, match="ber"):
             require_config_match(payload, {"ber": 2e-3, "n": 4})
 
     def test_catches_missing_and_extra_keys(self):
-        payload = build_payload("montecarlo", {"ber": 1e-3}, 0, {})
+        payload = build_payload("montecarlo", {"ber": 1e-3}, [], {})
         with pytest.raises(CheckpointError, match="extra"):
             require_config_match(payload, {"ber": 1e-3, "extra": 1})
+
+
+#: Hand-edited ``done``/``aggregates``/``config`` blocks, each refused
+#: with a one-line error naming its field before any unit runs.
+MALFORMED = {
+    "done-not-a-list": ("done", 100, "'done'"),
+    "done-pair-not-a-list": ("done", [3], "'done'"),
+    "done-pair-too-long": ("done", [[0, 1, 2]], "'done'"),
+    "done-float-bound": ("done", [[0, 1.5]], "'done'"),
+    "done-bool-bound": ("done", [[0, True]], "'done'"),
+    "done-string-bound": ("done", [["0", "2"]], "'done'"),
+    "done-negative-start": ("done", [[-3, 1]], "'done'"),
+    "done-empty-range": ("done", [[2, 2]], "'done'"),
+    "done-reversed-range": ("done", [[3, 1]], "'done'"),
+    "done-overlapping": ("done", [[0, 3], [2, 4]], "'done'"),
+    "done-descending": ("done", [[4, 5], [0, 1]], "'done'"),
+    "aggregates-not-an-object": ("aggregates", [1, 2], "'aggregates'"),
+    "config-not-an-object": ("config", "Z", "'config'"),
+}
+
+
+class TestMalformedPayload:
+    def write(self, tmp_path, key, value):
+        payload = build_payload("montecarlo", {"ber": 1e-3}, [(0, 2)], {})
+        payload[key] = value
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_refused_naming_the_field(self, tmp_path, case):
+        key, value, field = MALFORMED[case]
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(self.write(tmp_path, key, value), "montecarlo")
+        assert field in str(caught.value)
+        assert "\n" not in str(caught.value)
+
+    def test_adjacent_ranges_accepted(self, tmp_path):
+        path = self.write(tmp_path, "done", [[0, 2], [2, 5], [7, 8]])
+        assert done_ranges(load_checkpoint(path, "montecarlo")) == [
+            (0, 2), (2, 5), (7, 8)
+        ]
+
+    def test_done_past_the_run_is_refused(self):
+        payload = build_payload("montecarlo", {}, [(0, 100)], {})
+        assert done_ranges(payload, 100) == [(0, 100)]
+        with pytest.raises(CheckpointError, match="'done' reaches unit 100"):
+            done_ranges(payload, 8)
+
+    @pytest.mark.parametrize("done", [[[0, 100]], [[-3, 2]]])
+    def test_campaign_refuses_before_any_unit_runs(self, tmp_path, done):
+        """A hand-edited Monte-Carlo checkpoint of an 8-interval run:
+        ``done`` past the run's units, or below zero, is refused before
+        the first interval, not turned into a result or a deep
+        ``ValueError``."""
+        from repro.reliability.montecarlo import run_group_campaign
+
+        class Units:
+            count = 0
+
+            def update(self, *args, **kwargs):
+                self.count += 1
+
+            def finish(self):
+                pass
+
+        def campaign(checkpointer, progress):
+            return run_group_campaign(
+                "Z", 1e-3, 8, group_size=8, seed=1,
+                checkpointer=checkpointer, progress=progress,
+            )
+
+        path = tmp_path / "ck.json"
+        campaign(Checkpointer(str(path)), Units())
+        payload = json.loads(path.read_text())
+        payload["done"] = done
+        path.write_text(json.dumps(payload))
+        units = Units()
+        with pytest.raises(CheckpointError, match="'done'"):
+            campaign(
+                Checkpointer(str(path), resume=load_checkpoint(
+                    str(path), "montecarlo"
+                )),
+                progress=units,
+            )
+        assert units.count == 0
+
+
+class TestMergePayloads:
+    def test_ranges_union_and_aggregates_add(self):
+        left = build_payload(
+            "montecarlo", {"ber": 1e-3}, [(0, 2), (5, 6)],
+            {"interval_failures": 1, "outcomes": {"clean": 10}},
+        )
+        right = build_payload(
+            "montecarlo", {"ber": 1e-3}, [(2, 4)],
+            {"interval_failures": 2,
+             "outcomes": {"clean": 3, "corrected_ecc1": 1}},
+        )
+        merged = merge_payloads([left, right])
+        assert merged == build_payload(
+            "montecarlo", {"ber": 1e-3}, [(0, 4), (5, 6)],
+            {"interval_failures": 3,
+             "outcomes": {"clean": 13, "corrected_ecc1": 1}},
+        )
+
+    def test_empty_parts_change_nothing(self):
+        part = build_payload(
+            "raresim", {}, [(3, 9)], {"conditional_failures": 2}
+        )
+        empty = build_payload("raresim", {}, [], {})
+        assert merge_payloads([part, empty]) == part

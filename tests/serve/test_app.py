@@ -493,9 +493,12 @@ class TestCancelAndResume:
     def test_completion_clears_checkpoints_of_any_shard_count(
         self, tmp_path
     ):
-        """``shards`` is not in the digest, so a job cancelled at two
-        shards and resubmitted serially shares its checkpoint namespace:
-        the serial run's completion deletes the 2-shard files too."""
+        """``shards`` is not in the digest, and a checkpoint resumes at
+        any shard count: a job cancelled at two shards leaves the one
+        file of its digest, the serial resubmission resumes it, and
+        its completion deletes it."""
+        from repro.parallel.runner import run_spec
+
         spec = dict(SPEC, intervals=40)
 
         async def scenario():
@@ -515,19 +518,56 @@ class TestCancelAndResume:
                 await _request(port, "DELETE", f"/v1/jobs/{job['job_id']}")
                 events = await _sse_events(port, job["job_id"])
                 assert events[-1][0] == "cancelled"
-                assert sorted(os.listdir(checkpoint_dir)) == [
-                    f"job-{job['digest']}.ck.shard{i}of2.json"
-                    for i in range(2)
+                assert os.listdir(checkpoint_dir) == [
+                    f"job-{job['digest']}.ck.json"
                 ]
                 _, again = await _request(
                     port, "POST", "/v1/jobs", dict(spec, shards=1)
                 )
                 assert again["digest"] == job["digest"]
                 events = await _sse_events(port, again["job_id"])
+                assert dict(events)["running"]["resumed_from_checkpoint"]
                 assert events[-1][0] == "done"
                 assert os.listdir(checkpoint_dir) == []
+                _, body = await _raw_result(port, job["digest"])
+                return json.loads(body)["result"]
 
-        asyncio.run(scenario())
+        stored = asyncio.run(scenario())
+        parsed, _, _ = parse_submission(spec)
+        reference = run_spec(parsed.kind, parsed.params).as_dict()
+        assert stored == json.loads(json.dumps(reference))
+
+    def test_refused_checkpoint_runs_fresh(self, tmp_path):
+        """A checkpoint the loader refuses (here the kept version 4
+        capture, planted under the job's digest) must not fail every
+        resubmission: the job runs fresh, ends ``done`` equal to an
+        uninterrupted run, and its completion deletes the file."""
+        from repro.parallel.runner import run_spec
+
+        capture = os.path.join(
+            os.path.dirname(os.path.dirname(__file__)), "reliability",
+            "golden_checkpoints", "montecarlo-v4-after-2.json",
+        )
+        parsed, _, _ = parse_submission(SPEC)
+        checkpoint_dir = tmp_path / "ck"
+        checkpoint_dir.mkdir()
+        planted = checkpoint_dir / f"job-{parsed.digest()}.ck.json"
+        with open(capture, "rb") as handle:
+            planted.write_bytes(handle.read())
+
+        async def scenario():
+            async with _RunningApp(tmp_path, workers=1) as running:
+                _, job = await _request(running.port, "POST", "/v1/jobs", SPEC)
+                events = await _sse_events(running.port, job["job_id"])
+                assert events[-1][0] == "done", events[-1]
+                assert not dict(events)["running"]["resumed_from_checkpoint"]
+                assert os.listdir(checkpoint_dir) == []
+                _, body = await _raw_result(running.port, job["digest"])
+                return json.loads(body)["result"]
+
+        stored = asyncio.run(scenario())
+        reference = run_spec(parsed.kind, parsed.params).as_dict()
+        assert stored == json.loads(json.dumps(reference))
 
     def test_delete_after_completion_conflicts(self, tmp_path):
         async def scenario():
